@@ -10,6 +10,7 @@ choice (inverse CDF over colors in index order).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -19,8 +20,9 @@ from .model import (
     Configuration,
     ModelSpec,
     config_from_colors,
+    decode_rank,
 )
-from .kernel import SparseKernel, _conditional_dist, build_kernel
+from .kernel import SparseKernel, build_kernel, local_conditionals
 from .spectral import Spectrum, spectrum as compute_spectrum
 from .serialize import canonical_csv, canonical_json
 
@@ -30,17 +32,30 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def _distributions(
+    kernel: SparseKernel, start: int, k_max: int
+) -> Iterator[np.ndarray]:
+    """Yield the distribution after 0, 1, ..., ``k_max`` steps from rank ``start``.
+
+    Holds one state vector at a time, whatever ``k_max`` is.
+    """
+    transposed = kernel.matrix.T.tocsr()
+    dist = np.zeros(kernel.dimension)
+    dist[start] = 1.0
+    yield dist
+    for _ in range(k_max):
+        dist = transposed @ dist
+        yield dist
+
+
 def propagate(kernel: SparseKernel, start: int, k: int) -> np.ndarray:
     """Distribution after ``k`` steps from a point mass at rank ``start``."""
     if k < 0:
         raise ValueError(f"step count must be nonnegative, got {k}")
     if not 0 <= start < kernel.dimension:
         raise ValueError(f"start rank {start} out of range")
-    transposed = kernel.matrix.T.tocsr()
-    dist = np.zeros(kernel.dimension)
-    dist[start] = 1.0
-    for _ in range(k):
-        dist = transposed @ dist
+    for dist in _distributions(kernel, start, k):
+        pass
     return dist
 
 
@@ -51,21 +66,6 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
     return 0.5 * float(np.abs(p - q).sum())
-
-
-def _cdf_table(spec: ModelSpec) -> np.ndarray:
-    """Conditional CDFs indexed by (left color + 1, right color + 1).
-
-    Index 0 stands for a missing neighbor, so the table covers boundary
-    sites and the single-site chain with one lookup.
-    """
-    num_colors = spec.num_colors
-    table = np.empty((num_colors + 1, num_colors + 1, num_colors))
-    options: list[int | None] = [None] + list(range(num_colors))
-    for li, left in enumerate(options):
-        for ri, right in enumerate(options):
-            table[li, ri] = np.cumsum(_conditional_dist(spec, left, right))
-    return table
 
 
 def _step_single(
@@ -111,7 +111,7 @@ def simulate_trajectory(
     if len(start.colors) != spec.n:
         raise ValueError(f"start must have {spec.n} sites")
     rng = make_rng(seed)
-    cdf = _cdf_table(spec)
+    cdf = np.cumsum(local_conditionals(spec), axis=2)
     colors = np.array(start.colors, dtype=np.int8)
     out = np.empty((steps + 1, spec.n), dtype=np.int8)
     out[0] = colors
@@ -140,33 +140,23 @@ def _mc_distributions(
     n, num_colors = spec.n, spec.num_colors
     m = spec.num_states
     rng = make_rng(seed)
-    cdf = _cdf_table(spec)
-    places = np.array(
-        [num_colors ** (n - 1 - i) for i in range(n)], dtype=np.int64
-    )
-    colors = np.tile(
-        np.array(
-            [(start // num_colors ** (n - 1 - i)) % num_colors for i in range(n)],
-            dtype=np.int64,
-        ),
-        (replicas, 1),
-    )
+    cdf = np.cumsum(local_conditionals(spec), axis=2)
+    places = num_colors ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # Colors + 1 of every replica, padded with 0 ("no neighbor") at both
+    # ends, so neighbor lookups index the CDF table directly.
+    padded = np.zeros((replicas, n + 2), dtype=np.int64)
+    padded[:, 1:-1] = np.array(decode_rank(spec, start)) + 1
     ranks = np.full(replicas, start, dtype=np.int64)
     rows = np.arange(replicas)
     out = np.empty((k_max + 1, m))
     out[0] = np.bincount(ranks, minlength=m) / replicas
     for k in range(1, k_max + 1):
         sites = np.minimum((rng.random(replicas) * n).astype(np.int64), n - 1)
-        left = np.where(sites >= 1, colors[rows, np.maximum(sites - 1, 0)] + 1, 0)
-        right = np.where(
-            sites <= n - 2, colors[rows, np.minimum(sites + 1, n - 1)] + 1, 0
-        )
         u = rng.random(replicas)
-        new_colors = np.minimum(
-            (cdf[left, right] <= u[:, None]).sum(axis=1), num_colors - 1
-        )
-        ranks += (new_colors - colors[rows, sites]) * places[sites]
-        colors[rows, sites] = new_colors
+        cdfs = cdf[padded[rows, sites], padded[rows, sites + 2]]
+        new_colors = np.minimum((cdfs <= u[:, None]).sum(axis=1), num_colors - 1) + 1
+        ranks += (new_colors - padded[rows, sites + 1]) * places[sites]
+        padded[rows, sites + 1] = new_colors
         out[k] = np.bincount(ranks, minlength=m) / replicas
     return out
 
@@ -271,14 +261,11 @@ def tv_curve(
         raise ValueError(f"start rank {start_rank} out of range")
 
     pi = kernel.pi.weights
-    transposed = kernel.matrix.T.tocsr()
-    dist = np.zeros(kernel.dimension)
-    dist[start_rank] = 1.0
-    exact = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        exact[k] = tv_distance(dist, pi)
-        if k < k_max:
-            dist = transposed @ dist
+    exact = np.fromiter(
+        (tv_distance(dist, pi) for dist in _distributions(kernel, start_rank, k_max)),
+        dtype=np.float64,
+        count=k_max + 1,
+    )
 
     ks = np.arange(k_max + 1)
     pi_start = float(pi[start_rank])

@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,32 +247,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Resolved sweep parameters.
-
-    Attributes:
-        n_range: Chain lengths to visit.
-        color_range: Color counts to visit.
-        temps: Temperatures to visit.
-        budget_states: Exact-arm state budget (also caps the dense solve).
-        budget_kappa: Unused by the sweep columns but kept for symmetry.
-        output_format: ``csv`` or ``json``.
-        output_path: Target file, or None for stdout.
-        seed: Recorded in JSON output; the sweep itself is deterministic.
-    """
-
-    n_range: list[int]
-    color_range: list[int]
-    temps: list[float]
-    budget_states: int
-    budget_kappa: int
-    output_format: str
-    output_path: str | None
-    seed: int | None
-
-
-def _sweep_row(config: SweepConfig, n: int, colors: int, temp: float) -> dict:
+def _sweep_row(budget_states: int, n: int, colors: int, temp: float) -> dict:
     spec = ModelSpec(n, colors, temp)
     row = {
         "n": n,
@@ -287,7 +261,7 @@ def _sweep_row(config: SweepConfig, n: int, colors: int, temp: float) -> dict:
         "exact_beta_star": None,
         "skipped_exact": True,
     }
-    exact_budget = min(config.budget_states, DENSE_SOLVE_BUDGET)
+    exact_budget = min(budget_states, DENSE_SOLVE_BUDGET)
     if spec.num_states <= exact_budget:
         kernel = build_kernel(spec, exact_budget)
         spectrum = compute_spectrum(kernel, exact_budget)
@@ -297,25 +271,29 @@ def _sweep_row(config: SweepConfig, n: int, colors: int, temp: float) -> dict:
     return row
 
 
-def run_sweep(config: SweepConfig) -> list[dict]:
+def run_sweep(
+    n_range: list[int],
+    color_range: list[int],
+    temps: list[float],
+    budget_states: int,
+) -> list[dict]:
     """One row per (n, colors, temp), in that lexicographic order.
 
-    Rows whose state space exceeds the exact budget keep empty exact columns
-    and are flagged, never dropped.  Worker count is capped by the
+    ``budget_states`` is the exact-arm state budget; the dense solve is
+    additionally capped at ``DENSE_SOLVE_BUDGET``.  Rows whose state space
+    exceeds the exact budget keep empty exact columns and are flagged, never
+    dropped.  Worker count is capped by the
     SPECTRAL_GIBBS_THREADS environment variable; results are assembled in
     submission order regardless of completion order.
     """
     combos = [
-        (n, colors, temp)
-        for n in config.n_range
-        for colors in config.color_range
-        for temp in config.temps
+        (n, colors, temp) for n in n_range for colors in color_range for temp in temps
     ]
     threads = _threads()
     if threads == 1:
-        return [_sweep_row(config, *combo) for combo in combos]
+        return [_sweep_row(budget_states, *combo) for combo in combos]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_sweep_row, config, *combo) for combo in combos]
+        futures = [pool.submit(_sweep_row, budget_states, *combo) for combo in combos]
         return [future.result() for future in futures]
 
 
@@ -335,24 +313,14 @@ SWEEP_COLUMNS = [
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Tabulate bounds (and exact values where budget allows) over a grid."""
-    config = SweepConfig(
-        n_range=args.n,
-        color_range=args.colors,
-        temps=args.temp,
-        budget_states=args.budget_states,
-        budget_kappa=args.budget_kappa,
-        output_format=args.format,
-        output_path=args.out,
-        seed=args.seed,
-    )
-    rows = run_sweep(config)
-    if config.output_format == "json":
-        text = canonical_json({"seed": config.seed, "rows": rows})
+    rows = run_sweep(args.n, args.colors, args.temp, args.budget_states)
+    if args.format == "json":
+        text = canonical_json({"seed": args.seed, "rows": rows})
     else:
         text = canonical_csv(
             SWEEP_COLUMNS, [[row[col] for col in SWEEP_COLUMNS] for row in rows]
         )
-    _emit(text, config.output_path)
+    _emit(text, args.out)
     return 0
 
 

@@ -31,24 +31,34 @@ def bond_score(u: int, v: int) -> int:
     return 1 if u == v else -1
 
 
-def _conditional_dist(
-    spec: ModelSpec, left: int | None, right: int | None
-) -> np.ndarray:
-    """Conditional color distribution at a site with the given neighbor colors.
+def local_scores(spec: ModelSpec) -> np.ndarray:
+    """Bond scores ``s(left, c) + s(c, right)`` for every neighbor pattern.
+
+    Returns:
+        Integer array of shape ``(N + 1, N + 1, N)`` indexed by
+        ``[left color + 1, right color + 1, c]``; index 0 stands for a
+        missing neighbor, whose bond contributes 0.
+    """
+    num_colors = spec.num_colors
+    bonds = np.zeros((num_colors + 1, num_colors), dtype=np.int64)
+    bonds[1:] = [
+        [bond_score(u, c) for c in range(num_colors)] for u in range(num_colors)
+    ]
+    return bonds[:, None, :] + bonds[None, :, :]
+
+
+def local_conditionals(spec: ModelSpec) -> np.ndarray:
+    """Conditional color distributions indexed like :func:`local_scores`.
 
     Evaluated as a max-shifted softmax of the bond scores so small
-    temperatures cannot overflow.
+    temperatures cannot overflow.  Every conditional in the package is read
+    from this table.
     """
-    logits = np.zeros(spec.num_colors)
-    for c in range(spec.num_colors):
-        s = 0
-        if left is not None:
-            s += bond_score(left, c)
-        if right is not None:
-            s += bond_score(c, right)
-        logits[c] = s / spec.temp
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
+    logits = local_scores(spec) / spec.temp
+    logits -= logits.max(axis=2, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=2, keepdims=True)
+    return probs
 
 
 def conditional_probability(
@@ -72,9 +82,9 @@ def conditional_probability(
         raise ValueError(f"site index {i} out of range 1..{spec.n}")
     if not 0 <= color < spec.num_colors:
         raise ValueError(f"color index {color} out of range")
-    left = x.colors[i - 2] if i >= 2 else None
-    right = x.colors[i] if i <= spec.n - 1 else None
-    return float(_conditional_dist(spec, left, right)[color])
+    left = x.colors[i - 2] + 1 if i >= 2 else 0
+    right = x.colors[i] + 1 if i <= spec.n - 1 else 0
+    return float(local_conditionals(spec)[left, right, color])
 
 
 def transition_probability(
@@ -115,21 +125,10 @@ def conditional_table(
         BudgetExceededError: If the state space exceeds ``budget``.
     """
     table = colors_table(spec, budget)
-    m = spec.num_states
-    scores = np.zeros((m, spec.n, spec.num_colors), dtype=np.float64)
-    for i in range(spec.n):
-        for c in range(spec.num_colors):
-            s = np.zeros(m, dtype=np.float64)
-            if i >= 1:
-                s += np.where(table[:, i - 1] == c, 1.0, -1.0)
-            if i <= spec.n - 2:
-                s += np.where(table[:, i + 1] == c, 1.0, -1.0)
-            scores[:, i, c] = s
-    logits = scores / spec.temp
-    logits -= logits.max(axis=2, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=2, keepdims=True)
-    return probs
+    # Neighbor indices into the local table: color + 1, and 0 past either end.
+    padded = np.zeros((len(table), spec.n + 2), dtype=np.int64)
+    padded[:, 1:-1] = table + 1
+    return local_conditionals(spec)[padded[:, :-2], padded[:, 2:]]
 
 
 @dataclass(frozen=True)

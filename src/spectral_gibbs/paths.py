@@ -36,7 +36,7 @@ from .model import (
     colors_table,
     config_from_rank,
 )
-from .kernel import SparseKernel, bond_score, conditional_table
+from .kernel import SparseKernel, conditional_table, local_scores
 from .serialize import canonical_json
 
 
@@ -261,23 +261,28 @@ def boundary_edge_bound(spec: ModelSpec) -> float:
     return (n * n / num_colors) * (num_colors - 1 + math.exp(2.0 / spec.temp))
 
 
-def _alpha_beta(
-    spec: ModelSpec, left: int, right: int, color_from: int, color_to: int
-) -> tuple[float, float]:
-    """Edge-local factors for an interior edge with the given neighbor colors."""
+def _edge_factor_tables(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Edge-local factors ``alpha`` and ``beta`` of every interior edge.
+
+    Both are read off :func:`local_scores` and indexed
+    ``[left, right, color_from, color_to]`` by the colors of the updated
+    site's two neighbors and the edge's two colors.
+    """
     t = spec.temp
-    alpha = math.exp(
-        (bond_score(left, color_to) - bond_score(left, color_from)) / t
-    )
-    prefactor = math.exp(
-        (-bond_score(left, color_from) - bond_score(color_to, right)) / t
-    )
-    total = 0.0
-    for c in range(spec.num_colors):
-        if c == color_to:
-            continue
-        total += math.exp((bond_score(left, c) + bond_score(c, right)) / t)
-    return alpha, prefactor * total
+    scores = local_scores(spec)
+    # With no right neighbor the score is the single bond s(left, c).
+    bond = scores[1:, 0]
+    alpha = np.exp((bond[:, None, None, :] - bond[:, None, :, None]) / t)
+    prefactor = np.exp((-bond[:, None, :, None] - bond.T[None, :, None, :]) / t)
+    weights = np.exp(scores[1:, 1:] / t)
+    # others[left, right, color_to] sums the weights of every c != color_to
+    # one color at a time, so it rounds like the scalar sum in color order.
+    others = np.zeros_like(weights)
+    colors = np.arange(spec.num_colors)
+    for c in colors:
+        others += weights[:, :, c, None] * (colors != c)
+    beta = prefactor * others[:, :, None, :]
+    return np.broadcast_to(alpha, beta.shape), beta
 
 
 def edge_local_factors(kernel: SparseKernel, edge: EdgeLoad) -> tuple[float, float]:
@@ -297,9 +302,10 @@ def edge_local_factors(kernel: SparseKernel, edge: EdgeLoad) -> tuple[float, flo
             "two neighbors"
         )
     source = config_from_rank(spec, edge.edge[0])
-    left = source.colors[edge.site - 2]
-    right = source.colors[edge.site]
-    return _alpha_beta(spec, left, right, edge.color_from, edge.color_to)
+    left, right = source.colors[edge.site - 2], source.colors[edge.site]
+    at = (left, right, edge.color_from, edge.color_to)
+    alpha, beta = _edge_factor_tables(spec)
+    return float(alpha[at]), float(beta[at])
 
 
 @dataclass(frozen=True)
@@ -324,24 +330,24 @@ def worst_alpha_beta(
 
     By color symmetry the result does not depend on the chosen edge colors.
     """
-    if color_from == color_to:
-        raise ValueError("edge colors must differ")
+    if color_from == color_to or {color_from, color_to} - set(range(spec.num_colors)):
+        raise ValueError("edge colors must be two different colors of the chain")
+    alpha, beta = _edge_factor_tables(spec)
+    sums = (alpha + beta)[:, :, color_from, color_to]
     best = -math.inf
     argmax: list[tuple[int, int]] = []
     for left in range(spec.num_colors):
         for right in range(spec.num_colors):
-            alpha, beta = _alpha_beta(spec, left, right, color_from, color_to)
-            total = alpha + beta
+            total = float(sums[left, right])
             if total > best + 1e-12:
                 best = total
                 argmax = [(left, right)]
             elif total > best - 1e-12:
                 argmax.append((left, right))
-    n, num_colors = spec.n, spec.num_colors
     return WorstFactors(
         value=best,
         argmax=tuple(argmax),
-        closed_form=num_colors - 1 + math.exp(4.0 / spec.temp),
+        closed_form=spec.num_colors - 1 + math.exp(4.0 / spec.temp),
     )
 
 
@@ -399,28 +405,11 @@ def certify_all_edges(kernel: SparseKernel, result: KappaResult) -> CertificateS
     spec = kernel.spec
     m, n, num_colors = spec.num_states, spec.n, spec.num_colors
     table = colors_table(spec, budget=m)
-    t = spec.temp
-    scale = n * n / num_colors
-
+    alpha, beta = _edge_factor_tables(spec)
     bounds = np.full((m, n, num_colors), boundary_edge_bound(spec))
-    for i in range(1, n - 1):
-        left = table[:, i - 1].astype(np.int64)
-        right = table[:, i + 1].astype(np.int64)
-        for color_to in range(num_colors):
-            color_from = table[:, i].astype(np.int64)
-            s_l_to = np.where(left == color_to, 1.0, -1.0)
-            s_l_from = np.where(left == color_from, 1.0, -1.0)
-            alpha = np.exp((s_l_to - s_l_from) / t)
-            s_to_r = np.where(right == color_to, 1.0, -1.0)
-            prefactor = np.exp((-s_l_from - s_to_r) / t)
-            total = np.zeros(m)
-            for c in range(num_colors):
-                if c == color_to:
-                    continue
-                s_l_c = np.where(left == c, 1.0, -1.0)
-                s_c_r = np.where(right == c, 1.0, -1.0)
-                total += np.exp((s_l_c + s_c_r) / t)
-            bounds[:, i, color_to] = scale * (alpha + prefactor * total)
+    bounds[:, 1:-1] = (n * n / num_colors) * (alpha + beta)[
+        table[:, :-2], table[:, 2:], table[:, 1:-1]
+    ]
 
     valid = table[:, :, None] != np.arange(num_colors)[None, None, :]
     slack = np.where(valid, bounds - result.ratios, np.inf)
@@ -526,22 +515,18 @@ def verify_slice_identities(
     )
     total_error = abs(sum(w_sums) - 1.0 / num_colors)
 
-    s_next_to = np.where(at_next == color_to, 1.0, -1.0)
-    s_next_from = np.where(at_next == color_from, 1.0, -1.0)
-    a_prime = float(
-        (pi[in_slice] * np.exp((s_next_to - s_next_from) / t)[in_slice]).sum()
-    )
+    # With no right neighbor the score is the single bond s(u, c).
+    bond = local_scores(spec)[1:, 0]
+    change = np.exp((bond[at_next, color_to] - bond[at_next, color_from]) / t)
+    a_prime = float((pi[in_slice] * change[in_slice]).sum())
     errors = [agree_ratio_error, total_error, abs(a_prime - 1.0 / num_colors)]
 
     b_prime = None
     if site >= 2:
         at_prev = table[:, i - 1]
         in_target = at_i == color_to
-        s_prev_from = np.where(at_prev == color_from, 1.0, -1.0)
-        s_prev_to = np.where(at_prev == color_to, 1.0, -1.0)
-        b_prime = float(
-            (pi[in_target] * np.exp((s_prev_from - s_prev_to) / t)[in_target]).sum()
-        )
+        change = np.exp((bond[at_prev, color_from] - bond[at_prev, color_to]) / t)
+        b_prime = float((pi[in_target] * change[in_target]).sum())
         errors.append(abs(b_prime - 1.0 / num_colors))
 
     max_error = max(errors)

@@ -93,11 +93,6 @@ def spectrum(kernel: SparseKernel, budget: int = DENSE_SOLVE_BUDGET) -> Spectrum
     )
 
 
-def beta_star(spec: Spectrum) -> float:
-    """Second largest eigenvalue modulus, ``max(beta1, |beta_min|)``."""
-    return max(spec.beta1, abs(spec.beta_min))
-
-
 def spectrum_to_json(spec: Spectrum) -> str:
     """Serialize the descending eigenvalue list plus the three scalars."""
     return canonical_json(

@@ -191,6 +191,18 @@ def test_tv_curve_mc_arm():
     assert np.array_equal(curve.mc_tv, again.mc_tv)
 
 
+def test_tv_curve_mc_arm_follows_documented_stream():
+    # one replica consumes the same (site, color) uniforms per step as
+    # simulate_trajectory, so its empirical TV is 1 - pi(visited state)
+    spec = ModelSpec(4, 3, 0.7)
+    start = config_from_colors(spec, (2, 0, 1, 1))  # "cabb"
+    curve = tv_curve(spec, start, 300, seed=11, mc_replicas=1)
+    path = simulate_trajectory(spec, start, 300, seed=11).astype(np.int64)
+    ranks = path @ (spec.num_colors ** np.arange(spec.n - 1, -1, -1))
+    expected = 1.0 - kernel_for(spec).pi.weights[ranks]
+    np.testing.assert_allclose(curve.mc_tv, expected, rtol=0, atol=1e-12)
+
+
 def test_tv_curve_envelope_formula():
     spec = ModelSpec(3, 2, 1.0)
     kern = kernel_for(spec)

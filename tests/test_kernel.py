@@ -20,6 +20,7 @@ from spectral_gibbs import (
     coordinate_text,
     transition_probability,
 )
+from spectral_gibbs.kernel import local_conditionals
 
 
 def test_bond_score():
@@ -52,6 +53,28 @@ def test_conditional_normalizes():
     x = config_from_colors(spec, (0, 1, 2))
     total = sum(conditional_probability(spec, x, 2, c) for c in range(4))
     assert math.isclose(total, 1.0, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("temp", [0.05, 1.0, 5.0])
+@pytest.mark.parametrize("colors", [2, 3, 5])
+def test_local_conditionals_match_logsumexp_oracle(colors, temp):
+    # independent route: scalar bond sums normalized by log-sum-exp
+    table = local_conditionals(ModelSpec(3, colors, temp))
+    assert table.shape == (colors + 1, colors + 1, colors)
+    for left in [None, *range(colors)]:
+        for right in [None, *range(colors)]:
+            logits = [
+                sum(bond_score(u, c) for u in (left, right) if u is not None) / temp
+                for c in range(colors)
+            ]
+            top = max(logits)
+            log_z = top + math.log(sum(math.exp(v - top) for v in logits))
+            li = 0 if left is None else left + 1
+            ri = 0 if right is None else right + 1
+            for c in range(colors):
+                assert math.isclose(
+                    table[li, ri, c], math.exp(logits[c] - log_z), rel_tol=1e-13
+                ), (left, right, c)
 
 
 def test_conditional_validation():

@@ -11,11 +11,13 @@ from conftest import kappa_for, kernel_for
 from spectral_gibbs import (
     BudgetExceededError,
     ModelSpec,
+    bond_score,
     build_kernel,
     canonical_path,
     certify_all_edges,
     config_from_colors,
     config_from_rank,
+    edge_load_at,
     edge_local_factors,
     kappa_closed_form,
     kappa_exact,
@@ -182,6 +184,29 @@ def test_edge_local_factors_hand_value():
     assert math.isclose(beta, expected_beta, rel_tol=1e-14)
 
 
+@pytest.mark.parametrize("colors,temp", [(2, 0.5), (3, 1.0), (4, 2.0)])
+def test_edge_local_factors_match_scalar_formula(colors, temp):
+    # reference: the per-edge scalar formula over bond_score, every pattern
+    spec = ModelSpec(3, colors, temp)
+    kern = kernel_for(spec)
+    result = kappa_for(spec)
+    s = bond_score
+    for left, c_from, right in itertools.product(range(colors), repeat=3):
+        source = config_from_colors(spec, (left, c_from, right))
+        for c_to in set(range(colors)) - {c_from}:
+            edge = edge_load_at(kern, result.loads, result.qs, source.rank, 2, c_to)
+            alpha, beta = edge_local_factors(kern, edge)
+            others = sum(
+                math.exp((s(left, c) + s(c, right)) / temp)
+                for c in range(colors)
+                if c != c_to
+            )
+            prefactor = math.exp((-s(left, c_from) - s(c_to, right)) / temp)
+            expected = math.exp((s(left, c_to) - s(left, c_from)) / temp)
+            assert math.isclose(alpha, expected, rel_tol=1e-14)
+            assert math.isclose(beta, prefactor * others, rel_tol=1e-14)
+
+
 def test_edge_local_factors_boundary_rejected():
     spec = ModelSpec(2, 2, 1.0)
     kern = kernel_for(spec)
@@ -211,8 +236,10 @@ def test_worst_factors_two_colors_strictly_below():
 
 
 def test_worst_factors_validation():
-    with pytest.raises(ValueError):
-        worst_alpha_beta(ModelSpec(3, 3, 1.0), color_from=1, color_to=1)
+    # equal colors, and colors outside the chain's three
+    for color_from, color_to in [(1, 1), (0, 3), (-1, 0)]:
+        with pytest.raises(ValueError):
+            worst_alpha_beta(ModelSpec(3, 3, 1.0), color_from, color_to)
 
 
 def test_per_edge_certificates():
