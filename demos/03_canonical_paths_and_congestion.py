@@ -38,7 +38,7 @@ print()
 
 result = kappa_exact(kernel)
 closed = kappa_closed_form(spec)
-print(f"kappa (brute force over all pairs) = {result.kappa:.6f}")
+print(f"kappa (exact, all canonical paths) = {result.kappa:.6f}")
 print(f"closed form (n^2/N)(N-1+e^(4/T))   = {closed:.6f}")
 print(f"slack                              = {closed - result.kappa:.6f}")
 edge = result.argmax_edge

@@ -181,7 +181,7 @@ class BoundReport:
         exact_beta_min: Smallest eigenvalue.
         exact_beta_star: Second largest eigenvalue modulus.
         exact_log_z: Log of the exact normalizing constant.
-        kappa_exact: Brute-force congestion constant.
+        kappa_exact: Exact congestion constant.
         kappa_closed_form: Its closed-form upper bound.
         envelope_start: Rank of the envelope's start state (least likely
             state by default).
@@ -226,7 +226,7 @@ def assemble_report(
         spec: Chain parameters; must match the kernel and the other inputs.
         kernel: Built kernel.
         spectrum: Exact spectrum of that kernel.
-        kappa: Brute-force congestion result for that kernel.
+        kappa: Exact congestion result for that kernel.
         envelope_start: Start state for the envelope; defaults to the least
             likely state, which maximizes the envelope prefactor.
 

@@ -130,15 +130,20 @@ def simulate_trajectory(
 def _mc_distributions(
     kernel: SparseKernel, start: int, k_max: int, seed: int, replicas: int
 ) -> np.ndarray:
-    """Empirical state distribution of many replicas at every step count.
+    """TV of the replicas' empirical state distribution at every step count.
 
     All replicas advance together; each step consumes one block of site
     uniforms and one block of color uniforms, so the result is a pure
-    function of (seed, replicas, k_max).
+    function of (seed, replicas, k_max).  Each step's distribution is reduced
+    to its TV at once, so one state vector is held at a time.
+
+    Returns:
+        Array of shape ``(k_max + 1,)``.
     """
     spec = kernel.spec
     n, num_colors = spec.n, spec.num_colors
     m = spec.num_states
+    pi = kernel.pi.weights
     rng = make_rng(seed)
     cdf = np.cumsum(local_conditionals(spec), axis=2)
     places = num_colors ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -148,8 +153,8 @@ def _mc_distributions(
     padded[:, 1:-1] = np.array(decode_rank(spec, start)) + 1
     ranks = np.full(replicas, start, dtype=np.int64)
     rows = np.arange(replicas)
-    out = np.empty((k_max + 1, m))
-    out[0] = np.bincount(ranks, minlength=m) / replicas
+    out = np.empty(k_max + 1)
+    out[0] = tv_distance(np.bincount(ranks, minlength=m) / replicas, pi)
     for k in range(1, k_max + 1):
         sites = np.minimum((rng.random(replicas) * n).astype(np.int64), n - 1)
         u = rng.random(replicas)
@@ -157,7 +162,7 @@ def _mc_distributions(
         new_colors = np.minimum((cdfs <= u[:, None]).sum(axis=1), num_colors - 1) + 1
         ranks += (new_colors - padded[rows, sites + 1]) * places[sites]
         padded[rows, sites + 1] = new_colors
-        out[k] = np.bincount(ranks, minlength=m) / replicas
+        out[k] = tv_distance(np.bincount(ranks, minlength=m) / replicas, pi)
     return out
 
 
@@ -274,8 +279,7 @@ def tv_curve(
 
     mc = None
     if seed is not None:
-        dists = _mc_distributions(kernel, start_rank, k_max, seed, mc_replicas)
-        mc = 0.5 * np.abs(dists - pi[None, :]).sum(axis=1)
+        mc = _mc_distributions(kernel, start_rank, k_max, seed, mc_replicas)
 
     return TvCurve(
         spec=spec,

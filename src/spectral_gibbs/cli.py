@@ -402,7 +402,7 @@ def _add_common(parser: argparse.ArgumentParser, plural: bool) -> None:
         "--budget-kappa",
         type=_positive_int,
         default=KAPPA_BUDGET,
-        help="largest state space for brute-force path enumeration",
+        help="largest state space for the exact congestion tables",
     )
     parser.add_argument("--seed", type=int, default=None, help="random seed")
     parser.add_argument("--out", default=None, help="output file (default stdout)")

@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 EXACT_STATES_BUDGET = 65536
 # Dense symmetric eigensolves refuse above this size.
 DENSE_SOLVE_BUDGET = 4096
-# Brute-force path-constant computation refuses above this size.
+# The exact congestion tables (marginals of pi per edge) refuse above this size.
 KAPPA_BUDGET = 4096
 
 

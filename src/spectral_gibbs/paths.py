@@ -11,7 +11,8 @@ where ``Q(u, v) = pi(u) P(u, v)`` is the (symmetric) edge measure.  Loads are
 accumulated per directed edge, matching the traversal orientation of the
 paths; with one path per ordered pair this makes the single-pair, single-edge
 chain carry exactly its own pair, so the degenerate one-site chain yields
-``kappa = 1``.
+``kappa = 1``.  :func:`kappa_exact` sums every load from marginals of ``pi`` in
+``O(n^2 N^n)``; the enumeration of pairs is kept only as the tests' oracle.
 
 The module also evaluates the closed-form upper bound ``(n^2/N)(N-1+e^{4/T})``
 together with the per-edge quantities that prove it: the edge-local factors
@@ -131,89 +132,80 @@ class KappaResult:
     ratios: np.ndarray
 
 
-def _pairwise_sum(arrays: list[np.ndarray]) -> np.ndarray:
-    """Merge partial load tables pairwise in a fixed order."""
-    items = list(arrays)
-    while len(items) > 1:
-        merged = []
-        for k in range(0, len(items) - 1, 2):
-            merged.append(items[k] + items[k + 1])
-        if len(items) % 2 == 1:
-            merged.append(items[-1])
-        items = merged
-    return items[0]
+# The witness edge is the lowest-ranked edge whose ratio is within this
+# relative distance of kappa, so last-digit rounding cannot pick between
+# edges that symmetry makes equally loaded.
+WITNESS_RTOL = 1e-12
 
 
-def kappa_exact(
-    kernel: SparseKernel, budget: int = KAPPA_BUDGET, block_size: int = 512
-) -> KappaResult:
-    """Compute the congestion constant by brute force over all ordered pairs.
+def _marginal(p: np.ndarray, sites) -> np.ndarray:
+    """Marginal of ``p`` (indexed by site colors) on ``sites``.
 
-    Every ordered pair ``(x, y)`` with ``x != y`` contributes
-    ``|path| * pi(x) * pi(y)`` to each directed edge its canonical path
-    traverses.  Source states are processed in fixed-size blocks and the
-    per-block tables are merged pairwise in a fixed order, so the result does
-    not depend on scheduling.
+    The other axes are kept at length 1, so the marginal broadcasts against
+    ``p`` and reads off each state's colors at ``sites``.
+    """
+    keep = set(sites)
+    return p.sum(axis=tuple(k for k in range(p.ndim) if k not in keep), keepdims=True)
+
+
+def _block_masses(p: np.ndarray, block, others) -> tuple[np.ndarray, np.ndarray]:
+    """Mass agreeing with each state on ``block``, and that mass by mismatches.
+
+    The second array sums, over ``j`` in ``others``, the part of the first
+    that differs from the state at site ``j``.
+    """
+    agree = _marginal(p, block)
+    mismatch = sum(
+        (agree - _marginal(p, [*block, j]) for j in others), np.zeros_like(agree)
+    )
+    return agree, mismatch
+
+
+def kappa_exact(kernel: SparseKernel, budget: int = KAPPA_BUDGET) -> KappaResult:
+    """Compute the congestion constant and every directed edge's load exactly.
+
+    The canonical paths through the edge that recolors site ``i`` of ``z``
+    to ``c'`` are those of the pairs ``x = (any x_{<i}, z_{>=i})`` and
+    ``y = (z_{<i}, c', any y_{>i})``, of length
+    ``1 + #{j<i: x_j != z_j} + #{j>i: y_j != z_j}``.  So the load is
+    ``B (A + D) + A E``: ``A`` and ``B`` are the marginals of ``pi`` on sites
+    ``i..n`` at ``z_{>=i}`` and on sites ``1..i`` at ``(z_{<i}, c')``, and
+    ``D`` and ``E`` sum, over each ``j``, the mass of the same marginals where
+    site ``j`` disagrees with ``z``.  Every term is a marginal of ``pi``, so
+    the cost is ``O(n^2 N^n)`` with no enumeration of pairs.
 
     Raises:
         BudgetExceededError: If the state space exceeds ``budget``.
     """
     spec = kernel.spec
     m = spec.num_states
-    check_budget(m, budget, "pair enumeration")
+    check_budget(m, budget, "congestion tables")
     n, num_colors = spec.n, spec.num_colors
     pi = kernel.pi.weights
-    table = colors_table(spec, budget).astype(np.int64)
-    places = np.array(
-        [num_colors ** (n - 1 - i) for i in range(n)], dtype=np.int64
-    )
-    cond = conditional_table(spec, budget)
+    p = pi.reshape((num_colors,) * n)
+    loads = np.empty((m, n, num_colors))
+    for i in range(n):
+        # Sources agree with z on sites i..n, targets on 1..i with site i at
+        # c', which moves to a last axis.
+        a, d = _block_masses(p, range(i, n), range(i))
+        b, e = _block_masses(p, range(i + 1), range(i + 1, n))
+        b, e = (np.swapaxes(arr[..., None], i, -1) for arr in (b, e))
+        loads[:, i] = (b * (a + d)[..., None] + a[..., None] * e).reshape(m, num_colors)
 
-    block_tables: list[np.ndarray] = []
-    for start in range(0, m, block_size):
-        stop = min(start + block_size, m)
-        src = np.arange(start, stop, dtype=np.int64)
-        src_colors = table[src]
-        diff = src_colors[:, None, :] != table[None, :, :]
-        weight = (
-            pi[src][:, None] * pi[None, :] * diff.sum(axis=2, dtype=np.float64)
-        )
-        current = np.broadcast_to(src[:, None], (len(src), m)).copy()
-        partial = np.zeros(m * n * num_colors, dtype=np.float64)
-        for i in range(n):
-            step = diff[:, :, i]
-            if not step.any():
-                continue
-            target_color = np.broadcast_to(table[:, i][None, :], step.shape)[step]
-            at = current[step]
-            edge_ids = (at * n + i) * num_colors + target_color
-            np.add.at(partial, edge_ids, weight[step])
-            source_color = np.broadcast_to(
-                src_colors[:, i][:, None], step.shape
-            )[step]
-            current[step] = at + (target_color - source_color) * places[i]
-        block_tables.append(partial)
-
-    loads = _pairwise_sum(block_tables).reshape(m, n, num_colors)
-    qs = pi[:, None, None] * cond / n
+    table = colors_table(spec, budget)
     valid = table[:, :, None] != np.arange(num_colors)[None, None, :]
-    ratios = np.where(valid, loads / qs, 0.0)
+    loads = np.where(valid, loads, 0.0)
+    qs = pi[:, None, None] * conditional_table(spec, budget) / n
+    ratios = np.divide(loads, qs, out=np.zeros_like(loads), where=valid)
     for arr in (loads, qs, ratios):
         arr.flags.writeable = False
 
-    flat = int(np.argmax(ratios))
-    argmax = edge_load_at(
-        kernel,
-        loads,
-        qs,
-        source_rank=flat // (n * num_colors),
-        site=(flat // num_colors) % n + 1,
-        color_to=flat % num_colors,
-    )
+    kappa = float(ratios.max())
+    flat = int(np.argmax(ratios >= (1.0 - WITNESS_RTOL) * kappa))
     return KappaResult(
         spec=spec,
-        kappa=float(ratios.flat[flat]),
-        argmax_edge=argmax,
+        kappa=kappa,
+        argmax_edge=_edge_at_flat(kernel, loads, qs, flat),
         loads=loads,
         qs=qs,
         ratios=ratios,
@@ -247,6 +239,14 @@ def edge_load_at(
         color_from=color_from,
         color_to=color_to,
     )
+
+
+def _edge_at_flat(
+    kernel: SparseKernel, loads: np.ndarray, qs: np.ndarray, flat: int
+) -> EdgeLoad:
+    """The edge at a flat index into the ``[rank, site - 1, color_to]`` tables."""
+    rank, i, color_to = np.unravel_index(flat, loads.shape)
+    return edge_load_at(kernel, loads, qs, int(rank), int(i) + 1, int(color_to))
 
 
 def kappa_closed_form(spec: ModelSpec) -> float:
@@ -414,15 +414,9 @@ def certify_all_edges(kernel: SparseKernel, result: KappaResult) -> CertificateS
     valid = table[:, :, None] != np.arange(num_colors)[None, None, :]
     slack = np.where(valid, bounds - result.ratios, np.inf)
     flat = int(np.argmin(slack))
-    worst_edge = edge_load_at(
-        kernel,
-        result.loads,
-        result.qs,
-        source_rank=flat // (n * num_colors),
-        site=(flat // num_colors) % n + 1,
-        color_to=flat % num_colors,
+    worst = per_edge_certificate(
+        kernel, _edge_at_flat(kernel, result.loads, result.qs, flat)
     )
-    worst = per_edge_certificate(kernel, worst_edge)
     return CertificateSummary(
         num_edges=int(valid.sum()),
         min_slack=float(slack.flat[flat]),
@@ -496,17 +490,13 @@ def verify_slice_identities(
     if color_from == color_to:
         raise ValueError("colors must differ")
     num_colors = spec.num_colors
-    pi = kernel.pi.weights
-    table = colors_table(spec, budget=spec.num_states)
+    p = kernel.pi.weights.reshape((num_colors,) * spec.n)
     t = spec.temp
     i = site - 1
 
-    at_i = table[:, i]
-    at_next = table[:, i + 1]
-    in_slice = at_i == color_from
-    w_sums = tuple(
-        float(pi[in_slice & (at_next == k)].sum()) for k in range(num_colors)
-    )
+    # pair[u, v] is the measure of {w : w_i = u, w_{i+1} = v}.
+    pair = _marginal(p, (i, i + 1)).reshape(num_colors, num_colors)
+    w_sums = tuple(float(w) for w in pair[color_from])
     scale = math.exp(2.0 / t)
     agree_ratio_error = max(
         abs(w_sums[color_from] - scale * w_sums[k])
@@ -515,18 +505,19 @@ def verify_slice_identities(
     )
     total_error = abs(sum(w_sums) - 1.0 / num_colors)
 
-    # With no right neighbor the score is the single bond s(u, c).
+    # With no right neighbor the score is the single bond s(u, c), indexed
+    # here by the neighbor's color u.
     bond = local_scores(spec)[1:, 0]
-    change = np.exp((bond[at_next, color_to] - bond[at_next, color_from]) / t)
-    a_prime = float((pi[in_slice] * change[in_slice]).sum())
+    change = np.exp((bond[:, color_to] - bond[:, color_from]) / t)
+    a_prime = float(pair[color_from] @ change)
     errors = [agree_ratio_error, total_error, abs(a_prime - 1.0 / num_colors)]
 
     b_prime = None
     if site >= 2:
-        at_prev = table[:, i - 1]
-        in_target = at_i == color_to
-        change = np.exp((bond[at_prev, color_from] - bond[at_prev, color_to]) / t)
-        b_prime = float((pi[in_target] * change[in_target]).sum())
+        # prev[u, v] is the measure of {w : w_{i-1} = u, w_i = v}.
+        prev = _marginal(p, (i - 1, i)).reshape(num_colors, num_colors)
+        change = np.exp((bond[:, color_from] - bond[:, color_to]) / t)
+        b_prime = float(prev[:, color_to] @ change)
         errors.append(abs(b_prime - 1.0 / num_colors))
 
     max_error = max(errors)

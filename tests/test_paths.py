@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import kappa_for, kernel_for
+from conftest import grid_specs, kappa_for, kernel_for
 
 from spectral_gibbs import (
     BudgetExceededError,
@@ -27,6 +27,8 @@ from spectral_gibbs import (
     verify_slice_identities,
     worst_alpha_beta,
 )
+from spectral_gibbs.kernel import conditional_table
+from spectral_gibbs.model import colors_table
 
 
 def brute_force_kappa(n, colors, temp):
@@ -74,6 +76,58 @@ def brute_force_kappa(n, colors, temp):
         q = pi[u] * cond(u, i, v[i]) / n
         best = max(best, total / q)
     return best
+
+
+def _pairwise_sum(arrays):
+    """Merge partial load tables pairwise in a fixed order."""
+    items = list(arrays)
+    while len(items) > 1:
+        merged = [items[k] + items[k + 1] for k in range(0, len(items) - 1, 2)]
+        if len(items) % 2 == 1:
+            merged.append(items[-1])
+        items = merged
+    return items[0]
+
+
+def pair_enumeration_tables(kernel, block_size=512):
+    """Oracle: the load, capacity and ratio tables by enumerating every pair.
+
+    Every ordered pair ``(x, y)`` with ``x != y`` adds
+    ``|path| * pi(x) * pi(y)`` to each directed edge its canonical path
+    traverses.  Source states run in blocks whose partial tables are merged
+    pairwise in a fixed order, so the result does not depend on scheduling.
+    Costs ``O(m^2 n)`` time for ``m`` states.
+    """
+    spec = kernel.spec
+    m, n, num_colors = spec.num_states, spec.n, spec.num_colors
+    pi = kernel.pi.weights
+    table = colors_table(spec).astype(np.int64)
+    places = np.array([num_colors ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+
+    block_tables = []
+    for start in range(0, m, block_size):
+        src = np.arange(start, min(start + block_size, m), dtype=np.int64)
+        src_colors = table[src]
+        diff = src_colors[:, None, :] != table[None, :, :]
+        weight = pi[src][:, None] * pi[None, :] * diff.sum(axis=2, dtype=np.float64)
+        current = np.broadcast_to(src[:, None], (len(src), m)).copy()
+        partial = np.zeros(m * n * num_colors, dtype=np.float64)
+        for i in range(n):
+            step = diff[:, :, i]
+            if not step.any():
+                continue
+            target_color = np.broadcast_to(table[:, i][None, :], step.shape)[step]
+            at = current[step]
+            np.add.at(partial, (at * n + i) * num_colors + target_color, weight[step])
+            source_color = np.broadcast_to(src_colors[:, i][:, None], step.shape)[step]
+            current[step] = at + (target_color - source_color) * places[i]
+        block_tables.append(partial)
+
+    loads = _pairwise_sum(block_tables).reshape(m, n, num_colors)
+    qs = pi[:, None, None] * conditional_table(spec) / n
+    valid = table[:, :, None] != np.arange(num_colors)[None, None, :]
+    ratios = np.where(valid, loads / qs, 0.0)
+    return loads, qs, ratios
 
 
 def test_canonical_path_left_to_right():
@@ -150,13 +204,40 @@ def test_argmax_edge_consistent():
     assert result.ratios[edge.edge[0], i, edge.color_to] == edge.ratio
 
 
+@pytest.mark.parametrize(
+    "spec",
+    grid_specs(max_states=1024)
+    + [ModelSpec(8, 2, 1.0), ModelSpec(5, 3, 0.3)],
+    ids=str,
+)
+def test_kappa_tables_match_pair_enumeration(spec):
+    kern = kernel_for(spec)
+    result = kappa_for(spec)
+    loads, qs, ratios = pair_enumeration_tables(kern)
+    for got, want in [(result.loads, loads), (result.qs, qs), (result.ratios, ratios)]:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # the witness is the lowest flat index within 1e-12 of the maximum
+    flat = int(np.argmax(ratios >= (1 - 1e-12) * ratios.max()))
+    edge = result.argmax_edge
+    assert (edge.edge[0], edge.site - 1, edge.color_to) == np.unravel_index(
+        flat, ratios.shape
+    )
+    assert result.kappa == result.ratios.max()
+
+
 def test_kappa_deterministic_and_block_size_stable():
     kern = kernel_for(ModelSpec(3, 2, 1.0))
     a = kappa_exact(kern)
     b = kappa_exact(kern)
     assert a.kappa == b.kappa
-    c = kappa_exact(kern, block_size=3)
-    assert math.isclose(a.kappa, c.kappa, rel_tol=1e-12)
+    assert a.argmax_edge == b.argmax_edge
+    for table_a, table_b in [(a.loads, b.loads), (a.qs, b.qs), (a.ratios, b.ratios)]:
+        assert np.array_equal(table_a, table_b)
+    # the oracle's block split changes only the summation order
+    whole = pair_enumeration_tables(kern)
+    split = pair_enumeration_tables(kern, block_size=3)
+    for table_whole, table_split in zip(whole, split):
+        np.testing.assert_allclose(table_split, table_whole, rtol=1e-12, atol=0)
 
 
 def test_kappa_budget():
