@@ -26,6 +26,9 @@ from .serialize import canonical_json
 # Exact eigenvalues carry at most ~1e-10 solver error; comparisons that are
 # equalities in exact arithmetic get this much room.
 EXACT_TOLERANCE = 1e-10
+# The exact congestion constant may exceed its closed-form bound only by
+# rounding, relative to the bound.
+CLOSED_FORM_RTOL = 1e-12
 
 
 def theorem2_bound(n: int, temp: float) -> float:
@@ -98,19 +101,16 @@ class IngrassiaParams:
         )
 
 
-def ingrassia_beta1_bound(
-    n: int, num_colors: int, temp: float, params: IngrassiaParams | None = None
-) -> float:
+def ingrassia_beta1_bound(n: int, num_colors: int, temp: float) -> float:
     """Second-eigenvalue comparison bound assembled from the general recipe.
 
-    With the default parameters this evaluates to
+    With the constants of :class:`IngrassiaParams` this evaluates to
     ``1 - n^{-2} ((1 + (N-1) e^{-1/(2T)}) / N)^{n-1} e^{-2/T}``.  The
     normalizing constant enters through its upper bound ``z_upper``, which
     makes this the most favorable form of the general bound; it is used as a
     comparison quantity, not as a certified bound on the exact eigenvalue.
     """
-    if params is None:
-        params = IngrassiaParams.from_spec(ModelSpec(n, num_colors, temp))
+    params = IngrassiaParams.from_spec(ModelSpec(n, num_colors, temp))
     denominator = (
         params.b_gamma * params.gamma_gamma * params.c * params.lattice_size
     )
@@ -183,8 +183,8 @@ class BoundReport:
         exact_log_z: Log of the exact normalizing constant.
         kappa_exact: Exact congestion constant.
         kappa_closed_form: Its closed-form upper bound.
-        envelope_start: Rank of the envelope's start state (least likely
-            state by default).
+        envelope_start: Rank of the envelope's start state: the least likely
+            state, which maximizes the envelope prefactor.
         envelope_pi_start: Its stationary probability.
         ds_envelope: Map from step count to the envelope value.
         verdicts: Pass/fail per dominance relation.
@@ -218,7 +218,6 @@ def assemble_report(
     kernel: SparseKernel,
     spectrum: Spectrum,
     kappa: KappaResult,
-    envelope_start: int | None = None,
 ) -> BoundReport:
     """Evaluate every bound for one chain and compare against exact data.
 
@@ -227,8 +226,6 @@ def assemble_report(
         kernel: Built kernel.
         spectrum: Exact spectrum of that kernel.
         kappa: Exact congestion result for that kernel.
-        envelope_start: Start state for the envelope; defaults to the least
-            likely state, which maximizes the envelope prefactor.
 
     Raises:
         ValueError: If the inputs come from different chains.
@@ -246,8 +243,7 @@ def assemble_report(
     theta_value = theta(n, num_colors, temp)
     closed = kappa_closed_form(spec)
 
-    if envelope_start is None:
-        envelope_start = int(np.argmin(kernel.pi.weights))
+    envelope_start = int(np.argmin(kernel.pi.weights))
     pi_start = float(kernel.pi.weights[envelope_start])
     rate = spectrum.beta_star
 
@@ -270,7 +266,7 @@ def assemble_report(
         else "fail"
     )
     verdicts["kappa_vs_closed_form"] = (
-        "pass" if kappa.kappa <= closed * (1.0 + 1e-12) else "fail"
+        "pass" if kappa.kappa <= closed * (1.0 + CLOSED_FORM_RTOL) else "fail"
     )
     improvement = theta_value < 1.0
     agrees = improvement == (thm3 < ing_beta1)

@@ -16,14 +16,13 @@ import numpy as np
 
 from .model import (
     DENSE_SOLVE_BUDGET,
-    EXACT_STATES_BUDGET,
     Configuration,
     ModelSpec,
     config_from_colors,
     decode_rank,
 )
 from .kernel import SparseKernel, build_kernel, local_conditionals
-from .spectral import Spectrum, spectrum as compute_spectrum
+from .spectral import spectrum as compute_spectrum
 from .serialize import canonical_csv, canonical_json
 
 
@@ -83,19 +82,46 @@ def _step_single(
     colors[site] = min(color, num_colors - 1)
 
 
+def _walk(
+    spec: ModelSpec, start: Configuration, steps: int, seed: int, record: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The final colors after ``steps`` steps from ``start``, and if ``record``
+    is set every visited color vector (row 0 the start), else None."""
+    if steps < 0:
+        raise ValueError(f"step count must be nonnegative, got {steps}")
+    if len(start.colors) != spec.n:
+        raise ValueError(f"start must have {spec.n} sites")
+    rng = make_rng(seed)
+    cdf = np.cumsum(local_conditionals(spec), axis=2)
+    colors = np.array(start.colors, dtype=np.int8)
+    trajectory = np.empty((steps + 1, spec.n), dtype=np.int8) if record else None
+    if record:
+        trajectory[0] = colors
+    done = 0
+    block = 8192
+    while done < steps:
+        todo = min(block, steps - done)
+        uniforms = rng.random(2 * todo)
+        for t in range(todo):
+            _step_single(spec, colors, cdf, uniforms[2 * t], uniforms[2 * t + 1])
+            if record:
+                trajectory[done + t + 1] = colors
+        done += todo
+    return colors, trajectory
+
+
 def simulate(
     spec: ModelSpec, start: Configuration, steps: int, seed: int
 ) -> Configuration:
     """Run the chain and return the final configuration.
 
-    Works at any chain length: only local conditionals are evaluated, the
-    state space is never materialized.
+    Works at any chain length and step count: only local conditionals are
+    evaluated and only the current configuration is held.
 
     Raises:
         ValueError: On a negative step count or a start of the wrong length.
     """
-    trajectory = simulate_trajectory(spec, start, steps, seed)
-    return config_from_colors(spec, trajectory[-1])
+    return config_from_colors(spec, _walk(spec, start, steps, seed, record=False)[0])
 
 
 def simulate_trajectory(
@@ -106,25 +132,7 @@ def simulate_trajectory(
     Returns:
         Array of shape ``(steps + 1, n)``; row 0 is the start.
     """
-    if steps < 0:
-        raise ValueError(f"step count must be nonnegative, got {steps}")
-    if len(start.colors) != spec.n:
-        raise ValueError(f"start must have {spec.n} sites")
-    rng = make_rng(seed)
-    cdf = np.cumsum(local_conditionals(spec), axis=2)
-    colors = np.array(start.colors, dtype=np.int8)
-    out = np.empty((steps + 1, spec.n), dtype=np.int8)
-    out[0] = colors
-    done = 0
-    block = 8192
-    while done < steps:
-        todo = min(block, steps - done)
-        uniforms = rng.random(2 * todo)
-        for t in range(todo):
-            _step_single(spec, colors, cdf, uniforms[2 * t], uniforms[2 * t + 1])
-            out[done + t + 1] = colors
-        done += todo
-    return out
+    return _walk(spec, start, steps, seed, record=True)[1]
 
 
 def _mc_distributions(
@@ -238,29 +246,27 @@ def tv_curve(
     seed: int | None = None,
     mc_replicas: int = 256,
     kernel: SparseKernel | None = None,
-    spec_budget: int = EXACT_STATES_BUDGET,
-    dense_budget: int = DENSE_SOLVE_BUDGET,
-    spectrum: Spectrum | None = None,
 ) -> TvCurve:
     """Measure exact TV decay against the certified envelope.
 
     The exact arm propagates the start distribution step by step; the
     envelope uses the exact rate and the start state's stationary
     probability.  When a seed is given, a Monte Carlo arm with
-    ``mc_replicas`` chains estimates the same curve empirically.
+    ``mc_replicas`` chains estimates the same curve empirically.  Without a
+    ``kernel``, one is built for ``spec``.
 
     Raises:
-        BudgetExceededError: If the state space exceeds the exact budgets.
-        ValueError: On a negative ``k_max`` or an out-of-range start.
+        BudgetExceededError: If the state space exceeds ``DENSE_SOLVE_BUDGET``.
+        ValueError: On a negative ``k_max``, an out-of-range start, or a
+            kernel built for another spec.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     if kernel is None:
-        kernel = build_kernel(spec, min(spec_budget, dense_budget))
+        kernel = build_kernel(spec, DENSE_SOLVE_BUDGET)
     elif kernel.spec != spec:
         raise ValueError("kernel was built for a different spec")
-    if spectrum is None:
-        spectrum = compute_spectrum(kernel, dense_budget)
+    spectrum = compute_spectrum(kernel)
     start_rank = start.rank if isinstance(start, Configuration) else int(start)
     if not 0 <= start_rank < kernel.dimension:
         raise ValueError(f"start rank {start_rank} out of range")

@@ -11,16 +11,13 @@ error, 3 resource limit or I/O failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .model import (
     DENSE_SOLVE_BUDGET,
     EXACT_STATES_BUDGET,
-    KAPPA_BUDGET,
     BudgetExceededError,
     ModelSpec,
     config_from_colors,
@@ -34,6 +31,7 @@ from .kernel import (
 )
 from .spectral import spectrum as compute_spectrum
 from .paths import (
+    SLICE_TOLERANCE,
     certify_all_edges,
     kappa_closed_form,
     kappa_exact,
@@ -41,6 +39,8 @@ from .paths import (
     verify_slice_identities,
 )
 from .bounds import (
+    CLOSED_FORM_RTOL,
+    EXACT_TOLERANCE,
     assemble_report,
     crossover_n,
     ingrassia_beta1_bound,
@@ -51,9 +51,6 @@ from .bounds import (
 )
 from .chain import tv_curve
 from .serialize import canonical_csv, canonical_json, format_float
-
-# Replica count of the optional Monte Carlo arm of the tv command.
-MC_REPLICAS = 256
 
 
 def _positive_int(text: str) -> int:
@@ -102,14 +99,6 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _threads() -> int:
-    raw = os.environ.get("SPECTRAL_GIBBS_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _spec_from_args(args: argparse.Namespace) -> ModelSpec:
     return ModelSpec(n=args.n, num_colors=args.colors, temp=args.temp)
 
@@ -117,10 +106,9 @@ def _spec_from_args(args: argparse.Namespace) -> ModelSpec:
 def cmd_bounds(args: argparse.Namespace) -> int:
     """Evaluate every bound for one chain and print the report."""
     spec = _spec_from_args(args)
-    dense_budget = min(args.budget_states, DENSE_SOLVE_BUDGET)
     kernel = build_kernel(spec, args.budget_states)
-    spectrum = compute_spectrum(kernel, dense_budget)
-    kappa = kappa_exact(kernel, args.budget_kappa)
+    spectrum = compute_spectrum(kernel)
+    kappa = kappa_exact(kernel)
     report = assemble_report(spec, kernel, spectrum, kappa)
     if args.format == "csv":
         payload = report_to_dict(report)
@@ -150,7 +138,6 @@ def _flatten(payload: dict, prefix: str = "") -> tuple[list[str], list]:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the full verification suite for one chain."""
     spec = _spec_from_args(args)
-    dense_budget = min(args.budget_states, DENSE_SOLVE_BUDGET)
     kernel = build_kernel(spec, args.budget_states)
     checks: list[dict] = []
 
@@ -188,11 +175,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "name": "slice-identities",
             "checked": count,
             "margin": worst_slice,
-            "passed": worst_slice <= 1e-12,
+            "passed": worst_slice <= SLICE_TOLERANCE,
         }
     )
 
-    kappa = kappa_exact(kernel, args.budget_kappa)
+    kappa = kappa_exact(kernel)
     certificates = certify_all_edges(kernel, kappa)
     checks.append(
         {
@@ -202,13 +189,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "passed": certificates.all_passed,
         }
     )
-    spectrum = compute_spectrum(kernel, dense_budget)
+    spectrum = compute_spectrum(kernel)
     poincare_margin = (1.0 - 1.0 / kappa.kappa) - spectrum.beta1
     checks.append(
         {
             "name": "kappa-vs-beta1",
             "margin": poincare_margin,
-            "passed": poincare_margin >= -1e-10,
+            "passed": poincare_margin >= -EXACT_TOLERANCE,
         }
     )
     closed = kappa_closed_form(spec)
@@ -217,7 +204,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         {
             "name": "kappa-vs-closed-form",
             "margin": closed_margin,
-            "passed": closed_margin >= -1e-9 * closed,
+            "passed": closed_margin >= -CLOSED_FORM_RTOL * closed,
         }
     )
 
@@ -264,7 +251,7 @@ def _sweep_row(budget_states: int, n: int, colors: int, temp: float) -> dict:
     exact_budget = min(budget_states, DENSE_SOLVE_BUDGET)
     if spec.num_states <= exact_budget:
         kernel = build_kernel(spec, exact_budget)
-        spectrum = compute_spectrum(kernel, exact_budget)
+        spectrum = compute_spectrum(kernel)
         row["exact_beta1"] = spectrum.beta1
         row["exact_beta_star"] = spectrum.beta_star
         row["skipped_exact"] = False
@@ -282,19 +269,12 @@ def run_sweep(
     ``budget_states`` is the exact-arm state budget; the dense solve is
     additionally capped at ``DENSE_SOLVE_BUDGET``.  Rows whose state space
     exceeds the exact budget keep empty exact columns and are flagged, never
-    dropped.  Worker count is capped by the
-    SPECTRAL_GIBBS_THREADS environment variable; results are assembled in
-    submission order regardless of completion order.
+    dropped.
     """
     combos = [
         (n, colors, temp) for n in n_range for colors in color_range for temp in temps
     ]
-    threads = _threads()
-    if threads == 1:
-        return [_sweep_row(budget_states, *combo) for combo in combos]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_sweep_row, budget_states, *combo) for combo in combos]
-        return [future.result() for future in futures]
+    return [_sweep_row(budget_states, *combo) for combo in combos]
 
 
 SWEEP_COLUMNS = [
@@ -338,8 +318,7 @@ def _parse_start(spec: ModelSpec, text: str | None, default_rank: int) -> int:
 def cmd_tv(args: argparse.Namespace) -> int:
     """Emit the exact TV decay curve with its envelope (and optional MC arm)."""
     spec = _spec_from_args(args)
-    dense_budget = min(args.budget_states, DENSE_SOLVE_BUDGET)
-    kernel = build_kernel(spec, dense_budget)
+    kernel = build_kernel(spec, min(args.budget_states, DENSE_SOLVE_BUDGET))
     try:
         start = _parse_start(
             spec, args.start, int(np.argmin(kernel.pi.weights))
@@ -347,15 +326,7 @@ def cmd_tv(args: argparse.Namespace) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    curve = tv_curve(
-        spec,
-        start,
-        args.kmax,
-        seed=args.seed,
-        mc_replicas=MC_REPLICAS,
-        kernel=kernel,
-        dense_budget=dense_budget,
-    )
+    curve = tv_curve(spec, start, args.kmax, seed=args.seed, kernel=kernel)
     text = curve.to_json() if args.format == "json" else curve.to_csv()
     _emit(text, args.out)
     return 0 if curve.within_envelope else 1
@@ -397,12 +368,6 @@ def _add_common(parser: argparse.ArgumentParser, plural: bool) -> None:
         default=EXACT_STATES_BUDGET,
         help="largest state space for exact operations; dense spectral "
         f"solves are additionally capped at {DENSE_SOLVE_BUDGET}",
-    )
-    parser.add_argument(
-        "--budget-kappa",
-        type=_positive_int,
-        default=KAPPA_BUDGET,
-        help="largest state space for the exact congestion tables",
     )
     parser.add_argument("--seed", type=int, default=None, help="random seed")
     parser.add_argument("--out", default=None, help="output file (default stdout)")

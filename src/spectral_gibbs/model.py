@@ -18,8 +18,6 @@ from scipy.special import logsumexp
 EXACT_STATES_BUDGET = 65536
 # Dense symmetric eigensolves refuse above this size.
 DENSE_SOLVE_BUDGET = 4096
-# The exact congestion tables (marginals of pi per edge) refuse above this size.
-KAPPA_BUDGET = 4096
 
 
 class BudgetExceededError(RuntimeError):

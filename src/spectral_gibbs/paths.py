@@ -29,10 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    KAPPA_BUDGET,
     Configuration,
     ModelSpec,
-    check_budget,
     color_letter,
     colors_table,
     config_from_rank,
@@ -161,7 +159,7 @@ def _block_masses(p: np.ndarray, block, others) -> tuple[np.ndarray, np.ndarray]
     return agree, mismatch
 
 
-def kappa_exact(kernel: SparseKernel, budget: int = KAPPA_BUDGET) -> KappaResult:
+def kappa_exact(kernel: SparseKernel) -> KappaResult:
     """Compute the congestion constant and every directed edge's load exactly.
 
     The canonical paths through the edge that recolors site ``i`` of ``z``
@@ -172,14 +170,11 @@ def kappa_exact(kernel: SparseKernel, budget: int = KAPPA_BUDGET) -> KappaResult
     ``i..n`` at ``z_{>=i}`` and on sites ``1..i`` at ``(z_{<i}, c')``, and
     ``D`` and ``E`` sum, over each ``j``, the mass of the same marginals where
     site ``j`` disagrees with ``z``.  Every term is a marginal of ``pi``, so
-    the cost is ``O(n^2 N^n)`` with no enumeration of pairs.
-
-    Raises:
-        BudgetExceededError: If the state space exceeds ``budget``.
+    the cost is ``O(n^2 N^n)`` with no enumeration of pairs.  There is no
+    budget of its own: the kernel was already held to the state-space budget.
     """
     spec = kernel.spec
     m = spec.num_states
-    check_budget(m, budget, "congestion tables")
     n, num_colors = spec.n, spec.num_colors
     pi = kernel.pi.weights
     p = pi.reshape((num_colors,) * n)
@@ -192,10 +187,10 @@ def kappa_exact(kernel: SparseKernel, budget: int = KAPPA_BUDGET) -> KappaResult
         b, e = (np.swapaxes(arr[..., None], i, -1) for arr in (b, e))
         loads[:, i] = (b * (a + d)[..., None] + a[..., None] * e).reshape(m, num_colors)
 
-    table = colors_table(spec, budget)
+    table = colors_table(spec, budget=m)
     valid = table[:, :, None] != np.arange(num_colors)[None, None, :]
     loads = np.where(valid, loads, 0.0)
-    qs = pi[:, None, None] * conditional_table(spec, budget) / n
+    qs = pi[:, None, None] * conditional_table(spec, budget=m) / n
     ratios = np.divide(loads, qs, out=np.zeros_like(loads), where=valid)
     for arr in (loads, qs, ratios):
         arr.flags.writeable = False

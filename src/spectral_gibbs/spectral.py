@@ -37,12 +37,8 @@ class Spectrum:
     beta_star: float
 
 
-def symmetrize(kernel: SparseKernel, budget: int = DENSE_SOLVE_BUDGET) -> np.ndarray:
+def symmetrize(kernel: SparseKernel) -> np.ndarray:
     """Similarity transform of ``P`` that shares its eigenvalues.
-
-    Args:
-        kernel: A reversible kernel.
-        budget: Largest dimension for which a dense matrix is allowed.
 
     Returns:
         Dense symmetric matrix ``D^{1/2} P D^{-1/2}``.
@@ -50,9 +46,9 @@ def symmetrize(kernel: SparseKernel, budget: int = DENSE_SOLVE_BUDGET) -> np.nda
     Raises:
         ValueError: If the kernel violates detailed balance beyond
             ``REVERSIBILITY_TOLERANCE``.
-        BudgetExceededError: If the dimension exceeds ``budget``.
+        BudgetExceededError: If the dimension exceeds ``DENSE_SOLVE_BUDGET``.
     """
-    check_budget(kernel.dimension, budget, "dense symmetrization")
+    check_budget(kernel.dimension, DENSE_SOLVE_BUDGET, "dense symmetrization")
     asymmetry = check_detailed_balance(kernel)
     if asymmetry > REVERSIBILITY_TOLERANCE:
         raise ValueError(
@@ -65,17 +61,17 @@ def symmetrize(kernel: SparseKernel, budget: int = DENSE_SOLVE_BUDGET) -> np.nda
     return dense
 
 
-def spectrum(kernel: SparseKernel, budget: int = DENSE_SOLVE_BUDGET) -> Spectrum:
+def spectrum(kernel: SparseKernel) -> Spectrum:
     """Compute the full spectrum of the kernel.
 
     Eigenvalues come from a dense symmetric solve of the similarity
     transform and are returned in descending order without merging ties.
 
     Raises:
-        BudgetExceededError: If the dimension exceeds ``budget``.
+        BudgetExceededError: If the dimension exceeds ``DENSE_SOLVE_BUDGET``.
         ValueError: If the kernel is not reversible.
     """
-    sym = symmetrize(kernel, budget)
+    sym = symmetrize(kernel)
     eigs = scipy.linalg.eigvalsh(sym, overwrite_a=True, check_finite=False)
     eigs = np.ascontiguousarray(eigs[::-1])
     if abs(eigs[0] - 1.0) > 1e-8:

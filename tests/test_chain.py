@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,19 @@ def test_simulate_returns_final_state():
     final = simulate(spec, start, 50, seed=9)
     path = simulate_trajectory(spec, start, 50, seed=9)
     assert final.colors == tuple(int(c) for c in path[-1])
+
+
+def test_simulate_holds_one_configuration():
+    # a trajectory of 10^5 steps at n=64 would take 6.4 MB
+    spec = ModelSpec(64, 3, 1.0)
+    start = config_from_colors(spec, (0,) * 64)
+    tracemalloc.start()
+    try:
+        simulate(spec, start, 100_000, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_simulate_validation():

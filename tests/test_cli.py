@@ -211,6 +211,11 @@ def test_cli_budget_exit_code(capsys):
     code = main(["bounds", "--n", "9", "--colors", "4", "--temp", "1"])
     assert code == 3
     capsys.readouterr()
+    # 16384 states: the kernel, kappa and the certificates fit, the dense
+    # eigensolve refuses
+    code = main(["verify", "--n", "7", "--colors", "4", "--temp", "1"])
+    assert code == 3
+    assert "dense symmetrization" in capsys.readouterr().err
 
 
 def test_cli_io_exit_code(capsys):

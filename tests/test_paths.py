@@ -9,7 +9,6 @@ import pytest
 from conftest import grid_specs, kappa_for, kernel_for
 
 from spectral_gibbs import (
-    BudgetExceededError,
     ModelSpec,
     bond_score,
     build_kernel,
@@ -29,6 +28,7 @@ from spectral_gibbs import (
 )
 from spectral_gibbs.kernel import conditional_table
 from spectral_gibbs.model import colors_table
+from spectral_gibbs.paths import WITNESS_RTOL
 
 
 def brute_force_kappa(n, colors, temp):
@@ -240,10 +240,15 @@ def test_kappa_deterministic_and_block_size_stable():
         np.testing.assert_allclose(table_split, table_whole, rtol=1e-12, atol=0)
 
 
-def test_kappa_budget():
-    kern = build_kernel(ModelSpec(7, 4, 1.0))  # 16384 states
-    with pytest.raises(BudgetExceededError, match="4096"):
-        kappa_exact(kern)
+@pytest.mark.parametrize("spec", [ModelSpec(7, 4, 1.0), ModelSpec(14, 2, 1.0)])
+def test_kappa_past_dense_budget(spec):
+    # 16384 states: past the dense eigensolve's cap, which kappa does not share
+    kern = build_kernel(spec)
+    result = kappa_exact(kern)
+    assert result.kappa <= kappa_closed_form(spec) * (1 + 1e-12)
+    assert result.argmax_edge.ratio >= (1 - WITNESS_RTOL) * result.kappa
+    assert result.argmax_edge.ratio <= result.kappa
+    assert certify_all_edges(kern, result).all_passed
 
 
 def test_edge_local_factors_hand_value():
