@@ -20,6 +20,7 @@ from .model import (
     EXACT_STATES_BUDGET,
     BudgetExceededError,
     ModelSpec,
+    check_budget,
     config_from_colors,
     string_to_colors,
 )
@@ -139,6 +140,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Run the full verification suite for one chain."""
     spec = _spec_from_args(args)
     kernel = build_kernel(spec, args.budget_states)
+    # Refuse before any check runs; the spectrum would refuse after them all.
+    check_budget(kernel.dimension, DENSE_SOLVE_BUDGET, "dense symmetrization")
     checks: list[dict] = []
 
     row_sums = np.asarray(kernel.matrix.sum(axis=1)).ravel()

@@ -1,18 +1,22 @@
-"""Exact spectrum of the kernel via similarity to a symmetric matrix.
+"""Exact spectrum of the kernel from its color-shift symmetry blocks.
 
 Reversibility makes ``S = D^{1/2} P D^{-1/2}`` symmetric (``D = diag(pi)``),
-so the full real spectrum of ``P`` is recovered with a dense symmetric
-eigensolver.
+so ``P`` has the real spectrum of ``S``.  The energy depends only on whether
+neighbors agree, so shifting every site's color by +1 mod N commutes with
+``S``.  This group Z_N acts freely on the states, so ``S`` splits exactly into
+N Fourier sectors of size ``m / N`` (Diaconis 1988), each solved densely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from .model import DENSE_SOLVE_BUDGET, check_budget
+from .model import DENSE_SOLVE_BUDGET, ModelSpec, check_budget
 from .kernel import SparseKernel, check_detailed_balance
 from .serialize import canonical_json
 
@@ -37,16 +41,21 @@ class Spectrum:
     beta_star: float
 
 
-def symmetrize(kernel: SparseKernel) -> np.ndarray:
+def symmetrize(kernel: SparseKernel) -> sp.csr_matrix:
     """Similarity transform of ``P`` that shares its eigenvalues.
 
+    Entries are ``sqrt(P_xy * P_yx)``, which equals
+    ``sqrt(pi_x) P_xy / sqrt(pi_y)`` under detailed balance but never divides
+    by a ``sqrt(pi)`` that underflowed at low temperature.
+
     Returns:
-        Dense symmetric matrix ``D^{1/2} P D^{-1/2}``.
+        Sparse symmetric matrix ``D^{1/2} P D^{-1/2}`` in CSR form.
 
     Raises:
         ValueError: If the kernel violates detailed balance beyond
             ``REVERSIBILITY_TOLERANCE``.
-        BudgetExceededError: If the dimension exceeds ``DENSE_SOLVE_BUDGET``.
+        BudgetExceededError: If the dimension exceeds ``DENSE_SOLVE_BUDGET``,
+            which still caps the whole state space, not the sector size.
     """
     check_budget(kernel.dimension, DENSE_SOLVE_BUDGET, "dense symmetrization")
     asymmetry = check_detailed_balance(kernel)
@@ -54,26 +63,63 @@ def symmetrize(kernel: SparseKernel) -> np.ndarray:
         raise ValueError(
             f"kernel is not reversible: detailed-balance asymmetry {asymmetry:.3e}"
         )
-    sqrt_pi = np.sqrt(kernel.pi.weights)
-    dense = kernel.matrix.toarray()
-    dense *= sqrt_pi[:, None]
-    dense /= sqrt_pi[None, :]
-    return dense
+    sym = kernel.matrix.multiply(kernel.matrix.T).tocsr()
+    np.sqrt(sym.data, out=sym.data)
+    return sym
+
+
+def _sector_blocks(
+    spec: ModelSpec, sym: sp.csr_matrix
+) -> Iterator[tuple[np.ndarray, int]]:
+    """Dense Fourier blocks of ``sym`` under the color shift, with multiplicities.
+
+    The states whose site-1 color is 0 (ranks ``0 .. m/N - 1``) represent the
+    orbits.  A column ``y`` whose site-1 color is ``j`` is its orbit's
+    representative ``s`` (``y`` with every color shifted by ``-j``) shifted
+    ``j`` times, so sector ``k`` holds ``sum_j S[x, shift^j(s)] omega^(jk)``
+    at ``[x, s]`` with ``omega = exp(2 pi i / N)``.  Sectors 0 and N/2 are
+    real symmetric; sector ``N - k`` is the complex conjugate of sector
+    ``k``, so only ``k = 0 .. N // 2`` are built and each complex one counts
+    twice.
+    """
+    num_colors = spec.num_colors
+    reps = spec.num_states // num_colors
+    rows = sym[:reps].tocoo()
+    shift = rows.col // reps
+    orbit = np.zeros_like(rows.col)
+    for i in range(spec.n):
+        place = num_colors ** (spec.n - 1 - i)
+        orbit += (rows.col // place - shift) % num_colors * place
+    for k in range(num_colors // 2 + 1):
+        if 2 * k % num_colors == 0:
+            phases, multiplicity = (-1.0) ** (shift * (2 * k // num_colors)), 1
+        else:
+            phases, multiplicity = np.exp(2j * np.pi * k * shift / num_colors), 2
+        # toarray sums duplicates: at n <= 2 two columns of a row can share an orbit.
+        block = sp.coo_matrix(
+            (rows.data * phases, (rows.row, orbit)), shape=(reps, reps)
+        ).toarray()
+        yield block, multiplicity
 
 
 def spectrum(kernel: SparseKernel) -> Spectrum:
     """Compute the full spectrum of the kernel.
 
-    Eigenvalues come from a dense symmetric solve of the similarity
-    transform and are returned in descending order without merging ties.
+    Eigenvalues come from dense symmetric (or Hermitian) solves of the
+    ``floor(N/2) + 1`` distinct color-shift sectors of the similarity
+    transform, each of size ``m / N``, and are returned in descending order
+    without merging ties.
 
     Raises:
         BudgetExceededError: If the dimension exceeds ``DENSE_SOLVE_BUDGET``.
         ValueError: If the kernel is not reversible.
     """
     sym = symmetrize(kernel)
-    eigs = scipy.linalg.eigvalsh(sym, overwrite_a=True, check_finite=False)
-    eigs = np.ascontiguousarray(eigs[::-1])
+    parts = []
+    for block, multiplicity in _sector_blocks(kernel.spec, sym):
+        eigs = scipy.linalg.eigvalsh(block, overwrite_a=True, check_finite=False)
+        parts.extend([eigs] * multiplicity)
+    eigs = np.ascontiguousarray(np.sort(np.concatenate(parts))[::-1])
     if abs(eigs[0] - 1.0) > 1e-8:
         raise RuntimeError(
             f"leading eigenvalue {eigs[0]!r} is not 1; solver failure"

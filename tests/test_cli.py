@@ -211,8 +211,20 @@ def test_cli_budget_exit_code(capsys):
     code = main(["bounds", "--n", "9", "--colors", "4", "--temp", "1"])
     assert code == 3
     capsys.readouterr()
-    # 16384 states: the kernel, kappa and the certificates fit, the dense
-    # eigensolve refuses
+    # 16384 states: the kernel fits, the dense eigensolve refuses
+    code = main(["verify", "--n", "7", "--colors", "4", "--temp", "1"])
+    assert code == 3
+    assert "dense symmetrization" in capsys.readouterr().err
+
+
+def test_verify_refuses_before_checks(capsys, monkeypatch):
+    # Above the dense budget verify must refuse before the slower checks run.
+    from spectral_gibbs import cli
+
+    def fail(kernel):
+        raise AssertionError("kappa_exact ran before the dense budget refusal")
+
+    monkeypatch.setattr(cli, "kappa_exact", fail)
     code = main(["verify", "--n", "7", "--colors", "4", "--temp", "1"])
     assert code == 3
     assert "dense symmetrization" in capsys.readouterr().err

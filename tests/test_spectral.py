@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
-from conftest import kernel_for, spectrum_for
+from conftest import grid_specs, kernel_for, spectrum_for
 
 from spectral_gibbs import (
     BudgetExceededError,
@@ -119,11 +120,39 @@ def test_spectrum_invariants(spec):
 
 def test_symmetrize_is_symmetric():
     kern = kernel_for(ModelSpec(3, 2, 1.0))
-    sym = symmetrize(kern)
+    sym = symmetrize(kern).toarray()
     assert np.abs(sym - sym.T).max() <= 1e-12
     # similarity preserves the spectrum of the dense kernel
     direct = np.sort(np.linalg.eigvals(kern.matrix.toarray()).real)
     assert np.allclose(np.sort(np.linalg.eigvalsh(sym)), direct, atol=1e-9)
+
+
+def dense_spectrum_oracle(kernel):
+    """Descending eigenvalues of the whole dense ``D^{1/2} P D^{-1/2}``."""
+    sqrt_pi = np.sqrt(kernel.pi.weights)
+    dense = kernel.matrix.toarray() * sqrt_pi[:, None] / sqrt_pi[None, :]
+    return scipy.linalg.eigvalsh(dense)[::-1]
+
+
+# (4,5,1) and (2,26,1): odd N with two complex sectors, and the largest N.
+@pytest.mark.parametrize(
+    "spec",
+    grid_specs()
+    + [ModelSpec(7, 3, 1.0), ModelSpec(4, 5, 1.0), ModelSpec(2, 26, 1.0)],
+    ids=str,
+)
+def test_sector_spectrum_matches_dense_oracle(spec):
+    blocks = spectrum_for(spec).eigenvalues
+    oracle = dense_spectrum_oracle(kernel_for(spec))
+    assert blocks.shape == oracle.shape
+    assert np.abs(blocks - oracle).max() <= 1e-12
+
+
+def test_spectrum_finite_at_low_temperature():
+    # sqrt(pi) underflows to 0 here, so the spectrum must not divide by it.
+    spect = spectrum(build_kernel(ModelSpec(3, 2, 0.005)))
+    assert np.all(np.isfinite(spect.eigenvalues))
+    assert abs(spect.eigenvalues[0] - 1.0) <= 1e-12
 
 
 def test_symmetrize_rejects_non_reversible():
