@@ -30,7 +30,7 @@ for rank in [*order[:3], *order[-3:]]:
 print(f"log Z = {pi.log_z:.6f}\n")
 
 kernel = build_kernel(spec)
-print(f"off-diagonal edges: {len(kernel.edges)}")
+print(f"off-diagonal edges: {kernel.matrix.nnz - spec.num_states}")
 print(f"row-sum deviation:        {np.abs(kernel.matrix.sum(axis=1) - 1).max():.2e}")
 print(f"detailed-balance asym:    {check_detailed_balance(kernel):.2e}")
 print(f"stationarity residual:    {check_stationarity(kernel):.2e}")
@@ -39,7 +39,8 @@ print(f"irreducible:              {check_irreducible(kernel)}\n")
 # one row of the kernel, in letters
 start = 0
 print(f"moves out of {colors_to_string(config_from_rank(spec, start).colors)}:")
-for col, val in kernel.row_entries(start):
+row = slice(kernel.matrix.indptr[start], kernel.matrix.indptr[start + 1])
+for col, val in zip(kernel.matrix.indices[row], kernel.matrix.data[row]):
     target = colors_to_string(config_from_rank(spec, col).colors)
     kind = "hold" if col == start else "move"
     print(f"  {kind} -> {target}  P = {val:.6f}")

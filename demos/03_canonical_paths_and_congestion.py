@@ -11,7 +11,6 @@ import math
 from spectral_gibbs import (
     ModelSpec,
     build_kernel,
-    canonical_path,
     certify_all_edges,
     colors_to_string,
     config_from_colors,
@@ -27,13 +26,14 @@ kernel = build_kernel(spec)
 
 x = config_from_colors(spec, (0, 0, 1))
 y = config_from_colors(spec, (2, 0, 2))
-path = canonical_path(spec, x, y)
 print(f"path {colors_to_string(x.colors)} -> {colors_to_string(y.colors)}:")
-state = x
-for rank_from, rank_to in path.edges:
-    nxt = config_from_rank(spec, rank_to)
-    print(f"  {colors_to_string(state.colors)} -> {colors_to_string(nxt.colors)}")
-    state = nxt
+# the canonical path corrects the disagreeing sites left to right
+state = list(x.colors)
+for site in range(spec.n):
+    if state[site] != y.colors[site]:
+        before = colors_to_string(state)
+        state[site] = y.colors[site]
+        print(f"  {before} -> {colors_to_string(state)}")
 print()
 
 result = kappa_exact(kernel)

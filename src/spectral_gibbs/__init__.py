@@ -20,8 +20,6 @@ from .model import (
     config_from_rank,
     decode_rank,
     encode_rank,
-    energy,
-    rank_roundtrip,
     stationary_measure,
     string_to_colors,
 )
@@ -32,36 +30,27 @@ from .kernel import (
     check_detailed_balance,
     check_irreducible,
     check_stationarity,
-    conditional_probability,
-    coordinate_text,
-    transition_probability,
-    write_coordinate_text,
 )
-from .spectral import Spectrum, spectrum, spectrum_to_json, symmetrize
+from .spectral import Spectrum, spectrum, symmetrize
 from .paths import (
     CertificateSummary,
     EdgeCertificate,
     EdgeLoad,
     KappaResult,
-    PathRecord,
     SliceIdentityReport,
     WorstFactors,
     boundary_edge_bound,
-    canonical_path,
     certify_all_edges,
     edge_load_at,
-    edge_local_factors,
     kappa_closed_form,
     kappa_exact,
     kappa_report,
     kappa_report_json,
-    per_edge_certificate,
     verify_slice_identities,
     worst_alpha_beta,
 )
 from .bounds import (
     BoundReport,
-    IngrassiaParams,
     assemble_report,
     corollary_gate,
     crossover_n,
@@ -77,7 +66,6 @@ from .bounds import (
 from .chain import (
     TvCurve,
     make_rng,
-    propagate,
     simulate,
     simulate_trajectory,
     tv_curve,
@@ -97,10 +85,8 @@ __all__ = [
     "EdgeCertificate",
     "EdgeLoad",
     "GibbsMeasure",
-    "IngrassiaParams",
     "KappaResult",
     "ModelSpec",
-    "PathRecord",
     "SliceIdentityReport",
     "SparseKernel",
     "Spectrum",
@@ -112,24 +98,19 @@ __all__ = [
     "build_kernel",
     "canonical_csv",
     "canonical_json",
-    "canonical_path",
     "certify_all_edges",
     "check_detailed_balance",
     "check_irreducible",
     "check_stationarity",
     "colors_to_string",
-    "conditional_probability",
     "config_from_colors",
     "config_from_rank",
-    "coordinate_text",
     "corollary_gate",
     "crossover_n",
     "decode_rank",
     "ds_tv_envelope",
     "edge_load_at",
-    "edge_local_factors",
     "encode_rank",
-    "energy",
     "format_float",
     "ingrassia_beta1_bound",
     "ingrassia_lambda_min_bound",
@@ -138,25 +119,19 @@ __all__ = [
     "kappa_report",
     "kappa_report_json",
     "make_rng",
-    "per_edge_certificate",
-    "propagate",
-    "rank_roundtrip",
     "report_to_dict",
     "report_to_json",
     "simulate",
     "simulate_trajectory",
     "spectrum",
-    "spectrum_to_json",
     "stationary_measure",
     "string_to_colors",
     "symmetrize",
     "theorem2_bound",
     "theorem3_bound",
     "theta",
-    "transition_probability",
     "tv_curve",
     "tv_distance",
     "verify_slice_identities",
     "worst_alpha_beta",
-    "write_coordinate_text",
 ]

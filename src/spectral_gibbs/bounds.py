@@ -63,58 +63,25 @@ def corollary_gate(n: int, num_colors: int) -> bool:
     return n > num_colors / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class IngrassiaParams:
-    """Path and landscape constants feeding the general-purpose bound.
-
-    Attributes:
-        c: Number of configurations reachable by one single-site move, ``N``.
-        delta: Local energy swing of one move, 2.
-        m: Least total elevation gain, 2.
-        b_gamma: Most paths through any edge, ``N^{n-1}``.
-        gamma_gamma: Longest path length, ``n``.
-        lattice_size: Number of sites, ``n``.
-        z_upper: Upper bound ``N (1 + (N-1) e^{-1/(2T)})^{n-1}`` for the
-            normalizing constant.
-    """
-
-    c: float
-    delta: float
-    m: float
-    b_gamma: float
-    gamma_gamma: float
-    lattice_size: float
-    z_upper: float
-
-    @classmethod
-    def from_spec(cls, spec: ModelSpec) -> "IngrassiaParams":
-        n, num_colors, temp = spec.n, spec.num_colors, spec.temp
-        return cls(
-            c=float(num_colors),
-            delta=2.0,
-            m=2.0,
-            b_gamma=float(num_colors) ** (n - 1),
-            gamma_gamma=float(n),
-            lattice_size=float(n),
-            z_upper=num_colors
-            * (1.0 + (num_colors - 1) * math.exp(-1.0 / (2.0 * temp))) ** (n - 1),
-        )
-
-
 def ingrassia_beta1_bound(n: int, num_colors: int, temp: float) -> float:
     """Second-eigenvalue comparison bound assembled from the general recipe.
 
-    With the constants of :class:`IngrassiaParams` this evaluates to
-    ``1 - n^{-2} ((1 + (N-1) e^{-1/(2T)}) / N)^{n-1} e^{-2/T}``.  The
-    normalizing constant enters through its upper bound ``z_upper``, which
-    makes this the most favorable form of the general bound; it is used as a
-    comparison quantity, not as a certified bound on the exact eigenvalue.
+    The recipe's constants are: ``N`` configurations reachable by one move,
+    least total elevation gain 2, at most ``N^{n-1}`` paths through an edge,
+    longest path ``n``, ``n`` sites, and the upper bound
+    ``N (1 + (N-1) e^{-1/(2T)})^{n-1}`` for the normalizing constant.  This
+    evaluates to ``1 - n^{-2} ((1 + (N-1) e^{-1/(2T)}) / N)^{n-1} e^{-2/T}``.
+    Using the upper bound makes this the most favorable form of the general
+    bound; it is used as a comparison quantity, not as a certified bound on
+    the exact eigenvalue.
     """
-    params = IngrassiaParams.from_spec(ModelSpec(n, num_colors, temp))
-    denominator = (
-        params.b_gamma * params.gamma_gamma * params.c * params.lattice_size
-    )
-    return 1.0 - params.z_upper * math.exp(-params.m / temp) / denominator
+    if n < 1 or num_colors < 2 or not temp > 0:
+        raise ValueError("need n >= 1, num_colors >= 2, temp > 0")
+    z_upper = num_colors * (
+        1.0 + (num_colors - 1) * math.exp(-1.0 / (2.0 * temp))
+    ) ** (n - 1)
+    denominator = float(num_colors) ** (n - 1) * float(n) * float(num_colors) * float(n)
+    return 1.0 - z_upper * math.exp(-2.0 / temp) / denominator
 
 
 def theta(n: int, num_colors: int, temp: float) -> float:

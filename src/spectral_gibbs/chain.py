@@ -47,17 +47,6 @@ def _distributions(
         yield dist
 
 
-def propagate(kernel: SparseKernel, start: int, k: int) -> np.ndarray:
-    """Distribution after ``k`` steps from a point mass at rank ``start``."""
-    if k < 0:
-        raise ValueError(f"step count must be nonnegative, got {k}")
-    if not 0 <= start < kernel.dimension:
-        raise ValueError(f"start rank {start} out of range")
-    for dist in _distributions(kernel, start, k):
-        pass
-    return dist
-
-
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Half the L1 distance between two distributions."""
     p = np.asarray(p, dtype=np.float64)

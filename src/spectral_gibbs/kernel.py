@@ -8,7 +8,7 @@ neighboring sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,14 +16,12 @@ from scipy.sparse.csgraph import connected_components
 
 from .model import (
     EXACT_STATES_BUDGET,
-    Configuration,
     GibbsMeasure,
     ModelSpec,
     check_budget,
     colors_table,
     stationary_measure,
 )
-from .serialize import format_float
 
 
 def bond_score(u: int, v: int) -> int:
@@ -61,56 +59,6 @@ def local_conditionals(spec: ModelSpec) -> np.ndarray:
     return probs
 
 
-def conditional_probability(
-    spec: ModelSpec, x: Configuration, i: int, color: int
-) -> float:
-    """Probability that a resampled site ``i`` takes the given color.
-
-    Args:
-        spec: Chain parameters.
-        x: Current configuration.
-        i: Site index, 1-based, ``1 <= i <= n``.
-        color: Candidate color index.
-
-    Returns:
-        The conditional probability; over all colors these sum to 1.
-
-    Raises:
-        ValueError: If ``i`` or ``color`` is out of range.
-    """
-    if not 1 <= i <= spec.n:
-        raise ValueError(f"site index {i} out of range 1..{spec.n}")
-    if not 0 <= color < spec.num_colors:
-        raise ValueError(f"color index {color} out of range")
-    left = x.colors[i - 2] + 1 if i >= 2 else 0
-    right = x.colors[i] + 1 if i <= spec.n - 1 else 0
-    return float(local_conditionals(spec)[left, right, color])
-
-
-def transition_probability(
-    spec: ModelSpec, x: Configuration, y: Configuration
-) -> float:
-    """One-step transition probability between two configurations.
-
-    Positive only when ``x`` and ``y`` differ in at most one site: a single
-    differing site ``i`` gives ``(1/n) * conditional``, equality gives the
-    holding probability ``(1/n) * sum_i conditional(x_i)``, and two or more
-    differing sites give 0.
-    """
-    if len(x.colors) != spec.n or len(y.colors) != spec.n:
-        raise ValueError(f"configurations must have {spec.n} sites")
-    diffs = [i for i in range(spec.n) if x.colors[i] != y.colors[i]]
-    if len(diffs) > 1:
-        return 0.0
-    if len(diffs) == 1:
-        i = diffs[0] + 1
-        return conditional_probability(spec, x, i, y.colors[diffs[0]]) / spec.n
-    total = 0.0
-    for i in range(1, spec.n + 1):
-        total += conditional_probability(spec, x, i, x.colors[i - 1])
-    return total / spec.n
-
-
 def conditional_table(
     spec: ModelSpec, budget: int = EXACT_STATES_BUDGET
 ) -> np.ndarray:
@@ -133,31 +81,23 @@ def conditional_table(
 
 @dataclass(frozen=True)
 class SparseKernel:
-    """The transition matrix with its stationary measure and edge set.
+    """The transition matrix with its stationary measure.
 
     Attributes:
         spec: Chain parameters.
         pi: Stationary distribution.
-        matrix: CSR transition matrix, one row per state.
-        edges: Ordered pairs ``(u, v)`` of ranks with ``u != v`` and
-            positive transition probability; shape ``(num_edges, 2)``.
+        matrix: CSR transition matrix, one row per state, column indices
+            sorted.  Its sparsity pattern holds every single-site move, also
+            those whose probability underflowed to 0 at low temperature.
     """
 
     spec: ModelSpec
     pi: GibbsMeasure
     matrix: sp.csr_matrix
-    edges: np.ndarray = field(repr=False)
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    def row_entries(self, rank: int) -> list[tuple[int, float]]:
-        """Nonzero entries of one row as ``(target rank, probability)`` pairs."""
-        start, stop = self.matrix.indptr[rank], self.matrix.indptr[rank + 1]
-        cols = self.matrix.indices[start:stop]
-        vals = self.matrix.data[start:stop]
-        return [(int(c), float(v)) for c, v in zip(cols, vals)]
 
 
 def build_kernel(spec: ModelSpec, budget: int = EXACT_STATES_BUDGET) -> SparseKernel:
@@ -204,13 +144,7 @@ def build_kernel(spec: ModelSpec, budget: int = EXACT_STATES_BUDGET) -> SparseKe
         sp.coo_matrix((data, (rows, cols)), shape=(m, m), dtype=np.float64)
     )
     matrix.sort_indices()
-
-    off = rows != cols
-    edges = np.column_stack([rows[off], cols[off]])
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    edges = edges[order]
-    edges.flags.writeable = False
-    return SparseKernel(spec=spec, pi=pi, matrix=matrix, edges=edges)
+    return SparseKernel(spec=spec, pi=pi, matrix=matrix)
 
 
 def check_detailed_balance(kernel: SparseKernel) -> float:
@@ -230,35 +164,10 @@ def check_stationarity(kernel: SparseKernel) -> float:
 
 
 def check_irreducible(kernel: SparseKernel) -> bool:
-    """True when the single-site move graph connects the whole state space."""
-    m = kernel.dimension
-    adjacency = sp.csr_matrix(
-        (
-            np.ones(len(kernel.edges), dtype=np.int8),
-            (kernel.edges[:, 0], kernel.edges[:, 1]),
-        ),
-        shape=(m, m),
-    )
-    count, _ = connected_components(adjacency, directed=False)
-    return int(count) == 1
+    """True when the single-site move graph connects the whole state space.
 
-
-def coordinate_text(kernel: SparseKernel) -> str:
-    """Render the matrix as ``row col value`` lines, row-major order.
-
-    Values use 17 significant digits and lines end with LF, so the dump is
-    byte-stable across runs and usable for cross-checks by external tools.
+    The graph is the matrix's sparsity pattern, so a move whose probability
+    underflowed to an explicit 0 still counts as an edge.
     """
-    coo = kernel.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[k]} {coo.col[k]} {format_float(coo.data[k])}\n"
-        for k in order
-    ]
-    return "".join(lines)
-
-
-def write_coordinate_text(kernel: SparseKernel, path: str) -> None:
-    """Write :func:`coordinate_text` to a file."""
-    with open(path, "w", newline="") as handle:
-        handle.write(coordinate_text(kernel))
+    count, _ = connected_components(kernel.matrix, directed=False)
+    return int(count) == 1

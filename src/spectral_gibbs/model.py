@@ -122,32 +122,6 @@ def config_from_rank(spec: ModelSpec, rank: int) -> Configuration:
     return Configuration(decode_rank(spec, rank), int(rank))
 
 
-def rank_roundtrip(x: Configuration, spec: ModelSpec) -> Configuration:
-    """Re-encode and decode a configuration; the result must equal ``x``."""
-    return config_from_rank(spec, encode_rank(spec, x.colors))
-
-
-def energy(spec: ModelSpec, x: Configuration) -> int:
-    """Hamiltonian of a configuration: agreements minus disagreements.
-
-    Args:
-        spec: Chain parameters.
-        x: Configuration of length ``spec.n``.
-
-    Returns:
-        Integer in ``[-(n-1), n-1]`` with the same parity as ``n-1``.
-
-    Raises:
-        ValueError: If the configuration length does not match ``spec.n``.
-    """
-    if len(x.colors) != spec.n:
-        raise ValueError(f"expected {spec.n} sites, got {len(x.colors)}")
-    h = 0
-    for a, b in zip(x.colors, x.colors[1:]):
-        h += 1 if a == b else -1
-    return h
-
-
 def colors_table(spec: ModelSpec, budget: int = EXACT_STATES_BUDGET) -> np.ndarray:
     """Color vectors of every state, shape ``(num_states, n)``, rank order.
 

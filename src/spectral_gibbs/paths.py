@@ -15,10 +15,11 @@ chain carry exactly its own pair, so the degenerate one-site chain yields
 ``O(n^2 N^n)``; the enumeration of pairs is kept only as the tests' oracle.
 
 The module also evaluates the closed-form upper bound ``(n^2/N)(N-1+e^{4/T})``
-together with the per-edge quantities that prove it: the edge-local factors
-``alpha`` and ``beta``, the per-edge interior bound ``(n^2/N)(alpha+beta)``,
-the boundary bound ``(n^2/N)(N-1+e^{2/T})``, and the slice-sum identities the
-derivation rests on.
+together with the quantities that prove it, each as one table over every
+edge or neighbor pattern: the edge-local factors ``alpha`` and ``beta``, the
+interior bound ``(n^2/N)(alpha+beta)``, the boundary bound
+``(n^2/N)(N-1+e^{2/T})``, and the slice-sum identities the derivation rests
+on.
 """
 
 from __future__ import annotations
@@ -28,66 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Configuration,
-    ModelSpec,
-    color_letter,
-    colors_table,
-    config_from_rank,
-)
+from .model import ModelSpec, color_letter, colors_table, config_from_rank
 from .kernel import SparseKernel, conditional_table, local_scores
 from .serialize import canonical_json
-
-
-@dataclass(frozen=True)
-class PathRecord:
-    """Canonical path between two states.
-
-    Attributes:
-        source: Start configuration.
-        target: End configuration.
-        diffs: 1-based sites where source and target disagree, increasing.
-        edges: Traversed directed edges as ``(rank_from, rank_to)`` pairs.
-    """
-
-    source: Configuration
-    target: Configuration
-    diffs: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-
-def canonical_path(spec: ModelSpec, x: Configuration, y: Configuration) -> PathRecord:
-    """Build the canonical path from ``x`` to ``y``.
-
-    Disagreeing sites are corrected left to right, so the state after step
-    ``j`` agrees with ``y`` up to the ``j``-th disagreeing site and with
-    ``x`` beyond it.
-
-    Raises:
-        ValueError: If ``x == y`` (pairs must be distinct) or the
-            configurations do not match ``spec``.
-    """
-    if len(x.colors) != spec.n or len(y.colors) != spec.n:
-        raise ValueError(f"configurations must have {spec.n} sites")
-    if x.colors == y.colors:
-        raise ValueError("no path is defined from a state to itself")
-    diffs = tuple(
-        i + 1 for i in range(spec.n) if x.colors[i] != y.colors[i]
-    )
-    edges = []
-    current = list(x.colors)
-    rank = x.rank
-    for site in diffs:
-        place = spec.num_colors ** (spec.n - site)
-        next_rank = rank + (y.colors[site - 1] - current[site - 1]) * place
-        edges.append((rank, next_rank))
-        current[site - 1] = y.colors[site - 1]
-        rank = next_rank
-    return PathRecord(source=x, target=y, diffs=diffs, edges=tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -280,36 +224,14 @@ def _edge_factor_tables(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.broadcast_to(alpha, beta.shape), beta
 
 
-def edge_local_factors(kernel: SparseKernel, edge: EdgeLoad) -> tuple[float, float]:
-    """The two factors ``(alpha, beta)`` of an interior edge.
-
-    Both depend only on the colors of the two neighbors of the updated site.
-    Their sum is at most ``N - 1 + e^{4/T}``, with equality exactly when both
-    neighbors carry one shared color distinct from the edge's two colors.
-
-    Raises:
-        ValueError: If the edge sits at site 1 or ``n`` (no two neighbors).
-    """
-    spec = kernel.spec
-    if edge.site in (1, spec.n):
-        raise ValueError(
-            f"edge at site {edge.site} is a boundary edge; the factors need "
-            "two neighbors"
-        )
-    source = config_from_rank(spec, edge.edge[0])
-    left, right = source.colors[edge.site - 2], source.colors[edge.site]
-    at = (left, right, edge.color_from, edge.color_to)
-    alpha, beta = _edge_factor_tables(spec)
-    return float(alpha[at]), float(beta[at])
-
-
 @dataclass(frozen=True)
 class WorstFactors:
     """Maximum of ``alpha + beta`` over all neighbor-color patterns.
 
     Attributes:
         value: The maximum of the factor sum.
-        argmax: Neighbor color pairs ``(left, right)`` attaining it.
+        argmax: Neighbor color pairs ``(left, right)`` within a relative
+            ``WITNESS_RTOL`` of it, in row-major order.
         closed_form: ``N - 1 + e^{4/T}``.
     """
 
@@ -324,24 +246,18 @@ def worst_alpha_beta(
     """Scan all neighbor-color patterns of an interior edge for the worst sum.
 
     By color symmetry the result does not depend on the chosen edge colors.
+    Patterns that symmetry makes equal can differ in the last digit, so every
+    pattern within a relative ``WITNESS_RTOL`` of the maximum is returned.
     """
     if color_from == color_to or {color_from, color_to} - set(range(spec.num_colors)):
         raise ValueError("edge colors must be two different colors of the chain")
     alpha, beta = _edge_factor_tables(spec)
     sums = (alpha + beta)[:, :, color_from, color_to]
-    best = -math.inf
-    argmax: list[tuple[int, int]] = []
-    for left in range(spec.num_colors):
-        for right in range(spec.num_colors):
-            total = float(sums[left, right])
-            if total > best + 1e-12:
-                best = total
-                argmax = [(left, right)]
-            elif total > best - 1e-12:
-                argmax.append((left, right))
+    best = float(sums.max())
+    lefts, rights = np.nonzero(sums >= (1.0 - WITNESS_RTOL) * best)
     return WorstFactors(
         value=best,
-        argmax=tuple(argmax),
+        argmax=tuple(zip(lefts.tolist(), rights.tolist())),
         closed_form=spec.num_colors - 1 + math.exp(4.0 / spec.temp),
     )
 
@@ -366,21 +282,6 @@ class EdgeCertificate:
     passed: bool
 
 
-def per_edge_certificate(kernel: SparseKernel, edge: EdgeLoad) -> EdgeCertificate:
-    """Check one edge's load ratio against its per-edge bound."""
-    spec = kernel.spec
-    interior = edge.site not in (1, spec.n)
-    if interior:
-        alpha, beta = edge_local_factors(kernel, edge)
-        bound = (spec.n * spec.n / spec.num_colors) * (alpha + beta)
-    else:
-        bound = boundary_edge_bound(spec)
-    slack = bound - edge.ratio
-    return EdgeCertificate(
-        edge=edge, bound=bound, slack=slack, interior=interior, passed=slack >= 0
-    )
-
-
 @dataclass(frozen=True)
 class CertificateSummary:
     """Aggregate of the per-edge certificates over every directed edge."""
@@ -395,7 +296,8 @@ def certify_all_edges(kernel: SparseKernel, result: KappaResult) -> CertificateS
     """Check every directed edge's ratio against its per-edge bound.
 
     Interior edges use their own ``(n^2/N)(alpha+beta)`` value computed from
-    the neighbor colors; boundary edges use the boundary closed form.
+    the neighbor colors; boundary edges use the boundary closed form.  The
+    worst certificate is read off the same bound and slack tables.
     """
     spec = kernel.spec
     m, n, num_colors = spec.num_states, spec.n, spec.num_colors
@@ -409,14 +311,20 @@ def certify_all_edges(kernel: SparseKernel, result: KappaResult) -> CertificateS
     valid = table[:, :, None] != np.arange(num_colors)[None, None, :]
     slack = np.where(valid, bounds - result.ratios, np.inf)
     flat = int(np.argmin(slack))
-    worst = per_edge_certificate(
-        kernel, _edge_at_flat(kernel, result.loads, result.qs, flat)
+    edge = _edge_at_flat(kernel, result.loads, result.qs, flat)
+    min_slack = float(slack.flat[flat])
+    worst = EdgeCertificate(
+        edge=edge,
+        bound=float(bounds.flat[flat]),
+        slack=min_slack,
+        interior=edge.site not in (1, n),
+        passed=min_slack >= 0,
     )
     return CertificateSummary(
         num_edges=int(valid.sum()),
-        min_slack=float(slack.flat[flat]),
+        min_slack=min_slack,
         worst=worst,
-        all_passed=bool(slack.flat[flat] >= 0),
+        all_passed=min_slack >= 0,
     )
 
 

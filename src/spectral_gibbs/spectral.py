@@ -18,7 +18,6 @@ import scipy.sparse as sp
 
 from .model import DENSE_SOLVE_BUDGET, ModelSpec, check_budget
 from .kernel import SparseKernel, check_detailed_balance
-from .serialize import canonical_json
 
 # Kernels whose detailed-balance asymmetry exceeds this are rejected.
 REVERSIBILITY_TOLERANCE = 1e-9
@@ -132,16 +131,4 @@ def spectrum(kernel: SparseKernel) -> Spectrum:
         beta1=beta1,
         beta_min=beta_min,
         beta_star=max(beta1, abs(beta_min)),
-    )
-
-
-def spectrum_to_json(spec: Spectrum) -> str:
-    """Serialize the descending eigenvalue list plus the three scalars."""
-    return canonical_json(
-        {
-            "eigenvalues": [float(v) for v in spec.eigenvalues],
-            "beta1": spec.beta1,
-            "beta_min": spec.beta_min,
-            "beta_star": spec.beta_star,
-        }
     )

@@ -8,7 +8,6 @@ import pytest
 from conftest import kappa_for, kernel_for, spectrum_for
 
 from spectral_gibbs import (
-    IngrassiaParams,
     ModelSpec,
     assemble_report,
     corollary_gate,
@@ -68,26 +67,12 @@ def test_lambda_min_formula():
     assert math.isclose(got, -0.8732421233339247, rel_tol=1e-15)
 
 
-def test_ingrassia_params_defaults():
-    spec = ModelSpec(4, 3, 1.0)
-    params = IngrassiaParams.from_spec(spec)
-    assert params.c == 3
-    assert params.delta == 2
-    assert params.m == 2
-    assert params.lattice_size == 4
-    assert params.gamma_gamma == 4
-    assert params.b_gamma == 3**3
-    expected_z = 3 * (1 + 2 * math.exp(-0.5)) ** 3
-    assert math.isclose(params.z_upper, expected_z, rel_tol=1e-15)
-
-
 def test_ingrassia_beta1_formula():
-    # 1 - z e^{-m/T} / (b gamma C |S|), recomputed from the parameters
+    # 1 - z e^{-m/T} / (b gamma C |S|) with the recipe's constants at n=4,
+    # N=3: C=3, m=2, b=3^3 paths per edge, gamma=4, |S|=4 sites
     n, colors, temp = 4, 3, 1.0
-    params = IngrassiaParams.from_spec(ModelSpec(n, colors, temp))
-    expected = 1 - params.z_upper * math.exp(-params.m / temp) / (
-        params.b_gamma * params.gamma_gamma * params.c * params.lattice_size
-    )
+    z_upper = 3 * (1 + 2 * math.exp(-0.5)) ** 3
+    expected = 1 - z_upper * math.exp(-2 / temp) / (3**3 * 4 * 3 * 4)
     assert math.isclose(ingrassia_beta1_bound(n, colors, temp), expected, rel_tol=1e-14)
     # simplified closed form of the same quantity
     simplified = 1 - ((1 + (colors - 1) * math.exp(-0.5 / temp)) / colors) ** (

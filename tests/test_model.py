@@ -13,11 +13,10 @@ from spectral_gibbs import (
     config_from_rank,
     decode_rank,
     encode_rank,
-    energy,
-    rank_roundtrip,
     stationary_measure,
     string_to_colors,
 )
+from spectral_gibbs.model import energies_table
 
 
 def test_spec_validation():
@@ -70,17 +69,17 @@ def test_config_constructors_agree():
         from_colors = config_from_colors(spec, from_rank.colors)
         assert from_rank == from_colors
         assert from_rank.rank == rank
-        assert rank_roundtrip(from_rank, spec) == from_rank
+        assert config_from_rank(spec, encode_rank(spec, from_rank.colors)) == from_rank
 
 
 def test_energy_hand_values():
     spec = ModelSpec(3, 2, 1.0)
+    energies = energies_table(spec)
     # each adjacent pair contributes +1 on agreement, -1 on disagreement
-    assert energy(spec, config_from_colors(spec, (0, 0, 0))) == 2
-    assert energy(spec, config_from_colors(spec, (0, 0, 1))) == 0
-    assert energy(spec, config_from_colors(spec, (0, 1, 0))) == -2
-    single = ModelSpec(1, 2, 1.0)
-    assert energy(single, config_from_colors(single, (0,))) == 0
+    assert energies[config_from_colors(spec, (0, 0, 0)).rank] == 2
+    assert energies[config_from_colors(spec, (0, 0, 1)).rank] == 0
+    assert energies[config_from_colors(spec, (0, 1, 0)).rank] == -2
+    assert list(energies_table(ModelSpec(1, 2, 1.0))) == [0, 0]
 
 
 def test_stationary_measure_two_site():

@@ -11,24 +11,20 @@ from conftest import grid_specs, kappa_for, kernel_for
 from spectral_gibbs import (
     ModelSpec,
     bond_score,
+    boundary_edge_bound,
     build_kernel,
-    canonical_path,
     certify_all_edges,
-    config_from_colors,
     config_from_rank,
-    edge_load_at,
-    edge_local_factors,
     kappa_closed_form,
     kappa_exact,
     kappa_report,
     kappa_report_json,
-    per_edge_certificate,
     verify_slice_identities,
     worst_alpha_beta,
 )
 from spectral_gibbs.kernel import conditional_table
 from spectral_gibbs.model import colors_table
-from spectral_gibbs.paths import WITNESS_RTOL
+from spectral_gibbs.paths import WITNESS_RTOL, _edge_factor_tables
 
 
 def brute_force_kappa(n, colors, temp):
@@ -131,37 +127,24 @@ def pair_enumeration_tables(kernel, block_size=512):
 
 
 def test_canonical_path_left_to_right():
-    spec = ModelSpec(3, 2, 1.0)
-    x = config_from_colors(spec, (0, 0, 1))
-    y = config_from_colors(spec, (1, 1, 0))
-    path = canonical_path(spec, x, y)
-    assert path.diffs == (1, 2, 3)
-    assert path.length == 3
-    # sites corrected in increasing order, leftmost first
-    ranks = [x.rank] + [e[1] for e in path.edges]
-    expected = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (1, 1, 0)]
-    assert ranks == [config_from_colors(spec, c).rank for c in expected]
-    # consecutive states differ in exactly one site
-    for (a, b) in path.edges:
-        ca = config_from_rank(spec, a).colors
-        cb = config_from_rank(spec, b).colors
-        assert sum(u != v for u, v in zip(ca, cb)) == 1
+    # the edge aa -> ba carries the pair aa -> ba (length 1) and aa -> bb
+    # (length 2), which corrects site 1 first and so passes through ba
+    spec = ModelSpec(2, 2, 1.0)
+    aa, ab, ba, bb = range(4)
+    pi = kernel_for(spec).pi.weights
+    want = pi[aa] * (pi[ba] + 2 * pi[bb])
+    assert math.isclose(kappa_for(spec).loads[aa, 0, 1], want, rel_tol=1e-14)
 
 
 def test_canonical_path_skips_agreeing_sites():
-    spec = ModelSpec(4, 3, 1.0)
-    x = config_from_colors(spec, (2, 0, 1, 0))
-    y = config_from_colors(spec, (2, 1, 1, 2))
-    path = canonical_path(spec, x, y)
-    assert path.diffs == (2, 4)
-    assert path.length == 2
-
-
-def test_canonical_path_rejects_identical():
-    spec = ModelSpec(2, 2, 1.0)
-    x = config_from_colors(spec, (0, 1))
-    with pytest.raises(ValueError):
-        canonical_path(spec, x, x)
+    # the edge aaa -> aab recolors the last site, so it carries every source
+    # (x1, x2, a) to aab; each path takes one step per disagreeing site only
+    spec = ModelSpec(3, 2, 1.0)
+    pi = kernel_for(spec).pi.weights.reshape(2, 2, 2)
+    want = pi[0, 0, 1] * sum(
+        pi[x1, x2, 0] * (1 + x1 + x2) for x1 in (0, 1) for x2 in (0, 1)
+    )
+    assert math.isclose(kappa_for(spec).loads[0, 2, 1], want, rel_tol=1e-14)
 
 
 def test_single_site_kappa_is_one():
@@ -252,36 +235,26 @@ def test_kappa_past_dense_budget(spec):
 
 
 def test_edge_local_factors_hand_value():
-    spec = ModelSpec(3, 3, 1.0)
-    kern = kernel_for(spec)
-    result = kappa_for(spec)
-    # source (c, a, b) -> recolor site 2 to b: left=c, right=b
-    from spectral_gibbs import edge_load_at
-
-    source = config_from_colors(spec, (2, 0, 1))
-    edge = edge_load_at(kern, result.loads, result.qs, source.rank, 2, 1)
-    alpha, beta = edge_local_factors(kern, edge)
+    alpha, beta = _edge_factor_tables(ModelSpec(3, 3, 1.0))
+    # recolor the middle site of (c, a, b) to b: left=c, right=b
+    at = (2, 1, 0, 1)
     # alpha = e^{(s(c,b)-s(c,a))/T} = e^0 = 1
-    assert math.isclose(alpha, 1.0, rel_tol=1e-15)
+    assert math.isclose(alpha[at], 1.0, rel_tol=1e-15)
     # beta = e^{(-s(c,a)-s(b,b))/T} * sum_{c'!=b} e^{(s(c,c')+s(c',b))/T}
     expected_beta = math.exp(0.0) * (
         math.exp((-1 - 1) / 1.0) + math.exp((1 - 1) / 1.0)
     )
-    assert math.isclose(beta, expected_beta, rel_tol=1e-14)
+    assert math.isclose(beta[at], expected_beta, rel_tol=1e-14)
 
 
 @pytest.mark.parametrize("colors,temp", [(2, 0.5), (3, 1.0), (4, 2.0)])
 def test_edge_local_factors_match_scalar_formula(colors, temp):
     # reference: the per-edge scalar formula over bond_score, every pattern
-    spec = ModelSpec(3, colors, temp)
-    kern = kernel_for(spec)
-    result = kappa_for(spec)
+    alpha, beta = _edge_factor_tables(ModelSpec(3, colors, temp))
     s = bond_score
     for left, c_from, right in itertools.product(range(colors), repeat=3):
-        source = config_from_colors(spec, (left, c_from, right))
         for c_to in set(range(colors)) - {c_from}:
-            edge = edge_load_at(kern, result.loads, result.qs, source.rank, 2, c_to)
-            alpha, beta = edge_local_factors(kern, edge)
+            at = (left, right, c_from, c_to)
             others = sum(
                 math.exp((s(left, c) + s(c, right)) / temp)
                 for c in range(colors)
@@ -289,28 +262,20 @@ def test_edge_local_factors_match_scalar_formula(colors, temp):
             )
             prefactor = math.exp((-s(left, c_from) - s(c_to, right)) / temp)
             expected = math.exp((s(left, c_to) - s(left, c_from)) / temp)
-            assert math.isclose(alpha, expected, rel_tol=1e-14)
-            assert math.isclose(beta, prefactor * others, rel_tol=1e-14)
-
-
-def test_edge_local_factors_boundary_rejected():
-    spec = ModelSpec(2, 2, 1.0)
-    kern = kernel_for(spec)
-    result = kappa_for(spec)
-    with pytest.raises(ValueError, match="boundary"):
-        edge_local_factors(kern, result.argmax_edge)
+            assert math.isclose(alpha[at], expected, rel_tol=1e-14)
+            assert math.isclose(beta[at], prefactor * others, rel_tol=1e-14)
 
 
 def test_worst_factors_third_color_pattern():
     # with a third color available the maximum is exactly N-1+e^{4/T},
-    # attained only when both neighbors share a color off the edge
-    for colors, temp in [(3, 1.0), (4, 0.5), (3, 2.0)]:
+    # attained exactly when both neighbors share a color off the edge, and
+    # every such pattern ties, also at low temperature, where the sum is so
+    # large that 1e-12 is below its last digit
+    for colors, temp in [(3, 1.0), (4, 0.5), (3, 2.0), (4, 0.3), (5, 0.2)]:
         spec = ModelSpec(3, colors, temp)
         worst = worst_alpha_beta(spec)
         assert math.isclose(worst.value, worst.closed_form, rel_tol=1e-12)
-        for left, right in worst.argmax:
-            assert left == right
-            assert left not in (0, 1)
+        assert set(worst.argmax) == {(c, c) for c in range(2, colors)}, (colors, temp)
 
 
 def test_worst_factors_two_colors_strictly_below():
@@ -337,24 +302,27 @@ def test_per_edge_certificates():
     assert summary.all_passed
     assert summary.min_slack >= 0
     assert summary.worst.passed
-    # the summary's worst edge is reproduced by the single-edge check
-    single = per_edge_certificate(kern, summary.worst.edge)
-    assert math.isclose(single.slack, summary.min_slack, rel_tol=1e-12)
+    # the worst certificate is its edge's own bound minus its own ratio
+    edge = summary.worst.edge
+    assert edge.ratio == result.ratios[edge.edge[0], edge.site - 1, edge.color_to]
+    assert summary.worst.slack == summary.min_slack
+    assert summary.min_slack == summary.worst.bound - edge.ratio
 
 
 def test_certificates_boundary_vs_interior():
+    # at n=2 every edge sits at an end and takes the boundary bound
+    spec = ModelSpec(2, 2, 1.0)
+    worst = certify_all_edges(kernel_for(spec), kappa_for(spec)).worst
+    assert not worst.interior
+    assert worst.bound == boundary_edge_bound(spec)
+    # at n=3 the worst edge is interior and takes its neighbors' bound
     spec = ModelSpec(3, 2, 1.0)
-    kern = kernel_for(spec)
-    result = kappa_for(spec)
-    from spectral_gibbs import boundary_edge_bound, edge_load_at
-
-    edge1 = edge_load_at(kern, result.loads, result.qs, 0, 1, 1)
-    cert1 = per_edge_certificate(kern, edge1)
-    assert not cert1.interior
-    assert math.isclose(cert1.bound, boundary_edge_bound(spec), rel_tol=1e-15)
-    edge2 = edge_load_at(kern, result.loads, result.qs, 0, 2, 1)
-    cert2 = per_edge_certificate(kern, edge2)
-    assert cert2.interior
+    worst = certify_all_edges(kernel_for(spec), kappa_for(spec)).worst
+    assert worst.interior and worst.edge.site == 2
+    left, _, right = config_from_rank(spec, worst.edge.edge[0]).colors
+    alpha, beta = _edge_factor_tables(spec)
+    at = (left, right, worst.edge.color_from, worst.edge.color_to)
+    assert worst.bound == (9 / 2) * (alpha[at] + beta[at])
 
 
 def test_slice_identities_paper_scale():

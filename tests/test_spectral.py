@@ -17,7 +17,6 @@ from spectral_gibbs import (
     SparseKernel,
     build_kernel,
     spectrum,
-    spectrum_to_json,
     stationary_measure,
     symmetrize,
 )
@@ -159,8 +158,7 @@ def test_symmetrize_rejects_non_reversible():
     spec = ModelSpec(1, 2, 1.0)
     pi = stationary_measure(spec)
     bad = sp.csr_matrix(np.array([[0.2, 0.8], [0.6, 0.4]]))
-    edges = np.array([[0, 1], [1, 0]])
-    kern = SparseKernel(spec=spec, pi=pi, matrix=bad, edges=edges)
+    kern = SparseKernel(spec=spec, pi=pi, matrix=bad)
     with pytest.raises(ValueError, match="reversib"):
         symmetrize(kern)
 
@@ -177,11 +175,3 @@ def test_beta_star_prefers_negative_mass():
     )
     assert spect.beta_star == 0.7
 
-
-def test_spectrum_json_round_trip():
-    import json
-
-    spec = ModelSpec(2, 2, 1.0)
-    payload = json.loads(spectrum_to_json(spectrum_for(spec)))
-    assert payload["beta1"] == spectrum_for(spec).beta1
-    assert len(payload["eigenvalues"]) == 4
