@@ -201,6 +201,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "passed": poincare_margin >= -EXACT_TOLERANCE,
         }
     )
+    # Random-scan Gibbs is positive semidefinite (Liu, Wong and Kong 1995).
+    checks.append(
+        {
+            "name": "beta-min",
+            "margin": spectrum.beta_min,
+            "passed": spectrum.beta_min >= -EXACT_TOLERANCE,
+        }
+    )
     closed = kappa_closed_form(spec)
     closed_margin = closed - kappa.kappa
     checks.append(

@@ -1,10 +1,12 @@
-"""Exact spectrum of the kernel from its color-shift symmetry blocks.
+"""Exact spectrum of the kernel from its color-shift and reversal symmetry blocks.
 
 Reversibility makes ``S = D^{1/2} P D^{-1/2}`` symmetric (``D = diag(pi)``),
 so ``P`` has the real spectrum of ``S``.  The energy depends only on whether
 neighbors agree, so shifting every site's color by +1 mod N commutes with
 ``S``.  This group Z_N acts freely on the states, so ``S`` splits exactly into
-N Fourier sectors of size ``m / N`` (Diaconis 1988), each solved densely.
+N Fourier sectors of size ``m / N`` (Diaconis 1988).  Reversing the order of
+the sites commutes with ``S`` and with the shift, so each sector splits again
+into its reversal-even and reversal-odd halves, each solved densely.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ def symmetrize(kernel: SparseKernel) -> sp.csr_matrix:
 
 def _sector_blocks(
     spec: ModelSpec, sym: sp.csr_matrix
-) -> Iterator[tuple[np.ndarray, int]]:
-    """Dense Fourier blocks of ``sym`` under the color shift, with multiplicities.
+) -> Iterator[tuple[int, np.ndarray, int]]:
+    """Sector, dense reversal half and multiplicity of each block of ``sym``.
 
     The states whose site-1 color is 0 (ranks ``0 .. m/N - 1``) represent the
     orbits.  A column ``y`` whose site-1 color is ``j`` is its orbit's
@@ -80,34 +82,62 @@ def _sector_blocks(
     real symmetric; sector ``N - k`` is the complex conjugate of sector
     ``k``, so only ``k = 0 .. N // 2`` are built and each complex one counts
     twice.
+
+    Reversing the sites commutes with both ``S`` and the shift.  In sector
+    ``k`` it maps representative ``s`` to ``s'``, the reversal of ``s``
+    shifted by ``-s_n``, and ``e_s`` to ``omega^(-k s_n) e_s'``; with
+    ``omega^(+k s_n)`` the map would not commute with a complex sector.  Its
+    ``+1`` and ``-1`` eigenspaces have the orthonormal bases
+    ``(e_s +- omega^(-k s_n) e_s') / sqrt(2)`` over the pairs ``s < s'``,
+    plus ``e_s`` for each ``s = s'`` in the half whose sign is its phase;
+    each half is ``Q^H B Q`` for its basis ``Q``.  The even half comes first
+    and an empty half is skipped.
     """
     num_colors = spec.num_colors
     reps = spec.num_states // num_colors
     rows = sym[:reps].tocoo()
     shift = rows.col // reps
     orbit = np.zeros_like(rows.col)
+    ranks = np.arange(reps)
+    last = ranks % num_colors
+    mirror = np.zeros_like(ranks)
     for i in range(spec.n):
         place = num_colors ** (spec.n - 1 - i)
         orbit += (rows.col // place - shift) % num_colors * place
+        mirror += (ranks // place - last) % num_colors * num_colors**i
+    powers = np.arange(num_colors)
     for k in range(num_colors // 2 + 1):
         if 2 * k % num_colors == 0:
-            phases, multiplicity = (-1.0) ** (shift * (2 * k // num_colors)), 1
+            roots, multiplicity = (-1.0) ** ((2 * k // num_colors) * powers), 1
         else:
-            phases, multiplicity = np.exp(2j * np.pi * k * shift / num_colors), 2
-        # toarray sums duplicates: at n <= 2 two columns of a row can share an orbit.
-        block = sp.coo_matrix(
-            (rows.data * phases, (rows.row, orbit)), shape=(reps, reps)
-        ).toarray()
-        yield block, multiplicity
+            roots, multiplicity = np.exp(2j * np.pi * k * powers / num_colors), 2
+        # CSR construction sums duplicates: at n <= 2 two columns of a row can
+        # share an orbit, and a fixed point's two basis entries (0.5 each) add up.
+        block = sp.csr_matrix(
+            (rows.data * roots[shift], (rows.row, orbit)), shape=(reps, reps)
+        )
+        reversal = roots[-last % num_colors]
+        for sign in (1.0, -1.0):
+            cols = np.flatnonzero(
+                (ranks < mirror) | (ranks == mirror) & (sign * reversal.real > 0)
+            )
+            if cols.size == 0:
+                continue
+            scale = np.where(mirror[cols] == cols, 0.5, np.sqrt(0.5))
+            data = np.concatenate([scale, sign * scale * reversal[cols]])
+            j = np.arange(cols.size)
+            where = np.concatenate([cols, mirror[cols]]), np.concatenate([j, j])
+            basis = sp.csr_matrix((data, where), shape=(reps, cols.size))
+            yield k, (basis.conj().T @ block @ basis).toarray(), multiplicity
 
 
 def spectrum(kernel: SparseKernel) -> Spectrum:
     """Compute the full spectrum of the kernel.
 
-    Eigenvalues come from dense symmetric (or Hermitian) solves of the
-    ``floor(N/2) + 1`` distinct color-shift sectors of the similarity
-    transform, each of size ``m / N``, and are returned in descending order
-    without merging ties.
+    Eigenvalues come from dense symmetric (or Hermitian) solves of the two
+    site-reversal halves of each of the ``floor(N/2) + 1`` distinct
+    color-shift sectors of the similarity transform, about ``m / (2N)``
+    states each, and are returned in descending order without merging ties.
 
     Raises:
         BudgetExceededError: If the dimension exceeds ``DENSE_SOLVE_BUDGET``.
@@ -115,8 +145,8 @@ def spectrum(kernel: SparseKernel) -> Spectrum:
     """
     sym = symmetrize(kernel)
     parts = []
-    for block, multiplicity in _sector_blocks(kernel.spec, sym):
-        eigs = scipy.linalg.eigvalsh(block, overwrite_a=True, check_finite=False)
+    for _, half, multiplicity in _sector_blocks(kernel.spec, sym):
+        eigs = scipy.linalg.eigvalsh(half, overwrite_a=True, check_finite=False)
         parts.extend([eigs] * multiplicity)
     eigs = np.ascontiguousarray(np.sort(np.concatenate(parts))[::-1])
     if abs(eigs[0] - 1.0) > 1e-8:

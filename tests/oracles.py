@@ -52,3 +52,20 @@ def transition_probability(spec, x, y):
 def propagate(kernel, start, k):
     """Distribution after ``k`` steps from rank ``start``: a row of dense ``P^k``."""
     return np.linalg.matrix_power(kernel.matrix.toarray(), k)[start]
+
+
+def glauber_beta1(n, temp):
+    """Second eigenvalue of the two-color chain on ``n >= 2`` sites (Glauber 1963).
+
+    At N=2 the conditional mean of a +-1 spin is ``tanh((left + right)/T)``,
+    which is linear in its neighbors, so ``span{sigma_1 .. sigma_n}`` is
+    invariant under ``P``.  There ``P`` acts as ``(1 - 1/n) I + A / n`` with
+    ``A`` tridiagonal: ``tanh(2/T)/2`` off the diagonal in interior rows and
+    ``tanh(1/T)`` in the two boundary rows.
+    """
+    inner, edge = math.tanh(2 / temp) / 2, math.tanh(1 / temp)
+    a = np.zeros((n, n))
+    for i in range(n - 1):
+        a[i, i + 1] = edge if i == 0 else inner
+        a[i + 1, i] = edge if i + 1 == n - 1 else inner
+    return float(np.linalg.eigvals((1 - 1 / n) * np.eye(n) + a / n).real.max())

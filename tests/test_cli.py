@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spectral_gibbs import (
@@ -48,6 +49,7 @@ def test_verify_text(capsys):
     code, out = run_main(["verify", "--n", "2", "--colors", "3", "--temp", "1"], capsys)
     assert code == 0
     lines = out.splitlines()
+    assert len(lines) == 10
     assert all(line.startswith(("PASS", "FAIL")) for line in lines)
     assert lines[-1] == "PASS overall"
     names = {line.split()[1] for line in lines}
@@ -59,6 +61,7 @@ def test_verify_text(capsys):
         "slice-identities",
         "edge-certificates",
         "kappa-vs-beta1",
+        "beta-min",
         "kappa-vs-closed-form",
         "overall",
     } <= names
@@ -228,6 +231,19 @@ def test_verify_refuses_before_checks(capsys, monkeypatch):
     code = main(["verify", "--n", "7", "--colors", "4", "--temp", "1"])
     assert code == 3
     assert "dense symmetrization" in capsys.readouterr().err
+
+
+def test_verify_fails_negative_beta_min(capsys, monkeypatch):
+    from spectral_gibbs import Spectrum, cli
+
+    def negative(kernel):
+        eigs = np.array([1.0, 0.5, -0.25])
+        return Spectrum(eigenvalues=eigs, beta1=0.5, beta_min=-0.25, beta_star=0.5)
+
+    monkeypatch.setattr(cli, "compute_spectrum", negative)
+    code, out = run_main(["verify", "--n", "2", "--colors", "2", "--temp", "1"], capsys)
+    assert code == 1
+    assert "FAIL beta-min margin=-0.25" in out.splitlines()
 
 
 def test_cli_io_exit_code(capsys):

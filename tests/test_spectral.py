@@ -9,6 +9,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from conftest import grid_specs, kernel_for, spectrum_for
+from oracles import glauber_beta1
 
 from spectral_gibbs import (
     BudgetExceededError,
@@ -20,6 +21,8 @@ from spectral_gibbs import (
     stationary_measure,
     symmetrize,
 )
+from spectral_gibbs.model import colors_table
+from spectral_gibbs.spectral import _sector_blocks
 
 
 def test_single_site_spectrum():
@@ -133,11 +136,13 @@ def dense_spectrum_oracle(kernel):
     return scipy.linalg.eigvalsh(dense)[::-1]
 
 
-# (4,5,1) and (2,26,1): odd N with two complex sectors, and the largest N.
+# (4,5,1) and (2,26,1): odd N with two complex sectors, and the largest N;
+# (5,3,0.3): complex sectors below the grid's temperatures; (7,2,0.5): n past it.
 @pytest.mark.parametrize(
     "spec",
     grid_specs()
-    + [ModelSpec(7, 3, 1.0), ModelSpec(4, 5, 1.0), ModelSpec(2, 26, 1.0)],
+    + [ModelSpec(7, 3, 1.0), ModelSpec(4, 5, 1.0), ModelSpec(2, 26, 1.0)]
+    + [ModelSpec(5, 3, 0.3), ModelSpec(7, 2, 0.5)],
     ids=str,
 )
 def test_sector_spectrum_matches_dense_oracle(spec):
@@ -145,6 +150,34 @@ def test_sector_spectrum_matches_dense_oracle(spec):
     oracle = dense_spectrum_oracle(kernel_for(spec))
     assert blocks.shape == oracle.shape
     assert np.abs(blocks - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec",
+    grid_specs(max_states=1024) + [ModelSpec(4, 5, 1.0), ModelSpec(2, 26, 1.0)],
+    ids=str,
+)
+def test_reversal_halves_split_each_sector(spec):
+    halves = list(_sector_blocks(spec, symmetrize(kernel_for(spec))))
+    reps = spec.num_states // spec.num_colors
+    for k in range(spec.num_colors // 2 + 1):
+        sizes = [half.shape[0] for sector, half, _ in halves if sector == k]
+        assert 1 <= len(sizes) <= 2 and sum(sizes) == reps
+    # The even half of sector 0 holds the functions that both the color shift
+    # and the site reversal fix: one dimension per orbit of the two.
+    table = colors_table(spec).astype(np.int64)
+    images = [(table + j) % spec.num_colors for j in range(spec.num_colors)]
+    images += [image[:, ::-1] for image in images]
+    places = spec.num_colors ** np.arange(spec.n - 1, -1, -1)
+    orbits = np.unique(np.min([image @ places for image in images], axis=0))
+    assert halves[0][0] == 0 and halves[0][1].shape[0] == orbits.size
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_two_color_beta1_matches_glauber(n):
+    for temp in (0.3, 0.5, 1.0, 2.0, 5.0):
+        spect = spectrum(build_kernel(ModelSpec(n, 2, temp)))
+        assert abs(spect.beta1 - glauber_beta1(n, temp)) <= 1e-13
 
 
 def test_spectrum_finite_at_low_temperature():
