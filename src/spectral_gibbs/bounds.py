@@ -84,30 +84,39 @@ def ingrassia_beta1_bound(n: int, num_colors: int, temp: float) -> float:
     return 1.0 - z_upper * math.exp(-2.0 / temp) / denominator
 
 
+def _log_theta_terms(num_colors: int, temp: float) -> tuple[float, float]:
+    """Logs of the two factors of :func:`theta`, finite at any temperature."""
+    log_head = (
+        2.0 / temp
+        + math.log1p((num_colors - 1) * math.exp(-4.0 / temp))
+        - math.log(num_colors)
+    )
+    log_ratio = (
+        math.log1p((num_colors - 1) * math.exp(-1.0 / (2.0 * temp)))
+        - math.log(num_colors)
+    )
+    return log_head, log_ratio
+
+
 def theta(n: int, num_colors: int, temp: float) -> float:
     """Ratio of the two gap terms; below 1 the path bound is the tighter one.
 
     Equals ``(e^{2/T} + (N-1) e^{-2/T}) / N`` times
     ``((1 + (N-1) e^{-1/(2T)}) / N)^{n-1}`` and is strictly decreasing in
-    ``n``.
+    ``n``.  Evaluated in log form; ``math.inf`` when the ratio is past the
+    float range.
     """
-    head = (
-        math.exp(2.0 / temp) + (num_colors - 1) * math.exp(-2.0 / temp)
-    ) / num_colors
-    ratio = (1.0 + (num_colors - 1) * math.exp(-1.0 / (2.0 * temp))) / num_colors
-    return head * ratio ** (n - 1)
+    log_head, log_ratio = _log_theta_terms(num_colors, temp)
+    try:
+        return math.exp(log_head + (n - 1) * log_ratio)
+    except OverflowError:
+        return math.inf
 
 
 def crossover_n(num_colors: int, temp: float) -> float:
     """Real chain length above which the ratio :func:`theta` drops below 1."""
-    numerator = math.log(
-        (math.exp(2.0 / temp) + (num_colors - 1) * math.exp(-2.0 / temp))
-        / num_colors
-    )
-    denominator = math.log(
-        num_colors / (1.0 + (num_colors - 1) * math.exp(-1.0 / (2.0 * temp)))
-    )
-    return numerator / denominator + 1.0
+    log_head, log_ratio = _log_theta_terms(num_colors, temp)
+    return log_head / -log_ratio + 1.0
 
 
 def ds_tv_envelope(pi_x: float, beta_star: float, k: int) -> float:

@@ -5,6 +5,11 @@ counter-based generator (numpy's Philox keyed with the seed), so every
 trajectory is reproducible from its seed: each simulation step consumes two
 uniforms, one for the site choice (``floor(n * u)``) and one for the color
 choice (inverse CDF over colors in index order).
+
+The Monte Carlo arm of :func:`tv_curve` steps all its replicas by state rank
+through per-(rank, site) tables of thresholds and successor ranks.  It draws
+the same stream a block of steps at a time, and both arms reduce a block of
+distributions to TVs with one set of numpy calls.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ from .model import (
     DENSE_SOLVE_BUDGET,
     Configuration,
     ModelSpec,
+    colors_table,
     config_from_colors,
-    decode_rank,
 )
-from .kernel import SparseKernel, build_kernel, local_conditionals
+from .kernel import SparseKernel, build_kernel, conditional_table, local_conditionals
 from .spectral import spectrum as compute_spectrum
 from .serialize import canonical_csv, canonical_json
 
@@ -124,15 +129,35 @@ def simulate_trajectory(
     return _walk(spec, start, steps, seed, record=True)[1]
 
 
+def _block_length(num_states: int) -> int:
+    """Steps whose TVs are reduced together.
+
+    A block holds about 2^14 state entries (128 KiB of float64): enough steps
+    to share each reduction's numpy calls, few enough that its arrays stay
+    in cache.
+    """
+    return max(1, 2**14 // num_states)
+
+
+def _tv_rows(dists: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """:func:`tv_distance` of each row of ``dists`` to ``pi``."""
+    return 0.5 * np.abs(dists - pi).sum(axis=1)
+
+
 def _mc_distributions(
     kernel: SparseKernel, start: int, k_max: int, seed: int, replicas: int
 ) -> np.ndarray:
     """TV of the replicas' empirical state distribution at every step count.
 
-    All replicas advance together; each step consumes one block of site
-    uniforms and one block of color uniforms, so the result is a pure
-    function of (seed, replicas, k_max).  Each step's distribution is reduced
-    to its TV at once, so one state vector is held at a time.
+    All replicas advance together by state rank.  Two tables indexed by
+    ``site * m + rank`` are built once: the site's cumulative conditional
+    without its last entry (so no color past the end can be drawn) and the
+    rank each color leads to.  Each step consumes one block of site
+    uniforms and one block of color uniforms, the stream of
+    :func:`simulate_trajectory` for one replica, so the result is a pure
+    function of (seed, replicas, k_max).  Uniforms are drawn, and visited
+    ranks reduced to TVs, :func:`_block_length` steps at a time; that
+    changes neither the stream nor any value.
 
     Returns:
         Array of shape ``(k_max + 1,)``.
@@ -142,24 +167,32 @@ def _mc_distributions(
     m = spec.num_states
     pi = kernel.pi.weights
     rng = make_rng(seed)
-    cdf = np.cumsum(local_conditionals(spec), axis=2)
+    cdf = np.cumsum(conditional_table(spec, m), axis=2)
+    thresholds = cdf[:, :, :-1].transpose(1, 0, 2).reshape(n * m, num_colors - 1)
     places = num_colors ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    # Colors + 1 of every replica, padded with 0 ("no neighbor") at both
-    # ends, so neighbor lookups index the CDF table directly.
-    padded = np.zeros((replicas, n + 2), dtype=np.int64)
-    padded[:, 1:-1] = np.array(decode_rank(spec, start)) + 1
+    site_colors = colors_table(spec, m).T.astype(np.int64)
+    successors = (
+        np.arange(m, dtype=np.int64)[:, None]
+        + (np.arange(num_colors) - site_colors[:, :, None]) * places[:, None, None]
+    ).ravel()
     ranks = np.full(replicas, start, dtype=np.int64)
-    rows = np.arange(replicas)
     out = np.empty(k_max + 1)
     out[0] = tv_distance(np.bincount(ranks, minlength=m) / replicas, pi)
-    for k in range(1, k_max + 1):
-        sites = np.minimum((rng.random(replicas) * n).astype(np.int64), n - 1)
-        u = rng.random(replicas)
-        cdfs = cdf[padded[rows, sites], padded[rows, sites + 2]]
-        new_colors = np.minimum((cdfs <= u[:, None]).sum(axis=1), num_colors - 1) + 1
-        ranks += (new_colors - padded[rows, sites + 1]) * places[sites]
-        padded[rows, sites + 1] = new_colors
-        out[k] = tv_distance(np.bincount(ranks, minlength=m) / replicas, pi)
+    block = _block_length(m)
+    for first in range(1, k_max + 1, block):
+        steps = min(block, k_max + 1 - first)
+        uniforms = rng.random(2 * replicas * steps).reshape(steps, 2, replicas)
+        offsets = np.minimum((uniforms[:, 0] * n).astype(np.int64), n - 1) * m
+        u_colors = uniforms[:, 1, :, None]
+        visited = np.empty((steps, replicas), dtype=np.int64)
+        for t in range(steps):
+            rows = offsets[t] + ranks
+            colors = (thresholds.take(rows, axis=0) <= u_colors[t]).sum(axis=1)
+            ranks = visited[t] = successors.take(rows * num_colors + colors)
+        # Visit counts of all steps at once: step t counts into row t.
+        visited += np.arange(0, steps * m, m, dtype=np.int64)[:, None]
+        counts = np.bincount(visited.ravel(), minlength=steps * m)
+        out[first : first + steps] = _tv_rows(counts.reshape(steps, m) / replicas, pi)
     return out
 
 
@@ -261,11 +294,13 @@ def tv_curve(
         raise ValueError(f"start rank {start_rank} out of range")
 
     pi = kernel.pi.weights
-    exact = np.fromiter(
-        (tv_distance(dist, pi) for dist in _distributions(kernel, start_rank, k_max)),
-        dtype=np.float64,
-        count=k_max + 1,
-    )
+    exact = np.empty(k_max + 1)
+    block = np.empty((_block_length(kernel.dimension), kernel.dimension))
+    for k, dist in enumerate(_distributions(kernel, start_rank, k_max)):
+        row = k % len(block)
+        block[row] = dist
+        if row == len(block) - 1 or k == k_max:
+            exact[k - row : k + 1] = _tv_rows(block[: row + 1], pi)
 
     ks = np.arange(k_max + 1)
     pi_start = float(pi[start_rank])

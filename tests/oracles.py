@@ -1,14 +1,15 @@
 """Scalar oracles for the kernel: one state, one site, one step at a time.
 
-They share no code with the package's tables beyond ``bond_score``, so a
-test that compares the two checks the tables.
+They share no code with the package's tables beyond ``bond_score`` (and
+``make_rng``, whose stream the Monte Carlo oracle must consume), so a test
+that compares the two checks the tables.
 """
 
 import math
 
 import numpy as np
 
-from spectral_gibbs import bond_score
+from spectral_gibbs import bond_score, make_rng
 
 
 def neighbor_conditional(num_colors, temp, left, right):
@@ -69,3 +70,42 @@ def glauber_beta1(n, temp):
         a[i, i + 1] = edge if i == 0 else inner
         a[i + 1, i] = edge if i + 1 == n - 1 else inner
     return float(np.linalg.eigvals((1 - 1 / n) * np.eye(n) + a / n).real.max())
+
+
+def mc_tv_oracle(kernel, start, k_max, seed, replicas):
+    """TV of ``replicas`` chains' empirical distribution after 0..``k_max`` steps.
+
+    Every replica holds its color vector padded with "no neighbor" (0) at
+    both ends; a step draws one block of site uniforms (``floor(n u)``) and
+    one block of color uniforms (inverse CDF over colors in index order),
+    looks the CDF up by the two neighbors, and updates the rank by place
+    value.  The CDFs come from :func:`neighbor_conditional`.
+    """
+    spec = kernel.spec
+    n, num_colors, m = spec.n, spec.num_colors, spec.num_states
+    pi = kernel.pi.weights
+    neighbors = [None, *range(num_colors)]
+    cdf = np.array(
+        [
+            [np.cumsum(neighbor_conditional(num_colors, spec.temp, left, right))
+             for right in neighbors]
+            for left in neighbors
+        ]
+    )
+    places = num_colors ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    padded = np.zeros((replicas, n + 2), dtype=np.int64)
+    padded[:, 1:-1] = (start // places) % num_colors + 1
+    ranks = np.full(replicas, start, dtype=np.int64)
+    rows = np.arange(replicas)
+    rng = make_rng(seed)
+    out = np.empty(k_max + 1)
+    for k in range(k_max + 1):
+        if k:
+            sites = np.minimum((rng.random(replicas) * n).astype(np.int64), n - 1)
+            u = rng.random(replicas)
+            cdfs = cdf[padded[rows, sites], padded[rows, sites + 2]]
+            colors = np.minimum((cdfs <= u[:, None]).sum(axis=1), num_colors - 1) + 1
+            ranks += (colors - padded[rows, sites + 1]) * places[sites]
+            padded[rows, sites + 1] = colors
+        out[k] = 0.5 * np.abs(np.bincount(ranks, minlength=m) / replicas - pi).sum()
+    return out

@@ -105,9 +105,17 @@ def test_theta_decreasing_in_n():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def test_theta_past_float_range():
+    # e^{2/T} alone overflows a float at T=0.001; theta is inf only where
+    # its own logarithm is past the float range
+    assert theta(1, 2, 0.001) == math.inf
+    assert theta(1000, 2, 0.001) == math.inf
+    assert 1 < theta(2000, 2, 0.001) < math.inf
+
+
 def test_crossover_brackets_theta():
     for colors in (2, 3, 4):
-        for temp in (0.1, 0.2, 0.5, 1.0):
+        for temp in (0.001, 0.1, 0.2, 0.5, 1.0):
             cross = crossover_n(colors, temp)
             above = math.ceil(cross + 1e-9)
             assert theta(above, colors, temp) < 1

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import kernel_for, spectrum_for
-from oracles import conditional_probability, propagate
+from conftest import grid_specs, kernel_for, spectrum_for
+from oracles import conditional_probability, mc_tv_oracle, propagate
 
 from spectral_gibbs import (
     ModelSpec,
@@ -19,7 +19,8 @@ from spectral_gibbs import (
     tv_curve,
     tv_distance,
 )
-from spectral_gibbs.chain import _distributions
+from spectral_gibbs import chain
+from spectral_gibbs.chain import _block_length, _distributions
 
 
 def test_make_rng_reproducible():
@@ -254,3 +255,59 @@ def test_tv_curve_serialization():
     rows = bare.to_csv().splitlines()
     assert rows[1].endswith(",")  # empty cell, not a zero
     assert json.loads(bare.to_json())["mc_tv"] is None
+
+
+# Specs whose block length is at most 256 steps, so both arms can be run past
+# three blocks; every grid spec, these and the smaller ones, is also run
+# with a shortened block below.
+LONG_BLOCK_SPECS = [s for s in grid_specs(1024) if s.num_states >= 64] + [
+    ModelSpec(2, 26, 1.0),
+    ModelSpec(6, 4, 1.0),
+    ModelSpec(12, 2, 1.0),
+]
+
+
+def _straddling(block):
+    """Step counts that end inside, on and just past block boundaries."""
+    return [0, 1, block - 1, block, block + 1, 3 * block + 5]
+
+
+@pytest.fixture
+def cached_spectrum(monkeypatch):
+    # the arms do not read the spectrum; the session cache saves a solve
+    # per tv_curve call
+    monkeypatch.setattr(chain, "compute_spectrum", lambda kern: spectrum_for(kern.spec))
+
+
+def _check_both_arms(spec, block):
+    kern = kernel_for(spec)
+    start = spec.num_states // 2
+    k_values = _straddling(block)
+    pi = kern.pi.weights
+    exact = [tv_distance(d, pi) for d in _distributions(kern, start, max(k_values))]
+    for replicas in (1, 7, 256):
+        mc = mc_tv_oracle(kern, start, max(k_values), 7, replicas)
+        for k_max in k_values:
+            curve = tv_curve(spec, start, k_max, seed=7, mc_replicas=replicas,
+                             kernel=kern)
+            where = f"replicas={replicas} k_max={k_max}"
+            np.testing.assert_allclose(
+                curve.exact_tv, exact[: k_max + 1], rtol=0, atol=1e-15, err_msg=where
+            )
+            # a different color choice anywhere moves some TV by >= 1/replicas
+            np.testing.assert_allclose(
+                curve.mc_tv, mc[: k_max + 1], rtol=0, atol=1e-15, err_msg=where
+            )
+
+
+@pytest.mark.parametrize("spec", LONG_BLOCK_SPECS, ids=str)
+def test_tv_arms_match_oracles_across_blocks(spec, cached_spectrum):
+    _check_both_arms(spec, _block_length(spec.num_states))
+
+
+@pytest.mark.parametrize("spec", grid_specs(1024), ids=str)
+def test_tv_arms_match_oracles_across_short_blocks(spec, cached_spectrum, monkeypatch):
+    # the block logic does not depend on why a block has its length, so a
+    # three-step block puts every grid spec across several boundaries
+    monkeypatch.setattr(chain, "_block_length", lambda num_states: 3)
+    _check_both_arms(spec, 3)

@@ -9,6 +9,7 @@ import pytest
 
 from spectral_gibbs import (
     ModelSpec,
+    crossover_n,
     ingrassia_beta1_bound,
     theorem3_bound,
     tv_curve,
@@ -137,6 +138,18 @@ def test_sweep_json(capsys):
     assert payload["seed"] == 5
     assert len(payload["rows"]) == 4
     assert payload["rows"][0]["n"] == 1
+
+
+def test_sweep_low_temperature(capsys):
+    # theta past the float range prints as inf instead of raising
+    code, out = run_main(
+        ["sweep", "--n", "1:3", "--colors", "2", "--temp", "0.001"], capsys
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(row[5] == "inf" for row in rows)
+    assert all(float(row[6]) == crossover_n(2, 0.001) for row in rows)
 
 
 def test_tv_csv_matches_library(capsys):
