@@ -14,14 +14,15 @@ from spectral_gibbs import (
     check_stationarity,
     colors_to_string,
     config_from_rank,
-    stationary_measure,
 )
 
 spec = ModelSpec(n=3, num_colors=3, temp=1.0)
 print(f"chain: n={spec.n} sites, {spec.num_colors} colors, T={spec.temp}")
 print(f"state space: {spec.num_states} configurations\n")
 
-pi = stationary_measure(spec)
+# the kernel carries the state table and the stationary measure built from it
+kernel = build_kernel(spec)
+pi = kernel.pi
 order = np.argsort(pi.weights)[::-1]
 print("most and least likely states:")
 for rank in [*order[:3], *order[-3:]]:
@@ -29,7 +30,6 @@ for rank in [*order[:3], *order[-3:]]:
     print(f"  {colors_to_string(config.colors)}  pi = {pi.weights[rank]:.6f}")
 print(f"log Z = {pi.log_z:.6f}\n")
 
-kernel = build_kernel(spec)
 print(f"off-diagonal edges: {kernel.matrix.nnz - spec.num_states}")
 print(f"row-sum deviation:        {np.abs(kernel.matrix.sum(axis=1) - 1).max():.2e}")
 print(f"detailed-balance asym:    {check_detailed_balance(kernel):.2e}")

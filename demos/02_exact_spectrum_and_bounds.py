@@ -28,7 +28,7 @@ print(f"beta* = {spect.beta_star:.12f}")
 print(f"spectral gap 1 - beta* = {1 - spect.beta_star:.6e}\n")
 
 kappa = kappa_exact(kernel)
-report = assemble_report(spec, kernel, spect, kappa)
+report = assemble_report(kernel, spect, kappa)
 print("exact values against each bound:")
 print(f"  beta1 exact                  {report.exact_beta1:.10f}")
 print(f"  congestion bound 1 - 1/kappa {1 - 1 / report.kappa_exact:.10f}")

@@ -16,7 +16,7 @@ start_colors = colors_to_string(config_from_rank(spec, start).colors)
 print(f"chain: n={spec.n}, {spec.num_colors} colors, T={spec.temp}")
 print(f"start: {start_colors} (least likely, pi = {kernel.pi.weights[start]:.6f})\n")
 
-curve = tv_curve(spec, start, k_max=60, seed=20240817, kernel=kernel)
+curve = tv_curve(kernel, start, k_max=60, seed=20240817)
 
 print(" k   exact TV      envelope      MC estimate")
 for k in range(0, 61, 5):

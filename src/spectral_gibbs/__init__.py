@@ -37,6 +37,7 @@ from .paths import (
     EdgeCertificate,
     EdgeLoad,
     KappaResult,
+    PrecisionLimitError,
     SliceIdentityReport,
     WorstFactors,
     boundary_edge_bound,
@@ -87,6 +88,7 @@ __all__ = [
     "GibbsMeasure",
     "KappaResult",
     "ModelSpec",
+    "PrecisionLimitError",
     "SliceIdentityReport",
     "SparseKernel",
     "Spectrum",

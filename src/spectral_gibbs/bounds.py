@@ -139,6 +139,20 @@ def ds_tv_envelope(pi_x: float, beta_star: float, k: int) -> float:
     return 0.5 * math.sqrt((1.0 - pi_x) / pi_x) * beta_star**k
 
 
+def kappa_vs_beta1(beta1: float, kappa: float) -> tuple[float, bool]:
+    """Margin of the Poincare inequality ``beta1 <= 1 - 1/kappa``, and whether
+    it holds within ``EXACT_TOLERANCE``."""
+    margin = (1.0 - 1.0 / kappa) - beta1
+    return margin, margin >= -EXACT_TOLERANCE
+
+
+def kappa_vs_closed_form(kappa: float, closed_form: float) -> tuple[float, bool]:
+    """Margin of ``kappa <= closed_form``, and whether it holds within
+    ``CLOSED_FORM_RTOL`` of the closed form."""
+    margin = closed_form - kappa
+    return margin, margin >= -CLOSED_FORM_RTOL * closed_form
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Every closed-form bound, the exact quantities, and the verdicts.
@@ -190,26 +204,21 @@ class BoundReport:
 
 
 def assemble_report(
-    spec: ModelSpec,
-    kernel: SparseKernel,
-    spectrum: Spectrum,
-    kappa: KappaResult,
+    kernel: SparseKernel, spectrum: Spectrum, kappa: KappaResult
 ) -> BoundReport:
     """Evaluate every bound for one chain and compare against exact data.
 
     Args:
-        spec: Chain parameters; must match the kernel and the other inputs.
-        kernel: Built kernel.
+        kernel: Built kernel; its spec names the chain.
         spectrum: Exact spectrum of that kernel.
         kappa: Exact congestion result for that kernel.
 
     Raises:
-        ValueError: If the inputs come from different chains.
+        ValueError: If the spectrum or kappa come from another chain.
     """
-    if kernel.spec != spec or kappa.spec != spec:
-        raise ValueError("kernel, spectrum, and kappa must come from one spec")
-    if len(spectrum.eigenvalues) != spec.num_states:
-        raise ValueError("spectrum size does not match the state space")
+    spec = kernel.spec
+    if kappa.spec != spec or len(spectrum.eigenvalues) != spec.num_states:
+        raise ValueError("kernel, spectrum, and kappa must come from one chain")
 
     n, num_colors, temp = spec.n, spec.num_colors, spec.temp
     thm3 = theorem3_bound(n, num_colors, temp)
@@ -236,14 +245,10 @@ def assemble_report(
         )
     else:
         verdicts["corollary_beta_star"] = "not-applicable"
-    verdicts["kappa_vs_beta1"] = (
-        "pass"
-        if spectrum.beta1 <= 1.0 - 1.0 / kappa.kappa + EXACT_TOLERANCE
-        else "fail"
-    )
-    verdicts["kappa_vs_closed_form"] = (
-        "pass" if kappa.kappa <= closed * (1.0 + CLOSED_FORM_RTOL) else "fail"
-    )
+    _, passed = kappa_vs_beta1(spectrum.beta1, kappa.kappa)
+    verdicts["kappa_vs_beta1"] = "pass" if passed else "fail"
+    _, passed = kappa_vs_closed_form(kappa.kappa, closed)
+    verdicts["kappa_vs_closed_form"] = "pass" if passed else "fail"
     improvement = theta_value < 1.0
     agrees = improvement == (thm3 < ing_beta1)
     near_boundary = abs(theta_value - 1.0) <= 1e-12

@@ -19,14 +19,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import (
-    DENSE_SOLVE_BUDGET,
-    Configuration,
-    ModelSpec,
-    colors_table,
-    config_from_colors,
-)
-from .kernel import SparseKernel, build_kernel, conditional_table, local_conditionals
+from .model import Configuration, ModelSpec, config_from_colors
+from .kernel import SparseKernel, conditional_table, local_conditionals, successor_table
+from .kernel import build_kernel  # noqa: F401 -- perfbench/spans.py wraps this name
 from .spectral import spectrum as compute_spectrum
 from .serialize import canonical_csv, canonical_json
 
@@ -150,8 +145,9 @@ def _mc_distributions(
     """TV of the replicas' empirical state distribution at every step count.
 
     All replicas advance together by state rank.  Two tables indexed by
-    ``site * m + rank`` are built once: the site's cumulative conditional
-    without its last entry (so no color past the end can be drawn) and the
+    ``site * m + rank`` are read off the kernel's state table once: the
+    site's cumulative conditional without its last entry (so no color past
+    the end can be drawn) and the :func:`~spectral_gibbs.kernel.successor_table`
     rank each color leads to.  Each step consumes one block of site
     uniforms and one block of color uniforms, the stream of
     :func:`simulate_trajectory` for one replica, so the result is a pure
@@ -167,14 +163,9 @@ def _mc_distributions(
     m = spec.num_states
     pi = kernel.pi.weights
     rng = make_rng(seed)
-    cdf = np.cumsum(conditional_table(spec, m), axis=2)
+    cdf = np.cumsum(conditional_table(spec, kernel.colors), axis=2)
     thresholds = cdf[:, :, :-1].transpose(1, 0, 2).reshape(n * m, num_colors - 1)
-    places = num_colors ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    site_colors = colors_table(spec, m).T.astype(np.int64)
-    successors = (
-        np.arange(m, dtype=np.int64)[:, None]
-        + (np.arange(num_colors) - site_colors[:, :, None]) * places[:, None, None]
-    ).ravel()
+    successors = successor_table(spec, kernel.colors).transpose(1, 0, 2).ravel()
     ranks = np.full(replicas, start, dtype=np.int64)
     out = np.empty(k_max + 1)
     out[0] = tv_distance(np.bincount(ranks, minlength=m) / replicas, pi)
@@ -262,32 +253,25 @@ class TvCurve:
 
 
 def tv_curve(
-    spec: ModelSpec,
+    kernel: SparseKernel,
     start: int | Configuration,
     k_max: int,
     seed: int | None = None,
     mc_replicas: int = 256,
-    kernel: SparseKernel | None = None,
 ) -> TvCurve:
     """Measure exact TV decay against the certified envelope.
 
     The exact arm propagates the start distribution step by step; the
     envelope uses the exact rate and the start state's stationary
     probability.  When a seed is given, a Monte Carlo arm with
-    ``mc_replicas`` chains estimates the same curve empirically.  Without a
-    ``kernel``, one is built for ``spec``.
+    ``mc_replicas`` chains estimates the same curve empirically.
 
     Raises:
         BudgetExceededError: If the state space exceeds ``DENSE_SOLVE_BUDGET``.
-        ValueError: On a negative ``k_max``, an out-of-range start, or a
-            kernel built for another spec.
+        ValueError: On a negative ``k_max`` or an out-of-range start.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
-    if kernel is None:
-        kernel = build_kernel(spec, DENSE_SOLVE_BUDGET)
-    elif kernel.spec != spec:
-        raise ValueError("kernel was built for a different spec")
     spectrum = compute_spectrum(kernel)
     start_rank = start.rank if isinstance(start, Configuration) else int(start)
     if not 0 <= start_rank < kernel.dimension:
@@ -312,7 +296,7 @@ def tv_curve(
         mc = _mc_distributions(kernel, start_rank, k_max, seed, mc_replicas)
 
     return TvCurve(
-        spec=spec,
+        spec=kernel.spec,
         start_state=start_rank,
         ks=ks,
         exact_tv=exact,

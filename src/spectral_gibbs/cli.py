@@ -5,7 +5,11 @@ randomness is involved): field order is fixed and floats are printed with 17
 significant digits, so repeated runs emit byte-identical output.
 
 Exit codes: 0 all applicable checks pass, 1 a verification failed, 2 usage
-error, 3 resource limit or I/O failure.
+error, 3 resource limit, precision limit or I/O failure.
+
+``bounds``, ``verify`` and ``tv`` need the dense spectrum, so they refuse a
+chain above ``DENSE_SOLVE_BUDGET`` states before any kernel is built;
+``sweep`` leaves the exact columns of such rows empty.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import numpy as np
 
 from .model import (
     DENSE_SOLVE_BUDGET,
-    EXACT_STATES_BUDGET,
     BudgetExceededError,
     ModelSpec,
     check_budget,
@@ -33,6 +36,7 @@ from .kernel import (
 from .spectral import spectrum as compute_spectrum
 from .paths import (
     SLICE_TOLERANCE,
+    PrecisionLimitError,
     certify_all_edges,
     kappa_closed_form,
     kappa_exact,
@@ -40,11 +44,12 @@ from .paths import (
     verify_slice_identities,
 )
 from .bounds import (
-    CLOSED_FORM_RTOL,
     EXACT_TOLERANCE,
     assemble_report,
     crossover_n,
     ingrassia_beta1_bound,
+    kappa_vs_beta1,
+    kappa_vs_closed_form,
     report_to_dict,
     report_to_json,
     theorem3_bound,
@@ -100,17 +105,20 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _spec_from_args(args: argparse.Namespace) -> ModelSpec:
-    return ModelSpec(n=args.n, num_colors=args.colors, temp=args.temp)
+def _dense_spec(args: argparse.Namespace) -> ModelSpec:
+    """The chain of a single-spec command, refused before any kernel is built
+    when its dense spectrum would be."""
+    spec = ModelSpec(n=args.n, num_colors=args.colors, temp=args.temp)
+    check_budget(spec.num_states, DENSE_SOLVE_BUDGET, "dense symmetrization")
+    return spec
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     """Evaluate every bound for one chain and print the report."""
-    spec = _spec_from_args(args)
-    kernel = build_kernel(spec, args.budget_states)
+    kernel = build_kernel(_dense_spec(args))
     spectrum = compute_spectrum(kernel)
     kappa = kappa_exact(kernel)
-    report = assemble_report(spec, kernel, spectrum, kappa)
+    report = assemble_report(kernel, spectrum, kappa)
     if args.format == "csv":
         payload = report_to_dict(report)
         header, row = _flatten(payload)
@@ -138,10 +146,8 @@ def _flatten(payload: dict, prefix: str = "") -> tuple[list[str], list]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the full verification suite for one chain."""
-    spec = _spec_from_args(args)
-    kernel = build_kernel(spec, args.budget_states)
-    # Refuse before any check runs; the spectrum would refuse after them all.
-    check_budget(kernel.dimension, DENSE_SOLVE_BUDGET, "dense symmetrization")
+    spec = _dense_spec(args)
+    kernel = build_kernel(spec)
     checks: list[dict] = []
 
     row_sums = np.asarray(kernel.matrix.sum(axis=1)).ravel()
@@ -193,13 +199,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         }
     )
     spectrum = compute_spectrum(kernel)
-    poincare_margin = (1.0 - 1.0 / kappa.kappa) - spectrum.beta1
+    poincare_margin, passed = kappa_vs_beta1(spectrum.beta1, kappa.kappa)
     checks.append(
-        {
-            "name": "kappa-vs-beta1",
-            "margin": poincare_margin,
-            "passed": poincare_margin >= -EXACT_TOLERANCE,
-        }
+        {"name": "kappa-vs-beta1", "margin": poincare_margin, "passed": passed}
     )
     # Random-scan Gibbs is positive semidefinite (Liu, Wong and Kong 1995).
     checks.append(
@@ -209,14 +211,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "passed": spectrum.beta_min >= -EXACT_TOLERANCE,
         }
     )
-    closed = kappa_closed_form(spec)
-    closed_margin = closed - kappa.kappa
+    closed_margin, passed = kappa_vs_closed_form(kappa.kappa, kappa_closed_form(spec))
     checks.append(
-        {
-            "name": "kappa-vs-closed-form",
-            "margin": closed_margin,
-            "passed": closed_margin >= -CLOSED_FORM_RTOL * closed,
-        }
+        {"name": "kappa-vs-closed-form", "margin": closed_margin, "passed": passed}
     )
 
     all_passed = all(c["passed"] for c in checks)
@@ -245,7 +242,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
-def _sweep_row(budget_states: int, n: int, colors: int, temp: float) -> dict:
+def _sweep_row(n: int, colors: int, temp: float) -> dict:
     spec = ModelSpec(n, colors, temp)
     row = {
         "n": n,
@@ -259,10 +256,8 @@ def _sweep_row(budget_states: int, n: int, colors: int, temp: float) -> dict:
         "exact_beta_star": None,
         "skipped_exact": True,
     }
-    exact_budget = min(budget_states, DENSE_SOLVE_BUDGET)
-    if spec.num_states <= exact_budget:
-        kernel = build_kernel(spec, exact_budget)
-        spectrum = compute_spectrum(kernel)
+    if spec.num_states <= DENSE_SOLVE_BUDGET:
+        spectrum = compute_spectrum(build_kernel(spec))
         row["exact_beta1"] = spectrum.beta1
         row["exact_beta_star"] = spectrum.beta_star
         row["skipped_exact"] = False
@@ -270,22 +265,17 @@ def _sweep_row(budget_states: int, n: int, colors: int, temp: float) -> dict:
 
 
 def run_sweep(
-    n_range: list[int],
-    color_range: list[int],
-    temps: list[float],
-    budget_states: int,
+    n_range: list[int], color_range: list[int], temps: list[float]
 ) -> list[dict]:
     """One row per (n, colors, temp), in that lexicographic order.
 
-    ``budget_states`` is the exact-arm state budget; the dense solve is
-    additionally capped at ``DENSE_SOLVE_BUDGET``.  Rows whose state space
-    exceeds the exact budget keep empty exact columns and are flagged, never
-    dropped.
+    Rows whose state space exceeds ``DENSE_SOLVE_BUDGET`` keep empty exact
+    columns and are flagged, never dropped.
     """
     combos = [
         (n, colors, temp) for n in n_range for colors in color_range for temp in temps
     ]
-    return [_sweep_row(budget_states, *combo) for combo in combos]
+    return [_sweep_row(*combo) for combo in combos]
 
 
 SWEEP_COLUMNS = [
@@ -303,8 +293,8 @@ SWEEP_COLUMNS = [
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Tabulate bounds (and exact values where budget allows) over a grid."""
-    rows = run_sweep(args.n, args.colors, args.temp, args.budget_states)
+    """Tabulate bounds (and exact values up to the dense cap) over a grid."""
+    rows = run_sweep(args.n, args.colors, args.temp)
     if args.format == "json":
         text = canonical_json({"seed": args.seed, "rows": rows})
     else:
@@ -328,8 +318,8 @@ def _parse_start(spec: ModelSpec, text: str | None, default_rank: int) -> int:
 
 def cmd_tv(args: argparse.Namespace) -> int:
     """Emit the exact TV decay curve with its envelope (and optional MC arm)."""
-    spec = _spec_from_args(args)
-    kernel = build_kernel(spec, min(args.budget_states, DENSE_SOLVE_BUDGET))
+    spec = _dense_spec(args)
+    kernel = build_kernel(spec)
     try:
         start = _parse_start(
             spec, args.start, int(np.argmin(kernel.pi.weights))
@@ -337,7 +327,7 @@ def cmd_tv(args: argparse.Namespace) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    curve = tv_curve(spec, start, args.kmax, seed=args.seed, kernel=kernel)
+    curve = tv_curve(kernel, start, args.kmax, seed=args.seed)
     text = curve.to_json() if args.format == "json" else curve.to_csv()
     _emit(text, args.out)
     return 0 if curve.within_envelope else 1
@@ -373,13 +363,6 @@ def _add_common(parser: argparse.ArgumentParser, plural: bool) -> None:
         parser.add_argument(
             "--temp", type=_positive_float, required=True, help="temperature"
         )
-    parser.add_argument(
-        "--budget-states",
-        type=_positive_int,
-        default=EXACT_STATES_BUDGET,
-        help="largest state space for exact operations; dense spectral "
-        f"solves are additionally capped at {DENSE_SOLVE_BUDGET}",
-    )
     parser.add_argument("--seed", type=int, default=None, help="random seed")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
 
@@ -444,6 +427,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BudgetExceededError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
+        return 3
+    except PrecisionLimitError as exc:
+        sys.stderr.write(f"precision limit: {exc}\n")
         return 3
     except OSError as exc:
         sys.stderr.write(f"i/o failure: {exc}\n")

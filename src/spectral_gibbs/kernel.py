@@ -4,6 +4,13 @@ One step of the chain picks a site uniformly at random and redraws its color
 from the stationary conditional given the rest of the configuration.  The
 conditional at a site depends only on the colors of the (at most two)
 neighboring sites.
+
+:class:`SparseKernel` is the one handle on a chain's state space: it carries
+the color table that :func:`build_kernel` enumerated once, and everything
+that receives a kernel derives its per-state tables from that table.  The
+transition matrix is assembled from two such tables, indexed
+``[rank, site, color]``: the conditional of each resampling and the rank it
+leads to.
 """
 
 from __future__ import annotations
@@ -14,14 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .model import (
-    EXACT_STATES_BUDGET,
-    GibbsMeasure,
-    ModelSpec,
-    check_budget,
-    colors_table,
-    stationary_measure,
-)
+from .model import GibbsMeasure, ModelSpec, colors_table, stationary_measure
 
 
 def bond_score(u: int, v: int) -> int:
@@ -59,32 +59,51 @@ def local_conditionals(spec: ModelSpec) -> np.ndarray:
     return probs
 
 
-def conditional_table(
-    spec: ModelSpec, budget: int = EXACT_STATES_BUDGET
-) -> np.ndarray:
+def conditional_table(spec: ModelSpec, colors: np.ndarray) -> np.ndarray:
     """Conditional distributions for every state and site.
+
+    Args:
+        spec: Chain parameters.
+        colors: :func:`~spectral_gibbs.model.colors_table` of ``spec``.
 
     Returns:
         Array of shape ``(num_states, n, num_colors)`` where entry
         ``[x, i, c]`` is the probability that resampling site ``i+1`` of
         state ``x`` yields color ``c``.
-
-    Raises:
-        BudgetExceededError: If the state space exceeds ``budget``.
     """
-    table = colors_table(spec, budget)
     # Neighbor indices into the local table: color + 1, and 0 past either end.
-    padded = np.zeros((len(table), spec.n + 2), dtype=np.int64)
-    padded[:, 1:-1] = table + 1
+    padded = np.zeros((len(colors), spec.n + 2), dtype=np.int64)
+    padded[:, 1:-1] = colors + 1
     return local_conditionals(spec)[padded[:, :-2], padded[:, 2:]]
+
+
+def successor_table(spec: ModelSpec, colors: np.ndarray) -> np.ndarray:
+    """Rank reached by every single-site recoloring.
+
+    Args:
+        spec: Chain parameters.
+        colors: :func:`~spectral_gibbs.model.colors_table` of ``spec``.
+
+    Returns:
+        Array of shape ``(num_states, n, num_colors)`` where entry
+        ``[x, i, c]`` is the rank of state ``x`` with site ``i+1`` recolored
+        to ``c``; it is ``x`` itself where ``c`` is the site's own color.
+    """
+    n, num_colors = spec.n, spec.num_colors
+    places = num_colors ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    shifts = np.arange(num_colors) - colors[:, :, None].astype(np.int64)
+    ranks = np.arange(len(colors), dtype=np.int64)
+    return ranks[:, None, None] + shifts * places[None, :, None]
 
 
 @dataclass(frozen=True)
 class SparseKernel:
-    """The transition matrix with its stationary measure.
+    """The transition matrix with its stationary measure and state table.
 
     Attributes:
         spec: Chain parameters.
+        colors: Color vector of every state, the
+            :func:`~spectral_gibbs.model.colors_table` of ``spec``.
         pi: Stationary distribution.
         matrix: CSR transition matrix, one row per state, column indices
             sorted.  Its sparsity pattern holds every single-site move, also
@@ -92,6 +111,7 @@ class SparseKernel:
     """
 
     spec: ModelSpec
+    colors: np.ndarray
     pi: GibbsMeasure
     matrix: sp.csr_matrix
 
@@ -100,51 +120,32 @@ class SparseKernel:
         return self.matrix.shape[0]
 
 
-def build_kernel(spec: ModelSpec, budget: int = EXACT_STATES_BUDGET) -> SparseKernel:
+def build_kernel(spec: ModelSpec) -> SparseKernel:
     """Materialize the transition matrix for every state.
 
+    Each row holds the diagonal (the resampled site keeps its color) and the
+    ``n (N - 1)`` moves to other states.
+
     Raises:
-        BudgetExceededError: If the state space exceeds ``budget``.
+        BudgetExceededError: If the state space exceeds
+            ``EXACT_STATES_BUDGET``.
     """
-    check_budget(spec.num_states, budget, "kernel construction")
-    m = spec.num_states
-    n, num_colors = spec.n, spec.num_colors
-    pi = stationary_measure(spec, budget)
-    table = colors_table(spec, budget)
-    cond = conditional_table(spec, budget)
-    ranks = np.arange(m, dtype=np.int64)
+    colors = colors_table(spec)
+    colors.flags.writeable = False
+    m, n = spec.num_states, spec.n
+    cond = conditional_table(spec, colors)
+    successors = successor_table(spec, colors)
+    moves = colors[:, :, None] != np.arange(spec.num_colors)
 
-    entries = n * (num_colors - 1) + 1
-    rows = np.empty(m * entries, dtype=np.int64)
-    cols = np.empty(m * entries, dtype=np.int64)
-    data = np.empty(m * entries, dtype=np.float64)
-
-    # Diagonal: probability that the resampled site keeps its color.
-    own = np.take_along_axis(
-        cond, table[:, :, None].astype(np.int64), axis=2
-    )[:, :, 0]
-    rows[:m] = ranks
-    cols[:m] = ranks
-    data[:m] = own.sum(axis=1) / n
-
-    pos = m
-    for i in range(n):
-        place = num_colors ** (n - 1 - i)
-        for c in range(num_colors):
-            targets = ranks + (c - table[:, i].astype(np.int64)) * place
-            keep = table[:, i] != c
-            count = int(keep.sum())
-            rows[pos : pos + count] = ranks[keep]
-            cols[pos : pos + count] = targets[keep]
-            data[pos : pos + count] = cond[keep, i, c] / n
-            pos += count
-    assert pos == m * entries
-
-    matrix = sp.csr_matrix(
-        sp.coo_matrix((data, (rows, cols)), shape=(m, m), dtype=np.float64)
-    )
+    cols = np.column_stack([np.arange(m), successors[moves].reshape(m, -1)])
+    holds = cond[~moves].reshape(m, n).sum(axis=1)
+    data = np.column_stack([holds, cond[moves].reshape(m, -1)]) / n
+    indptr = np.arange(0, cols.size + 1, cols.shape[1])
+    matrix = sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(m, m))
     matrix.sort_indices()
-    return SparseKernel(spec=spec, pi=pi, matrix=matrix)
+    return SparseKernel(
+        spec=spec, colors=colors, pi=stationary_measure(spec, colors), matrix=matrix
+    )
 
 
 def check_detailed_balance(kernel: SparseKernel) -> float:

@@ -4,6 +4,10 @@ A configuration assigns one of ``num_colors`` colors to each of ``n`` sites.
 Adjacent sites that agree contribute +1 to the Hamiltonian and disagreeing
 ones contribute -1; the chain has free boundaries.  The stationary
 distribution weights a configuration ``x`` by ``exp(H(x)/T)``.
+
+The whole state space is enumerated in one place, :func:`colors_table`, which
+is also the one place that enforces ``EXACT_STATES_BUDGET``.  The energies
+and the stationary measure are computed from that table.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ class BudgetExceededError(RuntimeError):
     """An exact-mode operation would touch more states than its budget allows."""
 
 
-def check_budget(size: int, budget: int, operation: str) -> None:
-    """Raise :class:`BudgetExceededError` when ``size`` exceeds ``budget``."""
-    if size > budget:
+def check_budget(size: int, limit: int, operation: str) -> None:
+    """Raise :class:`BudgetExceededError` when ``size`` exceeds ``limit``."""
+    if size > limit:
         raise BudgetExceededError(
-            f"{operation} would touch {size} states, exceeding its budget of {budget}"
+            f"{operation} would touch {size} states, exceeding its budget of {limit}"
         )
 
 
@@ -122,13 +126,13 @@ def config_from_rank(spec: ModelSpec, rank: int) -> Configuration:
     return Configuration(decode_rank(spec, rank), int(rank))
 
 
-def colors_table(spec: ModelSpec, budget: int = EXACT_STATES_BUDGET) -> np.ndarray:
+def colors_table(spec: ModelSpec) -> np.ndarray:
     """Color vectors of every state, shape ``(num_states, n)``, rank order.
 
     Raises:
-        BudgetExceededError: If ``num_states`` exceeds ``budget``.
+        BudgetExceededError: If ``num_states`` exceeds ``EXACT_STATES_BUDGET``.
     """
-    check_budget(spec.num_states, budget, "state enumeration")
+    check_budget(spec.num_states, EXACT_STATES_BUDGET, "state enumeration")
     ranks = np.arange(spec.num_states, dtype=np.int64)
     table = np.empty((spec.num_states, spec.n), dtype=np.int8)
     for i in range(spec.n):
@@ -137,12 +141,9 @@ def colors_table(spec: ModelSpec, budget: int = EXACT_STATES_BUDGET) -> np.ndarr
     return table
 
 
-def energies_table(spec: ModelSpec, budget: int = EXACT_STATES_BUDGET) -> np.ndarray:
-    """Hamiltonian of every state, shape ``(num_states,)``, rank order."""
-    table = colors_table(spec, budget)
-    if spec.n == 1:
-        return np.zeros(spec.num_states, dtype=np.int32)
-    agree = (table[:, :-1] == table[:, 1:]).astype(np.int32)
+def energies_table(colors: np.ndarray) -> np.ndarray:
+    """Hamiltonian of every row of a :func:`colors_table`, shape ``(num_states,)``."""
+    agree = (colors[:, :-1] == colors[:, 1:]).astype(np.int32)
     return (2 * agree - 1).sum(axis=1)
 
 
@@ -159,18 +160,17 @@ class GibbsMeasure:
     log_z: float
 
 
-def stationary_measure(
-    spec: ModelSpec, budget: int = EXACT_STATES_BUDGET
-) -> GibbsMeasure:
-    """Compute the stationary distribution exactly.
+def stationary_measure(spec: ModelSpec, colors: np.ndarray) -> GibbsMeasure:
+    """Compute the stationary distribution exactly from the state table.
 
     Weights are evaluated in the log domain with a log-sum-exp normalizer so
     that small temperatures cannot overflow.
 
-    Raises:
-        BudgetExceededError: If the state space exceeds ``budget``.
+    Args:
+        spec: Chain parameters.
+        colors: :func:`colors_table` of ``spec``.
     """
-    log_weights = energies_table(spec, budget) / spec.temp
+    log_weights = energies_table(colors) / spec.temp
     log_z = float(logsumexp(log_weights))
     weights = np.exp(log_weights - log_z)
     weights.flags.writeable = False

@@ -29,9 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, color_letter, colors_table, config_from_rank
+from .model import ModelSpec, color_letter, config_from_rank
+from .model import colors_table  # noqa: F401 -- perfbench/spans.py wraps this name
 from .kernel import SparseKernel, conditional_table, local_scores
 from .serialize import canonical_json
+
+
+class PrecisionLimitError(ArithmeticError):
+    """An exact result is not representable in float64 at this temperature."""
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,10 @@ def kappa_exact(kernel: SparseKernel) -> KappaResult:
     site ``j`` disagrees with ``z``.  Every term is a marginal of ``pi``, so
     the cost is ``O(n^2 N^n)`` with no enumeration of pairs.  There is no
     budget of its own: the kernel was already held to the state-space budget.
+
+    Raises:
+        PrecisionLimitError: If the capacity ``pi(z) P(z, z')`` of an edge
+            underflowed to 0, as it does at low enough temperature.
     """
     spec = kernel.spec
     m = spec.num_states
@@ -131,10 +140,15 @@ def kappa_exact(kernel: SparseKernel) -> KappaResult:
         b, e = (np.swapaxes(arr[..., None], i, -1) for arr in (b, e))
         loads[:, i] = (b * (a + d)[..., None] + a[..., None] * e).reshape(m, num_colors)
 
-    table = colors_table(spec, budget=m)
-    valid = table[:, :, None] != np.arange(num_colors)[None, None, :]
+    valid = kernel.colors[:, :, None] != np.arange(num_colors)[None, None, :]
     loads = np.where(valid, loads, 0.0)
-    qs = pi[:, None, None] * conditional_table(spec, budget=m) / n
+    qs = pi[:, None, None] * conditional_table(spec, kernel.colors) / n
+    underflowed = int(np.count_nonzero(valid & (qs == 0.0)))
+    if underflowed:
+        raise PrecisionLimitError(
+            f"{underflowed} of {int(valid.sum())} edge capacities pi*P underflowed "
+            f"to 0 at temp {spec.temp!r}, so their load ratios are undefined"
+        )
     ratios = np.divide(loads, qs, out=np.zeros_like(loads), where=valid)
     for arr in (loads, qs, ratios):
         arr.flags.writeable = False
@@ -301,7 +315,7 @@ def certify_all_edges(kernel: SparseKernel, result: KappaResult) -> CertificateS
     """
     spec = kernel.spec
     m, n, num_colors = spec.num_states, spec.n, spec.num_colors
-    table = colors_table(spec, budget=m)
+    table = kernel.colors
     alpha, beta = _edge_factor_tables(spec)
     bounds = np.full((m, n, num_colors), boundary_edge_bound(spec))
     bounds[:, 1:-1] = (n * n / num_colors) * (alpha + beta)[

@@ -168,7 +168,7 @@ def test_corollary_gate():
 
 def test_assemble_report_passes():
     spec = ModelSpec(2, 2, 1.0)
-    report = assemble_report(spec, kernel_for(spec), spectrum_for(spec), kappa_for(spec))
+    report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
     assert report.all_passed
     assert report.verdicts["theorem3"] == "pass"
     assert "theorem2" not in report.verdicts  # needs exactly three colors
@@ -184,7 +184,7 @@ def test_assemble_report_passes():
 
 def test_assemble_report_three_colors():
     spec = ModelSpec(3, 3, 1.0)
-    report = assemble_report(spec, kernel_for(spec), spectrum_for(spec), kappa_for(spec))
+    report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
     assert report.verdicts["theorem2"] == "pass"
     assert report.thm2 == theorem2_bound(3, 1.0)
     assert report.verdicts["corollary_beta_star"] == "pass"
@@ -192,7 +192,7 @@ def test_assemble_report_three_colors():
 
 def test_assemble_report_gate_not_applicable():
     spec = ModelSpec(2, 3, 1.0)  # below n > N/sqrt(2)
-    report = assemble_report(spec, kernel_for(spec), spectrum_for(spec), kappa_for(spec))
+    report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
     assert report.verdicts["corollary_beta_star"] == "not-applicable"
     assert report.all_passed
 
@@ -201,14 +201,14 @@ def test_assemble_report_rejects_mismatch():
     a = ModelSpec(2, 2, 1.0)
     b = ModelSpec(2, 2, 2.0)
     with pytest.raises(ValueError):
-        assemble_report(a, kernel_for(a), spectrum_for(a), kappa_for(b))
+        assemble_report(kernel_for(a), spectrum_for(a), kappa_for(b))
     with pytest.raises(ValueError):
-        assemble_report(a, kernel_for(b), spectrum_for(a), kappa_for(a))
+        assemble_report(kernel_for(a), spectrum_for(ModelSpec(3, 2, 1.0)), kappa_for(a))
 
 
 def test_report_dict_and_json():
     spec = ModelSpec(2, 3, 0.5)
-    report = assemble_report(spec, kernel_for(spec), spectrum_for(spec), kappa_for(spec))
+    report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
     payload = report_to_dict(report)
     assert list(payload) == [
         "model",

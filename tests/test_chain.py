@@ -157,7 +157,7 @@ def test_long_run_occupancy_matches_pi():
 
 def test_tv_curve_exact_arm():
     spec = ModelSpec(2, 2, 1.0)
-    curve = tv_curve(spec, 1, 30)
+    curve = tv_curve(kernel_for(spec), 1, 30)
     kern = kernel_for(spec)
     assert curve.start_state == 1
     assert list(curve.ks) == list(range(31))
@@ -172,7 +172,7 @@ def test_tv_curve_exact_arm():
 
 def test_tv_curve_zero_steps():
     spec = ModelSpec(2, 2, 1.0)
-    curve = tv_curve(spec, 0, 0)
+    curve = tv_curve(kernel_for(spec), 0, 0)
     assert len(curve.ks) == 1
     assert math.isclose(
         curve.exact_tv[0], 1 - kernel_for(spec).pi.weights[0], rel_tol=1e-14
@@ -182,20 +182,20 @@ def test_tv_curve_zero_steps():
 def test_tv_curve_accepts_configuration():
     spec = ModelSpec(2, 3, 1.0)
     start = config_from_colors(spec, (1, 2))
-    curve = tv_curve(spec, start, 5)
+    curve = tv_curve(kernel_for(spec), start, 5)
     assert curve.start_state == start.rank
 
 
 def test_tv_curve_mc_arm():
     spec = ModelSpec(2, 2, 1.0)
-    curve = tv_curve(spec, 1, 12, seed=7)
+    curve = tv_curve(kernel_for(spec), 1, 12, seed=7)
     assert curve.seed == 7
     assert curve.mc_tv is not None and len(curve.mc_tv) == 13
     # all replicas start at the same point: step zero is exact
     assert math.isclose(curve.mc_tv[0], curve.exact_tv[0], rel_tol=1e-15)
     # later steps are noisy but must stay within TV's [0,1] range
     assert np.all(curve.mc_tv >= 0) and np.all(curve.mc_tv <= 1)
-    again = tv_curve(spec, 1, 12, seed=7)
+    again = tv_curve(kernel_for(spec), 1, 12, seed=7)
     assert np.array_equal(curve.mc_tv, again.mc_tv)
 
 
@@ -204,7 +204,7 @@ def test_tv_curve_mc_arm_follows_documented_stream():
     # simulate_trajectory, so its empirical TV is 1 - pi(visited state)
     spec = ModelSpec(4, 3, 0.7)
     start = config_from_colors(spec, (2, 0, 1, 1))  # "cabb"
-    curve = tv_curve(spec, start, 300, seed=11, mc_replicas=1)
+    curve = tv_curve(kernel_for(spec), start, 300, seed=11, mc_replicas=1)
     path = simulate_trajectory(spec, start, 300, seed=11).astype(np.int64)
     ranks = path @ (spec.num_colors ** np.arange(spec.n - 1, -1, -1))
     expected = 1.0 - kernel_for(spec).pi.weights[ranks]
@@ -215,27 +215,24 @@ def test_tv_curve_envelope_formula():
     spec = ModelSpec(3, 2, 1.0)
     kern = kernel_for(spec)
     spect = spectrum_for(spec)
-    curve = tv_curve(spec, 0, 10)
+    curve = tv_curve(kernel_for(spec), 0, 10)
     pi0 = kern.pi.weights[0]
     coef = 0.5 * math.sqrt((1 - pi0) / pi0)
     expected = coef * spect.beta_star ** np.arange(11)
     assert np.allclose(curve.envelope, expected, rtol=1e-13)
 
 
-def test_tv_curve_rejects_foreign_kernel():
-    spec = ModelSpec(2, 2, 1.0)
-    other = kernel_for(ModelSpec(2, 2, 2.0))
-    with pytest.raises(ValueError, match="different spec"):
-        tv_curve(spec, 0, 3, kernel=other)
-    with pytest.raises(ValueError):
-        tv_curve(spec, 9, 3)
-    with pytest.raises(ValueError):
-        tv_curve(spec, 0, -1)
+def test_tv_curve_rejects_bad_arguments():
+    kern = kernel_for(ModelSpec(2, 2, 1.0))
+    with pytest.raises(ValueError, match="out of range"):
+        tv_curve(kern, 9, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        tv_curve(kern, 0, -1)
 
 
 def test_tv_curve_serialization():
     spec = ModelSpec(2, 2, 1.0)
-    curve = tv_curve(spec, 1, 4, seed=3)
+    curve = tv_curve(kernel_for(spec), 1, 4, seed=3)
     text = curve.to_csv()
     lines = text.splitlines()
     assert lines[0] == "k,exact_tv,envelope,mc_tv"
@@ -251,7 +248,7 @@ def test_tv_curve_serialization():
     assert payload["seed"] == 3
     assert payload["exact_tv"][2] == curve.exact_tv[2]
 
-    bare = tv_curve(spec, 1, 4)
+    bare = tv_curve(kernel_for(spec), 1, 4)
     rows = bare.to_csv().splitlines()
     assert rows[1].endswith(",")  # empty cell, not a zero
     assert json.loads(bare.to_json())["mc_tv"] is None
@@ -288,8 +285,7 @@ def _check_both_arms(spec, block):
     for replicas in (1, 7, 256):
         mc = mc_tv_oracle(kern, start, max(k_values), 7, replicas)
         for k_max in k_values:
-            curve = tv_curve(spec, start, k_max, seed=7, mc_replicas=replicas,
-                             kernel=kern)
+            curve = tv_curve(kern, start, k_max, seed=7, mc_replicas=replicas)
             where = f"replicas={replicas} k_max={k_max}"
             np.testing.assert_allclose(
                 curve.exact_tv, exact[: k_max + 1], rtol=0, atol=1e-15, err_msg=where

@@ -31,6 +31,6 @@ def chains(draw):
 def test_mc_arm_matches_oracle(spec, replicas, k_max, seed, data):
     kern = build_kernel(spec)
     start = data.draw(st.integers(0, spec.num_states - 1))
-    curve = tv_curve(spec, start, k_max, seed=seed, mc_replicas=replicas, kernel=kern)
+    curve = tv_curve(kern, start, k_max, seed=seed, mc_replicas=replicas)
     expected = mc_tv_oracle(kern, start, k_max, seed, replicas)
     np.testing.assert_allclose(curve.mc_tv, expected, rtol=0, atol=1e-15)

@@ -9,6 +9,7 @@ import pytest
 
 from spectral_gibbs import (
     ModelSpec,
+    build_kernel,
     crossover_n,
     ingrassia_beta1_bound,
     theorem3_bound,
@@ -117,16 +118,6 @@ def test_sweep_flags_skipped_exact(capsys):
     assert row[9] == "true"
 
 
-def test_sweep_respects_budget_flag(capsys):
-    code, out = run_main(
-        ["sweep", "--n", "3", "--colors", "3", "--temp", "1", "--budget-states", "8"],
-        capsys,
-    )
-    assert code == 0
-    row = out.splitlines()[1].split(",")
-    assert row[9] == "true"
-
-
 def test_sweep_json(capsys):
     code, out = run_main(
         ["sweep", "--n", "1:2", "--colors", "2", "--temp", "0.5,1", "--format", "json",
@@ -160,7 +151,7 @@ def test_tv_csv_matches_library(capsys):
     )
     assert code == 0
     spec = ModelSpec(2, 2, 1.0)
-    assert out == tv_curve(spec, 1, 8, seed=3).to_csv()
+    assert out == tv_curve(build_kernel(spec), 1, 8, seed=3).to_csv()
 
 
 def test_tv_start_letters_equal_rank(capsys):
@@ -208,6 +199,11 @@ def test_cli_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nosuchcommand"])
     assert exc.value.code == 2
+    # the state caps are fixed; there is no flag to lower them
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--n", "3", "--colors", "3", "--temp", "1",
+              "--budget-states", "8"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -234,16 +230,64 @@ def test_cli_budget_exit_code(capsys):
 
 
 def test_verify_refuses_before_checks(capsys, monkeypatch):
-    # Above the dense budget verify must refuse before the slower checks run.
+    # Above the dense budget every single-chain command refuses before it
+    # builds a kernel, also past the state-enumeration budget (n=9).
     from spectral_gibbs import cli
 
-    def fail(kernel):
-        raise AssertionError("kappa_exact ran before the dense budget refusal")
+    def fail(spec):
+        raise AssertionError("build_kernel ran before the dense budget refusal")
 
-    monkeypatch.setattr(cli, "kappa_exact", fail)
-    code = main(["verify", "--n", "7", "--colors", "4", "--temp", "1"])
+    monkeypatch.setattr(cli, "build_kernel", fail)
+    for command in ("bounds", "verify", "tv"):
+        for n, states in ((7, 16384), (8, 65536), (9, 262144)):
+            code = main([command, "--n", str(n), "--colors", "4", "--temp", "1"])
+            assert code == 3, (command, n)
+            assert capsys.readouterr().err == (
+                f"resource limit: dense symmetrization would touch {states} "
+                "states, exceeding its budget of 4096\n"
+            ), (command, n)
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+@pytest.mark.parametrize("chain", [("4", "3", "0.01"), ("3", "2", "0.005")])
+def test_low_temperature_kappa_refuses(command, chain, capsys):
+    # some edge capacities pi*P underflow to 0, so kappa is undefined
+    n, colors, temp = chain
+    code = main([command, "--n", n, "--colors", colors, "--temp", temp])
+    captured = capsys.readouterr()
     assert code == 3
-    assert "dense symmetrization" in capsys.readouterr().err
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("precision limit: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n", "5", "--colors", "3", "--temp", "1"],
+        ["verify", "--n", "5", "--colors", "3", "--temp", "1"],
+        ["tv", "--n", "5", "--colors", "3", "--temp", "1", "--kmax", "20",
+         "--seed", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_state_space_enumerated_at_most_twice(argv, capsys, monkeypatch):
+    # the kernel carries its color table; nothing downstream rebuilds it
+    from spectral_gibbs import bounds, chain, cli, kernel, model, paths, spectral
+
+    calls = []
+    original = model.colors_table
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    for module in (bounds, chain, cli, kernel, model, paths, spectral):
+        if hasattr(module, "colors_table"):
+            monkeypatch.setattr(module, "colors_table", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert 1 <= len(calls) <= 2
 
 
 def test_verify_fails_negative_beta_min(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from conftest import grid_specs, kernel_for
 from oracles import neighbor_conditional, transition_probability
 
 from spectral_gibbs import (
+    BudgetExceededError,
     ModelSpec,
     bond_score,
     build_kernel,
@@ -19,6 +20,7 @@ from spectral_gibbs import (
     decode_rank,
 )
 from spectral_gibbs.kernel import conditional_table, local_conditionals
+from spectral_gibbs.model import colors_table
 
 
 def test_bond_score():
@@ -31,7 +33,7 @@ def test_conditional_two_site_example():
     spec = ModelSpec(2, 2, 1.0)
     aa = config_from_colors(spec, (0, 0))
     p = math.e / (math.e + 1 / math.e)
-    got = conditional_table(spec)[aa.rank, 0]
+    got = conditional_table(spec, colors_table(spec))[aa.rank, 0]
     assert math.isclose(got[0], p, rel_tol=1e-14)
     assert math.isclose(got[0], 0.8807970779778824, rel_tol=1e-14)
     assert math.isclose(got[1], 1 - p, rel_tol=1e-14)
@@ -39,7 +41,7 @@ def test_conditional_two_site_example():
 
 def test_conditional_depends_only_on_neighbors():
     spec = ModelSpec(4, 3, 0.7)
-    table = conditional_table(spec)
+    table = conditional_table(spec, colors_table(spec))
     # site 2 sees only sites 1 and 3; vary site 4 freely
     a, b, c = (
         table[config_from_colors(spec, colors).rank, 1]
@@ -49,7 +51,8 @@ def test_conditional_depends_only_on_neighbors():
 
 
 def test_conditional_normalizes():
-    table = conditional_table(ModelSpec(3, 4, 0.5))
+    spec = ModelSpec(3, 4, 0.5)
+    table = conditional_table(spec, colors_table(spec))
     assert np.abs(table.sum(axis=2) - 1.0).max() <= 1e-14
 
 
@@ -141,8 +144,8 @@ def test_row_entries():
 
 
 def test_build_kernel_budget():
-    with pytest.raises(Exception, match="budget"):
-        build_kernel(ModelSpec(3, 3, 1.0), budget=10)
+    with pytest.raises(BudgetExceededError, match="65536"):
+        build_kernel(ModelSpec(17, 2, 1.0))
 
 
 def test_grid_kernels_all_valid():

@@ -16,7 +16,11 @@ from spectral_gibbs import (
     stationary_measure,
     string_to_colors,
 )
-from spectral_gibbs.model import energies_table
+from spectral_gibbs.model import colors_table, energies_table
+
+
+def measure(spec):
+    return stationary_measure(spec, colors_table(spec))
 
 
 def test_spec_validation():
@@ -74,17 +78,17 @@ def test_config_constructors_agree():
 
 def test_energy_hand_values():
     spec = ModelSpec(3, 2, 1.0)
-    energies = energies_table(spec)
+    energies = energies_table(colors_table(spec))
     # each adjacent pair contributes +1 on agreement, -1 on disagreement
     assert energies[config_from_colors(spec, (0, 0, 0)).rank] == 2
     assert energies[config_from_colors(spec, (0, 0, 1)).rank] == 0
     assert energies[config_from_colors(spec, (0, 1, 0)).rank] == -2
-    assert list(energies_table(ModelSpec(1, 2, 1.0))) == [0, 0]
+    assert list(energies_table(colors_table(ModelSpec(1, 2, 1.0)))) == [0, 0]
 
 
 def test_stationary_measure_two_site():
     spec = ModelSpec(2, 2, 1.0)
-    pi = stationary_measure(spec)
+    pi = measure(spec)
     # pi(aa) = e / (2e + 2e^-1), worked by hand
     e = math.e
     assert math.isclose(pi.weights[0], e / (2 * e + 2 / e), rel_tol=1e-14)
@@ -95,24 +99,24 @@ def test_stationary_measure_two_site():
 
 
 def test_stationary_measure_single_site_uniform():
-    pi = stationary_measure(ModelSpec(1, 4, 0.7))
+    pi = measure(ModelSpec(1, 4, 0.7))
     assert np.allclose(pi.weights, 0.25, atol=1e-15)
 
 
 def test_stationary_measure_high_temp_limit():
-    pi = stationary_measure(ModelSpec(3, 3, 1e9))
+    pi = measure(ModelSpec(3, 3, 1e9))
     assert np.allclose(pi.weights, 1 / 27, atol=1e-8)
 
 
 def test_stationary_measure_low_temp_concentrates():
     # T -> 0 puts nearly all mass on the monochromatic strings
-    pi = stationary_measure(ModelSpec(4, 2, 0.05))
+    pi = measure(ModelSpec(4, 2, 0.05))
     mono = pi.weights[0] + pi.weights[-1]
     assert mono > 1 - 1e-10
 
 
 def test_weights_are_read_only():
-    pi = stationary_measure(ModelSpec(2, 2, 1.0))
+    pi = measure(ModelSpec(2, 2, 1.0))
     with pytest.raises(ValueError):
         pi.weights[0] = 0.0
 
@@ -120,10 +124,7 @@ def test_weights_are_read_only():
 def test_budget_enforced():
     spec = ModelSpec(9, 4, 1.0)  # 262144 states
     with pytest.raises(BudgetExceededError, match="65536"):
-        stationary_measure(spec)
-    # a caller-supplied budget overrides the default
-    with pytest.raises(BudgetExceededError):
-        stationary_measure(ModelSpec(3, 3, 1.0), budget=8)
+        colors_table(spec)
 
 
 def test_color_strings():

@@ -120,7 +120,7 @@ def pair_enumeration_tables(kernel, block_size=512):
         block_tables.append(partial)
 
     loads = _pairwise_sum(block_tables).reshape(m, n, num_colors)
-    qs = pi[:, None, None] * conditional_table(spec) / n
+    qs = pi[:, None, None] * conditional_table(spec, table) / n
     valid = table[:, :, None] != np.arange(num_colors)[None, None, :]
     ratios = np.where(valid, loads / qs, 0.0)
     return loads, qs, ratios

@@ -189,9 +189,10 @@ def test_spectrum_finite_at_low_temperature():
 
 def test_symmetrize_rejects_non_reversible():
     spec = ModelSpec(1, 2, 1.0)
-    pi = stationary_measure(spec)
+    colors = colors_table(spec)
+    pi = stationary_measure(spec, colors)
     bad = sp.csr_matrix(np.array([[0.2, 0.8], [0.6, 0.4]]))
-    kern = SparseKernel(spec=spec, pi=pi, matrix=bad)
+    kern = SparseKernel(spec=spec, colors=colors, pi=pi, matrix=bad)
     with pytest.raises(ValueError, match="reversib"):
         symmetrize(kern)
 
