@@ -13,7 +13,6 @@ from spectral_gibbs import (
     check_irreducible,
     check_stationarity,
     colors_to_string,
-    config_from_rank,
 )
 
 spec = ModelSpec(n=3, num_colors=3, temp=1.0)
@@ -26,8 +25,7 @@ pi = kernel.pi
 order = np.argsort(pi.weights)[::-1]
 print("most and least likely states:")
 for rank in [*order[:3], *order[-3:]]:
-    config = config_from_rank(spec, int(rank))
-    print(f"  {colors_to_string(config.colors)}  pi = {pi.weights[rank]:.6f}")
+    print(f"  {colors_to_string(kernel.colors[rank])}  pi = {pi.weights[rank]:.6f}")
 print(f"log Z = {pi.log_z:.6f}\n")
 
 print(f"off-diagonal edges: {kernel.matrix.nnz - spec.num_states}")
@@ -38,9 +36,9 @@ print(f"irreducible:              {check_irreducible(kernel)}\n")
 
 # one row of the kernel, in letters
 start = 0
-print(f"moves out of {colors_to_string(config_from_rank(spec, start).colors)}:")
+print(f"moves out of {colors_to_string(kernel.colors[start])}:")
 row = slice(kernel.matrix.indptr[start], kernel.matrix.indptr[start + 1])
 for col, val in zip(kernel.matrix.indices[row], kernel.matrix.data[row]):
-    target = colors_to_string(config_from_rank(spec, col).colors)
+    target = colors_to_string(kernel.colors[col])
     kind = "hold" if col == start else "move"
     print(f"  {kind} -> {target}  P = {val:.6f}")

@@ -13,8 +13,6 @@ from spectral_gibbs import (
     build_kernel,
     certify_all_edges,
     colors_to_string,
-    config_from_colors,
-    config_from_rank,
     kappa_closed_form,
     kappa_exact,
     verify_slice_identities,
@@ -24,15 +22,14 @@ from spectral_gibbs import (
 spec = ModelSpec(n=3, num_colors=3, temp=1.0)
 kernel = build_kernel(spec)
 
-x = config_from_colors(spec, (0, 0, 1))
-y = config_from_colors(spec, (2, 0, 2))
-print(f"path {colors_to_string(x.colors)} -> {colors_to_string(y.colors)}:")
+x, y = (0, 0, 1), (2, 0, 2)
+print(f"path {colors_to_string(x)} -> {colors_to_string(y)}:")
 # the canonical path corrects the disagreeing sites left to right
-state = list(x.colors)
+state = list(x)
 for site in range(spec.n):
-    if state[site] != y.colors[site]:
+    if state[site] != y[site]:
         before = colors_to_string(state)
-        state[site] = y.colors[site]
+        state[site] = y[site]
         print(f"  {before} -> {colors_to_string(state)}")
 print()
 
@@ -42,12 +39,8 @@ print(f"kappa (exact, all canonical paths) = {result.kappa:.6f}")
 print(f"closed form (n^2/N)(N-1+e^(4/T))   = {closed:.6f}")
 print(f"slack                              = {closed - result.kappa:.6f}")
 edge = result.argmax_edge
-src = config_from_rank(spec, edge.edge[0])
-dst = config_from_rank(spec, edge.edge[1])
-print(
-    f"worst edge: {colors_to_string(src.colors)} -> "
-    f"{colors_to_string(dst.colors)} (site {edge.site})\n"
-)
+src, dst = (colors_to_string(kernel.colors[rank]) for rank in edge.edge)
+print(f"worst edge: {src} -> {dst} (site {edge.site})\n")
 
 summary = certify_all_edges(kernel, result)
 print(f"per-edge certificates: {summary.num_edges} edges, "

@@ -7,12 +7,12 @@ an empirical estimate of the same quantity looks like.
 
 import numpy as np
 
-from spectral_gibbs import ModelSpec, build_kernel, colors_to_string, config_from_rank, tv_curve
+from spectral_gibbs import ModelSpec, build_kernel, colors_to_string, tv_curve
 
 spec = ModelSpec(n=4, num_colors=2, temp=0.8)
 kernel = build_kernel(spec)
 start = int(np.argmin(kernel.pi.weights))
-start_colors = colors_to_string(config_from_rank(spec, start).colors)
+start_colors = colors_to_string(kernel.colors[start])
 print(f"chain: n={spec.n}, {spec.num_colors} colors, T={spec.temp}")
 print(f"start: {start_colors} (least likely, pi = {kernel.pi.weights[start]:.6f})\n")
 

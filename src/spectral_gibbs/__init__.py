@@ -12,12 +12,10 @@ from .model import (
     DENSE_SOLVE_BUDGET,
     EXACT_STATES_BUDGET,
     BudgetExceededError,
-    Configuration,
     GibbsMeasure,
     ModelSpec,
+    PrecisionLimitError,
     colors_to_string,
-    config_from_colors,
-    config_from_rank,
     decode_rank,
     encode_rank,
     stationary_measure,
@@ -37,12 +35,10 @@ from .paths import (
     EdgeCertificate,
     EdgeLoad,
     KappaResult,
-    PrecisionLimitError,
     SliceIdentityReport,
     WorstFactors,
     boundary_edge_bound,
     certify_all_edges,
-    edge_load_at,
     kappa_closed_form,
     kappa_exact,
     kappa_report,
@@ -67,8 +63,6 @@ from .bounds import (
 from .chain import (
     TvCurve,
     make_rng,
-    simulate,
-    simulate_trajectory,
     tv_curve,
     tv_distance,
 )
@@ -80,7 +74,6 @@ __all__ = [
     "BudgetExceededError",
     "BoundReport",
     "CertificateSummary",
-    "Configuration",
     "DENSE_SOLVE_BUDGET",
     "EXACT_STATES_BUDGET",
     "EdgeCertificate",
@@ -105,13 +98,10 @@ __all__ = [
     "check_irreducible",
     "check_stationarity",
     "colors_to_string",
-    "config_from_colors",
-    "config_from_rank",
     "corollary_gate",
     "crossover_n",
     "decode_rank",
     "ds_tv_envelope",
-    "edge_load_at",
     "encode_rank",
     "format_float",
     "ingrassia_beta1_bound",
@@ -123,8 +113,6 @@ __all__ = [
     "make_rng",
     "report_to_dict",
     "report_to_json",
-    "simulate",
-    "simulate_trajectory",
     "spectrum",
     "stationary_measure",
     "string_to_colors",

@@ -1,15 +1,16 @@
-"""Exact distribution propagation, Monte Carlo simulation, and TV curves.
+"""Exact distribution propagation, the Monte Carlo stepper, and TV curves.
 
 Total variation is half the L1 distance throughout.  Randomness comes from a
 counter-based generator (numpy's Philox keyed with the seed), so every
-trajectory is reproducible from its seed: each simulation step consumes two
+trajectory is reproducible from its seed: each step of a chain consumes two
 uniforms, one for the site choice (``floor(n * u)``) and one for the color
 choice (inverse CDF over colors in index order).
 
-The Monte Carlo arm of :func:`tv_curve` steps all its replicas by state rank
-through per-(rank, site) tables of thresholds and successor ranks.  It draws
-the same stream a block of steps at a time, and both arms reduce a block of
-distributions to TVs with one set of numpy calls.
+The Monte Carlo arm of :func:`tv_curve` is the package's one stepper.  It
+steps all its replicas by state rank through per-(rank, site) tables of
+thresholds and successor ranks, and draws the stream a block of steps at a
+time; both arms reduce a block of distributions to TVs with one set of numpy
+calls.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import Configuration, ModelSpec, config_from_colors
-from .kernel import SparseKernel, conditional_table, local_conditionals, successor_table
+from .model import ModelSpec, PrecisionLimitError
+from .kernel import SparseKernel, conditional_table, successor_table
 from .kernel import build_kernel  # noqa: F401 -- perfbench/spans.py wraps this name
+from .spectral import check_gap_resolved
 from .spectral import spectrum as compute_spectrum
+from .bounds import ds_tv_envelope
 from .serialize import canonical_csv, canonical_json
 
 
@@ -56,74 +59,6 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def _step_single(
-    spec: ModelSpec,
-    colors: np.ndarray,
-    cdf: np.ndarray,
-    u_site: float,
-    u_color: float,
-) -> None:
-    n, num_colors = spec.n, spec.num_colors
-    site = min(int(u_site * n), n - 1)
-    li = colors[site - 1] + 1 if site >= 1 else 0
-    ri = colors[site + 1] + 1 if site <= n - 2 else 0
-    color = int(np.searchsorted(cdf[li, ri], u_color, side="right"))
-    colors[site] = min(color, num_colors - 1)
-
-
-def _walk(
-    spec: ModelSpec, start: Configuration, steps: int, seed: int, record: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The final colors after ``steps`` steps from ``start``, and if ``record``
-    is set every visited color vector (row 0 the start), else None."""
-    if steps < 0:
-        raise ValueError(f"step count must be nonnegative, got {steps}")
-    if len(start.colors) != spec.n:
-        raise ValueError(f"start must have {spec.n} sites")
-    rng = make_rng(seed)
-    cdf = np.cumsum(local_conditionals(spec), axis=2)
-    colors = np.array(start.colors, dtype=np.int8)
-    trajectory = np.empty((steps + 1, spec.n), dtype=np.int8) if record else None
-    if record:
-        trajectory[0] = colors
-    done = 0
-    block = 8192
-    while done < steps:
-        todo = min(block, steps - done)
-        uniforms = rng.random(2 * todo)
-        for t in range(todo):
-            _step_single(spec, colors, cdf, uniforms[2 * t], uniforms[2 * t + 1])
-            if record:
-                trajectory[done + t + 1] = colors
-        done += todo
-    return colors, trajectory
-
-
-def simulate(
-    spec: ModelSpec, start: Configuration, steps: int, seed: int
-) -> Configuration:
-    """Run the chain and return the final configuration.
-
-    Works at any chain length and step count: only local conditionals are
-    evaluated and only the current configuration is held.
-
-    Raises:
-        ValueError: On a negative step count or a start of the wrong length.
-    """
-    return config_from_colors(spec, _walk(spec, start, steps, seed, record=False)[0])
-
-
-def simulate_trajectory(
-    spec: ModelSpec, start: Configuration, steps: int, seed: int
-) -> np.ndarray:
-    """Run the chain and return all visited color vectors.
-
-    Returns:
-        Array of shape ``(steps + 1, n)``; row 0 is the start.
-    """
-    return _walk(spec, start, steps, seed, record=True)[1]
-
-
 def _block_length(num_states: int) -> int:
     """Steps whose TVs are reduced together.
 
@@ -149,8 +84,8 @@ def _mc_distributions(
     site's cumulative conditional without its last entry (so no color past
     the end can be drawn) and the :func:`~spectral_gibbs.kernel.successor_table`
     rank each color leads to.  Each step consumes one block of site
-    uniforms and one block of color uniforms, the stream of
-    :func:`simulate_trajectory` for one replica, so the result is a pure
+    uniforms and one block of color uniforms, so one replica consumes the
+    module's two-uniforms-per-step stream, and the result is a pure
     function of (seed, replicas, k_max).  Uniforms are drawn, and visited
     ranks reduced to TVs, :func:`_block_length` steps at a time; that
     changes neither the stream nor any value.
@@ -254,53 +189,60 @@ class TvCurve:
 
 def tv_curve(
     kernel: SparseKernel,
-    start: int | Configuration,
+    start: int,
     k_max: int,
     seed: int | None = None,
     mc_replicas: int = 256,
 ) -> TvCurve:
-    """Measure exact TV decay against the certified envelope.
+    """Measure exact TV decay from rank ``start`` against the certified envelope.
 
     The exact arm propagates the start distribution step by step; the
-    envelope uses the exact rate and the start state's stationary
-    probability.  When a seed is given, a Monte Carlo arm with
-    ``mc_replicas`` chains estimates the same curve empirically.
+    envelope is :func:`~spectral_gibbs.bounds.ds_tv_envelope` at the exact
+    rate and the start state's stationary probability.  When a seed is
+    given, a Monte Carlo arm with ``mc_replicas`` chains estimates the same
+    curve empirically.
 
     Raises:
         BudgetExceededError: If the state space exceeds ``DENSE_SOLVE_BUDGET``.
         ValueError: On a negative ``k_max`` or an out-of-range start.
+        PrecisionLimitError: If the start state's stationary probability
+            underflowed to 0 or the spectral gap rounded to 0, either of
+            which leaves the envelope undefined or vacuous.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    start = int(start)
+    if not 0 <= start < kernel.dimension:
+        raise ValueError(f"start rank {start} out of range")
     spectrum = compute_spectrum(kernel)
-    start_rank = start.rank if isinstance(start, Configuration) else int(start)
-    if not 0 <= start_rank < kernel.dimension:
-        raise ValueError(f"start rank {start_rank} out of range")
-
+    check_gap_resolved(spectrum)
     pi = kernel.pi.weights
+    pi_start = float(pi[start])
+    if pi_start == 0.0:
+        raise PrecisionLimitError(
+            f"pi of start state {start} underflowed to 0 at temp "
+            f"{kernel.spec.temp!r}, so its envelope is undefined"
+        )
+
     exact = np.empty(k_max + 1)
     block = np.empty((_block_length(kernel.dimension), kernel.dimension))
-    for k, dist in enumerate(_distributions(kernel, start_rank, k_max)):
+    for k, dist in enumerate(_distributions(kernel, start, k_max)):
         row = k % len(block)
         block[row] = dist
         if row == len(block) - 1 or k == k_max:
             exact[k - row : k + 1] = _tv_rows(block[: row + 1], pi)
 
     ks = np.arange(k_max + 1)
-    pi_start = float(pi[start_rank])
-    prefactor = 0.5 * np.sqrt((1.0 - pi_start) / pi_start)
-    envelope = prefactor * np.power(spectrum.beta_star, ks.astype(np.float64))
-
     mc = None
     if seed is not None:
-        mc = _mc_distributions(kernel, start_rank, k_max, seed, mc_replicas)
+        mc = _mc_distributions(kernel, start, k_max, seed, mc_replicas)
 
     return TvCurve(
         spec=kernel.spec,
-        start_state=start_rank,
+        start_state=start,
         ks=ks,
         exact_tv=exact,
-        envelope=envelope,
+        envelope=ds_tv_envelope(pi_start, spectrum.beta_star, ks),
         mc_tv=mc,
         seed=seed,
     )

@@ -5,7 +5,10 @@ randomness is involved): field order is fixed and floats are printed with 17
 significant digits, so repeated runs emit byte-identical output.
 
 Exit codes: 0 all applicable checks pass, 1 a verification failed, 2 usage
-error, 3 resource limit, precision limit or I/O failure.
+error, 3 resource limit, precision limit or I/O failure.  A precision limit
+is a result that float64 cannot hold at this temperature: an edge capacity
+or start-state probability that underflowed to 0, a spectral gap that
+rounded to 0, or a closed form past the float range.
 
 ``bounds``, ``verify`` and ``tv`` need the dense spectrum, so they refuse a
 chain above ``DENSE_SOLVE_BUDGET`` states before any kernel is built;
@@ -23,8 +26,9 @@ from .model import (
     DENSE_SOLVE_BUDGET,
     BudgetExceededError,
     ModelSpec,
+    PrecisionLimitError,
     check_budget,
-    config_from_colors,
+    encode_rank,
     string_to_colors,
 )
 from .kernel import (
@@ -33,10 +37,10 @@ from .kernel import (
     check_irreducible,
     check_stationarity,
 )
+from .spectral import check_gap_resolved
 from .spectral import spectrum as compute_spectrum
 from .paths import (
     SLICE_TOLERANCE,
-    PrecisionLimitError,
     certify_all_edges,
     kappa_closed_form,
     kappa_exact,
@@ -199,6 +203,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         }
     )
     spectrum = compute_spectrum(kernel)
+    check_gap_resolved(spectrum)
     poincare_margin, passed = kappa_vs_beta1(spectrum.beta1, kappa.kappa)
     checks.append(
         {"name": "kappa-vs-beta1", "margin": poincare_margin, "passed": passed}
@@ -313,7 +318,7 @@ def _parse_start(spec: ModelSpec, text: str | None, default_rank: int) -> int:
         if rank >= spec.num_states:
             raise ValueError(f"start rank {rank} out of range")
         return rank
-    return config_from_colors(spec, string_to_colors(spec, text)).rank
+    return encode_rank(spec, string_to_colors(spec, text))
 
 
 def cmd_tv(args: argparse.Namespace) -> int:

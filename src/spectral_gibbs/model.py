@@ -5,9 +5,12 @@ Adjacent sites that agree contribute +1 to the Hamiltonian and disagreeing
 ones contribute -1; the chain has free boundaries.  The stationary
 distribution weights a configuration ``x`` by ``exp(H(x)/T)``.
 
-The whole state space is enumerated in one place, :func:`colors_table`, which
-is also the one place that enforces ``EXACT_STATES_BUDGET``.  The energies
-and the stationary measure are computed from that table.
+A state is passed around as its rank, a plain integer; :func:`encode_rank`
+and :func:`decode_rank` convert between a rank and its color vector.  The
+whole state space is enumerated in one place, :func:`colors_table`, which is
+also the one place that enforces ``EXACT_STATES_BUDGET``; its row ``r`` is
+the color vector of rank ``r``.  The energies and the stationary measure are
+computed from that table.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ DENSE_SOLVE_BUDGET = 4096
 
 class BudgetExceededError(RuntimeError):
     """An exact-mode operation would touch more states than its budget allows."""
+
+
+class PrecisionLimitError(ArithmeticError):
+    """An exact result is not representable in float64 at this temperature."""
 
 
 def check_budget(size: int, limit: int, operation: str) -> None:
@@ -64,20 +71,6 @@ class ModelSpec:
         return self.num_colors**self.n
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """One point of the state space.
-
-    Attributes:
-        colors: Color index per site, values in ``[0, num_colors)``.
-        rank: Big-endian base-``num_colors`` value of ``colors`` (site 1 is
-            the most significant digit).
-    """
-
-    colors: tuple[int, ...]
-    rank: int
-
-
 def encode_rank(spec: ModelSpec, colors: Sequence[int]) -> int:
     """Encode a color vector as its big-endian base-``num_colors`` rank.
 
@@ -114,16 +107,6 @@ def decode_rank(spec: ModelSpec, rank: int) -> tuple[int, ...]:
         colors[i] = r % spec.num_colors
         r //= spec.num_colors
     return tuple(colors)
-
-
-def config_from_colors(spec: ModelSpec, colors: Sequence[int]) -> Configuration:
-    """Build a :class:`Configuration` from a color vector."""
-    return Configuration(tuple(int(c) for c in colors), encode_rank(spec, colors))
-
-
-def config_from_rank(spec: ModelSpec, rank: int) -> Configuration:
-    """Build a :class:`Configuration` from a rank."""
-    return Configuration(decode_rank(spec, rank), int(rank))
 
 
 def colors_table(spec: ModelSpec) -> np.ndarray:

@@ -25,18 +25,15 @@ on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, color_letter, config_from_rank
+from .model import ModelSpec, PrecisionLimitError, color_letter
 from .model import colors_table  # noqa: F401 -- perfbench/spans.py wraps this name
 from .kernel import SparseKernel, conditional_table, local_scores
 from .serialize import canonical_json
-
-
-class PrecisionLimitError(ArithmeticError):
-    """An exact result is not representable in float64 at this temperature."""
 
 
 @dataclass(frozen=True)
@@ -165,51 +162,69 @@ def kappa_exact(kernel: SparseKernel) -> KappaResult:
     )
 
 
-def edge_load_at(
-    kernel: SparseKernel,
-    loads: np.ndarray,
-    qs: np.ndarray,
-    source_rank: int,
-    site: int,
-    color_to: int,
+def _edge_at_flat(
+    kernel: SparseKernel, loads: np.ndarray, qs: np.ndarray, flat: int
 ) -> EdgeLoad:
-    """Extract one directed edge's :class:`EdgeLoad` from the tables."""
+    """The edge at a flat index into the ``[rank, site - 1, color_to]`` tables."""
     spec = kernel.spec
-    source = config_from_rank(spec, source_rank)
-    color_from = source.colors[site - 1]
-    if color_from == color_to:
-        raise ValueError("not an edge: target color equals the current color")
-    place = spec.num_colors ** (spec.n - site)
-    target_rank = source_rank + (color_to - color_from) * place
-    load = float(loads[source_rank, site - 1, color_to])
-    q = float(qs[source_rank, site - 1, color_to])
+    rank, i, color_to = (int(v) for v in np.unravel_index(flat, loads.shape))
+    color_from = int(kernel.colors[rank, i])
+    target = rank + (color_to - color_from) * spec.num_colors ** (spec.n - 1 - i)
+    load = float(loads[rank, i, color_to])
+    q = float(qs[rank, i, color_to])
     return EdgeLoad(
-        edge=(source_rank, target_rank),
+        edge=(rank, target),
         load=load,
         q=q,
         ratio=load / q,
-        site=site,
+        site=i + 1,
         color_from=color_from,
         color_to=color_to,
     )
 
 
-def _edge_at_flat(
-    kernel: SparseKernel, loads: np.ndarray, qs: np.ndarray, flat: int
-) -> EdgeLoad:
-    """The edge at a flat index into the ``[rank, site - 1, color_to]`` tables."""
-    rank, i, color_to = np.unravel_index(flat, loads.shape)
-    return edge_load_at(kernel, loads, qs, int(rank), int(i) + 1, int(color_to))
+# Log of the largest finite float64.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _check_float_range(spec: ModelSpec) -> None:
+    """Refuse a temperature at which the closed-form quantities overflow.
+
+    Every closed-form quantity of this module (the bounds, the edge factors
+    ``alpha`` and ``beta``, the slice scale ``e^{2/T}``) is at most
+    ``max(1, n^2/N) N e^{4/T}``, since ``alpha + beta <= N - 1 + e^{4/T}``.
+
+    Raises:
+        PrecisionLimitError: If that bound is past the float range.
+    """
+    n, num_colors = spec.n, spec.num_colors
+    log_bound = math.log(max(1.0, n * n / num_colors) * num_colors) + 4.0 / spec.temp
+    if log_bound >= _LOG_FLOAT_MAX:
+        raise PrecisionLimitError(
+            f"the closed-form bound (n^2/N)(N-1+e^(4/T)) is past the float range "
+            f"at temp {spec.temp!r}"
+        )
 
 
 def kappa_closed_form(spec: ModelSpec) -> float:
-    """Closed-form upper bound ``(n^2/N)(N-1+e^{4/T})`` for the constant."""
+    """Closed-form upper bound ``(n^2/N)(N-1+e^{4/T})`` for the constant.
+
+    Raises:
+        PrecisionLimitError: If it is past the float range.
+    """
+    _check_float_range(spec)
     n, num_colors = spec.n, spec.num_colors
     return (n * n / num_colors) * (num_colors - 1 + math.exp(4.0 / spec.temp))
 
 
 def boundary_edge_bound(spec: ModelSpec) -> float:
-    """Per-edge bound ``(n^2/N)(N-1+e^{2/T})`` for edges at site 1 or n."""
+    """Per-edge bound ``(n^2/N)(N-1+e^{2/T})`` for edges at site 1 or n.
+
+    Raises:
+        PrecisionLimitError: Where :func:`kappa_closed_form` would be past
+            the float range.
+    """
+    _check_float_range(spec)
     n, num_colors = spec.n, spec.num_colors
     return (n * n / num_colors) * (num_colors - 1 + math.exp(2.0 / spec.temp))
 
@@ -220,7 +235,12 @@ def _edge_factor_tables(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     Both are read off :func:`local_scores` and indexed
     ``[left, right, color_from, color_to]`` by the colors of the updated
     site's two neighbors and the edge's two colors.
+
+    Raises:
+        PrecisionLimitError: Where :func:`kappa_closed_form` would be past
+            the float range.
     """
+    _check_float_range(spec)
     t = spec.temp
     scores = local_scores(spec)
     # With no right neighbor the score is the single bond s(left, c).
@@ -262,6 +282,11 @@ def worst_alpha_beta(
     By color symmetry the result does not depend on the chosen edge colors.
     Patterns that symmetry makes equal can differ in the last digit, so every
     pattern within a relative ``WITNESS_RTOL`` of the maximum is returned.
+
+    Raises:
+        ValueError: If the edge colors are equal or not colors of the chain.
+        PrecisionLimitError: Where :func:`kappa_closed_form` would be past
+            the float range.
     """
     if color_from == color_to or {color_from, color_to} - set(range(spec.num_colors)):
         raise ValueError("edge colors must be two different colors of the chain")
@@ -397,6 +422,8 @@ def verify_slice_identities(
 
     Raises:
         ValueError: If the site has no right neighbor or the colors match.
+        PrecisionLimitError: Where :func:`kappa_closed_form` would be past
+            the float range.
     """
     spec = kernel.spec
     if not 1 <= site <= spec.n - 1:
@@ -406,6 +433,7 @@ def verify_slice_identities(
         )
     if color_from == color_to:
         raise ValueError("colors must differ")
+    _check_float_range(spec)
     num_colors = spec.num_colors
     p = kernel.pi.weights.reshape((num_colors,) * spec.n)
     t = spec.temp
@@ -456,13 +484,9 @@ def kappa_report(kernel: SparseKernel, result: KappaResult) -> dict:
     """JSON-ready summary: the constant, its witness edge, and the bound."""
     spec = kernel.spec
     edge = result.argmax_edge
-    source = config_from_rank(spec, edge.edge[0])
-    left = (
-        color_letter(source.colors[edge.site - 2]) if edge.site >= 2 else None
-    )
-    right = (
-        color_letter(source.colors[edge.site]) if edge.site <= spec.n - 1 else None
-    )
+    source = kernel.colors[edge.edge[0]]
+    left = color_letter(int(source[edge.site - 2])) if edge.site >= 2 else None
+    right = color_letter(int(source[edge.site])) if edge.site <= spec.n - 1 else None
     closed = kappa_closed_form(spec)
     return {
         "kappa": result.kappa,

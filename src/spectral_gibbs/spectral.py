@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .model import DENSE_SOLVE_BUDGET, ModelSpec, check_budget
+from .model import DENSE_SOLVE_BUDGET, ModelSpec, PrecisionLimitError, check_budget
 from .kernel import SparseKernel, check_detailed_balance
 
 # Kernels whose detailed-balance asymmetry exceeds this are rejected.
@@ -40,6 +40,22 @@ class Spectrum:
     beta1: float
     beta_min: float
     beta_star: float
+
+
+def check_gap_resolved(spectrum: Spectrum) -> None:
+    """Refuse a spectrum whose gap ``1 - beta1`` rounded away.
+
+    A verdict that compares a bound with ``beta1`` or ``beta_star`` of 1.0
+    would pass or fail on rounding alone.
+
+    Raises:
+        PrecisionLimitError: If ``beta1`` or ``beta_star`` rounded to 1.
+    """
+    if spectrum.beta1 >= 1.0 or spectrum.beta_star >= 1.0:
+        raise PrecisionLimitError(
+            f"beta1 = {spectrum.beta1!r} and beta_star = {spectrum.beta_star!r}: "
+            "the spectral gap is below float64 resolution"
+        )
 
 
 def symmetrize(kernel: SparseKernel) -> sp.csr_matrix:

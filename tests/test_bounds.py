@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conftest import kappa_for, kernel_for, spectrum_for
@@ -65,6 +66,12 @@ def test_lambda_min_formula():
     expected = -1 + 2 / (1 + 2 * math.exp(2))
     assert math.isclose(got, expected, rel_tol=1e-15)
     assert math.isclose(got, -0.8732421233339247, rel_tol=1e-15)
+
+
+def test_lambda_min_past_float_range():
+    # e^{2/T} overflows, and -1 + 2/(1 + (N-1) e^{2/T}) rounds to -1
+    assert ingrassia_lambda_min_bound(3, 0.001) == -1.0
+    assert ingrassia_lambda_min_bound(3, 0.01) == -1.0
 
 
 def test_ingrassia_beta1_formula():
@@ -144,6 +151,15 @@ def test_envelope_monotone_and_start():
     assert math.isclose(values[0], 0.5 * math.sqrt(3), rel_tol=1e-15)
 
 
+def test_envelope_over_step_array():
+    ks = np.arange(30)
+    values = ds_tv_envelope(0.25, 0.9, ks)
+    assert values.shape == (30,)
+    # numpy's power and Python's may differ in the last digit
+    scalars = [ds_tv_envelope(0.25, 0.9, int(k)) for k in ks]
+    np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0)
+
+
 def test_envelope_validation():
     with pytest.raises(ValueError):
         ds_tv_envelope(0.0, 0.5, 1)
@@ -155,6 +171,8 @@ def test_envelope_validation():
         ds_tv_envelope(0.5, -0.1, 1)
     with pytest.raises(ValueError):
         ds_tv_envelope(0.5, 0.5, -1)
+    with pytest.raises(ValueError):
+        ds_tv_envelope(0.5, 0.5, np.array([0, 1, -1]))
 
 
 def test_corollary_gate():
@@ -175,10 +193,6 @@ def test_assemble_report_passes():
     assert report.thm2 is None
     assert math.isclose(
         report.envelope_pi_start, min(kernel_for(spec).pi.weights), rel_tol=1e-15
-    )
-    # the stored envelope callable matches the free function
-    assert report.ds_envelope(7) == ds_tv_envelope(
-        report.envelope_pi_start, report.exact_beta_star, 7
     )
 
 

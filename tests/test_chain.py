@@ -1,8 +1,7 @@
-"""Propagation, simulation, and TV decay curves."""
+"""Propagation, the Monte Carlo stepper, and TV decay curves."""
 
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +11,11 @@ from oracles import conditional_probability, mc_tv_oracle, propagate
 
 from spectral_gibbs import (
     ModelSpec,
-    config_from_colors,
+    PrecisionLimitError,
+    Spectrum,
+    build_kernel,
+    encode_rank,
     make_rng,
-    simulate,
-    simulate_trajectory,
     tv_curve,
     tv_distance,
 )
@@ -56,75 +56,15 @@ def test_tv_distance():
         tv_distance(np.zeros(2), np.zeros(3))
 
 
-def test_trajectory_shape_and_moves():
-    spec = ModelSpec(4, 3, 1.0)
-    start = config_from_colors(spec, (0, 1, 2, 0))
-    path = simulate_trajectory(spec, start, 500, seed=11)
-    assert path.shape == (501, 4)
-    assert tuple(path[0]) == start.colors
-    diffs = (path[1:] != path[:-1]).sum(axis=1)
-    assert diffs.max() <= 1  # single-site dynamics
-    assert path.min() >= 0 and path.max() <= 2
+def stream_ranks(spec, colors, steps, seed):
+    """Ranks one chain visits from ``colors``, scalar step by scalar step.
 
-
-def test_trajectory_reproducible():
-    spec = ModelSpec(3, 2, 0.8)
-    start = config_from_colors(spec, (0, 0, 0))
-    a = simulate_trajectory(spec, start, 200, seed=5)
-    b = simulate_trajectory(spec, start, 200, seed=5)
-    assert np.array_equal(a, b)
-    c = simulate_trajectory(spec, start, 200, seed=6)
-    assert not np.array_equal(a, c)
-
-
-def test_trajectory_spans_blocks():
-    # crossing the internal block boundary must not disturb the stream
-    spec = ModelSpec(2, 2, 1.0)
-    start = config_from_colors(spec, (0, 0))
-    long = simulate_trajectory(spec, start, 8200, seed=3)
-    short = simulate_trajectory(spec, start, 100, seed=3)
-    assert np.array_equal(long[:101], short)
-
-
-def test_simulate_returns_final_state():
-    spec = ModelSpec(3, 3, 1.0)
-    start = config_from_colors(spec, (0, 1, 2))
-    final = simulate(spec, start, 50, seed=9)
-    path = simulate_trajectory(spec, start, 50, seed=9)
-    assert final.colors == tuple(int(c) for c in path[-1])
-
-
-def test_simulate_holds_one_configuration():
-    # a trajectory of 10^5 steps at n=64 would take 6.4 MB
-    spec = ModelSpec(64, 3, 1.0)
-    start = config_from_colors(spec, (0,) * 64)
-    tracemalloc.start()
-    try:
-        simulate(spec, start, 100_000, seed=4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
-def test_simulate_validation():
-    spec = ModelSpec(2, 2, 1.0)
-    start = config_from_colors(spec, (0, 0))
-    with pytest.raises(ValueError):
-        simulate(spec, start, -1, seed=0)
-    with pytest.raises(ValueError):
-        simulate(ModelSpec(3, 2, 1.0), start, 1, seed=0)
-
-
-def test_simulation_consumes_documented_stream():
-    # two uniforms per step: site = floor(n u), color by inverse CDF
-    spec = ModelSpec(3, 3, 1.0)
-    start = config_from_colors(spec, (0, 1, 2))
-    steps, seed = 40, 123
-    path = simulate_trajectory(spec, start, steps, seed)
-
+    Two uniforms per step: site ``floor(n u)``, then the first color whose
+    cumulative conditional exceeds the second uniform.
+    """
     uniforms = make_rng(seed).random(2 * steps)
-    colors = list(start.colors)
+    colors = list(colors)
+    ranks = [encode_rank(spec, colors)]
     for t in range(steps):
         site = min(int(uniforms[2 * t] * spec.n), spec.n - 1)
         total, chosen = 0.0, spec.num_colors - 1
@@ -134,7 +74,40 @@ def test_simulation_consumes_documented_stream():
                 chosen = c
                 break
         colors[site] = chosen
-        assert tuple(colors) == tuple(int(v) for v in path[t + 1]), f"step {t}"
+        ranks.append(encode_rank(spec, colors))
+    return np.array(ranks)
+
+
+def test_trajectory_reproducible():
+    # the Monte Carlo arm is a pure function of its seed
+    kern = kernel_for(ModelSpec(3, 2, 0.8))
+    a = tv_curve(kern, 0, 200, seed=5, mc_replicas=16).mc_tv
+    b = tv_curve(kern, 0, 200, seed=5, mc_replicas=16).mc_tv
+    assert np.array_equal(a, b)
+    c = tv_curve(kern, 0, 200, seed=6, mc_replicas=16).mc_tv
+    assert not np.array_equal(a, c)
+
+
+def test_trajectory_spans_blocks():
+    # at 4 states a block is 4096 steps; both runs cross its end, and their
+    # second blocks have different lengths
+    kern = kernel_for(ModelSpec(2, 2, 1.0))
+    assert _block_length(4) == 4096
+    long = tv_curve(kern, 0, 8200, seed=3, mc_replicas=4)
+    short = tv_curve(kern, 0, 4200, seed=3, mc_replicas=4)
+    assert np.array_equal(long.mc_tv[:4201], short.mc_tv)
+    assert np.array_equal(long.exact_tv[:4201], short.exact_tv)
+
+
+def test_simulation_consumes_documented_stream():
+    # with one replica the empirical TV is 1 - pi(visited state), and the
+    # visited states are those of the scalar stream loop
+    spec = ModelSpec(3, 3, 1.0)
+    kern = kernel_for(spec)
+    steps, seed = 40, 123
+    curve = tv_curve(kern, encode_rank(spec, (0, 1, 2)), steps, seed, mc_replicas=1)
+    expected = 1.0 - kern.pi.weights[stream_ranks(spec, (0, 1, 2), steps, seed)]
+    np.testing.assert_allclose(curve.mc_tv, expected, rtol=0, atol=1e-12)
 
 
 def test_long_run_occupancy_matches_pi():
@@ -144,9 +117,7 @@ def test_long_run_occupancy_matches_pi():
     kern = kernel_for(spec)
     spect = spectrum_for(spec)
     steps = 60000
-    start = config_from_colors(spec, (0, 1))
-    path = simulate_trajectory(spec, start, steps, seed=2024)
-    ranks = path[:, 0].astype(int) * 2 + path[:, 1].astype(int)
+    ranks = stream_ranks(spec, (0, 1), steps, seed=2024)
     occupancy = np.bincount(ranks[1:], minlength=4) / steps
     tau = (1 + spect.beta_star) / (1 - spect.beta_star)
     for state in range(4):
@@ -179,13 +150,6 @@ def test_tv_curve_zero_steps():
     )
 
 
-def test_tv_curve_accepts_configuration():
-    spec = ModelSpec(2, 3, 1.0)
-    start = config_from_colors(spec, (1, 2))
-    curve = tv_curve(kernel_for(spec), start, 5)
-    assert curve.start_state == start.rank
-
-
 def test_tv_curve_mc_arm():
     spec = ModelSpec(2, 2, 1.0)
     curve = tv_curve(kernel_for(spec), 1, 12, seed=7)
@@ -200,14 +164,13 @@ def test_tv_curve_mc_arm():
 
 
 def test_tv_curve_mc_arm_follows_documented_stream():
-    # one replica consumes the same (site, color) uniforms per step as
-    # simulate_trajectory, so its empirical TV is 1 - pi(visited state)
+    # one replica consumes the same (site, color) uniforms per step as the
+    # scalar stream loop, so its empirical TV is 1 - pi(visited state)
     spec = ModelSpec(4, 3, 0.7)
-    start = config_from_colors(spec, (2, 0, 1, 1))  # "cabb"
-    curve = tv_curve(kernel_for(spec), start, 300, seed=11, mc_replicas=1)
-    path = simulate_trajectory(spec, start, 300, seed=11).astype(np.int64)
-    ranks = path @ (spec.num_colors ** np.arange(spec.n - 1, -1, -1))
-    expected = 1.0 - kernel_for(spec).pi.weights[ranks]
+    start = (2, 0, 1, 1)  # "cabb"
+    kern = kernel_for(spec)
+    curve = tv_curve(kern, encode_rank(spec, start), 300, seed=11, mc_replicas=1)
+    expected = 1.0 - kern.pi.weights[stream_ranks(spec, start, 300, seed=11)]
     np.testing.assert_allclose(curve.mc_tv, expected, rtol=0, atol=1e-12)
 
 
@@ -220,6 +183,22 @@ def test_tv_curve_envelope_formula():
     coef = 0.5 * math.sqrt((1 - pi0) / pi0)
     expected = coef * spect.beta_star ** np.arange(11)
     assert np.allclose(curve.envelope, expected, rtol=1e-13)
+
+
+def test_tv_curve_refuses_unresolved_envelope(monkeypatch):
+    # at T=0.001 the spectral gap rounds to 0 and pi of the least likely
+    # state underflows to 0; either leaves the envelope vacuous or undefined
+    kern = build_kernel(ModelSpec(3, 2, 0.001))
+    start = int(np.argmin(kern.pi.weights))
+    assert kern.pi.weights[start] == 0.0
+    with pytest.raises(PrecisionLimitError, match="spectral gap"):
+        tv_curve(kern, 0, 5)
+    resolved = Spectrum(
+        eigenvalues=np.array([1.0, 0.5]), beta1=0.5, beta_min=0.0, beta_star=0.5
+    )
+    monkeypatch.setattr(chain, "compute_spectrum", lambda kern: resolved)
+    with pytest.raises(PrecisionLimitError, match="underflowed to 0"):
+        tv_curve(kern, start, 5)
 
 
 def test_tv_curve_rejects_bad_arguments():

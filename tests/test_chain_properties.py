@@ -1,4 +1,8 @@
-"""Property test: the Monte Carlo arm equals its oracle on random inputs."""
+"""Property test: the Monte Carlo arm equals its oracle on random inputs.
+
+The arm is called directly: the spectral gap of some drawn chains near
+T=0.05 rounds to 0, and ``tv_curve`` then refuses before it steps.
+"""
 
 import numpy as np
 import pytest
@@ -8,7 +12,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from oracles import mc_tv_oracle  # noqa: E402
 
-from spectral_gibbs import ModelSpec, build_kernel, tv_curve  # noqa: E402
+from spectral_gibbs import ModelSpec, build_kernel  # noqa: E402
+from spectral_gibbs.chain import _mc_distributions  # noqa: E402
 
 
 @st.composite
@@ -31,6 +36,6 @@ def chains(draw):
 def test_mc_arm_matches_oracle(spec, replicas, k_max, seed, data):
     kern = build_kernel(spec)
     start = data.draw(st.integers(0, spec.num_states - 1))
-    curve = tv_curve(kern, start, k_max, seed=seed, mc_replicas=replicas)
+    got = _mc_distributions(kern, start, k_max, seed, replicas)
     expected = mc_tv_oracle(kern, start, k_max, seed, replicas)
-    np.testing.assert_allclose(curve.mc_tv, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)

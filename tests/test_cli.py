@@ -264,6 +264,33 @@ def test_low_temperature_kappa_refuses(command, chain, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        # pi of the default start underflows to 0 and beta* rounds to 1
+        ["tv", "--n", "3", "--colors", "2", "--temp", "0.001", "--kmax", "5",
+         "--seed", "1"],
+        # beta* rounds to 1, so the envelope would be flat
+        ["tv", "--n", "3", "--colors", "2", "--temp", "0.01", "--kmax", "3"],
+        # beta1 and 1 - 1/kappa both round to 1
+        ["verify", "--n", "3", "--colors", "2", "--temp", "0.01"],
+        ["bounds", "--n", "3", "--colors", "2", "--temp", "0.02"],
+        # e^{4/T} in the closed forms is past the float range
+        ["bounds", "--n", "2", "--colors", "2", "--temp", "0.005"],
+        ["verify", "--n", "2", "--colors", "2", "--temp", "0.005"],
+    ],
+    ids=" ".join,
+)
+def test_low_temperature_refuses_without_traceback(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("precision limit:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["bounds", "--n", "5", "--colors", "3", "--temp", "1"],
         ["verify", "--n", "5", "--colors", "3", "--temp", "1"],
         ["tv", "--n", "5", "--colors", "3", "--temp", "1", "--kmax", "20",

@@ -16,8 +16,8 @@ from spectral_gibbs import (
     check_detailed_balance,
     check_irreducible,
     check_stationarity,
-    config_from_colors,
     decode_rank,
+    encode_rank,
 )
 from spectral_gibbs.kernel import conditional_table, local_conditionals
 from spectral_gibbs.model import colors_table
@@ -31,9 +31,9 @@ def test_bond_score():
 def test_conditional_two_site_example():
     # resampling site 1 of (a,a): P(a | neighbor a) = e / (e + e^-1)
     spec = ModelSpec(2, 2, 1.0)
-    aa = config_from_colors(spec, (0, 0))
+    aa = encode_rank(spec, (0, 0))
     p = math.e / (math.e + 1 / math.e)
-    got = conditional_table(spec, colors_table(spec))[aa.rank, 0]
+    got = conditional_table(spec, colors_table(spec))[aa, 0]
     assert math.isclose(got[0], p, rel_tol=1e-14)
     assert math.isclose(got[0], 0.8807970779778824, rel_tol=1e-14)
     assert math.isclose(got[1], 1 - p, rel_tol=1e-14)
@@ -44,7 +44,7 @@ def test_conditional_depends_only_on_neighbors():
     table = conditional_table(spec, colors_table(spec))
     # site 2 sees only sites 1 and 3; vary site 4 freely
     a, b, c = (
-        table[config_from_colors(spec, colors).rank, 1]
+        table[encode_rank(spec, colors), 1]
         for colors in [(1, 0, 2, 0), (1, 2, 2, 1), (1, 1, 2, 2)]
     )
     assert np.array_equal(a, b) and np.array_equal(b, c)

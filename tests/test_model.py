@@ -9,8 +9,6 @@ from spectral_gibbs import (
     BudgetExceededError,
     ModelSpec,
     colors_to_string,
-    config_from_colors,
-    config_from_rank,
     decode_rank,
     encode_rank,
     stationary_measure,
@@ -66,23 +64,13 @@ def test_encode_rejects_bad_colors():
         encode_rank(spec, (0, 0, 0))
 
 
-def test_config_constructors_agree():
-    spec = ModelSpec(3, 3, 1.0)
-    for rank in range(spec.num_states):
-        from_rank = config_from_rank(spec, rank)
-        from_colors = config_from_colors(spec, from_rank.colors)
-        assert from_rank == from_colors
-        assert from_rank.rank == rank
-        assert config_from_rank(spec, encode_rank(spec, from_rank.colors)) == from_rank
-
-
 def test_energy_hand_values():
     spec = ModelSpec(3, 2, 1.0)
     energies = energies_table(colors_table(spec))
     # each adjacent pair contributes +1 on agreement, -1 on disagreement
-    assert energies[config_from_colors(spec, (0, 0, 0)).rank] == 2
-    assert energies[config_from_colors(spec, (0, 0, 1)).rank] == 0
-    assert energies[config_from_colors(spec, (0, 1, 0)).rank] == -2
+    assert energies[encode_rank(spec, (0, 0, 0))] == 2
+    assert energies[encode_rank(spec, (0, 0, 1))] == 0
+    assert energies[encode_rank(spec, (0, 1, 0))] == -2
     assert list(energies_table(colors_table(ModelSpec(1, 2, 1.0)))) == [0, 0]
 
 

@@ -10,11 +10,12 @@ from conftest import grid_specs, kappa_for, kernel_for
 
 from spectral_gibbs import (
     ModelSpec,
+    PrecisionLimitError,
     bond_score,
     boundary_edge_bound,
     build_kernel,
     certify_all_edges,
-    config_from_rank,
+    decode_rank,
     kappa_closed_form,
     kappa_exact,
     kappa_report,
@@ -293,6 +294,30 @@ def test_worst_factors_validation():
             worst_alpha_beta(ModelSpec(3, 3, 1.0), color_from, color_to)
 
 
+def _certify_at(spec):
+    kern = build_kernel(spec)
+    return certify_all_edges(kern, kappa_exact(kern))
+
+
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        kappa_closed_form,
+        boundary_edge_bound,
+        worst_alpha_beta,
+        _certify_at,
+        lambda spec: verify_slice_identities(build_kernel(spec), 1, 0, 1),
+    ],
+    ids=["kappa_closed_form", "boundary", "worst_alpha_beta", "certify", "slices"],
+)
+def test_closed_forms_refuse_past_float_range(closed_form):
+    # (n^2/N)(N-1+e^{4/T}) is past the float range at n=2, N=2, T=0.005,
+    # though no edge capacity underflows there
+    with pytest.raises(PrecisionLimitError, match="float range"):
+        closed_form(ModelSpec(2, 2, 0.005))
+    assert math.isfinite(kappa_closed_form(ModelSpec(2, 2, 0.006)))
+
+
 def test_per_edge_certificates():
     spec = ModelSpec(3, 3, 1.0)
     kern = kernel_for(spec)
@@ -319,7 +344,7 @@ def test_certificates_boundary_vs_interior():
     spec = ModelSpec(3, 2, 1.0)
     worst = certify_all_edges(kernel_for(spec), kappa_for(spec)).worst
     assert worst.interior and worst.edge.site == 2
-    left, _, right = config_from_rank(spec, worst.edge.edge[0]).colors
+    left, _, right = decode_rank(spec, worst.edge.edge[0])
     alpha, beta = _edge_factor_tables(spec)
     at = (left, right, worst.edge.color_from, worst.edge.color_to)
     assert worst.bound == (9 / 2) * (alpha[at] + beta[at])
