@@ -19,15 +19,12 @@ import numpy as np
 from .model import ModelSpec
 from .kernel import SparseKernel
 from .spectral import Spectrum, check_gap_resolved
-from .paths import KappaResult, kappa_closed_form
+from .paths import CLOSED_FORM_RTOL, KappaResult, kappa_closed_form
 from .serialize import canonical_json
 
 # Exact eigenvalues carry at most ~1e-10 solver error; comparisons that are
 # equalities in exact arithmetic get this much room.
 EXACT_TOLERANCE = 1e-10
-# The exact congestion constant may exceed its closed-form bound only by
-# rounding, relative to the bound.
-CLOSED_FORM_RTOL = 1e-12
 
 
 def theorem2_bound(n: int, temp: float) -> float:

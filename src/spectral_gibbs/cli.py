@@ -12,12 +12,14 @@ rounded to 0, or a closed form past the float range.
 
 ``bounds``, ``verify`` and ``tv`` need the dense spectrum, so they refuse a
 chain above ``DENSE_SOLVE_BUDGET`` states before any kernel is built;
-``sweep`` leaves the exact columns of such rows empty.
+``sweep`` leaves the exact columns of such rows, and of rows whose spectral
+gap rounded to 0, empty and sets their ``skipped_exact``.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -152,6 +154,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Run the full verification suite for one chain."""
     spec = _dense_spec(args)
     kernel = build_kernel(spec)
+    # Refuse an unresolved gap before the costlier checks; the printed order
+    # of the checks stays as below.
+    spectrum = compute_spectrum(kernel)
+    check_gap_resolved(spectrum)
     checks: list[dict] = []
 
     row_sums = np.asarray(kernel.matrix.sum(axis=1)).ravel()
@@ -202,8 +208,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "passed": certificates.all_passed,
         }
     )
-    spectrum = compute_spectrum(kernel)
-    check_gap_resolved(spectrum)
     poincare_margin, passed = kappa_vs_beta1(spectrum.beta1, kappa.kappa)
     checks.append(
         {"name": "kappa-vs-beta1", "margin": poincare_margin, "passed": passed}
@@ -247,6 +251,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
+def _finite(value: float) -> float | None:
+    """``value``, or None (an empty cell) when it is past the float range."""
+    return value if math.isfinite(value) else None
+
+
 def _sweep_row(n: int, colors: int, temp: float) -> dict:
     spec = ModelSpec(n, colors, temp)
     row = {
@@ -255,14 +264,18 @@ def _sweep_row(n: int, colors: int, temp: float) -> dict:
         "temp": float(temp),
         "theorem3": theorem3_bound(n, colors, temp),
         "ingrassia_beta1": ingrassia_beta1_bound(n, colors, temp),
-        "theta": theta(n, colors, temp),
-        "crossover_n": crossover_n(colors, temp),
+        "theta": _finite(theta(n, colors, temp)),
+        "crossover_n": _finite(crossover_n(colors, temp)),
         "exact_beta1": None,
         "exact_beta_star": None,
         "skipped_exact": True,
     }
     if spec.num_states <= DENSE_SOLVE_BUDGET:
         spectrum = compute_spectrum(build_kernel(spec))
+        try:
+            check_gap_resolved(spectrum)
+        except PrecisionLimitError:
+            return row
         row["exact_beta1"] = spectrum.beta1
         row["exact_beta_star"] = spectrum.beta_star
         row["skipped_exact"] = False
@@ -274,8 +287,9 @@ def run_sweep(
 ) -> list[dict]:
     """One row per (n, colors, temp), in that lexicographic order.
 
-    Rows whose state space exceeds ``DENSE_SOLVE_BUDGET`` keep empty exact
-    columns and are flagged, never dropped.
+    Rows whose state space exceeds ``DENSE_SOLVE_BUDGET``, or whose spectral
+    gap rounded to 0, keep empty exact columns and are flagged, never
+    dropped.  A ``theta`` or ``crossover_n`` past the float range is empty.
     """
     combos = [
         (n, colors, temp) for n in n_range for colors in color_range for temp in temps

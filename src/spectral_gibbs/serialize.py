@@ -8,6 +8,7 @@ the same computation produce byte-identical output.
 from __future__ import annotations
 
 import io
+import math
 from typing import Any
 
 
@@ -25,6 +26,8 @@ def _emit(obj: Any, out: list[str], indent: int) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"JSON has no value for the float {obj!r}")
         out.append(format_float(obj))
     elif isinstance(obj, str):
         out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
@@ -58,6 +61,9 @@ def canonical_json(obj: Any) -> str:
 
     Keys keep insertion order, floats use :func:`format_float`, and the
     result ends with a single LF.
+
+    Raises:
+        ValueError: If a float is infinite or NaN, which JSON cannot hold.
     """
     out: list[str] = []
     _emit(obj, out, 0)

@@ -1,12 +1,19 @@
-"""Exact spectrum of the kernel from its color-shift and reversal symmetry blocks.
+"""Exact spectrum of the kernel from its color and site-reversal symmetry blocks.
 
 Reversibility makes ``S = D^{1/2} P D^{-1/2}`` symmetric (``D = diag(pi)``),
 so ``P`` has the real spectrum of ``S``.  The energy depends only on whether
-neighbors agree, so shifting every site's color by +1 mod N commutes with
-``S``.  This group Z_N acts freely on the states, so ``S`` splits exactly into
-N Fourier sectors of size ``m / N`` (Diaconis 1988).  Reversing the order of
-the sites commutes with ``S`` and with the shift, so each sector splits again
-into its reversal-even and reversal-odd halves, each solved densely.
+neighbors agree, so shifting every site's color by +1 mod N and reflecting
+every color, ``c -> -c mod N``, both commute with ``S``; together they form
+the dihedral group of the colors (Diaconis 1988).  The shift acts freely on
+the states, so ``S`` splits exactly into N Fourier sectors of size ``m / N``.
+Reversing the order of the sites commutes with ``S`` and with both color
+maps, so each sector splits again into its reversal-even and reversal-odd
+halves.  The reflection, composed with complex conjugation, turns each half
+of a complex sector into a real symmetric block of the same size and splits
+each half of a real sector (``k = 0``, and ``k = N/2`` for even N) into its
+reflection-even and reflection-odd blocks.  So a real sector has up to four
+blocks of about ``m / (4N)`` states, a complex sector two of about
+``m / (2N)``, and every block is solved densely in real arithmetic.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ from .kernel import SparseKernel, check_detailed_balance
 
 # Kernels whose detailed-balance asymmetry exceeds this are rejected.
 REVERSIBILITY_TOLERANCE = 1e-9
+# The real form of a complex sector may drop an imaginary part up to this
+# fraction of the largest sector entry summed into the block.
+REAL_FORM_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,84 +95,174 @@ def symmetrize(kernel: SparseKernel) -> sp.csr_matrix:
     return sym
 
 
+def _assemble(
+    row: np.ndarray,
+    orbit: np.ndarray,
+    entries: np.ndarray,
+    slot_col: np.ndarray,
+    slot_coef: np.ndarray,
+    keep: np.ndarray,
+) -> np.ndarray:
+    """Real block ``Q^H B Q`` over the kept columns of a two-slot basis.
+
+    ``B`` holds ``entries`` at ``[row, orbit]``; representative ``s`` has the
+    coefficient ``slot_coef[s, t]`` in column ``slot_col[s, t]`` of ``Q``.
+    One ``bincount`` sums every product ``conj(Q[x, a]) B[x, s] Q[s, b]``,
+    duplicates included.  The imaginary part it drops must be rounding, at
+    most ``REAL_FORM_TOLERANCE`` of the largest entry of ``B`` it sums (every
+    coefficient has modulus at most 1).
+    """
+    size = int(keep.sum())
+    kept = keep[slot_col]
+    col = np.where(kept, np.cumsum(keep)[slot_col] - 1, 0)
+    coef = np.where(kept, slot_coef, 0.0)
+    live = (coef != 0).any(axis=1)
+    pick = np.flatnonzero(live[row] & live[orbit])
+    row, orbit, entries = row[pick], orbit[pick], entries[pick]
+    index = (col[row][:, :, None] * size + col[orbit][:, None, :]).ravel()
+    terms = (
+        coef[row].conj()[:, :, None] * entries[:, None, None] * coef[orbit][:, None, :]
+    ).ravel()
+    block = np.bincount(index, terms.real, size * size).reshape(size, size)
+    if np.iscomplexobj(terms):
+        imag = np.bincount(index, terms.imag, size * size)
+        imag = np.abs(imag, out=imag).max()
+        if imag > REAL_FORM_TOLERANCE * np.abs(entries).max():
+            raise RuntimeError(
+                f"real form of a complex sector has imaginary part {imag:.3e}"
+            )
+    return block
+
+
 def _sector_blocks(
     spec: ModelSpec, sym: sp.csr_matrix
 ) -> Iterator[tuple[int, np.ndarray, int]]:
-    """Sector, dense reversal half and multiplicity of each block of ``sym``.
+    """Sector, real symmetric block and multiplicity of each block of ``sym``.
 
     The states whose site-1 color is 0 (ranks ``0 .. m/N - 1``) represent the
-    orbits.  A column ``y`` whose site-1 color is ``j`` is its orbit's
-    representative ``s`` (``y`` with every color shifted by ``-j``) shifted
-    ``j`` times, so sector ``k`` holds ``sum_j S[x, shift^j(s)] omega^(jk)``
-    at ``[x, s]`` with ``omega = exp(2 pi i / N)``.  Sectors 0 and N/2 are
-    real symmetric; sector ``N - k`` is the complex conjugate of sector
-    ``k``, so only ``k = 0 .. N // 2`` are built and each complex one counts
-    twice.
+    orbits of the color shift.  A column ``y`` whose site-1 color is ``j`` is
+    its orbit's representative ``s`` (``y`` with every color shifted by
+    ``-j``) shifted ``j`` times, so sector ``k`` holds
+    ``sum_j S[x, shift^j(s)] omega^(jk)`` at ``[x, s]`` with
+    ``omega = exp(2 pi i / N)``.  Sector ``N - k`` is the complex conjugate
+    of sector ``k``, so only ``k = 0 .. N // 2`` are built and each complex
+    one counts twice.
 
     Reversing the sites commutes with both ``S`` and the shift.  In sector
-    ``k`` it maps representative ``s`` to ``s'``, the reversal of ``s``
-    shifted by ``-s_n``, and ``e_s`` to ``omega^(-k s_n) e_s'``; with
-    ``omega^(+k s_n)`` the map would not commute with a complex sector.  Its
-    ``+1`` and ``-1`` eigenspaces have the orthonormal bases
-    ``(e_s +- omega^(-k s_n) e_s') / sqrt(2)`` over the pairs ``s < s'``,
-    plus ``e_s`` for each ``s = s'`` in the half whose sign is its phase;
-    each half is ``Q^H B Q`` for its basis ``Q``.  The even half comes first
-    and an empty half is skipped.
+    ``k`` it maps ``e_s`` to ``omega^(-k s_n) e_s'``, where ``s'`` is the
+    reversal of ``s`` shifted by ``-s_n``; with ``omega^(+k s_n)`` the map
+    would not commute with a complex sector.  Its ``+1`` and ``-1`` halves have
+    the orthonormal bases ``q = (e_s +- omega^(-k s_n) e_s') / sqrt(2)`` over
+    the pairs ``s < s'``, plus ``e_s`` for each ``s = s'`` in the half whose
+    sign is its phase.  The even half comes first.
+
+    Reflecting every color, ``c -> -c mod N``, maps a representative ``s``
+    to the representative ``-s``, commutes with the reversal and maps sector
+    ``k`` to ``N - k``.  So ``J`` (reflection then complex conjugation) keeps
+    each half of each sector and commutes with it: ``J q_a = lam q_b`` with
+    ``|lam| = 1``.  A column with ``b = a`` becomes ``sqrt(lam) q_a`` and a
+    pair ``a < b`` becomes ``(q_a + lam q_b) / sqrt(2)`` and
+    ``i (q_a - lam q_b) / sqrt(2)``; all are fixed by ``J``, so the half is
+    real symmetric in that basis.  In the real sectors (``k = 0`` and
+    ``k = N/2``) ``lam = +-1`` and ``J`` is the reflection itself, so each
+    half splits again: the reflection-even block, first, holds ``q_a`` for
+    ``lam = +1`` and ``(q_a + lam q_b) / sqrt(2)``; the odd one holds
+    ``q_a`` for ``lam = -1`` and ``(q_a - lam q_b) / sqrt(2)``.  Empty
+    blocks are skipped, so ``N = 2``, where the reflection is the identity,
+    has no odd ones.
     """
     num_colors = spec.num_colors
     reps = spec.num_states // num_colors
-    rows = sym[:reps].tocoo()
-    shift = rows.col // reps
-    orbit = np.zeros_like(rows.col)
+    end = sym.indptr[reps]
+    targets = sym.indices[:end].astype(np.int64)
+    row = np.repeat(np.arange(reps), np.diff(sym.indptr[: reps + 1]))
+    shift = targets // reps
+    orbit = np.zeros_like(targets)
     ranks = np.arange(reps)
     last = ranks % num_colors
     mirror = np.zeros_like(ranks)
+    reflect = np.zeros_like(ranks)
     for i in range(spec.n):
         place = num_colors ** (spec.n - 1 - i)
-        orbit += (rows.col // place - shift) % num_colors * place
-        mirror += (ranks // place - last) % num_colors * num_colors**i
+        digit = ranks // place % num_colors
+        orbit += (targets // place - shift) % num_colors * place
+        mirror += (digit - last) % num_colors * num_colors**i
+        reflect += -digit % num_colors * place
     powers = np.arange(num_colors)
+    half = np.sqrt(0.5)
     for k in range(num_colors // 2 + 1):
-        if 2 * k % num_colors == 0:
-            roots, multiplicity = (-1.0) ** ((2 * k // num_colors) * powers), 1
+        real = 2 * k % num_colors == 0
+        if real:
+            roots = (-1.0) ** ((2 * k // num_colors) * powers)
         else:
-            roots, multiplicity = np.exp(2j * np.pi * k * powers / num_colors), 2
-        # CSR construction sums duplicates: at n <= 2 two columns of a row can
-        # share an orbit, and a fixed point's two basis entries (0.5 each) add up.
-        block = sp.csr_matrix(
-            (rows.data * roots[shift], (rows.row, orbit)), shape=(reps, reps)
-        )
+            roots = np.exp(2j * np.pi * k * powers / num_colors)
+        entries = sym.data[:end] * roots[shift]
         reversal = roots[-last % num_colors]
         for sign in (1.0, -1.0):
-            cols = np.flatnonzero(
+            lead = np.flatnonzero(
                 (ranks < mirror) | (ranks == mirror) & (sign * reversal.real > 0)
             )
-            if cols.size == 0:
+            if lead.size == 0:
                 continue
-            scale = np.where(mirror[cols] == cols, 0.5, np.sqrt(0.5))
-            data = np.concatenate([scale, sign * scale * reversal[cols]])
-            j = np.arange(cols.size)
-            where = np.concatenate([cols, mirror[cols]]), np.concatenate([j, j])
-            basis = sp.csr_matrix((data, where), shape=(reps, cols.size))
-            yield k, (basis.conj().T @ block @ basis).toarray(), multiplicity
+            # Column and coefficient of each representative in q; zero
+            # coefficients for the fixed points of the other half.
+            index = np.arange(lead.size)
+            column = np.zeros(reps, dtype=np.int64)
+            coef = np.zeros(reps, dtype=roots.dtype)
+            column[mirror[lead]] = column[lead] = index
+            coef[mirror[lead]] = sign * half * reversal[lead]
+            coef[lead] = np.where(mirror[lead] == lead, 1.0, half)
+            partner = column[reflect[lead]]
+            lam = coef[lead] / coef[reflect[lead]]
+            # A representative in column a sits in both columns of its pair:
+            # slot 0 in the lower one, slot 1 in the upper one.
+            paired, upper = index != partner, index > partner
+            unit = 1.0 if real else 1j
+            fixed = 1.0 if real else np.sqrt(lam)
+            weights = np.stack(
+                [
+                    np.where(paired, half * np.where(upper, lam, 1.0), fixed),
+                    np.where(paired, unit * half * np.where(upper, -lam, 1.0), 0.0),
+                ],
+                axis=1,
+            )
+            ends = np.stack([np.minimum(index, partner), np.maximum(index, partner)], 1)
+            slot_col, slot_coef = ends[column], weights[column] * coef[:, None]
+            if not real:
+                keep = np.ones(lead.size, dtype=bool)
+                yield k, _assemble(row, orbit, entries, slot_col, slot_coef, keep), 2
+                continue
+            even = np.where(paired, ~upper, lam > 0)
+            for keep in (even, ~even):
+                if keep.any():
+                    # At most one slot of a representative lies in this block.
+                    lower = keep[slot_col[:, :1]]
+                    cols = np.where(lower, slot_col[:, :1], slot_col[:, 1:])
+                    coefs = np.where(lower, slot_coef[:, :1], slot_coef[:, 1:])
+                    yield k, _assemble(row, orbit, entries, cols, coefs, keep), 1
 
 
 def spectrum(kernel: SparseKernel) -> Spectrum:
     """Compute the full spectrum of the kernel.
 
-    Eigenvalues come from dense symmetric (or Hermitian) solves of the two
-    site-reversal halves of each of the ``floor(N/2) + 1`` distinct
-    color-shift sectors of the similarity transform, about ``m / (2N)``
-    states each, and are returned in descending order without merging ties.
+    Eigenvalues come from dense real symmetric solves of the blocks of the
+    ``floor(N/2) + 1`` distinct color-shift sectors of the similarity
+    transform: up to four reversal and reflection blocks per real sector and
+    two reversal halves in real form per complex sector.  They are returned
+    in descending order without merging ties.
 
     Raises:
         BudgetExceededError: If the dimension exceeds ``DENSE_SOLVE_BUDGET``.
         ValueError: If the kernel is not reversible.
+        RuntimeError: If the real form of a complex sector keeps more than
+            rounding in its imaginary part, or the leading eigenvalue is not 1.
     """
     sym = symmetrize(kernel)
     parts = []
-    for _, half, multiplicity in _sector_blocks(kernel.spec, sym):
-        eigs = scipy.linalg.eigvalsh(half, overwrite_a=True, check_finite=False)
+    for _, block, multiplicity in _sector_blocks(kernel.spec, sym):
+        # The transpose is the same symmetric block, in the Fortran order
+        # LAPACK overwrites without a copy.
+        eigs = scipy.linalg.eigvalsh(block.T, overwrite_a=True, check_finite=False)
         parts.extend([eigs] * multiplicity)
     eigs = np.ascontiguousarray(np.sort(np.concatenate(parts))[::-1])
     if abs(eigs[0] - 1.0) > 1e-8:

@@ -132,15 +132,33 @@ def test_sweep_json(capsys):
 
 
 def test_sweep_low_temperature(capsys):
-    # theta past the float range prints as inf instead of raising
+    # theta past the float range prints empty instead of raising, and the
+    # exact columns of a row whose gap rounded to 0 are empty and flagged
     code, out = run_main(
         ["sweep", "--n", "1:3", "--colors", "2", "--temp", "0.001"], capsys
     )
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert len(rows) == 3
-    assert all(row[5] == "inf" for row in rows)
+    assert all(row[5] == "" for row in rows)
     assert all(float(row[6]) == crossover_n(2, 0.001) for row in rows)
+    assert rows[0][7:] == ["0", "0", "false"]
+    assert all(row[7:] == ["", "", "true"] for row in rows[1:])
+
+
+def test_sweep_low_temperature_json_parses(capsys):
+    code, out = run_main(
+        ["sweep", "--n", "1:3", "--colors", "2", "--temp", "0.001", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["n"] for row in rows] == [1, 2, 3]
+    assert all(row["theta"] is None for row in rows)
+    assert rows[0]["skipped_exact"] is False
+    for row in rows[1:]:
+        assert row["exact_beta1"] is None and row["exact_beta_star"] is None
+        assert row["skipped_exact"] is True
 
 
 def test_tv_csv_matches_library(capsys):
@@ -246,6 +264,33 @@ def test_verify_refuses_before_checks(capsys, monkeypatch):
                 f"resource limit: dense symmetrization would touch {states} "
                 "states, exceeding its budget of 4096\n"
             ), (command, n)
+
+
+@pytest.mark.parametrize("chain", [("3", "5"), ("4", "3"), ("4", "4")], ids="-".join)
+def test_verify_edge_certificates_pass_on_rounding(chain, capsys):
+    # the worst ratio exceeds its bound by a relative 8e-15 at T = 0.06
+    n, colors = chain
+    code, out = run_main(
+        ["verify", "--n", n, "--colors", colors, "--temp", "0.06"], capsys
+    )
+    assert code == 0
+    assert any(line.startswith("PASS edge-certificates ") for line in out.splitlines())
+    assert out.endswith("PASS overall\n")
+
+
+def test_verify_refuses_unresolved_gap_before_other_checks(capsys, monkeypatch):
+    from spectral_gibbs import cli
+
+    def fail(*args):
+        raise AssertionError("a check ran before the gap refusal")
+
+    for name in ("kappa_exact", "certify_all_edges", "verify_slice_identities"):
+        monkeypatch.setattr(cli, name, fail)
+    code = main(["verify", "--n", "3", "--colors", "2", "--temp", "0.01"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("precision limit: ")
 
 
 @pytest.mark.parametrize("command", ["bounds", "verify"])

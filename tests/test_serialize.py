@@ -1,6 +1,7 @@
 """Canonical JSON/CSV emission used for byte-stable outputs."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +39,12 @@ def test_canonical_json_escapes():
 
 def test_canonical_json_floats():
     assert '"v": 0.10000000000000001' in canonical_json({"v": 0.1})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_canonical_json_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="JSON"):
+        canonical_json({"rows": [{"v": value}]})
 
 
 def test_canonical_json_rejects_unknown_types():

@@ -137,12 +137,15 @@ def dense_spectrum_oracle(kernel):
 
 
 # (4,5,1) and (2,26,1): odd N with two complex sectors, and the largest N;
-# (5,3,0.3): complex sectors below the grid's temperatures; (7,2,0.5): n past it.
+# (5,3,0.3) and (4,5,0.3): complex sectors below the grid's temperatures;
+# (4,6,1): the reflection splits the real sector N/2; (3,7,1): three complex
+# sectors; (7,2,0.5): n past the grid.
 @pytest.mark.parametrize(
     "spec",
     grid_specs()
     + [ModelSpec(7, 3, 1.0), ModelSpec(4, 5, 1.0), ModelSpec(2, 26, 1.0)]
-    + [ModelSpec(5, 3, 0.3), ModelSpec(7, 2, 0.5)],
+    + [ModelSpec(5, 3, 0.3), ModelSpec(4, 5, 0.3), ModelSpec(7, 2, 0.5)]
+    + [ModelSpec(4, 6, 1.0), ModelSpec(3, 7, 1.0)],
     ids=str,
 )
 def test_sector_spectrum_matches_dense_oracle(spec):
@@ -154,23 +157,30 @@ def test_sector_spectrum_matches_dense_oracle(spec):
 
 @pytest.mark.parametrize(
     "spec",
-    grid_specs(max_states=1024) + [ModelSpec(4, 5, 1.0), ModelSpec(2, 26, 1.0)],
+    grid_specs(max_states=1024)
+    + [ModelSpec(4, 5, 1.0), ModelSpec(2, 26, 1.0), ModelSpec(4, 6, 1.0)],
     ids=str,
 )
 def test_reversal_halves_split_each_sector(spec):
-    halves = list(_sector_blocks(spec, symmetrize(kernel_for(spec))))
+    blocks = list(_sector_blocks(spec, symmetrize(kernel_for(spec))))
     reps = spec.num_states // spec.num_colors
     for k in range(spec.num_colors // 2 + 1):
-        sizes = [half.shape[0] for sector, half, _ in halves if sector == k]
-        assert 1 <= len(sizes) <= 2 and sum(sizes) == reps
-    # The even half of sector 0 holds the functions that both the color shift
-    # and the site reversal fix: one dimension per orbit of the two.
+        sizes = [block.shape[0] for sector, block, _ in blocks if sector == k]
+        real = 2 * k % spec.num_colors == 0
+        assert 1 <= len(sizes) <= (4 if real else 2) and sum(sizes) == reps
+    for _, block, _ in blocks:
+        assert type(block) is np.ndarray and block.dtype == np.float64
+        assert block.ndim == 2 and block.shape[0] == block.shape[1]
+    # The first block of sector 0 holds the functions that the color shift,
+    # the site reversal and the color reflection all fix: one dimension per
+    # orbit of the three.
     table = colors_table(spec).astype(np.int64)
     images = [(table + j) % spec.num_colors for j in range(spec.num_colors)]
+    images += [(-image) % spec.num_colors for image in images]
     images += [image[:, ::-1] for image in images]
     places = spec.num_colors ** np.arange(spec.n - 1, -1, -1)
     orbits = np.unique(np.min([image @ places for image in images], axis=0))
-    assert halves[0][0] == 0 and halves[0][1].shape[0] == orbits.size
+    assert blocks[0][0] == 0 and blocks[0][1].shape[0] == orbits.size
 
 
 @pytest.mark.parametrize("n", range(2, 13))
