@@ -27,7 +27,7 @@ print(f"beta1 = {spect.beta1:.12f}")
 print(f"beta* = {spect.beta_star:.12f}")
 print(f"spectral gap 1 - beta* = {1 - spect.beta_star:.6e}\n")
 
-kappa = kappa_exact(kernel)
+kappa = kappa_exact(spec)
 report = assemble_report(kernel, spect, kappa)
 print("exact values against each bound:")
 print(f"  beta1 exact                  {report.exact_beta1:.10f}")

@@ -33,16 +33,21 @@ for site in range(spec.n):
         print(f"  {before} -> {colors_to_string(state)}")
 print()
 
-result = kappa_exact(kernel)
+result = kappa_exact(spec)
 closed = kappa_closed_form(spec)
 print(f"kappa (exact, all canonical paths) = {result.kappa:.6f}")
 print(f"closed form (n^2/N)(N-1+e^(4/T))   = {closed:.6f}")
 print(f"slack                              = {closed - result.kappa:.6f}")
+# an edge's ratio depends only on its site, its colors and its neighbors'
 edge = result.argmax_edge
-src, dst = (colors_to_string(kernel.colors[rank]) for rank in edge.edge)
-print(f"worst edge: {src} -> {dst} (site {edge.site})\n")
+left, color_from, color_to, right = (
+    "-" if c is None else colors_to_string([c])
+    for c in (edge.left, edge.color_from, edge.color_to, edge.right)
+)
+print(f"worst edge: site {edge.site} recolored {color_from} -> {color_to} "
+      f"between neighbors {left} and {right}\n")
 
-summary = certify_all_edges(kernel, result)
+summary = certify_all_edges(result)
 print(f"per-edge certificates: {summary.num_edges} edges, "
       f"min slack {summary.min_slack:.6f}, all passed: {summary.all_passed}")
 

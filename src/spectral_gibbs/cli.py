@@ -6,14 +6,14 @@ significant digits, so repeated runs emit byte-identical output.
 
 Exit codes: 0 all applicable checks pass, 1 a verification failed, 2 usage
 error, 3 resource limit, precision limit or I/O failure.  A precision limit
-is a result that float64 cannot hold at this temperature: an edge capacity
-or start-state probability that underflowed to 0, a spectral gap that
-rounded to 0, or a closed form past the float range.
+is a result that float64 cannot hold at a (positive, finite) temperature: a
+start-state probability that underflowed to 0, a spectral gap that rounded
+to 0, a closed form past the float range, or Boltzmann exponents past it.
 
 ``bounds``, ``verify`` and ``tv`` need the dense spectrum, so they refuse a
 chain above ``DENSE_SOLVE_BUDGET`` states before any kernel is built;
-``sweep`` leaves the exact columns of such rows, and of rows whose spectral
-gap rounded to 0, empty and sets their ``skipped_exact``.
+``sweep`` leaves the exact columns of such rows, and of rows whose kernel
+or spectral gap is past float64, empty and sets their ``skipped_exact``.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def _color_count(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text}")
     return value
 
 
@@ -100,7 +100,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+    return [_positive_float(part) for part in text.split(",") if part]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -123,7 +123,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     """Evaluate every bound for one chain and print the report."""
     kernel = build_kernel(_dense_spec(args))
     spectrum = compute_spectrum(kernel)
-    kappa = kappa_exact(kernel)
+    kappa = kappa_exact(kernel.spec)
     report = assemble_report(kernel, spectrum, kappa)
     if args.format == "csv":
         payload = report_to_dict(report)
@@ -198,8 +198,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         }
     )
 
-    kappa = kappa_exact(kernel)
-    certificates = certify_all_edges(kernel, kappa)
+    kappa = kappa_exact(spec)
+    certificates = certify_all_edges(kappa)
     checks.append(
         {
             "name": "edge-certificates",
@@ -229,7 +229,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "model": {"n": spec.n, "colors": spec.num_colors, "temp": float(spec.temp)},
-            "kappa": kappa_report(kernel, kappa),
+            "kappa": kappa_report(kappa),
             "checks": checks,
             "all_passed": all_passed,
         }
@@ -271,8 +271,8 @@ def _sweep_row(n: int, colors: int, temp: float) -> dict:
         "skipped_exact": True,
     }
     if spec.num_states <= DENSE_SOLVE_BUDGET:
-        spectrum = compute_spectrum(build_kernel(spec))
         try:
+            spectrum = compute_spectrum(build_kernel(spec))
             check_gap_resolved(spectrum)
         except PrecisionLimitError:
             return row
@@ -287,9 +287,10 @@ def run_sweep(
 ) -> list[dict]:
     """One row per (n, colors, temp), in that lexicographic order.
 
-    Rows whose state space exceeds ``DENSE_SOLVE_BUDGET``, or whose spectral
-    gap rounded to 0, keep empty exact columns and are flagged, never
-    dropped.  A ``theta`` or ``crossover_n`` past the float range is empty.
+    Rows whose state space exceeds ``DENSE_SOLVE_BUDGET``, or whose kernel
+    or spectral gap is past float64, keep empty exact columns and are
+    flagged, never dropped.  A ``theta`` or ``crossover_n`` past the float
+    range is empty.
     """
     combos = [
         (n, colors, temp) for n in n_range for colors in color_range for temp in temps
@@ -324,9 +325,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_start(spec: ModelSpec, text: str | None, default_rank: int) -> int:
+def _parse_start(spec: ModelSpec, text: str | None) -> int | None:
     if text is None:
-        return default_rank
+        return None
     if text.isdigit():
         rank = int(text)
         if rank >= spec.num_states:
@@ -338,14 +339,11 @@ def _parse_start(spec: ModelSpec, text: str | None, default_rank: int) -> int:
 def cmd_tv(args: argparse.Namespace) -> int:
     """Emit the exact TV decay curve with its envelope (and optional MC arm)."""
     spec = _dense_spec(args)
+    # A bad start is a usage error, whatever the kernel build would say.
+    start = _parse_start(spec, args.start)
     kernel = build_kernel(spec)
-    try:
-        start = _parse_start(
-            spec, args.start, int(np.argmin(kernel.pi.weights))
-        )
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    if start is None:
+        start = int(np.argmin(kernel.pi.weights))
     curve = tv_curve(kernel, start, args.kmax, seed=args.seed)
     text = curve.to_json() if args.format == "json" else curve.to_csv()
     _emit(text, args.out)

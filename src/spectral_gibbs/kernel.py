@@ -21,7 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .model import GibbsMeasure, ModelSpec, colors_table, stationary_measure
+from .model import GibbsMeasure, ModelSpec, PrecisionLimitError
+from .model import colors_table, stationary_measure
 
 
 def bond_score(u: int, v: int) -> int:
@@ -127,9 +128,15 @@ def build_kernel(spec: ModelSpec) -> SparseKernel:
     ``n (N - 1)`` moves to other states.
 
     Raises:
+        PrecisionLimitError: If Boltzmann exponents differ past the float
+            range: by up to ``4/T`` in a conditional, ``2(n-1)/T`` in ``pi``.
         BudgetExceededError: If the state space exceeds
             ``EXACT_STATES_BUDGET``.
     """
+    if not np.isfinite(max(4, 2 * (spec.n - 1)) / spec.temp):
+        raise PrecisionLimitError(
+            f"Boltzmann exponents differ past the float range at temp {spec.temp!r}"
+        )
     colors = colors_table(spec)
     colors.flags.writeable = False
     m, n = spec.num_states, spec.n

@@ -50,7 +50,7 @@ class ModelSpec:
     Attributes:
         n: Number of lattice sites, at least 1.
         num_colors: Number of colors per site, at least 2.
-        temp: Temperature, strictly positive.
+        temp: Temperature, strictly positive and finite.
     """
 
     n: int
@@ -62,8 +62,8 @@ class ModelSpec:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if self.num_colors < 2:
             raise ValueError(f"num_colors must be at least 2, got {self.num_colors}")
-        if not self.temp > 0:
-            raise ValueError(f"temp must be positive, got {self.temp}")
+        if not 0 < self.temp < float("inf"):
+            raise ValueError(f"temp must be positive and finite, got {self.temp}")
 
     @property
     def num_states(self) -> int:

@@ -11,15 +11,18 @@ where ``Q(u, v) = pi(u) P(u, v)`` is the (symmetric) edge measure.  Loads are
 accumulated per directed edge, matching the traversal orientation of the
 paths; with one path per ordered pair this makes the single-pair, single-edge
 chain carry exactly its own pair, so the degenerate one-site chain yields
-``kappa = 1``.  :func:`kappa_exact` sums every load from marginals of ``pi`` in
-``O(n^2 N^n)``; the enumeration of pairs is kept only as the tests' oracle.
+``kappa = 1``.  An edge's ratio depends only on its site, the colors of its
+two neighbors and its own two colors, so :func:`kappa_exact` and
+:func:`certify_all_edges` read one table of worst ratios per such neighbor
+pattern, in ``O(n N^4)`` and with no kernel.  The sums over marginals of
+``pi`` and the enumeration of pairs are kept only as the tests' oracles.
 
 The module also evaluates the closed-form upper bound ``(n^2/N)(N-1+e^{4/T})``
 together with the quantities that prove it, each as one table over every
-edge or neighbor pattern: the edge-local factors ``alpha`` and ``beta``, the
+neighbor pattern: the edge-local factors ``alpha`` and ``beta``, the
 interior bound ``(n^2/N)(alpha+beta)``, the boundary bound
 ``(n^2/N)(N-1+e^{2/T})``, and the slice-sum identities the derivation rests
-on.
+on, which are summed over the enumerated ``pi``.
 """
 
 from __future__ import annotations
@@ -32,54 +35,53 @@ import numpy as np
 
 from .model import ModelSpec, PrecisionLimitError, color_letter
 from .model import colors_table  # noqa: F401 -- perfbench/spans.py wraps this name
-from .kernel import SparseKernel, conditional_table, local_scores
+from .kernel import SparseKernel, local_conditionals, local_scores
+from .kernel import conditional_table  # noqa: F401 -- and this one
 from .serialize import canonical_json
 
 
 @dataclass(frozen=True)
 class EdgeLoad:
-    """Load data of one directed edge.
+    """The worst directed edge of one neighbor pattern: a site, its two
+    neighbors' colors and the edge's two colors.
 
     Attributes:
-        edge: ``(rank_from, rank_to)`` of the traversal direction.
-        load: Sum of ``|path| * pi(x) * pi(y)`` over paths traversing it.
-        q: Edge measure ``pi(rank_from) * P(rank_from, rank_to)``.
-        ratio: ``load / q``.
-        site: 1-based site where the two endpoint states differ.
+        ratio: Largest ``load / (pi(z) P(z, z'))`` over the pattern's edges.
+        site: 1-based site that the edge recolors.
         color_from: Color at that site before the move.
         color_to: Color at that site after the move.
+        left: Color of the left neighbor, or None at site 1.
+        right: Color of the right neighbor, or None at site n.
     """
 
-    edge: tuple[int, int]
-    load: float
-    q: float
     ratio: float
     site: int
     color_from: int
     color_to: int
+    left: int | None
+    right: int | None
 
 
 @dataclass(frozen=True)
 class KappaResult:
-    """Exact congestion constant plus the full directed-edge tables.
+    """Exact congestion constant plus the worst ratio of every neighbor pattern.
 
-    The tables are indexed ``[source rank, site - 1, target color]``; slots
-    where the target color equals the source state's color are not edges and
-    hold zeros.
+    ``patterns`` is indexed ``[site - 1, left + 1, right + 1, color_from,
+    color_to]``, where a neighbor index of 0 means no neighbor.  Every edge's
+    ratio is positive; slots that are no edge (equal colors, or a neighbor
+    index that does not fit the site) hold zeros.
     """
 
     spec: ModelSpec
     kappa: float
     argmax_edge: EdgeLoad
-    loads: np.ndarray
-    qs: np.ndarray
-    ratios: np.ndarray
+    patterns: np.ndarray
 
 
 # A ratio may exceed its closed-form bound only by rounding, relative to the
 # bound: the edge certificates and the kappa verdict allow this much.
 CLOSED_FORM_RTOL = 1e-12
-# The witness edge is the lowest-ranked edge whose ratio is within this
+# The witness is chosen among the patterns whose ratio is within this
 # relative distance of kappa, so last-digit rounding cannot pick between
 # edges that symmetry makes equally loaded.
 WITNESS_RTOL = 1e-12
@@ -95,95 +97,90 @@ def _marginal(p: np.ndarray, sites) -> np.ndarray:
     return p.sum(axis=tuple(k for k in range(p.ndim) if k not in keep), keepdims=True)
 
 
-def _block_masses(p: np.ndarray, block, others) -> tuple[np.ndarray, np.ndarray]:
-    """Mass agreeing with each state on ``block``, and that mass by mismatches.
-
-    The second array sums, over ``j`` in ``others``, the part of the first
-    that differs from the state at site ``j``.
-    """
-    agree = _marginal(p, block)
-    mismatch = sum(
-        (agree - _marginal(p, [*block, j]) for j in others), np.zeros_like(agree)
-    )
-    return agree, mismatch
-
-
-def kappa_exact(kernel: SparseKernel) -> KappaResult:
-    """Compute the congestion constant and every directed edge's load exactly.
-
-    The canonical paths through the edge that recolors site ``i`` of ``z``
-    to ``c'`` are those of the pairs ``x = (any x_{<i}, z_{>=i})`` and
-    ``y = (z_{<i}, c', any y_{>i})``, of length
-    ``1 + #{j<i: x_j != z_j} + #{j>i: y_j != z_j}``.  So the load is
-    ``B (A + D) + A E``: ``A`` and ``B`` are the marginals of ``pi`` on sites
-    ``i..n`` at ``z_{>=i}`` and on sites ``1..i`` at ``(z_{<i}, c')``, and
-    ``D`` and ``E`` sum, over each ``j``, the mass of the same marginals where
-    site ``j`` disagrees with ``z``.  Every term is a marginal of ``pi``, so
-    the cost is ``O(n^2 N^n)`` with no enumeration of pairs.  There is no
-    budget of its own: the kernel was already held to the state-space budget.
-
-    Raises:
-        PrecisionLimitError: If the capacity ``pi(z) P(z, z')`` of an edge
-            underflowed to 0, as it does at low enough temperature.
-    """
-    spec = kernel.spec
-    m = spec.num_states
-    n, num_colors = spec.n, spec.num_colors
-    pi = kernel.pi.weights
-    p = pi.reshape((num_colors,) * n)
-    loads = np.empty((m, n, num_colors))
-    for i in range(n):
-        # Sources agree with z on sites i..n, targets on 1..i with site i at
-        # c', which moves to a last axis.
-        a, d = _block_masses(p, range(i, n), range(i))
-        b, e = _block_masses(p, range(i + 1), range(i + 1, n))
-        b, e = (np.swapaxes(arr[..., None], i, -1) for arr in (b, e))
-        loads[:, i] = (b * (a + d)[..., None] + a[..., None] * e).reshape(m, num_colors)
-
-    valid = kernel.colors[:, :, None] != np.arange(num_colors)[None, None, :]
-    loads = np.where(valid, loads, 0.0)
-    qs = pi[:, None, None] * conditional_table(spec, kernel.colors) / n
-    underflowed = int(np.count_nonzero(valid & (qs == 0.0)))
-    if underflowed:
-        raise PrecisionLimitError(
-            f"{underflowed} of {int(valid.sum())} edge capacities pi*P underflowed "
-            f"to 0 at temp {spec.temp!r}, so their load ratios are undefined"
-        )
-    ratios = np.divide(loads, qs, out=np.zeros_like(loads), where=valid)
-    for arr in (loads, qs, ratios):
-        arr.flags.writeable = False
-
-    kappa = float(ratios.max())
-    flat = int(np.argmax(ratios >= (1.0 - WITNESS_RTOL) * kappa))
-    return KappaResult(
-        spec=spec,
-        kappa=kappa,
-        argmax_edge=_edge_at_flat(kernel, loads, qs, flat),
-        loads=loads,
-        qs=qs,
-        ratios=ratios,
-    )
-
-
-def _edge_at_flat(
-    kernel: SparseKernel, loads: np.ndarray, qs: np.ndarray, flat: int
-) -> EdgeLoad:
-    """The edge at a flat index into the ``[rank, site - 1, color_to]`` tables."""
-    spec = kernel.spec
-    rank, i, color_to = (int(v) for v in np.unravel_index(flat, loads.shape))
-    color_from = int(kernel.colors[rank, i])
-    target = rank + (color_to - color_from) * spec.num_colors ** (spec.n - 1 - i)
-    load = float(loads[rank, i, color_to])
-    q = float(qs[rank, i, color_to])
+def _edge_at(patterns: np.ndarray, index) -> EdgeLoad:
+    """The pattern at ``index`` into a ``KappaResult.patterns`` table."""
+    i, left, right, color_from, color_to = (int(k) for k in index)
     return EdgeLoad(
-        edge=(rank, target),
-        load=load,
-        q=q,
-        ratio=load / q,
+        ratio=float(patterns[i, left, right, color_from, color_to]),
         site=i + 1,
         color_from=color_from,
         color_to=color_to,
+        left=left - 1 if left else None,
+        right=right - 1 if right else None,
     )
+
+
+def _worst_state(n: int, index) -> bytes:
+    """The smallest state at which the edge of a pattern has its worst ratio,
+    as bytes, which compare in rank order: past the neighbors, the smallest
+    color other than ``color_from`` (left) or ``color_to`` (right)."""
+    i, left, right, color_from, color_to = index
+    state = bytearray([color_from == 0]) * i + bytearray([color_from])
+    state += bytearray([color_to == 0]) * (n - 1 - i)
+    if left:
+        state[i - 1] = left - 1
+    if right:
+        state[i + 1] = right - 1
+    return bytes(state)
+
+
+def kappa_exact(spec: ModelSpec) -> KappaResult:
+    """Compute the congestion constant from the worst ratio of every pattern.
+
+    With free boundaries ``pi`` is a stationary Markov chain along the sites:
+    ``P(x_j = a | x_i = c) = 1/N + (delta_ac - 1/N) rho^{|i-j|}`` with
+    ``e = e^{2/T}`` and ``rho = (e-1)/(e+N-1)``.  The paths through the edge
+    that recolors site ``i`` of ``z`` from ``c`` to ``c'`` run from
+    ``(any x_{<i}, z_{>=i})`` to ``(z_{<i}, c', any y_{>i})``, so its ratio is
+    ``(n/N) (alpha/p) L``: ``alpha = e^{(s(l,c') - s(l,c))/T}``, ``p`` the
+    conditional of ``c'`` between the neighbors ``l`` and ``r``, and
+    ``L = 1 + sum_{j<i} P(x_j != z_j | x_i = c) + sum_{j>i} P(y_j != z_j | y_i = c')``.
+    Past the neighbors each term is largest, ``1 - 1/N + rho^d/N`` at
+    distance ``d``, where ``z_j`` differs from ``c`` (left) or ``c'``
+    (right).  The table costs ``O(n N^4)`` and needs no kernel.  The witness
+    is the pattern within a relative ``WITNESS_RTOL`` of kappa whose worst
+    state comes first in rank order, then the lowest site and ``color_to``.
+
+    Raises:
+        PrecisionLimitError: Where :func:`kappa_closed_form` would be past
+            the float range.
+    """
+    _check_float_range(spec)
+    n, num_colors, t = spec.n, spec.num_colors, spec.temp
+    e = math.exp(2.0 / t)
+    rho = math.expm1(2.0 / t) / (e + num_colors - 1)
+    # far[k]: the worst terms at distances 2..k, summed term by term.
+    far_terms = 1.0 - 1.0 / num_colors + rho ** np.arange(2, n) / num_colors
+    far = np.concatenate(([0.0, 0.0], np.cumsum(far_terms)))[:n]
+    # near[u + 1, c]: P(neighbor != u | site = c), 0 with no neighbor; it is
+    # (1 - 1/N)(1 - rho) if u = c and 1 - (1 - rho)/N otherwise, with
+    # 1 - rho = N/(e+N-1) taken without cancellation.
+    near = np.full((num_colors + 1, num_colors), 1.0 - 1.0 / (e + num_colors - 1))
+    near[0] = 0.0
+    np.fill_diagonal(near[1:], (num_colors - 1) / (e + num_colors - 1))
+    patterns = (1.0 + far + far[::-1])[:, None, None, None, None]
+    patterns = patterns + near[:, None, :, None] + near[None, :, None, :]
+
+    # With no right neighbor the score is the single bond s(left, c).
+    bond = local_scores(spec)[:, 0]
+    alpha = np.exp((bond[:, None, :] - bond[:, :, None]) / t)
+    cond = local_conditionals(spec)[:, :, None, :]
+    patterns *= n / num_colors * alpha[:, None] / cond
+    # An edge has two colors, and a missing neighbor exactly past an end.
+    patterns[..., range(num_colors), range(num_colors)] = 0.0
+    patterns[1:, 0] = patterns[:-1, :, 0] = 0.0
+    patterns[0, 1:] = patterns[-1, :, 1:] = 0.0
+    patterns.flags.writeable = False
+
+    kappa = float(patterns.max())
+    candidates = np.argwhere(patterns >= (1.0 - WITNESS_RTOL) * kappa)
+    # Compare the worst states' first colors at once: ties are many at large N.
+    i, left, _, color_from, _ = candidates.T
+    first = np.select([i == 0, i == 1], [color_from, left - 1], color_from == 0)
+    candidates = candidates[first == first.min()].tolist()
+    witness = min(candidates, key=lambda k: (_worst_state(n, k), k[0], k[4]))
+    edge = _edge_at(patterns, witness)
+    return KappaResult(spec=spec, kappa=kappa, argmax_edge=edge, patterns=patterns)
 
 
 # Log of the largest finite float64.
@@ -334,38 +331,34 @@ class CertificateSummary:
     all_passed: bool
 
 
-def certify_all_edges(kernel: SparseKernel, result: KappaResult) -> CertificateSummary:
+def certify_all_edges(result: KappaResult) -> CertificateSummary:
     """Check every directed edge's ratio against its per-edge bound.
 
-    Interior edges use their own ``(n^2/N)(alpha+beta)`` value computed from
-    the neighbor colors; boundary edges use the boundary closed form.  The
-    worst certificate, the edge of least slack, is read off the same bound
-    and slack tables.  An edge passes when its slack is at least
-    ``-CLOSED_FORM_RTOL`` times its bound, so rounding alone cannot fail it.
+    Interior edges use their own ``(n^2/N)(alpha+beta)`` from the neighbor
+    colors, edges at site 1 or n the boundary closed form.  Every edge of a
+    neighbor pattern has the pattern's bound and at most its worst ratio, so
+    comparing the two certifies all ``N^n n (N-1)`` directed edges; the
+    worst certificate is the pattern of least slack.  An edge passes when
+    its slack is at least ``-CLOSED_FORM_RTOL`` times its bound.
     """
-    spec = kernel.spec
-    m, n, num_colors = spec.num_states, spec.n, spec.num_colors
-    table = kernel.colors
+    spec = result.spec
+    n, num_colors = spec.n, spec.num_colors
     alpha, beta = _edge_factor_tables(spec)
-    bounds = np.full((m, n, num_colors), boundary_edge_bound(spec))
-    bounds[:, 1:-1] = (n * n / num_colors) * (alpha + beta)[
-        table[:, :-2], table[:, 2:], table[:, 1:-1]
-    ]
-
-    valid = table[:, :, None] != np.arange(num_colors)[None, None, :]
-    slack = np.where(valid, bounds - result.ratios, np.inf)
-    flat = int(np.argmin(slack))
-    edge = _edge_at_flat(kernel, result.loads, result.qs, flat)
-    min_slack = float(slack.flat[flat])
+    bounds = np.full(result.patterns.shape, boundary_edge_bound(spec))
+    bounds[1:-1, 1:, 1:] = (n * n / num_colors) * (alpha + beta)
+    slack = np.where(result.patterns > 0, bounds - result.patterns, np.inf)
+    index = np.unravel_index(int(np.argmin(slack)), slack.shape)
+    edge = _edge_at(result.patterns, index)
+    min_slack = float(slack[index])
     worst = EdgeCertificate(
         edge=edge,
-        bound=float(bounds.flat[flat]),
+        bound=float(bounds[index]),
         slack=min_slack,
         interior=edge.site not in (1, n),
-        passed=min_slack >= -CLOSED_FORM_RTOL * float(bounds.flat[flat]),
+        passed=min_slack >= -CLOSED_FORM_RTOL * float(bounds[index]),
     )
     return CertificateSummary(
-        num_edges=int(valid.sum()),
+        num_edges=spec.num_states * n * (num_colors - 1),
         min_slack=min_slack,
         worst=worst,
         all_passed=bool(np.all(slack >= -CLOSED_FORM_RTOL * bounds)),
@@ -485,27 +478,26 @@ def verify_slice_identities(
     )
 
 
-def kappa_report(kernel: SparseKernel, result: KappaResult) -> dict:
+def kappa_report(result: KappaResult) -> dict:
     """JSON-ready summary: the constant, its witness edge, and the bound."""
-    spec = kernel.spec
     edge = result.argmax_edge
-    source = kernel.colors[edge.edge[0]]
-    left = color_letter(int(source[edge.site - 2])) if edge.site >= 2 else None
-    right = color_letter(int(source[edge.site])) if edge.site <= spec.n - 1 else None
-    closed = kappa_closed_form(spec)
+    closed = kappa_closed_form(result.spec)
     return {
         "kappa": result.kappa,
         "argmax_edge": {
             "site": edge.site,
             "colorFrom": color_letter(edge.color_from),
             "colorTo": color_letter(edge.color_to),
-            "neighbors": {"left": left, "right": right},
+            "neighbors": {
+                "left": None if edge.left is None else color_letter(edge.left),
+                "right": None if edge.right is None else color_letter(edge.right),
+            },
         },
         "closed_form": closed,
         "slack": closed - result.kappa,
     }
 
 
-def kappa_report_json(kernel: SparseKernel, result: KappaResult) -> str:
+def kappa_report_json(result: KappaResult) -> str:
     """Serialized form of :func:`kappa_report`."""
-    return canonical_json(kappa_report(kernel, result))
+    return canonical_json(kappa_report(result))

@@ -109,8 +109,8 @@ def _assemble(
     coefficient ``slot_coef[s, t]`` in column ``slot_col[s, t]`` of ``Q``.
     One ``bincount`` sums every product ``conj(Q[x, a]) B[x, s] Q[s, b]``,
     duplicates included.  The imaginary part it drops must be rounding, at
-    most ``REAL_FORM_TOLERANCE`` of the largest entry of ``B`` it sums (every
-    coefficient has modulus at most 1).
+    most ``REAL_FORM_TOLERANCE`` of the largest entry of ``B`` it sums, 0 if
+    none (every coefficient has modulus at most 1).
     """
     size = int(keep.sum())
     kept = keep[slot_col]
@@ -127,7 +127,7 @@ def _assemble(
     if np.iscomplexobj(terms):
         imag = np.bincount(index, terms.imag, size * size)
         imag = np.abs(imag, out=imag).max()
-        if imag > REAL_FORM_TOLERANCE * np.abs(entries).max():
+        if imag > REAL_FORM_TOLERANCE * np.abs(entries).max(initial=0.0):
             raise RuntimeError(
                 f"real form of a complex sector has imaginary part {imag:.3e}"
             )

@@ -1,13 +1,14 @@
 """Shared fixtures: the acceptance grid and a session-wide pipeline cache.
 
-Kernels, spectra, and path-congestion results are expensive at the top of
-the grid (4096 states), so every test that needs one goes through the cached
-accessors below instead of rebuilding.
+Kernels, spectra, and the marginal oracle's edge tables are expensive at the
+top of the grid (4096 states), so every test that needs one goes through the
+cached accessors below instead of rebuilding.
 """
 
 from functools import lru_cache
 
 import pytest
+from oracles import marginal_kappa_tables
 
 from spectral_gibbs import (
     ModelSpec,
@@ -44,7 +45,12 @@ def spectrum_for(spec):
 
 @lru_cache(maxsize=None)
 def kappa_for(spec):
-    return kappa_exact(kernel_for(spec))
+    return kappa_exact(spec)
+
+
+@lru_cache(maxsize=None)
+def marginal_tables_for(spec):
+    return marginal_kappa_tables(kernel_for(spec))
 
 
 @pytest.fixture

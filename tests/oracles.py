@@ -1,8 +1,12 @@
-"""Scalar oracles for the kernel: one state, one site, one step at a time.
+"""Oracles for the kernel and the congestion constant.
 
-They share no code with the package's tables beyond ``bond_score`` (and
+The kernel's are scalar: one state, one site, one step at a time.  They
+share no code with the package's tables beyond ``bond_score`` (and
 ``make_rng``, whose stream the Monte Carlo oracle must consume), so a test
-that compares the two checks the tables.
+that compares the two checks the tables.  The congestion oracle sums every
+directed edge's load from marginals of the enumerated ``pi`` and reads its
+capacity off the kernel matrix, so it shares no code with the package's
+neighbor-pattern formula.
 """
 
 import math
@@ -109,3 +113,77 @@ def mc_tv_oracle(kernel, start, k_max, seed, replicas):
             padded[rows, sites + 1] = colors
         out[k] = 0.5 * np.abs(np.bincount(ranks, minlength=m) / replicas - pi).sum()
     return out
+
+
+def _marginal(p, sites):
+    """Marginal of ``p`` (indexed by site colors) on ``sites``, kept broadcastable."""
+    keep = set(sites)
+    return p.sum(axis=tuple(k for k in range(p.ndim) if k not in keep), keepdims=True)
+
+
+def _block_masses(p, block, others):
+    """Mass agreeing with each state on ``block``, and that mass by mismatches.
+
+    The second array sums, over ``j`` in ``others``, the part of the first
+    that differs from the state at site ``j``.
+    """
+    agree = _marginal(p, block)
+    mismatch = sum(
+        (agree - _marginal(p, [*block, j]) for j in others), np.zeros_like(agree)
+    )
+    return agree, mismatch
+
+
+def marginal_kappa_tables(kernel):
+    """Load, capacity and ratio of every directed edge, from marginals of ``pi``.
+
+    The tables are indexed ``[source rank, site - 1, target color]``; slots
+    where the target color is the site's own color are no edge and hold
+    zeros.  The canonical paths through the edge that recolors site ``i``
+    of ``z`` to ``c'`` are those of the pairs ``x = (any x_{<i}, z_{>=i})``
+    and ``y = (z_{<i}, c', any y_{>i})``, of length
+    ``1 + #{j<i: x_j != z_j} + #{j>i: y_j != z_j}``.  So the load is
+    ``B (A + D) + A E``: ``A`` and ``B`` are the marginals of ``pi`` on sites
+    ``i..n`` at ``z_{>=i}`` and on sites ``1..i`` at ``(z_{<i}, c')``, and
+    ``D`` and ``E`` sum, over each ``j``, the mass of the same marginals where
+    site ``j`` disagrees with ``z``.  Costs ``O(n^2 N^n)``.
+    """
+    spec = kernel.spec
+    m, n, num_colors = spec.num_states, spec.n, spec.num_colors
+    pi = kernel.pi.weights
+    p = pi.reshape((num_colors,) * n)
+    loads = np.empty((m, n, num_colors))
+    for i in range(n):
+        # Sources agree with z on sites i..n, targets on 1..i with site i at
+        # c', which moves to a last axis.
+        a, d = _block_masses(p, range(i, n), range(i))
+        b, e = _block_masses(p, range(i + 1), range(i + 1, n))
+        b, e = (np.swapaxes(arr[..., None], i, -1) for arr in (b, e))
+        loads[:, i] = (b * (a + d)[..., None] + a[..., None] * e).reshape(m, num_colors)
+
+    colors = kernel.colors.astype(np.int64)
+    valid = colors[:, :, None] != np.arange(num_colors)
+    places = num_colors ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    sources = np.arange(m, dtype=np.int64)[:, None, None]
+    targets = sources + (np.arange(num_colors) - colors[:, :, None]) * places[:, None]
+    sources = np.broadcast_to(sources, targets.shape)
+    moves = np.asarray(kernel.matrix[sources.ravel(), targets.ravel()]).reshape(targets.shape)
+    loads = np.where(valid, loads, 0.0)
+    qs = np.where(valid, pi[:, None, None] * moves, 0.0)
+    ratios = np.divide(loads, qs, out=np.zeros_like(loads), where=valid)
+    return loads, qs, ratios
+
+
+def marginal_witness(kernel, ratios, rtol):
+    """Site, colors and neighbors of the lowest-ranked edge within ``rtol`` of
+    the largest ratio: the first flat index into ``[rank, site - 1, color_to]``."""
+    flat = int(np.argmax(ratios >= (1 - rtol) * ratios.max()))
+    rank, i, color_to = np.unravel_index(flat, ratios.shape)
+    state = [int(c) for c in kernel.colors[rank]]
+    return {
+        "site": int(i) + 1,
+        "color_from": state[i],
+        "color_to": int(color_to),
+        "left": state[i - 1] if i >= 1 else None,
+        "right": state[i + 1] if i + 1 < len(state) else None,
+    }

@@ -156,7 +156,7 @@ def test_criterion_06_proof_identities(announce):
                     report = verify_slice_identities(kern, site, cf, ct)
                     if report.max_error > 1e-12:
                         slice_failures.append((spec, site, cf, ct, report.max_error))
-        summary = certify_all_edges(kern, kappa_for(spec))
+        summary = certify_all_edges(kappa_for(spec))
         if not summary.all_passed:
             certificate_failures.append((spec, summary.min_slack))
 

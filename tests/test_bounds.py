@@ -135,6 +135,23 @@ def test_crossover_value():
     assert math.isclose(crossover_n(3, 1.0), 4.081047253750751, rel_tol=1e-14)
 
 
+@pytest.mark.parametrize("temp", [1e3, 1e12, 1e20, 1e300])
+def test_theta_and_crossover_at_high_temperature(temp):
+    # both factors of theta tend to 1, so their logs must not cancel; the
+    # reference carries enough digits to resolve e^{-1/(2T)} at T=1e300
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(400):
+        t = mp.mpf(temp)
+        for colors in (2, 3, 4):
+            head = (mp.exp(2 / t) + (colors - 1) * mp.exp(-2 / t)) / colors
+            ratio = (1 + (colors - 1) * mp.exp(-1 / (2 * t))) / colors
+            cross = mp.log(head) / -mp.log(ratio) + 1
+            assert math.isclose(crossover_n(colors, temp), cross, rel_tol=1e-14)
+            for n in (1, 2, 10):
+                want = head * ratio ** (n - 1)
+                assert math.isclose(theta(n, colors, temp), want, rel_tol=1e-14)
+
+
 def test_envelope_two_site_start():
     # start (a,a): coefficient (1/2)sqrt((1-pi)/pi) with pi = e/(2e+2e^-1)
     pi_aa = math.e / (2 * math.e + 2 / math.e)

@@ -296,7 +296,9 @@ def test_verify_refuses_unresolved_gap_before_other_checks(capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["bounds", "verify"])
 @pytest.mark.parametrize("chain", [("4", "3", "0.01"), ("3", "2", "0.005")])
 def test_low_temperature_kappa_refuses(command, chain, capsys):
-    # some edge capacities pi*P underflow to 0, so kappa is undefined
+    # kappa reads no edge capacity pi*P, which underflows here, but the gap
+    # rounds to 0 at (4,3,0.01) and the closed form is past the float range
+    # at (3,2,0.005)
     n, colors, temp = chain
     code = main([command, "--n", n, "--colors", colors, "--temp", temp])
     captured = capsys.readouterr()
@@ -331,6 +333,39 @@ def test_low_temperature_refuses_without_traceback(argv, capsys):
     assert "Traceback" not in captured.err
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("precision limit:")
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify", "sweep", "tv"])
+def test_temperature_domain(command, capsys):
+    # a temperature must be positive and finite; one whose Boltzmann
+    # exponents differ past the float range is a precision limit
+    base = [command, "--n", "2", "--colors", "3", "--temp"]
+    for temp in ("inf", "nan", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(base + [temp])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    code = main(base + ["1e-320"])
+    captured = capsys.readouterr()
+    if command == "sweep":
+        assert code == 0
+        assert captured.out.splitlines()[1].endswith(",,,true")
+    else:
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("precision limit: Boltzmann exponents")
+
+
+def test_sweep_high_temperature(capsys):
+    # theta's factors tend to 1; crossover_n tends to 1 at N=2 and -1 at N=3
+    code, out = run_main(
+        ["sweep", "--n", "1:2", "--colors", "2,3", "--temp", "1e20,1e300"], capsys
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 8
+    for row in rows:
+        expected = 1.0 if row[1] == "2" else -1.0
+        assert float(row[6]) == pytest.approx(expected, abs=1e-12), row
 
 
 @pytest.mark.parametrize(

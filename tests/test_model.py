@@ -32,6 +32,8 @@ def test_spec_validation():
         ModelSpec(2, 3, -1.0)
     with pytest.raises(ValueError):
         ModelSpec(2, 3, math.nan)
+    with pytest.raises(ValueError):
+        ModelSpec(2, 3, math.inf)
 
 
 def test_num_states():

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grid_specs, kappa_for, kernel_for
+from conftest import grid_specs, kappa_for, kernel_for, marginal_tables_for
+from oracles import marginal_witness
 
 from spectral_gibbs import (
     ModelSpec,
@@ -15,7 +16,6 @@ from spectral_gibbs import (
     boundary_edge_bound,
     build_kernel,
     certify_all_edges,
-    decode_rank,
     kappa_closed_form,
     kappa_exact,
     kappa_report,
@@ -23,9 +23,10 @@ from spectral_gibbs import (
     verify_slice_identities,
     worst_alpha_beta,
 )
+from spectral_gibbs import kernel, model, paths
 from spectral_gibbs.kernel import conditional_table
 from spectral_gibbs.model import colors_table
-from spectral_gibbs.paths import WITNESS_RTOL, _edge_factor_tables
+from spectral_gibbs.paths import CLOSED_FORM_RTOL, WITNESS_RTOL, _edge_factor_tables
 
 
 def brute_force_kappa(n, colors, temp):
@@ -121,10 +122,51 @@ def pair_enumeration_tables(kernel, block_size=512):
         block_tables.append(partial)
 
     loads = _pairwise_sum(block_tables).reshape(m, n, num_colors)
-    qs = pi[:, None, None] * conditional_table(spec, table) / n
     valid = table[:, :, None] != np.arange(num_colors)[None, None, :]
-    ratios = np.where(valid, loads / qs, 0.0)
+    qs = np.where(valid, pi[:, None, None] * conditional_table(spec, table) / n, 0.0)
+    ratios = np.divide(loads, qs, out=np.zeros_like(loads), where=valid)
     return loads, qs, ratios
+
+
+def pattern_maxima(kernel, ratios):
+    """Oracle: the largest edge ratio of each neighbor pattern, as a table
+    indexed ``[site - 1, left + 1, right + 1, color_from, color_to]``."""
+    spec = kernel.spec
+    n, num_colors = spec.n, spec.num_colors
+    colors = kernel.colors.astype(np.int64)
+    padded = np.zeros((len(colors), n + 2), dtype=np.int64)
+    padded[:, 1:-1] = colors + 1
+    index = np.broadcast_arrays(
+        np.arange(n)[None, :, None],
+        padded[:, :-2, None],
+        padded[:, 2:, None],
+        colors[:, :, None],
+        np.arange(num_colors)[None, None, :],
+    )
+    table = np.zeros((n, num_colors + 1, num_colors + 1, num_colors, num_colors))
+    np.maximum.at(table, tuple(index), ratios)
+    return table
+
+
+def per_edge_all_passed(kernel, ratios):
+    """Oracle: every edge's ratio against its own bound, one edge at a time."""
+    spec = kernel.spec
+    n, num_colors = spec.n, spec.num_colors
+    table = kernel.colors
+    alpha, beta = _edge_factor_tables(spec)
+    bounds = np.full(ratios.shape, boundary_edge_bound(spec))
+    bounds[:, 1:-1] = (n * n / num_colors) * (alpha + beta)[
+        table[:, :-2], table[:, 2:], table[:, 1:-1]
+    ]
+    valid = table[:, :, None] != np.arange(num_colors)[None, None, :]
+    return bool(np.all(~valid | (bounds - ratios >= -CLOSED_FORM_RTOL * bounds)))
+
+
+def _pattern_index(edge):
+    """Index of an edge's pattern into ``KappaResult.patterns``."""
+    left = 0 if edge.left is None else edge.left + 1
+    right = 0 if edge.right is None else edge.right + 1
+    return (edge.site - 1, left, right, edge.color_from, edge.color_to)
 
 
 def test_canonical_path_left_to_right():
@@ -134,7 +176,8 @@ def test_canonical_path_left_to_right():
     aa, ab, ba, bb = range(4)
     pi = kernel_for(spec).pi.weights
     want = pi[aa] * (pi[ba] + 2 * pi[bb])
-    assert math.isclose(kappa_for(spec).loads[aa, 0, 1], want, rel_tol=1e-14)
+    loads, _, _ = marginal_tables_for(spec)
+    assert math.isclose(loads[aa, 0, 1], want, rel_tol=1e-14)
 
 
 def test_canonical_path_skips_agreeing_sites():
@@ -145,15 +188,20 @@ def test_canonical_path_skips_agreeing_sites():
     want = pi[0, 0, 1] * sum(
         pi[x1, x2, 0] * (1 + x1 + x2) for x1 in (0, 1) for x2 in (0, 1)
     )
-    assert math.isclose(kappa_for(spec).loads[0, 2, 1], want, rel_tol=1e-14)
+    loads, _, _ = marginal_tables_for(spec)
+    assert math.isclose(loads[0, 2, 1], want, rel_tol=1e-14)
 
 
 def test_single_site_kappa_is_one():
     # each ordered pair is its own unit-length path, so every edge carries
-    # load pi(x)pi(y) = Q(x,y) exactly
-    result = kappa_for(ModelSpec(1, 3, 1.0))
-    assert result.kappa == 1.0
-    assert result.argmax_edge.site == 1
+    # load pi(x)pi(y) = Q(x,y) exactly, at every color count
+    for colors in range(2, 27):
+        for temp in (0.3, 1.0, 5.0):
+            result = kappa_exact(ModelSpec(1, colors, temp))
+            assert result.kappa == 1.0, (colors, temp)
+            edge = result.argmax_edge
+            assert (edge.site, edge.color_from, edge.color_to) == (1, 0, 1)
+            assert edge.left is None and edge.right is None
 
 
 @pytest.mark.parametrize(
@@ -183,9 +231,8 @@ def test_argmax_edge_consistent():
     result = kappa_for(ModelSpec(3, 3, 1.0))
     edge = result.argmax_edge
     assert math.isclose(edge.ratio, result.kappa, rel_tol=1e-15)
-    assert math.isclose(edge.load / edge.q, edge.ratio, rel_tol=1e-15)
-    i = edge.site - 1
-    assert result.ratios[edge.edge[0], i, edge.color_to] == edge.ratio
+    assert result.patterns[_pattern_index(edge)] == edge.ratio
+    assert result.kappa == result.patterns.max()
 
 
 @pytest.mark.parametrize(
@@ -195,28 +242,48 @@ def test_argmax_edge_consistent():
     ids=str,
 )
 def test_kappa_tables_match_pair_enumeration(spec):
-    kern = kernel_for(spec)
-    result = kappa_for(spec)
-    loads, qs, ratios = pair_enumeration_tables(kern)
-    for got, want in [(result.loads, loads), (result.qs, qs), (result.ratios, ratios)]:
+    # the marginal oracle against its own oracle, the enumeration of pairs
+    tables = pair_enumeration_tables(kernel_for(spec))
+    for got, want in zip(marginal_tables_for(spec), tables):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    # the witness is the lowest flat index within 1e-12 of the maximum
-    flat = int(np.argmax(ratios >= (1 - 1e-12) * ratios.max()))
-    edge = result.argmax_edge
-    assert (edge.edge[0], edge.site - 1, edge.color_to) == np.unravel_index(
-        flat, ratios.shape
+    assert math.isclose(kappa_for(spec).kappa, tables[2].max(), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    grid_specs()
+    + [ModelSpec(7, 4, 1.0), ModelSpec(14, 2, 1.0), ModelSpec(5, 3, 0.3),
+       ModelSpec(8, 2, 0.06)],
+    ids=str,
+)
+def test_kappa_matches_marginal_oracle(spec):
+    kern = kernel_for(spec)
+    _, _, ratios = marginal_tables_for(spec)
+    result = kappa_for(spec)
+    # every pattern's worst ratio, so kappa and the certificates too
+    np.testing.assert_allclose(
+        result.patterns, pattern_maxima(kern, ratios), rtol=1e-12, atol=0
     )
-    assert result.kappa == result.ratios.max()
+    assert math.isclose(result.kappa, ratios.max(), rel_tol=1e-12)
+    edge = result.argmax_edge
+    assert marginal_witness(kern, ratios, WITNESS_RTOL) == {
+        "site": edge.site,
+        "color_from": edge.color_from,
+        "color_to": edge.color_to,
+        "left": edge.left,
+        "right": edge.right,
+    }
+    assert certify_all_edges(result).all_passed == per_edge_all_passed(kern, ratios)
 
 
 def test_kappa_deterministic_and_block_size_stable():
-    kern = kernel_for(ModelSpec(3, 2, 1.0))
-    a = kappa_exact(kern)
-    b = kappa_exact(kern)
+    spec = ModelSpec(3, 2, 1.0)
+    a = kappa_exact(spec)
+    b = kappa_exact(spec)
     assert a.kappa == b.kappa
     assert a.argmax_edge == b.argmax_edge
-    for table_a, table_b in [(a.loads, b.loads), (a.qs, b.qs), (a.ratios, b.ratios)]:
-        assert np.array_equal(table_a, table_b)
+    assert np.array_equal(a.patterns, b.patterns)
+    kern = kernel_for(spec)
     # the oracle's block split changes only the summation order
     whole = pair_enumeration_tables(kern)
     split = pair_enumeration_tables(kern, block_size=3)
@@ -224,15 +291,31 @@ def test_kappa_deterministic_and_block_size_stable():
         np.testing.assert_allclose(table_split, table_whole, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("spec", [ModelSpec(7, 4, 1.0), ModelSpec(14, 2, 1.0)])
-def test_kappa_past_dense_budget(spec):
-    # 16384 states: past the dense eigensolve's cap, which kappa does not share
-    kern = build_kernel(spec)
-    result = kappa_exact(kern)
+@pytest.mark.parametrize(
+    "spec", [ModelSpec(7, 4, 1.0), ModelSpec(14, 2, 1.0), ModelSpec(1000, 3, 1.0)]
+)
+def test_kappa_past_dense_budget(spec, monkeypatch):
+    # past the dense eigensolve's cap (16384 states) and the enumeration's
+    # (3^1000): kappa and the certificates enumerate no state
+    def fail(spec):
+        raise AssertionError("a state table was built")
+
+    for module in (kernel, model, paths):
+        monkeypatch.setattr(module, "colors_table", fail)
+    result = kappa_exact(spec)
     assert result.kappa <= kappa_closed_form(spec) * (1 + 1e-12)
     assert result.argmax_edge.ratio >= (1 - WITNESS_RTOL) * result.kappa
     assert result.argmax_edge.ratio <= result.kappa
-    assert certify_all_edges(kern, result).all_passed
+    assert certify_all_edges(result).all_passed
+
+
+def test_kappa_share_of_closed_form_at_large_n():
+    # for N >= 3 the worst pattern (l = r off the edge's colors) makes
+    # alpha/p the closed form's N-1+e^{4/T}; the mean path length is about
+    # n(1 - 1/N) rather than n
+    spec = ModelSpec(1000, 3, 1.0)
+    share = kappa_exact(spec).kappa / kappa_closed_form(spec)
+    assert share == pytest.approx(0.668, abs=5e-4)
 
 
 def test_edge_local_factors_hand_value():
@@ -295,8 +378,7 @@ def test_worst_factors_validation():
 
 
 def _certify_at(spec):
-    kern = build_kernel(spec)
-    return certify_all_edges(kern, kappa_exact(kern))
+    return certify_all_edges(kappa_exact(spec))
 
 
 @pytest.mark.parametrize(
@@ -320,16 +402,15 @@ def test_closed_forms_refuse_past_float_range(closed_form):
 
 def test_per_edge_certificates():
     spec = ModelSpec(3, 3, 1.0)
-    kern = kernel_for(spec)
     result = kappa_for(spec)
-    summary = certify_all_edges(kern, result)
+    summary = certify_all_edges(result)
     assert summary.num_edges == spec.num_states * spec.n * (spec.num_colors - 1)
     assert summary.all_passed
     assert summary.min_slack >= 0
     assert summary.worst.passed
-    # the worst certificate is its edge's own bound minus its own ratio
+    # the worst certificate is its pattern's own bound minus its worst ratio
     edge = summary.worst.edge
-    assert edge.ratio == result.ratios[edge.edge[0], edge.site - 1, edge.color_to]
+    assert edge.ratio == result.patterns[_pattern_index(edge)]
     assert summary.worst.slack == summary.min_slack
     assert summary.min_slack == summary.worst.bound - edge.ratio
 
@@ -337,16 +418,15 @@ def test_per_edge_certificates():
 def test_certificates_boundary_vs_interior():
     # at n=2 every edge sits at an end and takes the boundary bound
     spec = ModelSpec(2, 2, 1.0)
-    worst = certify_all_edges(kernel_for(spec), kappa_for(spec)).worst
+    worst = certify_all_edges(kappa_for(spec)).worst
     assert not worst.interior
     assert worst.bound == boundary_edge_bound(spec)
     # at n=3 the worst edge is interior and takes its neighbors' bound
     spec = ModelSpec(3, 2, 1.0)
-    worst = certify_all_edges(kernel_for(spec), kappa_for(spec)).worst
+    worst = certify_all_edges(kappa_for(spec)).worst
     assert worst.interior and worst.edge.site == 2
-    left, _, right = decode_rank(spec, worst.edge.edge[0])
     alpha, beta = _edge_factor_tables(spec)
-    at = (left, right, worst.edge.color_from, worst.edge.color_to)
+    at = (worst.edge.left, worst.edge.right, worst.edge.color_from, worst.edge.color_to)
     assert worst.bound == (9 / 2) * (alpha[at] + beta[at])
 
 
@@ -398,11 +478,10 @@ def test_kappa_report_shape():
     import json
 
     spec = ModelSpec(2, 3, 1.0)
-    kern = kernel_for(spec)
     result = kappa_for(spec)
-    report = kappa_report(kern, result)
+    report = kappa_report(result)
     assert set(report) == {"kappa", "argmax_edge", "closed_form", "slack"}
     assert set(report["argmax_edge"]) == {"site", "colorFrom", "colorTo", "neighbors"}
     assert report["slack"] == report["closed_form"] - report["kappa"]
-    parsed = json.loads(kappa_report_json(kern, result))
+    parsed = json.loads(kappa_report_json(result))
     assert parsed["kappa"] == result.kappa
