@@ -38,12 +38,17 @@ def theorem2_bound(n: int, temp: float) -> float:
 def theorem3_bound(n: int, num_colors: int, temp: float) -> float:
     """N-color upper bound ``1 - N n^{-2} e^{-4/T} / (1 + (N-1) e^{-4/T})``.
 
-    Algebraically identical to ``1 - 1/kappa_closed_form``.
+    Algebraically identical to ``1 - 1/kappa_closed_form``.  Evaluated as
+    ``(n^2 (1 - u) + N u (n^2 - 1)) / (n^2 (1 + (N-1) u))`` with
+    ``u = e^{-4/T}``, a sum of nonnegative terms, so no digit cancels where
+    the bound tends to 0 (``n = 1`` at high temperature).
     """
     if n < 1 or num_colors < 2 or not temp > 0:
         raise ValueError("need n >= 1, num_colors >= 2, temp > 0")
     u = math.exp(-4.0 / temp)
-    return 1.0 - num_colors * u / (n * n * (1.0 + (num_colors - 1) * u))
+    n2 = float(n) * n
+    numerator = n2 * -math.expm1(-4.0 / temp) + num_colors * u * (n2 - 1.0)
+    return numerator / (n2 * (1.0 + (num_colors - 1) * u))
 
 
 def ingrassia_lambda_min_bound(num_colors: int, temp: float) -> float:
@@ -73,15 +78,16 @@ def ingrassia_beta1_bound(n: int, num_colors: int, temp: float) -> float:
     evaluates to ``1 - n^{-2} ((1 + (N-1) e^{-1/(2T)}) / N)^{n-1} e^{-2/T}``.
     Using the upper bound makes this the most favorable form of the general
     bound; it is used as a comparison quantity, not as a certified bound on
-    the exact eigenvalue.
+    the exact eigenvalue.  Evaluated as ``(1 - e^{-2/T}) + e^{-2/T} (1 - r)``
+    with ``r = n^{-2} ((1 + (N-1) e^{-1/(2T)}) / N)^{n-1} <= 1``, a sum of
+    nonnegative terms: no digit cancels where the bound tends to 0 (``n = 1``
+    at high temperature), and no power overflows at large ``n``.
     """
     if n < 1 or num_colors < 2 or not temp > 0:
         raise ValueError("need n >= 1, num_colors >= 2, temp > 0")
-    z_upper = num_colors * (
-        1.0 + (num_colors - 1) * math.exp(-1.0 / (2.0 * temp))
-    ) ** (n - 1)
-    denominator = float(num_colors) ** (n - 1) * float(n) * float(num_colors) * float(n)
-    return 1.0 - z_upper * math.exp(-2.0 / temp) / denominator
+    base = (1.0 + (num_colors - 1) * math.exp(-1.0 / (2.0 * temp))) / num_colors
+    r = base ** (n - 1) / (float(n) * n)
+    return -math.expm1(-2.0 / temp) + math.exp(-2.0 / temp) * (1.0 - r)
 
 
 def _log_theta_terms(num_colors: int, temp: float) -> tuple[float, float]:

@@ -7,10 +7,14 @@ uniforms, one for the site choice (``floor(n * u)``) and one for the color
 choice (inverse CDF over colors in index order).
 
 The Monte Carlo arm of :func:`tv_curve` is the package's one stepper.  It
-steps all its replicas by state rank through per-(rank, site) tables of
-thresholds and successor ranks, and draws the stream a block of steps at a
-time; both arms reduce a block of distributions to TVs with one set of numpy
-calls.
+steps all its replicas by state rank through one table of successor ranks,
+indexed by site, rank and the bin of the color uniform among the distinct
+color thresholds of the chain, so each step is one lookup; it draws the
+stream a block of steps at a time.  The exact arm propagates a block of
+distributions at a time and stops at the float fixed point of propagation:
+once a step leaves the distribution bitwise unchanged, every later step
+would too.  Both arms reduce a block of distributions to TVs with one set of
+numpy calls.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import ModelSpec, PrecisionLimitError
+from .model import BudgetExceededError, ModelSpec, PrecisionLimitError
 from .kernel import SparseKernel, conditional_table, successor_table
 from .kernel import build_kernel  # noqa: F401 -- perfbench/spans.py wraps this name
 from .spectral import check_gap_resolved
@@ -32,22 +36,6 @@ from .serialize import canonical_csv, canonical_json
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator with a documented identity (Philox, keyed)."""
     return np.random.Generator(np.random.Philox(key=seed))
-
-
-def _distributions(
-    kernel: SparseKernel, start: int, k_max: int
-) -> Iterator[np.ndarray]:
-    """Yield the distribution after 0, 1, ..., ``k_max`` steps from rank ``start``.
-
-    Holds one state vector at a time, whatever ``k_max`` is.
-    """
-    transposed = kernel.matrix.T.tocsr()
-    dist = np.zeros(kernel.dimension)
-    dist[start] = 1.0
-    yield dist
-    for _ in range(k_max):
-        dist = transposed @ dist
-        yield dist
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -74,33 +62,77 @@ def _tv_rows(dists: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(dists - pi).sum(axis=1)
 
 
+def _distribution_blocks(
+    kernel: SparseKernel, start: int, k_max: int
+) -> Iterator[np.ndarray]:
+    """Yield the distributions after 0, 1, ..., ``k_max`` steps from rank
+    ``start``, as blocks of :func:`_block_length` consecutive rows.
+
+    Every block is a view into one buffer that the next block overwrites.
+    Propagation is deterministic, so once a step leaves the distribution
+    bitwise unchanged (its float fixed point), every later step would too.
+    That is checked at the end of each block: after a block whose last two
+    rows are equal, no more blocks are yielded, and every distribution
+    past it is its last row.
+    """
+    transposed = kernel.matrix.T.tocsr()
+    block = np.empty((_block_length(kernel.dimension), kernel.dimension))
+    dist = np.zeros(kernel.dimension)
+    dist[start] = 1.0
+    for first in range(0, k_max + 1, len(block)):
+        steps = min(len(block), k_max + 1 - first)
+        for t in range(steps):
+            if first or t:
+                dist = transposed @ dist
+            block[t] = dist
+        yield block[:steps]
+        if steps > 1 and np.array_equal(block[steps - 1], block[steps - 2]):
+            return
+
+
 def _mc_distributions(
     kernel: SparseKernel, start: int, k_max: int, seed: int, replicas: int
 ) -> np.ndarray:
     """TV of the replicas' empirical state distribution at every step count.
 
-    All replicas advance together by state rank.  Two tables indexed by
-    ``site * m + rank`` are read off the kernel's state table once: the
-    site's cumulative conditional without its last entry (so no color past
-    the end can be drawn) and the :func:`~spectral_gibbs.kernel.successor_table`
-    rank each color leads to.  Each step consumes one block of site
-    uniforms and one block of color uniforms, so one replica consumes the
-    module's two-uniforms-per-step stream, and the result is a pure
-    function of (seed, replicas, k_max).  Uniforms are drawn, and visited
-    ranks reduced to TVs, :func:`_block_length` steps at a time; that
-    changes neither the stream nor any value.
+    All replicas advance together by state rank.  A color draw depends only
+    on where its uniform ``u`` falls among the thresholds of the site's
+    cumulative conditional without its last entry (so no color past the end
+    can be drawn), so it is read off the sorted distinct thresholds of every
+    conditional, ``cuts``: ``u`` falls in bin ``q = searchsorted(cuts, u,
+    "right")``, and the color drawn is the number of the site's thresholds
+    in bins below ``q``.  That compares bin indices, so no threshold is
+    rounded again.  One table, indexed ``(site * (K + 1) + q) * m + rank``
+    for ``K`` cuts, holds the :func:`~spectral_gibbs.kernel.successor_table`
+    rank of that color, so a step is one lookup.  Each step consumes one
+    block of site uniforms and one block of color uniforms, so one replica
+    consumes the module's two-uniforms-per-step stream, and the result is a
+    pure function of (seed, replicas, k_max).  Uniforms are drawn, and
+    visited ranks reduced to TVs, :func:`_block_length` steps at a time;
+    that changes neither the stream nor any value.
 
     Returns:
         Array of shape ``(k_max + 1,)``.
     """
     spec = kernel.spec
-    n, num_colors = spec.n, spec.num_colors
-    m = spec.num_states
+    n, m = spec.n, spec.num_states
     pi = kernel.pi.weights
     rng = make_rng(seed)
-    cdf = np.cumsum(conditional_table(spec, kernel.colors), axis=2)
-    thresholds = cdf[:, :, :-1].transpose(1, 0, 2).reshape(n * m, num_colors - 1)
-    successors = successor_table(spec, kernel.colors).transpose(1, 0, 2).ravel()
+    thresholds = np.cumsum(conditional_table(spec, kernel.colors), axis=2)[..., :-1]
+    cuts = np.unique(thresholds)
+    bins = len(cuts) + 1
+    # A cumulative count over bins: drawn[site, q, rank] is the number of
+    # thresholds of (rank, site) in bins 0..q-1, the color drawn in bin q.
+    drawn = np.zeros((n, bins, m), dtype=np.uint8)
+    np.add.at(
+        drawn,
+        (np.arange(n)[:, None], np.searchsorted(cuts, thresholds) + 1,
+         np.arange(m)[:, None, None]),
+        1,
+    )
+    drawn = drawn.cumsum(axis=1, dtype=np.uint8)
+    successors = successor_table(spec, kernel.colors).transpose(1, 2, 0)
+    table = np.take_along_axis(successors, drawn, axis=1).ravel()
     ranks = np.full(replicas, start, dtype=np.int64)
     out = np.empty(k_max + 1)
     out[0] = tv_distance(np.bincount(ranks, minlength=m) / replicas, pi)
@@ -108,13 +140,15 @@ def _mc_distributions(
     for first in range(1, k_max + 1, block):
         steps = min(block, k_max + 1 - first)
         uniforms = rng.random(2 * replicas * steps).reshape(steps, 2, replicas)
-        offsets = np.minimum((uniforms[:, 0] * n).astype(np.int64), n - 1) * m
-        u_colors = uniforms[:, 1, :, None]
+        sites = np.minimum((uniforms[:, 0] * n).astype(np.int64), n - 1)
+        keys = (sites * bins + np.searchsorted(cuts, uniforms[:, 1], "right")) * m
         visited = np.empty((steps, replicas), dtype=np.int64)
         for t in range(steps):
-            rows = offsets[t] + ranks
-            colors = (thresholds.take(rows, axis=0) <= u_colors[t]).sum(axis=1)
-            ranks = visited[t] = successors.take(rows * num_colors + colors)
+            # Every index is in range by construction; "clip" spares take
+            # its buffered bounds check.
+            ranks = table.take(keys[t] + ranks, out=visited[t], mode="clip")
+        # A copy: ranks is a row of visited, which gets its offsets next.
+        ranks = ranks.copy()
         # Visit counts of all steps at once: step t counts into row t.
         visited += np.arange(0, steps * m, m, dtype=np.int64)[:, None]
         counts = np.bincount(visited.ravel(), minlength=steps * m)
@@ -154,13 +188,9 @@ class TvCurve:
 
     def to_rows(self) -> tuple[list[str], list[list]]:
         header = ["k", "exact_tv", "envelope", "mc_tv"]
-        rows = []
-        for idx, k in enumerate(self.ks):
-            mc = None if self.mc_tv is None else float(self.mc_tv[idx])
-            rows.append(
-                [int(k), float(self.exact_tv[idx]), float(self.envelope[idx]), mc]
-            )
-        return header, rows
+        mc = [None] * len(self.ks) if self.mc_tv is None else self.mc_tv.tolist()
+        columns = (self.ks.tolist(), self.exact_tv.tolist(), self.envelope.tolist(), mc)
+        return header, [list(row) for row in zip(*columns)]
 
     def to_csv(self) -> str:
         header, rows = self.to_rows()
@@ -196,14 +226,16 @@ def tv_curve(
 ) -> TvCurve:
     """Measure exact TV decay from rank ``start`` against the certified envelope.
 
-    The exact arm propagates the start distribution step by step; the
+    The exact arm propagates the start distribution step by step, up to
+    the float fixed point of propagation where one is reached; the
     envelope is :func:`~spectral_gibbs.bounds.ds_tv_envelope` at the exact
     rate and the start state's stationary probability.  When a seed is
     given, a Monte Carlo arm with ``mc_replicas`` chains estimates the same
     curve empirically.
 
     Raises:
-        BudgetExceededError: If the state space exceeds ``DENSE_SOLVE_BUDGET``.
+        BudgetExceededError: If the state space exceeds ``DENSE_SOLVE_BUDGET``,
+            or the curve's ``k_max + 1`` step counts do not fit in memory.
         ValueError: On a negative ``k_max`` or an out-of-range start.
         PrecisionLimitError: If the start state's stationary probability
             underflowed to 0 or the spectral gap rounded to 0, either of
@@ -224,15 +256,20 @@ def tv_curve(
             f"{kernel.spec.temp!r}, so its envelope is undefined"
         )
 
-    exact = np.empty(k_max + 1)
-    block = np.empty((_block_length(kernel.dimension), kernel.dimension))
-    for k, dist in enumerate(_distributions(kernel, start, k_max)):
-        row = k % len(block)
-        block[row] = dist
-        if row == len(block) - 1 or k == k_max:
-            exact[k - row : k + 1] = _tv_rows(block[: row + 1], pi)
+    try:
+        ks = np.arange(k_max + 1)
+        exact = np.empty(k_max + 1)
+    except MemoryError as exc:
+        raise BudgetExceededError(
+            f"a curve of {k_max + 1} step counts does not fit in memory"
+        ) from exc
+    k = 0
+    for block in _distribution_blocks(kernel, start, k_max):
+        exact[k : k + len(block)] = _tv_rows(block, pi)
+        k += len(block)
+    # Past the float fixed point every distribution is the last one yielded.
+    exact[k:] = exact[k - 1]
 
-    ks = np.arange(k_max + 1)
     mc = None
     if seed is not None:
         mc = _mc_distributions(kernel, start, k_max, seed, mc_replicas)

@@ -28,7 +28,8 @@ DENSE_SOLVE_BUDGET = 4096
 
 
 class BudgetExceededError(RuntimeError):
-    """An exact-mode operation would touch more states than its budget allows."""
+    """An exact-mode operation would touch more states than its budget allows,
+    or needs more memory than the machine grants."""
 
 
 class PrecisionLimitError(ArithmeticError):

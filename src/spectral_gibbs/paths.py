@@ -174,6 +174,17 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
 
     kappa = float(patterns.max())
     candidates = np.argwhere(patterns >= (1.0 - WITNESS_RTOL) * kappa)
+    # Ties span the interior sites at large n.  Within one neighbor pattern
+    # the worst states there are ordered by the site: a later site's is the
+    # smaller iff l > b, or l == b and c > b, where l is the left neighbor's
+    # color, c is color_from and b = [c == 0] fills the sites left of l.
+    # So keep one site per pattern: its last if later wins, else its first.
+    i, left, _, color_from, _ = candidates.T
+    b = color_from == 0
+    later = (left - 1 > b) | ((left - 1 == b) & (color_from > b))
+    order = np.argsort(np.where(later, -i, i), kind="stable")
+    pattern = np.ravel_multi_index(candidates[order, 1:].T, patterns.shape[1:])
+    candidates = candidates[order[np.unique(pattern, return_index=True)[1]]]
     # Compare the worst states' first colors at once: ties are many at large N.
     i, left, _, color_from, _ = candidates.T
     first = np.select([i == 0, i == 1], [color_from, left - 1], color_from == 0)

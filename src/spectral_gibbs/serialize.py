@@ -90,5 +90,9 @@ def canonical_csv(header: list[str], rows: list[list[Any]]) -> str:
             raise ValueError(
                 f"row has {len(row)} cells, header has {len(header)}"
             )
-        buf.write(",".join(_cell(v) for v in row) + "\n")
+        # Floats, the bulk of a curve file, are formatted inline.
+        buf.write(
+            ",".join([f"{v:.17g}" if type(v) is float else _cell(v) for v in row])
+            + "\n"
+        )
     return buf.getvalue()

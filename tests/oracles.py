@@ -6,7 +6,8 @@ share no code with the package's tables beyond ``bond_score`` (and
 that compares the two checks the tables.  The congestion oracle sums every
 directed edge's load from marginals of the enumerated ``pi`` and reads its
 capacity off the kernel matrix, so it shares no code with the package's
-neighbor-pattern formula.
+neighbor-pattern formula; the witness oracle builds the worst state of
+every tied pattern instead of keeping one site per pattern.
 """
 
 import math
@@ -57,6 +58,18 @@ def transition_probability(spec, x, y):
 def propagate(kernel, start, k):
     """Distribution after ``k`` steps from rank ``start``: a row of dense ``P^k``."""
     return np.linalg.matrix_power(kernel.matrix.toarray(), k)[start]
+
+
+def stepwise_distributions(kernel, start, k_max):
+    """Yield the distribution after 0, 1, ..., ``k_max`` steps from rank
+    ``start``, one sparse step at a time and never stopping early."""
+    transposed = kernel.matrix.T.tocsr()
+    dist = np.zeros(kernel.dimension)
+    dist[start] = 1.0
+    yield dist
+    for _ in range(k_max):
+        dist = transposed @ dist
+        yield dist
 
 
 def glauber_beta1(n, temp):
@@ -187,3 +200,27 @@ def marginal_witness(kernel, ratios, rtol):
         "left": state[i - 1] if i >= 1 else None,
         "right": state[i + 1] if i + 1 < len(state) else None,
     }
+
+
+def pattern_witness(patterns, rtol):
+    """Index ``[site - 1, left + 1, right + 1, color_from, color_to]`` of the
+    pattern within ``rtol`` of the largest ratio whose worst state comes first
+    in rank order, then the lowest site and ``color_to``.
+
+    Builds the worst state of every tied pattern: past the neighbors, the
+    smallest color other than ``color_from`` (left) or ``color_to`` (right).
+    """
+    n = patterns.shape[0]
+
+    def worst_state(index):
+        i, left, right, color_from, color_to = index
+        state = [int(color_from == 0)] * i + [color_from]
+        state += [int(color_to == 0)] * (n - 1 - i)
+        if left:
+            state[i - 1] = left - 1
+        if right:
+            state[i + 1] = right - 1
+        return state
+
+    tied = np.argwhere(patterns >= (1 - rtol) * patterns.max()).tolist()
+    return min(tied, key=lambda k: (worst_state(k), k[0], k[4]))

@@ -152,6 +152,26 @@ def test_theta_and_crossover_at_high_temperature(temp):
                 assert math.isclose(theta(n, colors, temp), want, rel_tol=1e-14)
 
 
+@pytest.mark.parametrize("temp", [0.06, 1.0, 5.0, 1e3, 1e12, 1e15, 1e17, 1e300])
+def test_gap_bounds_keep_their_digits(temp):
+    # at n = 1 and high temperature both bounds tend to 0 like 2/T, and a
+    # form that subtracts from 1 cancels every digit; at large n the
+    # comparison bound's power must not overflow
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(400):
+        t = mp.mpf(temp)
+        u = mp.exp(-4 / t)
+        for n in (1, 2, 3, 12, 1000):
+            for colors in (2, 3, 26):
+                want = 1 - colors * u / (n * n * (1 + (colors - 1) * u))
+                got = theorem3_bound(n, colors, temp)
+                assert math.isclose(got, want, rel_tol=1e-15), (n, colors)
+                ratio = (1 + (colors - 1) * mp.exp(-1 / (2 * t))) / colors
+                want = 1 - ratio ** (n - 1) * mp.exp(-2 / t) / (n * n)
+                got = ingrassia_beta1_bound(n, colors, temp)
+                assert math.isclose(got, want, rel_tol=1e-15), (n, colors)
+
+
 def test_envelope_two_site_start():
     # start (a,a): coefficient (1/2)sqrt((1-pi)/pi) with pi = e/(2e+2e^-1)
     pi_aa = math.e / (2 * math.e + 2 / math.e)

@@ -6,8 +6,14 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import grid_specs, kernel_for, spectrum_for
-from oracles import conditional_probability, mc_tv_oracle, propagate
+from oracles import (
+    conditional_probability,
+    mc_tv_oracle,
+    propagate,
+    stepwise_distributions,
+)
 
 from spectral_gibbs import (
     ModelSpec,
@@ -20,7 +26,8 @@ from spectral_gibbs import (
     tv_distance,
 )
 from spectral_gibbs import chain
-from spectral_gibbs.chain import _block_length, _distributions
+from spectral_gibbs.chain import _block_length, _distribution_blocks
+from spectral_gibbs.kernel import conditional_table
 
 
 def test_make_rng_reproducible():
@@ -28,10 +35,17 @@ def test_make_rng_reproducible():
     assert make_rng(1).random(4).tolist() != make_rng(2).random(4).tolist()
 
 
+def propagated(kern, start, k_max):
+    """Every distribution the package's propagation yields, as rows."""
+    # Each block is a view that the next one overwrites.
+    blocks = _distribution_blocks(kern, start, k_max)
+    return np.vstack([block.copy() for block in blocks])
+
+
 def test_propagate_point_mass_and_one_step():
     spec = ModelSpec(2, 2, 1.0)
     kern = kernel_for(spec)
-    zero, one = _distributions(kern, 0, 1)
+    zero, one = propagated(kern, 0, 1)
     assert zero[0] == 1.0 and zero.sum() == 1.0
     assert np.allclose(one, kern.matrix.toarray()[0], atol=1e-15)
 
@@ -40,10 +54,73 @@ def test_propagate_converges_to_pi():
     # the streamed distributions follow the dense matrix power all the way
     spec = ModelSpec(3, 3, 1.0)
     kern = kernel_for(spec)
-    for k, dist in enumerate(_distributions(kern, 5, 400)):
-        if k % 50 == 0:
-            assert np.allclose(dist, propagate(kern, 5, k), rtol=0, atol=1e-14), k
-    assert tv_distance(dist, kern.pi.weights) < 1e-8
+    dists = propagated(kern, 5, 400)
+    for k in range(0, len(dists), 50):
+        assert np.allclose(dists[k], propagate(kern, 5, k), rtol=0, atol=1e-14), k
+    assert tv_distance(dists[-1], kern.pi.weights) < 1e-8
+
+
+def _fixed_point(kern, start, k_max):
+    """First step count whose distribution one more step leaves bitwise
+    unchanged, by the non-stopping loop, with the exact TV at every step."""
+    pi = kern.pi.weights
+    found, tvs, previous = None, [], None
+    for k, dist in enumerate(stepwise_distributions(kern, start, k_max)):
+        if found is None and previous is not None and np.array_equal(dist, previous):
+            found = k - 1
+        tvs.append(tv_distance(dist, pi))
+        previous = dist
+    return found, np.array(tvs)
+
+
+@pytest.fixture
+def stub_spectrum(monkeypatch):
+    # the exact arm does not read the spectrum, only the envelope does
+    resolved = Spectrum(
+        eigenvalues=np.array([1.0, 0.5]), beta1=0.5, beta_min=0.0, beta_star=0.5
+    )
+    monkeypatch.setattr(chain, "compute_spectrum", lambda kern: resolved)
+
+
+@pytest.mark.parametrize(
+    "spec, offsets",
+    [(ModelSpec(5, 3, 2.0), (-1, 0, 1, 2)), (ModelSpec(10, 2, 0.5), (0,))],
+    ids=str,
+)
+def test_exact_arm_stops_at_float_fixed_point(spec, offsets, stub_spectrum):
+    # the benchmark's spec and a small one both reach the fixed point well
+    # before 20000 steps; every TV before, at and past it is the loop's
+    kern = kernel_for(spec)
+    start = int(np.argmin(kern.pi.weights))
+    fixed, oracle = _fixed_point(kern, start, 20000)
+    assert fixed is not None and fixed < 20000
+    for k_max in [fixed + offset for offset in offsets] + [20000]:
+        exact = tv_curve(kern, start, k_max).exact_tv
+        assert np.array_equal(exact, oracle[: k_max + 1]), k_max
+    # propagation ends with the first block whose last two rows are equal,
+    # the first block that ends past the fixed point's next step
+    block = _block_length(spec.num_states)
+    produced = sum(len(rows) for rows in _distribution_blocks(kern, start, 20000))
+    assert produced == block * -(-(fixed + 2) // block)
+    assert fixed + 2 <= produced < fixed + 2 + block
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_fixed_point_stop_at_any_block_length(block, stub_spectrum, monkeypatch):
+    # a one-row block never compares two rows, so it never stops early
+    spec = ModelSpec(5, 3, 2.0)
+    kern = kernel_for(spec)
+    fixed, oracle = _fixed_point(kern, 0, 600)
+    assert fixed is not None
+    monkeypatch.setattr(chain, "_block_length", lambda num_states: block)
+    assert np.array_equal(tv_curve(kern, 0, 600).exact_tv, oracle)
+    produced = sum(len(rows) for rows in _distribution_blocks(kern, 0, 600))
+    assert produced == (601 if block == 1 else block * -(-(fixed + 2) // block))
+
+
+def test_propagation_without_fixed_point_runs_every_step():
+    kern = kernel_for(ModelSpec(3, 5, 0.3))
+    assert sum(len(rows) for rows in _distribution_blocks(kern, 7, 500)) == 501
 
 
 def test_tv_distance():
@@ -174,6 +251,44 @@ def test_tv_curve_mc_arm_follows_documented_stream():
     np.testing.assert_allclose(curve.mc_tv, expected, rtol=0, atol=1e-12)
 
 
+class ScriptedUniforms:
+    """Stands in for the seeded generator: hands out given uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=np.float64)
+        self.used = 0
+
+    def random(self, size):
+        out = self.uniforms[self.used : self.used + size]
+        self.used += size
+        assert len(out) == size, "script ran out of uniforms"
+        return out.copy()
+
+
+def test_mc_arm_color_uniform_on_a_threshold(monkeypatch):
+    # a color uniform equal to a threshold draws the color past it (the
+    # threshold counts as passed); one ulp below it does not
+    spec = ModelSpec(2, 3, 1.0)
+    kern = kernel_for(spec)
+    cdf = np.cumsum(conditional_table(spec, kern.colors), axis=2)
+    below = lambda u: float(np.nextafter(u, 0.0))  # noqa: E731
+    # (site uniform, color uniform, rank reached) from "aa" (rank 0)
+    steps = [
+        (0.0, cdf[0, 0, 1], encode_rank(spec, (2, 0))),
+        (0.0, cdf[6, 0, 0], encode_rank(spec, (1, 0))),
+        (0.0, below(cdf[3, 0, 0]), encode_rank(spec, (0, 0))),
+        (0.75, below(cdf[0, 1, 1]), encode_rank(spec, (0, 1))),
+        (0.75, cdf[1, 1, 0], encode_rank(spec, (0, 1))),
+    ]
+    script = [float(u) for site_u, color_u, _ in steps for u in (site_u, color_u)]
+    for module in (chain, oracles):
+        monkeypatch.setattr(module, "make_rng", lambda seed: ScriptedUniforms(script))
+    got = chain._mc_distributions(kern, 0, len(steps), 0, 1)
+    np.testing.assert_array_equal(got, mc_tv_oracle(kern, 0, len(steps), 0, 1))
+    ranks = [0] + [rank for _, _, rank in steps]
+    np.testing.assert_allclose(got, 1.0 - kern.pi.weights[ranks], rtol=0, atol=1e-15)
+
+
 def test_tv_curve_envelope_formula():
     spec = ModelSpec(3, 2, 1.0)
     kern = kernel_for(spec)
@@ -260,7 +375,10 @@ def _check_both_arms(spec, block):
     start = spec.num_states // 2
     k_values = _straddling(block)
     pi = kern.pi.weights
-    exact = [tv_distance(d, pi) for d in _distributions(kern, start, max(k_values))]
+    exact = [
+        tv_distance(d, pi)
+        for d in stepwise_distributions(kern, start, max(k_values))
+    ]
     for replicas in (1, 7, 256):
         mc = mc_tv_oracle(kern, start, max(k_values), 7, replicas)
         for k_max in k_values:

@@ -368,6 +368,34 @@ def test_sweep_high_temperature(capsys):
         assert float(row[6]) == pytest.approx(expected, abs=1e-12), row
 
 
+def test_sweep_at_large_n_and_high_temperature(capsys):
+    # the comparison bound's power overflowed at n=300, N=26; at n=1 and
+    # T=1e12 both bounds are 2e-12 to the last digit or two
+    code, out = run_main(
+        ["sweep", "--n", "1,300", "--colors", "2,26", "--temp", "1,1e12"], capsys
+    )
+    assert code == 0
+    cells = [line.split(",") for line in out.splitlines()[1:]]
+    rows = {tuple(row[:3]): row for row in cells}
+    assert float(rows["300", "26", "1"][4]) == pytest.approx(1.0, abs=1e-12)
+    for column in (3, 4):
+        assert float(rows["1", "2", "1000000000000"][column]) == pytest.approx(
+            2e-12, rel=1e-15
+        )
+
+
+def test_tv_kmax_past_memory_is_a_resource_limit(capsys):
+    # numpy refuses the 8 PB curve before it touches memory
+    code = main(
+        ["tv", "--n", "2", "--colors", "2", "--temp", "1", "--kmax", str(10**15)]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource limit: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_specs, kappa_for, kernel_for, marginal_tables_for
-from oracles import marginal_witness
+from oracles import marginal_witness, pattern_witness
 
 from spectral_gibbs import (
     ModelSpec,
@@ -307,6 +307,28 @@ def test_kappa_past_dense_budget(spec, monkeypatch):
     assert result.argmax_edge.ratio >= (1 - WITNESS_RTOL) * result.kappa
     assert result.argmax_edge.ratio <= result.kappa
     assert certify_all_edges(result).all_passed
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ModelSpec(1000, colors, 1.0) for colors in (2, 3, 4)]
+    + [ModelSpec(200, colors, 1.0) for colors in (5, 6, 7, 8)]
+    + [ModelSpec(1000, 3, 0.3), ModelSpec(1000, 2, 5.0), ModelSpec(2, 26, 1.0)],
+    ids=str,
+)
+def test_witness_matches_scan_of_tied_patterns(spec):
+    # ties span the interior sites at large n; the witness keeps one site per
+    # pattern, and must equal the scan of every tied pattern's worst state
+    result = kappa_exact(spec)
+    edge = result.argmax_edge
+    index = [
+        edge.site - 1,
+        0 if edge.left is None else edge.left + 1,
+        0 if edge.right is None else edge.right + 1,
+        edge.color_from,
+        edge.color_to,
+    ]
+    assert index == pattern_witness(result.patterns, WITNESS_RTOL)
 
 
 def test_kappa_share_of_closed_form_at_large_n():
