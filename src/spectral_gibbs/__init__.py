@@ -29,7 +29,7 @@ from .kernel import (
     check_irreducible,
     check_stationarity,
 )
-from .spectral import Spectrum, spectrum, symmetrize
+from .spectral import Spectrum, spectrum
 from .paths import (
     CertificateSummary,
     EdgeCertificate,
@@ -116,7 +116,6 @@ __all__ = [
     "spectrum",
     "stationary_measure",
     "string_to_colors",
-    "symmetrize",
     "theorem2_bound",
     "theorem3_bound",
     "theta",

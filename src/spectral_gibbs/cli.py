@@ -96,11 +96,18 @@ def _int_list(text: str) -> list[int]:
         if stop < start:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
         return list(range(start, stop + 1))
-    return [int(part) for part in text.split(",") if part]
+    return _nonempty([int(part) for part in text.split(",") if part], text)
 
 
 def _float_list(text: str) -> list[float]:
-    return [_positive_float(part) for part in text.split(",") if part]
+    return _nonempty([_positive_float(part) for part in text.split(",") if part], text)
+
+
+def _nonempty(values: list, text: str) -> list:
+    """``values``, refused when the list ``text`` names nothing."""
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    return values
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -115,7 +122,7 @@ def _dense_spec(args: argparse.Namespace) -> ModelSpec:
     """The chain of a single-spec command, refused before any kernel is built
     when its dense spectrum would be."""
     spec = ModelSpec(n=args.n, num_colors=args.colors, temp=args.temp)
-    check_budget(spec.num_states, DENSE_SOLVE_BUDGET, "dense symmetrization")
+    check_budget(spec, DENSE_SOLVE_BUDGET, "dense symmetrization")
     return spec
 
 
@@ -189,14 +196,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 report = verify_slice_identities(kernel, site, color_from, color_to)
                 worst_slice = max(worst_slice, report.max_error)
                 count += 1
-    checks.append(
-        {
-            "name": "slice-identities",
-            "checked": count,
-            "margin": worst_slice,
-            "passed": worst_slice <= SLICE_TOLERANCE,
-        }
-    )
+    # A single site has no bond, so no identity to check and nothing to pass.
+    if count:
+        checks.append(
+            {
+                "name": "slice-identities",
+                "checked": count,
+                "margin": worst_slice,
+                "passed": worst_slice <= SLICE_TOLERANCE,
+            }
+        )
 
     kappa = kappa_exact(spec)
     certificates = certify_all_edges(kappa)
@@ -270,15 +279,15 @@ def _sweep_row(n: int, colors: int, temp: float) -> dict:
         "exact_beta_star": None,
         "skipped_exact": True,
     }
-    if spec.num_states <= DENSE_SOLVE_BUDGET:
-        try:
-            spectrum = compute_spectrum(build_kernel(spec))
-            check_gap_resolved(spectrum)
-        except PrecisionLimitError:
-            return row
-        row["exact_beta1"] = spectrum.beta1
-        row["exact_beta_star"] = spectrum.beta_star
-        row["skipped_exact"] = False
+    try:
+        check_budget(spec, DENSE_SOLVE_BUDGET, "dense symmetrization")
+        spectrum = compute_spectrum(build_kernel(spec))
+        check_gap_resolved(spectrum)
+    except (BudgetExceededError, PrecisionLimitError):
+        return row
+    row["exact_beta1"] = spectrum.beta1
+    row["exact_beta_star"] = spectrum.beta_star
+    row["skipped_exact"] = False
     return row
 
 
@@ -316,7 +325,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Tabulate bounds (and exact values up to the dense cap) over a grid."""
     rows = run_sweep(args.n, args.colors, args.temp)
     if args.format == "json":
-        text = canonical_json({"seed": args.seed, "rows": rows})
+        text = canonical_json({"rows": rows})
     else:
         text = canonical_csv(
             SWEEP_COLUMNS, [[row[col] for col in SWEEP_COLUMNS] for row in rows]
@@ -380,7 +389,6 @@ def _add_common(parser: argparse.ArgumentParser, plural: bool) -> None:
         parser.add_argument(
             "--temp", type=_positive_float, required=True, help="temperature"
         )
-    parser.add_argument("--seed", type=int, default=None, help="random seed")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
 
 
@@ -426,6 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="start state as a rank or a letter string like 'aab' "
         "(default: least likely state)",
+    )
+    p_tv.add_argument(
+        "--seed", type=int, default=None, help="seed of the Monte Carlo arm"
     )
     p_tv.add_argument("--format", choices=["csv", "json"], default="csv")
     p_tv.set_defaults(func=cmd_tv)

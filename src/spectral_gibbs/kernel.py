@@ -10,7 +10,8 @@ the color table that :func:`build_kernel` enumerated once, and everything
 that receives a kernel derives its per-state tables from that table.  The
 transition matrix is assembled from two such tables, indexed
 ``[rank, site, color]``: the conditional of each resampling and the rank it
-leads to.
+leads to.  :func:`transition_rows` reads them for any prefix of the ranks,
+so the spectrum builds the rows it needs without the matrix.
 """
 
 from __future__ import annotations
@@ -97,6 +98,27 @@ def successor_table(spec: ModelSpec, colors: np.ndarray) -> np.ndarray:
     return ranks[:, None, None] + shifts * places[None, :, None]
 
 
+def transition_rows(
+    spec: ModelSpec, colors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of ``P`` for ranks ``0 .. len(colors) - 1``, that prefix of the
+    :func:`~spectral_gibbs.model.colors_table`, as ``(cols, data, own)``.
+
+    A row of ``cols`` and ``data`` holds the state itself with its holding
+    probability, then one move per site and other color, in that order.
+    ``own[x, i]`` is the conditional of the color site ``i+1`` has, so
+    ``own[x, i] / n`` is the probability of undoing a move at that site.
+    """
+    m, n = len(colors), spec.n
+    cond = conditional_table(spec, colors)
+    moves = colors[:, :, None] != np.arange(spec.num_colors)
+    successors = successor_table(spec, colors)[moves].reshape(m, -1)
+    own = cond[~moves].reshape(m, n)
+    cols = np.column_stack([np.arange(m), successors])
+    data = np.column_stack([own.sum(axis=1), cond[moves].reshape(m, -1)]) / n
+    return cols, data, own
+
+
 @dataclass(frozen=True)
 class SparseKernel:
     """The transition matrix with its stationary measure and state table.
@@ -139,14 +161,8 @@ def build_kernel(spec: ModelSpec) -> SparseKernel:
         )
     colors = colors_table(spec)
     colors.flags.writeable = False
-    m, n = spec.num_states, spec.n
-    cond = conditional_table(spec, colors)
-    successors = successor_table(spec, colors)
-    moves = colors[:, :, None] != np.arange(spec.num_colors)
-
-    cols = np.column_stack([np.arange(m), successors[moves].reshape(m, -1)])
-    holds = cond[~moves].reshape(m, n).sum(axis=1)
-    data = np.column_stack([holds, cond[moves].reshape(m, -1)]) / n
+    m = spec.num_states
+    cols, data, _ = transition_rows(spec, colors)
     indptr = np.arange(0, cols.size + 1, cols.shape[1])
     matrix = sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(m, m))
     matrix.sort_indices()

@@ -36,14 +36,6 @@ class PrecisionLimitError(ArithmeticError):
     """An exact result is not representable in float64 at this temperature."""
 
 
-def check_budget(size: int, limit: int, operation: str) -> None:
-    """Raise :class:`BudgetExceededError` when ``size`` exceeds ``limit``."""
-    if size > limit:
-        raise BudgetExceededError(
-            f"{operation} would touch {size} states, exceeding its budget of {limit}"
-        )
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Chain parameters.
@@ -70,6 +62,20 @@ class ModelSpec:
     def num_states(self) -> int:
         """Size of the state space, ``num_colors ** n``."""
         return self.num_colors**self.n
+
+
+def check_budget(spec: ModelSpec, limit: int, operation: str) -> None:
+    """Raise :class:`BudgetExceededError` when ``N^n`` exceeds ``limit``.
+
+    ``N^n`` is never formed: with ``N >= 2``, ``N`` raised to
+    ``min(n, limit.bit_length())`` exceeds ``limit`` exactly when ``N^n``
+    does, so a huge ``n`` costs nothing.
+    """
+    if spec.num_colors ** min(spec.n, limit.bit_length()) > limit:
+        raise BudgetExceededError(
+            f"{operation} would touch {spec.num_colors}^{spec.n} states, "
+            f"exceeding its budget of {limit}"
+        )
 
 
 def encode_rank(spec: ModelSpec, colors: Sequence[int]) -> int:
@@ -116,7 +122,7 @@ def colors_table(spec: ModelSpec) -> np.ndarray:
     Raises:
         BudgetExceededError: If ``num_states`` exceeds ``EXACT_STATES_BUDGET``.
     """
-    check_budget(spec.num_states, EXACT_STATES_BUDGET, "state enumeration")
+    check_budget(spec, EXACT_STATES_BUDGET, "state enumeration")
     ranks = np.arange(spec.num_states, dtype=np.int64)
     table = np.empty((spec.num_states, spec.n), dtype=np.int8)
     for i in range(spec.n):

@@ -14,6 +14,10 @@ each half of a real sector (``k = 0``, and ``k = N/2`` for even N) into its
 reflection-even and reflection-odd blocks.  So a real sector has up to four
 blocks of about ``m / (4N)`` states, a complex sector two of about
 ``m / (2N)``, and every block is solved densely in real arithmetic.
+
+The blocks read only the ``m / N`` rows of ``S`` that belong to the shift's
+representatives, built from the local conditionals and successor ranks of
+the kernel's color table; the spectrum never reads ``kernel.matrix``.
 """
 
 from __future__ import annotations
@@ -23,13 +27,11 @@ from typing import Iterator
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
-from .model import DENSE_SOLVE_BUDGET, ModelSpec, PrecisionLimitError, check_budget
-from .kernel import SparseKernel, check_detailed_balance
+from .model import DENSE_SOLVE_BUDGET, PrecisionLimitError, check_budget
+from .kernel import SparseKernel, transition_rows
+from .kernel import check_detailed_balance  # noqa: F401 -- perfbench/spans.py wraps this name
 
-# Kernels whose detailed-balance asymmetry exceeds this are rejected.
-REVERSIBILITY_TOLERANCE = 1e-9
 # The real form of a complex sector may drop an imaginary part up to this
 # fraction of the largest sector entry summed into the block.
 REAL_FORM_TOLERANCE = 1e-12
@@ -66,33 +68,6 @@ def check_gap_resolved(spectrum: Spectrum) -> None:
             f"beta1 = {spectrum.beta1!r} and beta_star = {spectrum.beta_star!r}: "
             "the spectral gap is below float64 resolution"
         )
-
-
-def symmetrize(kernel: SparseKernel) -> sp.csr_matrix:
-    """Similarity transform of ``P`` that shares its eigenvalues.
-
-    Entries are ``sqrt(P_xy * P_yx)``, which equals
-    ``sqrt(pi_x) P_xy / sqrt(pi_y)`` under detailed balance but never divides
-    by a ``sqrt(pi)`` that underflowed at low temperature.
-
-    Returns:
-        Sparse symmetric matrix ``D^{1/2} P D^{-1/2}`` in CSR form.
-
-    Raises:
-        ValueError: If the kernel violates detailed balance beyond
-            ``REVERSIBILITY_TOLERANCE``.
-        BudgetExceededError: If the dimension exceeds ``DENSE_SOLVE_BUDGET``,
-            which still caps the whole state space, not the sector size.
-    """
-    check_budget(kernel.dimension, DENSE_SOLVE_BUDGET, "dense symmetrization")
-    asymmetry = check_detailed_balance(kernel)
-    if asymmetry > REVERSIBILITY_TOLERANCE:
-        raise ValueError(
-            f"kernel is not reversible: detailed-balance asymmetry {asymmetry:.3e}"
-        )
-    sym = kernel.matrix.multiply(kernel.matrix.T).tocsr()
-    np.sqrt(sym.data, out=sym.data)
-    return sym
 
 
 def _assemble(
@@ -134,10 +109,33 @@ def _assemble(
     return block
 
 
-def _sector_blocks(
-    spec: ModelSpec, sym: sp.csr_matrix
-) -> Iterator[tuple[int, np.ndarray, int]]:
-    """Sector, real symmetric block and multiplicity of each block of ``sym``.
+def _representative_rows(
+    kernel: SparseKernel,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, target rank and value of every entry of ``S`` in the rows of the
+    representatives, the states whose site-1 color is 0.
+
+    Every entry is ``sqrt(P_xy P_yx)``, which equals
+    ``sqrt(pi_x) P_xy / sqrt(pi_y)`` under detailed balance but never divides
+    by a ``sqrt(pi)`` that underflowed.  A move at site ``i`` from color
+    ``c`` to ``c'`` sees the same neighbors as its reverse, so its entry is
+    ``sqrt((p_c' / n) (p_c / n))`` with ``p`` the conditional at that site;
+    on the diagonal both factors are the holding probability.  Each row is
+    sorted by target, the column order of a CSR matrix.
+    """
+    spec = kernel.spec
+    reps = spec.num_states // spec.num_colors
+    cols, forward, own = transition_rows(spec, kernel.colors[:reps])
+    backward = np.repeat(own, spec.num_colors - 1, axis=1) / spec.n
+    backward = np.column_stack([forward[:, 0], backward])
+    order = np.argsort(cols, axis=1)
+    targets = np.take_along_axis(cols, order, axis=1).ravel()
+    values = np.sqrt(np.take_along_axis(forward * backward, order, axis=1)).ravel()
+    return np.repeat(np.arange(reps), cols.shape[1]), targets, values
+
+
+def _sector_blocks(kernel: SparseKernel) -> Iterator[tuple[int, np.ndarray, int]]:
+    """Sector, real symmetric block and multiplicity of each block of ``S``.
 
     The states whose site-1 color is 0 (ranks ``0 .. m/N - 1``) represent the
     orbits of the color shift.  A column ``y`` whose site-1 color is ``j`` is
@@ -171,23 +169,19 @@ def _sector_blocks(
     blocks are skipped, so ``N = 2``, where the reflection is the identity,
     has no odd ones.
     """
+    spec = kernel.spec
     num_colors = spec.num_colors
     reps = spec.num_states // num_colors
-    end = sym.indptr[reps]
-    targets = sym.indices[:end].astype(np.int64)
-    row = np.repeat(np.arange(reps), np.diff(sym.indptr[: reps + 1]))
-    shift = targets // reps
-    orbit = np.zeros_like(targets)
+    row, targets, values = _representative_rows(kernel)
+    places = num_colors ** np.arange(spec.n - 1, -1, -1)
+    table = kernel.colors
+    shift = table[targets, 0]
+    orbit = ((table - table[:, :1]) % num_colors @ places)[targets]
+    colors = table[:reps]
     ranks = np.arange(reps)
-    last = ranks % num_colors
-    mirror = np.zeros_like(ranks)
-    reflect = np.zeros_like(ranks)
-    for i in range(spec.n):
-        place = num_colors ** (spec.n - 1 - i)
-        digit = ranks // place % num_colors
-        orbit += (targets // place - shift) % num_colors * place
-        mirror += (digit - last) % num_colors * num_colors**i
-        reflect += -digit % num_colors * place
+    last = colors[:, -1]
+    mirror = (colors[:, ::-1] - last[:, None]) % num_colors @ places
+    reflect = -colors % num_colors @ places
     powers = np.arange(num_colors)
     half = np.sqrt(0.5)
     for k in range(num_colors // 2 + 1):
@@ -196,7 +190,7 @@ def _sector_blocks(
             roots = (-1.0) ** ((2 * k // num_colors) * powers)
         else:
             roots = np.exp(2j * np.pi * k * powers / num_colors)
-        entries = sym.data[:end] * roots[shift]
+        entries = values * roots[shift]
         reversal = roots[-last % num_colors]
         for sign in (1.0, -1.0):
             lead = np.flatnonzero(
@@ -252,14 +246,14 @@ def spectrum(kernel: SparseKernel) -> Spectrum:
     in descending order without merging ties.
 
     Raises:
-        BudgetExceededError: If the dimension exceeds ``DENSE_SOLVE_BUDGET``.
-        ValueError: If the kernel is not reversible.
+        BudgetExceededError: If the dimension exceeds ``DENSE_SOLVE_BUDGET``,
+            which caps the whole state space, not the block size.
         RuntimeError: If the real form of a complex sector keeps more than
             rounding in its imaginary part, or the leading eigenvalue is not 1.
     """
-    sym = symmetrize(kernel)
+    check_budget(kernel.spec, DENSE_SOLVE_BUDGET, "dense symmetrization")
     parts = []
-    for _, block, multiplicity in _sector_blocks(kernel.spec, sym):
+    for _, block, multiplicity in _sector_blocks(kernel):
         # The transpose is the same symmetric block, in the Fortran order
         # LAPACK overwrites without a copy.
         eigs = scipy.linalg.eigvalsh(block.T, overwrite_a=True, check_finite=False)

@@ -1,4 +1,4 @@
-"""Oracles for the kernel and the congestion constant.
+"""Oracles for the kernel, its symmetrization and the congestion constant.
 
 The kernel's are scalar: one state, one site, one step at a time.  They
 share no code with the package's tables beyond ``bond_score`` (and
@@ -7,14 +7,17 @@ that compares the two checks the tables.  The congestion oracle sums every
 directed edge's load from marginals of the enumerated ``pi`` and reads its
 capacity off the kernel matrix, so it shares no code with the package's
 neighbor-pattern formula; the witness oracle builds the worst state of
-every tied pattern instead of keeping one site per pattern.
+every tied pattern instead of keeping one site per pattern.  The
+symmetrization oracle forms ``sqrt(P_xy P_yx)`` for all ``m`` rows from the
+kernel matrix, where the package builds the representatives' rows from the
+conditionals.
 """
 
 import math
 
 import numpy as np
 
-from spectral_gibbs import bond_score, make_rng
+from spectral_gibbs import bond_score, check_detailed_balance, make_rng
 
 
 def neighbor_conditional(num_colors, temp, left, right):
@@ -70,6 +73,26 @@ def stepwise_distributions(kernel, start, k_max):
     for _ in range(k_max):
         dist = transposed @ dist
         yield dist
+
+
+def symmetrize(kernel):
+    """The whole ``sqrt(P_xy P_yx)`` of a kernel, as CSR, row and column
+    order as in ``kernel.matrix``.
+
+    Formed as the elementwise product of the matrix with its transpose, which
+    drops the entries whose product underflowed to 0.
+
+    Raises:
+        ValueError: If the kernel violates detailed balance beyond 1e-9.
+    """
+    asymmetry = check_detailed_balance(kernel)
+    if asymmetry > 1e-9:
+        raise ValueError(
+            f"kernel is not reversible: detailed-balance asymmetry {asymmetry:.3e}"
+        )
+    sym = kernel.matrix.multiply(kernel.matrix.T).tocsr()
+    np.sqrt(sym.data, out=sym.data)
+    return sym
 
 
 def glauber_beta1(n, temp):

@@ -310,12 +310,10 @@ def test_criterion_09_analytic_spot_checks(announce):
 
 def test_criterion_10_cli_determinism(announce, tmp_path):
     commands = {
-        "bounds": ["bounds", "--n", "2", "--colors", "3", "--temp", "1",
-                   "--seed", "11"],
+        "bounds": ["bounds", "--n", "2", "--colors", "3", "--temp", "1"],
         "verify": ["verify", "--n", "2", "--colors", "3", "--temp", "0.5",
-                   "--format", "json", "--seed", "11"],
-        "sweep": ["sweep", "--n", "1:3", "--colors", "2,3", "--temp", "0.5,1",
-                  "--seed", "11"],
+                   "--format", "json"],
+        "sweep": ["sweep", "--n", "1:3", "--colors", "2,3", "--temp", "0.5,1"],
         "tv": ["tv", "--n", "3", "--colors", "3", "--temp", "1", "--kmax", "60",
                "--seed", "11"],
     }

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -69,6 +70,20 @@ def test_verify_text(capsys):
     } <= names
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_single_site_leaves_out_slice_identities(fmt, capsys):
+    # with no bond there is no identity to check, so no vacuous PASS
+    code, out = run_main(
+        ["verify", "--n", "1", "--colors", "3", "--temp", "1", "--format", fmt], capsys
+    )
+    assert code == 0
+    if fmt == "json":
+        names = [check["name"] for check in json.loads(out)["checks"]]
+    else:
+        names = [line.split()[1] for line in out.splitlines()]
+    assert "slice-identities" not in names and "edge-certificates" in names
+
+
 def test_verify_json(capsys):
     code, out = run_main(
         ["verify", "--n", "2", "--colors", "2", "--temp", "0.5", "--format", "json"],
@@ -120,13 +135,12 @@ def test_sweep_flags_skipped_exact(capsys):
 
 def test_sweep_json(capsys):
     code, out = run_main(
-        ["sweep", "--n", "1:2", "--colors", "2", "--temp", "0.5,1", "--format", "json",
-         "--seed", "5"],
+        ["sweep", "--n", "1:2", "--colors", "2", "--temp", "0.5,1", "--format", "json"],
         capsys,
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["seed"] == 5
+    assert list(payload) == ["rows"]
     assert len(payload["rows"]) == 4
     assert payload["rows"][0]["n"] == 1
 
@@ -225,6 +239,46 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag", [["--n", ""], ["--n", ","], ["--n", "5:3"], ["--colors", ","], ["--temp", ""]],
+    ids=" ".join,
+)
+def test_sweep_empty_list_is_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "empty" in captured.err
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify", "sweep"])
+def test_seed_only_on_tv(command, capsys):
+    # only the Monte Carlo arm of tv draws random numbers
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "2", "--colors", "2", "--temp", "1", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify", "tv", "sweep"])
+def test_huge_n_decided_without_forming_the_state_count(command, capsys):
+    # 3^30000000 has over 14 million digits: forming it would take about 25 s,
+    # and printing it exceeds Python's integer-to-string digit limit
+    start = time.perf_counter()
+    code = main([command, "--n", "30000000", "--colors", "3", "--temp", "1"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert elapsed < 1.0
+    if command == "sweep":
+        assert code == 0 and captured.out.splitlines()[1].endswith(",,,true")
+        return
+    assert code == 3 and captured.out == ""
+    assert captured.err == (
+        "resource limit: dense symmetrization would touch 3^30000000 states, "
+        "exceeding its budget of 4096\n"
+    )
+
+
 def test_cli_bad_start_is_usage_error(capsys):
     code = main(
         ["tv", "--n", "2", "--colors", "2", "--temp", "1", "--start", "zz"]
@@ -257,11 +311,11 @@ def test_verify_refuses_before_checks(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "build_kernel", fail)
     for command in ("bounds", "verify", "tv"):
-        for n, states in ((7, 16384), (8, 65536), (9, 262144)):
+        for n in (7, 8, 9):
             code = main([command, "--n", str(n), "--colors", "4", "--temp", "1"])
             assert code == 3, (command, n)
             assert capsys.readouterr().err == (
-                f"resource limit: dense symmetrization would touch {states} "
+                f"resource limit: dense symmetrization would touch 4^{n} "
                 "states, exceeding its budget of 4096\n"
             ), (command, n)
 

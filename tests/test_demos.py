@@ -1,5 +1,7 @@
-"""Every demo runs to completion, with RuntimeWarning as an error."""
+"""Scripts outside the package: every demo runs to completion, with
+RuntimeWarning as an error, and every name the benchmark wraps exists."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -27,3 +29,21 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_benchmark_wraps_existing_names():
+    # perfbench/spans.py replaces each (namespace, attribute) of WRAPPED with
+    # a timed wrapper, so a name deleted from the package breaks its traced
+    # runs; its own self-test runs outside this suite.
+    location = importlib.util.spec_from_file_location(
+        "spans", ROOT / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(location)
+    location.loader.exec_module(spans)
+    missing = [
+        f"{getattr(namespace, '__name__', namespace)}.{attr}"
+        for _, _, names in spans.WRAPPED
+        for namespace, attr in names
+        if not callable(getattr(namespace, attr, None))
+    ]
+    assert not missing

@@ -1,4 +1,8 @@
-"""Exact spectra via the symmetrized kernel."""
+"""Exact spectra from the symmetry blocks of the symmetrized kernel.
+
+The package builds only the rows of the representatives; the full-matrix
+``symmetrize`` oracle and a dense solve of the whole matrix check them.
+"""
 
 import itertools
 import math
@@ -9,7 +13,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from conftest import grid_specs, kernel_for, spectrum_for
-from oracles import glauber_beta1
+from oracles import glauber_beta1, symmetrize
 
 from spectral_gibbs import (
     BudgetExceededError,
@@ -17,12 +21,13 @@ from spectral_gibbs import (
     Spectrum,
     SparseKernel,
     build_kernel,
+    check_detailed_balance,
     spectrum,
     stationary_measure,
-    symmetrize,
 )
+from spectral_gibbs import cli
 from spectral_gibbs.model import colors_table
-from spectral_gibbs.spectral import _sector_blocks
+from spectral_gibbs.spectral import _representative_rows, _sector_blocks
 
 
 def test_single_site_spectrum():
@@ -129,6 +134,29 @@ def test_symmetrize_is_symmetric():
     assert np.allclose(np.sort(np.linalg.eigvalsh(sym)), direct, atol=1e-9)
 
 
+# (3,2,0.005): holding probabilities and moves whose products underflow.
+@pytest.mark.parametrize(
+    "spec",
+    grid_specs()
+    + [ModelSpec(3, 2, 0.005), ModelSpec(4, 5, 0.3), ModelSpec(2, 26, 1.0)]
+    + [ModelSpec(4, 6, 1.0)],
+    ids=str,
+)
+def test_representative_rows_match_symmetrize_oracle(spec):
+    # Bitwise, in CSR order, so every block sums the same terms in the same
+    # order as one assembled from the full matrix.
+    kern = kernel_for(spec)
+    row, targets, values = _representative_rows(kern)
+    reps = spec.num_states // spec.num_colors
+    oracle = symmetrize(kern)[:reps]
+    assert np.all(np.diff(row * spec.num_states + targets) > 0)
+    # The oracle drops the entries whose product underflowed to 0.
+    kept = values != 0
+    assert np.array_equal(np.bincount(row[kept], minlength=reps), np.diff(oracle.indptr))
+    assert np.array_equal(targets[kept], oracle.indices)
+    assert values[kept].tobytes() == oracle.data.tobytes()
+
+
 def dense_spectrum_oracle(kernel):
     """Descending eigenvalues of the whole dense ``D^{1/2} P D^{-1/2}``."""
     sqrt_pi = np.sqrt(kernel.pi.weights)
@@ -162,7 +190,7 @@ def test_sector_spectrum_matches_dense_oracle(spec):
     ids=str,
 )
 def test_reversal_halves_split_each_sector(spec):
-    blocks = list(_sector_blocks(spec, symmetrize(kernel_for(spec))))
+    blocks = list(_sector_blocks(kernel_for(spec)))
     reps = spec.num_states // spec.num_colors
     for k in range(spec.num_colors // 2 + 1):
         sizes = [block.shape[0] for sector, block, _ in blocks if sector == k]
@@ -197,7 +225,7 @@ def test_spectrum_finite_at_low_temperature():
     assert abs(spect.eigenvalues[0] - 1.0) <= 1e-12
 
 
-def test_symmetrize_rejects_non_reversible():
+def test_symmetrize_rejects_non_reversible(monkeypatch, capsys):
     spec = ModelSpec(1, 2, 1.0)
     colors = colors_table(spec)
     pi = stationary_measure(spec, colors)
@@ -205,6 +233,12 @@ def test_symmetrize_rejects_non_reversible():
     kern = SparseKernel(spec=spec, colors=colors, pi=pi, matrix=bad)
     with pytest.raises(ValueError, match="reversib"):
         symmetrize(kern)
+    # The spectrum is built from the conditionals, not from this matrix, so
+    # verify's detailed-balance check is what catches it.
+    assert check_detailed_balance(kern) > 1e-12
+    monkeypatch.setattr(cli, "build_kernel", lambda spec: kern)
+    assert cli.main(["verify", "--n", "1", "--colors", "2", "--temp", "1"]) == 1
+    assert "FAIL detailed-balance" in capsys.readouterr().out.splitlines()[1]
 
 
 def test_spectrum_budget():
