@@ -42,7 +42,6 @@ from .paths import (
     kappa_closed_form,
     kappa_exact,
     kappa_report,
-    kappa_report_json,
     verify_slice_identities,
     worst_alpha_beta,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "kappa_closed_form",
     "kappa_exact",
     "kappa_report",
-    "kappa_report_json",
     "make_rng",
     "report_to_dict",
     "report_to_json",

@@ -19,10 +19,11 @@ pattern, in ``O(n N^4)`` and with no kernel.  The sums over marginals of
 
 The module also evaluates the closed-form upper bound ``(n^2/N)(N-1+e^{4/T})``
 together with the quantities that prove it, each as one table over every
-neighbor pattern: the edge-local factors ``alpha`` and ``beta``, the
-interior bound ``(n^2/N)(alpha+beta)``, the boundary bound
-``(n^2/N)(N-1+e^{2/T})``, and the slice-sum identities the derivation rests
-on, which are summed over the enumerated ``pi``.
+neighbor pattern: the proof's edge factor ``alpha + beta``, which is
+``alpha/p`` with ``p`` read from the conditional table, the interior bound
+``(n^2/N) alpha/p``, the boundary bound ``(n^2/N)(N-1+e^{2/T})``, and the
+slice-sum identities the derivation rests on, summed over the enumerated
+``pi``.  The scalar ``alpha`` and ``beta`` are kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .model import ModelSpec, PrecisionLimitError, color_letter
 from .model import colors_table  # noqa: F401 -- perfbench/spans.py wraps this name
 from .kernel import SparseKernel, local_conditionals, local_scores
 from .kernel import conditional_table  # noqa: F401 -- and this one
-from .serialize import canonical_json
+from .serialize import canonical_json  # noqa: F401 -- and this one
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
         PrecisionLimitError: Where :func:`kappa_closed_form` would be past
             the float range.
     """
-    _check_float_range(spec)
+    alpha, cond = _edge_factors(spec)
     n, num_colors, t = spec.n, spec.num_colors, spec.temp
     e = math.exp(2.0 / t)
     rho = math.expm1(2.0 / t) / (e + num_colors - 1)
@@ -160,12 +161,7 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
     np.fill_diagonal(near[1:], (num_colors - 1) / (e + num_colors - 1))
     patterns = (1.0 + far + far[::-1])[:, None, None, None, None]
     patterns = patterns + near[:, None, :, None] + near[None, :, None, :]
-
-    # With no right neighbor the score is the single bond s(left, c).
-    bond = local_scores(spec)[:, 0]
-    alpha = np.exp((bond[:, None, :] - bond[:, :, None]) / t)
-    cond = local_conditionals(spec)[:, :, None, :]
-    patterns *= n / num_colors * alpha[:, None] / cond
+    patterns *= n / num_colors * alpha / cond
     # An edge has two colors, and a missing neighbor exactly past an end.
     patterns[..., range(num_colors), range(num_colors)] = 0.0
     patterns[1:, 0] = patterns[:-1, :, 0] = 0.0
@@ -201,9 +197,9 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 def _check_float_range(spec: ModelSpec) -> None:
     """Refuse a temperature at which the closed-form quantities overflow.
 
-    Every closed-form quantity of this module (the bounds, the edge factors
-    ``alpha`` and ``beta``, the slice scale ``e^{2/T}``) is at most
-    ``max(1, n^2/N) N e^{4/T}``, since ``alpha + beta <= N - 1 + e^{4/T}``.
+    Every closed-form quantity of this module (the bounds, the edge factor
+    ``alpha/p``, the slice scale ``e^{2/T}``) is at most
+    ``max(1, n^2/N) N e^{4/T}``, since ``alpha/p <= N - 1 + e^{4/T}``.
 
     Raises:
         PrecisionLimitError: If that bound is past the float range.
@@ -240,41 +236,33 @@ def boundary_edge_bound(spec: ModelSpec) -> float:
     return (n * n / num_colors) * (num_colors - 1 + math.exp(2.0 / spec.temp))
 
 
-def _edge_factor_tables(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Edge-local factors ``alpha`` and ``beta`` of every interior edge.
+def _edge_factors(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``alpha`` and ``p``, the local factors of every edge's ratio.
 
-    Both are read off :func:`local_scores` and indexed
-    ``[left, right, color_from, color_to]`` by the colors of the updated
-    site's two neighbors and the edge's two colors.
+    ``alpha = e^{(s(l,c') - s(l,c))/T}``, the bond change at the left
+    neighbor, is indexed ``[left + 1, 0, color_from, color_to]``; ``p``, the
+    conditional of ``c'``, is :func:`local_conditionals` indexed
+    ``[left + 1, right + 1, 0, color_to]``.  ``alpha / p`` is the proof's
+    ``alpha + beta``, as ``beta`` is ``alpha`` times the other colors'
+    weights over that of ``c'``.
 
     Raises:
         PrecisionLimitError: Where :func:`kappa_closed_form` would be past
             the float range.
     """
     _check_float_range(spec)
-    t = spec.temp
-    scores = local_scores(spec)
     # With no right neighbor the score is the single bond s(left, c).
-    bond = scores[1:, 0]
-    alpha = np.exp((bond[:, None, None, :] - bond[:, None, :, None]) / t)
-    prefactor = np.exp((-bond[:, None, :, None] - bond.T[None, :, None, :]) / t)
-    weights = np.exp(scores[1:, 1:] / t)
-    # others[left, right, color_to] sums the weights of every c != color_to
-    # one color at a time, so it rounds like the scalar sum in color order.
-    others = np.zeros_like(weights)
-    colors = np.arange(spec.num_colors)
-    for c in colors:
-        others += weights[:, :, c, None] * (colors != c)
-    beta = prefactor * others[:, :, None, :]
-    return np.broadcast_to(alpha, beta.shape), beta
+    bond = local_scores(spec)[:, 0]
+    alpha = np.exp((bond[:, None, None, :] - bond[:, None, :, None]) / spec.temp)
+    return alpha, local_conditionals(spec)[:, :, None, :]
 
 
 @dataclass(frozen=True)
 class WorstFactors:
-    """Maximum of ``alpha + beta`` over all neighbor-color patterns.
+    """Maximum of ``alpha + beta = alpha/p`` over all neighbor-color patterns.
 
     Attributes:
-        value: The maximum of the factor sum.
+        value: The maximum of the factor.
         argmax: Neighbor color pairs ``(left, right)`` within a relative
             ``WITNESS_RTOL`` of it, in row-major order.
         closed_form: ``N - 1 + e^{4/T}``.
@@ -288,7 +276,7 @@ class WorstFactors:
 def worst_alpha_beta(
     spec: ModelSpec, color_from: int = 0, color_to: int = 1
 ) -> WorstFactors:
-    """Scan all neighbor-color patterns of an interior edge for the worst sum.
+    """Scan all neighbor-color patterns of an interior edge for the worst factor.
 
     By color symmetry the result does not depend on the chosen edge colors.
     Patterns that symmetry makes equal can differ in the last digit, so every
@@ -301,8 +289,8 @@ def worst_alpha_beta(
     """
     if color_from == color_to or {color_from, color_to} - set(range(spec.num_colors)):
         raise ValueError("edge colors must be two different colors of the chain")
-    alpha, beta = _edge_factor_tables(spec)
-    sums = (alpha + beta)[:, :, color_from, color_to]
+    alpha, cond = _edge_factors(spec)
+    sums = (alpha / cond)[1:, 1:, color_from, color_to]
     best = float(sums.max())
     lefts, rights = np.nonzero(sums >= (1.0 - WITNESS_RTOL) * best)
     return WorstFactors(
@@ -318,7 +306,7 @@ class EdgeCertificate:
 
     Attributes:
         edge: The checked edge.
-        bound: ``(n^2/N)(alpha+beta)`` for interior edges, the boundary
+        bound: ``(n^2/N) alpha/p`` for interior edges, the boundary
             closed form otherwise.
         slack: ``bound - ratio``; nonnegative when the certificate passes.
         interior: Whether the interior bound applied.
@@ -345,18 +333,21 @@ class CertificateSummary:
 def certify_all_edges(result: KappaResult) -> CertificateSummary:
     """Check every directed edge's ratio against its per-edge bound.
 
-    Interior edges use their own ``(n^2/N)(alpha+beta)`` from the neighbor
-    colors, edges at site 1 or n the boundary closed form.  Every edge of a
-    neighbor pattern has the pattern's bound and at most its worst ratio, so
-    comparing the two certifies all ``N^n n (N-1)`` directed edges; the
-    worst certificate is the pattern of least slack.  An edge passes when
-    its slack is at least ``-CLOSED_FORM_RTOL`` times its bound.
+    Interior edges use their own ``(n^2/N)(alpha+beta) = (n^2/N) alpha/p``,
+    edges at site 1 or n the boundary closed form.  As the worst ratio is
+    ``(n/N)(alpha/p) L`` (see :func:`kappa_exact`), the interior certificate
+    checks the path-length factor ``L <= n`` and the boundary one
+    ``(alpha/p) L <= n (N-1+e^{2/T})``.  Every edge of a neighbor pattern
+    has the pattern's bound and at most its worst ratio, so comparing the
+    two certifies all ``N^n n (N-1)`` directed edges; the worst certificate
+    is the pattern of least slack.  An edge passes when its slack is at
+    least ``-CLOSED_FORM_RTOL`` times its bound.
     """
     spec = result.spec
     n, num_colors = spec.n, spec.num_colors
-    alpha, beta = _edge_factor_tables(spec)
+    alpha, cond = _edge_factors(spec)
     bounds = np.full(result.patterns.shape, boundary_edge_bound(spec))
-    bounds[1:-1, 1:, 1:] = (n * n / num_colors) * (alpha + beta)
+    bounds[1:-1, 1:, 1:] = (n * n / num_colors) * (alpha / cond)[1:, 1:]
     slack = np.where(result.patterns > 0, bounds - result.patterns, np.inf)
     index = np.unravel_index(int(np.argmin(slack)), slack.shape)
     edge = _edge_at(result.patterns, index)
@@ -442,16 +433,15 @@ def verify_slice_identities(
         )
     if color_from == color_to:
         raise ValueError("colors must differ")
-    _check_float_range(spec)
+    alpha, _ = _edge_factors(spec)
     num_colors = spec.num_colors
     p = kernel.pi.weights.reshape((num_colors,) * spec.n)
-    t = spec.temp
     i = site - 1
 
     # pair[u, v] is the measure of {w : w_i = u, w_{i+1} = v}.
     pair = _marginal(p, (i, i + 1)).reshape(num_colors, num_colors)
     w_sums = tuple(float(w) for w in pair[color_from])
-    scale = math.exp(2.0 / t)
+    scale = math.exp(2.0 / spec.temp)
     agree_ratio_error = max(
         abs(w_sums[color_from] - scale * w_sums[k])
         for k in range(num_colors)
@@ -459,10 +449,9 @@ def verify_slice_identities(
     )
     total_error = abs(sum(w_sums) - 1.0 / num_colors)
 
-    # With no right neighbor the score is the single bond s(u, c), indexed
-    # here by the neighbor's color u.
-    bond = local_scores(spec)[1:, 0]
-    change = np.exp((bond[:, color_to] - bond[:, color_from]) / t)
+    # The bond changes, indexed by the neighbor's color, are copied out of
+    # alpha: numpy's dot sums a strided vector in another order.
+    change = alpha[1:, 0, color_from, color_to].copy()
     a_prime = float(pair[color_from] @ change)
     errors = [agree_ratio_error, total_error, abs(a_prime - 1.0 / num_colors)]
 
@@ -470,7 +459,7 @@ def verify_slice_identities(
     if site >= 2:
         # prev[u, v] is the measure of {w : w_{i-1} = u, w_i = v}.
         prev = _marginal(p, (i - 1, i)).reshape(num_colors, num_colors)
-        change = np.exp((bond[:, color_from] - bond[:, color_to]) / t)
+        change = alpha[1:, 0, color_to, color_from].copy()
         b_prime = float(prev[:, color_to] @ change)
         errors.append(abs(b_prime - 1.0 / num_colors))
 
@@ -507,8 +496,3 @@ def kappa_report(result: KappaResult) -> dict:
         "closed_form": closed,
         "slack": closed - result.kappa,
     }
-
-
-def kappa_report_json(result: KappaResult) -> str:
-    """Serialized form of :func:`kappa_report`."""
-    return canonical_json(kappa_report(result))

@@ -119,18 +119,19 @@ def _representative_rows(
     ``sqrt(pi_x) P_xy / sqrt(pi_y)`` under detailed balance but never divides
     by a ``sqrt(pi)`` that underflowed.  A move at site ``i`` from color
     ``c`` to ``c'`` sees the same neighbors as its reverse, so its entry is
-    ``sqrt((p_c' / n) (p_c / n))`` with ``p`` the conditional at that site;
-    on the diagonal both factors are the holding probability.  Each row is
-    sorted by target, the column order of a CSR matrix.
+    ``sqrt((p_c' / n) (p_c / n))`` with ``p`` the conditional at that site.
+    The diagonal is the holding probability itself, which its square would
+    lose where it underflows.  Each row is sorted by target, the column
+    order of a CSR matrix.
     """
     spec = kernel.spec
     reps = spec.num_states // spec.num_colors
     cols, forward, own = transition_rows(spec, kernel.colors[:reps])
     backward = np.repeat(own, spec.num_colors - 1, axis=1) / spec.n
-    backward = np.column_stack([forward[:, 0], backward])
+    values = np.column_stack([forward[:, 0], np.sqrt(forward[:, 1:] * backward)])
     order = np.argsort(cols, axis=1)
     targets = np.take_along_axis(cols, order, axis=1).ravel()
-    values = np.sqrt(np.take_along_axis(forward * backward, order, axis=1)).ravel()
+    values = np.take_along_axis(values, order, axis=1).ravel()
     return np.repeat(np.arange(reps), cols.shape[1]), targets, values
 
 

@@ -9,8 +9,10 @@ capacity off the kernel matrix, so it shares no code with the package's
 neighbor-pattern formula; the witness oracle builds the worst state of
 every tied pattern instead of keeping one site per pattern.  The
 symmetrization oracle forms ``sqrt(P_xy P_yx)`` for all ``m`` rows from the
-kernel matrix, where the package builds the representatives' rows from the
-conditionals.
+kernel matrix, with ``P_xx`` on the diagonal, where the package builds the
+representatives' rows from the conditionals.  The edge-factor oracle sums the
+proof's ``alpha + beta`` from bond scores, where the package reads ``alpha/p``
+off the conditional table.
 """
 
 import math
@@ -33,6 +35,29 @@ def neighbor_conditional(num_colors, temp, left, right):
     top = max(logits)
     log_z = top + math.log(sum(math.exp(v - top) for v in logits))
     return [math.exp(v - log_z) for v in logits]
+
+
+def edge_factors(num_colors, temp, left, right, color_from, color_to):
+    """The proof's edge-local factors ``alpha`` and ``beta`` of the edge that
+    recolors a site from ``c = color_from`` to ``c' = color_to`` between
+    ``left`` and ``right`` (None for a missing neighbor, whose bond is 0).
+
+    ``alpha = e^{(s(l,c') - s(l,c))/T}`` and
+    ``beta = e^{(-s(l,c) - s(c',r))/T} sum_{c'' != c'} e^{(s(l,c'') + s(c'',r))/T}``,
+    the sum taken in color order.
+    """
+
+    def score(u, c):
+        return 0 if u is None else bond_score(u, c)
+
+    alpha = math.exp((score(left, color_to) - score(left, color_from)) / temp)
+    prefactor = math.exp((-score(left, color_from) - score(right, color_to)) / temp)
+    others = sum(
+        math.exp((score(left, c) + score(right, c)) / temp)
+        for c in range(num_colors)
+        if c != color_to
+    )
+    return alpha, prefactor * others
 
 
 def conditional_probability(spec, colors, i, color):
@@ -80,7 +105,8 @@ def symmetrize(kernel):
     order as in ``kernel.matrix``.
 
     Formed as the elementwise product of the matrix with its transpose, which
-    drops the entries whose product underflowed to 0.
+    drops the entries whose product underflowed to 0; the diagonal is then
+    set to ``P_xx`` itself, which its square would lose where it underflows.
 
     Raises:
         ValueError: If the kernel violates detailed balance beyond 1e-9.
@@ -92,6 +118,7 @@ def symmetrize(kernel):
         )
     sym = kernel.matrix.multiply(kernel.matrix.T).tocsr()
     np.sqrt(sym.data, out=sym.data)
+    sym.setdiag(kernel.matrix.diagonal())
     return sym
 
 

@@ -7,26 +7,25 @@ import numpy as np
 import pytest
 
 from conftest import grid_specs, kappa_for, kernel_for, marginal_tables_for
-from oracles import marginal_witness, pattern_witness
+from oracles import edge_factors, marginal_witness, pattern_witness
 
 from spectral_gibbs import (
     ModelSpec,
     PrecisionLimitError,
-    bond_score,
     boundary_edge_bound,
     build_kernel,
+    canonical_json,
     certify_all_edges,
     kappa_closed_form,
     kappa_exact,
     kappa_report,
-    kappa_report_json,
     verify_slice_identities,
     worst_alpha_beta,
 )
 from spectral_gibbs import kernel, model, paths
 from spectral_gibbs.kernel import conditional_table
 from spectral_gibbs.model import colors_table
-from spectral_gibbs.paths import CLOSED_FORM_RTOL, WITNESS_RTOL, _edge_factor_tables
+from spectral_gibbs.paths import CLOSED_FORM_RTOL, WITNESS_RTOL, _edge_factors
 
 
 def brute_force_kappa(n, colors, temp):
@@ -153,10 +152,10 @@ def per_edge_all_passed(kernel, ratios):
     spec = kernel.spec
     n, num_colors = spec.n, spec.num_colors
     table = kernel.colors
-    alpha, beta = _edge_factor_tables(spec)
+    alpha, cond = _edge_factors(spec)
     bounds = np.full(ratios.shape, boundary_edge_bound(spec))
-    bounds[:, 1:-1] = (n * n / num_colors) * (alpha + beta)[
-        table[:, :-2], table[:, 2:], table[:, 1:-1]
+    bounds[:, 1:-1] = (n * n / num_colors) * (alpha / cond)[
+        table[:, :-2] + 1, table[:, 2:] + 1, table[:, 1:-1]
     ]
     valid = table[:, :, None] != np.arange(num_colors)[None, None, :]
     return bool(np.all(~valid | (bounds - ratios >= -CLOSED_FORM_RTOL * bounds)))
@@ -340,36 +339,22 @@ def test_kappa_share_of_closed_form_at_large_n():
     assert share == pytest.approx(0.668, abs=5e-4)
 
 
-def test_edge_local_factors_hand_value():
-    alpha, beta = _edge_factor_tables(ModelSpec(3, 3, 1.0))
-    # recolor the middle site of (c, a, b) to b: left=c, right=b
-    at = (2, 1, 0, 1)
-    # alpha = e^{(s(c,b)-s(c,a))/T} = e^0 = 1
-    assert math.isclose(alpha[at], 1.0, rel_tol=1e-15)
-    # beta = e^{(-s(c,a)-s(b,b))/T} * sum_{c'!=b} e^{(s(c,c')+s(c',b))/T}
-    expected_beta = math.exp(0.0) * (
-        math.exp((-1 - 1) / 1.0) + math.exp((1 - 1) / 1.0)
-    )
-    assert math.isclose(beta[at], expected_beta, rel_tol=1e-14)
-
-
-@pytest.mark.parametrize("colors,temp", [(2, 0.5), (3, 1.0), (4, 2.0)])
-def test_edge_local_factors_match_scalar_formula(colors, temp):
-    # reference: the per-edge scalar formula over bond_score, every pattern
-    alpha, beta = _edge_factor_tables(ModelSpec(3, colors, temp))
-    s = bond_score
-    for left, c_from, right in itertools.product(range(colors), repeat=3):
-        for c_to in set(range(colors)) - {c_from}:
-            at = (left, right, c_from, c_to)
-            others = sum(
-                math.exp((s(left, c) + s(c, right)) / temp)
-                for c in range(colors)
-                if c != c_to
-            )
-            prefactor = math.exp((-s(left, c_from) - s(c_to, right)) / temp)
-            expected = math.exp((s(left, c_to) - s(left, c_from)) / temp)
-            assert math.isclose(alpha[at], expected, rel_tol=1e-14)
-            assert math.isclose(beta[at], prefactor * others, rel_tol=1e-14)
+@pytest.mark.parametrize("temp", [0.06, 0.3, 1.0, 5.0, 100.0])
+@pytest.mark.parametrize("colors", range(2, 6))
+def test_alpha_over_p_is_scalar_alpha_plus_beta(colors, temp):
+    # beta is alpha times the weights of the colors other than c' over the
+    # weight of c', so alpha + beta = alpha/p on every neighbor pattern,
+    # boundary sites included
+    alpha, cond = _edge_factors(ModelSpec(3, colors, temp))
+    factors = alpha / cond
+    neighbors = [None, *range(colors)]
+    for left, right in itertools.product(neighbors, repeat=2):
+        l, r = (0 if u is None else u + 1 for u in (left, right))
+        for c_from, c_to in itertools.permutations(range(colors), 2):
+            want_alpha, want_beta = edge_factors(colors, temp, left, right, c_from, c_to)
+            assert math.isclose(alpha[l, 0, c_from, c_to], want_alpha, rel_tol=1e-14)
+            got = factors[l, r, c_from, c_to]
+            assert math.isclose(got, want_alpha + want_beta, rel_tol=1e-14)
 
 
 def test_worst_factors_third_color_pattern():
@@ -447,9 +432,10 @@ def test_certificates_boundary_vs_interior():
     spec = ModelSpec(3, 2, 1.0)
     worst = certify_all_edges(kappa_for(spec)).worst
     assert worst.interior and worst.edge.site == 2
-    alpha, beta = _edge_factor_tables(spec)
-    at = (worst.edge.left, worst.edge.right, worst.edge.color_from, worst.edge.color_to)
-    assert worst.bound == (9 / 2) * (alpha[at] + beta[at])
+    alpha, cond = _edge_factors(spec)
+    edge = worst.edge
+    at = (edge.left + 1, edge.right + 1, edge.color_from, edge.color_to)
+    assert worst.bound == (9 / 2) * (alpha / cond)[at]
 
 
 def test_slice_identities_paper_scale():
@@ -505,5 +491,5 @@ def test_kappa_report_shape():
     assert set(report) == {"kappa", "argmax_edge", "closed_form", "slack"}
     assert set(report["argmax_edge"]) == {"site", "colorFrom", "colorTo", "neighbors"}
     assert report["slack"] == report["closed_form"] - report["kappa"]
-    parsed = json.loads(kappa_report_json(result))
+    parsed = json.loads(canonical_json(kappa_report(result)))
     assert parsed["kappa"] == result.kappa

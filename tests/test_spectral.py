@@ -157,6 +157,17 @@ def test_representative_rows_match_symmetrize_oracle(spec):
     assert values[kept].tobytes() == oracle.data.tobytes()
 
 
+@pytest.mark.parametrize("spec", grid_specs() + [ModelSpec(3, 2, 0.005)], ids=str)
+def test_representative_diagonal_is_holding_probability(spec):
+    # At (3,2,0.005) the state aba holds with probability 1.28e-174, whose
+    # square underflows to 0.
+    kern = kernel_for(spec)
+    row, targets, values = _representative_rows(kern)
+    reps = spec.num_states // spec.num_colors
+    holding = kern.matrix.diagonal()[:reps]
+    assert values[row == targets].tobytes() == holding.tobytes()
+
+
 def dense_spectrum_oracle(kernel):
     """Descending eigenvalues of the whole dense ``D^{1/2} P D^{-1/2}``."""
     sqrt_pi = np.sqrt(kernel.pi.weights)
