@@ -11,6 +11,7 @@ from spectral_gibbs import (
     build_kernel,
     check_detailed_balance,
     check_irreducible,
+    check_row_sums,
     check_stationarity,
     colors_to_string,
 )
@@ -29,12 +30,12 @@ for rank in [*order[:3], *order[-3:]]:
 print(f"log Z = {pi.log_z:.6f}\n")
 
 print(f"off-diagonal edges: {kernel.matrix.nnz - spec.num_states}")
-print(f"row-sum deviation:        {np.abs(kernel.matrix.sum(axis=1) - 1).max():.2e}")
+print(f"row-sum deviation:        {check_row_sums(kernel):.2e}")
 print(f"detailed-balance asym:    {check_detailed_balance(kernel):.2e}")
 print(f"stationarity residual:    {check_stationarity(kernel):.2e}")
 print(f"irreducible:              {check_irreducible(kernel)}\n")
 
-# one row of the kernel, in letters
+# one row of the kernel, in letters, read from its CSR form (built on first use)
 start = 0
 print(f"moves out of {colors_to_string(kernel.colors[start])}:")
 row = slice(kernel.matrix.indptr[start], kernel.matrix.indptr[start + 1])

@@ -27,6 +27,7 @@ from .kernel import (
     build_kernel,
     check_detailed_balance,
     check_irreducible,
+    check_row_sums,
     check_stationarity,
 )
 from .spectral import Spectrum, spectrum
@@ -95,6 +96,7 @@ __all__ = [
     "certify_all_edges",
     "check_detailed_balance",
     "check_irreducible",
+    "check_row_sums",
     "check_stationarity",
     "colors_to_string",
     "corollary_gate",

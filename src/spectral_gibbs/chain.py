@@ -10,8 +10,9 @@ The Monte Carlo arm of :func:`tv_curve` is the package's one stepper.  It
 steps all its replicas by state rank through one table of successor ranks,
 indexed by site, rank and the bin of the color uniform among the distinct
 color thresholds of the chain, so each step is one lookup; it draws the
-stream a block of steps at a time.  The exact arm propagates a block of
-distributions at a time and stops at the float fixed point of propagation:
+stream a block of steps at a time.  The exact arm multiplies by the
+kernel's CSR matrix, the package's one use of scipy; it propagates a block
+of distributions at a time and stops at the float fixed point of propagation:
 once a step leaves the distribution bitwise unchanged, every later step
 would too.  Both arms reduce a block of distributions to TVs with one set of
 numpy calls.
@@ -131,9 +132,10 @@ def _mc_distributions(
         1,
     )
     drawn = drawn.cumsum(axis=1, dtype=np.uint8)
-    successors = successor_table(spec, kernel.colors).transpose(1, 2, 0)
-    table = np.take_along_axis(successors, drawn, axis=1).ravel()
-    ranks = np.full(replicas, start, dtype=np.int64)
+    # Ranks are below EXACT_STATES_BUDGET = 2^16, so the table holds int32.
+    successors = successor_table(spec, kernel.colors).astype(np.int32)
+    table = np.take_along_axis(successors.transpose(1, 2, 0), drawn, axis=1).ravel()
+    ranks = np.full(replicas, start, dtype=np.int32)
     out = np.empty(k_max + 1)
     out[0] = tv_distance(np.bincount(ranks, minlength=m) / replicas, pi)
     block = _block_length(m)
@@ -142,7 +144,7 @@ def _mc_distributions(
         uniforms = rng.random(2 * replicas * steps).reshape(steps, 2, replicas)
         sites = np.minimum((uniforms[:, 0] * n).astype(np.int64), n - 1)
         keys = (sites * bins + np.searchsorted(cuts, uniforms[:, 1], "right")) * m
-        visited = np.empty((steps, replicas), dtype=np.int64)
+        visited = np.empty((steps, replicas), dtype=np.int32)
         for t in range(steps):
             # Every index is in range by construction; "clip" spares take
             # its buffered bounds check.
@@ -150,7 +152,7 @@ def _mc_distributions(
         # A copy: ranks is a row of visited, which gets its offsets next.
         ranks = ranks.copy()
         # Visit counts of all steps at once: step t counts into row t.
-        visited += np.arange(0, steps * m, m, dtype=np.int64)[:, None]
+        visited += np.arange(0, steps * m, m, dtype=np.int32)[:, None]
         counts = np.bincount(visited.ravel(), minlength=steps * m)
         out[first : first + steps] = _tv_rows(counts.reshape(steps, m) / replicas, pi)
     return out

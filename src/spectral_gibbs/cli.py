@@ -37,6 +37,7 @@ from .kernel import (
     build_kernel,
     check_detailed_balance,
     check_irreducible,
+    check_row_sums,
     check_stationarity,
 )
 from .spectral import check_gap_resolved
@@ -167,13 +168,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     check_gap_resolved(spectrum)
     checks: list[dict] = []
 
-    row_sums = np.asarray(kernel.matrix.sum(axis=1)).ravel()
+    row_error = check_row_sums(kernel)
     checks.append(
-        {
-            "name": "row-sums",
-            "margin": float(np.abs(row_sums - 1.0).max()),
-            "passed": bool(np.abs(row_sums - 1.0).max() <= 1e-12),
-        }
+        {"name": "row-sums", "margin": row_error, "passed": row_error <= 1e-12}
     )
     asym = check_detailed_balance(kernel)
     checks.append(

@@ -8,22 +8,31 @@ neighboring sites.
 :class:`SparseKernel` is the one handle on a chain's state space: it carries
 the color table that :func:`build_kernel` enumerated once, and everything
 that receives a kernel derives its per-state tables from that table.  The
-transition matrix is assembled from two such tables, indexed
+transition rows are read off two such tables, indexed
 ``[rank, site, color]``: the conditional of each resampling and the rank it
 leads to.  :func:`transition_rows` reads them for any prefix of the ranks,
-so the spectrum builds the rows it needs without the matrix.
+so the spectrum builds the rows it needs without the kernel's row table.
+
+The kernel stores the rows of every rank as a fixed-width row table, and the
+checks of :func:`check_row_sums`, :func:`check_detailed_balance`,
+:func:`check_stationarity` and :func:`check_irreducible` read that table
+with numpy.  Only :attr:`SparseKernel.matrix`, the CSR form that exact
+propagation multiplies by, imports scipy, and only when it is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .model import GibbsMeasure, ModelSpec, PrecisionLimitError
 from .model import colors_table, stationary_measure
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def bond_score(u: int, v: int) -> int:
@@ -121,30 +130,52 @@ def transition_rows(
 
 @dataclass(frozen=True)
 class SparseKernel:
-    """The transition matrix with its stationary measure and state table.
+    """The transition rows with the stationary measure and state table.
 
     Attributes:
         spec: Chain parameters.
         colors: Color vector of every state, the
             :func:`~spectral_gibbs.model.colors_table` of ``spec``.
         pi: Stationary distribution.
-        matrix: CSR transition matrix, one row per state, column indices
-            sorted.  Its sparsity pattern holds every single-site move, also
-            those whose probability underflowed to 0 at low temperature.
+        cols: Row table of target ranks, shape ``(num_states, 1 + n (N - 1))``:
+            the state itself, then one move per site and other color, the
+            sites in order and the colors in increasing order.  It holds
+            every single-site move, also those whose probability
+            underflowed to 0 at low temperature.
+        data: Transition probabilities of the slots of ``cols``.
     """
 
     spec: ModelSpec
     colors: np.ndarray
     pi: GibbsMeasure
-    matrix: sp.csr_matrix
+    cols: np.ndarray
+    data: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.colors)
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """CSR transition matrix, one row per state, column indices sorted.
+
+        Built from copies of the row table on first access: ``csr_matrix``
+        would wrap views of it, which sorting the indices reorders in place.
+        Its sparsity pattern holds every slot of ``cols``.
+        """
+        import scipy.sparse as sp
+
+        m = self.dimension
+        indptr = np.arange(0, self.cols.size + 1, self.cols.shape[1])
+        matrix = sp.csr_matrix(
+            (self.data.ravel(), self.cols.ravel(), indptr), shape=(m, m), copy=True
+        )
+        matrix.sort_indices()
+        return matrix
 
 
 def build_kernel(spec: ModelSpec) -> SparseKernel:
-    """Materialize the transition matrix for every state.
+    """Tabulate the transition rows of every state.
 
     Each row holds the diagonal (the resampled site keeps its color) and the
     ``n (N - 1)`` moves to other states.
@@ -160,38 +191,73 @@ def build_kernel(spec: ModelSpec) -> SparseKernel:
             f"Boltzmann exponents differ past the float range at temp {spec.temp!r}"
         )
     colors = colors_table(spec)
-    colors.flags.writeable = False
-    m = spec.num_states
     cols, data, _ = transition_rows(spec, colors)
-    indptr = np.arange(0, cols.size + 1, cols.shape[1])
-    matrix = sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(m, m))
-    matrix.sort_indices()
-    return SparseKernel(
-        spec=spec, colors=colors, pi=stationary_measure(spec, colors), matrix=matrix
-    )
+    for table in (colors, cols, data):
+        table.flags.writeable = False
+    pi = stationary_measure(spec, colors)
+    return SparseKernel(spec=spec, colors=colors, pi=pi, cols=cols, data=data)
+
+
+def _reverse_slots(spec: ModelSpec, colors: np.ndarray) -> np.ndarray:
+    """Slot of the reverse of every move of the row table, shape ``(m, n (N - 1))``.
+
+    The move at site ``i`` from color ``c`` to ``c'`` is undone by the move
+    from ``c'`` to ``c`` in the target's row, at slot
+    ``1 + i (N - 1) + (c if c < c' else c - 1)``.  The move in slot
+    ``1 + i (N - 1) + j`` has ``c' > c`` exactly when ``j >= c``.
+    """
+    m, n, num_colors = len(colors), spec.n, spec.num_colors
+    step = np.arange(num_colors - 1)
+    own = np.arange(num_colors)[:, None]
+    # back[c, j]: the position of c among the colors other than c'.
+    back = own - (step < own)
+    sites = 1 + (num_colors - 1) * np.arange(n)
+    return (back[colors] + sites[:, None]).reshape(m, -1)
+
+
+def check_row_sums(kernel: SparseKernel) -> float:
+    """Largest ``|sum_y P(x, y) - 1|`` over all rows."""
+    return float(np.abs(kernel.data.sum(axis=1) - 1.0).max())
 
 
 def check_detailed_balance(kernel: SparseKernel) -> float:
-    """Largest asymmetry ``|pi(x)P(x,y) - pi(y)P(y,x)|`` over all pairs."""
-    flux = kernel.matrix.multiply(kernel.pi.weights[:, None]).tocsr()
-    gap = flux - flux.T
-    if gap.nnz == 0:
-        return 0.0
-    return float(np.abs(gap.data).max())
+    """Largest asymmetry ``|pi(x)P(x,y) - pi(y)P(y,x)|`` over all pairs.
+
+    Pairs of distinct states one move apart; every other pair is 0 on both
+    sides.
+    """
+    pi = kernel.pi.weights
+    targets = kernel.cols[:, 1:]
+    reverse = kernel.data[targets, _reverse_slots(kernel.spec, kernel.colors)]
+    gap = kernel.data[:, 1:] * pi[:, None] - reverse * pi[targets]
+    return float(np.abs(gap).max(initial=0.0))
 
 
 def check_stationarity(kernel: SparseKernel) -> float:
     """Largest entry of ``|pi P - pi|``."""
     pi = kernel.pi.weights
-    image = kernel.matrix.T @ pi
+    image = np.bincount(
+        kernel.cols.ravel(), (kernel.data * pi[:, None]).ravel(), minlength=len(pi)
+    )
     return float(np.abs(image - pi).max())
 
 
 def check_irreducible(kernel: SparseKernel) -> bool:
     """True when the single-site move graph connects the whole state space.
 
-    The graph is the matrix's sparsity pattern, so a move whose probability
-    underflowed to an explicit 0 still counts as an edge.
+    The graph is the row table's ``cols``, so a move whose probability
+    underflowed to 0 still counts as an edge.  The table holds the reverse
+    of every move, so the states reached from rank 0 along its rows are the
+    component of rank 0.  The search takes one step per distance from rank
+    0, at most ``n + 1``.
     """
-    count, _ = connected_components(kernel.matrix, directed=False)
-    return int(count) == 1
+    reached = np.zeros(kernel.dimension, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        new = np.zeros_like(reached)
+        new[kernel.cols[frontier]] = True
+        new &= ~reached
+        reached |= new
+        frontier = np.flatnonzero(new)
+    return bool(reached.all())

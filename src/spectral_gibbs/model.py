@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 # Operations that materialize the full state space refuse above this size.
 EXACT_STATES_BUDGET = 65536
@@ -153,15 +152,23 @@ class GibbsMeasure:
 def stationary_measure(spec: ModelSpec, colors: np.ndarray) -> GibbsMeasure:
     """Compute the stationary distribution exactly from the state table.
 
-    Weights are evaluated in the log domain with a log-sum-exp normalizer so
-    that small temperatures cannot overflow.
+    Weights are evaluated in the log domain so that small temperatures cannot
+    overflow.  The normalizer is a log-sum-exp shifted by the largest log
+    weight ``a``, with the ``k`` terms at ``a`` kept out of the sum ``s`` of
+    the others: ``log Z = log1p(s / k) + log k + a`` (Blanchard, Higham and
+    Higham 2021), the evaluation of ``scipy.special.logsumexp``.
 
     Args:
         spec: Chain parameters.
         colors: :func:`colors_table` of ``spec``.
     """
     log_weights = energies_table(colors) / spec.temp
-    log_z = float(logsumexp(log_weights))
+    top = log_weights.max()
+    at_top = log_weights == top
+    count = float(at_top.sum())
+    rest = np.exp(log_weights - top)
+    rest[at_top] = 0.0
+    log_z = float(np.log1p(rest.sum() / count) + np.log(count) + top)
     weights = np.exp(log_weights - log_z)
     weights.flags.writeable = False
     return GibbsMeasure(weights=weights, log_z=log_z)

@@ -169,7 +169,17 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
     patterns.flags.writeable = False
 
     kappa = float(patterns.max())
-    candidates = np.argwhere(patterns >= (1.0 - WITNESS_RTOL) * kappa)
+    tied = np.argwhere(patterns >= (1.0 - WITNESS_RTOL) * kappa)
+    witness = _first_pattern(tied, patterns.shape)
+    edge = _edge_at(patterns, witness)
+    return KappaResult(spec=spec, kappa=kappa, argmax_edge=edge, patterns=patterns)
+
+
+def _first_pattern(candidates: np.ndarray, shape: tuple[int, ...]) -> list[int]:
+    """The row of ``candidates``, indices into a table of ``shape`` indexed
+    like ``KappaResult.patterns``, whose worst state comes first in rank
+    order, then the lowest site and ``color_to``."""
+    n = shape[0]
     # Ties span the interior sites at large n.  Within one neighbor pattern
     # the worst states there are ordered by the site: a later site's is the
     # smaller iff l > b, or l == b and c > b, where l is the left neighbor's
@@ -179,15 +189,13 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
     b = color_from == 0
     later = (left - 1 > b) | ((left - 1 == b) & (color_from > b))
     order = np.argsort(np.where(later, -i, i), kind="stable")
-    pattern = np.ravel_multi_index(candidates[order, 1:].T, patterns.shape[1:])
+    pattern = np.ravel_multi_index(candidates[order, 1:].T, shape[1:])
     candidates = candidates[order[np.unique(pattern, return_index=True)[1]]]
     # Compare the worst states' first colors at once: ties are many at large N.
     i, left, _, color_from, _ = candidates.T
     first = np.select([i == 0, i == 1], [color_from, left - 1], color_from == 0)
     candidates = candidates[first == first.min()].tolist()
-    witness = min(candidates, key=lambda k: (_worst_state(n, k), k[0], k[4]))
-    edge = _edge_at(patterns, witness)
-    return KappaResult(spec=spec, kappa=kappa, argmax_edge=edge, patterns=patterns)
+    return min(candidates, key=lambda k: (_worst_state(n, k), k[0], k[4]))
 
 
 # Log of the largest finite float64.
@@ -339,9 +347,12 @@ def certify_all_edges(result: KappaResult) -> CertificateSummary:
     checks the path-length factor ``L <= n`` and the boundary one
     ``(alpha/p) L <= n (N-1+e^{2/T})``.  Every edge of a neighbor pattern
     has the pattern's bound and at most its worst ratio, so comparing the
-    two certifies all ``N^n n (N-1)`` directed edges; the worst certificate
-    is the pattern of least slack.  An edge passes when its slack is at
-    least ``-CLOSED_FORM_RTOL`` times its bound.
+    two certifies all ``N^n n (N-1)`` directed edges.  The worst certificate
+    is chosen like the witness of :func:`kappa_exact`, among the patterns
+    whose slack is within ``WITNESS_RTOL`` times their bound of the least
+    slack, so last-digit rounding cannot pick between patterns that symmetry
+    makes equal.  An edge passes when its slack is at least
+    ``-CLOSED_FORM_RTOL`` times its bound.
     """
     spec = result.spec
     n, num_colors = spec.n, spec.num_colors
@@ -349,15 +360,16 @@ def certify_all_edges(result: KappaResult) -> CertificateSummary:
     bounds = np.full(result.patterns.shape, boundary_edge_bound(spec))
     bounds[1:-1, 1:, 1:] = (n * n / num_colors) * (alpha / cond)[1:, 1:]
     slack = np.where(result.patterns > 0, bounds - result.patterns, np.inf)
-    index = np.unravel_index(int(np.argmin(slack)), slack.shape)
+    min_slack = float(slack.min())
+    tied = np.argwhere(slack <= min_slack + WITNESS_RTOL * bounds)
+    index = tuple(_first_pattern(tied, slack.shape))
     edge = _edge_at(result.patterns, index)
-    min_slack = float(slack[index])
     worst = EdgeCertificate(
         edge=edge,
         bound=float(bounds[index]),
-        slack=min_slack,
+        slack=float(slack[index]),
         interior=edge.site not in (1, n),
-        passed=min_slack >= -CLOSED_FORM_RTOL * float(bounds[index]),
+        passed=bool(slack[index] >= -CLOSED_FORM_RTOL * bounds[index]),
     )
     return CertificateSummary(
         num_edges=spec.num_states * n * (num_colors - 1),

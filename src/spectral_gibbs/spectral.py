@@ -13,11 +13,13 @@ of a complex sector into a real symmetric block of the same size and splits
 each half of a real sector (``k = 0``, and ``k = N/2`` for even N) into its
 reflection-even and reflection-odd blocks.  So a real sector has up to four
 blocks of about ``m / (4N)`` states, a complex sector two of about
-``m / (2N)``, and every block is solved densely in real arithmetic.
+``m / (2N)``, and every block is solved densely in real arithmetic by
+numpy's ``eigvalsh`` (LAPACK ``syevd``), so the spectrum needs no scipy.
 
 The blocks read only the ``m / N`` rows of ``S`` that belong to the shift's
 representatives, built from the local conditionals and successor ranks of
-the kernel's color table; the spectrum never reads ``kernel.matrix``.
+the kernel's color table; the spectrum never reads the kernel's row table
+or its CSR ``matrix``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-import scipy.linalg
 
 from .model import DENSE_SOLVE_BUDGET, PrecisionLimitError, check_budget
 from .kernel import SparseKernel, transition_rows
@@ -255,9 +256,7 @@ def spectrum(kernel: SparseKernel) -> Spectrum:
     check_budget(kernel.spec, DENSE_SOLVE_BUDGET, "dense symmetrization")
     parts = []
     for _, block, multiplicity in _sector_blocks(kernel):
-        # The transpose is the same symmetric block, in the Fortran order
-        # LAPACK overwrites without a copy.
-        eigs = scipy.linalg.eigvalsh(block.T, overwrite_a=True, check_finite=False)
+        eigs = np.linalg.eigvalsh(block)
         parts.extend([eigs] * multiplicity)
     eigs = np.ascontiguousarray(np.sort(np.concatenate(parts))[::-1])
     if abs(eigs[0] - 1.0) > 1e-8:

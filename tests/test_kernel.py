@@ -6,15 +6,24 @@ import numpy as np
 import pytest
 
 from conftest import grid_specs, kernel_for
-from oracles import neighbor_conditional, transition_probability
+from oracles import (
+    csr_detailed_balance,
+    csr_irreducible,
+    csr_row_sum_error,
+    csr_stationarity,
+    neighbor_conditional,
+    transition_probability,
+)
 
 from spectral_gibbs import (
     BudgetExceededError,
     ModelSpec,
+    SparseKernel,
     bond_score,
     build_kernel,
     check_detailed_balance,
     check_irreducible,
+    check_row_sums,
     check_stationarity,
     decode_rank,
     encode_rank,
@@ -155,3 +164,41 @@ def test_grid_kernels_all_valid():
         rows = np.asarray(kern.matrix.sum(axis=1)).ravel()
         assert np.abs(rows - 1).max() <= 1e-12
         assert check_detailed_balance(kern) <= 1e-12
+
+
+# At (3,2,0.005) and (3,2,0.001) some moves underflow to 0.
+@pytest.mark.parametrize(
+    "spec", grid_specs() + [ModelSpec(3, 2, 0.005), ModelSpec(3, 2, 0.001)], ids=str
+)
+def test_checks_match_csr_oracles(spec):
+    kern = kernel_for(spec)
+    assert abs(check_row_sums(kern) - csr_row_sum_error(kern)) <= 1e-15
+    assert abs(check_detailed_balance(kern) - csr_detailed_balance(kern)) <= 1e-15
+    assert abs(check_stationarity(kern) - csr_stationarity(kern)) <= 1e-15
+    assert check_irreducible(kern) == csr_irreducible(kern)
+
+
+def test_irreducible_rejects_disconnected_table():
+    # Every slot of every row points back at its own state.
+    kern = kernel_for(ModelSpec(2, 3, 1.0))
+    cols = np.repeat(np.arange(kern.dimension)[:, None], kern.cols.shape[1], axis=1)
+    stuck = SparseKernel(
+        spec=kern.spec, colors=kern.colors, pi=kern.pi, cols=cols, data=kern.data
+    )
+    assert not check_irreducible(stuck)
+    assert not csr_irreducible(stuck)
+
+
+def test_matrix_copies_the_row_table():
+    # csr_matrix wraps views of the arrays it is given, and sorting the
+    # indices would then reorder the row table in place.
+    kern = build_kernel(ModelSpec(3, 2, 0.5))
+    cols, data = kern.cols.copy(), kern.data.copy()
+    matrix = kern.matrix
+    assert matrix is kern.matrix
+    assert matrix.has_sorted_indices
+    assert np.array_equal(kern.cols, cols) and kern.data.tobytes() == data.tobytes()
+    assert not np.shares_memory(matrix.data, kern.data)
+    rows = np.arange(kern.dimension)[:, None]
+    assert matrix.toarray()[rows, cols].tobytes() == data.tobytes()
+    assert check_detailed_balance(kern) <= 1e-12

@@ -422,6 +422,29 @@ def test_per_edge_certificates():
     assert summary.min_slack == summary.worst.bound - edge.ratio
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_worst_certificate_stable_under_one_ulp(seed, monkeypatch):
+    # At (4,3,1) the colors are symmetric, so patterns that a permutation of
+    # the colors maps onto each other have equal slack up to rounding: the
+    # worst certificate must not follow a move of the bounds by one ulp.
+    spec = ModelSpec(4, 3, 1.0)
+    result = kappa_for(spec)
+    want = certify_all_edges(result).worst.edge
+    rng = np.random.default_rng(seed)
+    edge_factors, boundary = paths._edge_factors, paths.boundary_edge_bound
+
+    def nudged_factors(spec):
+        alpha, cond = edge_factors(spec)
+        return np.nextafter(alpha, rng.choice([-np.inf, np.inf], alpha.shape)), cond
+
+    def nudged_boundary(spec):
+        return float(np.nextafter(boundary(spec), rng.choice([-np.inf, np.inf])))
+
+    monkeypatch.setattr(paths, "_edge_factors", nudged_factors)
+    monkeypatch.setattr(paths, "boundary_edge_bound", nudged_boundary)
+    assert certify_all_edges(result).worst.edge == want
+
+
 def test_certificates_boundary_vs_interior():
     # at n=2 every edge sits at an end and takes the boundary bound
     spec = ModelSpec(2, 2, 1.0)

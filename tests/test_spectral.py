@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 from conftest import grid_specs, kernel_for, spectrum_for
 from oracles import glauber_beta1, symmetrize
@@ -237,11 +236,14 @@ def test_spectrum_finite_at_low_temperature():
 
 
 def test_symmetrize_rejects_non_reversible(monkeypatch, capsys):
+    # The row table of P = [[0.2, 0.8], [0.6, 0.4]]: each row holds the
+    # state itself, then its one move.
     spec = ModelSpec(1, 2, 1.0)
     colors = colors_table(spec)
     pi = stationary_measure(spec, colors)
-    bad = sp.csr_matrix(np.array([[0.2, 0.8], [0.6, 0.4]]))
-    kern = SparseKernel(spec=spec, colors=colors, pi=pi, matrix=bad)
+    cols = np.array([[0, 1], [1, 0]])
+    data = np.array([[0.2, 0.8], [0.4, 0.6]])
+    kern = SparseKernel(spec=spec, colors=colors, pi=pi, cols=cols, data=data)
     with pytest.raises(ValueError, match="reversib"):
         symmetrize(kern)
     # The spectrum is built from the conditionals, not from this matrix, so
