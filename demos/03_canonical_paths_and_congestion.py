@@ -54,15 +54,20 @@ print(f"per-edge certificates: {summary.num_edges} edges, "
 worst = worst_alpha_beta(spec)
 print(f"worst alpha+beta over neighbor colors = {worst.value:.6f}"
       f" (closed form {worst.closed_form:.6f})")
-print(f"attained at neighbor pairs: {worst.argmax}")
+patterns = ", ".join(colors_to_string(pattern) for pattern in worst.argmax)
+print(f"attained at (left, right, from, to) = {patterns}")
 print("both neighbors share the color off the edge, as the closed form needs\n")
 
-report = verify_slice_identities(kernel, site=2, color_from=0, color_to=1)
+# one call checks every site i < n and every ordered pair of distinct colors
+report = verify_slice_identities(kernel)
+slices = report.w_slice_sums[1, 0]
 print("slice sums at site 2 (states with w_2 = a, split by w_3):")
-for k, value in enumerate(report.w_slice_sums):
-    print(f"  w_3 = {chr(ord('a') + k)}: {value:.12f}")
-print(f"agreeing slice / disagreeing slice = {report.w_slice_sums[0] / report.w_slice_sums[1]:.6f}"
+for k, value in enumerate(slices):
+    print(f"  w_3 = {colors_to_string([k])}: {value:.12f}")
+print(f"agreeing slice / disagreeing slice = {slices[0] / slices[1]:.6f}"
       f" (e^(2/T) = {math.exp(2 / spec.temp):.6f})")
-print(f"sum of slices = {sum(report.w_slice_sums):.12f} (1/N = {1 / spec.num_colors:.12f})")
-print(f"weighted sums: A' = {report.a_prime:.12f}, B' = {report.b_prime:.12f}")
-print(f"max identity error = {report.max_error:.2e}")
+print(f"sum of slices = {slices.sum():.12f} (1/N = {1 / spec.num_colors:.12f})")
+print(f"weighted sums at site 2, a -> b: A' = {report.a_prime[1, 0, 1]:.12f}, "
+      f"B' = {report.b_prime[1, 0, 1]:.12f}")
+print(f"max identity error over {report.checked} (site, color pair) checks = "
+      f"{report.max_error:.2e}")

@@ -221,7 +221,9 @@ def check_row_sums(kernel: SparseKernel) -> float:
 
 
 def check_detailed_balance(kernel: SparseKernel) -> float:
-    """Largest asymmetry ``|pi(x)P(x,y) - pi(y)P(y,x)|`` over all pairs.
+    """Largest relative asymmetry of the flux over all moves:
+    ``|pi(x)P(x,y) - pi(y)P(y,x)| / max(pi(x)P(x,y), pi(y)P(y,x))``, and 0
+    where both fluxes are 0.
 
     Pairs of distinct states one move apart; every other pair is 0 on both
     sides.
@@ -229,17 +231,22 @@ def check_detailed_balance(kernel: SparseKernel) -> float:
     pi = kernel.pi.weights
     targets = kernel.cols[:, 1:]
     reverse = kernel.data[targets, _reverse_slots(kernel.spec, kernel.colors)]
-    gap = kernel.data[:, 1:] * pi[:, None] - reverse * pi[targets]
-    return float(np.abs(gap).max(initial=0.0))
+    forward, backward = kernel.data[:, 1:] * pi[:, None], reverse * pi[targets]
+    peak = np.maximum(forward, backward)
+    # Where both fluxes are 0 so is the gap, and the quotient is 0.
+    gap = np.abs(forward - backward) / np.where(peak > 0, peak, 1.0)
+    return float(gap.max(initial=0.0))
 
 
 def check_stationarity(kernel: SparseKernel) -> float:
-    """Largest entry of ``|pi P - pi|``."""
+    """Largest relative residual ``|(pi P)_y - pi_y| / pi_y`` over the states
+    with ``pi_y > 0``."""
     pi = kernel.pi.weights
     image = np.bincount(
         kernel.cols.ravel(), (kernel.data * pi[:, None]).ravel(), minlength=len(pi)
     )
-    return float(np.abs(image - pi).max())
+    held = pi > 0
+    return float((np.abs(image - pi)[held] / pi[held]).max(initial=0.0))
 
 
 def check_irreducible(kernel: SparseKernel) -> bool:

@@ -20,10 +20,12 @@ pattern, in ``O(n N^4)`` and with no kernel.  The sums over marginals of
 The module also evaluates the closed-form upper bound ``(n^2/N)(N-1+e^{4/T})``
 together with the quantities that prove it, each as one table over every
 neighbor pattern: the proof's edge factor ``alpha + beta``, which is
-``alpha/p`` with ``p`` read from the conditional table, the interior bound
-``(n^2/N) alpha/p``, the boundary bound ``(n^2/N)(N-1+e^{2/T})``, and the
-slice-sum identities the derivation rests on, summed over the enumerated
-``pi``.  The scalar ``alpha`` and ``beta`` are kept as a test oracle.
+``alpha/p`` with ``p`` read from the conditional table, and its maximum, the
+interior bound ``(n^2/N) alpha/p`` and the boundary bound
+``(n^2/N)(N-1+e^{2/T})``.  The slice-sum identities the derivation rests on
+are checked at every site and color pair at once, from the adjacent pair
+marginals of the enumerated ``pi``.  The scalar ``alpha`` and ``beta``, and
+the slice identities summed state by state, are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -267,43 +269,39 @@ def _edge_factors(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class WorstFactors:
-    """Maximum of ``alpha + beta = alpha/p`` over all neighbor-color patterns.
+    """Maximum of ``alpha + beta = alpha/p`` over all interior edge patterns.
 
     Attributes:
         value: The maximum of the factor.
-        argmax: Neighbor color pairs ``(left, right)`` within a relative
-            ``WITNESS_RTOL`` of it, in row-major order.
+        argmax: The patterns ``(left, right, color_from, color_to)`` within a
+            relative ``WITNESS_RTOL`` of it, in row-major order.
         closed_form: ``N - 1 + e^{4/T}``.
     """
 
     value: float
-    argmax: tuple[tuple[int, int], ...]
+    argmax: tuple[tuple[int, int, int, int], ...]
     closed_form: float
 
 
-def worst_alpha_beta(
-    spec: ModelSpec, color_from: int = 0, color_to: int = 1
-) -> WorstFactors:
-    """Scan all neighbor-color patterns of an interior edge for the worst factor.
+def worst_alpha_beta(spec: ModelSpec) -> WorstFactors:
+    """Scan every neighbor-color pattern of an interior edge for the worst factor.
 
-    By color symmetry the result does not depend on the chosen edge colors.
     Patterns that symmetry makes equal can differ in the last digit, so every
     pattern within a relative ``WITNESS_RTOL`` of the maximum is returned.
 
     Raises:
-        ValueError: If the edge colors are equal or not colors of the chain.
         PrecisionLimitError: Where :func:`kappa_closed_form` would be past
             the float range.
     """
-    if color_from == color_to or {color_from, color_to} - set(range(spec.num_colors)):
-        raise ValueError("edge colors must be two different colors of the chain")
     alpha, cond = _edge_factors(spec)
-    sums = (alpha / cond)[1:, 1:, color_from, color_to]
+    # An edge has two colors; alpha/p of the c = c' slots is no edge factor.
+    edges = ~np.eye(spec.num_colors, dtype=bool)
+    sums = np.where(edges, alpha / cond, 0.0)[1:, 1:]
     best = float(sums.max())
-    lefts, rights = np.nonzero(sums >= (1.0 - WITNESS_RTOL) * best)
+    tied = np.argwhere(sums >= (1.0 - WITNESS_RTOL) * best)
     return WorstFactors(
         value=best,
-        argmax=tuple(zip(lefts.tolist(), rights.tolist())),
+        argmax=tuple(map(tuple, tied.tolist())),
         closed_form=spec.num_colors - 1 + math.exp(4.0 / spec.temp),
     )
 
@@ -381,111 +379,87 @@ def certify_all_edges(result: KappaResult) -> CertificateSummary:
 
 @dataclass(frozen=True)
 class SliceIdentityReport:
-    """Exactly summed slice identities at one site and color pair.
+    """Exactly summed slice identities at every site ``i < n`` and every pair
+    of colors ``c != c'``.
 
-    For ``W^(k) = {w : w_i = color_from, w_{i+1} = c^(k)}`` the checked
-    identities are: the agreeing slice outweighs each disagreeing slice by
-    exactly ``e^{2/T}``; the slices total ``1/N``; and the two
-    exponential-weighted slice sums (``a_prime`` over ``w_i = color_from``
-    weighted by the bond change at ``(i, i+1)`` when that site is recolored
-    to ``color_to``, and ``b_prime`` over ``w_i = color_to`` weighted by the
-    bond change at ``(i-1, i)`` when it is recolored back) both equal
-    ``1/N``.  ``b_prime`` needs a left neighbor and is skipped at site 1.
+    For ``W^(k) = {w : w_i = c, w_{i+1} = k}`` the checked identities are:
+    the agreeing slice outweighs each disagreeing slice by exactly
+    ``e^{2/T}``; the slices total ``1/N``; and the two exponential-weighted
+    slice sums (``a_prime`` over ``w_i = c`` weighted by the bond change at
+    ``(i, i+1)`` when that site is recolored to ``c'``, and ``b_prime`` over
+    ``w_i = c'`` weighted by the bond change at ``(i-1, i)`` when it is
+    recolored back) both equal ``1/N``.
 
     Attributes:
-        site: 1-based site ``i``.
-        color_from: Color defining the ``W`` slices.
-        color_to: Replacement color of the weighted sums.
-        w_slice_sums: Measure of each ``W^(k)``, indexed by color ``k``.
-        agree_ratio_error: Worst ``|W^(from) - e^{2/T} W^(k)|`` over
-            ``k != color_from``.
-        total_error: ``|sum_k W^(k) - 1/N|``.
-        a_prime: Weighted sum over ``w_i = color_from``.
-        b_prime: Weighted sum over ``w_i = color_to``, or None at site 1.
-        max_error: Largest deviation among all applicable identities.
+        w_slice_sums: Measure of each ``W^(k)``, indexed ``[i - 1, c, k]``.
+        a_prime: Weighted sums indexed ``[i - 1, c, c']``.
+        b_prime: Weighted sums indexed like ``a_prime``.  ``b_prime`` needs a
+            left neighbor, so its row of site 1 is NaN, as are the
+            ``c = c'`` slots of both, which are no edge.
+        max_error: Largest deviation among all the identities.
+        checked: The ``(n-1) N (N-1)`` sites and color pairs checked.
         passed: ``max_error <= 1e-12``.
     """
 
-    site: int
-    color_from: int
-    color_to: int
-    w_slice_sums: tuple[float, ...]
-    agree_ratio_error: float
-    total_error: float
-    a_prime: float
-    b_prime: float | None
+    w_slice_sums: np.ndarray
+    a_prime: np.ndarray
+    b_prime: np.ndarray
     max_error: float
+    checked: int
     passed: bool
+
 
 SLICE_TOLERANCE = 1e-12
 
 
-def verify_slice_identities(
-    kernel: SparseKernel, site: int, color_from: int, color_to: int
-) -> SliceIdentityReport:
-    """Sum the slice identities exactly over the whole state space.
-
-    Args:
-        kernel: Built kernel (provides the stationary weights).
-        site: 1-based site ``i`` with ``1 <= i <= n-1``; the identities
-            involve the bond ``(i, i+1)``.
-        color_from: Slice color (the color the site currently holds).
-        color_to: Replacement color; must differ from ``color_from``.
+def verify_slice_identities(kernel: SparseKernel) -> SliceIdentityReport:
+    """Sum the slice identities exactly over the whole state space, at every
+    site with a right neighbor and every ordered pair of distinct colors.
 
     Raises:
-        ValueError: If the site has no right neighbor or the colors match.
         PrecisionLimitError: Where :func:`kappa_closed_form` would be past
             the float range.
     """
     spec = kernel.spec
-    if not 1 <= site <= spec.n - 1:
-        raise ValueError(
-            f"site {site} out of range 1..{spec.n - 1}; the identities need a "
-            "right neighbor"
-        )
-    if color_from == color_to:
-        raise ValueError("colors must differ")
+    n, num_colors = spec.n, spec.num_colors
     alpha, _ = _edge_factors(spec)
-    num_colors = spec.num_colors
-    p = kernel.pi.weights.reshape((num_colors,) * spec.n)
-    i = site - 1
+    p = kernel.pi.weights.reshape((num_colors,) * n)
+    # pair[i - 1, u, v] is the measure of {w : w_i = u, w_{i+1} = v}.
+    pair = np.array(
+        [_marginal(p, (i, i + 1)).reshape(num_colors, num_colors) for i in range(n - 1)]
+    ).reshape(n - 1, num_colors, num_colors)
+    # bond[c, c', k]: the bond change at a neighbor of color k when a site
+    # is recolored from c to c'.  It is copied out of alpha, so that matmul
+    # sums each weighted slice in the order of one contiguous dot product.
+    bond = np.moveaxis(alpha[1:, 0], 0, -1).copy()
 
-    # pair[u, v] is the measure of {w : w_i = u, w_{i+1} = v}.
-    pair = _marginal(p, (i, i + 1)).reshape(num_colors, num_colors)
-    w_sums = tuple(float(w) for w in pair[color_from])
-    scale = math.exp(2.0 / spec.temp)
-    agree_ratio_error = max(
-        abs(w_sums[color_from] - scale * w_sums[k])
-        for k in range(num_colors)
-        if k != color_from
-    )
-    total_error = abs(sum(w_sums) - 1.0 / num_colors)
+    def weighted(slices: np.ndarray) -> np.ndarray:
+        """``sum_k slices[i, c, k] bond[c, c', k]``, indexed ``[i, c, c']``."""
+        return (slices[:, :, None, None, :] @ bond[..., None])[..., 0, 0]
 
-    # The bond changes, indexed by the neighbor's color, are copied out of
-    # alpha: numpy's dot sums a strided vector in another order.
-    change = alpha[1:, 0, color_from, color_to].copy()
-    a_prime = float(pair[color_from] @ change)
-    errors = [agree_ratio_error, total_error, abs(a_prime - 1.0 / num_colors)]
+    a_prime = weighted(pair)
+    # b' at site i sums the pairs of sites (i-1, i) over w_{i-1}, at w_i = c'.
+    b_prime = np.full_like(a_prime, np.nan)
+    b_prime[1:] = weighted(pair[:-1].transpose(0, 2, 1)).transpose(0, 2, 1)
 
-    b_prime = None
-    if site >= 2:
-        # prev[u, v] is the measure of {w : w_{i-1} = u, w_i = v}.
-        prev = _marginal(p, (i - 1, i)).reshape(num_colors, num_colors)
-        change = alpha[1:, 0, color_to, color_from].copy()
-        b_prime = float(prev[:, color_to] @ change)
-        errors.append(abs(b_prime - 1.0 / num_colors))
-
-    max_error = max(errors)
+    edges = ~np.eye(num_colors, dtype=bool)
+    a_prime[:, ~edges] = b_prime[:, ~edges] = np.nan
+    agree = np.diagonal(pair, axis1=1, axis2=2)[:, :, None]
+    errors = [
+        np.abs(agree - math.exp(2.0 / spec.temp) * pair)[:, edges],
+        np.abs(pair.sum(axis=2) - 1.0 / num_colors),
+        np.abs(a_prime - 1.0 / num_colors)[:, edges],
+        np.abs(b_prime - 1.0 / num_colors)[1:, edges],
+    ]
+    max_error = max(float(e.max(initial=0.0)) for e in errors)
+    for table in (pair, a_prime, b_prime):
+        table.flags.writeable = False
     return SliceIdentityReport(
-        site=site,
-        color_from=color_from,
-        color_to=color_to,
-        w_slice_sums=w_sums,
-        agree_ratio_error=agree_ratio_error,
-        total_error=total_error,
+        w_slice_sums=pair,
         a_prime=a_prime,
         b_prime=b_prime,
         max_error=max_error,
+        checked=(n - 1) * num_colors * (num_colors - 1),
         passed=max_error <= SLICE_TOLERANCE,
     )
 

@@ -14,8 +14,13 @@ representatives' rows from the conditionals.  The edge-factor oracle sums the
 proof's ``alpha + beta`` from bond scores, where the package reads ``alpha/p``
 off the conditional table.  The kernel checks' oracles read the CSR matrix
 with scipy, where the package reads the fixed-width row table with numpy.
+The slice-identity oracle accumulates ``pi`` state by state and evaluates
+the identities for one site and color pair from bond scores, where the
+package sums the pair marginals of every site at once and weights them with
+the edge-factor table.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -30,19 +35,24 @@ def csr_row_sum_error(kernel):
 
 
 def csr_detailed_balance(kernel):
-    """Largest ``|pi(x)P(x,y) - pi(y)P(y,x)|`` over all pairs, from the
-    elementwise difference of the CSR flux matrix and its transpose."""
+    """Largest ``|pi(x)P(x,y) - pi(y)P(y,x)| / max(pi(x)P(x,y), pi(y)P(y,x))``
+    over the pairs with a nonzero flux, each read from the CSR flux matrix
+    and its transpose."""
     flux = kernel.matrix.multiply(kernel.pi.weights[:, None]).tocsr()
-    gap = flux - flux.T
-    if gap.nnz == 0:
+    rows, cols = flux.nonzero()
+    if rows.size == 0:
         return 0.0
-    return float(np.abs(gap.data).max())
+    forward = np.asarray(flux[rows, cols]).ravel()
+    backward = np.asarray(flux.T.tocsr()[rows, cols]).ravel()
+    return float((np.abs(forward - backward) / np.maximum(forward, backward)).max())
 
 
 def csr_stationarity(kernel):
-    """Largest entry of ``|pi P - pi|``, with ``P^T pi`` a sparse product."""
+    """Largest ``|(pi P)_y - pi_y| / pi_y`` over ``pi_y > 0``, with ``P^T pi``
+    a sparse product."""
     pi = kernel.pi.weights
-    return float(np.abs(kernel.matrix.T @ pi - pi).max())
+    held = pi > 0
+    return float((np.abs(kernel.matrix.T @ pi - pi)[held] / pi[held]).max())
 
 
 def csr_irreducible(kernel):
@@ -304,3 +314,56 @@ def pattern_witness(patterns, rtol):
 
     tied = np.argwhere(patterns >= (1 - rtol) * patterns.max()).tolist()
     return min(tied, key=lambda k: (worst_state(k), k[0], k[4]))
+
+
+def slice_pair_table(kernel):
+    """``pair[i - 1, u, v]``, the measure of ``{w : w_i = u, w_{i+1} = v}``,
+    accumulated state by state over the states in rank order."""
+    spec = kernel.spec
+    n, num_colors = spec.n, spec.num_colors
+    pair = np.zeros((max(n - 1, 0), num_colors, num_colors))
+    states = itertools.product(range(num_colors), repeat=n)
+    for weight, state in zip(kernel.pi.weights, states):
+        for i in range(n - 1):
+            pair[i, state[i], state[i + 1]] += weight
+    return pair
+
+
+def slice_identities(spec, pair, site, color_from, color_to):
+    """The slice identities at 1-based ``site`` for one color pair, from a
+    :func:`slice_pair_table`.
+
+    Returns the slice sums ``W^(k)`` (a list by ``k``), the worst
+    ``|W^(from) - e^{2/T} W^(k)|`` over ``k != color_from``, the total's
+    error ``|sum_k W^(k) - 1/N|``, ``a_prime`` and ``b_prime`` (None at
+    site 1), each weighted sum taken term by term in color order.
+    """
+    num_colors, temp = spec.num_colors, spec.temp
+
+    def change(neighbor, before, after):
+        gain = bond_score(neighbor, after) - bond_score(neighbor, before)
+        return math.exp(gain / temp)
+
+    slices = [float(w) for w in pair[site - 1, color_from]]
+    scale = math.exp(2.0 / temp)
+    agree_error = max(
+        abs(slices[color_from] - scale * slices[k])
+        for k in range(num_colors)
+        if k != color_from
+    )
+    a_prime = sum(
+        slices[k] * change(k, color_from, color_to) for k in range(num_colors)
+    )
+    b_prime = None
+    if site >= 2:
+        b_prime = sum(
+            pair[site - 2, u, color_to] * change(u, color_to, color_from)
+            for u in range(num_colors)
+        )
+    return {
+        "w_slice_sums": slices,
+        "agree_error": agree_error,
+        "total_error": abs(sum(slices) - 1.0 / num_colors),
+        "a_prime": a_prime,
+        "b_prime": b_prime,
+    }

@@ -171,11 +171,40 @@ def test_grid_kernels_all_valid():
     "spec", grid_specs() + [ModelSpec(3, 2, 0.005), ModelSpec(3, 2, 0.001)], ids=str
 )
 def test_checks_match_csr_oracles(spec):
+    # Both sides divide the same two fluxes, so the relative margins agree to
+    # 1e-15 in absolute terms (they are equal on this grid).
     kern = kernel_for(spec)
     assert abs(check_row_sums(kern) - csr_row_sum_error(kern)) <= 1e-15
     assert abs(check_detailed_balance(kern) - csr_detailed_balance(kern)) <= 1e-15
     assert abs(check_stationarity(kern) - csr_stationarity(kern)) <= 1e-15
     assert check_irreducible(kern) == csr_irreducible(kern)
+
+
+def test_verify_fails_halved_moves_of_least_likely_state(monkeypatch, capsys):
+    # Halve the moves out of the least likely state and hold it the more, so
+    # every row still sums to 1.  Its fluxes are all below 1e-12, so only
+    # relative margins see that half of its flux is missing.
+    from spectral_gibbs import cli
+
+    kern = kernel_for(ModelSpec(6, 4, 0.3))
+    least = int(np.argmin(kern.pi.weights))
+    data = kern.data.copy()
+    data[least, 1:] /= 2
+    data[least, 0] += data[least, 1:].sum()
+    halved = SparseKernel(
+        spec=kern.spec, colors=kern.colors, pi=kern.pi, cols=kern.cols, data=data
+    )
+    assert check_row_sums(halved) <= 1e-12
+    assert check_detailed_balance(halved) == pytest.approx(0.5, abs=1e-12)
+    assert check_stationarity(halved) == pytest.approx(0.5, abs=1e-3)
+    assert csr_detailed_balance(halved) == check_detailed_balance(halved)
+    monkeypatch.setattr(cli, "build_kernel", lambda spec: halved)
+    assert cli.main(["verify", "--n", "6", "--colors", "4", "--temp", "0.3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("PASS row-sums ")
+    assert lines[1].startswith("FAIL detailed-balance ")
+    assert lines[2].startswith("FAIL stationarity ")
+    assert lines[-1] == "FAIL overall"
 
 
 def test_irreducible_rejects_disconnected_table():

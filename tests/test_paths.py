@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import grid_specs, kappa_for, kernel_for, marginal_tables_for
-from oracles import edge_factors, marginal_witness, pattern_witness
+from oracles import (
+    edge_factors,
+    marginal_witness,
+    pattern_witness,
+    slice_identities,
+    slice_pair_table,
+)
 
 from spectral_gibbs import (
     ModelSpec,
@@ -366,7 +372,12 @@ def test_worst_factors_third_color_pattern():
         spec = ModelSpec(3, colors, temp)
         worst = worst_alpha_beta(spec)
         assert math.isclose(worst.value, worst.closed_form, rel_tol=1e-12)
-        assert set(worst.argmax) == {(c, c) for c in range(2, colors)}, (colors, temp)
+        want = {
+            (shared, shared, c, c_to)
+            for shared, c, c_to in itertools.permutations(range(colors), 3)
+        }
+        assert set(worst.argmax) == want, (colors, temp)
+        assert list(worst.argmax) == sorted(want)
 
 
 def test_worst_factors_two_colors_strictly_below():
@@ -375,13 +386,8 @@ def test_worst_factors_two_colors_strictly_below():
     worst = worst_alpha_beta(spec)
     assert math.isclose(worst.value, 2 * math.exp(2.0), rel_tol=1e-12)
     assert worst.value < worst.closed_form
-
-
-def test_worst_factors_validation():
-    # equal colors, and colors outside the chain's three
-    for color_from, color_to in [(1, 1), (0, 3), (-1, 0)]:
-        with pytest.raises(ValueError):
-            worst_alpha_beta(ModelSpec(3, 3, 1.0), color_from, color_to)
+    # both neighbors hold the color the edge leaves
+    assert worst.argmax == ((0, 1, 1, 0), (1, 0, 0, 1))
 
 
 def _certify_at(spec):
@@ -395,7 +401,7 @@ def _certify_at(spec):
         boundary_edge_bound,
         worst_alpha_beta,
         _certify_at,
-        lambda spec: verify_slice_identities(build_kernel(spec), 1, 0, 1),
+        lambda spec: verify_slice_identities(build_kernel(spec)),
     ],
     ids=["kappa_closed_form", "boundary", "worst_alpha_beta", "certify", "slices"],
 )
@@ -464,45 +470,65 @@ def test_certificates_boundary_vs_interior():
 def test_slice_identities_paper_scale():
     spec = ModelSpec(3, 3, 1.0)
     kern = kernel_for(spec)
-    report = verify_slice_identities(kern, 2, 0, 1)
+    report = verify_slice_identities(kern)
     assert report.passed
     assert report.max_error <= 1e-12
+    assert report.checked == 2 * 3 * 2
+    # the slices at site 2 with w_2 = a, indexed by w_3
+    slices = report.w_slice_sums[1, 0]
     # agreeing slice worked by hand: 1 / (3(1 + 2e^{-2}))
     expected = 1.0 / (3 * (1 + 2 * math.exp(-2)))
-    assert math.isclose(report.w_slice_sums[0], expected, rel_tol=1e-14)
-    assert math.isclose(report.w_slice_sums[0], 0.26232868072053284, rel_tol=1e-14)
+    assert math.isclose(slices[0], expected, rel_tol=1e-14)
+    assert math.isclose(slices[0], 0.26232868072053284, rel_tol=1e-14)
     # each disagreeing slice is smaller by exactly e^{2/T}
-    ratio = report.w_slice_sums[0] / report.w_slice_sums[1]
+    ratio = slices[0] / slices[1]
     assert math.isclose(ratio, math.exp(2.0), rel_tol=1e-12)
-    assert math.isclose(sum(report.w_slice_sums), 1 / 3, abs_tol=1e-14)
-    assert math.isclose(report.a_prime, 1 / 3, abs_tol=1e-14)
-    assert math.isclose(report.b_prime, 1 / 3, abs_tol=1e-14)
+    assert math.isclose(slices.sum(), 1 / 3, abs_tol=1e-14)
+    assert math.isclose(report.a_prime[1, 0, 1], 1 / 3, abs_tol=1e-14)
+    assert math.isclose(report.b_prime[1, 0, 1], 1 / 3, abs_tol=1e-14)
 
 
 def test_slice_identities_every_site_and_pair():
     spec = ModelSpec(4, 3, 0.5)
+    report = verify_slice_identities(kernel_for(spec))
+    assert report.passed, report.max_error
+    assert report.checked == 3 * 3 * 2
+    edges = ~np.eye(3, dtype=bool)
+    # b' needs a left neighbor, and c = c' is no edge
+    assert np.isnan(report.b_prime[0]).all()
+    assert np.isnan(report.a_prime[:, ~edges]).all()
+    assert np.isnan(report.b_prime[:, ~edges]).all()
+    assert np.allclose(report.a_prime[:, edges], 1 / 3, rtol=0, atol=1e-12)
+    assert np.allclose(report.b_prime[1:, edges], 1 / 3, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", grid_specs(), ids=str)
+def test_slice_identities_match_scalar_oracle(spec):
     kern = kernel_for(spec)
+    report = verify_slice_identities(kern)
+    pair = slice_pair_table(kern)
+    share = 1 / spec.num_colors
+    checked, errors = 0, [0.0]
     for site in range(1, spec.n):
-        for cf in range(spec.num_colors):
-            for ct in range(spec.num_colors):
-                if cf == ct:
-                    continue
-                report = verify_slice_identities(kern, site, cf, ct)
-                assert report.passed, (site, cf, ct, report.max_error)
-                if site == 1:
-                    assert report.b_prime is None
-                else:
-                    assert math.isclose(report.b_prime, 1 / 3, abs_tol=1e-12)
-
-
-def test_slice_identities_validation():
-    kern = kernel_for(ModelSpec(3, 3, 1.0))
-    with pytest.raises(ValueError):
-        verify_slice_identities(kern, 0, 0, 1)
-    with pytest.raises(ValueError):
-        verify_slice_identities(kern, 3, 0, 1)  # needs a right neighbor
-    with pytest.raises(ValueError):
-        verify_slice_identities(kern, 1, 2, 2)
+        for c, c_to in itertools.permutations(range(spec.num_colors), 2):
+            want = slice_identities(spec, pair, site, c, c_to)
+            i = site - 1
+            slices = report.w_slice_sums[i, c]
+            assert np.allclose(slices, want["w_slice_sums"], rtol=1e-13, atol=0)
+            a_prime, b_prime = want["a_prime"], want["b_prime"]
+            assert math.isclose(report.a_prime[i, c, c_to], a_prime, rel_tol=1e-13)
+            errors += [want["agree_error"], want["total_error"], abs(a_prime - share)]
+            if b_prime is None:
+                assert math.isnan(report.b_prime[i, c, c_to])
+            else:
+                assert math.isclose(report.b_prime[i, c, c_to], b_prime, rel_tol=1e-13)
+                errors.append(abs(b_prime - share))
+            checked += 1
+    assert report.checked == checked
+    # The oracle adds up to 4096 states one at a time, so its rounding is the
+    # larger: both margins are rounding, and their verdicts must agree.
+    assert math.isclose(report.max_error, max(errors), rel_tol=0, abs_tol=1e-14)
+    assert report.passed == (max(errors) <= 1e-12)
 
 
 def test_kappa_report_shape():
