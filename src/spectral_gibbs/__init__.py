@@ -23,7 +23,6 @@ from .model import (
 )
 from .kernel import (
     SparseKernel,
-    bond_score,
     build_kernel,
     check_detailed_balance,
     check_irreducible,
@@ -33,7 +32,6 @@ from .kernel import (
 from .spectral import Spectrum, spectrum
 from .paths import (
     CertificateSummary,
-    EdgeCertificate,
     EdgeLoad,
     KappaResult,
     SliceIdentityReport,
@@ -56,7 +54,6 @@ from .bounds import (
     ingrassia_lambda_min_bound,
     report_to_dict,
     report_to_json,
-    theorem2_bound,
     theorem3_bound,
     theta,
 )
@@ -76,7 +73,6 @@ __all__ = [
     "CertificateSummary",
     "DENSE_SOLVE_BUDGET",
     "EXACT_STATES_BUDGET",
-    "EdgeCertificate",
     "EdgeLoad",
     "GibbsMeasure",
     "KappaResult",
@@ -88,7 +84,6 @@ __all__ = [
     "TvCurve",
     "WorstFactors",
     "assemble_report",
-    "bond_score",
     "boundary_edge_bound",
     "build_kernel",
     "canonical_csv",
@@ -116,7 +111,6 @@ __all__ = [
     "spectrum",
     "stationary_measure",
     "string_to_colors",
-    "theorem2_bound",
     "theorem3_bound",
     "theta",
     "tv_curve",

@@ -3,7 +3,8 @@
 All formulas are elementary functions of the chain length ``n``, the color
 count ``N``, and the temperature ``T``.  The report assembler compares each
 bound with the exact spectrum and the exact congestion constant and records a
-pass/fail verdict per comparison.
+pass/fail verdict per comparison.  The paper's three-color Theorem 2 is its
+Theorem 3 at ``N = 3``, which the report also lists as ``theorem2``.
 
 Total variation here and everywhere in this package means half the L1
 distance between two distributions.
@@ -25,14 +26,6 @@ from .serialize import canonical_json
 # Exact eigenvalues carry at most ~1e-10 solver error; comparisons that are
 # equalities in exact arithmetic get this much room.
 EXACT_TOLERANCE = 1e-10
-
-
-def theorem2_bound(n: int, temp: float) -> float:
-    """Three-color upper bound for the second largest eigenvalue.
-
-    Equals ``theorem3_bound(n, 3, temp)``.
-    """
-    return theorem3_bound(n, 3, temp)
 
 
 def theorem3_bound(n: int, num_colors: int, temp: float) -> float:
@@ -168,7 +161,8 @@ class BoundReport:
 
     Attributes:
         spec: Chain parameters.
-        thm2: Three-color bound; None unless ``num_colors == 3``.
+        thm2: The paper's three-color bound, which is ``thm3`` at ``N = 3``;
+            None unless ``num_colors == 3``.
         thm3: N-color second-eigenvalue bound.
         ingrassia_beta1: General-recipe comparison bound.
         ingrassia_lambda_min: Smallest-eigenvalue lower bound.
@@ -230,7 +224,7 @@ def assemble_report(
 
     n, num_colors, temp = spec.n, spec.num_colors, spec.temp
     thm3 = theorem3_bound(n, num_colors, temp)
-    thm2 = theorem2_bound(n, temp) if num_colors == 3 else None
+    thm2 = thm3 if num_colors == 3 else None
     ing_beta1 = ingrassia_beta1_bound(n, num_colors, temp)
     ing_lmin = ingrassia_lambda_min_bound(num_colors, temp)
     theta_value = theta(n, num_colors, temp)

@@ -220,11 +220,7 @@ class TvCurve:
 
 
 def tv_curve(
-    kernel: SparseKernel,
-    start: int,
-    k_max: int,
-    seed: int | None = None,
-    mc_replicas: int = 256,
+    kernel: SparseKernel, start: int, k_max: int, seed: int | None = None
 ) -> TvCurve:
     """Measure exact TV decay from rank ``start`` against the certified envelope.
 
@@ -232,8 +228,8 @@ def tv_curve(
     the float fixed point of propagation where one is reached; the
     envelope is :func:`~spectral_gibbs.bounds.ds_tv_envelope` at the exact
     rate and the start state's stationary probability.  When a seed is
-    given, a Monte Carlo arm with ``mc_replicas`` chains estimates the same
-    curve empirically.
+    given, a Monte Carlo arm of 256 chains estimates the same curve
+    empirically.
 
     Raises:
         BudgetExceededError: If the state space exceeds ``DENSE_SOLVE_BUDGET``,
@@ -258,10 +254,12 @@ def tv_curve(
             f"{kernel.spec.temp!r}, so its envelope is undefined"
         )
 
+    # Past 2^63 bytes numpy raises ValueError rather than MemoryError;
+    # either way nothing is allocated.
     try:
         ks = np.arange(k_max + 1)
         exact = np.empty(k_max + 1)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
         raise BudgetExceededError(
             f"a curve of {k_max + 1} step counts does not fit in memory"
         ) from exc
@@ -274,7 +272,7 @@ def tv_curve(
 
     mc = None
     if seed is not None:
-        mc = _mc_distributions(kernel, start, k_max, seed, mc_replicas)
+        mc = _mc_distributions(kernel, start, k_max, seed, 256)
 
     return TvCurve(
         spec=kernel.spec,

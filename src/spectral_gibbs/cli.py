@@ -88,6 +88,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A key of the Monte Carlo arm's Philox generator: 0 <= seed < 2**128."""
+    value = int(text)
+    if not 0 <= value < 2**128:
+        raise argparse.ArgumentTypeError(f"expected 0 <= seed < 2**128, got {text}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     """Parse '1:6' as an inclusive range or '2,3,4' as an explicit list."""
     if ":" in text:
@@ -403,7 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: least likely state)",
     )
     p_tv.add_argument(
-        "--seed", type=int, default=None, help="seed of the Monte Carlo arm"
+        "--seed",
+        type=_seed,
+        default=None,
+        help="seed of the Monte Carlo arm, 0 <= seed < 2**128",
     )
     p_tv.add_argument("--format", choices=["csv", "json"], default="csv")
     p_tv.set_defaults(func=cmd_tv)

@@ -35,13 +35,9 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 
-def bond_score(u: int, v: int) -> int:
-    """+1 when two neighboring colors agree, -1 when they disagree."""
-    return 1 if u == v else -1
-
-
 def local_scores(spec: ModelSpec) -> np.ndarray:
-    """Bond scores ``s(left, c) + s(c, right)`` for every neighbor pattern.
+    """Bond scores ``s(left, c) + s(c, right)`` for every neighbor pattern,
+    where a bond scores +1 when its two colors agree and -1 when they differ.
 
     Returns:
         Integer array of shape ``(N + 1, N + 1, N)`` indexed by
@@ -50,9 +46,7 @@ def local_scores(spec: ModelSpec) -> np.ndarray:
     """
     num_colors = spec.num_colors
     bonds = np.zeros((num_colors + 1, num_colors), dtype=np.int64)
-    bonds[1:] = [
-        [bond_score(u, c) for c in range(num_colors)] for u in range(num_colors)
-    ]
+    bonds[1:] = 2 * np.eye(num_colors, dtype=np.int64) - 1
     return bonds[:, None, :] + bonds[None, :, :]
 
 

@@ -14,8 +14,9 @@ chain carry exactly its own pair, so the degenerate one-site chain yields
 ``kappa = 1``.  An edge's ratio depends only on its site, the colors of its
 two neighbors and its own two colors, so :func:`kappa_exact` and
 :func:`certify_all_edges` read one table of worst ratios per such neighbor
-pattern, in ``O(n N^4)`` and with no kernel.  The sums over marginals of
-``pi`` and the enumeration of pairs are kept only as the tests' oracles.
+pattern, in ``O(n N^4)`` and with no kernel; each names its worst pattern
+as an :class:`EdgeLoad`.  The sums over marginals of ``pi`` and the
+enumeration of pairs are kept only as the tests' oracles.
 
 The module also evaluates the closed-form upper bound ``(n^2/N)(N-1+e^{4/T})``
 together with the quantities that prove it, each as one table over every
@@ -307,32 +308,25 @@ def worst_alpha_beta(spec: ModelSpec) -> WorstFactors:
 
 
 @dataclass(frozen=True)
-class EdgeCertificate:
-    """Outcome of checking one edge's load ratio against its bound.
+class CertificateSummary:
+    """Every directed edge's ratio checked against its per-edge bound.
 
     Attributes:
-        edge: The checked edge.
-        bound: ``(n^2/N) alpha/p`` for interior edges, the boundary
-            closed form otherwise.
-        slack: ``bound - ratio``; nonnegative when the certificate passes.
-        interior: Whether the interior bound applied.
-        passed: ``slack >= 0``.
+        num_edges: The ``N^n n (N-1)`` directed edges checked.
+        min_slack: Least ``bound - ratio`` over them.
+        worst: The pattern of least slack, chosen as in
+            :func:`certify_all_edges`.
+        worst_bound: Its bound: ``(n^2/N) alpha/p`` at an interior site, the
+            boundary closed form at site 1 or n.  Its slack is
+            ``worst_bound - worst.ratio``.
+        all_passed: Whether every slack is at least ``-CLOSED_FORM_RTOL``
+            times its bound.
     """
-
-    edge: EdgeLoad
-    bound: float
-    slack: float
-    interior: bool
-    passed: bool
-
-
-@dataclass(frozen=True)
-class CertificateSummary:
-    """Aggregate of the per-edge certificates over every directed edge."""
 
     num_edges: int
     min_slack: float
-    worst: EdgeCertificate
+    worst: EdgeLoad
+    worst_bound: float
     all_passed: bool
 
 
@@ -345,8 +339,8 @@ def certify_all_edges(result: KappaResult) -> CertificateSummary:
     checks the path-length factor ``L <= n`` and the boundary one
     ``(alpha/p) L <= n (N-1+e^{2/T})``.  Every edge of a neighbor pattern
     has the pattern's bound and at most its worst ratio, so comparing the
-    two certifies all ``N^n n (N-1)`` directed edges.  The worst certificate
-    is chosen like the witness of :func:`kappa_exact`, among the patterns
+    two certifies all ``N^n n (N-1)`` directed edges.  The worst pattern is
+    chosen like the witness of :func:`kappa_exact`, among the patterns
     whose slack is within ``WITNESS_RTOL`` times their bound of the least
     slack, so last-digit rounding cannot pick between patterns that symmetry
     makes equal.  An edge passes when its slack is at least
@@ -361,18 +355,11 @@ def certify_all_edges(result: KappaResult) -> CertificateSummary:
     min_slack = float(slack.min())
     tied = np.argwhere(slack <= min_slack + WITNESS_RTOL * bounds)
     index = tuple(_first_pattern(tied, slack.shape))
-    edge = _edge_at(result.patterns, index)
-    worst = EdgeCertificate(
-        edge=edge,
-        bound=float(bounds[index]),
-        slack=float(slack[index]),
-        interior=edge.site not in (1, n),
-        passed=bool(slack[index] >= -CLOSED_FORM_RTOL * bounds[index]),
-    )
     return CertificateSummary(
         num_edges=spec.num_states * n * (num_colors - 1),
         min_slack=min_slack,
-        worst=worst,
+        worst=_edge_at(result.patterns, index),
+        worst_bound=float(bounds[index]),
         all_passed=bool(np.all(slack >= -CLOSED_FORM_RTOL * bounds)),
     )
 

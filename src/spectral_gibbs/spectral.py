@@ -19,7 +19,8 @@ numpy's ``eigvalsh`` (LAPACK ``syevd``), so the spectrum needs no scipy.
 The blocks read only the ``m / N`` rows of ``S`` that belong to the shift's
 representatives, built from the local conditionals and successor ranks of
 the kernel's color table; the spectrum never reads the kernel's row table
-or its CSR ``matrix``.
+or its CSR ``matrix``, so a row table that fails ``verify``'s checks leaves
+the spectrum unchanged.
 """
 
 from __future__ import annotations
@@ -124,6 +125,16 @@ def _representative_rows(
     The diagonal is the holding probability itself, which its square would
     lose where it underflows.  Each row is sorted by target, the column
     order of a CSR matrix.
+
+    The first ``m / N`` rows of the kernel's ``cols`` and ``data`` hold the
+    same moves, and reading them there would save rebuilding the
+    representatives' conditionals and successors.  The rows are built here
+    instead so that
+    the spectrum stays independent of the row table that ``verify``
+    audits: a corrupted table leaves the spectrum as it is and fails
+    ``verify``'s detailed-balance check, where a spectrum read from it
+    would stop ``verify`` with a ``RuntimeError`` of the eigensolve (a
+    leading eigenvalue other than 1, or an imaginary part in a real block).
     """
     spec = kernel.spec
     reps = spec.num_states // spec.num_colors

@@ -1,9 +1,9 @@
 """Oracles for the kernel, its symmetrization and the congestion constant.
 
 The kernel's are scalar: one state, one site, one step at a time.  They
-share no code with the package's tables beyond ``bond_score`` (and
-``make_rng``, whose stream the Monte Carlo oracle must consume), so a test
-that compares the two checks the tables.  The congestion oracle sums every
+score bonds with their own :func:`bond` and share no code with the
+package's tables beyond ``make_rng``, whose stream the Monte Carlo oracle
+must consume, so a test that compares the two checks the tables.  The congestion oracle sums every
 directed edge's load from marginals of the enumerated ``pi`` and reads its
 capacity off the kernel matrix, so it shares no code with the package's
 neighbor-pattern formula; the witness oracle builds the worst state of
@@ -26,7 +26,12 @@ import math
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from spectral_gibbs import bond_score, make_rng
+from spectral_gibbs import make_rng
+
+
+def bond(u, v):
+    """+1 when two neighboring colors agree, -1 when they disagree."""
+    return 1 if u == v else -1
 
 
 def csr_row_sum_error(kernel):
@@ -69,7 +74,7 @@ def neighbor_conditional(num_colors, temp, left, right):
     scores, so small temperatures cannot overflow.
     """
     logits = [
-        sum(bond_score(u, c) for u in (left, right) if u is not None) / temp
+        sum(bond(u, c) for u in (left, right) if u is not None) / temp
         for c in range(num_colors)
     ]
     top = max(logits)
@@ -88,7 +93,7 @@ def edge_factors(num_colors, temp, left, right, color_from, color_to):
     """
 
     def score(u, c):
-        return 0 if u is None else bond_score(u, c)
+        return 0 if u is None else bond(u, c)
 
     alpha = math.exp((score(left, color_to) - score(left, color_from)) / temp)
     prefactor = math.exp((-score(left, color_from) - score(right, color_to)) / temp)
@@ -341,7 +346,7 @@ def slice_identities(spec, pair, site, color_from, color_to):
     num_colors, temp = spec.num_colors, spec.temp
 
     def change(neighbor, before, after):
-        gain = bond_score(neighbor, after) - bond_score(neighbor, before)
+        gain = bond(neighbor, after) - bond(neighbor, before)
         return math.exp(gain / temp)
 
     slices = [float(w) for w in pair[site - 1, color_from]]

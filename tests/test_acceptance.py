@@ -27,7 +27,6 @@ from spectral_gibbs import (
     ingrassia_beta1_bound,
     ingrassia_lambda_min_bound,
     kappa_closed_form,
-    theorem2_bound,
     theorem3_bound,
     theta,
     verify_slice_identities,
@@ -78,8 +77,10 @@ def test_criterion_02_upper_bound_dominance(announce):
         if not beta1 < bound:
             failures.append((spec, beta1, bound))
         if spec.num_colors == 3:
-            # the three-color slice must agree with the dedicated form
-            if theorem2_bound(spec.n, spec.temp) != bound:
+            # the three-color slice must agree with the paper's dedicated
+            # form 1 - 3 / (n^2 (e^{4/T} + 2))
+            dedicated = 1 - 3 / (spec.n**2 * (math.exp(4 / spec.temp) + 2))
+            if not math.isclose(bound, dedicated, rel_tol=1e-15):
                 failures.append((spec, "three-color slice mismatch"))
     ok = not failures
     announce(2, ok, f"exact beta1 strictly below the bound on {checked} specs")

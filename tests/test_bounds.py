@@ -18,7 +18,6 @@ from spectral_gibbs import (
     ingrassia_lambda_min_bound,
     report_to_dict,
     report_to_json,
-    theorem2_bound,
     theorem3_bound,
     theta,
 )
@@ -33,8 +32,11 @@ def test_theorem3_formula():
 
 
 def test_theorem2_is_three_color_slice():
-    assert theorem2_bound(4, 1.3) == theorem3_bound(4, 3, 1.3)
-    assert math.isclose(theorem2_bound(2, 2.0), 0.9201197658105994, rel_tol=1e-15)
+    # the paper's three-color form 1 - 3 / (n^2 (e^{4/T} + 2))
+    for n, temp in [(2, 2.0), (4, 1.3)]:
+        dedicated = 1 - 3 / (n**2 * (math.exp(4 / temp) + 2))
+        assert math.isclose(theorem3_bound(n, 3, temp), dedicated, rel_tol=1e-15)
+    assert math.isclose(theorem3_bound(2, 3, 2.0), 0.9201197658105994, rel_tol=1e-15)
 
 
 def test_theorem3_equals_one_minus_inverse_kappa():
@@ -237,7 +239,7 @@ def test_assemble_report_three_colors():
     spec = ModelSpec(3, 3, 1.0)
     report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
     assert report.verdicts["theorem2"] == "pass"
-    assert report.thm2 == theorem2_bound(3, 1.0)
+    assert report.thm2 == report.thm3 == theorem3_bound(3, 3, 1.0)
     assert report.verdicts["corollary_beta_star"] == "pass"
 
 

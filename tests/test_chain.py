@@ -26,7 +26,7 @@ from spectral_gibbs import (
     tv_distance,
 )
 from spectral_gibbs import chain
-from spectral_gibbs.chain import _block_length, _distribution_blocks
+from spectral_gibbs.chain import _block_length, _distribution_blocks, _mc_distributions
 from spectral_gibbs.kernel import conditional_table
 
 
@@ -158,10 +158,10 @@ def stream_ranks(spec, colors, steps, seed):
 def test_trajectory_reproducible():
     # the Monte Carlo arm is a pure function of its seed
     kern = kernel_for(ModelSpec(3, 2, 0.8))
-    a = tv_curve(kern, 0, 200, seed=5, mc_replicas=16).mc_tv
-    b = tv_curve(kern, 0, 200, seed=5, mc_replicas=16).mc_tv
+    a = _mc_distributions(kern, 0, 200, 5, 16)
+    b = _mc_distributions(kern, 0, 200, 5, 16)
     assert np.array_equal(a, b)
-    c = tv_curve(kern, 0, 200, seed=6, mc_replicas=16).mc_tv
+    c = _mc_distributions(kern, 0, 200, 6, 16)
     assert not np.array_equal(a, c)
 
 
@@ -170,9 +170,10 @@ def test_trajectory_spans_blocks():
     # second blocks have different lengths
     kern = kernel_for(ModelSpec(2, 2, 1.0))
     assert _block_length(4) == 4096
-    long = tv_curve(kern, 0, 8200, seed=3, mc_replicas=4)
-    short = tv_curve(kern, 0, 4200, seed=3, mc_replicas=4)
-    assert np.array_equal(long.mc_tv[:4201], short.mc_tv)
+    long = _mc_distributions(kern, 0, 8200, 3, 4)
+    short = _mc_distributions(kern, 0, 4200, 3, 4)
+    assert np.array_equal(long[:4201], short)
+    long, short = tv_curve(kern, 0, 8200), tv_curve(kern, 0, 4200)
     assert np.array_equal(long.exact_tv[:4201], short.exact_tv)
 
 
@@ -182,9 +183,9 @@ def test_simulation_consumes_documented_stream():
     spec = ModelSpec(3, 3, 1.0)
     kern = kernel_for(spec)
     steps, seed = 40, 123
-    curve = tv_curve(kern, encode_rank(spec, (0, 1, 2)), steps, seed, mc_replicas=1)
+    mc = _mc_distributions(kern, encode_rank(spec, (0, 1, 2)), steps, seed, 1)
     expected = 1.0 - kern.pi.weights[stream_ranks(spec, (0, 1, 2), steps, seed)]
-    np.testing.assert_allclose(curve.mc_tv, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mc, expected, rtol=0, atol=1e-12)
 
 
 def test_long_run_occupancy_matches_pi():
@@ -246,9 +247,9 @@ def test_tv_curve_mc_arm_follows_documented_stream():
     spec = ModelSpec(4, 3, 0.7)
     start = (2, 0, 1, 1)  # "cabb"
     kern = kernel_for(spec)
-    curve = tv_curve(kern, encode_rank(spec, start), 300, seed=11, mc_replicas=1)
+    mc = _mc_distributions(kern, encode_rank(spec, start), 300, 11, 1)
     expected = 1.0 - kern.pi.weights[stream_ranks(spec, start, 300, seed=11)]
-    np.testing.assert_allclose(curve.mc_tv, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mc, expected, rtol=0, atol=1e-12)
 
 
 class ScriptedUniforms:
@@ -382,14 +383,20 @@ def _check_both_arms(spec, block):
     for replicas in (1, 7, 256):
         mc = mc_tv_oracle(kern, start, max(k_values), 7, replicas)
         for k_max in k_values:
-            curve = tv_curve(kern, start, k_max, seed=7, mc_replicas=replicas)
+            # tv_curve's Monte Carlo arm has 256 replicas
+            if replicas == 256:
+                curve = tv_curve(kern, start, k_max, seed=7)
+                got = curve.mc_tv
+            else:
+                curve = tv_curve(kern, start, k_max)
+                got = _mc_distributions(kern, start, k_max, 7, replicas)
             where = f"replicas={replicas} k_max={k_max}"
             np.testing.assert_allclose(
                 curve.exact_tv, exact[: k_max + 1], rtol=0, atol=1e-15, err_msg=where
             )
             # a different color choice anywhere moves some TV by >= 1/replicas
             np.testing.assert_allclose(
-                curve.mc_tv, mc[: k_max + 1], rtol=0, atol=1e-15, err_msg=where
+                got, mc[: k_max + 1], rtol=0, atol=1e-15, err_msg=where
             )
 
 

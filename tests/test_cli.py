@@ -16,6 +16,7 @@ from spectral_gibbs import (
     theorem3_bound,
     tv_curve,
 )
+from spectral_gibbs import cli
 from spectral_gibbs.cli import main
 
 
@@ -251,6 +252,30 @@ def test_sweep_empty_list_is_usage_error(flag, capsys):
     assert captured.out == "" and "empty" in captured.err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128), str(10**41), "x"])
+def test_tv_bad_seed_is_refused_before_any_work(seed, monkeypatch, capsys):
+    # the Philox key must be 0 <= seed < 2**128; the flag is refused when
+    # parsed, before the kernel is built or the curve propagated
+    def no_kernel(spec):
+        raise AssertionError("build_kernel called")
+
+    monkeypatch.setattr(cli, "build_kernel", no_kernel)
+    with pytest.raises(SystemExit) as exc:
+        main(["tv", "--n", "10", "--colors", "2", "--temp", "0.5", "--kmax", "20000",
+              "--seed", seed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--seed" in captured.err
+
+
+@pytest.mark.parametrize("seed", [0, 2**128 - 1], ids=str)
+def test_tv_seed_range_ends_run(seed, capsys):
+    argv = ["tv", "--n", "2", "--colors", "2", "--temp", "1", "--kmax", "5"]
+    assert main(argv + ["--seed", str(seed), "--format", "json"]) == 0
+    curve = json.loads(capsys.readouterr().out)
+    assert curve["seed"] == seed and len(curve["mc_tv"]) == 6
+
+
 @pytest.mark.parametrize("command", ["bounds", "verify", "sweep"])
 def test_seed_only_on_tv(command, capsys):
     # only the Monte Carlo arm of tv draws random numbers
@@ -438,11 +463,11 @@ def test_sweep_at_large_n_and_high_temperature(capsys):
         )
 
 
-def test_tv_kmax_past_memory_is_a_resource_limit(capsys):
-    # numpy refuses the 8 PB curve before it touches memory
-    code = main(
-        ["tv", "--n", "2", "--colors", "2", "--temp", "1", "--kmax", str(10**15)]
-    )
+@pytest.mark.parametrize("kmax", [10**15, 2**60, 10**19, 2**63 - 1], ids=str)
+def test_tv_kmax_past_memory_is_a_resource_limit(kmax, capsys):
+    # numpy refuses each curve before it touches memory: the 8 PB one with
+    # MemoryError, the larger ones, past what it can index, with ValueError
+    code = main(["tv", "--n", "2", "--colors", "2", "--temp", "1", "--kmax", str(kmax)])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

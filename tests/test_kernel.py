@@ -1,5 +1,6 @@
 """Transition kernel construction and its reversibility invariants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import grid_specs, kernel_for
 from oracles import (
+    bond,
     csr_detailed_balance,
     csr_irreducible,
     csr_row_sum_error,
@@ -19,7 +21,6 @@ from spectral_gibbs import (
     BudgetExceededError,
     ModelSpec,
     SparseKernel,
-    bond_score,
     build_kernel,
     check_detailed_balance,
     check_irreducible,
@@ -28,13 +29,23 @@ from spectral_gibbs import (
     decode_rank,
     encode_rank,
 )
-from spectral_gibbs.kernel import conditional_table, local_conditionals
+from spectral_gibbs.kernel import conditional_table, local_conditionals, local_scores
 from spectral_gibbs.model import colors_table
 
 
-def test_bond_score():
-    assert bond_score(2, 2) == 1
-    assert bond_score(0, 1) == -1
+def test_local_scores_sum_the_bonds():
+    spec = ModelSpec(2, 4, 1.0)
+    scores = local_scores(spec)
+    assert scores.dtype == np.int64
+    # one neighbor: +1 when it agrees, -1 when it differs
+    assert scores[2 + 1, 0, 2] == 1
+    assert scores[0 + 1, 0, 1] == -1
+    neighbors = [None, *range(spec.num_colors)]
+    for left, right in itertools.product(neighbors, repeat=2):
+        for c in range(spec.num_colors):
+            want = sum(bond(u, c) for u in (left, right) if u is not None)
+            at = (0 if left is None else left + 1, 0 if right is None else right + 1)
+            assert scores[at][c] == want
 
 
 def test_conditional_two_site_example():

@@ -420,12 +420,11 @@ def test_per_edge_certificates():
     assert summary.num_edges == spec.num_states * spec.n * (spec.num_colors - 1)
     assert summary.all_passed
     assert summary.min_slack >= 0
-    assert summary.worst.passed
-    # the worst certificate is its pattern's own bound minus its worst ratio
-    edge = summary.worst.edge
+    # the worst pattern's slack is its own bound minus its worst ratio
+    edge, slack = summary.worst, summary.worst_bound - summary.worst.ratio
+    assert slack >= -CLOSED_FORM_RTOL * summary.worst_bound
     assert edge.ratio == result.patterns[_pattern_index(edge)]
-    assert summary.worst.slack == summary.min_slack
-    assert summary.min_slack == summary.worst.bound - edge.ratio
+    assert slack == summary.min_slack
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -435,7 +434,7 @@ def test_worst_certificate_stable_under_one_ulp(seed, monkeypatch):
     # worst certificate must not follow a move of the bounds by one ulp.
     spec = ModelSpec(4, 3, 1.0)
     result = kappa_for(spec)
-    want = certify_all_edges(result).worst.edge
+    want = certify_all_edges(result).worst
     rng = np.random.default_rng(seed)
     edge_factors, boundary = paths._edge_factors, paths.boundary_edge_bound
 
@@ -448,23 +447,23 @@ def test_worst_certificate_stable_under_one_ulp(seed, monkeypatch):
 
     monkeypatch.setattr(paths, "_edge_factors", nudged_factors)
     monkeypatch.setattr(paths, "boundary_edge_bound", nudged_boundary)
-    assert certify_all_edges(result).worst.edge == want
+    assert certify_all_edges(result).worst == want
 
 
 def test_certificates_boundary_vs_interior():
     # at n=2 every edge sits at an end and takes the boundary bound
     spec = ModelSpec(2, 2, 1.0)
-    worst = certify_all_edges(kappa_for(spec)).worst
-    assert not worst.interior
-    assert worst.bound == boundary_edge_bound(spec)
+    summary = certify_all_edges(kappa_for(spec))
+    assert summary.worst.site in (1, spec.n)
+    assert summary.worst_bound == boundary_edge_bound(spec)
     # at n=3 the worst edge is interior and takes its neighbors' bound
     spec = ModelSpec(3, 2, 1.0)
-    worst = certify_all_edges(kappa_for(spec)).worst
-    assert worst.interior and worst.edge.site == 2
+    summary = certify_all_edges(kappa_for(spec))
+    edge = summary.worst
+    assert edge.site == 2
     alpha, cond = _edge_factors(spec)
-    edge = worst.edge
     at = (edge.left + 1, edge.right + 1, edge.color_from, edge.color_to)
-    assert worst.bound == (9 / 2) * (alpha / cond)[at]
+    assert summary.worst_bound == (9 / 2) * (alpha / cond)[at]
 
 
 def test_slice_identities_paper_scale():

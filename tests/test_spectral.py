@@ -4,6 +4,7 @@ The package builds only the rows of the representatives; the full-matrix
 ``symmetrize`` oracle and a dense solve of the whole matrix check them.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -252,6 +253,22 @@ def test_symmetrize_rejects_non_reversible(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_kernel", lambda spec: kern)
     assert cli.main(["verify", "--n", "1", "--colors", "2", "--temp", "1"]) == 1
     assert "FAIL detailed-balance" in capsys.readouterr().out.splitlines()[1]
+
+
+def test_spectrum_ignores_corrupted_row_table():
+    # Halve the moves out of the least likely state, a representative whose
+    # row the spectrum would read if it took the rows off the kernel's table,
+    # and hold it the more.  verify's checks see the corruption; the
+    # spectrum, built from the conditionals, is bitwise that of the true kernel.
+    kern = kernel_for(ModelSpec(6, 4, 0.3))
+    least = int(np.argmin(kern.pi.weights))
+    assert least < kern.dimension // kern.spec.num_colors
+    data = kern.data.copy()
+    data[least, 1:] /= 2
+    data[least, 0] += data[least, 1:].sum()
+    halved = dataclasses.replace(kern, data=data)
+    assert check_detailed_balance(halved) == pytest.approx(0.5, abs=1e-12)
+    assert np.array_equal(spectrum(halved).eigenvalues, spectrum(kern).eigenvalues)
 
 
 def test_spectrum_budget():
