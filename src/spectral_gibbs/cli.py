@@ -14,6 +14,15 @@ to 0, a closed form past the float range, or Boltzmann exponents past it.
 chain above ``DENSE_SOLVE_BUDGET`` states before any kernel is built;
 ``sweep`` leaves the exact columns of such rows, and of rows whose kernel
 or spectral gap is past float64, empty and sets their ``skipped_exact``.
+
+Every flag value is checked when the flags are parsed, before any work: a
+value, a list item of ``sweep`` and both ends of its ``a:b`` range each
+follow the rules of the single-chain flag, and a bad one is a usage error
+"argument --flag: expected ..., got '...'".  A range may name at most
+``MAX_RANGE`` values; a longer one is refused before its list is built.
+``bounds``, ``verify`` and ``tv`` print and parse colors as the letters
+a..z, so their ``--colors`` stops at 26; ``sweep`` prints no letters, so its
+color counts have no upper limit.
 """
 
 from __future__ import annotations
@@ -65,57 +74,54 @@ from .chain import tv_curve
 from .serialize import canonical_csv, canonical_json, format_float
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+# The most values an a:b range of a list flag may name; a longer range is
+# refused before its list is built.
+MAX_RANGE = 10_000
 
 
-def _color_count(text: str) -> int:
-    value = int(text)
-    if not 2 <= value <= 26:
-        raise argparse.ArgumentTypeError(
-            f"color count must be between 2 and 26, got {text}"
-        )
-    return value
+def _typed(convert, accept, expected: str):
+    """An argparse type: ``convert(text)`` if that succeeds and ``accept``
+    takes the value, else the usage error "expected <expected>, got '<text>'"."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got '{text}'")
+
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text}")
-    return value
+def _list_of(item):
+    """A list flag: '2,4,6' as a list or '1:6' as an inclusive range, every
+    item and both ends of a range checked by the scalar type ``item``."""
 
-
-def _seed(text: str) -> int:
-    """A key of the Monte Carlo arm's Philox generator: 0 <= seed < 2**128."""
-    value = int(text)
-    if not 0 <= value < 2**128:
-        raise argparse.ArgumentTypeError(f"expected 0 <= seed < 2**128, got {text}")
-    return value
-
-
-def _int_list(text: str) -> list[int]:
-    """Parse '1:6' as an inclusive range or '2,3,4' as an explicit list."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        start, stop = int(lo), int(hi)
-        if stop < start:
-            raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    def convert(text: str) -> list:
+        if ":" not in text:
+            return [item(part) for part in text.split(",") if part]
+        start, stop = (item(end) for end in text.split(":", 1))
+        # Temperatures take no range; a range is refused from its two ends.
+        if not (isinstance(start, int) and 0 <= stop - start < MAX_RANGE):
+            raise ValueError(text)
         return list(range(start, stop + 1))
-    return _nonempty([int(part) for part in text.split(",") if part], text)
+
+    expected = f"a nonempty list or an integer range a:b of at most {MAX_RANGE} values"
+    return _typed(convert, bool, expected)
 
 
-def _float_list(text: str) -> list[float]:
-    return _nonempty([_positive_float(part) for part in text.split(",") if part], text)
-
-
-def _nonempty(values: list, text: str) -> list:
-    """``values``, refused when the list ``text`` names nothing."""
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty list {text!r}")
-    return values
+_chain_length = _typed(int, lambda value: value >= 1, "a positive integer")
+# A single chain prints and parses its colors as the letters a..z.
+_letter_count = _typed(
+    int, lambda value: 2 <= value <= 26, "a color count from 2 to 26"
+)
+_color_count = _typed(int, lambda value: value >= 2, "a color count >= 2")
+_temperature = _typed(float, lambda value: 0 < value < math.inf, "a finite number > 0")
+_steps = _typed(int, lambda value: value >= 0, "a nonnegative integer")
+# A key of the Monte Carlo arm's Philox generator.
+_philox_key = _typed(int, lambda value: 0 <= value < 2**128, "0 <= seed < 2**128")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -165,6 +171,12 @@ def _flatten(payload: dict, prefix: str = "") -> tuple[list[str], list]:
     return header, row
 
 
+def _check(name: str, margin, passed, checked: int | None = None) -> dict:
+    """One verify check; ``checked`` counts the cases it covered, if it counts."""
+    counted = {} if checked is None else {"checked": checked}
+    return {"name": name, **counted, "margin": margin, "passed": passed}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the full verification suite for one chain."""
     spec = _dense_spec(args)
@@ -173,62 +185,37 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # of the checks stays as below.
     spectrum = compute_spectrum(kernel)
     check_gap_resolved(spectrum)
-    checks: list[dict] = []
-
     row_error = check_row_sums(kernel)
-    checks.append(
-        {"name": "row-sums", "margin": row_error, "passed": row_error <= 1e-12}
-    )
     asym = check_detailed_balance(kernel)
-    checks.append(
-        {"name": "detailed-balance", "margin": asym, "passed": asym <= 1e-12}
-    )
     residual = check_stationarity(kernel)
-    checks.append(
-        {"name": "stationarity", "margin": residual, "passed": residual <= 1e-12}
-    )
     connected = check_irreducible(kernel)
-    checks.append({"name": "irreducible", "margin": None, "passed": connected})
-
     slices = verify_slice_identities(kernel)
-    # A single site has no bond, so no identity to check and nothing to pass.
-    if slices.checked:
-        checks.append(
-            {
-                "name": "slice-identities",
-                "checked": slices.checked,
-                "margin": slices.max_error,
-                "passed": slices.passed,
-            }
-        )
-
     kappa = kappa_exact(spec)
     certificates = certify_all_edges(kappa)
-    checks.append(
-        {
-            "name": "edge-certificates",
-            "checked": certificates.num_edges,
-            "margin": certificates.min_slack,
-            "passed": certificates.all_passed,
-        }
+    poincare_margin, poincare_passed = kappa_vs_beta1(spectrum.beta1, kappa.kappa)
+    closed_margin, closed_passed = kappa_vs_closed_form(
+        kappa.kappa, kappa_closed_form(spec)
     )
-    poincare_margin, passed = kappa_vs_beta1(spectrum.beta1, kappa.kappa)
-    checks.append(
-        {"name": "kappa-vs-beta1", "margin": poincare_margin, "passed": passed}
-    )
-    # Random-scan Gibbs is positive semidefinite (Liu, Wong and Kong 1995).
-    checks.append(
-        {
-            "name": "beta-min",
-            "margin": spectrum.beta_min,
-            "passed": spectrum.beta_min >= -EXACT_TOLERANCE,
-        }
-    )
-    closed_margin, passed = kappa_vs_closed_form(kappa.kappa, kappa_closed_form(spec))
-    checks.append(
-        {"name": "kappa-vs-closed-form", "margin": closed_margin, "passed": passed}
-    )
-
+    checks = [
+        _check("row-sums", row_error, row_error <= 1e-12),
+        _check("detailed-balance", asym, asym <= 1e-12),
+        _check("stationarity", residual, residual <= 1e-12),
+        _check("irreducible", None, connected),
+        _check("slice-identities", slices.max_error, slices.passed, slices.checked),
+        _check(
+            "edge-certificates",
+            certificates.min_slack,
+            certificates.all_passed,
+            certificates.num_edges,
+        ),
+        _check("kappa-vs-beta1", poincare_margin, poincare_passed),
+        # Random-scan Gibbs is positive semidefinite (Liu, Wong and Kong 1995).
+        _check("beta-min", spectrum.beta_min, spectrum.beta_min >= -EXACT_TOLERANCE),
+        _check("kappa-vs-closed-form", closed_margin, closed_passed),
+    ]
+    # A check that covered no case would pass vacuously, so it is left out:
+    # a single site has no bond, so no slice identity to check.
+    checks = [check for check in checks if check.get("checked") != 0]
     all_passed = all(c["passed"] for c in checks)
     if args.format == "json":
         payload = {
@@ -242,13 +229,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines = []
         for check in checks:
             status = "PASS" if check["passed"] else "FAIL"
-            margin = (
-                ""
-                if check["margin"] is None
-                else f" margin={format_float(check['margin'])}"
-            )
             extra = f" checked={check['checked']}" if "checked" in check else ""
-            lines.append(f"{status} {check['name']}{extra}{margin}\n")
+            if check["margin"] is not None:
+                extra += f" margin={format_float(check['margin'])}"
+            lines.append(f"{status} {check['name']}{extra}\n")
         lines.append(("PASS" if all_passed else "FAIL") + " overall\n")
         text = "".join(lines)
     _emit(text, args.out)
@@ -335,35 +319,23 @@ def cmd_tv(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, plural: bool) -> None:
-    if plural:
-        parser.add_argument(
-            "--n",
-            type=_int_list,
-            default=list(range(1, 7)),
-            help="chain lengths, e.g. 1:6 or 2,4,6 (default 1:6)",
-        )
-        parser.add_argument(
-            "--colors",
-            type=_int_list,
-            default=[2, 3, 4],
-            help="color counts, e.g. 2,3,4 (default 2,3,4)",
-        )
-        parser.add_argument(
-            "--temp",
-            type=_float_list,
-            default=[0.5, 1.0, 2.0, 5.0],
-            help="temperatures, e.g. 0.5,1,2 (default 0.5,1,2,5)",
-        )
-    else:
-        parser.add_argument(
-            "--n", type=_positive_int, required=True, help="chain length"
-        )
-        parser.add_argument(
-            "--colors", type=_color_count, required=True, help="color count (2..26)"
-        )
-        parser.add_argument(
-            "--temp", type=_positive_float, required=True, help="temperature"
-        )
+    """Add ``--n``, ``--colors`` and ``--temp``: one value each, or for
+    ``sweep`` (``plural``) a list of them, which prints no color letters."""
+    for flag, one, each, default, help_one, help_list in (
+        ("--n", _chain_length, _chain_length, "1:6",
+         "chain length", "chain lengths, e.g. 1:6 or 2,4,6 (default 1:6)"),
+        ("--colors", _letter_count, _color_count, "2,3,4",
+         "color count (2..26)", "color counts, e.g. 2,3,4 (default 2,3,4)"),
+        ("--temp", _temperature, _temperature, "0.5,1,2,5",
+         "temperature", "temperatures, e.g. 0.5,1,2 (default 0.5,1,2,5)"),
+    ):
+        if plural:
+            # argparse parses a string default with the flag's type.
+            parser.add_argument(
+                flag, type=_list_of(each), default=default, help=help_list
+            )
+        else:
+            parser.add_argument(flag, type=one, required=True, help=help_one)
     parser.add_argument("--out", default=None, help="output file (default stdout)")
 
 
@@ -402,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_tv, plural=False)
     p_tv.add_argument(
-        "--kmax", type=int, default=200, help="largest step count (default 200)"
+        "--kmax", type=_steps, default=200, help="largest step count (default 200)"
     )
     p_tv.add_argument(
         "--start",
@@ -412,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tv.add_argument(
         "--seed",
-        type=_seed,
+        type=_philox_key,
         default=None,
         help="seed of the Monte Carlo arm, 0 <= seed < 2**128",
     )
@@ -424,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "kmax", 0) < 0:
-        parser.error("--kmax must be nonnegative")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -45,15 +45,24 @@ class Spectrum:
 
     Attributes:
         eigenvalues: All eigenvalues in descending order; the first is 1.
-        beta1: Second largest eigenvalue.
-        beta_min: Smallest eigenvalue.
-        beta_star: ``max(beta1, |beta_min|)``, the convergence rate driver.
     """
 
     eigenvalues: np.ndarray
-    beta1: float
-    beta_min: float
-    beta_star: float
+
+    @property
+    def beta1(self) -> float:
+        """Second largest eigenvalue."""
+        return float(self.eigenvalues[1])
+
+    @property
+    def beta_min(self) -> float:
+        """Smallest eigenvalue."""
+        return float(self.eigenvalues[-1])
+
+    @property
+    def beta_star(self) -> float:
+        """``max(beta1, |beta_min|)``, the convergence rate driver."""
+        return max(self.beta1, abs(self.beta_min))
 
 
 def check_gap_resolved(spectrum: Spectrum) -> None:
@@ -275,11 +284,4 @@ def spectrum(kernel: SparseKernel) -> Spectrum:
             f"leading eigenvalue {eigs[0]!r} is not 1; solver failure"
         )
     eigs.flags.writeable = False
-    beta1 = float(eigs[1])
-    beta_min = float(eigs[-1])
-    return Spectrum(
-        eigenvalues=eigs,
-        beta1=beta1,
-        beta_min=beta_min,
-        beta_star=max(beta1, abs(beta_min)),
-    )
+    return Spectrum(eigenvalues=eigs)

@@ -76,9 +76,7 @@ def _fixed_point(kern, start, k_max):
 @pytest.fixture
 def stub_spectrum(monkeypatch):
     # the exact arm does not read the spectrum, only the envelope does
-    resolved = Spectrum(
-        eigenvalues=np.array([1.0, 0.5]), beta1=0.5, beta_min=0.0, beta_star=0.5
-    )
+    resolved = Spectrum(eigenvalues=np.array([1.0, 0.5, 0.0]))
     monkeypatch.setattr(chain, "compute_spectrum", lambda kern: resolved)
 
 
@@ -309,9 +307,7 @@ def test_tv_curve_refuses_unresolved_envelope(monkeypatch):
     assert kern.pi.weights[start] == 0.0
     with pytest.raises(PrecisionLimitError, match="spectral gap"):
         tv_curve(kern, 0, 5)
-    resolved = Spectrum(
-        eigenvalues=np.array([1.0, 0.5]), beta1=0.5, beta_min=0.0, beta_star=0.5
-    )
+    resolved = Spectrum(eigenvalues=np.array([1.0, 0.5, 0.0]))
     monkeypatch.setattr(chain, "compute_spectrum", lambda kern: resolved)
     with pytest.raises(PrecisionLimitError, match="underflowed to 0"):
         tv_curve(kern, start, 5)

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -250,6 +251,75 @@ def test_sweep_empty_list_is_usage_error(flag, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "empty" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, flag, value)
+        for command, flags in [
+            ("tv", ["--n", "--colors", "--temp", "--kmax", "--seed"]),
+            ("sweep", ["--n", "--colors", "--temp"]),
+        ]
+        for flag in flags
+        for value in ["x", "-1", "0", "nan", "1e999"]
+        # 0 steps and seed 0 are valid
+        if not (flag in ("--kmax", "--seed") and value == "0")
+    ],
+)
+def test_bad_flag_value_names_what_was_expected(command, flag, value, capsys):
+    # each value is refused when parsed, as a single-chain value or as the
+    # one item of a sweep list, with a message that names no private function
+    argv = [command, "--n", "2", "--colors", "2", "--temp", "1"] + (
+        ["--kmax", "3"] if command == "tv" else []
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"{flag}={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(lines) == 1
+    assert f"error: argument {flag}: expected " in lines[0]
+    assert lines[0].endswith(f", got '{value}'")
+    assert not re.search(r"(?<![\w-])_\w", captured.err), captured.err
+
+
+@pytest.mark.parametrize("flag", [["--n", "2,0"], ["--colors", "2,1"]], ids=" ".join)
+def test_sweep_bad_item_is_refused_before_any_kernel(flag, monkeypatch, capsys):
+    # a list item follows the rules of the single-chain flag, so a bad item
+    # late in a list is refused before the rows of the good ones are made
+    def no_kernel(spec):
+        raise AssertionError("build_kernel called")
+
+    monkeypatch.setattr(cli, "build_kernel", no_kernel)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument {flag[0]}: expected " in captured.err
+
+
+@pytest.mark.parametrize("stop", [10**20, 10**12], ids=str)
+def test_sweep_range_past_cap_is_refused_unbuilt(stop, capsys):
+    # the range is refused from its ends; 10**20 values would not fit an
+    # index, and 10**12 would fill memory
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--n", f"1:{stop}"])
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"at most {cli.MAX_RANGE} values" in captured.err
+
+
+def test_sweep_range_up_to_cap():
+    # a range of MAX_RANGE values is taken whole, one more is refused
+    parse = cli.build_parser().parse_args
+    top = 9 + cli.MAX_RANGE
+    assert parse(["sweep", "--n", f"10:{top}"]).n == list(range(10, top + 1))
+    with pytest.raises(SystemExit):
+        parse(["sweep", "--n", f"9:{top}"])
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**128), str(10**41), "x"])
@@ -509,7 +579,7 @@ def test_verify_fails_negative_beta_min(capsys, monkeypatch):
 
     def negative(kernel):
         eigs = np.array([1.0, 0.5, -0.25])
-        return Spectrum(eigenvalues=eigs, beta1=0.5, beta_min=-0.25, beta_star=0.5)
+        return Spectrum(eigenvalues=eigs)
 
     monkeypatch.setattr(cli, "compute_spectrum", negative)
     code, out = run_main(["verify", "--n", "2", "--colors", "2", "--temp", "1"], capsys)

@@ -3,7 +3,9 @@
 Every drawn command exits 2 exactly when its input is invalid, and
 otherwise 0, or 3 with one ``precision limit:`` line on stderr; its JSON
 output parses.  Temperatures range over the whole float range, 1e-320 to
-1e300, plus inf and nan.
+1e300, plus inf and nan.  ``sweep`` list flags are drawn as comma lists
+and ``a:b`` ranges with ends from -3 to 10**30, empty, reversed and
+around the range cap.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from spectral_gibbs.cli import main  # noqa: E402
+from spectral_gibbs.cli import MAX_RANGE, main  # noqa: E402
 
 FORMATS = {
     "bounds": ["json", "csv"],
@@ -78,3 +80,80 @@ def test_cli_exits_cleanly(drawn):
         assert len(lines) == 1 and lines[0].startswith("precision limit:"), err
     if code == 0 and "json" in argv:
         json.loads(out)
+
+
+# The two flags not drawn, at values whose rows stay cheap: at most 676
+# states at 26 colors, and no dense spectrum at n = 13.
+SWEEP_FIXED = {
+    "--n": ["--colors", "26", "--temp", "1"],
+    "--colors": ["--n", "13", "--temp", "1"],
+    "--temp": ["--n", "13", "--colors", "2"],
+}
+ITEMS = st.one_of(
+    st.integers(-3, 10**30).map(str),
+    st.sampled_from(["", "x", "nan", "inf", "1e999", "0.5", "1e-320"]),
+)
+
+
+def valid_item(flag, text):
+    """Whether ``text`` is a valid value of ``flag`` in a sweep list."""
+    if flag == "--temp":
+        try:
+            return 0 < float(text) < math.inf
+        except ValueError:
+            return False
+    return text.lstrip("-").isdigit() and int(text) >= (1 if flag == "--n" else 2)
+
+
+@st.composite
+def sweep_lists(draw):
+    """A sweep argv with one drawn list flag, and the number of values it
+    names (None when it is invalid)."""
+    flag = draw(st.sampled_from(sorted(SWEEP_FIXED)))
+    if draw(st.booleans()):
+        items = draw(st.lists(ITEMS, max_size=4))
+        text = ",".join(items)
+        named = [item for item in items if item]
+        valid = named and all(valid_item(flag, item) for item in named)
+        count = len(named) if valid else None
+    else:
+        start = draw(st.integers(-3, 10**30))
+        offset = draw(
+            st.one_of(
+                st.integers(-2, 3),
+                st.integers(MAX_RANGE - 2, MAX_RANGE + 1),
+                st.integers(-3, 10**30),
+            )
+        )
+        ends = [str(start), str(start + offset)]
+        if draw(st.booleans()):
+            ends[draw(st.integers(0, 1))] = draw(ITEMS)
+        text = ":".join(ends)
+        valid = (
+            flag != "--temp"
+            and all(valid_item(flag, end) for end in ends)
+            and 0 <= int(ends[1]) - int(ends[0]) < MAX_RANGE
+        )
+        count = int(ends[1]) - int(ends[0]) + 1 if valid else None
+    fmt = draw(st.sampled_from(FORMATS["sweep"]))
+    return ["sweep", f"{flag}={text}", *SWEEP_FIXED[flag], "--format", fmt], count
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(drawn=sweep_lists())
+def test_sweep_lists_exit_cleanly(drawn):
+    argv, count = drawn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(argv)
+    assert "Traceback" not in err
+    if count is None:
+        assert code == 2 and out == "", (code, err)
+        flag = argv[1].split("=")[0]
+        assert f"error: argument {flag}: expected " in err, err
+        return
+    assert code == 0, (code, err)
+    if "json" in argv:
+        assert len(json.loads(out)["rows"]) == count
+    else:
+        assert len(out.splitlines()) == 1 + count

@@ -278,8 +278,8 @@ def test_spectrum_budget():
 
 
 def test_beta_star_prefers_negative_mass():
-    spect = Spectrum(
-        eigenvalues=np.array([1.0, 0.3, -0.7]), beta1=0.3, beta_min=-0.7, beta_star=0.7
-    )
-    assert spect.beta_star == 0.7
+    # beta1, beta_min and beta_star are read off the eigenvalues
+    spect = Spectrum(eigenvalues=np.array([1.0, 0.3, -0.7]))
+    assert (spect.beta1, spect.beta_min, spect.beta_star) == (0.3, -0.7, 0.7)
+    assert Spectrum(eigenvalues=np.array([1.0, 0.3, -0.2])).beta_star == 0.3
 
