@@ -30,12 +30,12 @@ print(f"spectral gap 1 - beta* = {1 - spect.beta_star:.6e}\n")
 kappa = kappa_exact(spec)
 report = assemble_report(kernel, spect, kappa)
 print("exact values against each bound:")
-print(f"  beta1 exact                  {report.exact_beta1:.10f}")
-print(f"  congestion bound 1 - 1/kappa {1 - 1 / report.kappa_exact:.10f}")
-print(f"  closed-form bound            {report.thm3:.10f}")
-print(f"  comparison bound             {report.ingrassia_beta1:.10f}")
-print(f"  beta_min exact               {report.exact_beta_min:.10f}")
-print(f"  beta_min floor               {report.ingrassia_lambda_min:.10f}")
+print(f"  beta1 exact                  {report.exact['beta1']:.10f}")
+print(f"  congestion bound 1 - 1/kappa {report.kappa['poincare_beta1']:.10f}")
+print(f"  closed-form bound            {report.bounds['theorem3']:.10f}")
+print(f"  comparison bound             {report.bounds['ingrassia_beta1']:.10f}")
+print(f"  beta_min exact               {report.exact['beta_min']:.10f}")
+print(f"  beta_min floor               {report.bounds['ingrassia_lambda_min']:.10f}")
 print()
 
 print("full report as the CLI prints it:\n")

@@ -12,15 +12,15 @@ distance between two distributions.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec
 from .kernel import SparseKernel
 from .spectral import Spectrum, check_gap_resolved
-from .paths import CLOSED_FORM_RTOL, KappaResult, kappa_closed_form
+from .paths import _LOG_FLOAT_MAX, CLOSED_FORM_RTOL, KappaResult, kappa_closed_form
 from .serialize import canonical_json
 
 # Exact eigenvalues carry at most ~1e-10 solver error; comparisons that are
@@ -34,14 +34,26 @@ def theorem3_bound(n: int, num_colors: int, temp: float) -> float:
     Algebraically identical to ``1 - 1/kappa_closed_form``.  Evaluated as
     ``(n^2 (1 - u) + N u (n^2 - 1)) / (n^2 (1 + (N-1) u))`` with
     ``u = e^{-4/T}``, a sum of nonnegative terms, so no digit cancels where
-    the bound tends to 0 (``n = 1`` at high temperature).
+    the bound tends to 0 (``n = 1`` at high temperature).  Where the
+    denominator is past the float range, both are divided by
+    ``n^2 N max(1/N, u)``, taken in logs.  A bound on an eigenvalue, it is
+    at most 1, also where rounding would put it above.
     """
     if n < 1 or num_colors < 2 or not temp > 0:
         raise ValueError("need n >= 1, num_colors >= 2, temp > 0")
     u = math.exp(-4.0 / temp)
-    n2 = float(n) * n
-    numerator = n2 * -math.expm1(-4.0 / temp) + num_colors * u * (n2 - 1.0)
-    return numerator / (n2 * (1.0 + (num_colors - 1) * u))
+    try:
+        n2 = float(n) * n
+        denominator = n2 * (1.0 + (num_colors - 1) * u)
+    except OverflowError:  # n or N is past the float range
+        denominator = math.inf
+    if denominator < math.inf:
+        numerator = n2 * -math.expm1(-4.0 / temp) + num_colors * u * (n2 - 1.0)
+        return min(numerator / denominator, 1.0)
+    log_r, log_u = -math.log(num_colors), -4.0 / temp
+    r, u = (math.exp(x - max(log_r, log_u)) for x in (log_r, log_u))
+    numerator = -math.expm1(-4.0 / temp) * r + u * (1.0 - (1 / n) ** 2)
+    return min(numerator / (r + (num_colors - 1) / num_colors * u), 1.0)
 
 
 def ingrassia_lambda_min_bound(num_colors: int, temp: float) -> float:
@@ -74,26 +86,42 @@ def ingrassia_beta1_bound(n: int, num_colors: int, temp: float) -> float:
     the exact eigenvalue.  Evaluated as ``(1 - e^{-2/T}) + e^{-2/T} (1 - r)``
     with ``r = n^{-2} ((1 + (N-1) e^{-1/(2T)}) / N)^{n-1} <= 1``, a sum of
     nonnegative terms: no digit cancels where the bound tends to 0 (``n = 1``
-    at high temperature), and no power overflows at large ``n``.
+    at high temperature), and no power overflows at any ``n`` or ``N``.  It
+    is at most 1, also where rounding would put it above.
     """
     if n < 1 or num_colors < 2 or not temp > 0:
         raise ValueError("need n >= 1, num_colors >= 2, temp > 0")
-    base = (1.0 + (num_colors - 1) * math.exp(-1.0 / (2.0 * temp))) / num_colors
-    r = base ** (n - 1) / (float(n) * n)
-    return -math.expm1(-2.0 / temp) + math.exp(-2.0 / temp) * (1.0 - r)
+    weight = math.exp(-1.0 / (2.0 * temp))
+    try:
+        base = (1.0 + (num_colors - 1) * weight) / num_colors
+    except OverflowError:  # N is past the float range, where (N-1)/N rounds to 1
+        base = 1 / num_colors + weight
+    try:
+        r = base ** (n - 1) / (float(n) * n)
+    except OverflowError:  # n is past the float range, where r <= n^{-2} is 0
+        r = 0.0
+    return min(-math.expm1(-2.0 / temp) + math.exp(-2.0 / temp) * (1.0 - r), 1.0)
+
+
+def _log_mean_weight(num_colors: int, x: float) -> float:
+    """``log((1 + (N-1) e^{-x}) / N)`` for ``x > 0``, to a few ulps at any ``N``."""
+    try:
+        a = (num_colors - 1) * math.expm1(-x) / num_colors
+    except OverflowError:  # N is past the float range, where (N-1)/N rounds to 1
+        a = math.expm1(-x)
+    if a >= 1 / 32 - 1:
+        # log1p keeps every digit at high temperature, where the mean tends to 1.
+        return math.log1p(a)
+    # Below that, 1 + a keeps few digits: add the logs of the mean's two
+    # terms 1/N and ((N-1)/N) e^{-x} instead.
+    return float(np.logaddexp(-math.log(num_colors), math.log1p(-1 / num_colors) - x))
 
 
 def _log_theta_terms(num_colors: int, temp: float) -> tuple[float, float]:
-    """Logs of the two factors of :func:`theta`, finite at any temperature."""
-    # log1p of (N-1) expm1(-x)/N keeps every digit at high temperature,
-    # where both factors tend to 1.
-    log_head = 2.0 / temp + math.log1p(
-        (num_colors - 1) * math.expm1(-4.0 / temp) / num_colors
-    )
-    log_ratio = math.log1p(
-        (num_colors - 1) * math.expm1(-1.0 / (2.0 * temp)) / num_colors
-    )
-    return log_head, log_ratio
+    """Logs of the two factors of :func:`theta`; the first is inf only where
+    ``2/T`` is past the float range."""
+    log_head = 2.0 / temp + _log_mean_weight(num_colors, 4.0 / temp)
+    return log_head, _log_mean_weight(num_colors, 1.0 / (2.0 * temp))
 
 
 def theta(n: int, num_colors: int, temp: float) -> float:
@@ -101,12 +129,17 @@ def theta(n: int, num_colors: int, temp: float) -> float:
 
     Equals ``(e^{2/T} + (N-1) e^{-2/T}) / N`` times
     ``((1 + (N-1) e^{-1/(2T)}) / N)^{n-1}`` and is strictly decreasing in
-    ``n``.  Evaluated in log form; ``math.inf`` when the ratio is past the
-    float range.
+    ``n``.  Evaluated in log form at any ``n``; ``math.inf`` when the ratio
+    is past the float range.
     """
     log_head, log_ratio = _log_theta_terms(num_colors, temp)
     try:
-        return math.exp(log_head + (n - 1) * log_ratio)
+        decay = (n - 1) * log_ratio
+    except OverflowError:  # n is past the float range: multiply in logs
+        log_decay = math.log(n - 1) + math.log(-log_ratio)
+        decay = -math.exp(min(log_decay, _LOG_FLOAT_MAX))
+    try:
+        return math.exp(log_head + decay)
     except OverflowError:
         return math.inf
 
@@ -155,46 +188,30 @@ def kappa_vs_closed_form(kappa: float, closed_form: float) -> tuple[float, bool]
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Every closed-form bound, the exact quantities, and the verdicts.
-
-    Verdict values are "pass", "fail", or "not-applicable".
+    """Every closed-form bound, the exact quantities, and the verdicts, in
+    the groups and key order that ``bounds --format json`` prints.
 
     Attributes:
-        spec: Chain parameters.
-        thm2: The paper's three-color bound, which is ``thm3`` at ``N = 3``;
-            None unless ``num_colors == 3``.
-        thm3: N-color second-eigenvalue bound.
-        ingrassia_beta1: General-recipe comparison bound.
-        ingrassia_lambda_min: Smallest-eigenvalue lower bound.
-        theta: Gap-term ratio.
-        crossover_n: Real length threshold for ``theta < 1``.
-        exact_beta1: Second largest eigenvalue.
-        exact_beta_min: Smallest eigenvalue.
-        exact_beta_star: Second largest eigenvalue modulus.
-        exact_log_z: Log of the exact normalizing constant.
-        kappa_exact: Exact congestion constant.
-        kappa_closed_form: Its closed-form upper bound.
-        envelope_start: Rank of the envelope's start state: the least likely
-            state, which maximizes the envelope prefactor.
-        envelope_pi_start: Its stationary probability.
-        verdicts: Pass/fail per dominance relation.
+        model: The chain: ``n``, ``colors`` and ``temp``.
+        exact: ``beta1``, ``beta_min`` and ``beta_star`` of the exact
+            spectrum, and ``log_z``, the log of the normalizing constant.
+        bounds: ``theorem2`` (the paper's three-color bound: ``theorem3``
+            at ``N = 3``, else None), ``theorem3``, ``ingrassia_beta1``,
+            ``ingrassia_lambda_min``, the gap-term ratio ``theta`` and
+            ``crossover_n``, the real length where it crosses 1.
+        kappa: The ``exact`` congestion constant, its ``closed_form`` upper
+            bound, and ``poincare_beta1 = 1 - 1/exact``.
+        envelope: The envelope's ``start_state``, the rank of the least
+            likely state, which maximizes the envelope prefactor; its
+            stationary probability ``pi_start``; and the rate ``beta_star``.
+        verdicts: "pass", "fail", or "not-applicable" per dominance relation.
     """
 
-    spec: ModelSpec
-    thm2: float | None
-    thm3: float
-    ingrassia_beta1: float
-    ingrassia_lambda_min: float
-    theta: float
-    crossover_n: float
-    exact_beta1: float
-    exact_beta_min: float
-    exact_beta_star: float
-    exact_log_z: float
-    kappa_exact: float
-    kappa_closed_form: float
-    envelope_start: int
-    envelope_pi_start: float
+    model: dict
+    exact: dict
+    bounds: dict
+    kappa: dict
+    envelope: dict
     verdicts: dict[str, str]
 
     @property
@@ -205,7 +222,8 @@ class BoundReport:
 def assemble_report(
     kernel: SparseKernel, spectrum: Spectrum, kappa: KappaResult
 ) -> BoundReport:
-    """Evaluate every bound for one chain and compare against exact data.
+    """Evaluate every bound for one chain, compare it against exact data,
+    and build each group of the report once.
 
     Args:
         kernel: Built kernel; its spec names the chain.
@@ -224,99 +242,63 @@ def assemble_report(
 
     n, num_colors, temp = spec.n, spec.num_colors, spec.temp
     thm3 = theorem3_bound(n, num_colors, temp)
-    thm2 = thm3 if num_colors == 3 else None
-    ing_beta1 = ingrassia_beta1_bound(n, num_colors, temp)
-    ing_lmin = ingrassia_lambda_min_bound(num_colors, temp)
-    theta_value = theta(n, num_colors, temp)
+    bounds = {
+        "theorem2": thm3 if num_colors == 3 else None,
+        "theorem3": thm3,
+        "ingrassia_beta1": ingrassia_beta1_bound(n, num_colors, temp),
+        "ingrassia_lambda_min": ingrassia_lambda_min_bound(num_colors, temp),
+        "theta": theta(n, num_colors, temp),
+        "crossover_n": crossover_n(num_colors, temp),
+    }
     closed = kappa_closed_form(spec)
+    start = int(np.argmin(kernel.pi.weights))
 
-    envelope_start = int(np.argmin(kernel.pi.weights))
-    pi_start = float(kernel.pi.weights[envelope_start])
-
-    verdicts: dict[str, str] = {}
     # Like the other verdicts, a bound fails only beyond the eigensolver's
     # error: at n=1 it tends to beta1 = 0, which rounds a few 1e-16 either way.
-    for name, bound in (("theorem3", thm3), ("theorem2", thm2)):
-        if bound is not None:
-            excess = spectrum.beta1 - bound
-            verdicts[name] = "pass" if excess < EXACT_TOLERANCE else "fail"
-    verdicts["lambda_min"] = (
-        "pass" if spectrum.beta_min >= ing_lmin - EXACT_TOLERANCE else "fail"
+    names = ("theorem3", "theorem2") if num_colors == 3 else ("theorem3",)
+    passed = dict.fromkeys(names, spectrum.beta1 - thm3 < EXACT_TOLERANCE)
+    passed["lambda_min"] = (
+        spectrum.beta_min >= bounds["ingrassia_lambda_min"] - EXACT_TOLERANCE
     )
-    if corollary_gate(n, num_colors):
-        verdicts["corollary_beta_star"] = (
-            "pass" if spectrum.beta_star < thm3 else "fail"
-        )
-    else:
-        verdicts["corollary_beta_star"] = "not-applicable"
-    _, passed = kappa_vs_beta1(spectrum.beta1, kappa.kappa)
-    verdicts["kappa_vs_beta1"] = "pass" if passed else "fail"
-    _, passed = kappa_vs_closed_form(kappa.kappa, closed)
-    verdicts["kappa_vs_closed_form"] = "pass" if passed else "fail"
-    improvement = theta_value < 1.0
-    agrees = improvement == (thm3 < ing_beta1)
-    near_boundary = abs(theta_value - 1.0) <= 1e-12
-    verdicts["theta_consistency"] = (
-        "pass" if agrees or near_boundary else "fail"
+    passed["corollary_beta_star"] = (
+        spectrum.beta_star < thm3 if corollary_gate(n, num_colors) else None
     )
+    passed["kappa_vs_beta1"] = kappa_vs_beta1(spectrum.beta1, kappa.kappa)[1]
+    passed["kappa_vs_closed_form"] = kappa_vs_closed_form(kappa.kappa, closed)[1]
+    improvement = bounds["theta"] < 1.0
+    agrees = improvement == (thm3 < bounds["ingrassia_beta1"])
+    passed["theta_consistency"] = agrees or abs(bounds["theta"] - 1.0) <= 1e-12
+    verdicts = {
+        name: "not-applicable" if ok is None else "pass" if ok else "fail"
+        for name, ok in passed.items()
+    }
 
     return BoundReport(
-        spec=spec,
-        thm2=thm2,
-        thm3=thm3,
-        ingrassia_beta1=ing_beta1,
-        ingrassia_lambda_min=ing_lmin,
-        theta=theta_value,
-        crossover_n=crossover_n(num_colors, temp),
-        exact_beta1=spectrum.beta1,
-        exact_beta_min=spectrum.beta_min,
-        exact_beta_star=spectrum.beta_star,
-        exact_log_z=kernel.pi.log_z,
-        kappa_exact=kappa.kappa,
-        kappa_closed_form=closed,
-        envelope_start=envelope_start,
-        envelope_pi_start=pi_start,
+        model={"n": n, "colors": num_colors, "temp": float(temp)},
+        exact={
+            "beta1": spectrum.beta1,
+            "beta_min": spectrum.beta_min,
+            "beta_star": spectrum.beta_star,
+            "log_z": kernel.pi.log_z,
+        },
+        bounds=bounds,
+        kappa={
+            "exact": kappa.kappa,
+            "closed_form": closed,
+            "poincare_beta1": 1.0 - 1.0 / kappa.kappa,
+        },
+        envelope={
+            "start_state": start,
+            "pi_start": float(kernel.pi.weights[start]),
+            "beta_star": spectrum.beta_star,
+        },
         verdicts=verdicts,
     )
 
 
 def report_to_dict(report: BoundReport) -> dict:
-    """JSON-ready form of a report with a fixed field order."""
-    spec = report.spec
-    payload: dict = {
-        "model": {
-            "n": spec.n,
-            "colors": spec.num_colors,
-            "temp": float(spec.temp),
-        },
-        "exact": {
-            "beta1": report.exact_beta1,
-            "beta_min": report.exact_beta_min,
-            "beta_star": report.exact_beta_star,
-            "log_z": report.exact_log_z,
-        },
-        "bounds": {
-            "theorem2": report.thm2,
-            "theorem3": report.thm3,
-            "ingrassia_beta1": report.ingrassia_beta1,
-            "ingrassia_lambda_min": report.ingrassia_lambda_min,
-            "theta": report.theta,
-            "crossover_n": report.crossover_n,
-        },
-        "kappa": {
-            "exact": report.kappa_exact,
-            "closed_form": report.kappa_closed_form,
-            "poincare_beta1": 1.0 - 1.0 / report.kappa_exact,
-        },
-        "envelope": {
-            "start_state": report.envelope_start,
-            "pi_start": report.envelope_pi_start,
-            "beta_star": report.exact_beta_star,
-        },
-        "verdicts": dict(report.verdicts),
-        "all_passed": report.all_passed,
-    }
-    return payload
+    """JSON-ready form of a report: its groups in order, then ``all_passed``."""
+    return {**dataclasses.asdict(report), "all_passed": report.all_passed}
 
 
 def report_to_json(report: BoundReport) -> str:

@@ -147,28 +147,20 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     kappa = kappa_exact(kernel.spec)
     report = assemble_report(kernel, spectrum, kappa)
     if args.format == "csv":
+        # One row: every group's keys as "group.key", then all_passed.
         payload = report_to_dict(report)
-        header, row = _flatten(payload)
-        text = canonical_csv(header, [row])
+        cells = {
+            f"{group}.{key}": value
+            for group, values in payload.items()
+            if isinstance(values, dict)
+            for key, value in values.items()
+        }
+        cells["all_passed"] = payload["all_passed"]
+        text = canonical_csv(list(cells), [list(cells.values())])
     else:
         text = report_to_json(report)
     _emit(text, args.out)
     return 0 if report.all_passed else 1
-
-
-def _flatten(payload: dict, prefix: str = "") -> tuple[list[str], list]:
-    header: list[str] = []
-    row: list = []
-    for key, value in payload.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            sub_header, sub_row = _flatten(value, f"{name}.")
-            header.extend(sub_header)
-            row.extend(sub_row)
-        else:
-            header.append(name)
-            row.append(value)
-    return header, row
 
 
 def _check(name: str, margin, passed, checked: int | None = None) -> dict:

@@ -14,8 +14,8 @@ chain carry exactly its own pair, so the degenerate one-site chain yields
 ``kappa = 1``.  An edge's ratio depends only on its site, the colors of its
 two neighbors and its own two colors, so :func:`kappa_exact` and
 :func:`certify_all_edges` read one table of worst ratios per such neighbor
-pattern, in ``O(n N^4)`` and with no kernel; each names its worst pattern
-as an :class:`EdgeLoad`.  The sums over marginals of ``pi`` and the
+pattern, in ``O(n N^4)`` and with no kernel; the first names its worst
+pattern as an :class:`EdgeLoad`.  The sums over marginals of ``pi`` and the
 enumeration of pairs are kept only as the tests' oracles.
 
 The module also evaluates the closed-form upper bound ``(n^2/N)(N-1+e^{4/T})``
@@ -101,19 +101,6 @@ def _marginal(p: np.ndarray, sites) -> np.ndarray:
     return p.sum(axis=tuple(k for k in range(p.ndim) if k not in keep), keepdims=True)
 
 
-def _edge_at(patterns: np.ndarray, index) -> EdgeLoad:
-    """The pattern at ``index`` into a ``KappaResult.patterns`` table."""
-    i, left, right, color_from, color_to = (int(k) for k in index)
-    return EdgeLoad(
-        ratio=float(patterns[i, left, right, color_from, color_to]),
-        site=i + 1,
-        color_from=color_from,
-        color_to=color_to,
-        left=left - 1 if left else None,
-        right=right - 1 if right else None,
-    )
-
-
 def _worst_state(n: int, index) -> bytes:
     """The smallest state at which the edge of a pattern has its worst ratio,
     as bytes, which compare in rank order: past the neighbors, the smallest
@@ -173,8 +160,15 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
 
     kappa = float(patterns.max())
     tied = np.argwhere(patterns >= (1.0 - WITNESS_RTOL) * kappa)
-    witness = _first_pattern(tied, patterns.shape)
-    edge = _edge_at(patterns, witness)
+    i, left, right, color_from, color_to = _first_pattern(tied, patterns.shape)
+    edge = EdgeLoad(
+        ratio=float(patterns[i, left, right, color_from, color_to]),
+        site=i + 1,
+        color_from=color_from,
+        color_to=color_to,
+        left=left - 1 if left else None,
+        right=right - 1 if right else None,
+    )
     return KappaResult(spec=spec, kappa=kappa, argmax_edge=edge, patterns=patterns)
 
 
@@ -313,20 +307,15 @@ class CertificateSummary:
 
     Attributes:
         num_edges: The ``N^n n (N-1)`` directed edges checked.
-        min_slack: Least ``bound - ratio`` over them.
-        worst: The pattern of least slack, chosen as in
-            :func:`certify_all_edges`.
-        worst_bound: Its bound: ``(n^2/N) alpha/p`` at an interior site, the
-            boundary closed form at site 1 or n.  Its slack is
-            ``worst_bound - worst.ratio``.
+        min_slack: Least ``bound - ratio`` over them; the bound is
+            ``(n^2/N) alpha/p`` at an interior site, the boundary closed
+            form at site 1 or n.
         all_passed: Whether every slack is at least ``-CLOSED_FORM_RTOL``
             times its bound.
     """
 
     num_edges: int
     min_slack: float
-    worst: EdgeLoad
-    worst_bound: float
     all_passed: bool
 
 
@@ -339,12 +328,8 @@ def certify_all_edges(result: KappaResult) -> CertificateSummary:
     checks the path-length factor ``L <= n`` and the boundary one
     ``(alpha/p) L <= n (N-1+e^{2/T})``.  Every edge of a neighbor pattern
     has the pattern's bound and at most its worst ratio, so comparing the
-    two certifies all ``N^n n (N-1)`` directed edges.  The worst pattern is
-    chosen like the witness of :func:`kappa_exact`, among the patterns
-    whose slack is within ``WITNESS_RTOL`` times their bound of the least
-    slack, so last-digit rounding cannot pick between patterns that symmetry
-    makes equal.  An edge passes when its slack is at least
-    ``-CLOSED_FORM_RTOL`` times its bound.
+    two certifies all ``N^n n (N-1)`` directed edges.  An edge passes when
+    its slack is at least ``-CLOSED_FORM_RTOL`` times its bound.
     """
     spec = result.spec
     n, num_colors = spec.n, spec.num_colors
@@ -352,14 +337,9 @@ def certify_all_edges(result: KappaResult) -> CertificateSummary:
     bounds = np.full(result.patterns.shape, boundary_edge_bound(spec))
     bounds[1:-1, 1:, 1:] = (n * n / num_colors) * (alpha / cond)[1:, 1:]
     slack = np.where(result.patterns > 0, bounds - result.patterns, np.inf)
-    min_slack = float(slack.min())
-    tied = np.argwhere(slack <= min_slack + WITNESS_RTOL * bounds)
-    index = tuple(_first_pattern(tied, slack.shape))
     return CertificateSummary(
         num_edges=spec.num_states * n * (num_colors - 1),
-        min_slack=min_slack,
-        worst=_edge_at(result.patterns, index),
-        worst_bound=float(bounds[index]),
+        min_slack=float(slack.min()),
         all_passed=bool(np.all(slack >= -CLOSED_FORM_RTOL * bounds)),
     )
 

@@ -5,6 +5,9 @@ top of the grid (4096 states), so every test that needs one goes through the
 cached accessors below instead of rebuilding.
 """
 
+import csv
+import json
+import math
 from functools import lru_cache
 
 import pytest
@@ -31,6 +34,31 @@ def grid_specs(max_states=4096, min_n=1):
         for temp in GRID_TEMPS
         if colors**n <= max_states and n >= min_n
     ]
+
+
+def sweep_rows(out):
+    """The rows of ``sweep`` output, CSV or JSON, as dicts; the closed-form
+    columns are floats, or None where the cell is empty."""
+    if out.startswith("{"):
+        return json.loads(out)["rows"]
+    rows = list(csv.DictReader(out.splitlines()))
+    for row in rows:
+        for column in ("theorem3", "ingrassia_beta1", "theta", "crossover_n"):
+            row[column] = float(row[column]) if row[column] else None
+    return rows
+
+
+def check_closed_form_cells(rows):
+    """Both gap bounds in [0, 1], theta empty or >= 0, and crossover_n
+    finite, or empty where it, about ``2/(T log N)`` at low T, is past the
+    float range."""
+    for row in rows:
+        assert 0 <= row["theorem3"] <= 1, row
+        assert 0 <= row["ingrassia_beta1"] <= 1, row
+        assert row["theta"] is None or row["theta"] >= 0, row
+        log_colors = math.log(int(row["colors"]))
+        past_range = 2.0 / float(row["temp"]) / log_colors > 1e308
+        assert row["crossover_n"] is not None or past_range, row
 
 
 @lru_cache(maxsize=None)

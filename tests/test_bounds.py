@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -137,21 +138,26 @@ def test_crossover_value():
     assert math.isclose(crossover_n(3, 1.0), 4.081047253750751, rel_tol=1e-14)
 
 
-@pytest.mark.parametrize("temp", [1e3, 1e12, 1e20, 1e300])
-def test_theta_and_crossover_at_high_temperature(temp):
-    # both factors of theta tend to 1, so their logs must not cancel; the
+@pytest.mark.parametrize("temp", [1e-300, 0.001, 0.05, 1.0, 1e3, 1e12, 1e20, 1e300])
+def test_theta_and_crossover_match_mpmath(temp):
+    # at high temperature both factors of theta tend to 1, so their logs
+    # must not cancel; at large N and low temperature 1 + (N-1) expm1(-x)/N
+    # keeps few digits, or rounds to 0, though both logs are finite.  The
     # reference carries enough digits to resolve e^{-1/(2T)} at T=1e300
     mp = pytest.importorskip("mpmath")
     with mp.workdps(400):
         t = mp.mpf(temp)
-        for colors in (2, 3, 4):
+        for colors in (2, 3, 4, 10**6, 10**12, 2**53 + 1, 10**16, 10**30):
             head = (mp.exp(2 / t) + (colors - 1) * mp.exp(-2 / t)) / colors
             ratio = (1 + (colors - 1) * mp.exp(-1 / (2 * t))) / colors
             cross = mp.log(head) / -mp.log(ratio) + 1
             assert math.isclose(crossover_n(colors, temp), cross, rel_tol=1e-14)
             for n in (1, 2, 10):
                 want = head * ratio ** (n - 1)
-                assert math.isclose(theta(n, colors, temp), want, rel_tol=1e-14)
+                if want > sys.float_info.max:
+                    assert theta(n, colors, temp) == math.inf
+                else:
+                    assert math.isclose(theta(n, colors, temp), want, rel_tol=1e-14)
 
 
 @pytest.mark.parametrize("temp", [0.06, 1.0, 5.0, 1e3, 1e12, 1e15, 1e17, 1e300])
@@ -172,6 +178,43 @@ def test_gap_bounds_keep_their_digits(temp):
                 want = 1 - ratio ** (n - 1) * mp.exp(-2 / t) / (n * n)
                 got = ingrassia_beta1_bound(n, colors, temp)
                 assert math.isclose(got, want, rel_tol=1e-15), (n, colors)
+
+
+@pytest.mark.parametrize(
+    "n,colors",
+    [(10**200, 2), (10**400, 3), (1, 10**400), (2, 10**400), (20, 10**30),
+     (10**160, 10**30)],
+    ids=str,
+)
+def test_closed_forms_past_float_range(n, colors):
+    # n^2, N u or n itself is past the float range; every closed form still
+    # comes out finite and in range, the gap bounds to the last digits
+    mp = pytest.importorskip("mpmath")
+    for temp in (1e-300, 0.001, 0.5, 1.0, 1e300):
+        with mp.workdps(400):
+            t = mp.mpf(temp)
+            u, n2 = mp.exp(-4 / t), mp.mpf(n) ** 2
+            want = (n2 * -mp.expm1(-4 / t) + colors * u * (n2 - 1)) / (
+                n2 * (1 + (colors - 1) * u)
+            )
+            got = theorem3_bound(n, colors, temp)
+            assert math.isclose(got, want, rel_tol=1e-13, abs_tol=1e-300), temp
+            assert got <= 1
+            ratio = (1 + (colors - 1) * mp.exp(-1 / (2 * t))) / colors
+            r = ratio ** (n - 1) / n2
+            want = -mp.expm1(-2 / t) + mp.exp(-2 / t) * (1 - r)
+            got = ingrassia_beta1_bound(n, colors, temp)
+            assert math.isclose(got, want, rel_tol=1e-13, abs_tol=1e-300), temp
+            assert got <= 1
+        assert theta(n, colors, temp) >= 0
+
+
+def test_theorem3_at_most_one():
+    # (n^2 (1 - u) + N u (n^2 - 1)) / (n^2 (1 + (N-1) u)) rounds to
+    # 1 + 2^-52 here; values at or below 1 are left as evaluated
+    assert theorem3_bound(10**9, 2, 0.5) == 1.0
+    assert theorem3_bound(10**16, 30, 0.5) == 1.0
+    assert theorem3_bound(10**6, 2, 0.5) == 0.9999999999999994
 
 
 def test_envelope_two_site_start():
@@ -229,9 +272,9 @@ def test_assemble_report_passes():
     assert report.all_passed
     assert report.verdicts["theorem3"] == "pass"
     assert "theorem2" not in report.verdicts  # needs exactly three colors
-    assert report.thm2 is None
+    assert report.bounds["theorem2"] is None
     assert math.isclose(
-        report.envelope_pi_start, min(kernel_for(spec).pi.weights), rel_tol=1e-15
+        report.envelope["pi_start"], min(kernel_for(spec).pi.weights), rel_tol=1e-15
     )
 
 
@@ -239,7 +282,8 @@ def test_assemble_report_three_colors():
     spec = ModelSpec(3, 3, 1.0)
     report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
     assert report.verdicts["theorem2"] == "pass"
-    assert report.thm2 == report.thm3 == theorem3_bound(3, 3, 1.0)
+    bounds = report.bounds
+    assert bounds["theorem2"] == bounds["theorem3"] == theorem3_bound(3, 3, 1.0)
     assert report.verdicts["corollary_beta_star"] == "pass"
 
 
@@ -273,9 +317,9 @@ def test_report_dict_and_json():
         "all_passed",
     ]
     assert payload["model"] == {"n": 2, "colors": 3, "temp": 0.5}
-    assert payload["kappa"]["poincare_beta1"] == 1 - 1 / report.kappa_exact
+    assert payload["kappa"]["poincare_beta1"] == 1 - 1 / report.kappa["exact"]
     parsed = json.loads(report_to_json(report))
     # 17-digit floats survive the round trip bit for bit
-    assert parsed["exact"]["beta1"] == report.exact_beta1
-    assert parsed["bounds"]["theorem3"] == report.thm3
+    assert parsed["exact"]["beta1"] == report.exact["beta1"]
+    assert parsed["bounds"]["theorem3"] == report.bounds["theorem3"]
     assert parsed["all_passed"] is True

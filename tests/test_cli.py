@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import check_closed_form_cells, sweep_rows
 
 from spectral_gibbs import (
     ModelSpec,
@@ -531,6 +532,27 @@ def test_sweep_at_large_n_and_high_temperature(capsys):
         assert float(rows["1", "2", "1000000000000"][column]) == pytest.approx(
             2e-12, rel=1e-15
         )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "1" + "0" * 200, "--colors", "2", "--temp", "1"],
+        ["--n", "1" + "0" * 200, "--colors", "2", "--temp", "1", "--format", "json"],
+        ["--n", "1" + "0" * 400, "--colors", "2", "--temp", "1", "--format", "json"],
+        ["--n", "20", "--colors", str(10**16), "--temp", "0.001"],
+        ["--n", "5000", "--colors", str(10**20), "--temp", "1e-5"],
+    ],
+    ids=["n=1e200", "n=1e200-json", "n=1e400-json", "N=1e16", "N=1e20"],
+)
+def test_sweep_closed_forms_at_any_n_and_colors(argv, capsys):
+    # n^2 is past the float range from n = 1e155 and n itself from 1e309;
+    # 1 + (N-1) expm1(-4/T)/N rounds to 0 at N = 1e16 and T = 0.001
+    code, out = run_main(["sweep", *argv], capsys)
+    assert code == 0
+    rows = sweep_rows(out)
+    assert len(rows) == 1
+    check_closed_form_cells(rows)
 
 
 @pytest.mark.parametrize("kmax", [10**15, 2**60, 10**19, 2**63 - 1], ids=str)

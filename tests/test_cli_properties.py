@@ -4,8 +4,10 @@ Every drawn command exits 2 exactly when its input is invalid, and
 otherwise 0, or 3 with one ``precision limit:`` line on stderr; its JSON
 output parses.  Temperatures range over the whole float range, 1e-320 to
 1e300, plus inf and nan.  ``sweep`` list flags are drawn as comma lists
-and ``a:b`` ranges with ends from -3 to 10**30, empty, reversed and
-around the range cap.
+and ``a:b`` ranges, empty, reversed and around the range cap.  Items run
+from -3 to 10**4000 for ``--n``, to 10**30 for ``--colors`` and over the
+whole float range for ``--temp``; every row's closed forms come out finite
+and in range.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import math
 import warnings
 
 import pytest
+from conftest import check_closed_form_cells, sweep_rows
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -89,10 +92,16 @@ SWEEP_FIXED = {
     "--colors": ["--n", "13", "--temp", "1"],
     "--temp": ["--n", "13", "--colors", "2"],
 }
-ITEMS = st.one_of(
-    st.integers(-3, 10**30).map(str),
-    st.sampled_from(["", "x", "nan", "inf", "1e999", "0.5", "1e-320"]),
-)
+# The largest integer drawn for each list flag.
+LARGEST = {"--n": 10**4000, "--colors": 10**30, "--temp": 10**30}
+
+
+def items(flag):
+    """Texts of one list item or range end of ``flag``."""
+    numbers = st.integers(-3, LARGEST[flag]).map(str)
+    if flag == "--temp":
+        numbers |= st.floats().map(repr)
+    return numbers | st.sampled_from(["", "x", "nan", "inf", "1e999", "0.5", "1e-320"])
 
 
 def valid_item(flag, text):
@@ -111,12 +120,14 @@ def sweep_lists(draw):
     names (None when it is invalid)."""
     flag = draw(st.sampled_from(sorted(SWEEP_FIXED)))
     if draw(st.booleans()):
-        items = draw(st.lists(ITEMS, max_size=4))
-        text = ",".join(items)
-        named = [item for item in items if item]
+        drawn = draw(st.lists(items(flag), max_size=4))
+        text = ",".join(drawn)
+        named = [item for item in drawn if item]
         valid = named and all(valid_item(flag, item) for item in named)
         count = len(named) if valid else None
     else:
+        # Ends past 10**30 come from the items below: a range of 10**4 rows
+        # whose n has 4000 digits takes seconds to print.
         start = draw(st.integers(-3, 10**30))
         offset = draw(
             st.one_of(
@@ -127,7 +138,7 @@ def sweep_lists(draw):
         )
         ends = [str(start), str(start + offset)]
         if draw(st.booleans()):
-            ends[draw(st.integers(0, 1))] = draw(ITEMS)
+            ends[draw(st.integers(0, 1))] = draw(items(flag))
         text = ":".join(ends)
         valid = (
             flag != "--temp"
@@ -153,7 +164,6 @@ def test_sweep_lists_exit_cleanly(drawn):
         assert f"error: argument {flag}: expected " in err, err
         return
     assert code == 0, (code, err)
-    if "json" in argv:
-        assert len(json.loads(out)["rows"]) == count
-    else:
-        assert len(out.splitlines()) == 1 + count
+    rows = sweep_rows(out)
+    assert len(rows) == count
+    check_closed_form_cells(rows)
