@@ -23,11 +23,11 @@ print(f"state space: {spec.num_states} configurations\n")
 # the kernel carries the state table and the stationary measure built from it
 kernel = build_kernel(spec)
 pi = kernel.pi
-order = np.argsort(pi.weights)[::-1]
+order = np.argsort(pi)[::-1]
 print("most and least likely states:")
 for rank in [*order[:3], *order[-3:]]:
-    print(f"  {colors_to_string(kernel.colors[rank])}  pi = {pi.weights[rank]:.6f}")
-print(f"log Z = {pi.log_z:.6f}\n")
+    print(f"  {colors_to_string(kernel.colors[rank])}  pi = {pi[rank]:.6f}")
+print(f"log Z = {kernel.log_z:.6f}\n")
 
 print(f"off-diagonal edges: {kernel.matrix.nnz - spec.num_states}")
 print(f"row-sum deviation:        {check_row_sums(kernel):.2e}")

@@ -11,10 +11,10 @@ from spectral_gibbs import ModelSpec, build_kernel, colors_to_string, tv_curve
 
 spec = ModelSpec(n=4, num_colors=2, temp=0.8)
 kernel = build_kernel(spec)
-start = int(np.argmin(kernel.pi.weights))
+start = int(np.argmin(kernel.pi))
 start_colors = colors_to_string(kernel.colors[start])
 print(f"chain: n={spec.n}, {spec.num_colors} colors, T={spec.temp}")
-print(f"start: {start_colors} (least likely, pi = {kernel.pi.weights[start]:.6f})\n")
+print(f"start: {start_colors} (least likely, pi = {kernel.pi[start]:.6f})\n")
 
 curve = tv_curve(kernel, start, k_max=60, seed=20240817)
 

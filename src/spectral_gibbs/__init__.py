@@ -12,7 +12,6 @@ from .model import (
     DENSE_SOLVE_BUDGET,
     EXACT_STATES_BUDGET,
     BudgetExceededError,
-    GibbsMeasure,
     ModelSpec,
     PrecisionLimitError,
     colors_to_string,
@@ -74,7 +73,6 @@ __all__ = [
     "DENSE_SOLVE_BUDGET",
     "EXACT_STATES_BUDGET",
     "EdgeLoad",
-    "GibbsMeasure",
     "KappaResult",
     "ModelSpec",
     "PrecisionLimitError",

@@ -147,7 +147,11 @@ def theta(n: int, num_colors: int, temp: float) -> float:
 def crossover_n(num_colors: int, temp: float) -> float:
     """Real chain length above which the ratio :func:`theta` drops below 1."""
     log_head, log_ratio = _log_theta_terms(num_colors, temp)
-    return log_head / -log_ratio + 1.0
+    if log_head < math.inf:
+        return log_head / -log_ratio + 1.0
+    # 2/T is past the float range: divide 2 by -log_ratio before T.
+    scale = -log_ratio
+    return 2.0 / scale / temp + _log_mean_weight(num_colors, 4.0 / temp) / scale + 1.0
 
 
 def ds_tv_envelope(
@@ -251,7 +255,7 @@ def assemble_report(
         "crossover_n": crossover_n(num_colors, temp),
     }
     closed = kappa_closed_form(spec)
-    start = int(np.argmin(kernel.pi.weights))
+    start = int(np.argmin(kernel.pi))
 
     # Like the other verdicts, a bound fails only beyond the eigensolver's
     # error: at n=1 it tends to beta1 = 0, which rounds a few 1e-16 either way.
@@ -279,7 +283,7 @@ def assemble_report(
             "beta1": spectrum.beta1,
             "beta_min": spectrum.beta_min,
             "beta_star": spectrum.beta_star,
-            "log_z": kernel.pi.log_z,
+            "log_z": kernel.log_z,
         },
         bounds=bounds,
         kappa={
@@ -289,7 +293,7 @@ def assemble_report(
         },
         envelope={
             "start_state": start,
-            "pi_start": float(kernel.pi.weights[start]),
+            "pi_start": float(kernel.pi[start]),
             "beta_star": spectrum.beta_star,
         },
         verdicts=verdicts,

@@ -117,7 +117,7 @@ def _mc_distributions(
     """
     spec = kernel.spec
     n, m = spec.n, spec.num_states
-    pi = kernel.pi.weights
+    pi = kernel.pi
     rng = make_rng(seed)
     thresholds = np.cumsum(conditional_table(spec, kernel.colors), axis=2)[..., :-1]
     cuts = np.unique(thresholds)
@@ -246,7 +246,7 @@ def tv_curve(
         raise ValueError(f"start rank {start} out of range")
     spectrum = compute_spectrum(kernel)
     check_gap_resolved(spectrum)
-    pi = kernel.pi.weights
+    pi = kernel.pi
     pi_start = float(pi[start])
     if pi_start == 0.0:
         raise PrecisionLimitError(

@@ -40,6 +40,7 @@ from .model import (
     PrecisionLimitError,
     check_budget,
     encode_rank,
+    exceeds_budget,
     string_to_colors,
 )
 from .kernel import (
@@ -250,11 +251,12 @@ def _sweep_row(n: int, colors: int, temp: float) -> dict:
         "exact_beta_star": None,
         "skipped_exact": True,
     }
+    if exceeds_budget(spec, DENSE_SOLVE_BUDGET):
+        return row
     try:
-        check_budget(spec, DENSE_SOLVE_BUDGET, "dense symmetrization")
         spectrum = compute_spectrum(build_kernel(spec))
         check_gap_resolved(spectrum)
-    except (BudgetExceededError, PrecisionLimitError):
+    except PrecisionLimitError:
         return row
     row["exact_beta1"] = spectrum.beta1
     row["exact_beta_star"] = spectrum.beta_star
@@ -303,7 +305,7 @@ def cmd_tv(args: argparse.Namespace) -> int:
     start = _parse_start(spec, args.start)
     kernel = build_kernel(spec)
     if start is None:
-        start = int(np.argmin(kernel.pi.weights))
+        start = int(np.argmin(kernel.pi))
     curve = tv_curve(kernel, start, args.kmax, seed=args.seed)
     text = curve.to_json() if args.format == "json" else curve.to_csv()
     _emit(text, args.out)

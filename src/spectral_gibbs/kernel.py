@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import GibbsMeasure, ModelSpec, PrecisionLimitError
+from .model import ModelSpec, PrecisionLimitError
 from .model import colors_table, stationary_measure
 
 if TYPE_CHECKING:
@@ -130,7 +130,10 @@ class SparseKernel:
         spec: Chain parameters.
         colors: Color vector of every state, the
             :func:`~spectral_gibbs.model.colors_table` of ``spec``.
-        pi: Stationary distribution.
+        pi: Stationary probability of every rank, read-only.  It may
+            underflow to 0 at low temperature, where ``tv_curve`` refuses
+            such a start.
+        log_z: Log of the normalizing constant of ``pi``.
         cols: Row table of target ranks, shape ``(num_states, 1 + n (N - 1))``:
             the state itself, then one move per site and other color, the
             sites in order and the colors in increasing order.  It holds
@@ -141,7 +144,8 @@ class SparseKernel:
 
     spec: ModelSpec
     colors: np.ndarray
-    pi: GibbsMeasure
+    pi: np.ndarray
+    log_z: float
     cols: np.ndarray
     data: np.ndarray
 
@@ -188,8 +192,8 @@ def build_kernel(spec: ModelSpec) -> SparseKernel:
     cols, data, _ = transition_rows(spec, colors)
     for table in (colors, cols, data):
         table.flags.writeable = False
-    pi = stationary_measure(spec, colors)
-    return SparseKernel(spec=spec, colors=colors, pi=pi, cols=cols, data=data)
+    pi, log_z = stationary_measure(spec, colors)
+    return SparseKernel(spec, colors, pi, log_z, cols, data)
 
 
 def _reverse_slots(spec: ModelSpec, colors: np.ndarray) -> np.ndarray:
@@ -222,7 +226,7 @@ def check_detailed_balance(kernel: SparseKernel) -> float:
     Pairs of distinct states one move apart; every other pair is 0 on both
     sides.
     """
-    pi = kernel.pi.weights
+    pi = kernel.pi
     targets = kernel.cols[:, 1:]
     reverse = kernel.data[targets, _reverse_slots(kernel.spec, kernel.colors)]
     forward, backward = kernel.data[:, 1:] * pi[:, None], reverse * pi[targets]
@@ -235,7 +239,7 @@ def check_detailed_balance(kernel: SparseKernel) -> float:
 def check_stationarity(kernel: SparseKernel) -> float:
     """Largest relative residual ``|(pi P)_y - pi_y| / pi_y`` over the states
     with ``pi_y > 0``."""
-    pi = kernel.pi.weights
+    pi = kernel.pi
     image = np.bincount(
         kernel.cols.ravel(), (kernel.data * pi[:, None]).ravel(), minlength=len(pi)
     )

@@ -63,14 +63,19 @@ class ModelSpec:
         return self.num_colors**self.n
 
 
-def check_budget(spec: ModelSpec, limit: int, operation: str) -> None:
-    """Raise :class:`BudgetExceededError` when ``N^n`` exceeds ``limit``.
+def exceeds_budget(spec: ModelSpec, limit: int) -> bool:
+    """Whether ``N^n`` exceeds ``limit``.
 
     ``N^n`` is never formed: with ``N >= 2``, ``N`` raised to
     ``min(n, limit.bit_length())`` exceeds ``limit`` exactly when ``N^n``
     does, so a huge ``n`` costs nothing.
     """
-    if spec.num_colors ** min(spec.n, limit.bit_length()) > limit:
+    return spec.num_colors ** min(spec.n, limit.bit_length()) > limit
+
+
+def check_budget(spec: ModelSpec, limit: int, operation: str) -> None:
+    """Raise :class:`BudgetExceededError` when :func:`exceeds_budget`."""
+    if exceeds_budget(spec, limit):
         raise BudgetExceededError(
             f"{operation} would touch {spec.num_colors}^{spec.n} states, "
             f"exceeding its budget of {limit}"
@@ -136,21 +141,11 @@ def energies_table(colors: np.ndarray) -> np.ndarray:
     return (2 * agree - 1).sum(axis=1)
 
 
-@dataclass(frozen=True)
-class GibbsMeasure:
-    """Stationary distribution over all states.
-
-    Attributes:
-        weights: Probability per rank; strictly positive, sums to 1.
-        log_z: Log of the normalizing constant.
-    """
-
-    weights: np.ndarray
-    log_z: float
-
-
-def stationary_measure(spec: ModelSpec, colors: np.ndarray) -> GibbsMeasure:
-    """Compute the stationary distribution exactly from the state table.
+def stationary_measure(
+    spec: ModelSpec, colors: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The stationary probability of every rank, read-only, and the log of
+    its normalizing constant, computed exactly from the state table.
 
     Weights are evaluated in the log domain so that small temperatures cannot
     overflow.  The normalizer is a log-sum-exp shifted by the largest log
@@ -171,7 +166,7 @@ def stationary_measure(spec: ModelSpec, colors: np.ndarray) -> GibbsMeasure:
     log_z = float(np.log1p(rest.sum() / count) + np.log(count) + top)
     weights = np.exp(log_weights - log_z)
     weights.flags.writeable = False
-    return GibbsMeasure(weights=weights, log_z=log_z)
+    return weights, log_z
 
 
 def color_letter(index: int) -> str:

@@ -390,7 +390,7 @@ def verify_slice_identities(kernel: SparseKernel) -> SliceIdentityReport:
     spec = kernel.spec
     n, num_colors = spec.n, spec.num_colors
     alpha, _ = _edge_factors(spec)
-    p = kernel.pi.weights.reshape((num_colors,) * n)
+    p = kernel.pi.reshape((num_colors,) * n)
     # pair[i - 1, u, v] is the measure of {w : w_i = u, w_{i+1} = v}.
     pair = np.array(
         [_marginal(p, (i, i + 1)).reshape(num_colors, num_colors) for i in range(n - 1)]

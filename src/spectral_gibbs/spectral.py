@@ -16,11 +16,11 @@ blocks of about ``m / (4N)`` states, a complex sector two of about
 ``m / (2N)``, and every block is solved densely in real arithmetic by
 numpy's ``eigvalsh`` (LAPACK ``syevd``), so the spectrum needs no scipy.
 
-The blocks read only the ``m / N`` rows of ``S`` that belong to the shift's
-representatives, built from the local conditionals and successor ranks of
-the kernel's color table; the spectrum never reads the kernel's row table
-or its CSR ``matrix``, so a row table that fails ``verify``'s checks leaves
-the spectrum unchanged.
+The blocks read only the first ``m / N`` rows of the kernel's color table,
+the shift's representatives: their rows of ``S`` come from the local
+conditionals and successor ranks.  The spectrum never reads the kernel's
+row table or its CSR ``matrix``, so a row table that fails ``verify``'s
+checks leaves the spectrum unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import DENSE_SOLVE_BUDGET, PrecisionLimitError, check_budget
+from .model import DENSE_SOLVE_BUDGET, ModelSpec, PrecisionLimitError, check_budget
 from .kernel import SparseKernel, transition_rows
 from .kernel import check_detailed_balance  # noqa: F401 -- perfbench/spans.py wraps this name
 
@@ -121,10 +121,10 @@ def _assemble(
 
 
 def _representative_rows(
-    kernel: SparseKernel,
+    spec: ModelSpec, colors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, target rank and value of every entry of ``S`` in the rows of the
-    representatives, the states whose site-1 color is 0.
+    representatives ``colors``, the states whose site-1 color is 0.
 
     Every entry is ``sqrt(P_xy P_yx)``, which equals
     ``sqrt(pi_x) P_xy / sqrt(pi_y)`` under detailed balance but never divides
@@ -135,34 +135,28 @@ def _representative_rows(
     lose where it underflows.  Each row is sorted by target, the column
     order of a CSR matrix.
 
-    The first ``m / N`` rows of the kernel's ``cols`` and ``data`` hold the
-    same moves, and reading them there would save rebuilding the
-    representatives' conditionals and successors.  The rows are built here
-    instead so that
-    the spectrum stays independent of the row table that ``verify``
-    audits: a corrupted table leaves the spectrum as it is and fails
-    ``verify``'s detailed-balance check, where a spectrum read from it
-    would stop ``verify`` with a ``RuntimeError`` of the eigensolve (a
-    leading eigenvalue other than 1, or an imaginary part in a real block).
+    The kernel's row table holds the same moves, but a spectrum read from it
+    would turn a corrupted table, which fails ``verify``'s detailed-balance
+    check, into a ``RuntimeError`` of the eigensolve.
     """
-    spec = kernel.spec
-    reps = spec.num_states // spec.num_colors
-    cols, forward, own = transition_rows(spec, kernel.colors[:reps])
+    cols, forward, own = transition_rows(spec, colors)
     backward = np.repeat(own, spec.num_colors - 1, axis=1) / spec.n
     values = np.column_stack([forward[:, 0], np.sqrt(forward[:, 1:] * backward)])
     order = np.argsort(cols, axis=1)
     targets = np.take_along_axis(cols, order, axis=1).ravel()
     values = np.take_along_axis(values, order, axis=1).ravel()
-    return np.repeat(np.arange(reps), cols.shape[1]), targets, values
+    return np.repeat(np.arange(len(colors)), cols.shape[1]), targets, values
 
 
-def _sector_blocks(kernel: SparseKernel) -> Iterator[tuple[int, np.ndarray, int]]:
+def _sector_blocks(
+    spec: ModelSpec, colors: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, int]]:
     """Sector, real symmetric block and multiplicity of each block of ``S``.
 
-    The states whose site-1 color is 0 (ranks ``0 .. m/N - 1``) represent the
-    orbits of the color shift.  A column ``y`` whose site-1 color is ``j`` is
-    its orbit's representative ``s`` (``y`` with every color shifted by
-    ``-j``) shifted ``j`` times, so sector ``k`` holds
+    The states whose site-1 color is 0, ``colors``, represent the orbits of
+    the color shift.  A column ``y`` is its orbit's representative ``s``
+    shifted ``j = y // (m/N)`` times, and ``s`` is representative
+    ``y % (m/N)`` with its tail shifted by ``-j``, so sector ``k`` holds
     ``sum_j S[x, shift^j(s)] omega^(jk)`` at ``[x, s]`` with
     ``omega = exp(2 pi i / N)``.  Sector ``N - k`` is the complex conjugate
     of sector ``k``, so only ``k = 0 .. N // 2`` are built and each complex
@@ -191,15 +185,12 @@ def _sector_blocks(kernel: SparseKernel) -> Iterator[tuple[int, np.ndarray, int]
     blocks are skipped, so ``N = 2``, where the reflection is the identity,
     has no odd ones.
     """
-    spec = kernel.spec
     num_colors = spec.num_colors
-    reps = spec.num_states // num_colors
-    row, targets, values = _representative_rows(kernel)
+    reps = len(colors)
+    row, targets, values = _representative_rows(spec, colors)
     places = num_colors ** np.arange(spec.n - 1, -1, -1)
-    table = kernel.colors
-    shift = table[targets, 0]
-    orbit = ((table - table[:, :1]) % num_colors @ places)[targets]
-    colors = table[:reps]
+    shift = targets // reps
+    orbit = (colors[targets % reps, 1:] - shift[:, None]) % num_colors @ places[1:]
     ranks = np.arange(reps)
     last = colors[:, -1]
     mirror = (colors[:, ::-1] - last[:, None]) % num_colors @ places
@@ -273,9 +264,11 @@ def spectrum(kernel: SparseKernel) -> Spectrum:
         RuntimeError: If the real form of a complex sector keeps more than
             rounding in its imaginary part, or the leading eigenvalue is not 1.
     """
-    check_budget(kernel.spec, DENSE_SOLVE_BUDGET, "dense symmetrization")
+    spec = kernel.spec
+    check_budget(spec, DENSE_SOLVE_BUDGET, "dense symmetrization")
     parts = []
-    for _, block, multiplicity in _sector_blocks(kernel):
+    reps = spec.num_states // spec.num_colors
+    for _, block, multiplicity in _sector_blocks(spec, kernel.colors[:reps]):
         eigs = np.linalg.eigvalsh(block)
         parts.extend([eigs] * multiplicity)
     eigs = np.ascontiguousarray(np.sort(np.concatenate(parts))[::-1])

@@ -57,7 +57,7 @@ def check_closed_form_cells(rows):
         assert 0 <= row["ingrassia_beta1"] <= 1, row
         assert row["theta"] is None or row["theta"] >= 0, row
         log_colors = math.log(int(row["colors"]))
-        past_range = 2.0 / float(row["temp"]) / log_colors > 1e308
+        past_range = 2.0 / log_colors / float(row["temp"]) > 1e308
         assert row["crossover_n"] is not None or past_range, row
 
 

@@ -43,7 +43,7 @@ def csr_detailed_balance(kernel):
     """Largest ``|pi(x)P(x,y) - pi(y)P(y,x)| / max(pi(x)P(x,y), pi(y)P(y,x))``
     over the pairs with a nonzero flux, each read from the CSR flux matrix
     and its transpose."""
-    flux = kernel.matrix.multiply(kernel.pi.weights[:, None]).tocsr()
+    flux = kernel.matrix.multiply(kernel.pi[:, None]).tocsr()
     rows, cols = flux.nonzero()
     if rows.size == 0:
         return 0.0
@@ -55,7 +55,7 @@ def csr_detailed_balance(kernel):
 def csr_stationarity(kernel):
     """Largest ``|(pi P)_y - pi_y| / pi_y`` over ``pi_y > 0``, with ``P^T pi``
     a sparse product."""
-    pi = kernel.pi.weights
+    pi = kernel.pi
     held = pi > 0
     return float((np.abs(kernel.matrix.T @ pi - pi)[held] / pi[held]).max())
 
@@ -195,7 +195,7 @@ def mc_tv_oracle(kernel, start, k_max, seed, replicas):
     """
     spec = kernel.spec
     n, num_colors, m = spec.n, spec.num_colors, spec.num_states
-    pi = kernel.pi.weights
+    pi = kernel.pi
     neighbors = [None, *range(num_colors)]
     cdf = np.array(
         [
@@ -258,7 +258,7 @@ def marginal_kappa_tables(kernel):
     """
     spec = kernel.spec
     m, n, num_colors = spec.num_states, spec.n, spec.num_colors
-    pi = kernel.pi.weights
+    pi = kernel.pi
     p = pi.reshape((num_colors,) * n)
     loads = np.empty((m, n, num_colors))
     for i in range(n):
@@ -328,7 +328,7 @@ def slice_pair_table(kernel):
     n, num_colors = spec.n, spec.num_colors
     pair = np.zeros((max(n - 1, 0), num_colors, num_colors))
     states = itertools.product(range(num_colors), repeat=n)
-    for weight, state in zip(kernel.pi.weights, states):
+    for weight, state in zip(kernel.pi, states):
         for i in range(n - 1):
             pair[i, state[i], state[i + 1]] += weight
     return pair

@@ -191,7 +191,7 @@ def test_criterion_07_tv_envelope_all_starts(announce):
     for spec in specs:
         kern = kernel_for(spec)
         beta_star = spectrum_for(spec).beta_star
-        pi = kern.pi.weights
+        pi = kern.pi
         coef = 0.5 * np.sqrt((1 - pi) / pi)
         transposed = kern.matrix.T.tocsr()
         dists = np.eye(spec.num_states)  # column j: chain started at j

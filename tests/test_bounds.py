@@ -138,12 +138,16 @@ def test_crossover_value():
     assert math.isclose(crossover_n(3, 1.0), 4.081047253750751, rel_tol=1e-14)
 
 
-@pytest.mark.parametrize("temp", [1e-300, 0.001, 0.05, 1.0, 1e3, 1e12, 1e20, 1e300])
+@pytest.mark.parametrize(
+    "temp", [1e-300, 0.001, 0.05, 1.0, 1e3, 1e12, 1e20, 1e300, 1e-309, 5e-310, 1e-310]
+)
 def test_theta_and_crossover_match_mpmath(temp):
     # at high temperature both factors of theta tend to 1, so their logs
     # must not cancel; at large N and low temperature 1 + (N-1) expm1(-x)/N
-    # keeps few digits, or rounds to 0, though both logs are finite.  The
-    # reference carries enough digits to resolve e^{-1/(2T)} at T=1e300
+    # keeps few digits, or rounds to 0, though both logs are finite.  Below
+    # T = 1.1e-308, 2/T is past the float range, but crossover_n is not at
+    # large N: 2.9e307 at (1e30, 1e-309).  The reference carries enough
+    # digits to resolve e^{-1/(2T)} at T=1e300
     mp = pytest.importorskip("mpmath")
     with mp.workdps(400):
         t = mp.mpf(temp)
@@ -151,7 +155,10 @@ def test_theta_and_crossover_match_mpmath(temp):
             head = (mp.exp(2 / t) + (colors - 1) * mp.exp(-2 / t)) / colors
             ratio = (1 + (colors - 1) * mp.exp(-1 / (2 * t))) / colors
             cross = mp.log(head) / -mp.log(ratio) + 1
-            assert math.isclose(crossover_n(colors, temp), cross, rel_tol=1e-14)
+            if cross > sys.float_info.max:
+                assert crossover_n(colors, temp) == math.inf
+            else:
+                assert math.isclose(crossover_n(colors, temp), cross, rel_tol=1e-14)
             for n in (1, 2, 10):
                 want = head * ratio ** (n - 1)
                 if want > sys.float_info.max:
@@ -274,7 +281,7 @@ def test_assemble_report_passes():
     assert "theorem2" not in report.verdicts  # needs exactly three colors
     assert report.bounds["theorem2"] is None
     assert math.isclose(
-        report.envelope["pi_start"], min(kernel_for(spec).pi.weights), rel_tol=1e-15
+        report.envelope["pi_start"], min(kernel_for(spec).pi), rel_tol=1e-15
     )
 
 

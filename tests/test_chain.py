@@ -57,13 +57,13 @@ def test_propagate_converges_to_pi():
     dists = propagated(kern, 5, 400)
     for k in range(0, len(dists), 50):
         assert np.allclose(dists[k], propagate(kern, 5, k), rtol=0, atol=1e-14), k
-    assert tv_distance(dists[-1], kern.pi.weights) < 1e-8
+    assert tv_distance(dists[-1], kern.pi) < 1e-8
 
 
 def _fixed_point(kern, start, k_max):
     """First step count whose distribution one more step leaves bitwise
     unchanged, by the non-stopping loop, with the exact TV at every step."""
-    pi = kern.pi.weights
+    pi = kern.pi
     found, tvs, previous = None, [], None
     for k, dist in enumerate(stepwise_distributions(kern, start, k_max)):
         if found is None and previous is not None and np.array_equal(dist, previous):
@@ -89,7 +89,7 @@ def test_exact_arm_stops_at_float_fixed_point(spec, offsets, stub_spectrum):
     # the benchmark's spec and a small one both reach the fixed point well
     # before 20000 steps; every TV before, at and past it is the loop's
     kern = kernel_for(spec)
-    start = int(np.argmin(kern.pi.weights))
+    start = int(np.argmin(kern.pi))
     fixed, oracle = _fixed_point(kern, start, 20000)
     assert fixed is not None and fixed < 20000
     for k_max in [fixed + offset for offset in offsets] + [20000]:
@@ -182,7 +182,7 @@ def test_simulation_consumes_documented_stream():
     kern = kernel_for(spec)
     steps, seed = 40, 123
     mc = _mc_distributions(kern, encode_rank(spec, (0, 1, 2)), steps, seed, 1)
-    expected = 1.0 - kern.pi.weights[stream_ranks(spec, (0, 1, 2), steps, seed)]
+    expected = 1.0 - kern.pi[stream_ranks(spec, (0, 1, 2), steps, seed)]
     np.testing.assert_allclose(mc, expected, rtol=0, atol=1e-12)
 
 
@@ -197,7 +197,7 @@ def test_long_run_occupancy_matches_pi():
     occupancy = np.bincount(ranks[1:], minlength=4) / steps
     tau = (1 + spect.beta_star) / (1 - spect.beta_star)
     for state in range(4):
-        p = kern.pi.weights[state]
+        p = kern.pi[state]
         sigma = math.sqrt(p * (1 - p) * tau / steps)
         assert abs(occupancy[state] - p) < 3 * sigma, (state, occupancy[state], p)
 
@@ -208,12 +208,12 @@ def test_tv_curve_exact_arm():
     kern = kernel_for(spec)
     assert curve.start_state == 1
     assert list(curve.ks) == list(range(31))
-    assert math.isclose(curve.exact_tv[0], 1 - kern.pi.weights[1], rel_tol=1e-14)
+    assert math.isclose(curve.exact_tv[0], 1 - kern.pi[1], rel_tol=1e-14)
     assert curve.mc_tv is None and curve.seed is None
     assert curve.within_envelope
     # spot-check one interior point against the dense matrix power; the TV
     # there is 1.7e-7, a difference of O(1) entries, so compare absolutely
-    direct = tv_distance(propagate(kern, 1, 7), kern.pi.weights)
+    direct = tv_distance(propagate(kern, 1, 7), kern.pi)
     assert math.isclose(curve.exact_tv[7], direct, rel_tol=0, abs_tol=1e-15)
 
 
@@ -222,7 +222,7 @@ def test_tv_curve_zero_steps():
     curve = tv_curve(kernel_for(spec), 0, 0)
     assert len(curve.ks) == 1
     assert math.isclose(
-        curve.exact_tv[0], 1 - kernel_for(spec).pi.weights[0], rel_tol=1e-14
+        curve.exact_tv[0], 1 - kernel_for(spec).pi[0], rel_tol=1e-14
     )
 
 
@@ -246,7 +246,7 @@ def test_tv_curve_mc_arm_follows_documented_stream():
     start = (2, 0, 1, 1)  # "cabb"
     kern = kernel_for(spec)
     mc = _mc_distributions(kern, encode_rank(spec, start), 300, 11, 1)
-    expected = 1.0 - kern.pi.weights[stream_ranks(spec, start, 300, seed=11)]
+    expected = 1.0 - kern.pi[stream_ranks(spec, start, 300, seed=11)]
     np.testing.assert_allclose(mc, expected, rtol=0, atol=1e-12)
 
 
@@ -285,7 +285,7 @@ def test_mc_arm_color_uniform_on_a_threshold(monkeypatch):
     got = chain._mc_distributions(kern, 0, len(steps), 0, 1)
     np.testing.assert_array_equal(got, mc_tv_oracle(kern, 0, len(steps), 0, 1))
     ranks = [0] + [rank for _, _, rank in steps]
-    np.testing.assert_allclose(got, 1.0 - kern.pi.weights[ranks], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got, 1.0 - kern.pi[ranks], rtol=0, atol=1e-15)
 
 
 def test_tv_curve_envelope_formula():
@@ -293,7 +293,7 @@ def test_tv_curve_envelope_formula():
     kern = kernel_for(spec)
     spect = spectrum_for(spec)
     curve = tv_curve(kernel_for(spec), 0, 10)
-    pi0 = kern.pi.weights[0]
+    pi0 = kern.pi[0]
     coef = 0.5 * math.sqrt((1 - pi0) / pi0)
     expected = coef * spect.beta_star ** np.arange(11)
     assert np.allclose(curve.envelope, expected, rtol=1e-13)
@@ -303,8 +303,8 @@ def test_tv_curve_refuses_unresolved_envelope(monkeypatch):
     # at T=0.001 the spectral gap rounds to 0 and pi of the least likely
     # state underflows to 0; either leaves the envelope vacuous or undefined
     kern = build_kernel(ModelSpec(3, 2, 0.001))
-    start = int(np.argmin(kern.pi.weights))
-    assert kern.pi.weights[start] == 0.0
+    start = int(np.argmin(kern.pi))
+    assert kern.pi[start] == 0.0
     with pytest.raises(PrecisionLimitError, match="spectral gap"):
         tv_curve(kern, 0, 5)
     resolved = Spectrum(eigenvalues=np.array([1.0, 0.5, 0.0]))
@@ -371,7 +371,7 @@ def _check_both_arms(spec, block):
     kern = kernel_for(spec)
     start = spec.num_states // 2
     k_values = _straddling(block)
-    pi = kern.pi.weights
+    pi = kern.pi
     exact = [
         tv_distance(d, pi)
         for d in stepwise_distributions(kern, start, max(k_values))

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -553,6 +554,31 @@ def test_sweep_closed_forms_at_any_n_and_colors(argv, capsys):
     rows = sweep_rows(out)
     assert len(rows) == 1
     check_closed_form_cells(rows)
+
+
+def test_sweep_skips_rows_past_the_cap_without_a_refusal(monkeypatch, capsys):
+    # Formatting a refusal writes the 4000-digit n out, only for sweep to drop
+    # it; the rows past the cap must not construct one.  The sha256 pins the
+    # ten rows' bytes: empty exact columns and skipped_exact set.
+    from spectral_gibbs import BudgetExceededError
+
+    refusals = []
+    original = BudgetExceededError.__init__
+
+    def counted(self, *args):
+        refusals.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(BudgetExceededError, "__init__", counted)
+    big = 10**4000
+    code, out = run_main(
+        ["sweep", f"--n={big - 5}:{big + 4}", "--colors", "26", "--temp", "1"], capsys
+    )
+    assert code == 0 and refusals == []
+    assert len(out.splitlines()) == 11
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "accd7b809ee8a767360f76b61081e9c81c189b68194388449fabd2152105dbb3"
+    )
 
 
 @pytest.mark.parametrize("kmax", [10**15, 2**60, 10**19, 2**63 - 1], ids=str)

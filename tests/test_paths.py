@@ -103,7 +103,7 @@ def pair_enumeration_tables(kernel, block_size=512):
     """
     spec = kernel.spec
     m, n, num_colors = spec.num_states, spec.n, spec.num_colors
-    pi = kernel.pi.weights
+    pi = kernel.pi
     table = colors_table(spec).astype(np.int64)
     places = np.array([num_colors ** (n - 1 - i) for i in range(n)], dtype=np.int64)
 
@@ -186,7 +186,7 @@ def test_canonical_path_left_to_right():
     # (length 2), which corrects site 1 first and so passes through ba
     spec = ModelSpec(2, 2, 1.0)
     aa, ab, ba, bb = range(4)
-    pi = kernel_for(spec).pi.weights
+    pi = kernel_for(spec).pi
     want = pi[aa] * (pi[ba] + 2 * pi[bb])
     loads, _, _ = marginal_tables_for(spec)
     assert math.isclose(loads[aa, 0, 1], want, rel_tol=1e-14)
@@ -196,7 +196,7 @@ def test_canonical_path_skips_agreeing_sites():
     # the edge aaa -> aab recolors the last site, so it carries every source
     # (x1, x2, a) to aab; each path takes one step per disagreeing site only
     spec = ModelSpec(3, 2, 1.0)
-    pi = kernel_for(spec).pi.weights.reshape(2, 2, 2)
+    pi = kernel_for(spec).pi.reshape(2, 2, 2)
     want = pi[0, 0, 1] * sum(
         pi[x1, x2, 0] * (1 + x1 + x2) for x1 in (0, 1) for x2 in (0, 1)
     )

@@ -146,8 +146,8 @@ def test_representative_rows_match_symmetrize_oracle(spec):
     # Bitwise, in CSR order, so every block sums the same terms in the same
     # order as one assembled from the full matrix.
     kern = kernel_for(spec)
-    row, targets, values = _representative_rows(kern)
     reps = spec.num_states // spec.num_colors
+    row, targets, values = _representative_rows(spec, kern.colors[:reps])
     oracle = symmetrize(kern)[:reps]
     assert np.all(np.diff(row * spec.num_states + targets) > 0)
     # The oracle drops the entries whose product underflowed to 0.
@@ -162,15 +162,15 @@ def test_representative_diagonal_is_holding_probability(spec):
     # At (3,2,0.005) the state aba holds with probability 1.28e-174, whose
     # square underflows to 0.
     kern = kernel_for(spec)
-    row, targets, values = _representative_rows(kern)
     reps = spec.num_states // spec.num_colors
+    row, targets, values = _representative_rows(spec, kern.colors[:reps])
     holding = kern.matrix.diagonal()[:reps]
     assert values[row == targets].tobytes() == holding.tobytes()
 
 
 def dense_spectrum_oracle(kernel):
     """Descending eigenvalues of the whole dense ``D^{1/2} P D^{-1/2}``."""
-    sqrt_pi = np.sqrt(kernel.pi.weights)
+    sqrt_pi = np.sqrt(kernel.pi)
     dense = kernel.matrix.toarray() * sqrt_pi[:, None] / sqrt_pi[None, :]
     return scipy.linalg.eigvalsh(dense)[::-1]
 
@@ -201,8 +201,8 @@ def test_sector_spectrum_matches_dense_oracle(spec):
     ids=str,
 )
 def test_reversal_halves_split_each_sector(spec):
-    blocks = list(_sector_blocks(kernel_for(spec)))
     reps = spec.num_states // spec.num_colors
+    blocks = list(_sector_blocks(spec, kernel_for(spec).colors[:reps]))
     for k in range(spec.num_colors // 2 + 1):
         sizes = [block.shape[0] for sector, block, _ in blocks if sector == k]
         real = 2 * k % spec.num_colors == 0
@@ -241,10 +241,12 @@ def test_symmetrize_rejects_non_reversible(monkeypatch, capsys):
     # state itself, then its one move.
     spec = ModelSpec(1, 2, 1.0)
     colors = colors_table(spec)
-    pi = stationary_measure(spec, colors)
+    pi, log_z = stationary_measure(spec, colors)
     cols = np.array([[0, 1], [1, 0]])
     data = np.array([[0.2, 0.8], [0.4, 0.6]])
-    kern = SparseKernel(spec=spec, colors=colors, pi=pi, cols=cols, data=data)
+    kern = SparseKernel(
+        spec=spec, colors=colors, pi=pi, log_z=log_z, cols=cols, data=data
+    )
     with pytest.raises(ValueError, match="reversib"):
         symmetrize(kern)
     # The spectrum is built from the conditionals, not from this matrix, so
@@ -261,14 +263,24 @@ def test_spectrum_ignores_corrupted_row_table():
     # and hold it the more.  verify's checks see the corruption; the
     # spectrum, built from the conditionals, is bitwise that of the true kernel.
     kern = kernel_for(ModelSpec(6, 4, 0.3))
-    least = int(np.argmin(kern.pi.weights))
-    assert least < kern.dimension // kern.spec.num_colors
+    least = int(np.argmin(kern.pi))
+    reps = kern.dimension // kern.spec.num_colors
+    assert least < reps
     data = kern.data.copy()
     data[least, 1:] /= 2
     data[least, 0] += data[least, 1:].sum()
     halved = dataclasses.replace(kern, data=data)
     assert check_detailed_balance(halved) == pytest.approx(0.5, abs=1e-12)
-    assert np.array_equal(spectrum(halved).eigenvalues, spectrum(kern).eigenvalues)
+    expected = spectrum(kern).eigenvalues.tobytes()
+    assert spectrum(halved).eigenvalues.tobytes() == expected
+    # The spectrum reads the color table only below rank m/N, the
+    # representatives: scrambling every row from there on changes nothing.
+    colors = kern.colors.copy()
+    rng = np.random.default_rng(5)
+    colors[reps:] = rng.integers(kern.spec.num_colors, size=colors[reps:].shape)
+    assert not np.array_equal(colors, kern.colors)
+    scrambled = dataclasses.replace(kern, colors=colors)
+    assert spectrum(scrambled).eigenvalues.tobytes() == expected
 
 
 def test_spectrum_budget():
