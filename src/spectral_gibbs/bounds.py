@@ -91,7 +91,7 @@ def ingrassia_beta1_bound(n: int, num_colors: int, temp: float) -> float:
     """
     if n < 1 or num_colors < 2 or not temp > 0:
         raise ValueError("need n >= 1, num_colors >= 2, temp > 0")
-    weight = math.exp(-1.0 / (2.0 * temp))
+    weight = math.exp(-0.5 / temp)
     try:
         base = (1.0 + (num_colors - 1) * weight) / num_colors
     except OverflowError:  # N is past the float range, where (N-1)/N rounds to 1
@@ -121,7 +121,7 @@ def _log_theta_terms(num_colors: int, temp: float) -> tuple[float, float]:
     """Logs of the two factors of :func:`theta`; the first is inf only where
     ``2/T`` is past the float range."""
     log_head = 2.0 / temp + _log_mean_weight(num_colors, 4.0 / temp)
-    return log_head, _log_mean_weight(num_colors, 1.0 / (2.0 * temp))
+    return log_head, _log_mean_weight(num_colors, 0.5 / temp)
 
 
 def theta(n: int, num_colors: int, temp: float) -> float:
@@ -129,17 +129,21 @@ def theta(n: int, num_colors: int, temp: float) -> float:
 
     Equals ``(e^{2/T} + (N-1) e^{-2/T}) / N`` times
     ``((1 + (N-1) e^{-1/(2T)}) / N)^{n-1}`` and is strictly decreasing in
-    ``n``.  Evaluated in log form at any ``n``; ``math.inf`` when the ratio
-    is past the float range.
+    ``n``.  Evaluated in log form at any ``n``, as ``T log(theta)`` where
+    ``2/T`` is past the float range; ``math.inf`` when the ratio is past it.
     """
     log_head, log_ratio = _log_theta_terms(num_colors, temp)
+    scale = 1.0
+    if log_head == math.inf:  # 2/T is past the float range, T log(theta) is not
+        scale = temp
+        log_head = 2.0 + temp * _log_mean_weight(num_colors, 4.0 / temp)
     try:
-        decay = (n - 1) * log_ratio
+        decay = scale * (n - 1) * log_ratio
     except OverflowError:  # n is past the float range: multiply in logs
-        log_decay = math.log(n - 1) + math.log(-log_ratio)
+        log_decay = math.log(scale) + math.log(n - 1) + math.log(-log_ratio)
         decay = -math.exp(min(log_decay, _LOG_FLOAT_MAX))
     try:
-        return math.exp(log_head + decay)
+        return math.exp((log_head + decay) / scale)
     except OverflowError:
         return math.inf
 

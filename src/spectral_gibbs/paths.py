@@ -14,9 +14,10 @@ chain carry exactly its own pair, so the degenerate one-site chain yields
 ``kappa = 1``.  An edge's ratio depends only on its site, the colors of its
 two neighbors and its own two colors, so :func:`kappa_exact` and
 :func:`certify_all_edges` read one table of worst ratios per such neighbor
-pattern, in ``O(n N^4)`` and with no kernel; the first names its worst
-pattern as an :class:`EdgeLoad`.  The sums over marginals of ``pi`` and the
-enumeration of pairs are kept only as the tests' oracles.
+pattern, in ``O(n N^4)`` and with no kernel; the first names the first
+worst pattern in table order as an :class:`EdgeLoad`.  The sums over
+marginals of ``pi`` and the enumeration of pairs are kept only as the
+tests' oracles.
 
 The module also evaluates the closed-form upper bound ``(n^2/N)(N-1+e^{4/T})``
 together with the quantities that prove it, each as one table over every
@@ -101,20 +102,6 @@ def _marginal(p: np.ndarray, sites) -> np.ndarray:
     return p.sum(axis=tuple(k for k in range(p.ndim) if k not in keep), keepdims=True)
 
 
-def _worst_state(n: int, index) -> bytes:
-    """The smallest state at which the edge of a pattern has its worst ratio,
-    as bytes, which compare in rank order: past the neighbors, the smallest
-    color other than ``color_from`` (left) or ``color_to`` (right)."""
-    i, left, right, color_from, color_to = index
-    state = bytearray([color_from == 0]) * i + bytearray([color_from])
-    state += bytearray([color_to == 0]) * (n - 1 - i)
-    if left:
-        state[i - 1] = left - 1
-    if right:
-        state[i + 1] = right - 1
-    return bytes(state)
-
-
 def kappa_exact(spec: ModelSpec) -> KappaResult:
     """Compute the congestion constant from the worst ratio of every pattern.
 
@@ -129,8 +116,8 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
     Past the neighbors each term is largest, ``1 - 1/N + rho^d/N`` at
     distance ``d``, where ``z_j`` differs from ``c`` (left) or ``c'``
     (right).  The table costs ``O(n N^4)`` and needs no kernel.  The witness
-    is the pattern within a relative ``WITNESS_RTOL`` of kappa whose worst
-    state comes first in rank order, then the lowest site and ``color_to``.
+    is the first pattern in table order within a relative ``WITNESS_RTOL``
+    of kappa.
 
     Raises:
         PrecisionLimitError: Where :func:`kappa_closed_form` would be past
@@ -159,8 +146,9 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
     patterns.flags.writeable = False
 
     kappa = float(patterns.max())
-    tied = np.argwhere(patterns >= (1.0 - WITNESS_RTOL) * kappa)
-    i, left, right, color_from, color_to = _first_pattern(tied, patterns.shape)
+    first = np.argmax(patterns >= (1.0 - WITNESS_RTOL) * kappa)
+    index = np.unravel_index(first, patterns.shape)
+    i, left, right, color_from, color_to = map(int, index)
     edge = EdgeLoad(
         ratio=float(patterns[i, left, right, color_from, color_to]),
         site=i + 1,
@@ -170,29 +158,6 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
         right=right - 1 if right else None,
     )
     return KappaResult(spec=spec, kappa=kappa, argmax_edge=edge, patterns=patterns)
-
-
-def _first_pattern(candidates: np.ndarray, shape: tuple[int, ...]) -> list[int]:
-    """The row of ``candidates``, indices into a table of ``shape`` indexed
-    like ``KappaResult.patterns``, whose worst state comes first in rank
-    order, then the lowest site and ``color_to``."""
-    n = shape[0]
-    # Ties span the interior sites at large n.  Within one neighbor pattern
-    # the worst states there are ordered by the site: a later site's is the
-    # smaller iff l > b, or l == b and c > b, where l is the left neighbor's
-    # color, c is color_from and b = [c == 0] fills the sites left of l.
-    # So keep one site per pattern: its last if later wins, else its first.
-    i, left, _, color_from, _ = candidates.T
-    b = color_from == 0
-    later = (left - 1 > b) | ((left - 1 == b) & (color_from > b))
-    order = np.argsort(np.where(later, -i, i), kind="stable")
-    pattern = np.ravel_multi_index(candidates[order, 1:].T, shape[1:])
-    candidates = candidates[order[np.unique(pattern, return_index=True)[1]]]
-    # Compare the worst states' first colors at once: ties are many at large N.
-    i, left, _, color_from, _ = candidates.T
-    first = np.select([i == 0, i == 1], [color_from, left - 1], color_from == 0)
-    candidates = candidates[first == first.min()].tolist()
-    return min(candidates, key=lambda k: (_worst_state(n, k), k[0], k[4]))
 
 
 # Log of the largest finite float64.

@@ -6,8 +6,8 @@ package's tables beyond ``make_rng``, whose stream the Monte Carlo oracle
 must consume, so a test that compares the two checks the tables.  The congestion oracle sums every
 directed edge's load from marginals of the enumerated ``pi`` and reads its
 capacity off the kernel matrix, so it shares no code with the package's
-neighbor-pattern formula; the witness oracle builds the worst state of
-every tied pattern instead of keeping one site per pattern.  The
+neighbor-pattern formula; the witness oracles map each tied edge to its
+pattern, or scan the pattern table one index at a time.  The
 symmetrization oracle forms ``sqrt(P_xy P_yx)`` for all ``m`` rows from the
 kernel matrix, with ``P_xx`` on the diagonal, where the package builds the
 representatives' rows from the conditionals.  The edge-factor oracle sums the
@@ -283,42 +283,33 @@ def marginal_kappa_tables(kernel):
 
 
 def marginal_witness(kernel, ratios, rtol):
-    """Site, colors and neighbors of the lowest-ranked edge within ``rtol`` of
-    the largest ratio: the first flat index into ``[rank, site - 1, color_to]``."""
-    flat = int(np.argmax(ratios >= (1 - rtol) * ratios.max()))
-    rank, i, color_to = np.unravel_index(flat, ratios.shape)
-    state = [int(c) for c in kernel.colors[rank]]
+    """Site, colors and neighbors of the edge within ``rtol`` of the largest
+    ratio whose pattern ``[site - 1, left + 1, right + 1, color_from,
+    color_to]`` (0 for no neighbor) comes first in row-major order."""
+    n = kernel.spec.n
+
+    def pattern(rank, i, color_to):
+        state = [int(c) for c in kernel.colors[rank]]
+        left = state[i - 1] + 1 if i >= 1 else 0
+        right = state[i + 1] + 1 if i + 1 < n else 0
+        return i, left, right, state[i], color_to
+
+    tied = np.argwhere(ratios >= (1 - rtol) * ratios.max()).tolist()
+    i, left, right, color_from, color_to = min(pattern(*k) for k in tied)
     return {
-        "site": int(i) + 1,
-        "color_from": state[i],
-        "color_to": int(color_to),
-        "left": state[i - 1] if i >= 1 else None,
-        "right": state[i + 1] if i + 1 < len(state) else None,
+        "site": i + 1,
+        "color_from": color_from,
+        "color_to": color_to,
+        "left": left - 1 if left else None,
+        "right": right - 1 if right else None,
     }
 
 
 def pattern_witness(patterns, rtol):
-    """Index ``[site - 1, left + 1, right + 1, color_from, color_to]`` of the
-    pattern within ``rtol`` of the largest ratio whose worst state comes first
-    in rank order, then the lowest site and ``color_to``.
-
-    Builds the worst state of every tied pattern: past the neighbors, the
-    smallest color other than ``color_from`` (left) or ``color_to`` (right).
-    """
-    n = patterns.shape[0]
-
-    def worst_state(index):
-        i, left, right, color_from, color_to = index
-        state = [int(color_from == 0)] * i + [color_from]
-        state += [int(color_to == 0)] * (n - 1 - i)
-        if left:
-            state[i - 1] = left - 1
-        if right:
-            state[i + 1] = right - 1
-        return state
-
-    tied = np.argwhere(patterns >= (1 - rtol) * patterns.max()).tolist()
-    return min(tied, key=lambda k: (worst_state(k), k[0], k[4]))
+    """The first index, in ``np.ndindex`` order, of a pattern within ``rtol``
+    of the largest ratio."""
+    cutoff = (1 - rtol) * patterns.max()
+    return next(list(k) for k in np.ndindex(patterns.shape) if patterns[k] >= cutoff)
 
 
 def slice_pair_table(kernel):

@@ -139,15 +139,18 @@ def test_crossover_value():
 
 
 @pytest.mark.parametrize(
-    "temp", [1e-300, 0.001, 0.05, 1.0, 1e3, 1e12, 1e20, 1e300, 1e-309, 5e-310, 1e-310]
+    "temp",
+    [1e-300, 0.001, 0.05, 1.0, 1e3, 1e12, 1e20, 1e300, 1e-309, 5e-310, 1e-310,
+     8.98846567431158e307, 1e308, 1.7976931348623157e308],
 )
 def test_theta_and_crossover_match_mpmath(temp):
     # at high temperature both factors of theta tend to 1, so their logs
     # must not cancel; at large N and low temperature 1 + (N-1) expm1(-x)/N
     # keeps few digits, or rounds to 0, though both logs are finite.  Below
     # T = 1.1e-308, 2/T is past the float range, but crossover_n is not at
-    # large N: 2.9e307 at (1e30, 1e-309).  The reference carries enough
-    # digits to resolve e^{-1/(2T)} at T=1e300
+    # large N: 2.9e307 at (1e30, 1e-309).  Above T = 9e307, 2T is past it,
+    # but 1/(2T) is not.  The reference carries enough digits to resolve
+    # e^{-1/(2T)} at T=1.8e308
     mp = pytest.importorskip("mpmath")
     with mp.workdps(400):
         t = mp.mpf(temp)
@@ -195,9 +198,10 @@ def test_gap_bounds_keep_their_digits(temp):
 )
 def test_closed_forms_past_float_range(n, colors):
     # n^2, N u or n itself is past the float range; every closed form still
-    # comes out finite and in range, the gap bounds to the last digits
+    # comes out finite and in range, the gap bounds to the last digits.  At
+    # T = 1e-309, 2/T is past it too, and theta is 0 or inf by its log's sign
     mp = pytest.importorskip("mpmath")
-    for temp in (1e-300, 0.001, 0.5, 1.0, 1e300):
+    for temp in (1e-300, 0.001, 0.5, 1.0, 1e300, 1e-309):
         with mp.workdps(400):
             t = mp.mpf(temp)
             u, n2 = mp.exp(-4 / t), mp.mpf(n) ** 2
@@ -213,7 +217,11 @@ def test_closed_forms_past_float_range(n, colors):
             got = ingrassia_beta1_bound(n, colors, temp)
             assert math.isclose(got, want, rel_tol=1e-13, abs_tol=1e-300), temp
             assert got <= 1
+            head = (mp.exp(2 / t) + (colors - 1) * mp.exp(-2 / t)) / colors
+            log_theta = mp.log(head) + (n - 1) * mp.log(ratio)
         assert theta(n, colors, temp) >= 0
+        if temp == 1e-309:
+            assert theta(n, colors, temp) == (math.inf if log_theta > 0 else 0.0)
 
 
 def test_theorem3_at_most_one():

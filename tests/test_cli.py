@@ -543,12 +543,14 @@ def test_sweep_at_large_n_and_high_temperature(capsys):
         ["--n", "1" + "0" * 400, "--colors", "2", "--temp", "1", "--format", "json"],
         ["--n", "20", "--colors", str(10**16), "--temp", "0.001"],
         ["--n", "5000", "--colors", str(10**20), "--temp", "1e-5"],
+        ["--n", "2", "--colors", "3", "--temp", "1e308"],
     ],
-    ids=["n=1e200", "n=1e200-json", "n=1e400-json", "N=1e16", "N=1e20"],
+    ids=["n=1e200", "n=1e200-json", "n=1e400-json", "N=1e16", "N=1e20", "T=1e308"],
 )
 def test_sweep_closed_forms_at_any_n_and_colors(argv, capsys):
     # n^2 is past the float range from n = 1e155 and n itself from 1e309;
-    # 1 + (N-1) expm1(-4/T)/N rounds to 0 at N = 1e16 and T = 0.001
+    # 1 + (N-1) expm1(-4/T)/N rounds to 0 at N = 1e16 and T = 0.001; 2T is
+    # past the float range at T = 1e308
     code, out = run_main(["sweep", *argv], capsys)
     assert code == 0
     rows = sweep_rows(out)

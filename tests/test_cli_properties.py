@@ -3,11 +3,11 @@
 Every drawn command exits 2 exactly when its input is invalid, and
 otherwise 0, or 3 with one ``precision limit:`` line on stderr; its JSON
 output parses.  Temperatures range over the whole float range, 1e-320 to
-1e300, plus inf and nan.  ``sweep`` list flags are drawn as comma lists
-and ``a:b`` ranges, empty, reversed and around the range cap.  Items run
-from -3 to 10**4000 for ``--n``, to 10**30 for ``--colors`` and over the
-whole float range for ``--temp``; every row's closed forms come out finite
-and in range.
+the largest float, plus inf and nan.  ``sweep`` list flags are drawn as
+comma lists and ``a:b`` ranges, empty, reversed and around the range cap.
+Items run from -3 to 10**4000 for ``--n``, to 10**30 for ``--colors`` and
+over the whole float range for ``--temp``; every row's closed forms come
+out finite and in range.
 """
 
 import contextlib
@@ -42,7 +42,9 @@ def command_lines(draw):
     temp = draw(
         st.one_of(
             st.floats(-320, 300).map(lambda exponent: repr(10.0**exponent)),
-            st.sampled_from(["1e-320", "1e300", "inf", "nan"]),
+            st.sampled_from(
+                ["1e-320", "1e300", "1e308", "1.7976931348623157e308", "inf", "nan"]
+            ),
         )
     )
     fmt = draw(st.sampled_from(FORMATS[command]))

@@ -329,8 +329,8 @@ def test_kappa_past_dense_budget(spec, monkeypatch):
     ids=str,
 )
 def test_witness_matches_scan_of_tied_patterns(spec):
-    # ties span the interior sites at large n; the witness keeps one site per
-    # pattern, and must equal the scan of every tied pattern's worst state
+    # ties span the interior sites at large n; the witness must be the first
+    # tied pattern that a scan of the table, one index at a time, finds
     result = kappa_exact(spec)
     edge = result.argmax_edge
     index = [
