@@ -40,12 +40,16 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Half the L1 distance between two distributions."""
+    """Half the L1 distance between two distributions.
+
+    A distance between distributions, it is at most 1, also where rounding
+    of their sums would put it above.
+    """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    return 0.5 * float(np.abs(p - q).sum())
+    return min(0.5 * float(np.abs(p - q).sum()), 1.0)
 
 
 def _block_length(num_states: int) -> int:
@@ -59,8 +63,8 @@ def _block_length(num_states: int) -> int:
 
 
 def _tv_rows(dists: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """:func:`tv_distance` of each row of ``dists`` to ``pi``."""
-    return 0.5 * np.abs(dists - pi).sum(axis=1)
+    """:func:`tv_distance` of each row of ``dists`` to ``pi``, also at most 1."""
+    return np.minimum(0.5 * np.abs(dists - pi).sum(axis=1), 1.0)
 
 
 def _distribution_blocks(

@@ -1,20 +1,45 @@
-"""Exact spectrum of the kernel from its color and site-reversal symmetry blocks.
+"""Exact spectrum of the kernel: in closed form at N = 2, else from its color
+and site-reversal symmetry blocks.
 
 Reversibility makes ``S = D^{1/2} P D^{-1/2}`` symmetric (``D = diag(pi)``),
-so ``P`` has the real spectrum of ``S``.  The energy depends only on whether
-neighbors agree, so shifting every site's color by +1 mod N and reflecting
-every color, ``c -> -c mod N``, both commute with ``S``; together they form
-the dihedral group of the colors (Diaconis 1988).  The shift acts freely on
-the states, so ``S`` splits exactly into N Fourier sectors of size ``m / N``.
-Reversing the order of the sites commutes with ``S`` and with both color
-maps, so each sector splits again into its reversal-even and reversal-odd
-halves.  The reflection, composed with complex conjugation, turns each half
-of a complex sector into a real symmetric block of the same size and splits
-each half of a real sector (``k = 0``, and ``k = N/2`` for even N) into its
-reflection-even and reflection-odd blocks.  So a real sector has up to four
-blocks of about ``m / (4N)`` states, a complex sector two of about
-``m / (2N)``, and every block is solved densely in real arithmetic by
-numpy's ``eigvalsh`` (LAPACK ``syevd``), so the spectrum needs no scipy.
+so ``P`` has the real spectrum of ``S``.
+
+At N = 2 the chain is Glauber's kinetic Ising chain (Glauber 1963) and its
+spectrum is free-fermionic (Felderhof 1971).  With spins ``sigma = +-1``,
+resampling site ``i`` averages its spin to
+``E_i sigma_i = tanh((sigma_{i-1} + sigma_{i+1}) / T)
+= c_i (sigma_{i-1} + sigma_{i+1})``, linear in the neighbors, with
+``c_i = tanh(2/T) / 2`` at an interior site and ``tanh(1/T)`` at the two
+end sites (a missing neighbor counts 0).  So ``E_i`` maps a spin product
+``sigma_A`` to itself when ``i`` is not in ``A``; otherwise the particle at
+``i`` hops to a free neighbor, keeping the degree ``|A|``, or annihilates
+with an occupied one, lowering it by 2.  ``P = (1/n) sum_i E_i`` is
+therefore block-triangular in the degree, and its degree-``k`` diagonal
+block is ``((n - k) I + H_k) / n`` with ``H_k`` hard-core hopping of ``k``
+particles on a line.  They never cross, so ``H_k`` is the ``k``-fermion
+extension of the one-particle matrix, which ``diag(sqrt(c))`` makes the
+symmetric tridiagonal ``A`` with off-diagonals ``sqrt(c_i) sqrt(c_{i+1})``
+(``A = [0]`` at n = 1), and its eigenvalues are the sums of ``k`` distinct
+eigenvalues ``alpha_j`` of ``A``.  The ``2^n`` eigenvalues of ``P`` are
+``1 - (1/n) sum_{j in J} (1 - alpha_j)`` over the subsets ``J`` of
+``{1..n}``: ``beta1 = 1 - (1 - max alpha) / n``, and
+``beta_min = tr(A) / n = 0``.
+
+For N >= 3 the energy depends only on whether neighbors agree, so shifting
+every site's color by +1 mod N and reflecting every color, ``c -> -c mod N``,
+both commute with ``S``; together they form the dihedral group of the colors
+(Diaconis 1988).  The shift acts freely on the states, so ``S`` splits
+exactly into N Fourier sectors of size ``m / N``.  Reversing the order of the
+sites commutes with ``S`` and with both color maps, so each sector splits
+again into its reversal-even and reversal-odd halves.  The reflection,
+composed with complex conjugation, turns each half of a complex sector into
+a real symmetric block of the same size and splits each half of a real
+sector (``k = 0``, and ``k = N/2`` for even N) into its reflection-even and
+reflection-odd blocks.  So a real sector has up to four blocks of about
+``m / (4N)`` states, a complex sector two of about ``m / (2N)``, and every
+block is solved densely in real arithmetic by numpy's ``eigvalsh`` (LAPACK
+``syevd``), so the spectrum needs no scipy.  The blocks are general in N;
+at N = 2 they are a test oracle for the closed form.
 
 The blocks read only the first ``m / N`` rows of the kernel's color table,
 the shift's representatives: their rows of ``S`` come from the local
@@ -25,6 +50,7 @@ checks leaves the spectrum unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -249,10 +275,30 @@ def _sector_blocks(
                     yield k, _assemble(row, orbit, entries, cols, coefs, keep), 1
 
 
+def _two_color_eigenvalues(spec: ModelSpec) -> np.ndarray:
+    """The ``2^n`` eigenvalues of the N = 2 kernel, unsorted.
+
+    Each is ``1 - sum_{j in J} (1 - alpha_j) / n`` over a subset ``J``, with
+    ``alpha`` the eigenvalues of the tridiagonal ``A`` of the module
+    docstring; the subset sums are built by doubling, one site at a time.
+    """
+    n = spec.n
+    coupling = np.full(n, math.tanh(2.0 / spec.temp) / 2)
+    coupling[[0, -1]] = math.tanh(1.0 / spec.temp)
+    hop = np.sqrt(coupling[:-1]) * np.sqrt(coupling[1:])
+    alpha = np.linalg.eigvalsh(np.diag(hop, 1) + np.diag(hop, -1))
+    sums = np.zeros(1)
+    for step in (1.0 - alpha) / n:
+        sums = np.concatenate([sums, sums + step])
+    return 1.0 - sums
+
+
 def spectrum(kernel: SparseKernel) -> Spectrum:
     """Compute the full spectrum of the kernel.
 
-    Eigenvalues come from dense real symmetric solves of the blocks of the
+    At N = 2 the eigenvalues are the closed-form subset sums of the module
+    docstring, from one ``n x n`` tridiagonal solve.  For N >= 3 they come
+    from dense real symmetric solves of the blocks of the
     ``floor(N/2) + 1`` distinct color-shift sectors of the similarity
     transform: up to four reversal and reflection blocks per real sector and
     two reversal halves in real form per complex sector.  They are returned
@@ -266,12 +312,16 @@ def spectrum(kernel: SparseKernel) -> Spectrum:
     """
     spec = kernel.spec
     check_budget(spec, DENSE_SOLVE_BUDGET, "dense symmetrization")
-    parts = []
-    reps = spec.num_states // spec.num_colors
-    for _, block, multiplicity in _sector_blocks(spec, kernel.colors[:reps]):
-        eigs = np.linalg.eigvalsh(block)
-        parts.extend([eigs] * multiplicity)
-    eigs = np.ascontiguousarray(np.sort(np.concatenate(parts))[::-1])
+    if spec.num_colors == 2:
+        eigs = _two_color_eigenvalues(spec)
+    else:
+        parts = []
+        reps = spec.num_states // spec.num_colors
+        for _, block, multiplicity in _sector_blocks(spec, kernel.colors[:reps]):
+            eigs = np.linalg.eigvalsh(block)
+            parts.extend([eigs] * multiplicity)
+        eigs = np.concatenate(parts)
+    eigs = np.ascontiguousarray(np.sort(eigs)[::-1])
     if abs(eigs[0] - 1.0) > 1e-8:
         raise RuntimeError(
             f"leading eigenvalue {eigs[0]!r} is not 1; solver failure"

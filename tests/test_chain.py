@@ -127,6 +127,8 @@ def test_tv_distance():
     assert math.isclose(
         tv_distance(np.array([0.7, 0.3]), np.array([0.4, 0.6])), 0.3, rel_tol=1e-15
     )
+    # A measure whose rounded sum exceeds 1 would put the distance above 1.
+    assert tv_distance(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.5 + 1e-15])) == 1.0
     with pytest.raises(ValueError):
         tv_distance(np.zeros(2), np.zeros(3))
 

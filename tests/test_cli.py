@@ -190,6 +190,22 @@ def test_tv_csv_matches_library(capsys):
     assert out == tv_curve(build_kernel(spec), 1, 8, seed=3).to_csv()
 
 
+def test_tv_distances_at_most_one(capsys):
+    # pi of the default start is about e^-74, and the stationary measure
+    # sums to 1 + 2.7e-15, so the unclamped TV at k = 0..2 would be
+    # 1.0000000000000013.
+    code, out = run_main(
+        ["tv", "--n", "12", "--colors", "2", "--temp", "0.3", "--kmax", "2000",
+         "--seed", "3", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    for column in ("exact_tv", "mc_tv"):
+        assert max(payload[column]) == 1.0, column
+        assert payload[column][0] == 1.0, column
+
+
 def test_tv_start_letters_equal_rank(capsys):
     code_letters, out_letters = run_main(
         ["tv", "--n", "2", "--colors", "2", "--temp", "1", "--kmax", "4",
@@ -473,6 +489,13 @@ def test_low_temperature_kappa_refuses(command, chain, capsys):
         # e^{4/T} in the closed forms is past the float range
         ["bounds", "--n", "2", "--colors", "2", "--temp", "0.005"],
         ["verify", "--n", "2", "--colors", "2", "--temp", "0.005"],
+        # The gaps are 7.4e-17 and 5.1e-17 (60-digit mpmath), below the
+        # resolution of beta1; a dense solve would report its rounding noise,
+        # 6.7e-16 and 1.4e-15, as the gap.
+        ["bounds", "--n", "10", "--colors", "2", "--temp", "0.06"],
+        ["verify", "--n", "10", "--colors", "2", "--temp", "0.06"],
+        ["bounds", "--n", "12", "--colors", "2", "--temp", "0.06"],
+        ["verify", "--n", "12", "--colors", "2", "--temp", "0.06"],
     ],
     ids=" ".join,
 )

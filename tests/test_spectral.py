@@ -59,11 +59,12 @@ def test_two_site_high_temp_limit():
     assert np.allclose(spect.eigenvalues, [1.0, 0.5, 0.5, 0.0], atol=1e-6)
 
 
-def test_spectrum_against_high_precision_oracle():
-    # 40-digit reference eigenvalues, built from scratch with mpmath
-    mp = pytest.importorskip("mpmath")
+def mpmath_spectrum(n, colors, temp):
+    """40-digit eigenvalues of the symmetrized kernel, descending, built from
+    scratch with mpmath."""
+    import mpmath as mp
+
     mp.mp.dps = 40
-    n, colors, temp = 3, 3, 1.0
     states = list(itertools.product(range(colors), repeat=n))
 
     def score(u, v):
@@ -97,11 +98,17 @@ def test_spectrum_against_high_precision_oracle():
     for a in range(m):
         for b in range(m):
             sym[a, b] = mp.sqrt(pi[a]) * mat[a, b] / mp.sqrt(pi[b])
-    reference = sorted((float(e) for e in mp.eigsy(sym, eigvals_only=True)), reverse=True)
+    return sorted((float(e) for e in mp.eigsy(sym, eigvals_only=True)), reverse=True)
 
-    spect = spectrum_for(ModelSpec(n, colors, temp))
-    diff = max(abs(a - b) for a, b in zip(spect.eigenvalues, reference))
-    assert diff <= 1e-10
+
+def test_spectrum_against_high_precision_oracle():
+    pytest.importorskip("mpmath")
+    # (3,3,1) checks the symmetry blocks, (4,2,0.5) the N = 2 closed form.
+    for spec in (ModelSpec(3, 3, 1.0), ModelSpec(4, 2, 0.5)):
+        reference = mpmath_spectrum(spec.n, spec.num_colors, spec.temp)
+        spect = spectrum_for(spec)
+        diff = max(abs(a - b) for a, b in zip(spect.eigenvalues, reference))
+        assert diff <= 1e-10, spec
 
 
 @pytest.mark.parametrize(
@@ -220,6 +227,27 @@ def test_reversal_halves_split_each_sector(spec):
     places = spec.num_colors ** np.arange(spec.n - 1, -1, -1)
     orbits = np.unique(np.min([image @ places for image in images], axis=0))
     assert blocks[0][0] == 0 and blocks[0][1].shape[0] == orbits.size
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ModelSpec(n, 2, temp) for n in range(1, 13) for temp in (0.3, 0.5, 1.0, 2.0, 5.0)],
+    ids=str,
+)
+def test_two_color_closed_form_matches_dense_and_blocks(spec):
+    # The closed form reads neither the kernel's rows nor the blocks, so both
+    # check it: the dense solve of the whole symmetrized kernel, and the
+    # symmetry blocks, which stay general in N and are otherwise unused at
+    # N = 2.
+    kern = kernel_for(spec)
+    closed = spectrum_for(spec).eigenvalues
+    dense = np.linalg.eigvalsh(symmetrize(kern).toarray())[::-1]
+    reps = spec.num_states // 2
+    blocks = _sector_blocks(spec, kern.colors[:reps])
+    sectors = np.sort(np.concatenate([np.linalg.eigvalsh(b) for _, b, _ in blocks]))[::-1]
+    assert closed.shape == dense.shape == sectors.shape
+    assert np.abs(closed - dense).max() <= 1e-13
+    assert np.abs(closed - sectors).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", range(2, 13))
