@@ -10,8 +10,8 @@ The Monte Carlo arm of :func:`tv_curve` is the package's one stepper.  It
 steps all its replicas by state rank through one table of successor ranks,
 indexed by site, rank and the bin of the color uniform among the distinct
 color thresholds of the chain, so each step is one lookup; it draws the
-stream a block of steps at a time.  The exact arm multiplies by the
-kernel's CSR matrix, the package's one use of scipy; it propagates a block
+stream a block of steps at a time.  The exact arm gathers each step from
+the kernel's row table of ``P``'s columns with numpy; it propagates a block
 of distributions at a time and stops at the float fixed point of propagation:
 once a step leaves the distribution bitwise unchanged, every later step
 would too.  Both arms reduce a block of distributions to TVs with one set of
@@ -21,12 +21,12 @@ numpy calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .model import BudgetExceededError, ModelSpec, PrecisionLimitError
-from .kernel import SparseKernel, conditional_table, successor_table
+from .kernel import SparseKernel, conditional_table, reverse_data, successor_table
 from .kernel import build_kernel  # noqa: F401 -- perfbench/spans.py wraps this name
 from .spectral import check_gap_resolved
 from .spectral import spectrum as compute_spectrum
@@ -62,9 +62,32 @@ def _block_length(num_states: int) -> int:
     return max(1, 2**14 // num_states)
 
 
-def _tv_rows(dists: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """:func:`tv_distance` of each row of ``dists`` to ``pi``, also at most 1."""
-    return np.minimum(0.5 * np.abs(dists - pi).sum(axis=1), 1.0)
+def _tv_rows(
+    dists: np.ndarray, pi: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """:func:`tv_distance` of each row of ``dists`` to ``pi``, also at most 1.
+
+    ``out``, when given, receives ``|dists - pi|``; it may be ``dists``.
+    """
+    deviations = np.abs(np.subtract(dists, pi, out=out), out=out)
+    return np.minimum(0.5 * deviations.sum(axis=1), 1.0)
+
+
+def _incoming_table(kernel: SparseKernel) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of ``P`` as a slot-major table, ``(sources, weights)``.
+
+    Entry ``[s, y]`` is the ``s``-th state ``x`` that reaches ``y`` in one
+    step and ``P(x, y)``.  Each column lists its states by increasing rank,
+    the order of a canonical CSR row of ``P^T``, so summing the slots in
+    order adds the terms of ``(mu P)_y`` in that CSR product's order.
+    """
+    order = np.argsort(kernel.cols, axis=1)
+    sources = np.take_along_axis(kernel.cols, order, axis=1)
+    weights = np.take_along_axis(reverse_data(kernel), order, axis=1)
+    return (
+        np.ascontiguousarray(sources.T, dtype=np.intp),
+        np.ascontiguousarray(weights.T),
+    )
 
 
 def _distribution_blocks(
@@ -73,26 +96,57 @@ def _distribution_blocks(
     """Yield the distributions after 0, 1, ..., ``k_max`` steps from rank
     ``start``, as blocks of :func:`_block_length` consecutive rows.
 
-    Every block is a view into one buffer that the next block overwrites.
-    Propagation is deterministic, so once a step leaves the distribution
-    bitwise unchanged (its float fixed point), every later step would too.
-    That is checked at the end of each block: after a block whose last two
-    rows are equal, no more blocks are yielded, and every distribution
-    past it is its last row.
+    A step gathers the previous distribution by :func:`_incoming_table`,
+    multiplies by the weights, and adds the slots in order: ``add.reduce``
+    along the table's first axis adds them one after another.  Every block
+    is a view into one buffer that the next block overwrites.  Propagation
+    is deterministic, so once a step leaves the distribution bitwise
+    unchanged (its float fixed point), every later step would too.  That is
+    checked at the end of each block: after a block whose last two rows are
+    equal, no more blocks are yielded, and every distribution past it is its
+    last row.
     """
-    transposed = kernel.matrix.T.tocsr()
-    block = np.empty((_block_length(kernel.dimension), kernel.dimension))
-    dist = np.zeros(kernel.dimension)
-    dist[start] = 1.0
+    sources, weights = _incoming_table(kernel)
+    gathered = np.empty(weights.shape)
+    block = np.zeros((_block_length(kernel.dimension), kernel.dimension))
+    block[0, start] = 1.0
+    dist = block[0]
     for first in range(0, k_max + 1, len(block)):
         steps = min(len(block), k_max + 1 - first)
-        for t in range(steps):
-            if first or t:
-                dist = transposed @ dist
-            block[t] = dist
+        for t in range(0 if first else 1, steps):
+            # Every source is a rank; "clip" spares take its bounds check.
+            dist.take(sources, out=gathered, mode="clip")
+            gathered *= weights
+            dist = np.add.reduce(gathered, axis=0, out=block[t])
         yield block[:steps]
         if steps > 1 and np.array_equal(block[steps - 1], block[steps - 2]):
             return
+
+
+# Buckets of the color uniforms; a power of two, so a uniform's bucket is exact.
+_BUCKETS = 4096
+
+
+def _bin_lookup(cuts: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``u -> searchsorted(cuts, u, "right")`` for uniforms ``u`` in [0, 1).
+
+    ``u`` lies in bucket ``floor(4096 u)`` of 4096 equal buckets, exactly,
+    as 4096 is a power of two.  Where no cut lies strictly inside a bucket,
+    every uniform in it falls in the bin of its lower edge; only the
+    uniforms in the other buckets are searched among the cuts.
+    """
+    edges = np.arange(_BUCKETS + 1) / _BUCKETS
+    lower = np.searchsorted(cuts, edges[:-1], "right")
+    split = lower != np.searchsorted(cuts, edges[1:], "left")
+
+    def bins(u: np.ndarray) -> np.ndarray:
+        buckets = (u * _BUCKETS).astype(np.intp)
+        out = lower[buckets]
+        searched = split[buckets]
+        out[searched] = np.searchsorted(cuts, u[searched], "right")
+        return out
+
+    return bins
 
 
 def _mc_distributions(
@@ -107,14 +161,15 @@ def _mc_distributions(
     conditional, ``cuts``: ``u`` falls in bin ``q = searchsorted(cuts, u,
     "right")``, and the color drawn is the number of the site's thresholds
     in bins below ``q``.  That compares bin indices, so no threshold is
-    rounded again.  One table, indexed ``(site * (K + 1) + q) * m + rank``
-    for ``K`` cuts, holds the :func:`~spectral_gibbs.kernel.successor_table`
-    rank of that color, so a step is one lookup.  Each step consumes one
-    block of site uniforms and one block of color uniforms, so one replica
-    consumes the module's two-uniforms-per-step stream, and the result is a
-    pure function of (seed, replicas, k_max).  Uniforms are drawn, and
-    visited ranks reduced to TVs, :func:`_block_length` steps at a time;
-    that changes neither the stream nor any value.
+    rounded again; :func:`_bin_lookup` finds the bins.  One table, indexed
+    ``(site * (K + 1) + q) * m + rank`` for ``K`` cuts, holds the
+    :func:`~spectral_gibbs.kernel.successor_table` rank of that color, so a
+    step is one lookup.  Each step consumes one block of site uniforms and
+    one block of color uniforms, so one replica consumes the module's
+    two-uniforms-per-step stream, and the result is a pure function of
+    (seed, replicas, k_max).  Uniforms are drawn, and visited ranks reduced
+    to TVs, :func:`_block_length` steps at a time; that changes neither the
+    stream nor any value.
 
     Returns:
         Array of shape ``(k_max + 1,)``.
@@ -136,10 +191,13 @@ def _mc_distributions(
         1,
     )
     drawn = drawn.cumsum(axis=1, dtype=np.uint8)
+    color_bins = _bin_lookup(cuts)
     # Ranks are below EXACT_STATES_BUDGET = 2^16, so the table holds int32.
     successors = successor_table(spec, kernel.colors).astype(np.int32)
     table = np.take_along_axis(successors.transpose(1, 2, 0), drawn, axis=1).ravel()
     ranks = np.full(replicas, start, dtype=np.int32)
+    # levels[c] = c / replicas, the frequency of a rank visited c times.
+    levels = np.arange(replicas + 1) / replicas
     out = np.empty(k_max + 1)
     out[0] = tv_distance(np.bincount(ranks, minlength=m) / replicas, pi)
     block = _block_length(m)
@@ -147,7 +205,7 @@ def _mc_distributions(
         steps = min(block, k_max + 1 - first)
         uniforms = rng.random(2 * replicas * steps).reshape(steps, 2, replicas)
         sites = np.minimum((uniforms[:, 0] * n).astype(np.int64), n - 1)
-        keys = (sites * bins + np.searchsorted(cuts, uniforms[:, 1], "right")) * m
+        keys = (sites * bins + color_bins(uniforms[:, 1])) * m
         visited = np.empty((steps, replicas), dtype=np.int32)
         for t in range(steps):
             # Every index is in range by construction; "clip" spares take
@@ -158,7 +216,8 @@ def _mc_distributions(
         # Visit counts of all steps at once: step t counts into row t.
         visited += np.arange(0, steps * m, m, dtype=np.int32)[:, None]
         counts = np.bincount(visited.ravel(), minlength=steps * m)
-        out[first : first + steps] = _tv_rows(counts.reshape(steps, m) / replicas, pi)
+        dists = levels.take(counts).reshape(steps, m)
+        out[first : first + steps] = _tv_rows(dists, pi, out=dists)
     return out
 
 

@@ -16,8 +16,10 @@ so the spectrum builds the rows it needs without the kernel's row table.
 The kernel stores the rows of every rank as a fixed-width row table, and the
 checks of :func:`check_row_sums`, :func:`check_detailed_balance`,
 :func:`check_stationarity` and :func:`check_irreducible` read that table
-with numpy.  Only :attr:`SparseKernel.matrix`, the CSR form that exact
-propagation multiplies by, imports scipy, and only when it is first read.
+with numpy.  The move graph is symmetric, so the same table, with
+:func:`reverse_data` in place of ``data``, holds the columns of ``P``; exact
+propagation reads them.  Only :attr:`SparseKernel.matrix`, a CSR form that
+nothing in the package reads, imports scipy, and only when it is first read.
 """
 
 from __future__ import annotations
@@ -157,9 +159,11 @@ class SparseKernel:
     def matrix(self) -> sp.csr_matrix:
         """CSR transition matrix, one row per state, column indices sorted.
 
-        Built from copies of the row table on first access: ``csr_matrix``
-        would wrap views of it, which sorting the indices reorders in place.
-        Its sparsity pattern holds every slot of ``cols``.
+        The package computes nothing from it: the test oracles and the
+        benchmark's kernel counts read it.  Built from copies of the row
+        table on first access: ``csr_matrix`` would wrap views of it, which
+        sorting the indices reorders in place.  Its sparsity pattern holds
+        every slot of ``cols``.
         """
         import scipy.sparse as sp
 
@@ -213,6 +217,21 @@ def _reverse_slots(spec: ModelSpec, colors: np.ndarray) -> np.ndarray:
     return (back[colors] + sites[:, None]).reshape(m, -1)
 
 
+def reverse_data(kernel: SparseKernel) -> np.ndarray:
+    """``P(y, x)`` for every slot ``y = cols[x, s]`` of the row table, the
+    diagonal included: row ``x`` of the table is column ``x`` of ``P``.
+
+    Every move in the table is undone by a move in its target's row, so
+    ``cols`` also lists the states that move to each state.
+    """
+    reverse = np.empty(kernel.data.shape)
+    reverse[:, 0] = kernel.data[:, 0]
+    reverse[:, 1:] = kernel.data[
+        kernel.cols[:, 1:], _reverse_slots(kernel.spec, kernel.colors)
+    ]
+    return reverse
+
+
 def check_row_sums(kernel: SparseKernel) -> float:
     """Largest ``|sum_y P(x, y) - 1|`` over all rows."""
     return float(np.abs(kernel.data.sum(axis=1) - 1.0).max())
@@ -228,7 +247,7 @@ def check_detailed_balance(kernel: SparseKernel) -> float:
     """
     pi = kernel.pi
     targets = kernel.cols[:, 1:]
-    reverse = kernel.data[targets, _reverse_slots(kernel.spec, kernel.colors)]
+    reverse = reverse_data(kernel)[:, 1:]
     forward, backward = kernel.data[:, 1:] * pi[:, None], reverse * pi[targets]
     peak = np.maximum(forward, backward)
     # Where both fluxes are 0 so is the gap, and the quotient is 0.

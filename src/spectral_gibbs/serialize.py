@@ -7,7 +7,6 @@ the same computation produce byte-identical output.
 
 from __future__ import annotations
 
-import io
 import math
 from typing import Any
 
@@ -82,17 +81,33 @@ def _cell(value: Any) -> str:
 
 
 def canonical_csv(header: list[str], rows: list[list[Any]]) -> str:
-    """Render rows as comma-delimited CSV with a header and LF endings."""
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
+    """Render rows as comma-delimited CSV with a header and LF endings.
+
+    Every row goes through one ``%`` template built from its columns: ``%d``
+    for a column of ints, ``%.17g`` (:func:`format_float`) for a column of
+    floats, nothing for a column of None, and ``%s`` over the cells rendered
+    one by one for any other column.
+    """
     for row in rows:
         if len(row) != len(header):
             raise ValueError(
                 f"row has {len(row)} cells, header has {len(header)}"
             )
-        # Floats, the bulk of a curve file, are formatted inline.
-        buf.write(
-            ",".join([f"{v:.17g}" if type(v) is float else _cell(v) for v in row])
-            + "\n"
-        )
-    return buf.getvalue()
+    formats, columns = [], []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            formats.append("%d")
+            columns.append(column)
+        elif kinds == {float}:
+            formats.append("%.17g")
+            columns.append(column)
+        elif kinds == {type(None)}:
+            formats.append("")
+        else:
+            formats.append("%s")
+            columns.append([_cell(value) for value in column])
+    template = ",".join(formats) + "\n"
+    # Without a column to fill, every row is the template itself.
+    cells = zip(*columns) if columns else [()] * len(rows)
+    return ",".join(header) + "\n" + "".join([template % row for row in cells])

@@ -27,7 +27,8 @@ from spectral_gibbs import (
 )
 from spectral_gibbs import chain
 from spectral_gibbs.chain import _block_length, _distribution_blocks, _mc_distributions
-from spectral_gibbs.kernel import conditional_table
+from spectral_gibbs.kernel import conditional_table, local_conditionals
+from spectral_gibbs.model import DENSE_SOLVE_BUDGET
 
 
 def test_make_rng_reproducible():
@@ -58,6 +59,31 @@ def test_propagate_converges_to_pi():
     for k in range(0, len(dists), 50):
         assert np.allclose(dists[k], propagate(kern, 5, k), rtol=0, atol=1e-14), k
     assert tv_distance(dists[-1], kern.pi) < 1e-8
+
+
+# Every dense spec with N <= 5 at low temperatures: at T = 0.01 products of
+# moves are subnormal, and at T = 0.005 the least likely moves underflowed
+# to 0.  Then the largest alphabet.
+LOW_TEMP_SPECS = [
+    ModelSpec(n, colors, temp)
+    for temp in (0.06, 0.01, 0.005)
+    for colors in range(2, 6)
+    for n in range(1, 13)
+    if colors**n <= DENSE_SOLVE_BUDGET
+] + [ModelSpec(2, 26, 0.06), ModelSpec(2, 26, 1.0)]
+
+
+@pytest.mark.parametrize("spec", LOW_TEMP_SPECS, ids=str)
+def test_exact_arm_is_the_sparse_product_bitwise(spec):
+    # the row-table gather adds each state's terms in the order of the CSR
+    # product of the oracle, so every distribution is equal to the last bit
+    kern = build_kernel(spec)
+    for start in {int(np.argmin(kern.pi)), 0, kern.dimension // 3}:
+        got = propagated(kern, start, 300)
+        oracle = np.vstack(list(stepwise_distributions(kern, start, 300)))
+        assert np.array_equal(got, oracle[: len(got)]), start
+        # past the float fixed point every distribution is the last one
+        assert (oracle[len(got) :] == got[-1]).all(), start
 
 
 def _fixed_point(kern, start, k_max):
@@ -288,6 +314,26 @@ def test_mc_arm_color_uniform_on_a_threshold(monkeypatch):
     np.testing.assert_array_equal(got, mc_tv_oracle(kern, 0, len(steps), 0, 1))
     ranks = [0] + [rank for _, _, rank in steps]
     np.testing.assert_allclose(got, 1.0 - kern.pi[ranks], rtol=0, atol=1e-15)
+
+
+_BIN_CUTS = [
+    np.unique(np.cumsum(local_conditionals(ModelSpec(3, colors, 1.0)), axis=2)[..., :-1])
+    for colors in (2, 3, 26)
+] + [
+    # cuts on bucket edges, one ulp off them, and inside one bucket
+    np.unique([1 / 4096, np.nextafter(0.5, 0.0), 0.5, 0.3, np.nextafter(0.3, 1.0)])
+]
+
+
+@pytest.mark.parametrize("cuts", _BIN_CUTS, ids=["N=2", "N=3", "N=26", "edges"])
+def test_bin_lookup_matches_search_at_cuts_and_bucket_edges(cuts):
+    # uniforms on every cut and bucket edge k/4096 and one ulp to either side
+    points = np.concatenate([cuts, np.arange(chain._BUCKETS + 1) / chain._BUCKETS])
+    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    u = u[u < 1.0]
+    np.testing.assert_array_equal(
+        chain._bin_lookup(cuts)(u), np.searchsorted(cuts, u, "right")
+    )
 
 
 def test_tv_curve_envelope_formula():

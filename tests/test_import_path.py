@@ -1,10 +1,9 @@
-"""scipy stays off the import path of ``bounds``, ``verify`` and ``sweep``.
+"""scipy stays off the import path of every command.
 
 Each command runs in a fresh interpreter twice: as ``python -m
 spectral_gibbs``, and with ``sys.modules["scipy"] = None``, which makes any
-import of scipy fail.  Both runs must agree on exit code and stdout.  ``tv``
-builds the CSR matrix for its exact arm, so it may load ``scipy.sparse`` and
-nothing more of scipy.
+import of scipy fail.  Both runs must agree on exit code and stdout.  Only
+the test oracles and ``SparseKernel.matrix`` import scipy.
 """
 
 import json
@@ -53,6 +52,7 @@ def _scipy_modules(code, *argv):
         ["verify", *CHAIN],
         ["verify", *CHAIN, "--format", "json"],
         ["sweep", "--n", "1:4"],
+        ["tv", *CHAIN, "--kmax", "20", "--seed", "1"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -69,11 +69,10 @@ def test_import_loads_no_scipy(module):
     assert _scipy_modules(f"import {module}") == set()
 
 
-def test_tv_loads_only_scipy_sparse():
+def test_tv_loads_no_scipy():
     code = (
         "import sys; from spectral_gibbs.cli import main; "
         "sys.exit(main(sys.argv[1:]))"
     )
     loaded = _scipy_modules(code, "tv", *CHAIN, "--kmax", "20", "--seed", "1")
-    assert "scipy.sparse" in loaded
-    assert loaded <= _scipy_modules("import scipy.sparse")
+    assert loaded == set()
