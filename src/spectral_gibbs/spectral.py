@@ -25,24 +25,52 @@ eigenvalues ``alpha_j`` of ``A``.  The ``2^n`` eigenvalues of ``P`` are
 ``{1..n}``: ``beta1 = 1 - (1 - max alpha) / n``, and
 ``beta_min = tr(A) / n = 0``.
 
-For N >= 3 the energy depends only on whether neighbors agree, so shifting
-every site's color by +1 mod N and reflecting every color, ``c -> -c mod N``,
-both commute with ``S``; together they form the dihedral group of the colors
-(Diaconis 1988).  The shift acts freely on the states, so ``S`` splits
-exactly into N Fourier sectors of size ``m / N``.  Reversing the order of the
-sites commutes with ``S`` and with both color maps, so each sector splits
-again into its reversal-even and reversal-odd halves.  The reflection,
-composed with complex conjugation, turns each half of a complex sector into
-a real symmetric block of the same size and splits each half of a real
-sector (``k = 0``, and ``k = N/2`` for even N) into its reflection-even and
+For N >= 3 the energy depends only on whether neighbors agree, so every
+permutation of the colors commutes with ``S``.  A group ``G`` of N color
+permutations that fixes no color except by its identity acts freely on the
+states, so ``S`` splits exactly into N sectors of size ``m / N``, one per
+character ``chi_k`` of ``G``: the functions ``f`` with
+``f(j(x)) = chi_k(j) f(x)``, where ``j`` names the element that takes
+color 0 to ``j``.  A color permutation ``p`` that fixes color 0 and
+normalizes ``G`` conjugates ``j`` into ``p(j)`` and so maps sector
+``chi_k`` onto sector ``chi_k o p^-1``; the two are isospectral and one
+solve serves both.
+
+For N != 4, ``G`` is the cyclic shift ``c -> c + j mod N`` with
+``chi_k(j) = omega^(jk)``, ``omega = exp(2 pi i / N)``.  Multiplying every
+color by a unit ``a`` mod N conjugates the shift by ``j`` into the shift by
+``a j`` and so maps sector ``k`` to sector ``a^-1 k``: the sectors with one
+``d = gcd(k, N)`` are isospectral, and one sector per class is solved and
+counted ``phi(N/d)`` times (N = 5: sectors 0 and 1, the latter four times).
+
+At N = 4, ``G`` is the Klein four-group ``V4``: colors read as two bits and
+``j`` acts as ``c XOR j``, which moves every color, so ``V4`` acts freely,
+and its characters ``chi_k(j) = (-1)^popcount(j & k)`` are real.  ``V4``,
+the identity and the three double transpositions, is a union of conjugacy
+classes of the color permutations, so it is normal in S4 (Diaconis 1988):
+every color permutation normalizes it.  The swap ``(1 2)`` exchanges the two
+bits and maps ``chi_1`` onto ``chi_2``, and ``(2 3)`` maps ``chi_1`` onto
+``chi_3``, so sectors 1, 2 and 3 are isospectral; only sectors 0 and 1 are
+solved, sector 1 counted three times.
+
+Reversing the order of the sites commutes with ``S`` and with every color
+map, so each sector splits again into its reversal-even and reversal-odd
+halves.  Reflecting every color, ``c -> -c mod N``, also commutes with ``S``;
+with the shift it forms the dihedral group of the colors (Diaconis 1988),
+and at N = 4 it is the swap ``(1 3)``, an automorphism of ``V4`` that fixes
+``chi_0`` and ``chi_1``.  The reflection, composed with complex
+conjugation, turns each half of a complex sector into a real symmetric block
+of the same size and splits each half of a real sector (``k = 0``, ``k = N/2``
+for even N, and both Klein sectors) into its reflection-even and
 reflection-odd blocks.  So a real sector has up to four blocks of about
-``m / (4N)`` states, a complex sector two of about ``m / (2N)``, and every
-block is solved densely in real arithmetic by numpy's ``eigvalsh`` (LAPACK
-``syevd``), so the spectrum needs no scipy.  The blocks are general in N;
-at N = 2 they are a test oracle for the closed form.
+``m / (4N)`` states and a complex sector two of about ``m / (2N)``: at (6,4)
+eight real blocks of 240 to 288 rows.  Every block is solved densely in real
+arithmetic by numpy's ``eigvalsh`` (LAPACK ``syevd``), so the spectrum needs
+no scipy.  The blocks are general in N; at N = 2 they are a test oracle for
+the closed form.
 
 The blocks read only the first ``m / N`` rows of the kernel's color table,
-the shift's representatives: their rows of ``S`` come from the local
+the representatives of the orbits of ``G``: their rows of ``S`` come from the local
 conditionals and successor ranks.  The spectrum never reads the kernel's
 row table or its CSR ``matrix``, so a row table that fails ``verify``'s
 checks leaves the spectrum unchanged.
@@ -51,8 +79,9 @@ checks leaves the spectrum unchanged.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -174,37 +203,75 @@ def _representative_rows(
     return np.repeat(np.arange(len(colors)), cols.shape[1]), targets, values
 
 
+def _color_group(
+    num_colors: int,
+) -> tuple[Callable, np.ndarray, list[tuple[int, np.ndarray, int]]]:
+    """The free color group whose sectors ``_sector_blocks`` solves.
+
+    Returns ``(translate, inverse, sectors)``.  ``translate(c, j)`` applies
+    to color ``c`` the group element ``j``, the one that takes color 0 to
+    ``j``; ``inverse[j]`` is the inverse element.  Each sector is
+    ``(k, chi, multiplicity)``: ``chi[j]`` is the value of character ``k``
+    at element ``j``, and ``multiplicity`` counts the sectors that share its
+    spectrum.  At N = 4 the group is the Klein four-group, colors read as two
+    bits and ``c XOR j`` the translation, with characters
+    ``(-1)^popcount(j & k)``; sectors 1, 2 and 3 are isospectral, so only
+    ``(0, 1)`` and ``(1, 3)`` are listed.  Otherwise it is the cyclic shift,
+    ``c + j mod N``, with characters ``omega^(jk)``, and one sector per class
+    ``d = gcd(k, N)`` stands for the ``phi(N/d)`` sectors of the class: the
+    least ``k``, 0 or a proper divisor of N.
+    """
+    elements = np.arange(num_colors)
+    if num_colors == 4:
+        popcount = np.array([bin(j).count("1") for j in elements])
+        sectors = [
+            (k, (-1.0) ** popcount[elements & k], multiplicity)
+            for k, multiplicity in ((0, 1), (1, 3))
+        ]
+        return np.bitwise_xor, elements, sectors
+    classes = Counter(math.gcd(k, num_colors) for k in range(num_colors))
+    sectors = []
+    for k, multiplicity in sorted((d % num_colors, count) for d, count in classes.items()):
+        if 2 * k % num_colors == 0:
+            chi = (-1.0) ** ((2 * k // num_colors) * elements)
+        else:
+            chi = np.exp(2j * np.pi * k * elements / num_colors)
+        sectors.append((k, chi, multiplicity))
+    return (lambda c, j: (c + j) % num_colors), -elements % num_colors, sectors
+
+
 def _sector_blocks(
     spec: ModelSpec, colors: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray, int]]:
     """Sector, real symmetric block and multiplicity of each block of ``S``.
 
     The states whose site-1 color is 0, ``colors``, represent the orbits of
-    the color shift.  A column ``y`` is its orbit's representative ``s``
-    shifted ``j = y // (m/N)`` times, and ``s`` is representative
-    ``y % (m/N)`` with its tail shifted by ``-j``, so sector ``k`` holds
-    ``sum_j S[x, shift^j(s)] omega^(jk)`` at ``[x, s]`` with
-    ``omega = exp(2 pi i / N)``.  Sector ``N - k`` is the complex conjugate
-    of sector ``k``, so only ``k = 0 .. N // 2`` are built and each complex
-    one counts twice.
+    the free color group ``G`` of ``_color_group``.  A column ``y`` is its
+    orbit's representative ``s`` translated by ``j = y // (m/N)``, its site-1
+    color, and ``s`` is representative ``y % (m/N)`` with its tail
+    translated by ``j^-1``, so sector ``k`` holds
+    ``sum_j S[x, j(s)] chi_k(j)`` at ``[x, s]``.  Only one sector of each
+    isospectral class is built; its blocks carry the class's multiplicity.
 
-    Reversing the sites commutes with both ``S`` and the shift.  In sector
-    ``k`` it maps ``e_s`` to ``omega^(-k s_n) e_s'``, where ``s'`` is the
-    reversal of ``s`` shifted by ``-s_n``; with ``omega^(+k s_n)`` the map
-    would not commute with a complex sector.  Its ``+1`` and ``-1`` halves have
-    the orthonormal bases ``q = (e_s +- omega^(-k s_n) e_s') / sqrt(2)`` over
-    the pairs ``s < s'``, plus ``e_s`` for each ``s = s'`` in the half whose
-    sign is its phase.  The even half comes first.
+    Reversing the sites commutes with both ``S`` and ``G``.  In sector ``k``
+    it maps ``e_s`` to ``chi_k(s_n^-1) e_s'``, where ``s'`` is the reversal
+    of ``s`` translated by ``s_n^-1``; with ``chi_k(s_n)`` the map would not
+    commute with a complex sector.  Its ``+1`` and ``-1`` halves have the
+    orthonormal bases ``q = (e_s +- chi_k(s_n^-1) e_s') / sqrt(2)`` over the
+    pairs ``s < s'``, plus ``e_s`` for each ``s = s'`` in the half whose sign
+    is its phase.  The even half comes first.
 
     Reflecting every color, ``c -> -c mod N``, maps a representative ``s``
-    to the representative ``-s``, commutes with the reversal and maps sector
-    ``k`` to ``N - k``.  So ``J`` (reflection then complex conjugation) keeps
-    each half of each sector and commutes with it: ``J q_a = lam q_b`` with
-    ``|lam| = 1``.  A column with ``b = a`` becomes ``sqrt(lam) q_a`` and a
-    pair ``a < b`` becomes ``(q_a + lam q_b) / sqrt(2)`` and
-    ``i (q_a - lam q_b) / sqrt(2)``; all are fixed by ``J``, so the half is
-    real symmetric in that basis.  In the real sectors (``k = 0`` and
-    ``k = N/2``) ``lam = +-1`` and ``J`` is the reflection itself, so each
+    to the representative ``-s``, commutes with the reversal and maps
+    ``chi_k`` to ``conj(chi_k)``: ``N - k`` in the cyclic group, and ``k``
+    itself in the Klein four-group, whose characters are real.  So ``J``
+    (reflection then complex conjugation) keeps each half of each sector and
+    commutes with it: ``J q_a = lam q_b`` with ``|lam| = 1``.  A column with
+    ``b = a`` becomes ``sqrt(lam) q_a`` and a pair ``a < b`` becomes
+    ``(q_a + lam q_b) / sqrt(2)`` and ``i (q_a - lam q_b) / sqrt(2)``; all
+    are fixed by ``J``, so the half is real symmetric in that basis.  In a
+    real sector (real ``chi_k``: ``k = 0``, ``k = N/2`` for even N, and every
+    Klein sector) ``lam = +-1`` and ``J`` is the reflection itself, so each
     half splits again: the reflection-even block, first, holds ``q_a`` for
     ``lam = +1`` and ``(q_a + lam q_b) / sqrt(2)``; the odd one holds
     ``q_a`` for ``lam = -1`` and ``(q_a - lam q_b) / sqrt(2)``.  Empty
@@ -213,24 +280,20 @@ def _sector_blocks(
     """
     num_colors = spec.num_colors
     reps = len(colors)
+    translate, inverse, sectors = _color_group(num_colors)
     row, targets, values = _representative_rows(spec, colors)
     places = num_colors ** np.arange(spec.n - 1, -1, -1)
     shift = targets // reps
-    orbit = (colors[targets % reps, 1:] - shift[:, None]) % num_colors @ places[1:]
+    orbit = translate(colors[targets % reps, 1:], inverse[shift][:, None]) @ places[1:]
     ranks = np.arange(reps)
     last = colors[:, -1]
-    mirror = (colors[:, ::-1] - last[:, None]) % num_colors @ places
+    mirror = translate(colors[:, ::-1], inverse[last][:, None]) @ places
     reflect = -colors % num_colors @ places
-    powers = np.arange(num_colors)
     half = np.sqrt(0.5)
-    for k in range(num_colors // 2 + 1):
-        real = 2 * k % num_colors == 0
-        if real:
-            roots = (-1.0) ** ((2 * k // num_colors) * powers)
-        else:
-            roots = np.exp(2j * np.pi * k * powers / num_colors)
+    for k, roots, multiplicity in sectors:
+        real = not np.iscomplexobj(roots)
         entries = values * roots[shift]
-        reversal = roots[-last % num_colors]
+        reversal = roots[inverse[last]]
         for sign in (1.0, -1.0):
             lead = np.flatnonzero(
                 (ranks < mirror) | (ranks == mirror) & (sign * reversal.real > 0)
@@ -263,7 +326,8 @@ def _sector_blocks(
             slot_col, slot_coef = ends[column], weights[column] * coef[:, None]
             if not real:
                 keep = np.ones(lead.size, dtype=bool)
-                yield k, _assemble(row, orbit, entries, slot_col, slot_coef, keep), 2
+                block = _assemble(row, orbit, entries, slot_col, slot_coef, keep)
+                yield k, block, multiplicity
                 continue
             even = np.where(paired, ~upper, lam > 0)
             for keep in (even, ~even):
@@ -272,7 +336,8 @@ def _sector_blocks(
                     lower = keep[slot_col[:, :1]]
                     cols = np.where(lower, slot_col[:, :1], slot_col[:, 1:])
                     coefs = np.where(lower, slot_coef[:, :1], slot_coef[:, 1:])
-                    yield k, _assemble(row, orbit, entries, cols, coefs, keep), 1
+                    block = _assemble(row, orbit, entries, cols, coefs, keep)
+                    yield k, block, multiplicity
 
 
 def _two_color_eigenvalues(spec: ModelSpec) -> np.ndarray:
@@ -298,11 +363,12 @@ def spectrum(kernel: SparseKernel) -> Spectrum:
 
     At N = 2 the eigenvalues are the closed-form subset sums of the module
     docstring, from one ``n x n`` tridiagonal solve.  For N >= 3 they come
-    from dense real symmetric solves of the blocks of the
-    ``floor(N/2) + 1`` distinct color-shift sectors of the similarity
-    transform: up to four reversal and reflection blocks per real sector and
-    two reversal halves in real form per complex sector.  They are returned
-    in descending order without merging ties.
+    from dense real symmetric solves of the blocks of one color sector per
+    isospectral class, each counted for its class: sectors 0 and 1 of the
+    Klein four-group at N = 4 (sector 1 three times), and one cyclic sector
+    per ``gcd(k, N)`` otherwise.  A real sector gives up to four reversal and
+    reflection blocks, a complex one two reversal halves in real form.  They
+    are returned in descending order without merging ties.
 
     Raises:
         BudgetExceededError: If the dimension exceeds ``DENSE_SOLVE_BUDGET``,

@@ -14,6 +14,9 @@ representatives' rows from the conditionals.  The edge-factor oracle sums the
 proof's ``alpha + beta`` from bond scores, where the package reads ``alpha/p``
 off the conditional table.  The kernel checks' oracles read the CSR matrix
 with scipy, where the package reads the fixed-width row table with numpy.
+The color-sector oracle projects the whole symmetrized matrix onto each
+character space of the color group, where the package builds one sector of
+each isospectral class from the representatives' rows.
 The slice-identity oracle accumulates ``pi`` state by state and evaluates
 the identities for one site and color pair from bond scores, where the
 package sums the pair marginals of every site at once and weights them with
@@ -165,6 +168,39 @@ def symmetrize(kernel):
     np.sqrt(sym.data, out=sym.data)
     sym.setdiag(kernel.matrix.diagonal())
     return sym
+
+
+def color_sector_spectra(kernel, klein):
+    """Eigenvalues of the symmetrized kernel on each character space of a
+    free color group, descending, one array per character ``k = 0..N-1``.
+
+    With ``klein`` the group is the Klein four-group at N = 4, acting as
+    ``c XOR j`` with characters ``(-1)^popcount(j & k)``; otherwise it is the
+    cyclic shift ``c + j mod N`` with characters ``exp(2 pi i jk / N)``.  The
+    projector onto character ``k`` is ``(1/N) sum_j conj(chi_k(j)) T_j``, with
+    ``T_j`` the permutation of the states that translates every site's color
+    by ``j``; ``eigh`` of the projector gives an orthonormal basis of its
+    range, and the whole dense ``symmetrize`` restricted to that basis gives
+    the sector's eigenvalues.  Dense in ``m``, so for a few hundred states.
+    """
+    num_colors = kernel.spec.num_colors
+    colors = np.asarray(kernel.colors, dtype=np.int64)
+    places = num_colors ** np.arange(kernel.spec.n - 1, -1, -1)
+    sym = symmetrize(kernel).toarray()
+    states = np.arange(kernel.dimension)
+    spectra = []
+    for k in range(num_colors):
+        projector = np.zeros((kernel.dimension, kernel.dimension), dtype=complex)
+        for j in range(num_colors):
+            if klein:
+                image, chi = colors ^ j, (-1) ** bin(j & k).count("1")
+            else:
+                image, chi = (colors + j) % num_colors, np.exp(2j * np.pi * j * k / num_colors)
+            projector[states, image @ places] += np.conj(chi) / num_colors
+        weights, vectors = np.linalg.eigh(projector)
+        basis = vectors[:, weights > 0.5]
+        spectra.append(np.linalg.eigvalsh(basis.conj().T @ sym @ basis)[::-1])
+    return spectra
 
 
 def glauber_beta1(n, temp):

@@ -51,6 +51,7 @@ def _scipy_modules(code, *argv):
         ["bounds", *CHAIN],
         ["verify", *CHAIN],
         ["verify", *CHAIN, "--format", "json"],
+        ["verify", "--n", "5", "--colors", "4", "--temp", "1"],
         ["sweep", "--n", "1:4"],
         ["tv", *CHAIN, "--kmax", "20", "--seed", "1"],
     ],

@@ -7,13 +7,14 @@ The package builds only the rows of the representatives; the full-matrix
 import dataclasses
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import grid_specs, kernel_for, spectrum_for
-from oracles import glauber_beta1, symmetrize
+from oracles import color_sector_spectra, glauber_beta1, symmetrize
 
 from spectral_gibbs import (
     BudgetExceededError,
@@ -27,7 +28,7 @@ from spectral_gibbs import (
 )
 from spectral_gibbs import cli
 from spectral_gibbs.model import colors_table
-from spectral_gibbs.spectral import _representative_rows, _sector_blocks
+from spectral_gibbs.spectral import _color_group, _representative_rows, _sector_blocks
 
 
 def test_single_site_spectrum():
@@ -210,23 +211,58 @@ def test_sector_spectrum_matches_dense_oracle(spec):
 def test_reversal_halves_split_each_sector(spec):
     reps = spec.num_states // spec.num_colors
     blocks = list(_sector_blocks(spec, kernel_for(spec).colors[:reps]))
-    for k in range(spec.num_colors // 2 + 1):
+    translate, _, sectors = _color_group(spec.num_colors)
+    assert {sector for sector, _, _ in blocks} == {k for k, _, _ in sectors}
+    for k, chi, _ in sectors:
         sizes = [block.shape[0] for sector, block, _ in blocks if sector == k]
-        real = 2 * k % spec.num_colors == 0
+        real = not np.iscomplexobj(chi)
         assert 1 <= len(sizes) <= (4 if real else 2) and sum(sizes) == reps
+    assert sum(block.shape[0] * mult for _, block, mult in blocks) == spec.num_states
     for _, block, _ in blocks:
         assert type(block) is np.ndarray and block.dtype == np.float64
         assert block.ndim == 2 and block.shape[0] == block.shape[1]
-    # The first block of sector 0 holds the functions that the color shift,
-    # the site reversal and the color reflection all fix: one dimension per
-    # orbit of the three.
+    # The first block of sector 0 holds the functions that the color group
+    # (XOR at N = 4, the shift otherwise), the site reversal and the color
+    # reflection all fix: one dimension per orbit of the three.
     table = colors_table(spec).astype(np.int64)
-    images = [(table + j) % spec.num_colors for j in range(spec.num_colors)]
+    images = [translate(table, j) for j in range(spec.num_colors)]
     images += [(-image) % spec.num_colors for image in images]
     images += [image[:, ::-1] for image in images]
     places = spec.num_colors ** np.arange(spec.n - 1, -1, -1)
     orbits = np.unique(np.min([image @ places for image in images], axis=0))
     assert blocks[0][0] == 0 and blocks[0][1].shape[0] == orbits.size
+
+
+# N = 4: the Klein four-group.  N = 5, 6 and 7: the cyclic shift, whose
+# sectors merge by gcd(k, N) at N = 5 and 7 and keep their count at N = 6.
+@pytest.mark.parametrize(
+    "spec",
+    [ModelSpec(n, 4, temp) for n in range(1, 5) for temp in (0.3, 1.0, 5.0)]
+    + [ModelSpec(n, colors, temp) for n, colors in ((3, 5), (2, 6), (3, 6), (2, 7))
+       for temp in (0.3, 1.0)],
+    ids=str,
+)
+def test_color_sectors_match_projection_oracle(spec):
+    # Sectors 1, 2 and 3 of the Klein four-group are isospectral, and so are
+    # the cyclic sectors of one gcd(k, N), since multiplying every color by
+    # a unit mod N maps sector k to sector a k.  The package solves one
+    # sector per class and counts it once per member.
+    num_colors = spec.num_colors
+    klein = num_colors == 4
+    sectors = color_sector_spectra(kernel_for(spec), klein)
+    solved_for = [min(k, 1) if klein else math.gcd(k, num_colors) % num_colors
+                  for k in range(num_colors)]
+    for k, least in enumerate(solved_for):
+        assert np.abs(sectors[k] - sectors[least]).max() <= 1e-12, k
+    union = np.sort(np.concatenate(sectors))[::-1]
+    assert np.abs(spectrum_for(spec).eigenvalues - union).max() <= 1e-12
+    reps = spec.num_states // num_colors
+    blocks = list(_sector_blocks(spec, kernel_for(spec).colors[:reps]))
+    assert {sector: mult for sector, _, mult in blocks} == Counter(solved_for)
+    for k in set(solved_for):
+        solved = [np.linalg.eigvalsh(block) for sector, block, _ in blocks if sector == k]
+        solved = np.sort(np.concatenate(solved))[::-1]
+        assert np.abs(solved - sectors[k]).max() <= 1e-12, k
 
 
 @pytest.mark.parametrize(
