@@ -46,11 +46,9 @@ from .paths import (
 from .bounds import (
     BoundReport,
     assemble_report,
-    corollary_gate,
     crossover_n,
     ds_tv_envelope,
     ingrassia_beta1_bound,
-    ingrassia_lambda_min_bound,
     report_to_dict,
     report_to_json,
     theorem3_bound,
@@ -92,14 +90,12 @@ __all__ = [
     "check_row_sums",
     "check_stationarity",
     "colors_to_string",
-    "corollary_gate",
     "crossover_n",
     "decode_rank",
     "ds_tv_envelope",
     "encode_rank",
     "format_float",
     "ingrassia_beta1_bound",
-    "ingrassia_lambda_min_bound",
     "kappa_closed_form",
     "kappa_exact",
     "kappa_report",

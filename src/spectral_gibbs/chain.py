@@ -290,7 +290,7 @@ def tv_curve(
     The exact arm propagates the start distribution step by step, up to
     the float fixed point of propagation where one is reached; the
     envelope is :func:`~spectral_gibbs.bounds.ds_tv_envelope` at the exact
-    rate and the start state's stationary probability.  When a seed is
+    rate ``beta1`` and the start state's stationary probability.  When a seed is
     given, a Monte Carlo arm of 256 chains estimates the same curve
     empirically.
 
@@ -342,7 +342,7 @@ def tv_curve(
         start_state=start,
         ks=ks,
         exact_tv=exact,
-        envelope=ds_tv_envelope(pi_start, spectrum.beta_star, ks),
+        envelope=ds_tv_envelope(pi_start, spectrum.beta1, ks),
         mc_tv=mc,
         seed=seed,
     )

@@ -1,8 +1,14 @@
-"""Exact spectrum of the kernel: in closed form at N = 2, else from its color
-and site-reversal symmetry blocks.
+"""The second and the least eigenvalue of the kernel: in closed form at
+N = 2, else from its color and site-reversal symmetry blocks.
 
 Reversibility makes ``S = D^{1/2} P D^{-1/2}`` symmetric (``D = diag(pi)``),
-so ``P`` has the real spectrum of ``S``.
+so ``P`` has the real spectrum of ``S``.  Random-scan Gibbs is
+``P = (1/n) sum_i E_i``, where ``E_i`` resamples site ``i`` and is an
+orthogonal projection in ``L^2(pi)``, so ``0 <= P <= I`` (Liu, Wong and
+Kong 1995).  The rate of convergence ``max(beta1, |beta_min|)`` is then
+``beta1``, the second eigenvalue, and no other eigenvalue is kept: a
+:class:`Spectrum` holds ``beta1``, clamped at 0 where rounding puts it
+below, and the raw ``beta_min``, whose sign ``verify`` checks.
 
 At N = 2 the chain is Glauber's kinetic Ising chain (Glauber 1963) and its
 spectrum is free-fermionic (Felderhof 1971).  With spins ``sigma = +-1``,
@@ -22,8 +28,9 @@ symmetric tridiagonal ``A`` with off-diagonals ``sqrt(c_i) sqrt(c_{i+1})``
 (``A = [0]`` at n = 1), and its eigenvalues are the sums of ``k`` distinct
 eigenvalues ``alpha_j`` of ``A``.  The ``2^n`` eigenvalues of ``P`` are
 ``1 - (1/n) sum_{j in J} (1 - alpha_j)`` over the subsets ``J`` of
-``{1..n}``: ``beta1 = 1 - (1 - max alpha) / n``, and
-``beta_min = tr(A) / n = 0``.
+``{1..n}``.  Every term is positive, so the least nonempty sum is one term
+and the largest the whole set: ``beta1 = 1 - (1 - max alpha) / n``, and
+``beta_min = 1 - sum_j (1 - alpha_j) / n = tr(A) / n = 0``.
 
 For N >= 3 the energy depends only on whether neighbors agree, so every
 permutation of the colors commutes with ``S``.  A group ``G`` of N color
@@ -66,8 +73,9 @@ reflection-odd blocks.  So a real sector has up to four blocks of about
 ``m / (4N)`` states and a complex sector two of about ``m / (2N)``: at (6,4)
 eight real blocks of 240 to 288 rows.  Every block is solved densely in real
 arithmetic by numpy's ``eigvalsh`` (LAPACK ``syevd``), so the spectrum needs
-no scipy.  The blocks are general in N; at N = 2 they are a test oracle for
-the closed form.
+no scipy; ``beta1`` and ``beta_min`` are read off the union of the block
+eigenvalues, each block counted for its class.  The blocks are general in N;
+at N = 2 they are a test oracle for the closed form.
 
 The blocks read only the first ``m / N`` rows of the kernel's color table,
 the representatives of the orbits of ``G``: their rows of ``S`` come from the local
@@ -96,43 +104,32 @@ REAL_FORM_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full eigenvalue data of one kernel.
+    """The eigenvalues of one kernel that the package reads.
 
     Attributes:
-        eigenvalues: All eigenvalues in descending order; the first is 1.
+        spec: The chain whose kernel was solved.
+        beta1: Second largest eigenvalue, clamped at 0 as ``P >= 0`` allows;
+            it is also the rate of convergence.
+        beta_min: Least eigenvalue as solved, below 0 only by rounding.
     """
 
-    eigenvalues: np.ndarray
-
-    @property
-    def beta1(self) -> float:
-        """Second largest eigenvalue."""
-        return float(self.eigenvalues[1])
-
-    @property
-    def beta_min(self) -> float:
-        """Smallest eigenvalue."""
-        return float(self.eigenvalues[-1])
-
-    @property
-    def beta_star(self) -> float:
-        """``max(beta1, |beta_min|)``, the convergence rate driver."""
-        return max(self.beta1, abs(self.beta_min))
+    spec: ModelSpec
+    beta1: float
+    beta_min: float
 
 
 def check_gap_resolved(spectrum: Spectrum) -> None:
     """Refuse a spectrum whose gap ``1 - beta1`` rounded away.
 
-    A verdict that compares a bound with ``beta1`` or ``beta_star`` of 1.0
-    would pass or fail on rounding alone.
+    A verdict that compares a bound with a ``beta1`` of 1.0 would pass or
+    fail on rounding alone.
 
     Raises:
-        PrecisionLimitError: If ``beta1`` or ``beta_star`` rounded to 1.
+        PrecisionLimitError: If ``beta1`` rounded to 1.
     """
-    if spectrum.beta1 >= 1.0 or spectrum.beta_star >= 1.0:
+    if spectrum.beta1 >= 1.0:
         raise PrecisionLimitError(
-            f"beta1 = {spectrum.beta1!r} and beta_star = {spectrum.beta_star!r}: "
-            "the spectral gap is below float64 resolution"
+            f"beta1 = {spectrum.beta1!r}: the spectral gap is below float64 resolution"
         )
 
 
@@ -340,35 +337,33 @@ def _sector_blocks(
                     yield k, block, multiplicity
 
 
-def _two_color_eigenvalues(spec: ModelSpec) -> np.ndarray:
-    """The ``2^n`` eigenvalues of the N = 2 kernel, unsorted.
+def _two_color_extremes(spec: ModelSpec) -> tuple[float, float]:
+    """``beta1`` and ``beta_min`` of the N = 2 kernel, unclamped.
 
-    Each is ``1 - sum_{j in J} (1 - alpha_j) / n`` over a subset ``J``, with
-    ``alpha`` the eigenvalues of the tridiagonal ``A`` of the module
-    docstring; the subset sums are built by doubling, one site at a time.
+    With ``alpha`` the eigenvalues of the tridiagonal ``A`` of the module
+    docstring, they are one minus the least step ``(1 - alpha_j) / n`` and
+    one minus the sum of all of them, summed in ``eigvalsh``'s order.
     """
     n = spec.n
     coupling = np.full(n, math.tanh(2.0 / spec.temp) / 2)
     coupling[[0, -1]] = math.tanh(1.0 / spec.temp)
     hop = np.sqrt(coupling[:-1]) * np.sqrt(coupling[1:])
     alpha = np.linalg.eigvalsh(np.diag(hop, 1) + np.diag(hop, -1))
-    sums = np.zeros(1)
-    for step in (1.0 - alpha) / n:
-        sums = np.concatenate([sums, sums + step])
-    return 1.0 - sums
+    steps = (1.0 - alpha) / n
+    return 1.0 - steps.min(), 1.0 - np.cumsum(steps)[-1]
 
 
 def spectrum(kernel: SparseKernel) -> Spectrum:
-    """Compute the full spectrum of the kernel.
+    """Compute ``beta1`` and ``beta_min`` of the kernel.
 
-    At N = 2 the eigenvalues are the closed-form subset sums of the module
-    docstring, from one ``n x n`` tridiagonal solve.  For N >= 3 they come
-    from dense real symmetric solves of the blocks of one color sector per
+    At N = 2 they are the closed forms of the module docstring, from one
+    ``n x n`` tridiagonal solve.  For N >= 3 they are the second largest and
+    the least of the eigenvalues of the blocks of one color sector per
     isospectral class, each counted for its class: sectors 0 and 1 of the
     Klein four-group at N = 4 (sector 1 three times), and one cyclic sector
     per ``gcd(k, N)`` otherwise.  A real sector gives up to four reversal and
-    reflection blocks, a complex one two reversal halves in real form.  They
-    are returned in descending order without merging ties.
+    reflection blocks, a complex one two reversal halves in real form, each
+    solved densely.
 
     Raises:
         BudgetExceededError: If the dimension exceeds ``DENSE_SOLVE_BUDGET``,
@@ -379,18 +374,17 @@ def spectrum(kernel: SparseKernel) -> Spectrum:
     spec = kernel.spec
     check_budget(spec, DENSE_SOLVE_BUDGET, "dense symmetrization")
     if spec.num_colors == 2:
-        eigs = _two_color_eigenvalues(spec)
+        beta1, beta_min = _two_color_extremes(spec)
     else:
         parts = []
         reps = spec.num_states // spec.num_colors
         for _, block, multiplicity in _sector_blocks(spec, kernel.colors[:reps]):
-            eigs = np.linalg.eigvalsh(block)
-            parts.extend([eigs] * multiplicity)
+            parts.extend([np.linalg.eigvalsh(block)] * multiplicity)
         eigs = np.concatenate(parts)
-    eigs = np.ascontiguousarray(np.sort(eigs)[::-1])
-    if abs(eigs[0] - 1.0) > 1e-8:
-        raise RuntimeError(
-            f"leading eigenvalue {eigs[0]!r} is not 1; solver failure"
-        )
-    eigs.flags.writeable = False
-    return Spectrum(eigenvalues=eigs)
+        beta1, leading = np.partition(eigs, -2)[-2:]
+        if abs(leading - 1.0) > 1e-8:
+            raise RuntimeError(
+                f"leading eigenvalue {float(leading)!r} is not 1; solver failure"
+            )
+        beta_min = eigs.min()
+    return Spectrum(spec=spec, beta1=max(float(beta1), 0.0), beta_min=float(beta_min))

@@ -17,6 +17,12 @@ with scipy, where the package reads the fixed-width row table with numpy.
 The color-sector oracle projects the whole symmetrized matrix onto each
 character space of the color group, where the package builds one sector of
 each isospectral class from the representatives' rows.
+The two-color oracle lists all ``2^n`` eigenvalues of the N = 2 kernel as
+the free-fermion subset sums, where the package keeps only the least
+nonempty sum and the whole one.  The closed-form floor on the least
+eigenvalue and the ``n > N / sqrt(2)`` gate of the paper's corollary are
+the comparison quantities the package dropped once ``P >= 0`` made them
+vacuous; the acceptance tests still check them.
 The slice-identity oracle accumulates ``pi`` state by state and evaluates
 the identities for one site and color pair from bond scores, where the
 package sums the pair marginals of every site at once and weights them with
@@ -201,6 +207,42 @@ def color_sector_spectra(kernel, klein):
         basis = vectors[:, weights > 0.5]
         spectra.append(np.linalg.eigvalsh(basis.conj().T @ sym @ basis)[::-1])
     return spectra
+
+
+def two_color_eigenvalues(spec):
+    """The ``2^n`` eigenvalues of the N = 2 kernel, descending.
+
+    Each is ``1 - sum_{j in J} (1 - alpha_j) / n`` over a subset ``J``, with
+    ``alpha`` the eigenvalues of the tridiagonal ``A`` of the ``spectral``
+    module docstring; the subset sums are built by doubling, one site at a
+    time.
+    """
+    n = spec.n
+    coupling = np.full(n, math.tanh(2.0 / spec.temp) / 2)
+    coupling[[0, -1]] = math.tanh(1.0 / spec.temp)
+    hop = np.sqrt(coupling[:-1]) * np.sqrt(coupling[1:])
+    alpha = np.linalg.eigvalsh(np.diag(hop, 1) + np.diag(hop, -1))
+    sums = np.zeros(1)
+    for step in (1.0 - alpha) / n:
+        sums = np.concatenate([sums, sums + step])
+    return np.sort(1.0 - sums)[::-1]
+
+
+def ingrassia_lambda_min_bound(num_colors, temp):
+    """Lower bound ``-1 + 2 / (1 + (N-1) e^{2/T})`` for the smallest eigenvalue."""
+    if num_colors < 2 or not temp > 0:
+        raise ValueError("need num_colors >= 2, temp > 0")
+    try:
+        return -1.0 + 2.0 / (1.0 + (num_colors - 1) * math.exp(2.0 / temp))
+    except OverflowError:
+        # e^{2/T} is past the float range, so the bound rounds to -1.
+        return -1.0
+
+
+def corollary_gate(n, num_colors):
+    """Whether ``n > N / sqrt(2)``, the regime where the paper's corollary
+    has its second-eigenvalue bound also dominate ``max(beta1, |beta_min|)``."""
+    return n > num_colors / math.sqrt(2.0)
 
 
 def glauber_beta1(n, temp):

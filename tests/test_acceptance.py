@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_specs, kappa_for, kernel_for, spectrum_for
+from oracles import corollary_gate, ingrassia_lambda_min_bound, two_color_eigenvalues
 
 from spectral_gibbs import (
     ModelSpec,
@@ -22,16 +23,15 @@ from spectral_gibbs import (
     check_detailed_balance,
     check_irreducible,
     check_stationarity,
-    corollary_gate,
     crossover_n,
     ingrassia_beta1_bound,
-    ingrassia_lambda_min_bound,
     kappa_closed_form,
     theorem3_bound,
     theta,
     verify_slice_identities,
     worst_alpha_beta,
 )
+from spectral_gibbs.bounds import EXACT_TOLERANCE
 from spectral_gibbs.cli import main as cli_main
 
 GRID = grid_specs(max_states=4096)
@@ -88,14 +88,20 @@ def test_criterion_02_upper_bound_dominance(announce):
 
 
 def test_criterion_03_lambda_min_bound(announce):
+    # The floor is negative, and random-scan Gibbs is positive semidefinite,
+    # so beta_min must clear both.
     failures = []
     for spec in GRID:
         beta_min = spectrum_for(spec).beta_min
         bound = ingrassia_lambda_min_bound(spec.num_colors, spec.temp)
         if not beta_min >= bound:
             failures.append((spec, beta_min, bound))
+        if not beta_min >= -EXACT_TOLERANCE:
+            failures.append((spec, beta_min, "negative"))
     ok = not failures
-    announce(3, ok, f"beta_min above its closed-form floor on {len(GRID)} specs")
+    announce(
+        3, ok, f"beta_min above its closed-form floor and 0 on {len(GRID)} specs"
+    )
     assert not failures, failures[:5]
 
 
@@ -106,7 +112,8 @@ def test_criterion_04_beta_star_dominance(announce):
         if not corollary_gate(spec.n, spec.num_colors):
             continue
         checked += 1
-        beta_star = spectrum_for(spec).beta_star
+        spect = spectrum_for(spec)
+        beta_star = max(spect.beta1, abs(spect.beta_min))
         bound = theorem3_bound(spec.n, spec.num_colors, spec.temp)
         if not beta_star < bound:
             failures.append((spec, beta_star, bound))
@@ -190,7 +197,8 @@ def test_criterion_07_tv_envelope_all_starts(announce):
     failures = []
     for spec in specs:
         kern = kernel_for(spec)
-        beta_star = spectrum_for(spec).beta_star
+        # P >= 0, so the envelope's rate beta* = max(beta1, |beta_min|) is beta1.
+        beta1 = spectrum_for(spec).beta1
         pi = kern.pi
         coef = 0.5 * np.sqrt((1 - pi) / pi)
         transposed = kern.matrix.T.tocsr()
@@ -199,7 +207,7 @@ def test_criterion_07_tv_envelope_all_starts(announce):
         for k in range(201):
             if k:
                 dists = transposed @ dists
-                rate *= beta_star
+                rate *= beta1
             tv = 0.5 * np.abs(dists - pi[:, None]).sum(axis=0)
             margin = float((tv - coef * rate).max())
             worst_margin = max(worst_margin, margin)
@@ -286,14 +294,18 @@ def test_criterion_09_analytic_spot_checks(announce):
     two = ModelSpec(2, 2, 1.0)
     p = math.e / (math.e + 1 / math.e)
     q = 1 - p
-    eigs = spectrum_for(two).eigenvalues
+    eigs = two_color_eigenvalues(two)
     expected = np.array([1.0, p, q, 0.0])
     if np.abs(eigs - expected).max() > 1e-12:
         failures.append(("spectrum", eigs.tolist()))
-    if abs(spectrum_for(two).beta1 - p) > 1e-12:
-        failures.append(("two-site beta1", spectrum_for(two).beta1))
-    if abs(spectrum_for(two).beta_star - p) > 1e-12:
-        failures.append(("two-site beta*", spectrum_for(two).beta_star))
+    spect = spectrum_for(two)
+    if abs(spect.beta1 - p) > 1e-12:
+        failures.append(("two-site beta1", spect.beta1))
+    if abs(spect.beta_min) > 1e-12:
+        failures.append(("two-site beta_min", spect.beta_min))
+    beta_star = max(spect.beta1, abs(spect.beta_min))
+    if abs(beta_star - p) > 1e-12:
+        failures.append(("two-site beta*", beta_star))
 
     ok = not failures
     announce(

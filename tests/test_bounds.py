@@ -8,15 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import kappa_for, kernel_for, spectrum_for
+from oracles import corollary_gate, ingrassia_lambda_min_bound
 
 from spectral_gibbs import (
     ModelSpec,
     assemble_report,
-    corollary_gate,
     crossover_n,
     ds_tv_envelope,
     ingrassia_beta1_bound,
-    ingrassia_lambda_min_bound,
     report_to_dict,
     report_to_json,
     theorem3_bound,
@@ -299,14 +298,23 @@ def test_assemble_report_three_colors():
     assert report.verdicts["theorem2"] == "pass"
     bounds = report.bounds
     assert bounds["theorem2"] == bounds["theorem3"] == theorem3_bound(3, 3, 1.0)
-    assert report.verdicts["corollary_beta_star"] == "pass"
 
 
-def test_assemble_report_gate_not_applicable():
-    spec = ModelSpec(2, 3, 1.0)  # below n > N/sqrt(2)
+def test_assemble_report_has_no_vacuous_verdict():
+    # P >= 0 makes beta* = beta1, so a beta* verdict would restate Theorem 3,
+    # and the lambda_min floor, negative at every N and T, would pass on every
+    # chain: the report holds neither, nor a derived beta*.  (2,3,1) is below
+    # the corollary's gate n > N/sqrt(2).
+    spec = ModelSpec(2, 3, 1.0)
     report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
-    assert report.verdicts["corollary_beta_star"] == "not-applicable"
-    assert report.all_passed
+    assert list(report.verdicts) == [
+        "theorem3", "theorem2", "kappa_vs_beta1", "kappa_vs_closed_form",
+        "theta_consistency",
+    ]
+    assert set(report.verdicts.values()) == {"pass"} and report.all_passed
+    assert list(report.exact) == ["beta1", "beta_min", "log_z"]
+    assert "ingrassia_lambda_min" not in report.bounds
+    assert list(report.envelope) == ["start_state", "pi_start"]
 
 
 def test_assemble_report_rejects_mismatch():
@@ -316,6 +324,9 @@ def test_assemble_report_rejects_mismatch():
         assemble_report(kernel_for(a), spectrum_for(a), kappa_for(b))
     with pytest.raises(ValueError):
         assemble_report(kernel_for(a), spectrum_for(ModelSpec(3, 2, 1.0)), kappa_for(a))
+    # Another chain with the same state count: its beta1 is 0.7311, not 0.8808.
+    with pytest.raises(ValueError):
+        assemble_report(kernel_for(a), spectrum_for(b), kappa_for(a))
 
 
 def test_report_dict_and_json():

@@ -102,8 +102,10 @@ def _fixed_point(kern, start, k_max):
 @pytest.fixture
 def stub_spectrum(monkeypatch):
     # the exact arm does not read the spectrum, only the envelope does
-    resolved = Spectrum(eigenvalues=np.array([1.0, 0.5, 0.0]))
-    monkeypatch.setattr(chain, "compute_spectrum", lambda kern: resolved)
+    def resolved(kern):
+        return Spectrum(spec=kern.spec, beta1=0.5, beta_min=0.0)
+
+    monkeypatch.setattr(chain, "compute_spectrum", resolved)
 
 
 @pytest.mark.parametrize(
@@ -216,14 +218,15 @@ def test_simulation_consumes_documented_stream():
 
 def test_long_run_occupancy_matches_pi():
     # effective sample size accounting: var ~ pi(1-pi) tau / steps with
-    # tau = (1+beta*)/(1-beta*); assert within three sigma
+    # tau = (1+beta1)/(1-beta1), beta1 being beta* as P >= 0; assert within
+    # three sigma
     spec = ModelSpec(2, 2, 1.0)
     kern = kernel_for(spec)
     spect = spectrum_for(spec)
     steps = 60000
     ranks = stream_ranks(spec, (0, 1), steps, seed=2024)
     occupancy = np.bincount(ranks[1:], minlength=4) / steps
-    tau = (1 + spect.beta_star) / (1 - spect.beta_star)
+    tau = (1 + spect.beta1) / (1 - spect.beta1)
     for state in range(4):
         p = kern.pi[state]
         sigma = math.sqrt(p * (1 - p) * tau / steps)
@@ -343,7 +346,7 @@ def test_tv_curve_envelope_formula():
     curve = tv_curve(kernel_for(spec), 0, 10)
     pi0 = kern.pi[0]
     coef = 0.5 * math.sqrt((1 - pi0) / pi0)
-    expected = coef * spect.beta_star ** np.arange(11)
+    expected = coef * spect.beta1 ** np.arange(11)
     assert np.allclose(curve.envelope, expected, rtol=1e-13)
 
 
@@ -355,7 +358,7 @@ def test_tv_curve_refuses_unresolved_envelope(monkeypatch):
     assert kern.pi[start] == 0.0
     with pytest.raises(PrecisionLimitError, match="spectral gap"):
         tv_curve(kern, 0, 5)
-    resolved = Spectrum(eigenvalues=np.array([1.0, 0.5, 0.0]))
+    resolved = Spectrum(spec=kern.spec, beta1=0.5, beta_min=0.0)
     monkeypatch.setattr(chain, "compute_spectrum", lambda kern: resolved)
     with pytest.raises(PrecisionLimitError, match="underflowed to 0"):
         tv_curve(kern, start, 5)

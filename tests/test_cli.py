@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 from conftest import check_closed_form_cells, sweep_rows
 
@@ -204,6 +203,18 @@ def test_tv_distances_at_most_one(capsys):
     for column in ("exact_tv", "mc_tv"):
         assert max(payload[column]) == 1.0, column
         assert payload[column][0] == 1.0, column
+
+
+def test_tv_single_site_odd_colors_has_zero_envelope(capsys):
+    # One site with N = 3: the second eigenvalue solves to -5.55e-17, and
+    # P >= 0 makes the rate 0, so the envelope is 0 after the first step
+    # instead of powers of the rounding noise.
+    code, out = run_main(
+        ["tv", "--n", "1", "--colors", "3", "--temp", "1", "--kmax", "5"], capsys
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [float(row[2]) for row in rows][1:] == [0.0] * 5
 
 
 def test_tv_start_letters_equal_rank(capsys):
@@ -651,8 +662,7 @@ def test_verify_fails_negative_beta_min(capsys, monkeypatch):
     from spectral_gibbs import Spectrum, cli
 
     def negative(kernel):
-        eigs = np.array([1.0, 0.5, -0.25])
-        return Spectrum(eigenvalues=eigs)
+        return Spectrum(spec=kernel.spec, beta1=0.5, beta_min=-0.25)
 
     monkeypatch.setattr(cli, "compute_spectrum", negative)
     code, out = run_main(["verify", "--n", "2", "--colors", "2", "--temp", "1"], capsys)

@@ -2,6 +2,9 @@
 
 The package builds only the rows of the representatives; the full-matrix
 ``symmetrize`` oracle and a dense solve of the whole matrix check them.
+``spectrum`` keeps only ``beta1`` and ``beta_min``, so the whole multiset is
+rebuilt here from the blocks, each counted for its class, and at N = 2 from
+the subset sums of the two-color oracle.
 """
 
 import dataclasses
@@ -14,30 +17,50 @@ import pytest
 import scipy.linalg
 
 from conftest import grid_specs, kernel_for, spectrum_for
-from oracles import color_sector_spectra, glauber_beta1, symmetrize
+from oracles import color_sector_spectra, glauber_beta1, symmetrize, two_color_eigenvalues
 
 from spectral_gibbs import (
     BudgetExceededError,
     ModelSpec,
-    Spectrum,
     SparseKernel,
     build_kernel,
     check_detailed_balance,
     spectrum,
     stationary_measure,
 )
-from spectral_gibbs import cli
+from spectral_gibbs import cli, spectral
 from spectral_gibbs.model import colors_table
 from spectral_gibbs.spectral import _color_group, _representative_rows, _sector_blocks
+
+
+def block_eigenvalues(spec, colors=None):
+    """Every eigenvalue of the kernel, descending, from the package's symmetry
+    blocks of the representatives ``colors`` (default: the kernel's), each
+    block counted for its class."""
+    reps = spec.num_states // spec.num_colors
+    if colors is None:
+        colors = kernel_for(spec).colors[:reps]
+    parts = []
+    for _, block, multiplicity in _sector_blocks(spec, colors):
+        parts.extend([np.linalg.eigvalsh(block)] * multiplicity)
+    return np.sort(np.concatenate(parts))[::-1]
+
+
+def full_spectrum(spec):
+    """Every eigenvalue, descending: the subset sums at N = 2, whose
+    extremes ``spectrum`` keeps, else the blocks."""
+    if spec.num_colors == 2:
+        return two_color_eigenvalues(spec)
+    return block_eigenvalues(spec)
 
 
 def test_single_site_spectrum():
     # one site: the kernel is the rank-one projector onto the uniform law
     spec = ModelSpec(1, 3, 1.0)
     spect = spectrum_for(spec)
-    assert np.allclose(spect.eigenvalues, [1.0, 0.0, 0.0], atol=1e-12)
-    assert abs(spect.beta1) <= 1e-12
-    assert abs(spect.beta_star) <= 1e-12
+    assert np.allclose(full_spectrum(spec), [1.0, 0.0, 0.0], atol=1e-12)
+    assert spect.beta1 == 0.0
+    assert abs(spect.beta_min) <= 1e-12
 
 
 def test_two_site_spectrum_analytic():
@@ -50,14 +73,17 @@ def test_two_site_spectrum_analytic():
     spect = spectrum_for(spec)
     p = math.e / (math.e + 1 / math.e)
     q = 1 - p
-    assert np.allclose(spect.eigenvalues, [1.0, p, q, 0.0], atol=1e-12)
+    assert np.allclose(full_spectrum(spec), [1.0, p, q, 0.0], atol=1e-12)
+    assert np.allclose(block_eigenvalues(spec), [1.0, p, q, 0.0], atol=1e-12)
     assert math.isclose(spect.beta1, p, abs_tol=1e-12)
-    assert math.isclose(spect.beta_star, p, abs_tol=1e-12)
+    assert math.isclose(spect.beta_min, 0.0, abs_tol=1e-12)
 
 
 def test_two_site_high_temp_limit():
-    spect = spectrum_for(ModelSpec(2, 2, 1e9))
-    assert np.allclose(spect.eigenvalues, [1.0, 0.5, 0.5, 0.0], atol=1e-6)
+    spec = ModelSpec(2, 2, 1e9)
+    assert np.allclose(full_spectrum(spec), [1.0, 0.5, 0.5, 0.0], atol=1e-6)
+    spect = spectrum_for(spec)
+    assert np.allclose([spect.beta1, spect.beta_min], [0.5, 0.0], atol=1e-6)
 
 
 def mpmath_spectrum(n, colors, temp):
@@ -107,9 +133,11 @@ def test_spectrum_against_high_precision_oracle():
     # (3,3,1) checks the symmetry blocks, (4,2,0.5) the N = 2 closed form.
     for spec in (ModelSpec(3, 3, 1.0), ModelSpec(4, 2, 0.5)):
         reference = mpmath_spectrum(spec.n, spec.num_colors, spec.temp)
-        spect = spectrum_for(spec)
-        diff = max(abs(a - b) for a, b in zip(spect.eigenvalues, reference))
+        diff = max(abs(a - b) for a, b in zip(full_spectrum(spec), reference))
         assert diff <= 1e-10, spec
+        spect = spectrum_for(spec)
+        assert abs(spect.beta1 - reference[1]) <= 1e-10, spec
+        assert abs(spect.beta_min - reference[-1]) <= 1e-10, spec
 
 
 @pytest.mark.parametrize(
@@ -119,7 +147,7 @@ def test_spectrum_against_high_precision_oracle():
 def test_spectrum_invariants(spec):
     kern = kernel_for(spec)
     spect = spectrum_for(spec)
-    eigs = spect.eigenvalues
+    eigs = full_spectrum(spec)
     assert len(eigs) == spec.num_states
     assert abs(eigs[0] - 1.0) <= 1e-10
     assert np.all(np.diff(eigs) <= 1e-14)
@@ -128,9 +156,10 @@ def test_spectrum_invariants(spec):
     # trace identity ties the spectrum back to the holding probabilities
     trace = kern.matrix.diagonal().sum()
     assert math.isclose(eigs.sum(), trace, abs_tol=1e-9)
-    assert spect.beta1 == eigs[1]
+    # The extremes of the same multiset, bit for bit; beta1 clamped at 0.
+    assert spect.spec == spec
+    assert spect.beta1 == max(eigs[1], 0.0)
     assert spect.beta_min == eigs[-1]
-    assert spect.beta_star == max(spect.beta1, abs(spect.beta_min))
 
 
 def test_symmetrize_is_symmetric():
@@ -196,10 +225,13 @@ def dense_spectrum_oracle(kernel):
     ids=str,
 )
 def test_sector_spectrum_matches_dense_oracle(spec):
-    blocks = spectrum_for(spec).eigenvalues
+    blocks = full_spectrum(spec)
     oracle = dense_spectrum_oracle(kernel_for(spec))
     assert blocks.shape == oracle.shape
     assert np.abs(blocks - oracle).max() <= 1e-12
+    spect = spectrum_for(spec)
+    assert abs(spect.beta1 - max(oracle[1], 0.0)) <= 1e-12
+    assert abs(spect.beta_min - oracle[-1]) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -255,7 +287,9 @@ def test_color_sectors_match_projection_oracle(spec):
     for k, least in enumerate(solved_for):
         assert np.abs(sectors[k] - sectors[least]).max() <= 1e-12, k
     union = np.sort(np.concatenate(sectors))[::-1]
-    assert np.abs(spectrum_for(spec).eigenvalues - union).max() <= 1e-12
+    assert np.abs(block_eigenvalues(spec) - union).max() <= 1e-12
+    assert abs(spectrum_for(spec).beta1 - max(union[1], 0.0)) <= 1e-12
+    assert abs(spectrum_for(spec).beta_min - union[-1]) <= 1e-12
     reps = spec.num_states // num_colors
     blocks = list(_sector_blocks(spec, kernel_for(spec).colors[:reps]))
     assert {sector: mult for sector, _, mult in blocks} == Counter(solved_for)
@@ -272,18 +306,19 @@ def test_color_sectors_match_projection_oracle(spec):
 )
 def test_two_color_closed_form_matches_dense_and_blocks(spec):
     # The closed form reads neither the kernel's rows nor the blocks, so both
-    # check it: the dense solve of the whole symmetrized kernel, and the
-    # symmetry blocks, which stay general in N and are otherwise unused at
-    # N = 2.
+    # check it and its subset sums: the dense solve of the whole symmetrized
+    # kernel, and the symmetry blocks, which stay general in N and are
+    # otherwise unused at N = 2.
     kern = kernel_for(spec)
-    closed = spectrum_for(spec).eigenvalues
+    closed = two_color_eigenvalues(spec)
     dense = np.linalg.eigvalsh(symmetrize(kern).toarray())[::-1]
-    reps = spec.num_states // 2
-    blocks = _sector_blocks(spec, kern.colors[:reps])
-    sectors = np.sort(np.concatenate([np.linalg.eigvalsh(b) for _, b, _ in blocks]))[::-1]
+    sectors = block_eigenvalues(spec)
     assert closed.shape == dense.shape == sectors.shape
     assert np.abs(closed - dense).max() <= 1e-13
     assert np.abs(closed - sectors).max() <= 1e-13
+    # spectrum keeps the least nonempty subset sum and the whole set.
+    spect = spectrum_for(spec)
+    assert spect.beta1 == closed[1] and spect.beta_min == closed[-1]
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -294,10 +329,14 @@ def test_two_color_beta1_matches_glauber(n):
 
 
 def test_spectrum_finite_at_low_temperature():
-    # sqrt(pi) underflows to 0 here, so the spectrum must not divide by it.
-    spect = spectrum(build_kernel(ModelSpec(3, 2, 0.005)))
-    assert np.all(np.isfinite(spect.eigenvalues))
-    assert abs(spect.eigenvalues[0] - 1.0) <= 1e-12
+    # sqrt(pi) underflows to 0 here, so neither the closed form nor the
+    # blocks may divide by it.
+    spec = ModelSpec(3, 2, 0.005)
+    spect = spectrum(build_kernel(spec))
+    assert math.isfinite(spect.beta1) and math.isfinite(spect.beta_min)
+    for eigs in (full_spectrum(spec), block_eigenvalues(spec)):
+        assert np.all(np.isfinite(eigs))
+        assert abs(eigs[0] - 1.0) <= 1e-12
 
 
 def test_symmetrize_rejects_non_reversible(monkeypatch, capsys):
@@ -321,11 +360,19 @@ def test_symmetrize_rejects_non_reversible(monkeypatch, capsys):
     assert "FAIL detailed-balance" in capsys.readouterr().out.splitlines()[1]
 
 
-def test_spectrum_ignores_corrupted_row_table():
+def test_spectrum_ignores_corrupted_row_table(monkeypatch):
     # Halve the moves out of the least likely state, a representative whose
     # row the spectrum would read if it took the rows off the kernel's table,
     # and hold it the more.  verify's checks see the corruption; the
-    # spectrum, built from the conditionals, is bitwise that of the true kernel.
+    # spectrum, built from the conditionals, is bitwise that of the true
+    # kernel: the same blocks, so every eigenvalue, and the same extremes.
+    solved = []
+
+    def recorded(spec, colors):
+        solved.append(block_eigenvalues(spec, colors).tobytes())
+        return _sector_blocks(spec, colors)
+
+    monkeypatch.setattr(spectral, "_sector_blocks", recorded)
     kern = kernel_for(ModelSpec(6, 4, 0.3))
     least = int(np.argmin(kern.pi))
     reps = kern.dimension // kern.spec.num_colors
@@ -335,8 +382,8 @@ def test_spectrum_ignores_corrupted_row_table():
     data[least, 0] += data[least, 1:].sum()
     halved = dataclasses.replace(kern, data=data)
     assert check_detailed_balance(halved) == pytest.approx(0.5, abs=1e-12)
-    expected = spectrum(kern).eigenvalues.tobytes()
-    assert spectrum(halved).eigenvalues.tobytes() == expected
+    expected = spectrum(kern)
+    assert spectrum(halved) == expected
     # The spectrum reads the color table only below rank m/N, the
     # representatives: scrambling every row from there on changes nothing.
     colors = kern.colors.copy()
@@ -344,7 +391,8 @@ def test_spectrum_ignores_corrupted_row_table():
     colors[reps:] = rng.integers(kern.spec.num_colors, size=colors[reps:].shape)
     assert not np.array_equal(colors, kern.colors)
     scrambled = dataclasses.replace(kern, colors=colors)
-    assert spectrum(scrambled).eigenvalues.tobytes() == expected
+    assert spectrum(scrambled) == expected
+    assert len(solved) == 3 and solved[1] == solved[0] and solved[2] == solved[0]
 
 
 def test_spectrum_budget():
@@ -353,9 +401,14 @@ def test_spectrum_budget():
         spectrum(kern)
 
 
-def test_beta_star_prefers_negative_mass():
-    # beta1, beta_min and beta_star are read off the eigenvalues
-    spect = Spectrum(eigenvalues=np.array([1.0, 0.3, -0.7]))
-    assert (spect.beta1, spect.beta_min, spect.beta_star) == (0.3, -0.7, 0.7)
-    assert Spectrum(eigenvalues=np.array([1.0, 0.3, -0.2])).beta_star == 0.3
+def test_beta1_clamped_at_zero():
+    # One site with odd N: the blocks put both the second and the least
+    # eigenvalue a few 1e-17 below 0.  P >= 0, so beta1, the envelope's
+    # rate, is 0; beta_min keeps the rounding for verify's beta-min check.
+    for colors in (3, 5, 7):
+        spec = ModelSpec(1, colors, 1.0)
+        eigs = block_eigenvalues(spec)
+        assert -1e-15 < eigs[-1] <= eigs[1] < 0.0, colors
+        spect = spectrum_for(spec)
+        assert spect.beta1 == 0.0 and spect.beta_min == eigs[-1], colors
 
