@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import SparseKernel
-from .spectral import Spectrum, check_gap_resolved
+from .spectral import Spectrum
 from .paths import _LOG_FLOAT_MAX, CLOSED_FORM_RTOL, KappaResult, kappa_closed_form
 from .serialize import canonical_json
 
@@ -223,18 +223,16 @@ def assemble_report(
 
     Args:
         kernel: Built kernel; its spec names the chain.
-        spectrum: Exact spectrum of that kernel.
+        spectrum: Exact spectrum of that kernel, whose gap is resolved.
         kappa: Exact congestion result for that kernel.
 
     Raises:
         ValueError: If the spectrum or kappa come from another chain.
-        PrecisionLimitError: If the spectral gap rounded to 0, or a closed
-            form is past the float range.
+        PrecisionLimitError: If a closed form is past the float range.
     """
     spec = kernel.spec
     if kappa.spec != spec or spectrum.spec != spec:
         raise ValueError("kernel, spectrum, and kappa must come from one chain")
-    check_gap_resolved(spectrum)
 
     n, num_colors, temp = spec.n, spec.num_colors, spec.temp
     thm3 = theorem3_bound(n, num_colors, temp)

@@ -28,7 +28,6 @@ import numpy as np
 from .model import BudgetExceededError, ModelSpec, PrecisionLimitError
 from .kernel import SparseKernel, conditional_table, reverse_data, successor_table
 from .kernel import build_kernel  # noqa: F401 -- perfbench/spans.py wraps this name
-from .spectral import check_gap_resolved
 from .spectral import spectrum as compute_spectrum
 from .bounds import ds_tv_envelope
 from .serialize import canonical_csv, canonical_json
@@ -295,12 +294,12 @@ def tv_curve(
     empirically.
 
     Raises:
-        BudgetExceededError: If the state space exceeds ``DENSE_SOLVE_BUDGET``,
-            or the curve's ``k_max + 1`` step counts do not fit in memory.
+        BudgetExceededError: If the spectrum refuses the state space, or the
+            curve's ``k_max + 1`` step counts do not fit in memory.
         ValueError: On a negative ``k_max`` or an out-of-range start.
         PrecisionLimitError: If the start state's stationary probability
-            underflowed to 0 or the spectral gap rounded to 0, either of
-            which leaves the envelope undefined or vacuous.
+            underflowed to 0 or the spectrum refuses a gap that rounded to 0,
+            either of which leaves the envelope undefined or vacuous.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
@@ -308,7 +307,6 @@ def tv_curve(
     if not 0 <= start < kernel.dimension:
         raise ValueError(f"start rank {start} out of range")
     spectrum = compute_spectrum(kernel)
-    check_gap_resolved(spectrum)
     pi = kernel.pi
     pi_start = float(pi[start])
     if pi_start == 0.0:

@@ -12,12 +12,13 @@ Exit codes: 0 all applicable checks pass, 1 a verification failed, 2 usage
 error, 3 resource limit, precision limit or I/O failure.  A precision limit
 is a result that float64 cannot hold at a (positive, finite) temperature: a
 start-state probability that underflowed to 0, a spectral gap that rounded
-to 0, a closed form past the float range, or Boltzmann exponents past it.
+to 0 (which ``spectral.Spectrum`` refuses), a closed form past the float
+range, or Boltzmann exponents past it.
 
-``bounds``, ``verify`` and ``tv`` need the dense spectrum, so they refuse a
-chain above ``DENSE_SOLVE_BUDGET`` states before any kernel is built;
-``sweep`` leaves the exact columns of such rows, and of rows whose kernel
-or spectral gap is past float64, empty and sets their ``skipped_exact``.
+``bounds``, ``verify`` and ``tv`` refuse a chain past
+``spectral.spectrum_budget`` before any kernel is built; ``sweep`` leaves
+the exact columns of such rows, and of rows whose kernel or spectral gap is
+past float64, empty and sets their ``skipped_exact``.
 
 Every flag value is checked when the flags are parsed, before any work: a
 value, a list item of ``sweep`` and both ends of its ``a:b`` range each
@@ -38,7 +39,6 @@ import sys
 import numpy as np
 
 from .model import (
-    DENSE_SOLVE_BUDGET,
     BudgetExceededError,
     ModelSpec,
     PrecisionLimitError,
@@ -54,8 +54,8 @@ from .kernel import (
     check_row_sums,
     check_stationarity,
 )
-from .spectral import check_gap_resolved
 from .spectral import spectrum as compute_spectrum
+from .spectral import spectrum_budget
 from .paths import (
     certify_all_edges,
     kappa_closed_form,
@@ -137,17 +137,17 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _dense_spec(args: argparse.Namespace) -> ModelSpec:
+def _exact_spec(args: argparse.Namespace) -> ModelSpec:
     """The chain of a single-spec command, refused before any kernel is built
-    when its dense spectrum would be."""
+    when its spectrum would be."""
     spec = ModelSpec(n=args.n, num_colors=args.colors, temp=args.temp)
-    check_budget(spec, DENSE_SOLVE_BUDGET, "dense symmetrization")
+    check_budget(spec, *spectrum_budget(spec))
     return spec
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     """Evaluate every bound for one chain and print the report."""
-    kernel = build_kernel(_dense_spec(args))
+    kernel = build_kernel(_exact_spec(args))
     spectrum = compute_spectrum(kernel)
     kappa = kappa_exact(kernel.spec)
     report = assemble_report(kernel, spectrum, kappa)
@@ -176,12 +176,11 @@ def _check(name: str, margin, passed, checked: int | None = None) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the full verification suite for one chain."""
-    spec = _dense_spec(args)
+    spec = _exact_spec(args)
     kernel = build_kernel(spec)
-    # Refuse an unresolved gap before the costlier checks; the printed order
-    # of the checks stays as below.
+    # The spectrum refuses an unresolved gap, so it comes before the costlier
+    # checks; the printed order of the checks stays as below.
     spectrum = compute_spectrum(kernel)
-    check_gap_resolved(spectrum)
     row_error = check_row_sums(kernel)
     asym = check_detailed_balance(kernel)
     residual = check_stationarity(kernel)
@@ -255,11 +254,10 @@ def _sweep_row(n: int, colors: int, temp: float) -> dict:
         "exact_beta_star": None,
         "skipped_exact": True,
     }
-    if exceeds_budget(spec, DENSE_SOLVE_BUDGET):
+    if exceeds_budget(spec, spectrum_budget(spec)[0]):
         return row
     try:
         spectrum = compute_spectrum(build_kernel(spec))
-        check_gap_resolved(spectrum)
     except PrecisionLimitError:
         return row
     row["exact_beta1"] = spectrum.beta1
@@ -271,10 +269,10 @@ def _sweep_row(n: int, colors: int, temp: float) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Tabulate bounds (and exact values up to the dense cap) over a grid.
+    """Tabulate bounds (and exact values up to the spectrum's cap) over a grid.
 
     One row per (n, colors, temp), in that lexicographic order.  Rows whose
-    state space exceeds ``DENSE_SOLVE_BUDGET``, or whose kernel or spectral
+    state space exceeds ``spectrum_budget``, or whose kernel or spectral
     gap is past float64, keep empty exact columns and are flagged, never
     dropped.  A ``theta`` or ``crossover_n`` past the float range is empty.
     """
@@ -306,7 +304,7 @@ def _parse_start(spec: ModelSpec, text: str | None) -> int | None:
 
 def cmd_tv(args: argparse.Namespace) -> int:
     """Emit the exact TV decay curve with its envelope (and optional MC arm)."""
-    spec = _dense_spec(args)
+    spec = _exact_spec(args)
     # A bad start is a usage error, whatever the kernel build would say.
     start = _parse_start(spec, args.start)
     kernel = build_kernel(spec)

@@ -183,16 +183,16 @@ def build_kernel(spec: ModelSpec) -> SparseKernel:
     ``n (N - 1)`` moves to other states.
 
     Raises:
+        BudgetExceededError: If the state space exceeds
+            ``EXACT_STATES_BUDGET``, checked first.
         PrecisionLimitError: If Boltzmann exponents differ past the float
             range: by up to ``4/T`` in a conditional, ``2(n-1)/T`` in ``pi``.
-        BudgetExceededError: If the state space exceeds
-            ``EXACT_STATES_BUDGET``.
     """
+    colors = colors_table(spec)
     if not np.isfinite(max(4, 2 * (spec.n - 1)) / spec.temp):
         raise PrecisionLimitError(
             f"Boltzmann exponents differ past the float range at temp {spec.temp!r}"
         )
-    colors = colors_table(spec)
     cols, data, _ = transition_rows(spec, colors)
     for table in (colors, cols, data):
         table.flags.writeable = False

@@ -22,7 +22,7 @@ import numpy as np
 
 # Operations that materialize the full state space refuse above this size.
 EXACT_STATES_BUDGET = 65536
-# Dense symmetric eigensolves refuse above this size.
+# The spectrum refuses N >= 3 chains, whose blocks are solved densely, above this.
 DENSE_SOLVE_BUDGET = 4096
 
 

@@ -10,6 +10,10 @@ Kong 1995).  The rate of convergence ``max(beta1, |beta_min|)`` is then
 :class:`Spectrum` holds ``beta1``, clamped at 0 where rounding puts it
 below, and the raw ``beta_min``, whose sign ``verify`` checks.
 
+This module alone decides whether a chain has an exact spectrum: its
+:func:`spectrum_budget` caps the states, and a :class:`Spectrum` cannot
+hold a ``beta1`` that rounded to 1, so every reader reads a resolved gap.
+
 At N = 2 the chain is Glauber's kinetic Ising chain (Glauber 1963) and its
 spectrum is free-fermionic (Felderhof 1971).  With spins ``sigma = +-1``,
 resampling site ``i`` averages its spin to
@@ -93,7 +97,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .model import DENSE_SOLVE_BUDGET, ModelSpec, PrecisionLimitError, check_budget
+from .model import DENSE_SOLVE_BUDGET, EXACT_STATES_BUDGET, PrecisionLimitError
+from .model import ModelSpec, check_budget
 from .kernel import SparseKernel, transition_rows
 from .kernel import check_detailed_balance  # noqa: F401 -- perfbench/spans.py wraps this name
 
@@ -106,6 +111,9 @@ REAL_FORM_TOLERANCE = 1e-12
 class Spectrum:
     """The eigenvalues of one kernel that the package reads.
 
+    A ``beta1`` that rounded to 1 is refused when the spectrum is made: a
+    verdict that compared a bound with it would pass or fail on rounding.
+
     Attributes:
         spec: The chain whose kernel was solved.
         beta1: Second largest eigenvalue, clamped at 0 as ``P >= 0`` allows;
@@ -117,20 +125,21 @@ class Spectrum:
     beta1: float
     beta_min: float
 
+    def __post_init__(self) -> None:
+        if not self.beta1 < 1.0:
+            raise PrecisionLimitError(
+                f"beta1 = {self.beta1!r}: the spectral gap is below float64 resolution"
+            )
 
-def check_gap_resolved(spectrum: Spectrum) -> None:
-    """Refuse a spectrum whose gap ``1 - beta1`` rounded away.
 
-    A verdict that compares a bound with a ``beta1`` of 1.0 would pass or
-    fail on rounding alone.
-
-    Raises:
-        PrecisionLimitError: If ``beta1`` rounded to 1.
-    """
-    if spectrum.beta1 >= 1.0:
-        raise PrecisionLimitError(
-            f"beta1 = {spectrum.beta1!r}: the spectral gap is below float64 resolution"
-        )
+def spectrum_budget(spec: ModelSpec) -> tuple[int, str]:
+    """The limit and operation that ``check_budget`` takes to cap
+    :func:`spectrum`: the dense blocks for N >= 3 (the whole state space,
+    not the block size), and at N = 2, which forms no dense matrix, the
+    kernel's state enumeration alone."""
+    if spec.num_colors == 2:
+        return EXACT_STATES_BUDGET, "state enumeration"
+    return DENSE_SOLVE_BUDGET, "dense symmetrization"
 
 
 def _assemble(
@@ -358,21 +367,17 @@ def spectrum(kernel: SparseKernel) -> Spectrum:
 
     At N = 2 they are the closed forms of the module docstring, from one
     ``n x n`` tridiagonal solve.  For N >= 3 they are the second largest and
-    the least of the eigenvalues of the blocks of one color sector per
-    isospectral class, each counted for its class: sectors 0 and 1 of the
-    Klein four-group at N = 4 (sector 1 three times), and one cyclic sector
-    per ``gcd(k, N)`` otherwise.  A real sector gives up to four reversal and
-    reflection blocks, a complex one two reversal halves in real form, each
-    solved densely.
+    the least eigenvalue of the dense blocks of :func:`_sector_blocks`, each
+    counted for its isospectral class.
 
     Raises:
-        BudgetExceededError: If the dimension exceeds ``DENSE_SOLVE_BUDGET``,
-            which caps the whole state space, not the block size.
+        BudgetExceededError: If the dimension exceeds :func:`spectrum_budget`.
+        PrecisionLimitError: If the spectral gap rounded to 0.
         RuntimeError: If the real form of a complex sector keeps more than
             rounding in its imaginary part, or the leading eigenvalue is not 1.
     """
     spec = kernel.spec
-    check_budget(spec, DENSE_SOLVE_BUDGET, "dense symmetrization")
+    check_budget(spec, *spectrum_budget(spec))
     if spec.num_colors == 2:
         beta1, beta_min = _two_color_extremes(spec)
     else:

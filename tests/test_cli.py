@@ -127,13 +127,21 @@ def test_sweep_csv(capsys):
 
 def test_sweep_flags_skipped_exact(capsys):
     code, out = run_main(
-        ["sweep", "--n", "13", "--colors", "2", "--temp", "1"], capsys
+        ["sweep", "--n", "13:17", "--colors", "2,4", "--temp", "1"], capsys
     )
     assert code == 0
-    row = out.splitlines()[1].split(",")
-    # 8192 states exceeds the dense budget: bounds only, flagged
-    assert row[7] == "" and row[8] == ""
-    assert row[9] == "true"
+    rows = {
+        (int(row[0]), int(row[1])): row
+        for row in (line.split(",") for line in out.splitlines()[1:])
+    }
+    # 4^13 exceeds the dense budget and 2^17 the kernel's: bounds only, flagged
+    for n, colors in [(13, 4), (16, 4), (17, 2), (17, 4)]:
+        row = rows[n, colors]
+        assert row[7] == "" and row[8] == "" and row[9] == "true", (n, colors)
+    # At N = 2 no dense matrix is solved, so every kernel up to 2^16 fills in.
+    for n in range(13, 17):
+        row = rows[n, 2]
+        assert float(row[7]) == float(row[8]) < 1.0 and row[9] == "false", n
 
 
 def test_sweep_json(capsys):
@@ -423,6 +431,30 @@ def test_cli_budget_exit_code(capsys):
     code = main(["verify", "--n", "7", "--colors", "4", "--temp", "1"])
     assert code == 3
     assert "dense symmetrization" in capsys.readouterr().err
+
+
+def test_two_color_exact_up_to_the_kernel_cap(capsys, monkeypatch):
+    # At N = 2 the spectrum solves no dense matrix, so the single-chain
+    # commands run up to the kernel's 65536 states and refuse above it
+    # before any kernel is built.
+    from spectral_gibbs import cli
+
+    argv = ["--n", "16", "--colors", "2", "--temp", "1"]
+    for command in ("bounds", "verify", "tv"):
+        code, out = run_main([command, *argv], capsys)
+        assert code == 0 and out, command
+
+    def fail(spec):
+        raise AssertionError("build_kernel ran before the state budget refusal")
+
+    monkeypatch.setattr(cli, "build_kernel", fail)
+    for command in ("bounds", "verify", "tv"):
+        code = main([command, "--n", "17", "--colors", "2", "--temp", "1"])
+        assert code == 3, command
+        assert capsys.readouterr().err == (
+            "resource limit: state enumeration would touch 2^17 states, "
+            "exceeding its budget of 65536\n"
+        ), command
 
 
 def test_verify_refuses_before_checks(capsys, monkeypatch):

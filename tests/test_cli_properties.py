@@ -88,11 +88,11 @@ def test_cli_exits_cleanly(drawn):
 
 
 # The two flags not drawn, at values whose rows stay cheap: at most 676
-# states at 26 colors, and no dense spectrum at n = 13.
+# states at 26 colors, and no exact spectrum at n = 17, past both caps.
 SWEEP_FIXED = {
     "--n": ["--colors", "26", "--temp", "1"],
-    "--colors": ["--n", "13", "--temp", "1"],
-    "--temp": ["--n", "13", "--colors", "2"],
+    "--colors": ["--n", "17", "--temp", "1"],
+    "--temp": ["--n", "17", "--colors", "2"],
 }
 # The largest integer drawn for each list flag.
 LARGEST = {"--n": 10**4000, "--colors": 10**30, "--temp": 10**30}

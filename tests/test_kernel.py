@@ -166,6 +166,9 @@ def test_row_entries():
 def test_build_kernel_budget():
     with pytest.raises(BudgetExceededError, match="65536"):
         build_kernel(ModelSpec(17, 2, 1.0))
+    # The budget is checked before 2(n-1)/T, which overflows a float here.
+    with pytest.raises(BudgetExceededError, match="65536"):
+        build_kernel(ModelSpec(10**400, 2, 1.0))
 
 
 def test_grid_kernels_all_valid():

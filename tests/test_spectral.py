@@ -22,7 +22,9 @@ from oracles import color_sector_spectra, glauber_beta1, symmetrize, two_color_e
 from spectral_gibbs import (
     BudgetExceededError,
     ModelSpec,
+    PrecisionLimitError,
     SparseKernel,
+    Spectrum,
     build_kernel,
     check_detailed_balance,
     spectrum,
@@ -321,7 +323,8 @@ def test_two_color_closed_form_matches_dense_and_blocks(spec):
     assert spect.beta1 == closed[1] and spect.beta_min == closed[-1]
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+# Up to n = 16, the kernel's cap: at N = 2 the spectrum solves no dense matrix.
+@pytest.mark.parametrize("n", range(2, 17))
 def test_two_color_beta1_matches_glauber(n):
     for temp in (0.3, 0.5, 1.0, 2.0, 5.0):
         spect = spectrum(build_kernel(ModelSpec(n, 2, temp)))
@@ -330,10 +333,12 @@ def test_two_color_beta1_matches_glauber(n):
 
 def test_spectrum_finite_at_low_temperature():
     # sqrt(pi) underflows to 0 here, so neither the closed form nor the
-    # blocks may divide by it.
+    # blocks may divide by it.  The gap rounds to 0, so the spectrum refuses
+    # the closed form's finite value as a precision limit.
     spec = ModelSpec(3, 2, 0.005)
-    spect = spectrum(build_kernel(spec))
-    assert math.isfinite(spect.beta1) and math.isfinite(spect.beta_min)
+    assert all(map(math.isfinite, spectral._two_color_extremes(spec)))
+    with pytest.raises(PrecisionLimitError, match="below float64 resolution"):
+        spectrum(build_kernel(spec))
     for eigs in (full_spectrum(spec), block_eigenvalues(spec)):
         assert np.all(np.isfinite(eigs))
         assert abs(eigs[0] - 1.0) <= 1e-12
@@ -396,9 +401,17 @@ def test_spectrum_ignores_corrupted_row_table(monkeypatch):
 
 
 def test_spectrum_budget():
-    kern = build_kernel(ModelSpec(13, 2, 1.0))  # 8192 states, build is fine
-    with pytest.raises(BudgetExceededError, match="4096"):
+    kern = build_kernel(ModelSpec(7, 4, 1.0))  # 16384 states, build is fine
+    with pytest.raises(BudgetExceededError, match="dense symmetrization.*4096"):
         spectrum(kern)
+    # At N = 2 no dense matrix is formed, so 8192 states are solved.
+    assert spectrum(build_kernel(ModelSpec(13, 2, 1.0))).beta1 < 1.0
+
+
+def test_spectrum_refuses_unresolved_gap():
+    # A gap that rounded to 0 cannot be held, so no verdict can read it.
+    with pytest.raises(PrecisionLimitError, match="below float64 resolution"):
+        Spectrum(ModelSpec(2, 2, 1.0), 1.0, 0.0)
 
 
 def test_beta1_clamped_at_zero():
