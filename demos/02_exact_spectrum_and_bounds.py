@@ -22,7 +22,6 @@ spect = spectrum(kernel)
 
 print(f"chain: n={spec.n}, {spec.num_colors} colors, T={spec.temp}")
 print(f"beta1 = {spect.beta1:.12f}")
-print(f"beta_min = {spect.beta_min:+.12e} (>= 0 up to rounding)")
 print(f"spectral gap 1 - beta1 = {1 - spect.beta1:.6e}\n")
 
 kappa = kappa_exact(spec)

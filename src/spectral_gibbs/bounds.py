@@ -19,13 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import SparseKernel
-from .spectral import Spectrum
+from .spectral import EIGENVALUE_TOLERANCE, Spectrum
 from .paths import _LOG_FLOAT_MAX, CLOSED_FORM_RTOL, KappaResult, kappa_closed_form
 from .serialize import canonical_json
-
-# Exact eigenvalues carry at most ~1e-10 solver error; comparisons that are
-# equalities in exact arithmetic get this much room.
-EXACT_TOLERANCE = 1e-10
 
 
 def theorem3_bound(n: int, num_colors: int, temp: float) -> float:
@@ -147,10 +143,10 @@ def ds_tv_envelope(
     """Total-variation envelope ``(1/2) sqrt((1-pi_x)/pi_x) beta1^k``.
 
     The underlying inequality bounds ``4 TV^2`` by
-    ``((1-pi_x)/pi_x) beta*^{2k}`` with ``beta* = max(beta1, |beta_min|)``,
-    which is ``beta1`` for random-scan Gibbs, a positive semidefinite
-    kernel; this returns the equivalent direct TV form, elementwise when
-    ``k`` is an array of step counts.
+    ``((1-pi_x)/pi_x) beta*^{2k}`` with ``beta*`` the largest modulus of an
+    eigenvalue other than the leading 1, which is ``beta1`` for random-scan
+    Gibbs, a positive semidefinite kernel; this returns the equivalent
+    direct TV form, elementwise when ``k`` is an array of step counts.
 
     Raises:
         ValueError: If ``pi_x`` is not strictly inside ``(0, 1)``, the rate
@@ -167,9 +163,9 @@ def ds_tv_envelope(
 
 def kappa_vs_beta1(beta1: float, kappa: float) -> tuple[float, bool]:
     """Margin of the Poincare inequality ``beta1 <= 1 - 1/kappa``, and whether
-    it holds within ``EXACT_TOLERANCE``."""
+    it holds within ``EIGENVALUE_TOLERANCE``."""
     margin = (1.0 - 1.0 / kappa) - beta1
-    return margin, margin >= -EXACT_TOLERANCE
+    return margin, margin >= -EIGENVALUE_TOLERANCE
 
 
 def kappa_vs_closed_form(kappa: float, closed_form: float) -> tuple[float, bool]:
@@ -186,11 +182,11 @@ class BoundReport:
 
     Attributes:
         model: The chain: ``n``, ``colors`` and ``temp``.
-        exact: ``beta1`` and ``beta_min`` of the exact spectrum, and
-            ``log_z``, the log of the normalizing constant.  The kernel is
-            positive semidefinite, so ``beta1`` is also the paper's rate
-            ``max(beta1, |beta_min|)``, and every bound on ``beta1`` bounds
-            it.
+        exact: ``beta1`` of the exact spectrum, and ``log_z``, the log of
+            the normalizing constant.  The kernel is positive semidefinite,
+            so ``beta1`` is also the paper's rate, the largest modulus of an
+            eigenvalue other than the leading 1, and every bound on
+            ``beta1`` bounds it.
         bounds: ``theorem2`` (the paper's three-color bound: ``theorem3``
             at ``N = 3``, else None), ``theorem3``, ``ingrassia_beta1``,
             the gap-term ratio ``theta`` and ``crossover_n``, the real
@@ -246,10 +242,10 @@ def assemble_report(
     closed = kappa_closed_form(spec)
     start = int(np.argmin(kernel.pi))
 
-    # Like the other verdicts, a bound fails only beyond the eigensolver's
-    # error: at n=1 it tends to beta1 = 0, which rounds a few 1e-16 either way.
+    # Theorem 3 is 1 - 1/kappa_closed_form, so it holds where the Poincare
+    # inequality does with the closed form in place of the exact kappa.
     names = ("theorem3", "theorem2") if num_colors == 3 else ("theorem3",)
-    passed = dict.fromkeys(names, spectrum.beta1 - thm3 < EXACT_TOLERANCE)
+    passed = dict.fromkeys(names, kappa_vs_beta1(spectrum.beta1, closed)[1])
     passed["kappa_vs_beta1"] = kappa_vs_beta1(spectrum.beta1, kappa.kappa)[1]
     passed["kappa_vs_closed_form"] = kappa_vs_closed_form(kappa.kappa, closed)[1]
     improvement = bounds["theta"] < 1.0
@@ -259,11 +255,7 @@ def assemble_report(
 
     return BoundReport(
         model={"n": n, "colors": num_colors, "temp": float(temp)},
-        exact={
-            "beta1": spectrum.beta1,
-            "beta_min": spectrum.beta_min,
-            "log_z": kernel.log_z,
-        },
+        exact={"beta1": spectrum.beta1, "log_z": kernel.log_z},
         bounds=bounds,
         kappa={
             "exact": kappa.kappa,

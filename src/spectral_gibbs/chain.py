@@ -182,14 +182,16 @@ def _mc_distributions(
     bins = len(cuts) + 1
     # A cumulative count over bins: drawn[site, q, rank] is the number of
     # thresholds of (rank, site) in bins 0..q-1, the color drawn in bin q.
-    drawn = np.zeros((n, bins, m), dtype=np.uint8)
+    # Up to N - 1 thresholds: uint8 up to 256 colors.
+    count = np.min_scalar_type(spec.num_colors - 1)
+    drawn = np.zeros((n, bins, m), dtype=count)
     np.add.at(
         drawn,
         (np.arange(n)[:, None], np.searchsorted(cuts, thresholds) + 1,
          np.arange(m)[:, None, None]),
         1,
     )
-    drawn = drawn.cumsum(axis=1, dtype=np.uint8)
+    drawn = drawn.cumsum(axis=1, dtype=count)
     color_bins = _bin_lookup(cuts)
     # Ranks are below EXACT_STATES_BUDGET = 2^16, so the table holds int32.
     successors = successor_table(spec, kernel.colors).astype(np.int32)

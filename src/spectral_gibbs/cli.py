@@ -64,7 +64,6 @@ from .paths import (
     verify_slice_identities,
 )
 from .bounds import (
-    EXACT_TOLERANCE,
     assemble_report,
     crossover_n,
     ingrassia_beta1_bound,
@@ -205,8 +204,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             certificates.num_edges,
         ),
         _check("kappa-vs-beta1", poincare_margin, poincare_passed),
-        # Random-scan Gibbs is positive semidefinite (Liu, Wong and Kong 1995).
-        _check("beta-min", spectrum.beta_min, spectrum.beta_min >= -EXACT_TOLERANCE),
         _check("kappa-vs-closed-form", closed_margin, closed_passed),
     ]
     # A check that covered no case would pass vacuously, so it is left out:
@@ -261,8 +258,8 @@ def _sweep_row(n: int, colors: int, temp: float) -> dict:
     except PrecisionLimitError:
         return row
     row["exact_beta1"] = spectrum.beta1
-    # The kernel is positive semidefinite, so beta* = max(beta1, |beta_min|)
-    # is beta1; the column keeps its place for readers of the table.
+    # The kernel is positive semidefinite, so the paper's rate beta* is
+    # beta1; the column keeps its place for readers of the table.
     row["exact_beta_star"] = spectrum.beta1
     row["skipped_exact"] = False
     return row

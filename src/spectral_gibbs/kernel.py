@@ -37,29 +37,36 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 
-def local_scores(spec: ModelSpec) -> np.ndarray:
+def local_scores(spec: ModelSpec, neighbors: int | None = None) -> np.ndarray:
     """Bond scores ``s(left, c) + s(c, right)`` for every neighbor pattern,
     where a bond scores +1 when its two colors agree and -1 when they differ.
 
+    Args:
+        spec: Chain parameters.
+        neighbors: How many neighbor indices to tabulate, from 0; all
+            ``N + 1`` when None.
+
     Returns:
-        Integer array of shape ``(N + 1, N + 1, N)`` indexed by
+        Integer array of shape ``(neighbors, neighbors, N)`` indexed by
         ``[left color + 1, right color + 1, c]``; index 0 stands for a
         missing neighbor, whose bond contributes 0.
     """
     num_colors = spec.num_colors
-    bonds = np.zeros((num_colors + 1, num_colors), dtype=np.int64)
-    bonds[1:] = 2 * np.eye(num_colors, dtype=np.int64) - 1
+    if neighbors is None:
+        neighbors = num_colors + 1
+    bonds = np.zeros((neighbors, num_colors), dtype=np.int64)
+    bonds[1:] = 2 * np.eye(neighbors - 1, num_colors, dtype=np.int64) - 1
     return bonds[:, None, :] + bonds[None, :, :]
 
 
-def local_conditionals(spec: ModelSpec) -> np.ndarray:
+def local_conditionals(spec: ModelSpec, neighbors: int | None = None) -> np.ndarray:
     """Conditional color distributions indexed like :func:`local_scores`.
 
     Evaluated as a max-shifted softmax of the bond scores so small
     temperatures cannot overflow.  Every conditional in the package is read
     from this table.
     """
-    logits = local_scores(spec) / spec.temp
+    logits = local_scores(spec, neighbors) / spec.temp
     logits -= logits.max(axis=2, keepdims=True)
     probs = np.exp(logits)
     probs /= probs.sum(axis=2, keepdims=True)
@@ -81,7 +88,10 @@ def conditional_table(spec: ModelSpec, colors: np.ndarray) -> np.ndarray:
     # Neighbor indices into the local table: color + 1, and 0 past either end.
     padded = np.zeros((len(colors), spec.n + 2), dtype=np.int64)
     padded[:, 1:-1] = colors + 1
-    return local_conditionals(spec)[padded[:, :-2], padded[:, 2:]]
+    # A single site has no neighbor, so only index 0 is read; the whole
+    # table would hold (N + 1)^2 N entries, 7.5 GiB at N = 1000.
+    neighbors = None if spec.n > 1 else 1
+    return local_conditionals(spec, neighbors)[padded[:, :-2], padded[:, 2:]]
 
 
 def successor_table(spec: ModelSpec, colors: np.ndarray) -> np.ndarray:

@@ -128,7 +128,11 @@ def colors_table(spec: ModelSpec) -> np.ndarray:
     """
     check_budget(spec, EXACT_STATES_BUDGET, "state enumeration")
     ranks = np.arange(spec.num_states, dtype=np.int64)
-    table = np.empty((spec.num_states, spec.n), dtype=np.int8)
+    # The least signed type that holds -N - 1, so N itself: numpy refuses a
+    # Python N past the table's type, and the color reflection -c mod N
+    # needs the sign.  Up to 127 colors that is int8.
+    dtype = np.min_scalar_type(-spec.num_colors - 1)
+    table = np.empty((spec.num_states, spec.n), dtype=dtype)
     for i in range(spec.n):
         place = spec.num_colors ** (spec.n - 1 - i)
         table[:, i] = (ranks // place) % spec.num_colors

@@ -10,8 +10,9 @@ import json
 import math
 from functools import lru_cache
 
+import numpy as np
 import pytest
-from oracles import marginal_kappa_tables
+from oracles import marginal_kappa_tables, two_color_eigenvalues
 
 from spectral_gibbs import (
     ModelSpec,
@@ -19,6 +20,7 @@ from spectral_gibbs import (
     kappa_exact,
     spectrum,
 )
+from spectral_gibbs.spectral import _sector_blocks
 
 GRID_N = tuple(range(1, 7))
 GRID_COLORS = (2, 3, 4)
@@ -69,6 +71,30 @@ def kernel_for(spec):
 @lru_cache(maxsize=None)
 def spectrum_for(spec):
     return spectrum(kernel_for(spec))
+
+
+def block_eigenvalues(spec, colors=None):
+    """Every eigenvalue of the kernel, descending, from the package's symmetry
+    blocks of the representatives ``colors`` (default: the kernel's), each
+    block counted for its class."""
+    reps = spec.num_states // spec.num_colors
+    if colors is None:
+        colors = kernel_for(spec).colors[:reps]
+    parts = []
+    for _, block, multiplicity in _sector_blocks(spec, colors):
+        parts.extend([np.linalg.eigvalsh(block)] * multiplicity)
+    return np.sort(np.concatenate(parts))[::-1]
+
+
+@lru_cache(maxsize=None)
+def full_spectrum(spec):
+    """Every eigenvalue, descending and read-only: the subset sums at N = 2,
+    whose largest nonempty one ``spectrum`` keeps, else the blocks.
+    ``spectrum`` keeps only ``beta1``, so every other eigenvalue is read
+    from here."""
+    eigs = two_color_eigenvalues(spec) if spec.num_colors == 2 else block_eigenvalues(spec)
+    eigs.flags.writeable = False
+    return eigs
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import grid_specs, kappa_for, kernel_for, spectrum_for
+from conftest import full_spectrum, grid_specs, kappa_for, kernel_for, spectrum_for
 from oracles import corollary_gate, ingrassia_lambda_min_bound, two_color_eigenvalues
 
 from spectral_gibbs import (
@@ -31,7 +31,7 @@ from spectral_gibbs import (
     verify_slice_identities,
     worst_alpha_beta,
 )
-from spectral_gibbs.bounds import EXACT_TOLERANCE
+from spectral_gibbs.spectral import EIGENVALUE_TOLERANCE
 from spectral_gibbs.cli import main as cli_main
 
 GRID = grid_specs(max_states=4096)
@@ -89,18 +89,18 @@ def test_criterion_02_upper_bound_dominance(announce):
 
 def test_criterion_03_lambda_min_bound(announce):
     # The floor is negative, and random-scan Gibbs is positive semidefinite,
-    # so beta_min must clear both.
+    # so the least eigenvalue, which spectrum does not keep, must clear both.
     failures = []
     for spec in GRID:
-        beta_min = spectrum_for(spec).beta_min
+        least = full_spectrum(spec)[-1]
         bound = ingrassia_lambda_min_bound(spec.num_colors, spec.temp)
-        if not beta_min >= bound:
-            failures.append((spec, beta_min, bound))
-        if not beta_min >= -EXACT_TOLERANCE:
-            failures.append((spec, beta_min, "negative"))
+        if not least >= bound:
+            failures.append((spec, least, bound))
+        if not least >= -EIGENVALUE_TOLERANCE:
+            failures.append((spec, least, "negative"))
     ok = not failures
     announce(
-        3, ok, f"beta_min above its closed-form floor and 0 on {len(GRID)} specs"
+        3, ok, f"least eigenvalue above its closed-form floor and 0 on {len(GRID)} specs"
     )
     assert not failures, failures[:5]
 
@@ -112,8 +112,7 @@ def test_criterion_04_beta_star_dominance(announce):
         if not corollary_gate(spec.n, spec.num_colors):
             continue
         checked += 1
-        spect = spectrum_for(spec)
-        beta_star = max(spect.beta1, abs(spect.beta_min))
+        beta_star = max(spectrum_for(spec).beta1, abs(full_spectrum(spec)[-1]))
         bound = theorem3_bound(spec.n, spec.num_colors, spec.temp)
         if not beta_star < bound:
             failures.append((spec, beta_star, bound))
@@ -135,7 +134,7 @@ def test_criterion_05_kappa_soundness(announce):
         result = kappa_for(spec)
         beta1 = spectrum_for(spec).beta1
         # equality holds at n=1, so allow eigensolver roundoff
-        if not 1 - 1 / result.kappa >= beta1 - 1e-10:
+        if not 1 - 1 / result.kappa >= beta1 - EIGENVALUE_TOLERANCE:
             failures.append((spec, "poincare", result.kappa, beta1))
         closed = kappa_closed_form(spec)
         if not result.kappa <= closed * (1 + 1e-12):
@@ -301,9 +300,9 @@ def test_criterion_09_analytic_spot_checks(announce):
     spect = spectrum_for(two)
     if abs(spect.beta1 - p) > 1e-12:
         failures.append(("two-site beta1", spect.beta1))
-    if abs(spect.beta_min) > 1e-12:
-        failures.append(("two-site beta_min", spect.beta_min))
-    beta_star = max(spect.beta1, abs(spect.beta_min))
+    if abs(eigs[-1]) > 1e-12:
+        failures.append(("two-site least eigenvalue", eigs[-1]))
+    beta_star = max(spect.beta1, abs(eigs[-1]))
     if abs(beta_star - p) > 1e-12:
         failures.append(("two-site beta*", beta_star))
 

@@ -12,15 +12,19 @@ from oracles import corollary_gate, ingrassia_lambda_min_bound
 
 from spectral_gibbs import (
     ModelSpec,
+    Spectrum,
     assemble_report,
     crossover_n,
     ds_tv_envelope,
     ingrassia_beta1_bound,
+    kappa_closed_form,
     report_to_dict,
     report_to_json,
     theorem3_bound,
     theta,
 )
+from spectral_gibbs.bounds import kappa_vs_beta1
+from spectral_gibbs.spectral import EIGENVALUE_TOLERANCE
 
 
 def test_theorem3_formula():
@@ -312,9 +316,46 @@ def test_assemble_report_has_no_vacuous_verdict():
         "theta_consistency",
     ]
     assert set(report.verdicts.values()) == {"pass"} and report.all_passed
-    assert list(report.exact) == ["beta1", "beta_min", "log_z"]
+    assert list(report.exact) == ["beta1", "log_z"]
     assert "ingrassia_lambda_min" not in report.bounds
     assert list(report.envelope) == ["start_state", "pi_start"]
+
+
+def test_poincare_verdicts_fail_past_the_eigenvalue_tolerance():
+    # At (6,4,0.15) 1/kappa is 2.9e-13.  A beta1 whose gap is a tenth of it
+    # breaks the Poincare inequality by 2.6e-13, and Theorem 3, which is
+    # 1 - 1/kappa_closed_form, by about as much: both beyond the solvers'
+    # error, though within the 1e-10 the verdicts allowed before.
+    spec = ModelSpec(6, 4, 0.15)
+    kappa = kappa_for(spec)
+    assert 1 / kappa.kappa < 3e-13
+    broken = Spectrum(spec, 1.0 - 1.0 / (10.0 * kappa.kappa))
+    report = assemble_report(kernel_for(spec), broken, kappa)
+    assert report.verdicts["kappa_vs_beta1"] == "fail"
+    assert report.verdicts["theorem3"] == "fail"
+    assert kappa_vs_beta1(broken.beta1, kappa.kappa)[0] < -EIGENVALUE_TOLERANCE
+    # The solved beta1 passes both.
+    report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa)
+    assert report.all_passed
+
+
+def test_theorem3_verdict_is_poincare_with_closed_form(monkeypatch):
+    # theorem3 and theorem2 are decided by kappa_vs_beta1 with the closed
+    # form for kappa, not by a second comparison.
+    from spectral_gibbs import bounds
+
+    spec = ModelSpec(3, 3, 1.0)
+    calls = []
+
+    def recorded(beta1, kappa):
+        calls.append(kappa)
+        return (0.0, False) if kappa == kappa_closed_form(spec) else (0.0, True)
+
+    monkeypatch.setattr(bounds, "kappa_vs_beta1", recorded)
+    report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
+    assert sorted(calls) == sorted([kappa_closed_form(spec), kappa_for(spec).kappa])
+    assert report.verdicts["theorem3"] == report.verdicts["theorem2"] == "fail"
+    assert report.verdicts["kappa_vs_beta1"] == "pass"
 
 
 def test_assemble_report_rejects_mismatch():

@@ -103,7 +103,7 @@ def _fixed_point(kern, start, k_max):
 def stub_spectrum(monkeypatch):
     # the exact arm does not read the spectrum, only the envelope does
     def resolved(kern):
-        return Spectrum(spec=kern.spec, beta1=0.5, beta_min=0.0)
+        return Spectrum(spec=kern.spec, beta1=0.5)
 
     monkeypatch.setattr(chain, "compute_spectrum", resolved)
 
@@ -319,6 +319,17 @@ def test_mc_arm_color_uniform_on_a_threshold(monkeypatch):
     np.testing.assert_allclose(got, 1.0 - kern.pi[ranks], rtol=0, atol=1e-15)
 
 
+def test_mc_arm_draws_colors_past_256(monkeypatch):
+    # A draw is the count of a site's thresholds below its bin, up to N - 1,
+    # so a uint8 count would wrap past 256 colors: color 280 would land on
+    # color 24, and the two replicas below on one state.
+    spec = ModelSpec(1, 300, 1.0)
+    script = [0.0, 0.0, 280.5 / 300, 24.5 / 300]
+    monkeypatch.setattr(chain, "make_rng", lambda seed: ScriptedUniforms(script))
+    got = chain._mc_distributions(kernel_for(spec), 0, 1, 0, 2)
+    np.testing.assert_allclose(got, [1 - 1 / 300, 1 - 2 / 300], rtol=0, atol=1e-15)
+
+
 _BIN_CUTS = [
     np.unique(np.cumsum(local_conditionals(ModelSpec(3, colors, 1.0)), axis=2)[..., :-1])
     for colors in (2, 3, 26)
@@ -358,7 +369,7 @@ def test_tv_curve_refuses_unresolved_envelope(monkeypatch):
     assert kern.pi[start] == 0.0
     with pytest.raises(PrecisionLimitError, match="spectral gap"):
         tv_curve(kern, 0, 5)
-    resolved = Spectrum(spec=kern.spec, beta1=0.5, beta_min=0.0)
+    resolved = Spectrum(spec=kern.spec, beta1=0.5)
     monkeypatch.setattr(chain, "compute_spectrum", lambda kern: resolved)
     with pytest.raises(PrecisionLimitError, match="underflowed to 0"):
         tv_curve(kern, start, 5)

@@ -2,9 +2,9 @@
 
 The package builds only the rows of the representatives; the full-matrix
 ``symmetrize`` oracle and a dense solve of the whole matrix check them.
-``spectrum`` keeps only ``beta1`` and ``beta_min``, so the whole multiset is
-rebuilt here from the blocks, each counted for its class, and at N = 2 from
-the subset sums of the two-color oracle.
+``spectrum`` keeps only ``beta1``, so the whole multiset is rebuilt here from
+the blocks, each counted for its class, and at N = 2 from the subset sums of
+the two-color oracle.
 """
 
 import dataclasses
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import grid_specs, kernel_for, spectrum_for
+from conftest import block_eigenvalues, full_spectrum, grid_specs, kernel_for, spectrum_for
 from oracles import color_sector_spectra, glauber_beta1, symmetrize, two_color_eigenvalues
 
 from spectral_gibbs import (
@@ -32,28 +32,8 @@ from spectral_gibbs import (
 )
 from spectral_gibbs import cli, spectral
 from spectral_gibbs.model import colors_table
-from spectral_gibbs.spectral import _color_group, _representative_rows, _sector_blocks
-
-
-def block_eigenvalues(spec, colors=None):
-    """Every eigenvalue of the kernel, descending, from the package's symmetry
-    blocks of the representatives ``colors`` (default: the kernel's), each
-    block counted for its class."""
-    reps = spec.num_states // spec.num_colors
-    if colors is None:
-        colors = kernel_for(spec).colors[:reps]
-    parts = []
-    for _, block, multiplicity in _sector_blocks(spec, colors):
-        parts.extend([np.linalg.eigvalsh(block)] * multiplicity)
-    return np.sort(np.concatenate(parts))[::-1]
-
-
-def full_spectrum(spec):
-    """Every eigenvalue, descending: the subset sums at N = 2, whose
-    extremes ``spectrum`` keeps, else the blocks."""
-    if spec.num_colors == 2:
-        return two_color_eigenvalues(spec)
-    return block_eigenvalues(spec)
+from spectral_gibbs.spectral import EIGENVALUE_TOLERANCE, _color_group
+from spectral_gibbs.spectral import _representative_rows, _sector_blocks
 
 
 def test_single_site_spectrum():
@@ -62,7 +42,6 @@ def test_single_site_spectrum():
     spect = spectrum_for(spec)
     assert np.allclose(full_spectrum(spec), [1.0, 0.0, 0.0], atol=1e-12)
     assert spect.beta1 == 0.0
-    assert abs(spect.beta_min) <= 1e-12
 
 
 def test_two_site_spectrum_analytic():
@@ -78,14 +57,13 @@ def test_two_site_spectrum_analytic():
     assert np.allclose(full_spectrum(spec), [1.0, p, q, 0.0], atol=1e-12)
     assert np.allclose(block_eigenvalues(spec), [1.0, p, q, 0.0], atol=1e-12)
     assert math.isclose(spect.beta1, p, abs_tol=1e-12)
-    assert math.isclose(spect.beta_min, 0.0, abs_tol=1e-12)
 
 
 def test_two_site_high_temp_limit():
     spec = ModelSpec(2, 2, 1e9)
     assert np.allclose(full_spectrum(spec), [1.0, 0.5, 0.5, 0.0], atol=1e-6)
     spect = spectrum_for(spec)
-    assert np.allclose([spect.beta1, spect.beta_min], [0.5, 0.0], atol=1e-6)
+    assert math.isclose(spect.beta1, 0.5, abs_tol=1e-6)
 
 
 def mpmath_spectrum(n, colors, temp):
@@ -139,7 +117,6 @@ def test_spectrum_against_high_precision_oracle():
         assert diff <= 1e-10, spec
         spect = spectrum_for(spec)
         assert abs(spect.beta1 - reference[1]) <= 1e-10, spec
-        assert abs(spect.beta_min - reference[-1]) <= 1e-10, spec
 
 
 @pytest.mark.parametrize(
@@ -151,17 +128,16 @@ def test_spectrum_invariants(spec):
     spect = spectrum_for(spec)
     eigs = full_spectrum(spec)
     assert len(eigs) == spec.num_states
-    assert abs(eigs[0] - 1.0) <= 1e-10
+    assert abs(eigs[0] - 1.0) <= EIGENVALUE_TOLERANCE
     assert np.all(np.diff(eigs) <= 1e-14)
-    assert eigs[-1] > -1.0
+    assert eigs[-1] >= -EIGENVALUE_TOLERANCE  # P >= 0
     assert eigs[1] <= 1.0
     # trace identity ties the spectrum back to the holding probabilities
     trace = kern.matrix.diagonal().sum()
     assert math.isclose(eigs.sum(), trace, abs_tol=1e-9)
-    # The extremes of the same multiset, bit for bit; beta1 clamped at 0.
+    # The second eigenvalue of the same multiset, bit for bit, clamped at 0.
     assert spect.spec == spec
     assert spect.beta1 == max(eigs[1], 0.0)
-    assert spect.beta_min == eigs[-1]
 
 
 def test_symmetrize_is_symmetric():
@@ -233,7 +209,6 @@ def test_sector_spectrum_matches_dense_oracle(spec):
     assert np.abs(blocks - oracle).max() <= 1e-12
     spect = spectrum_for(spec)
     assert abs(spect.beta1 - max(oracle[1], 0.0)) <= 1e-12
-    assert abs(spect.beta_min - oracle[-1]) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -291,7 +266,6 @@ def test_color_sectors_match_projection_oracle(spec):
     union = np.sort(np.concatenate(sectors))[::-1]
     assert np.abs(block_eigenvalues(spec) - union).max() <= 1e-12
     assert abs(spectrum_for(spec).beta1 - max(union[1], 0.0)) <= 1e-12
-    assert abs(spectrum_for(spec).beta_min - union[-1]) <= 1e-12
     reps = spec.num_states // num_colors
     blocks = list(_sector_blocks(spec, kernel_for(spec).colors[:reps]))
     assert {sector: mult for sector, _, mult in blocks} == Counter(solved_for)
@@ -318,9 +292,9 @@ def test_two_color_closed_form_matches_dense_and_blocks(spec):
     assert closed.shape == dense.shape == sectors.shape
     assert np.abs(closed - dense).max() <= 1e-13
     assert np.abs(closed - sectors).max() <= 1e-13
-    # spectrum keeps the least nonempty subset sum and the whole set.
-    spect = spectrum_for(spec)
-    assert spect.beta1 == closed[1] and spect.beta_min == closed[-1]
+    # spectrum keeps the least nonempty subset sum; the whole set is 0.
+    assert spectrum_for(spec).beta1 == closed[1]
+    assert abs(closed[-1]) <= 1e-13
 
 
 # Up to n = 16, the kernel's cap: at N = 2 the spectrum solves no dense matrix.
@@ -336,7 +310,7 @@ def test_spectrum_finite_at_low_temperature():
     # blocks may divide by it.  The gap rounds to 0, so the spectrum refuses
     # the closed form's finite value as a precision limit.
     spec = ModelSpec(3, 2, 0.005)
-    assert all(map(math.isfinite, spectral._two_color_extremes(spec)))
+    assert math.isfinite(spectral._two_color_beta1(spec))
     with pytest.raises(PrecisionLimitError, match="below float64 resolution"):
         spectrum(build_kernel(spec))
     for eigs in (full_spectrum(spec), block_eigenvalues(spec)):
@@ -411,17 +385,101 @@ def test_spectrum_budget():
 def test_spectrum_refuses_unresolved_gap():
     # A gap that rounded to 0 cannot be held, so no verdict can read it.
     with pytest.raises(PrecisionLimitError, match="below float64 resolution"):
-        Spectrum(ModelSpec(2, 2, 1.0), 1.0, 0.0)
+        Spectrum(ModelSpec(2, 2, 1.0), 1.0)
 
 
 def test_beta1_clamped_at_zero():
     # One site with odd N: the blocks put both the second and the least
     # eigenvalue a few 1e-17 below 0.  P >= 0, so beta1, the envelope's
-    # rate, is 0; beta_min keeps the rounding for verify's beta-min check.
+    # rate, is 0, and the least is within the guard's tolerance of 0.
     for colors in (3, 5, 7):
         spec = ModelSpec(1, colors, 1.0)
         eigs = block_eigenvalues(spec)
         assert -1e-15 < eigs[-1] <= eigs[1] < 0.0, colors
-        spect = spectrum_for(spec)
-        assert spect.beta1 == 0.0 and spect.beta_min == eigs[-1], colors
+        assert spectrum_for(spec).beta1 == 0.0, colors
 
+
+
+
+def test_spectrum_holds_beta1_alone():
+    assert [field.name for field in dataclasses.fields(Spectrum)] == ["spec", "beta1"]
+
+
+# (6,2,1) through the blocks as well as the closed form.
+@pytest.mark.parametrize(
+    "spec",
+    [ModelSpec(3, 3, 1.0), ModelSpec(2, 4, 0.5), ModelSpec(4, 3, 2.0)]
+    + [ModelSpec(2, 5, 1.0), ModelSpec(3, 4, 0.3), ModelSpec(2, 6, 5.0)]
+    + [ModelSpec(6, 2, 1.0)],
+    ids=str,
+)
+def test_null_space_has_dimension_n_minus_one_power(spec):
+    # Each E_i >= 0, so P f = 0 exactly when E_i f = 0 for every i: when
+    # pi f sums to 0 along every line of the state array through site i.
+    # The arrays that do so along every axis are the tensor products of
+    # zero-sum vectors, (N - 1)^n of them.  So the least eigenvalue is 0 at
+    # every chain, and the spectrum keeps no beta_min.
+    zeros = (spec.num_colors - 1) ** spec.n
+    for eigs in (block_eigenvalues(spec), full_spectrum(spec)):
+        assert np.count_nonzero(np.abs(eigs) <= 1e-12) == zeros
+        assert eigs[-1] >= -EIGENVALUE_TOLERANCE
+
+
+def _bent_blocks(monkeypatch, bend):
+    """Make ``spectrum`` solve ``bend(block)`` in place of every block."""
+    blocks = spectral._sector_blocks
+
+    def bent(spec, colors):
+        for k, block, multiplicity in blocks(spec, colors):
+            yield k, bend(block), multiplicity
+
+    monkeypatch.setattr(spectral, "_sector_blocks", bent)
+
+
+def test_spectrum_refuses_leading_eigenvalue_off_one(monkeypatch):
+    # B (1 + 1e-12) moves the leading eigenvalue to 1 + 1e-12 and keeps the
+    # least at 0: a miss ten times the tolerance, and far inside the 1e-8
+    # the guard allowed before.
+    spec = ModelSpec(3, 3, 1.0)
+    _bent_blocks(monkeypatch, lambda block: block * (1.0 + 1e-12))
+    with pytest.raises(RuntimeError, match="not from 0 to 1"):
+        spectrum(kernel_for(spec))
+
+
+def test_spectrum_refuses_negative_eigenvalue(monkeypatch):
+    # B - 1e-12 (I - B) keeps the eigenvalue 1 and moves the null space to
+    # -1e-12, ten times past the tolerance.
+    spec = ModelSpec(3, 3, 1.0)
+    _bent_blocks(monkeypatch, lambda block: block - 1e-12 * (np.eye(len(block)) - block))
+    with pytest.raises(RuntimeError, match="from -1.0.*e-12 to"):
+        spectrum(kernel_for(spec))
+
+
+def test_spectrum_refuses_complex_real_form(monkeypatch):
+    # A character that is off by 1e-6 rad at one element is no character:
+    # the real form of its sector keeps an imaginary part of that order.
+    group = spectral._color_group
+
+    def bent(num_colors):
+        translate, inverse, sectors = group(num_colors)
+        twist = np.exp(1e-6j * (np.arange(num_colors) == 1))
+        sectors = [(k, chi * twist if np.iscomplexobj(chi) else chi, multiplicity)
+                   for k, chi, multiplicity in sectors]
+        return translate, inverse, sectors
+
+    monkeypatch.setattr(spectral, "_color_group", bent)
+    with pytest.raises(RuntimeError, match="imaginary part"):
+        spectrum(kernel_for(ModelSpec(3, 3, 1.0)))
+
+
+def test_one_site_real_form_sums_thousands_of_terms():
+    # One site with 4096 colors: each complex sector is one entry that sums
+    # 4096 terms of 1/4096 times a root of unity, to 0 up to 3.3e-16.  That
+    # is rounding of the mass summed, 1, though it is above 1e-12 of the
+    # largest term.
+    spec = ModelSpec(1, 4096, 1.0)
+    blocks = list(_sector_blocks(spec, colors_table(spec)[:1]))
+    assert sum(multiplicity for _, _, multiplicity in blocks) == 4096
+    for k, block, _ in blocks:
+        assert block.shape == (1, 1)
+        assert abs(block[0, 0] - (k == 0)) <= 1e-15, k
