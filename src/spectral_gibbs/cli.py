@@ -8,8 +8,10 @@ different thread counts (``beta1`` at (6,4,1) moves in its last digits
 between one and two OpenBLAS threads), so a fixed ``OPENBLAS_NUM_THREADS``
 is what makes output comparable across machines.
 
-Exit codes: 0 all applicable checks pass, 1 a verification failed, 2 usage
-error, 3 resource limit, precision limit or I/O failure.  A precision limit
+Exit codes: 0 all applicable checks pass, 1 a verification failed (a check
+of the report, or an exact solve that fails its own check, printed as one
+``solver failure:`` line), 2 usage error, 3 resource limit, precision limit
+or I/O failure.  A precision limit
 is a result that float64 cannot hold at a (positive, finite) temperature: a
 start-state probability that underflowed to 0, a spectral gap that rounded
 to 0 (which ``spectral.Spectrum`` refuses), a closed form past the float
@@ -17,8 +19,8 @@ range, or Boltzmann exponents past it.
 
 ``bounds``, ``verify`` and ``tv`` refuse a chain past
 ``spectral.spectrum_budget`` before any kernel is built; ``sweep`` leaves
-the exact columns of such rows, and of rows whose kernel or spectral gap is
-past float64, empty and sets their ``skipped_exact``.
+the exact columns of such rows, and of rows whose Boltzmann exponents or
+spectral gap are past float64, empty and sets their ``skipped_exact``.
 
 Every flag value is checked when the flags are parsed, before any work: a
 value, a list item of ``sweep`` and both ends of its ``a:b`` range each
@@ -42,6 +44,7 @@ from .model import (
     BudgetExceededError,
     ModelSpec,
     PrecisionLimitError,
+    SolverError,
     check_budget,
     encode_rank,
     exceeds_budget,
@@ -54,8 +57,8 @@ from .kernel import (
     check_row_sums,
     check_stationarity,
 )
+from .spectral import SectorPlan, spectrum_at, spectrum_budget
 from .spectral import spectrum as compute_spectrum
-from .spectral import spectrum_budget
 from .paths import (
     certify_all_edges,
     kappa_closed_form,
@@ -237,8 +240,10 @@ def _finite(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _sweep_row(n: int, colors: int, temp: float) -> dict:
-    spec = ModelSpec(n, colors, temp)
+def _sweep_row(spec: ModelSpec, exact: bool, plan: SectorPlan | None) -> dict:
+    """One row of ``sweep``; its exact columns are filled when ``exact``, from
+    ``plan``, the spectrum's plan of the row's ``(n, N)``."""
+    n, colors, temp = spec.n, spec.num_colors, spec.temp
     row = {
         "n": n,
         "colors": colors,
@@ -251,10 +256,10 @@ def _sweep_row(n: int, colors: int, temp: float) -> dict:
         "exact_beta_star": None,
         "skipped_exact": True,
     }
-    if exceeds_budget(spec, spectrum_budget(spec)[0]):
+    if not exact:
         return row
     try:
-        spectrum = compute_spectrum(build_kernel(spec))
+        spectrum = spectrum_at(spec, plan)
     except PrecisionLimitError:
         return row
     row["exact_beta1"] = spectrum.beta1
@@ -269,16 +274,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Tabulate bounds (and exact values up to the spectrum's cap) over a grid.
 
     One row per (n, colors, temp), in that lexicographic order.  Rows whose
-    state space exceeds ``spectrum_budget``, or whose kernel or spectral
-    gap is past float64, keep empty exact columns and are flagged, never
-    dropped.  A ``theta`` or ``crossover_n`` past the float range is empty.
+    state space exceeds ``spectrum_budget``, or whose Boltzmann exponents or
+    spectral gap are past float64, keep empty exact columns and are flagged,
+    never dropped.  A ``theta`` or ``crossover_n`` past the float range is
+    empty.  No row builds a kernel: the temperatures of one ``(n, colors)``
+    share one ``SectorPlan``, and N = 2 needs none.
     """
-    rows = [
-        _sweep_row(n, colors, temp)
-        for n in args.n
-        for colors in args.colors
-        for temp in args.temp
-    ]
+    rows = []
+    for n in args.n:
+        for colors in args.colors:
+            specs = [ModelSpec(n, colors, temp) for temp in args.temp]
+            exact = not exceeds_budget(specs[0], spectrum_budget(specs[0])[0])
+            plan = SectorPlan(specs[0]) if exact and colors > 2 else None
+            rows.extend(_sweep_row(spec, exact, plan) for spec in specs)
     if args.format == "json":
         text = canonical_json({"rows": rows})
     else:
@@ -402,6 +410,9 @@ def main(argv: list[str] | None = None) -> int:
     except PrecisionLimitError as exc:
         sys.stderr.write(f"precision limit: {exc}\n")
         return 3
+    except SolverError as exc:
+        sys.stderr.write(f"solver failure: {exc}\n")
+        return 1
     except OSError as exc:
         sys.stderr.write(f"i/o failure: {exc}\n")
         return 3

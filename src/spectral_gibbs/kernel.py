@@ -10,8 +10,9 @@ the color table that :func:`build_kernel` enumerated once, and everything
 that receives a kernel derives its per-state tables from that table.  The
 transition rows are read off two such tables, indexed
 ``[rank, site, color]``: the conditional of each resampling and the rank it
-leads to.  :func:`transition_rows` reads them for any prefix of the ranks,
-so the spectrum builds the rows it needs without the kernel's row table.
+leads to.  :func:`move_targets` and :func:`transition_data` read them for
+any prefix of the ranks, the targets once and the probabilities at each
+temperature, so the spectrum builds the rows it needs without a kernel.
 
 The kernel stores the rows of every rank as a fixed-width row table, and the
 checks of :func:`check_row_sums`, :func:`check_detailed_balance`,
@@ -30,8 +31,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import ModelSpec, PrecisionLimitError
-from .model import colors_table, stationary_measure
+from .model import ModelSpec
+from .model import check_exponent_range, colors_table, stationary_measure
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -113,25 +114,36 @@ def successor_table(spec: ModelSpec, colors: np.ndarray) -> np.ndarray:
     return ranks[:, None, None] + shifts * places[None, :, None]
 
 
-def transition_rows(
+def move_targets(
     spec: ModelSpec, colors: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of ``P`` for ranks ``0 .. len(colors) - 1``, that prefix of the
-    :func:`~spectral_gibbs.model.colors_table`, as ``(cols, data, own)``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The target ranks of the rows of ``P`` for ranks ``0 .. len(colors) - 1``,
+    that prefix of the :func:`~spectral_gibbs.model.colors_table`, as
+    ``(cols, moves)``; neither depends on the temperature.
 
-    A row of ``cols`` and ``data`` holds the state itself with its holding
-    probability, then one move per site and other color, in that order.
+    A row of ``cols`` holds the state itself, then one move per site and
+    other color, in that order.  ``moves[x, i, c]`` is False only where
+    ``c`` is the color site ``i+1`` of ``x`` has.
+    """
+    m = len(colors)
+    moves = colors[:, :, None] != np.arange(spec.num_colors)
+    successors = successor_table(spec, colors)[moves].reshape(m, -1)
+    return np.column_stack([np.arange(m), successors]), moves
+
+
+def transition_data(
+    spec: ModelSpec, colors: np.ndarray, moves: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The probabilities of the slots of :func:`move_targets`, as
+    ``(data, own)``: the holding probability, then one per move.
     ``own[x, i]`` is the conditional of the color site ``i+1`` has, so
     ``own[x, i] / n`` is the probability of undoing a move at that site.
     """
     m, n = len(colors), spec.n
     cond = conditional_table(spec, colors)
-    moves = colors[:, :, None] != np.arange(spec.num_colors)
-    successors = successor_table(spec, colors)[moves].reshape(m, -1)
     own = cond[~moves].reshape(m, n)
-    cols = np.column_stack([np.arange(m), successors])
     data = np.column_stack([own.sum(axis=1), cond[moves].reshape(m, -1)]) / n
-    return cols, data, own
+    return data, own
 
 
 @dataclass(frozen=True)
@@ -199,11 +211,9 @@ def build_kernel(spec: ModelSpec) -> SparseKernel:
             range: by up to ``4/T`` in a conditional, ``2(n-1)/T`` in ``pi``.
     """
     colors = colors_table(spec)
-    if not np.isfinite(max(4, 2 * (spec.n - 1)) / spec.temp):
-        raise PrecisionLimitError(
-            f"Boltzmann exponents differ past the float range at temp {spec.temp!r}"
-        )
-    cols, data, _ = transition_rows(spec, colors)
+    check_exponent_range(spec)
+    cols, moves = move_targets(spec, colors)
+    data, _ = transition_data(spec, colors, moves)
     for table in (colors, cols, data):
         table.flags.writeable = False
     pi, log_z = stationary_measure(spec, colors)

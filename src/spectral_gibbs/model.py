@@ -9,8 +9,9 @@ A state is passed around as its rank, a plain integer; :func:`encode_rank`
 and :func:`decode_rank` convert between a rank and its color vector.  The
 whole state space is enumerated in one place, :func:`colors_table`, which is
 also the one place that enforces ``EXACT_STATES_BUDGET``; its row ``r`` is
-the color vector of rank ``r``.  The energies and the stationary measure are
-computed from that table.
+the color vector of rank ``r``.  :func:`color_rows` enumerates a prefix of
+it, such as the ``N^(n-1)`` states whose first color is 0.  The energies
+and the stationary measure are computed from that table.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ class BudgetExceededError(RuntimeError):
 
 class PrecisionLimitError(ArithmeticError):
     """An exact result is not representable in float64 at this temperature."""
+
+
+class SolverError(RuntimeError):
+    """An exact solve failed its own check: its result is wrong, not past
+    float64."""
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,16 @@ def check_budget(spec: ModelSpec, limit: int, operation: str) -> None:
         )
 
 
+def check_exponent_range(spec: ModelSpec) -> None:
+    """Raise :class:`PrecisionLimitError` when Boltzmann exponents differ
+    past the float range: by up to ``4/T`` in a conditional, ``2(n-1)/T``
+    in ``pi``."""
+    if not np.isfinite(max(4, 2 * (spec.n - 1)) / spec.temp):
+        raise PrecisionLimitError(
+            f"Boltzmann exponents differ past the float range at temp {spec.temp!r}"
+        )
+
+
 def encode_rank(spec: ModelSpec, colors: Sequence[int]) -> int:
     """Encode a color vector as its big-endian base-``num_colors`` rank.
 
@@ -127,12 +143,18 @@ def colors_table(spec: ModelSpec) -> np.ndarray:
         BudgetExceededError: If ``num_states`` exceeds ``EXACT_STATES_BUDGET``.
     """
     check_budget(spec, EXACT_STATES_BUDGET, "state enumeration")
-    ranks = np.arange(spec.num_states, dtype=np.int64)
+    return color_rows(spec, spec.num_states)
+
+
+def color_rows(spec: ModelSpec, count: int) -> np.ndarray:
+    """Color vectors of ranks ``0 .. count - 1``, shape ``(count, n)``: the
+    first rows of :func:`colors_table`, in its dtype."""
+    ranks = np.arange(count, dtype=np.int64)
     # The least signed type that holds -N - 1, so N itself: numpy refuses a
     # Python N past the table's type, and the color reflection -c mod N
     # needs the sign.  Up to 127 colors that is int8.
     dtype = np.min_scalar_type(-spec.num_colors - 1)
-    table = np.empty((spec.num_states, spec.n), dtype=dtype)
+    table = np.empty((count, spec.n), dtype=dtype)
     for i in range(spec.n):
         place = spec.num_colors ** (spec.n - 1 - i)
         table[:, i] = (ranks // place) % spec.num_colors

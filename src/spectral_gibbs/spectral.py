@@ -8,8 +8,9 @@ orthogonal projection in ``L^2(pi)``, so ``0 <= P <= I`` (Liu, Wong and
 Kong 1995).  The rate of convergence, the largest modulus of an eigenvalue
 other than the leading 1, is then ``beta1``, and no other eigenvalue is
 kept: a :class:`Spectrum` holds ``beta1``, clamped at 0 where rounding puts
-it below.  For N >= 3 :func:`spectrum` checks that the solved eigenvalues
-run from 0 to 1, within ``EIGENVALUE_TOLERANCE``.
+it below.  For N >= 3 :func:`spectrum_at` checks that the solved eigenvalues
+run from 0 to 1, within ``EIGENVALUE_TOLERANCE``, and raises a
+:class:`~spectral_gibbs.model.SolverError` where they do not.
 
 This module alone decides whether a chain has an exact spectrum: its
 :func:`spectrum_budget` caps the states, and a :class:`Spectrum` cannot
@@ -82,11 +83,15 @@ no scipy; ``beta1`` is read off the union of the block eigenvalues, each
 block counted for its class.  The blocks are general in N; at N = 2 they are
 a test oracle for the closed form.
 
-The blocks read only the first ``m / N`` rows of the kernel's color table,
-the representatives of the orbits of ``G``: their rows of ``S`` come from the local
-conditionals and successor ranks.  The spectrum never reads the kernel's
-row table or its CSR ``matrix``, so a row table that fails ``verify``'s
-checks leaves the spectrum unchanged.
+The blocks need no kernel.  A :class:`SectorPlan` enumerates from ``(n, N)``
+the ``m / N`` representatives of the orbits of ``G``, the states whose first
+color is 0, and fixes where each entry of their rows of ``S`` goes in which
+block; none of that depends on the temperature.  Its :meth:`~SectorPlan.blocks`
+evaluates those entries at one temperature, from the local conditionals, and
+sums them into the blocks.  :func:`spectrum` reads nothing of its kernel but
+the spec, so a row or color table that fails ``verify``'s checks leaves the
+spectrum unchanged; ``sweep`` evaluates one plan at each of its temperatures
+through :func:`spectrum_at` and builds no kernel.
 """
 
 from __future__ import annotations
@@ -99,8 +104,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .model import DENSE_SOLVE_BUDGET, EXACT_STATES_BUDGET, PrecisionLimitError
-from .model import ModelSpec, check_budget
-from .kernel import SparseKernel, transition_rows
+from .model import ModelSpec, SolverError, check_budget, check_exponent_range, color_rows
+from .kernel import SparseKernel, move_targets, transition_data
 from .kernel import check_detailed_balance  # noqa: F401 -- perfbench/spans.py wraps this name
 
 # The real form of a complex sector may drop an imaginary part up to this
@@ -145,79 +150,70 @@ def spectrum_budget(spec: ModelSpec) -> tuple[int, str]:
     return DENSE_SOLVE_BUDGET, "dense symmetrization"
 
 
-def _assemble(
+def _plan_block(
     row: np.ndarray,
     orbit: np.ndarray,
-    entries: np.ndarray,
     slot_col: np.ndarray,
     slot_coef: np.ndarray,
     keep: np.ndarray,
-) -> np.ndarray:
-    """Real block ``Q^H B Q`` over the kept columns of a two-slot basis.
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """The real block ``Q^H B Q`` over the kept columns of a two-slot basis
+    ``Q``, as ``(size, coef, index)``, for any sector matrix ``B``.
 
-    ``B`` holds ``entries`` at ``[row, orbit]``; representative ``s`` has the
-    coefficient ``slot_coef[s, t]`` in column ``slot_col[s, t]`` of ``Q``.
-    One ``bincount`` sums every product ``conj(Q[x, a]) B[x, s] Q[s, b]``,
-    duplicates included.  The imaginary part it drops must be rounding: at
-    each entry at most ``REAL_FORM_TOLERANCE`` of the absolute mass of the
-    products summed into it, 0 if none.  A bound on the largest entry of
-    ``B`` alone would not hold where one entry sums thousands of them, as at
-    one site with 4096 colors.
+    Representative ``s`` has the coefficient ``slot_coef[s, t]`` in column
+    ``slot_col[s, t]`` of ``Q``.  Entry ``e`` of ``S``, at
+    ``[x, s] = [row[e], orbit[e]]``, adds ``conj(coef[x, t]) B[x, s]
+    coef[s, u]`` at ``index[e, t, u]``, the flat position of the two slots'
+    columns in the ``size x size`` block.  A slot outside the block has
+    coefficient 0 and column 0.
     """
     size = int(keep.sum())
     kept = keep[slot_col]
     col = np.where(kept, np.cumsum(keep)[slot_col] - 1, 0)
     coef = np.where(kept, slot_coef, 0.0)
-    live = (coef != 0).any(axis=1)
-    pick = np.flatnonzero(live[row] & live[orbit])
-    row, orbit, entries = row[pick], orbit[pick], entries[pick]
     index = (col[row][:, :, None] * size + col[orbit][:, None, :]).ravel()
+    # The plan holds one index per block, so it takes half the memory of
+    # int64; a block has at most m/N <= 32768 rows, so size^2 fits.
+    return size, coef, index.astype(np.int32)
+
+
+def _assemble(
+    block: tuple[int, np.ndarray, np.ndarray],
+    row: np.ndarray,
+    orbit: np.ndarray,
+    entries: np.ndarray,
+) -> np.ndarray:
+    """The real block of :func:`_plan_block` from the entries of its
+    sector's ``B``.
+
+    One ``bincount`` sums every product ``conj(Q[x, a]) B[x, s] Q[s, b]``,
+    duplicates included.  A product with a slot outside the block is 0 and
+    leaves its sum as it is, since the sums start at +0.  The imaginary part
+    the ``bincount`` drops must be rounding: at each entry at most
+    ``REAL_FORM_TOLERANCE`` of the absolute mass of the products summed into
+    it, 0 if none.  A bound on the largest entry of ``B`` alone would not
+    hold where one entry sums thousands of them, as at one site with 4096
+    colors.
+    """
+    size, coef, index = block
     terms = (
         coef[row].conj()[:, :, None] * entries[:, None, None] * coef[orbit][:, None, :]
     ).ravel()
-    block = np.bincount(index, terms.real, size * size).reshape(size, size)
+    matrix = np.bincount(index, terms.real, size * size).reshape(size, size)
     if np.iscomplexobj(terms):
         imag = np.abs(np.bincount(index, terms.imag, size * size))
         mass = np.bincount(index, np.abs(terms), size * size)
         if np.any(imag > REAL_FORM_TOLERANCE * mass):
-            raise RuntimeError(
+            raise SolverError(
                 f"real form of a complex sector has imaginary part {imag.max():.3e}"
             )
-    return block
-
-
-def _representative_rows(
-    spec: ModelSpec, colors: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, target rank and value of every entry of ``S`` in the rows of the
-    representatives ``colors``, the states whose site-1 color is 0.
-
-    Every entry is ``sqrt(P_xy P_yx)``, which equals
-    ``sqrt(pi_x) P_xy / sqrt(pi_y)`` under detailed balance but never divides
-    by a ``sqrt(pi)`` that underflowed.  A move at site ``i`` from color
-    ``c`` to ``c'`` sees the same neighbors as its reverse, so its entry is
-    ``sqrt((p_c' / n) (p_c / n))`` with ``p`` the conditional at that site.
-    The diagonal is the holding probability itself, which its square would
-    lose where it underflows.  Each row is sorted by target, the column
-    order of a CSR matrix.
-
-    The kernel's row table holds the same moves, but a spectrum read from it
-    would turn a corrupted table, which fails ``verify``'s detailed-balance
-    check, into a ``RuntimeError`` of the eigensolve.
-    """
-    cols, forward, own = transition_rows(spec, colors)
-    backward = np.repeat(own, spec.num_colors - 1, axis=1) / spec.n
-    values = np.column_stack([forward[:, 0], np.sqrt(forward[:, 1:] * backward)])
-    order = np.argsort(cols, axis=1)
-    targets = np.take_along_axis(cols, order, axis=1).ravel()
-    values = np.take_along_axis(values, order, axis=1).ravel()
-    return np.repeat(np.arange(len(colors)), cols.shape[1]), targets, values
+    return matrix
 
 
 def _color_group(
     num_colors: int,
 ) -> tuple[Callable, np.ndarray, list[tuple[int, np.ndarray, int]]]:
-    """The free color group whose sectors ``_sector_blocks`` solves.
+    """The free color group whose sectors a :class:`SectorPlan` solves.
 
     Returns ``(translate, inverse, sectors)``.  ``translate(c, j)`` applies
     to color ``c`` the group element ``j``, the one that takes color 0 to
@@ -251,18 +247,27 @@ def _color_group(
     return (lambda c, j: (c + j) % num_colors), -elements % num_colors, sectors
 
 
-def _sector_blocks(
-    spec: ModelSpec, colors: np.ndarray
-) -> Iterator[tuple[int, np.ndarray, int]]:
-    """Sector, real symmetric block and multiplicity of each block of ``S``.
+class SectorPlan:
+    """The real symmetric blocks of ``S`` at one ``(n, N)``, for any
+    temperature.
 
-    The states whose site-1 color is 0, ``colors``, represent the orbits of
-    the free color group ``G`` of ``_color_group``.  A column ``y`` is its
-    orbit's representative ``s`` translated by ``j = y // (m/N)``, its site-1
-    color, and ``s`` is representative ``y % (m/N)`` with its tail
-    translated by ``j^-1``, so sector ``k`` holds
-    ``sum_j S[x, j(s)] chi_k(j)`` at ``[x, s]``.  Only one sector of each
-    isospectral class is built; its blocks carry the class's multiplicity.
+    Building the plan enumerates the representatives and fixes which entry
+    of ``S`` goes where in which block; none of that reads the temperature.
+    It keeps each sector's character and, per block, its size, the basis
+    coefficient of every representative and the flat position of every
+    entry's products.  :meth:`blocks` then evaluates the entries at one
+    temperature, multiplies each by the character of its column's
+    translation and sums the products into each block with one
+    ``bincount``.
+
+    The ``N^(n-1)`` states whose site-1 color is 0, ``colors``, represent
+    the orbits of the free color group ``G`` of ``_color_group``.  A column
+    ``y`` is its orbit's representative ``s`` translated by
+    ``j = y // (m/N)``, its site-1 color, and ``s`` is representative
+    ``y % (m/N)`` with its tail translated by ``j^-1``, so sector ``k``
+    holds ``sum_j S[x, j(s)] chi_k(j)`` at ``[x, s]``.  Only one sector of
+    each isospectral class is built; its blocks carry the class's
+    multiplicity.
 
     Reversing the sites commutes with both ``S`` and ``G``.  In sector ``k``
     it maps ``e_s`` to ``chi_k(s_n^-1) e_s'``, where ``s'`` is the reversal
@@ -288,67 +293,114 @@ def _sector_blocks(
     ``q_a`` for ``lam = -1`` and ``(q_a - lam q_b) / sqrt(2)``.  Empty
     blocks are skipped, so ``N = 2``, where the reflection is the identity,
     has no odd ones.
+
+    Attributes:
+        colors: The representatives' color rows, ranks ``0 .. m/N - 1`` of
+            the :func:`~spectral_gibbs.model.colors_table`.
+        row, targets: Row and target rank of every entry of ``S`` in the
+            representatives' rows, each row sorted by target, the column
+            order of a CSR matrix.
+        orbit: The representative of the orbit of each target.
     """
-    num_colors = spec.num_colors
-    reps = len(colors)
-    translate, inverse, sectors = _color_group(num_colors)
-    row, targets, values = _representative_rows(spec, colors)
-    places = num_colors ** np.arange(spec.n - 1, -1, -1)
-    shift = targets // reps
-    orbit = translate(colors[targets % reps, 1:], inverse[shift][:, None]) @ places[1:]
-    ranks = np.arange(reps)
-    last = colors[:, -1]
-    mirror = translate(colors[:, ::-1], inverse[last][:, None]) @ places
-    reflect = -colors % num_colors @ places
-    half = np.sqrt(0.5)
-    for k, roots, multiplicity in sectors:
-        real = not np.iscomplexobj(roots)
-        entries = values * roots[shift]
-        reversal = roots[inverse[last]]
-        for sign in (1.0, -1.0):
-            lead = np.flatnonzero(
-                (ranks < mirror) | (ranks == mirror) & (sign * reversal.real > 0)
-            )
-            if lead.size == 0:
-                continue
-            # Column and coefficient of each representative in q; zero
-            # coefficients for the fixed points of the other half.
-            index = np.arange(lead.size)
-            column = np.zeros(reps, dtype=np.int64)
-            coef = np.zeros(reps, dtype=roots.dtype)
-            column[mirror[lead]] = column[lead] = index
-            coef[mirror[lead]] = sign * half * reversal[lead]
-            coef[lead] = np.where(mirror[lead] == lead, 1.0, half)
-            partner = column[reflect[lead]]
-            lam = coef[lead] / coef[reflect[lead]]
-            # A representative in column a sits in both columns of its pair:
-            # slot 0 in the lower one, slot 1 in the upper one.
-            paired, upper = index != partner, index > partner
-            unit = 1.0 if real else 1j
-            fixed = 1.0 if real else np.sqrt(lam)
-            weights = np.stack(
-                [
-                    np.where(paired, half * np.where(upper, lam, 1.0), fixed),
-                    np.where(paired, unit * half * np.where(upper, -lam, 1.0), 0.0),
-                ],
-                axis=1,
-            )
-            ends = np.stack([np.minimum(index, partner), np.maximum(index, partner)], 1)
-            slot_col, slot_coef = ends[column], weights[column] * coef[:, None]
-            if not real:
-                keep = np.ones(lead.size, dtype=bool)
-                block = _assemble(row, orbit, entries, slot_col, slot_coef, keep)
-                yield k, block, multiplicity
-                continue
-            even = np.where(paired, ~upper, lam > 0)
-            for keep in (even, ~even):
-                if keep.any():
-                    # At most one slot of a representative lies in this block.
-                    lower = keep[slot_col[:, :1]]
-                    cols = np.where(lower, slot_col[:, :1], slot_col[:, 1:])
-                    coefs = np.where(lower, slot_coef[:, :1], slot_coef[:, 1:])
-                    block = _assemble(row, orbit, entries, cols, coefs, keep)
-                    yield k, block, multiplicity
+
+    def __init__(self, spec: ModelSpec) -> None:
+        """The plan of ``spec.n`` and ``spec.num_colors``; ``spec.temp`` is
+        not read."""
+        num_colors = spec.num_colors
+        reps = num_colors ** (spec.n - 1)
+        self.colors = colors = color_rows(spec, reps)
+        cols, self._moves = move_targets(spec, colors)
+        self._order = np.argsort(cols, axis=1)
+        self.row = row = np.repeat(np.arange(reps), cols.shape[1])
+        self.targets = targets = np.take_along_axis(cols, self._order, axis=1).ravel()
+        translate, inverse, sectors = _color_group(num_colors)
+        places = num_colors ** np.arange(spec.n - 1, -1, -1)
+        self._shift = shift = targets // reps
+        self.orbit = orbit = (
+            translate(colors[targets % reps, 1:], inverse[shift][:, None]) @ places[1:]
+        )
+        ranks = np.arange(reps)
+        last = colors[:, -1]
+        mirror = translate(colors[:, ::-1], inverse[last][:, None]) @ places
+        reflect = -colors % num_colors @ places
+        half = np.sqrt(0.5)
+        self._sectors = []
+        for k, roots, multiplicity in sectors:
+            real = not np.iscomplexobj(roots)
+            blocks = []
+            self._sectors.append((k, multiplicity, roots, blocks))
+            reversal = roots[inverse[last]]
+            for sign in (1.0, -1.0):
+                lead = np.flatnonzero(
+                    (ranks < mirror) | (ranks == mirror) & (sign * reversal.real > 0)
+                )
+                if lead.size == 0:
+                    continue
+                # Column and coefficient of each representative in q; zero
+                # coefficients for the fixed points of the other half.
+                index = np.arange(lead.size)
+                column = np.zeros(reps, dtype=np.int64)
+                coef = np.zeros(reps, dtype=roots.dtype)
+                column[mirror[lead]] = column[lead] = index
+                coef[mirror[lead]] = sign * half * reversal[lead]
+                coef[lead] = np.where(mirror[lead] == lead, 1.0, half)
+                partner = column[reflect[lead]]
+                lam = coef[lead] / coef[reflect[lead]]
+                # A representative in column a sits in both columns of its
+                # pair: slot 0 in the lower one, slot 1 in the upper one.
+                paired, upper = index != partner, index > partner
+                unit = 1.0 if real else 1j
+                fixed = 1.0 if real else np.sqrt(lam)
+                weights = np.stack(
+                    [
+                        np.where(paired, half * np.where(upper, lam, 1.0), fixed),
+                        np.where(paired, unit * half * np.where(upper, -lam, 1.0), 0.0),
+                    ],
+                    axis=1,
+                )
+                ends = np.stack([np.minimum(index, partner), np.maximum(index, partner)], 1)
+                slot_col, slot_coef = ends[column], weights[column] * coef[:, None]
+                if not real:
+                    keep = np.ones(lead.size, dtype=bool)
+                    blocks.append(_plan_block(row, orbit, slot_col, slot_coef, keep))
+                    continue
+                even = np.where(paired, ~upper, lam > 0)
+                for keep in (even, ~even):
+                    if keep.any():
+                        # At most one slot of a representative lies in this block.
+                        lower = keep[slot_col[:, :1]]
+                        cols = np.where(lower, slot_col[:, :1], slot_col[:, 1:])
+                        coefs = np.where(lower, slot_coef[:, :1], slot_coef[:, 1:])
+                        blocks.append(_plan_block(row, orbit, cols, coefs, keep))
+
+    def values(self, spec: ModelSpec) -> np.ndarray:
+        """The entry of ``S`` at every ``[row, target]`` at ``spec.temp``.
+
+        Every entry is ``sqrt(P_xy P_yx)``, which equals
+        ``sqrt(pi_x) P_xy / sqrt(pi_y)`` under detailed balance but never
+        divides by a ``sqrt(pi)`` that underflowed.  A move at site ``i``
+        from color ``c`` to ``c'`` sees the same neighbors as its reverse, so
+        its entry is ``sqrt((p_c' / n) (p_c / n))`` with ``p`` the
+        conditional at that site.  The diagonal is the holding probability
+        itself, which its square would lose where it underflows.
+
+        The kernel's row table holds the same moves, but a spectrum read from
+        it would turn a corrupted table, which fails ``verify``'s
+        detailed-balance check, into a failure of the eigensolve.
+        """
+        forward, own = transition_data(spec, self.colors, self._moves)
+        backward = np.repeat(own, spec.num_colors - 1, axis=1) / spec.n
+        values = np.column_stack([forward[:, 0], np.sqrt(forward[:, 1:] * backward)])
+        return np.take_along_axis(values, self._order, axis=1).ravel()
+
+    def blocks(self, spec: ModelSpec) -> Iterator[tuple[int, np.ndarray, int]]:
+        """Sector, real symmetric block and multiplicity of each block of
+        ``S`` at ``spec.temp``; ``spec`` has the plan's ``(n, N)``."""
+        values = self.values(spec)
+        for k, multiplicity, roots, blocks in self._sectors:
+            entries = values * roots[self._shift]
+            for block in blocks:
+                yield k, _assemble(block, self.row, self.orbit, entries), multiplicity
 
 
 def _two_color_beta1(spec: ModelSpec) -> float:
@@ -363,35 +415,48 @@ def _two_color_beta1(spec: ModelSpec) -> float:
     return 1.0 - (1.0 - alpha.max()) / n
 
 
-def spectrum(kernel: SparseKernel) -> Spectrum:
-    """Compute ``beta1`` of the kernel.
+def spectrum_at(spec: ModelSpec, plan: SectorPlan | None) -> Spectrum:
+    """Compute ``beta1`` of ``spec`` from no kernel.
 
     At N = 2 it is the closed form of the module docstring, from one
-    ``n x n`` tridiagonal solve.  For N >= 3 it is the second largest
-    eigenvalue of the dense blocks of :func:`_sector_blocks`, each counted
-    for its isospectral class.
+    ``n x n`` tridiagonal solve, and ``plan`` is None.  For N >= 3 ``plan``
+    is the :class:`SectorPlan` of ``spec``'s ``(n, N)``, and ``beta1`` is the
+    second largest eigenvalue of its blocks at ``spec.temp``, each counted
+    for its isospectral class.  The caller checks :func:`spectrum_budget`.
 
     Raises:
-        BudgetExceededError: If the dimension exceeds :func:`spectrum_budget`.
-        PrecisionLimitError: If the spectral gap rounded to 0.
-        RuntimeError: If the real form of a complex sector keeps more than
+        PrecisionLimitError: If Boltzmann exponents differ past the float
+            range, or the spectral gap rounded to 0.
+        SolverError: If the real form of a complex sector keeps more than
             rounding in its imaginary part, or the block eigenvalues do not
             run from 0 to 1 within ``EIGENVALUE_TOLERANCE``.
     """
-    spec = kernel.spec
-    check_budget(spec, *spectrum_budget(spec))
+    check_exponent_range(spec)
     if spec.num_colors == 2:
         beta1 = _two_color_beta1(spec)
     else:
         parts = []
-        reps = spec.num_states // spec.num_colors
-        for _, block, multiplicity in _sector_blocks(spec, kernel.colors[:reps]):
+        for _, block, multiplicity in plan.blocks(spec):
             parts.extend([np.linalg.eigvalsh(block)] * multiplicity)
         eigs = np.concatenate(parts)
         least, beta1, leading = np.partition(eigs, [0, -2, -1])[[0, -2, -1]]
         if abs(leading - 1.0) > EIGENVALUE_TOLERANCE or least < -EIGENVALUE_TOLERANCE:
-            raise RuntimeError(
+            raise SolverError(
                 f"eigenvalues from {float(least)!r} to {float(leading)!r}, not from "
-                "0 to 1; solver failure"
+                "0 to 1"
             )
     return Spectrum(spec=spec, beta1=max(float(beta1), 0.0))
+
+
+def spectrum(kernel: SparseKernel) -> Spectrum:
+    """Compute ``beta1`` of the kernel: :func:`spectrum_at` its spec, with a
+    plan of its own.  Nothing of the kernel but its spec is read.
+
+    Raises:
+        BudgetExceededError: If the dimension exceeds :func:`spectrum_budget`.
+        PrecisionLimitError: If the spectral gap rounded to 0.
+        SolverError: If the blocks fail a check of :func:`spectrum_at`.
+    """
+    spec = kernel.spec
+    check_budget(spec, *spectrum_budget(spec))
+    return spectrum_at(spec, None if spec.num_colors == 2 else SectorPlan(spec))

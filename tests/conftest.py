@@ -20,7 +20,7 @@ from spectral_gibbs import (
     kappa_exact,
     spectrum,
 )
-from spectral_gibbs.spectral import _sector_blocks
+from spectral_gibbs.spectral import SectorPlan
 
 GRID_N = tuple(range(1, 7))
 GRID_COLORS = (2, 3, 4)
@@ -73,15 +73,11 @@ def spectrum_for(spec):
     return spectrum(kernel_for(spec))
 
 
-def block_eigenvalues(spec, colors=None):
+def block_eigenvalues(spec):
     """Every eigenvalue of the kernel, descending, from the package's symmetry
-    blocks of the representatives ``colors`` (default: the kernel's), each
-    block counted for its class."""
-    reps = spec.num_states // spec.num_colors
-    if colors is None:
-        colors = kernel_for(spec).colors[:reps]
+    blocks, each block counted for its class."""
     parts = []
-    for _, block, multiplicity in _sector_blocks(spec, colors):
+    for _, block, multiplicity in SectorPlan(spec).blocks(spec):
         parts.extend([np.linalg.eigvalsh(block)] * multiplicity)
     return np.sort(np.concatenate(parts))[::-1]
 

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 
+import csv
 import hashlib
 import json
 import re
@@ -12,9 +13,12 @@ from conftest import check_closed_form_cells, sweep_rows
 
 from spectral_gibbs import (
     ModelSpec,
+    PrecisionLimitError,
     build_kernel,
     crossover_n,
+    format_float,
     ingrassia_beta1_bound,
+    spectrum,
     theorem3_bound,
     tv_curve,
 )
@@ -637,6 +641,69 @@ def test_sweep_one_site_with_many_colors(capsys):
     for row in rows:
         assert row["skipped_exact"] == "false", row
         assert abs(float(row["exact_beta1"])) <= EIGENVALUE_TOLERANCE, row
+
+
+# Every N^n <= 4096, so no row is refused for its size.  At T = 1e-309 the
+# Boltzmann exponents are past the float range, at 0.001 most gaps rounded
+# to 0, and at 0.06 some did.
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", "1:12", "--colors", "2"], ["--n", "1:7", "--colors", "3"],
+     ["--n", "1:6", "--colors", "4"], ["--n", "1:5", "--colors", "5"],
+     ["--n", "1", "--colors", "128,129,4096"]],
+    ids=lambda argv: f"N={argv[3]}",
+)
+def test_sweep_matches_the_single_chain_path(argv, monkeypatch, capsys):
+    # sweep evaluates one plan per (n, N) at each temperature and builds no
+    # kernel; each exact cell is byte for byte what the spectrum of the
+    # chain's kernel gives, and the same rows are skipped, with no
+    # RuntimeWarning, which the pytest settings make an error.
+    def no_kernel(spec):
+        raise AssertionError("sweep built a kernel")
+
+    monkeypatch.setattr(cli, "build_kernel", no_kernel)
+    code, out = run_main(["sweep", *argv, "--temp", "1e-309,0.001,0.06,0.5,1,5"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    for row in rows:
+        spec = ModelSpec(int(row["n"]), int(row["colors"]), float(row["temp"]))
+        try:
+            want = format_float(spectrum(build_kernel(spec)).beta1), "false"
+        except PrecisionLimitError:
+            want = "", "true"
+        assert (row["exact_beta1"], row["skipped_exact"]) == want, spec
+    assert {row["skipped_exact"] for row in rows} == {"true", "false"}
+
+
+# Runs its arguments and prints their peak RSS in KiB on stderr.
+PEAK_RSS = (
+    "import resource, subprocess, sys\n"
+    "code = subprocess.run(sys.argv[1:]).returncode\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", "1", "--colors", "4096", "--temp", "1"],
+     ["--n", "13:16", "--colors", "2", "--temp", "1"]],
+    ids=["one-site", "two-color"],
+)
+def test_sweep_corners_fill_every_exact_cell_in_little_memory(argv):
+    # A kernel of one site with 4096 colors holds 4096 x 4096 tables, and
+    # one of (16, 2) enumerates 65536 states; sweep builds neither, so both
+    # stay near the interpreter's own footprint (the first peaked at
+    # 685 MiB when each row built its kernel).
+    command = [sys.executable, "-m", "spectral_gibbs", "sweep", *argv]
+    result = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, *command], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    rows = list(csv.DictReader(result.stdout.splitlines()))
+    assert rows and all(row["skipped_exact"] == "false" for row in rows)
+    peak_kib = int(result.stderr.splitlines()[-1])
+    assert peak_kib < 150 * 1024, peak_kib
 
 
 def test_sweep_skips_rows_past_the_cap_without_a_refusal(monkeypatch, capsys):

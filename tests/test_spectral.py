@@ -33,7 +33,7 @@ from spectral_gibbs import (
 from spectral_gibbs import cli, spectral
 from spectral_gibbs.model import colors_table
 from spectral_gibbs.spectral import EIGENVALUE_TOLERANCE, _color_group
-from spectral_gibbs.spectral import _representative_rows, _sector_blocks
+from spectral_gibbs.spectral import SectorPlan
 
 
 def test_single_site_spectrum():
@@ -162,7 +162,10 @@ def test_representative_rows_match_symmetrize_oracle(spec):
     # order as one assembled from the full matrix.
     kern = kernel_for(spec)
     reps = spec.num_states // spec.num_colors
-    row, targets, values = _representative_rows(spec, kern.colors[:reps])
+    plan = SectorPlan(spec)
+    assert np.array_equal(plan.colors, kern.colors[:reps])
+    assert plan.colors.dtype == kern.colors.dtype
+    row, targets, values = plan.row, plan.targets, plan.values(spec)
     oracle = symmetrize(kern)[:reps]
     assert np.all(np.diff(row * spec.num_states + targets) > 0)
     # The oracle drops the entries whose product underflowed to 0.
@@ -178,7 +181,8 @@ def test_representative_diagonal_is_holding_probability(spec):
     # square underflows to 0.
     kern = kernel_for(spec)
     reps = spec.num_states // spec.num_colors
-    row, targets, values = _representative_rows(spec, kern.colors[:reps])
+    plan = SectorPlan(spec)
+    row, targets, values = plan.row, plan.targets, plan.values(spec)
     holding = kern.matrix.diagonal()[:reps]
     assert values[row == targets].tobytes() == holding.tobytes()
 
@@ -219,7 +223,7 @@ def test_sector_spectrum_matches_dense_oracle(spec):
 )
 def test_reversal_halves_split_each_sector(spec):
     reps = spec.num_states // spec.num_colors
-    blocks = list(_sector_blocks(spec, kernel_for(spec).colors[:reps]))
+    blocks = list(SectorPlan(spec).blocks(spec))
     translate, _, sectors = _color_group(spec.num_colors)
     assert {sector for sector, _, _ in blocks} == {k for k, _, _ in sectors}
     for k, chi, _ in sectors:
@@ -266,8 +270,7 @@ def test_color_sectors_match_projection_oracle(spec):
     union = np.sort(np.concatenate(sectors))[::-1]
     assert np.abs(block_eigenvalues(spec) - union).max() <= 1e-12
     assert abs(spectrum_for(spec).beta1 - max(union[1], 0.0)) <= 1e-12
-    reps = spec.num_states // num_colors
-    blocks = list(_sector_blocks(spec, kernel_for(spec).colors[:reps]))
+    blocks = list(SectorPlan(spec).blocks(spec))
     assert {sector: mult for sector, _, mult in blocks} == Counter(solved_for)
     for k in set(solved_for):
         solved = [np.linalg.eigvalsh(block) for sector, block, _ in blocks if sector == k]
@@ -346,12 +349,13 @@ def test_spectrum_ignores_corrupted_row_table(monkeypatch):
     # spectrum, built from the conditionals, is bitwise that of the true
     # kernel: the same blocks, so every eigenvalue, and the same extremes.
     solved = []
+    blocks = SectorPlan.blocks
 
-    def recorded(spec, colors):
-        solved.append(block_eigenvalues(spec, colors).tobytes())
-        return _sector_blocks(spec, colors)
+    def recorded(plan, spec):
+        solved.append([block.tobytes() for _, block, _ in blocks(plan, spec)])
+        return blocks(plan, spec)
 
-    monkeypatch.setattr(spectral, "_sector_blocks", recorded)
+    monkeypatch.setattr(SectorPlan, "blocks", recorded)
     kern = kernel_for(ModelSpec(6, 4, 0.3))
     least = int(np.argmin(kern.pi))
     reps = kern.dimension // kern.spec.num_colors
@@ -363,8 +367,8 @@ def test_spectrum_ignores_corrupted_row_table(monkeypatch):
     assert check_detailed_balance(halved) == pytest.approx(0.5, abs=1e-12)
     expected = spectrum(kern)
     assert spectrum(halved) == expected
-    # The spectrum reads the color table only below rank m/N, the
-    # representatives: scrambling every row from there on changes nothing.
+    # The spectrum enumerates its representatives itself and reads no color
+    # table: scrambling every row from rank m/N on changes nothing.
     colors = kern.colors.copy()
     rng = np.random.default_rng(5)
     colors[reps:] = rng.integers(kern.spec.num_colors, size=colors[reps:].shape)
@@ -426,14 +430,15 @@ def test_null_space_has_dimension_n_minus_one_power(spec):
 
 
 def _bent_blocks(monkeypatch, bend):
-    """Make ``spectrum`` solve ``bend(block)`` in place of every block."""
-    blocks = spectral._sector_blocks
+    """Make every solve of a :class:`SectorPlan` see ``bend(block)`` in place
+    of each block."""
+    blocks = SectorPlan.blocks
 
-    def bent(spec, colors):
-        for k, block, multiplicity in blocks(spec, colors):
+    def bent(plan, spec):
+        for k, block, multiplicity in blocks(plan, spec):
             yield k, bend(block), multiplicity
 
-    monkeypatch.setattr(spectral, "_sector_blocks", bent)
+    monkeypatch.setattr(SectorPlan, "blocks", bent)
 
 
 def test_spectrum_refuses_leading_eigenvalue_off_one(monkeypatch):
@@ -453,6 +458,26 @@ def test_spectrum_refuses_negative_eigenvalue(monkeypatch):
     _bent_blocks(monkeypatch, lambda block: block - 1e-12 * (np.eye(len(block)) - block))
     with pytest.raises(RuntimeError, match="from -1.0.*e-12 to"):
         spectrum(kernel_for(spec))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--n", "3", "--colors", "3", "--temp", "1"],
+     ["sweep", "--n", "3", "--colors", "3", "--temp", "1,2"]],
+    ids=lambda argv: argv[0],
+)
+def test_solver_failure_prints_one_line(argv, monkeypatch, capsys):
+    # A solve that fails its own check is neither a resource nor a precision
+    # limit: the command prints one line, no traceback, and exits 1, the
+    # code of a failed verification.  sweep shares one plan across its
+    # temperatures and fails the same way.
+    _bent_blocks(monkeypatch, lambda block: block - 1e-12 * (np.eye(len(block)) - block))
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("solver failure: eigenvalues from -1.0"), lines[0]
 
 
 def test_spectrum_refuses_complex_real_form(monkeypatch):
@@ -478,7 +503,7 @@ def test_one_site_real_form_sums_thousands_of_terms():
     # is rounding of the mass summed, 1, though it is above 1e-12 of the
     # largest term.
     spec = ModelSpec(1, 4096, 1.0)
-    blocks = list(_sector_blocks(spec, colors_table(spec)[:1]))
+    blocks = list(SectorPlan(spec).blocks(spec))
     assert sum(multiplicity for _, _, multiplicity in blocks) == 4096
     for k, block, _ in blocks:
         assert block.shape == (1, 1)
