@@ -27,10 +27,10 @@ print(f"spectral gap 1 - beta1 = {1 - spect.beta1:.6e}\n")
 kappa = kappa_exact(spec)
 report = assemble_report(kernel, spect, kappa)
 print("exact values against each bound:")
-print(f"  beta1 exact                  {report.exact['beta1']:.10f}")
-print(f"  congestion bound 1 - 1/kappa {report.kappa['poincare_beta1']:.10f}")
-print(f"  closed-form bound            {report.bounds['theorem3']:.10f}")
-print(f"  comparison bound             {report.bounds['ingrassia_beta1']:.10f}")
+print(f"  beta1 exact                  {report['exact']['beta1']:.10f}")
+print(f"  congestion bound 1 - 1/kappa {report['kappa']['poincare_beta1']:.10f}")
+print(f"  closed-form bound            {report['bounds']['theorem3']:.10f}")
+print(f"  comparison bound             {report['bounds']['ingrassia_beta1']:.10f}")
 print()
 
 print("full report as the CLI prints it:\n")

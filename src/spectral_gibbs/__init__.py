@@ -44,7 +44,6 @@ from .paths import (
     worst_alpha_beta,
 )
 from .bounds import (
-    BoundReport,
     assemble_report,
     crossover_n,
     ds_tv_envelope,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "BoundReport",
     "CertificateSummary",
     "DENSE_SOLVE_BUDGET",
     "EXACT_STATES_BUDGET",

@@ -12,15 +12,14 @@ distance between two distributions.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .model import EIGENVALUE_TOLERANCE, LOG_FLOAT_MAX, ROUNDING_TOLERANCE
 from .kernel import SparseKernel
-from .spectral import EIGENVALUE_TOLERANCE, Spectrum
-from .paths import _LOG_FLOAT_MAX, CLOSED_FORM_RTOL, KappaResult, kappa_closed_form
+from .spectral import Spectrum
+from .paths import KappaResult, kappa_closed_form
 from .serialize import canonical_json
 
 
@@ -120,7 +119,7 @@ def theta(n: int, num_colors: int, temp: float) -> float:
         decay = scale * (n - 1) * log_ratio
     except OverflowError:  # n is past the float range: multiply in logs
         log_decay = math.log(scale) + math.log(n - 1) + math.log(-log_ratio)
-        decay = -math.exp(min(log_decay, _LOG_FLOAT_MAX))
+        decay = -math.exp(min(log_decay, LOG_FLOAT_MAX))
     try:
         return math.exp((log_head + decay) / scale)
     except OverflowError:
@@ -170,50 +169,14 @@ def kappa_vs_beta1(beta1: float, kappa: float) -> tuple[float, bool]:
 
 def kappa_vs_closed_form(kappa: float, closed_form: float) -> tuple[float, bool]:
     """Margin of ``kappa <= closed_form``, and whether it holds within
-    ``CLOSED_FORM_RTOL`` of the closed form."""
+    ``ROUNDING_TOLERANCE`` of the closed form."""
     margin = closed_form - kappa
-    return margin, margin >= -CLOSED_FORM_RTOL * closed_form
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Every closed-form bound, the exact quantities, and the verdicts, in
-    the groups and key order that ``bounds --format json`` prints.
-
-    Attributes:
-        model: The chain: ``n``, ``colors`` and ``temp``.
-        exact: ``beta1`` of the exact spectrum, and ``log_z``, the log of
-            the normalizing constant.  The kernel is positive semidefinite,
-            so ``beta1`` is also the paper's rate, the largest modulus of an
-            eigenvalue other than the leading 1, and every bound on
-            ``beta1`` bounds it.
-        bounds: ``theorem2`` (the paper's three-color bound: ``theorem3``
-            at ``N = 3``, else None), ``theorem3``, ``ingrassia_beta1``,
-            the gap-term ratio ``theta`` and ``crossover_n``, the real
-            length where it crosses 1.
-        kappa: The ``exact`` congestion constant, its ``closed_form`` upper
-            bound, and ``poincare_beta1 = 1 - 1/exact``.
-        envelope: The envelope's ``start_state``, the rank of the least
-            likely state, which maximizes the envelope prefactor, and its
-            stationary probability ``pi_start``; its rate is ``beta1``.
-        verdicts: "pass" or "fail" per dominance relation.
-    """
-
-    model: dict
-    exact: dict
-    bounds: dict
-    kappa: dict
-    envelope: dict
-    verdicts: dict[str, str]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(v == "pass" for v in self.verdicts.values())
+    return margin, margin >= -ROUNDING_TOLERANCE * closed_form
 
 
 def assemble_report(
     kernel: SparseKernel, spectrum: Spectrum, kappa: KappaResult
-) -> BoundReport:
+) -> dict[str, dict]:
     """Evaluate every bound for one chain, compare it against exact data,
     and build each group of the report once.
 
@@ -221,6 +184,27 @@ def assemble_report(
         kernel: Built kernel; its spec names the chain.
         spectrum: Exact spectrum of that kernel, whose gap is resolved.
         kappa: Exact congestion result for that kernel.
+
+    Returns:
+        The report's groups, in the order that ``bounds --format json``
+        prints them:
+
+        - ``model``: the chain's ``n``, ``colors`` and ``temp``.
+        - ``exact``: ``beta1`` of the exact spectrum, and ``log_z``, the log
+          of the normalizing constant.  The kernel is positive
+          semidefinite, so ``beta1`` is also the paper's rate, the largest
+          modulus of an eigenvalue other than the leading 1, and every
+          bound on ``beta1`` bounds it.
+        - ``bounds``: ``theorem2`` (the paper's three-color bound:
+          ``theorem3`` at ``N = 3``, else None), ``theorem3``,
+          ``ingrassia_beta1``, the gap-term ratio ``theta`` and
+          ``crossover_n``, the real length where it crosses 1.
+        - ``kappa``: the ``exact`` congestion constant, its ``closed_form``
+          upper bound, and ``poincare_beta1 = 1 - 1/exact``.
+        - ``envelope``: the envelope's ``start_state``, the rank of the
+          least likely state, which maximizes the envelope prefactor, and
+          its stationary probability ``pi_start``; its rate is ``beta1``.
+        - ``verdicts``: "pass" or "fail" per dominance relation.
 
     Raises:
         ValueError: If the spectrum or kappa come from another chain.
@@ -250,31 +234,34 @@ def assemble_report(
     passed["kappa_vs_closed_form"] = kappa_vs_closed_form(kappa.kappa, closed)[1]
     improvement = bounds["theta"] < 1.0
     agrees = improvement == (thm3 < bounds["ingrassia_beta1"])
-    passed["theta_consistency"] = agrees or abs(bounds["theta"] - 1.0) <= 1e-12
+    at_one = abs(bounds["theta"] - 1.0) <= ROUNDING_TOLERANCE
+    passed["theta_consistency"] = agrees or at_one
     verdicts = {name: "pass" if ok else "fail" for name, ok in passed.items()}
 
-    return BoundReport(
-        model={"n": n, "colors": num_colors, "temp": float(temp)},
-        exact={"beta1": spectrum.beta1, "log_z": kernel.log_z},
-        bounds=bounds,
-        kappa={
+    return {
+        "model": {"n": n, "colors": num_colors, "temp": float(temp)},
+        "exact": {"beta1": spectrum.beta1, "log_z": kernel.log_z},
+        "bounds": bounds,
+        "kappa": {
             "exact": kappa.kappa,
             "closed_form": closed,
             "poincare_beta1": 1.0 - 1.0 / kappa.kappa,
         },
-        envelope={
+        "envelope": {
             "start_state": start,
             "pi_start": float(kernel.pi[start]),
         },
-        verdicts=verdicts,
-    )
+        "verdicts": verdicts,
+    }
 
 
-def report_to_dict(report: BoundReport) -> dict:
-    """JSON-ready form of a report: its groups in order, then ``all_passed``."""
-    return {**dataclasses.asdict(report), "all_passed": report.all_passed}
+def report_to_dict(report: dict[str, dict]) -> dict:
+    """JSON-ready form of a report: its groups in order, then
+    ``all_passed``, whether every verdict is "pass"."""
+    all_passed = all(v == "pass" for v in report["verdicts"].values())
+    return {**report, "all_passed": all_passed}
 
 
-def report_to_json(report: BoundReport) -> str:
+def report_to_json(report: dict[str, dict]) -> str:
     """Serialized form of :func:`report_to_dict`."""
     return canonical_json(report_to_dict(report))

@@ -25,7 +25,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .model import BudgetExceededError, ModelSpec, PrecisionLimitError
+from .model import ROUNDING_TOLERANCE, BudgetExceededError, ModelSpec
+from .model import PrecisionLimitError
 from .kernel import SparseKernel, conditional_table, reverse_data, successor_table
 from .kernel import build_kernel  # noqa: F401 -- perfbench/spans.py wraps this name
 from .spectral import spectrum as compute_spectrum
@@ -249,8 +250,9 @@ class TvCurve:
 
     @property
     def within_envelope(self) -> bool:
-        """Whether ``exact_tv <= envelope + 1e-12`` holds at every step."""
-        return bool(np.all(self.exact_tv <= self.envelope + 1e-12))
+        """Whether ``exact_tv <= envelope + ROUNDING_TOLERANCE`` holds at
+        every step."""
+        return bool(np.all(self.exact_tv <= self.envelope + ROUNDING_TOLERANCE))
 
     def to_rows(self) -> tuple[list[str], list[list]]:
         header = ["k", "exact_tv", "envelope", "mc_tv"]

@@ -41,6 +41,7 @@ import sys
 import numpy as np
 
 from .model import (
+    ROUNDING_TOLERANCE,
     BudgetExceededError,
     ModelSpec,
     PrecisionLimitError,
@@ -153,9 +154,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     spectrum = compute_spectrum(kernel)
     kappa = kappa_exact(kernel.spec)
     report = assemble_report(kernel, spectrum, kappa)
+    payload = report_to_dict(report)
     if args.format == "csv":
         # One row: every group's keys as "group.key", then all_passed.
-        payload = report_to_dict(report)
         cells = {
             f"{group}.{key}": value
             for group, values in payload.items()
@@ -167,7 +168,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     else:
         text = report_to_json(report)
     _emit(text, args.out)
-    return 0 if report.all_passed else 1
+    return 0 if payload["all_passed"] else 1
 
 
 def _check(name: str, margin, passed, checked: int | None = None) -> dict:
@@ -195,9 +196,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         kappa.kappa, kappa_closed_form(spec)
     )
     checks = [
-        _check("row-sums", row_error, row_error <= 1e-12),
-        _check("detailed-balance", asym, asym <= 1e-12),
-        _check("stationarity", residual, residual <= 1e-12),
+        _check("row-sums", row_error, row_error <= ROUNDING_TOLERANCE),
+        _check("detailed-balance", asym, asym <= ROUNDING_TOLERANCE),
+        _check("stationarity", residual, residual <= ROUNDING_TOLERANCE),
         _check("irreducible", None, connected),
         _check("slice-identities", slices.max_error, slices.passed, slices.checked),
         _check(

@@ -12,10 +12,16 @@ also the one place that enforces ``EXACT_STATES_BUDGET``; its row ``r`` is
 the color vector of rank ``r``.  :func:`color_rows` enumerates a prefix of
 it, such as the ``N^(n-1)`` states whose first color is 0.  The energies
 and the stationary measure are computed from that table.
+
+The module also defines the package's two tolerances, under which every
+verdict is decided: ``EIGENVALUE_TOLERANCE`` for comparisons of an exact
+eigenvalue and ``ROUNDING_TOLERANCE`` for every other one.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +31,21 @@ import numpy as np
 EXACT_STATES_BUDGET = 65536
 # The spectrum refuses N >= 3 chains, whose blocks are solved densely, above this.
 DENSE_SOLVE_BUDGET = 4096
+
+# The room every comparison of an exact eigenvalue gets: the solved ends of
+# the spectrum miss 0 and 1 by at most 3.1e-15 at N = 3..4096 and T from
+# 0.02 to 1000, and beta1 at N = 2 by 2.8e-15, so this leaves 30x headroom.
+# It stays below ROUNDING_TOLERANCE, since more room would widen the set of
+# chains whose Poincare and Theorem 3 verdicts cannot fail.
+EIGENVALUE_TOLERANCE = 1e-13
+# The room of every other comparison, relative to the quantity compared or
+# absolute on a quantity at most 1: row sums, detailed balance,
+# stationarity, slice identities, edge certificates, kappa against its
+# closed form and its witness ties, the real form's imaginary part, the TV
+# envelope and theta at 1.  Over N = 2..8 with N^n <= 4096 (n <= 16 at
+# N = 2) and T from 0.06 to 100 they round to at most 2.3e-13, the slice
+# identities at (16, 2, 0.5), so this leaves 4x headroom.
+ROUNDING_TOLERANCE = 1e-12
 
 
 class BudgetExceededError(RuntimeError):
@@ -86,6 +107,10 @@ def check_budget(spec: ModelSpec, limit: int, operation: str) -> None:
             f"{operation} would touch {spec.num_colors}^{spec.n} states, "
             f"exceeding its budget of {limit}"
         )
+
+
+# Log of the largest finite float64.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def check_exponent_range(spec: ModelSpec) -> None:

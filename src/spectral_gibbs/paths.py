@@ -33,12 +33,12 @@ the slice identities summed state by state, are kept as test oracles.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, PrecisionLimitError, color_letter
+from .model import LOG_FLOAT_MAX, ROUNDING_TOLERANCE, ModelSpec, PrecisionLimitError
+from .model import color_letter
 from .model import colors_table  # noqa: F401 -- perfbench/spans.py wraps this name
 from .kernel import SparseKernel, local_conditionals, local_scores
 from .kernel import conditional_table  # noqa: F401 -- and this one
@@ -83,15 +83,6 @@ class KappaResult:
     patterns: np.ndarray
 
 
-# A ratio may exceed its closed-form bound only by rounding, relative to the
-# bound: the edge certificates and the kappa verdict allow this much.
-CLOSED_FORM_RTOL = 1e-12
-# The witness is chosen among the patterns whose ratio is within this
-# relative distance of kappa, so last-digit rounding cannot pick between
-# edges that symmetry makes equally loaded.
-WITNESS_RTOL = 1e-12
-
-
 def _marginal(p: np.ndarray, sites) -> np.ndarray:
     """Marginal of ``p`` (indexed by site colors) on ``sites``.
 
@@ -116,8 +107,9 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
     Past the neighbors each term is largest, ``1 - 1/N + rho^d/N`` at
     distance ``d``, where ``z_j`` differs from ``c`` (left) or ``c'``
     (right).  The table costs ``O(n N^4)`` and needs no kernel.  The witness
-    is the first pattern in table order within a relative ``WITNESS_RTOL``
-    of kappa.
+    is the first pattern in table order within a relative
+    ``ROUNDING_TOLERANCE`` of kappa, so last-digit rounding cannot pick
+    between edges that symmetry makes equally loaded.
 
     Raises:
         PrecisionLimitError: Where :func:`kappa_closed_form` would be past
@@ -146,7 +138,7 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
     patterns.flags.writeable = False
 
     kappa = float(patterns.max())
-    first = np.argmax(patterns >= (1.0 - WITNESS_RTOL) * kappa)
+    first = np.argmax(patterns >= (1.0 - ROUNDING_TOLERANCE) * kappa)
     index = np.unravel_index(first, patterns.shape)
     i, left, right, color_from, color_to = map(int, index)
     edge = EdgeLoad(
@@ -158,10 +150,6 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
         right=right - 1 if right else None,
     )
     return KappaResult(spec=spec, kappa=kappa, argmax_edge=edge, patterns=patterns)
-
-
-# Log of the largest finite float64.
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _check_float_range(spec: ModelSpec) -> None:
@@ -176,7 +164,7 @@ def _check_float_range(spec: ModelSpec) -> None:
     """
     n, num_colors = spec.n, spec.num_colors
     log_bound = math.log(max(1.0, n * n / num_colors) * num_colors) + 4.0 / spec.temp
-    if log_bound >= _LOG_FLOAT_MAX:
+    if log_bound >= LOG_FLOAT_MAX:
         raise PrecisionLimitError(
             f"the closed-form bound (n^2/N)(N-1+e^(4/T)) is past the float range "
             f"at temp {spec.temp!r}"
@@ -234,7 +222,7 @@ class WorstFactors:
     Attributes:
         value: The maximum of the factor.
         argmax: The patterns ``(left, right, color_from, color_to)`` within a
-            relative ``WITNESS_RTOL`` of it, in row-major order.
+            relative ``ROUNDING_TOLERANCE`` of it, in row-major order.
         closed_form: ``N - 1 + e^{4/T}``.
     """
 
@@ -247,7 +235,8 @@ def worst_alpha_beta(spec: ModelSpec) -> WorstFactors:
     """Scan every neighbor-color pattern of an interior edge for the worst factor.
 
     Patterns that symmetry makes equal can differ in the last digit, so every
-    pattern within a relative ``WITNESS_RTOL`` of the maximum is returned.
+    pattern within a relative ``ROUNDING_TOLERANCE`` of the maximum is
+    returned.
 
     Raises:
         PrecisionLimitError: Where :func:`kappa_closed_form` would be past
@@ -258,7 +247,7 @@ def worst_alpha_beta(spec: ModelSpec) -> WorstFactors:
     edges = ~np.eye(spec.num_colors, dtype=bool)
     sums = np.where(edges, alpha / cond, 0.0)[1:, 1:]
     best = float(sums.max())
-    tied = np.argwhere(sums >= (1.0 - WITNESS_RTOL) * best)
+    tied = np.argwhere(sums >= (1.0 - ROUNDING_TOLERANCE) * best)
     return WorstFactors(
         value=best,
         argmax=tuple(map(tuple, tied.tolist())),
@@ -275,8 +264,8 @@ class CertificateSummary:
         min_slack: Least ``bound - ratio`` over them; the bound is
             ``(n^2/N) alpha/p`` at an interior site, the boundary closed
             form at site 1 or n.
-        all_passed: Whether every slack is at least ``-CLOSED_FORM_RTOL``
-            times its bound.
+        all_passed: Whether every slack is at least
+            ``-ROUNDING_TOLERANCE`` times its bound.
     """
 
     num_edges: int
@@ -294,7 +283,8 @@ def certify_all_edges(result: KappaResult) -> CertificateSummary:
     ``(alpha/p) L <= n (N-1+e^{2/T})``.  Every edge of a neighbor pattern
     has the pattern's bound and at most its worst ratio, so comparing the
     two certifies all ``N^n n (N-1)`` directed edges.  An edge passes when
-    its slack is at least ``-CLOSED_FORM_RTOL`` times its bound.
+    its slack is at least ``-ROUNDING_TOLERANCE`` times its bound: a ratio
+    may exceed its bound only by rounding.
     """
     spec = result.spec
     n, num_colors = spec.n, spec.num_colors
@@ -305,7 +295,7 @@ def certify_all_edges(result: KappaResult) -> CertificateSummary:
     return CertificateSummary(
         num_edges=spec.num_states * n * (num_colors - 1),
         min_slack=float(slack.min()),
-        all_passed=bool(np.all(slack >= -CLOSED_FORM_RTOL * bounds)),
+        all_passed=bool(np.all(slack >= -ROUNDING_TOLERANCE * bounds)),
     )
 
 
@@ -330,7 +320,7 @@ class SliceIdentityReport:
             ``c = c'`` slots of both, which are no edge.
         max_error: Largest deviation among all the identities.
         checked: The ``(n-1) N (N-1)`` sites and color pairs checked.
-        passed: ``max_error <= 1e-12``.
+        passed: ``max_error <= ROUNDING_TOLERANCE``.
     """
 
     w_slice_sums: np.ndarray
@@ -339,9 +329,6 @@ class SliceIdentityReport:
     max_error: float
     checked: int
     passed: bool
-
-
-SLICE_TOLERANCE = 1e-12
 
 
 def verify_slice_identities(kernel: SparseKernel) -> SliceIdentityReport:
@@ -392,7 +379,7 @@ def verify_slice_identities(kernel: SparseKernel) -> SliceIdentityReport:
         b_prime=b_prime,
         max_error=max_error,
         checked=(n - 1) * num_colors * (num_colors - 1),
-        passed=max_error <= SLICE_TOLERANCE,
+        passed=max_error <= ROUNDING_TOLERANCE,
     )
 
 

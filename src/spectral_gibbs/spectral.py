@@ -103,18 +103,11 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .model import DENSE_SOLVE_BUDGET, EXACT_STATES_BUDGET, PrecisionLimitError
-from .model import ModelSpec, SolverError, check_budget, check_exponent_range, color_rows
+from .model import DENSE_SOLVE_BUDGET, EIGENVALUE_TOLERANCE, EXACT_STATES_BUDGET
+from .model import ROUNDING_TOLERANCE, ModelSpec, PrecisionLimitError, SolverError
+from .model import check_budget, check_exponent_range, color_rows
 from .kernel import SparseKernel, move_targets, transition_data
 from .kernel import check_detailed_balance  # noqa: F401 -- perfbench/spans.py wraps this name
-
-# The real form of a complex sector may drop an imaginary part up to this
-# fraction of the absolute mass summed into each block entry.
-REAL_FORM_TOLERANCE = 1e-12
-# The room every comparison of an exact eigenvalue gets.  The solved ends of
-# the spectrum miss 0 and 1 by at most 3.1e-15 at N = 3..4096 and T from
-# 0.02 to 1000, and beta1 at N = 2 by 2.8e-15, so this leaves 30x headroom.
-EIGENVALUE_TOLERANCE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -190,7 +183,7 @@ def _assemble(
     duplicates included.  A product with a slot outside the block is 0 and
     leaves its sum as it is, since the sums start at +0.  The imaginary part
     the ``bincount`` drops must be rounding: at each entry at most
-    ``REAL_FORM_TOLERANCE`` of the absolute mass of the products summed into
+    ``ROUNDING_TOLERANCE`` of the absolute mass of the products summed into
     it, 0 if none.  A bound on the largest entry of ``B`` alone would not
     hold where one entry sums thousands of them, as at one site with 4096
     colors.
@@ -203,7 +196,7 @@ def _assemble(
     if np.iscomplexobj(terms):
         imag = np.abs(np.bincount(index, terms.imag, size * size))
         mass = np.bincount(index, np.abs(terms), size * size)
-        if np.any(imag > REAL_FORM_TOLERANCE * mass):
+        if np.any(imag > ROUNDING_TOLERANCE * mass):
             raise SolverError(
                 f"real form of a complex sector has imaginary part {imag.max():.3e}"
             )

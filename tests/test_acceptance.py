@@ -31,7 +31,7 @@ from spectral_gibbs import (
     verify_slice_identities,
     worst_alpha_beta,
 )
-from spectral_gibbs.spectral import EIGENVALUE_TOLERANCE
+from spectral_gibbs.model import EIGENVALUE_TOLERANCE
 from spectral_gibbs.cli import main as cli_main
 
 GRID = grid_specs(max_states=4096)

@@ -24,7 +24,7 @@ from spectral_gibbs import (
     theta,
 )
 from spectral_gibbs.bounds import kappa_vs_beta1
-from spectral_gibbs.spectral import EIGENVALUE_TOLERANCE
+from spectral_gibbs.model import EIGENVALUE_TOLERANCE
 
 
 def test_theorem3_formula():
@@ -287,20 +287,20 @@ def test_corollary_gate():
 def test_assemble_report_passes():
     spec = ModelSpec(2, 2, 1.0)
     report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
-    assert report.all_passed
-    assert report.verdicts["theorem3"] == "pass"
-    assert "theorem2" not in report.verdicts  # needs exactly three colors
-    assert report.bounds["theorem2"] is None
+    assert report_to_dict(report)["all_passed"]
+    assert report["verdicts"]["theorem3"] == "pass"
+    assert "theorem2" not in report["verdicts"]  # needs exactly three colors
+    assert report["bounds"]["theorem2"] is None
     assert math.isclose(
-        report.envelope["pi_start"], min(kernel_for(spec).pi), rel_tol=1e-15
+        report["envelope"]["pi_start"], min(kernel_for(spec).pi), rel_tol=1e-15
     )
 
 
 def test_assemble_report_three_colors():
     spec = ModelSpec(3, 3, 1.0)
     report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
-    assert report.verdicts["theorem2"] == "pass"
-    bounds = report.bounds
+    assert report["verdicts"]["theorem2"] == "pass"
+    bounds = report["bounds"]
     assert bounds["theorem2"] == bounds["theorem3"] == theorem3_bound(3, 3, 1.0)
 
 
@@ -311,14 +311,15 @@ def test_assemble_report_has_no_vacuous_verdict():
     # the corollary's gate n > N/sqrt(2).
     spec = ModelSpec(2, 3, 1.0)
     report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
-    assert list(report.verdicts) == [
+    assert list(report["verdicts"]) == [
         "theorem3", "theorem2", "kappa_vs_beta1", "kappa_vs_closed_form",
         "theta_consistency",
     ]
-    assert set(report.verdicts.values()) == {"pass"} and report.all_passed
-    assert list(report.exact) == ["beta1", "log_z"]
-    assert "ingrassia_lambda_min" not in report.bounds
-    assert list(report.envelope) == ["start_state", "pi_start"]
+    assert set(report["verdicts"].values()) == {"pass"}
+    assert report_to_dict(report)["all_passed"]
+    assert list(report["exact"]) == ["beta1", "log_z"]
+    assert "ingrassia_lambda_min" not in report["bounds"]
+    assert list(report["envelope"]) == ["start_state", "pi_start"]
 
 
 def test_poincare_verdicts_fail_past_the_eigenvalue_tolerance():
@@ -331,12 +332,12 @@ def test_poincare_verdicts_fail_past_the_eigenvalue_tolerance():
     assert 1 / kappa.kappa < 3e-13
     broken = Spectrum(spec, 1.0 - 1.0 / (10.0 * kappa.kappa))
     report = assemble_report(kernel_for(spec), broken, kappa)
-    assert report.verdicts["kappa_vs_beta1"] == "fail"
-    assert report.verdicts["theorem3"] == "fail"
+    assert report["verdicts"]["kappa_vs_beta1"] == "fail"
+    assert report["verdicts"]["theorem3"] == "fail"
     assert kappa_vs_beta1(broken.beta1, kappa.kappa)[0] < -EIGENVALUE_TOLERANCE
     # The solved beta1 passes both.
     report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa)
-    assert report.all_passed
+    assert report_to_dict(report)["all_passed"]
 
 
 def test_theorem3_verdict_is_poincare_with_closed_form(monkeypatch):
@@ -354,8 +355,8 @@ def test_theorem3_verdict_is_poincare_with_closed_form(monkeypatch):
     monkeypatch.setattr(bounds, "kappa_vs_beta1", recorded)
     report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
     assert sorted(calls) == sorted([kappa_closed_form(spec), kappa_for(spec).kappa])
-    assert report.verdicts["theorem3"] == report.verdicts["theorem2"] == "fail"
-    assert report.verdicts["kappa_vs_beta1"] == "pass"
+    assert report["verdicts"]["theorem3"] == report["verdicts"]["theorem2"] == "fail"
+    assert report["verdicts"]["kappa_vs_beta1"] == "pass"
 
 
 def test_assemble_report_rejects_mismatch():
@@ -384,9 +385,9 @@ def test_report_dict_and_json():
         "all_passed",
     ]
     assert payload["model"] == {"n": 2, "colors": 3, "temp": 0.5}
-    assert payload["kappa"]["poincare_beta1"] == 1 - 1 / report.kappa["exact"]
+    assert payload["kappa"]["poincare_beta1"] == 1 - 1 / report["kappa"]["exact"]
     parsed = json.loads(report_to_json(report))
     # 17-digit floats survive the round trip bit for bit
-    assert parsed["exact"]["beta1"] == report.exact["beta1"]
-    assert parsed["bounds"]["theorem3"] == report.bounds["theorem3"]
+    assert parsed["exact"]["beta1"] == report["exact"]["beta1"]
+    assert parsed["bounds"]["theorem3"] == report["bounds"]["theorem3"]
     assert parsed["all_passed"] is True

@@ -630,7 +630,7 @@ def test_sweep_closed_forms_at_any_n_and_colors(argv, capsys):
 def test_sweep_one_site_with_many_colors(capsys):
     # Past 127 colors the color table leaves int8, and one site reads only
     # the missing-neighbor row of the local table; one site's beta1 is 0.
-    from spectral_gibbs.spectral import EIGENVALUE_TOLERANCE
+    from spectral_gibbs.model import EIGENVALUE_TOLERANCE
 
     colors = [127, 128, 129, 200, 1000]
     argv = ["sweep", "--n", "1", "--colors", ",".join(map(str, colors)), "--temp", "1"]

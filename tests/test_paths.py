@@ -30,8 +30,8 @@ from spectral_gibbs import (
 )
 from spectral_gibbs import kernel, model, paths
 from spectral_gibbs.kernel import conditional_table
-from spectral_gibbs.model import colors_table
-from spectral_gibbs.paths import CLOSED_FORM_RTOL, WITNESS_RTOL, _edge_factors
+from spectral_gibbs.model import ROUNDING_TOLERANCE, colors_table
+from spectral_gibbs.paths import _edge_factors
 
 
 def brute_force_kappa(n, colors, temp):
@@ -171,7 +171,7 @@ def per_edge_bounds(kernel, ratios):
 def per_edge_all_passed(kernel, ratios):
     """Oracle: every edge's ratio against its own bound."""
     bounds, valid = per_edge_bounds(kernel, ratios)
-    return bool(np.all(~valid | (bounds - ratios >= -CLOSED_FORM_RTOL * bounds)))
+    return bool(np.all(~valid | (bounds - ratios >= -ROUNDING_TOLERANCE * bounds)))
 
 
 def _pattern_index(edge):
@@ -278,7 +278,7 @@ def test_kappa_matches_marginal_oracle(spec):
     )
     assert math.isclose(result.kappa, ratios.max(), rel_tol=1e-12)
     edge = result.argmax_edge
-    assert marginal_witness(kern, ratios, WITNESS_RTOL) == {
+    assert marginal_witness(kern, ratios, ROUNDING_TOLERANCE) == {
         "site": edge.site,
         "color_from": edge.color_from,
         "color_to": edge.color_to,
@@ -316,7 +316,7 @@ def test_kappa_past_dense_budget(spec, monkeypatch):
         monkeypatch.setattr(module, "colors_table", fail)
     result = kappa_exact(spec)
     assert result.kappa <= kappa_closed_form(spec) * (1 + 1e-12)
-    assert result.argmax_edge.ratio >= (1 - WITNESS_RTOL) * result.kappa
+    assert result.argmax_edge.ratio >= (1 - ROUNDING_TOLERANCE) * result.kappa
     assert result.argmax_edge.ratio <= result.kappa
     assert certify_all_edges(result).all_passed
 
@@ -340,7 +340,7 @@ def test_witness_matches_scan_of_tied_patterns(spec):
         edge.color_from,
         edge.color_to,
     ]
-    assert index == pattern_witness(result.patterns, WITNESS_RTOL)
+    assert index == pattern_witness(result.patterns, ROUNDING_TOLERANCE)
 
 
 def test_kappa_share_of_closed_form_at_large_n():

@@ -31,8 +31,8 @@ from spectral_gibbs import (
     stationary_measure,
 )
 from spectral_gibbs import cli, spectral
-from spectral_gibbs.model import colors_table
-from spectral_gibbs.spectral import EIGENVALUE_TOLERANCE, _color_group
+from spectral_gibbs.model import EIGENVALUE_TOLERANCE, colors_table
+from spectral_gibbs.spectral import _color_group
 from spectral_gibbs.spectral import SectorPlan
 
 
