@@ -64,7 +64,18 @@ classes of the color permutations, so it is normal in S4 (Diaconis 1988):
 every color permutation normalizes it.  The swap ``(1 2)`` exchanges the two
 bits and maps ``chi_1`` onto ``chi_2``, and ``(2 3)`` maps ``chi_1`` onto
 ``chi_3``, so sectors 1, 2 and 3 are isospectral; only sectors 0 and 1 are
-solved, sector 1 counted three times.
+solved, sector 1 counted three times.  On sector 0 the color permutations
+act through ``S4 / V4``, the S3 of the 3-cycle ``sigma = (1 2 3)``, which
+fixes color 0 and so permutes the representatives, and the swap ``(1 3)``.
+Its irreducibles are the trivial 1, the sign 1' and the two-dimensional E,
+so sector 0 holds E's multiplicity space twice (Diaconis 1988; Boyd,
+Diaconis, Parrilo and Xiao 2005).  Sector 0 is therefore split first by the
+characters ``omega^k3`` of ``sigma``, ``omega = exp(2 pi i / 3)``:
+``k3 = 0`` holds 1 and 1', and ``k3 = 1`` and ``k3 = 2`` one copy of E
+each.  ``(1 3)`` conjugates ``sigma`` into ``sigma^-1`` and so maps ``k3 = 1``
+onto ``k3 = 2``; only ``k3 = 1`` is solved, counted twice.  No other N is
+split so: at N = 3 the shift and the reflection already make all of S3, and
+at N >= 5 sector 0 is at most about a fifth of the ``eigvalsh`` work.
 
 Reversing the order of the sites commutes with ``S`` and with every color
 map, so each sector splits again into its reversal-even and reversal-odd
@@ -76,11 +87,18 @@ conjugation, turns each half of a complex sector into a real symmetric block
 of the same size and splits each half of a real sector (``k = 0``, ``k = N/2``
 for even N, and both Klein sectors) into its reflection-even and
 reflection-odd blocks.  So a real sector has up to four blocks of about
-``m / (4N)`` states and a complex sector two of about ``m / (2N)``: at (6,4)
-eight real blocks of 240 to 288 rows.  Every block is solved densely in real
-arithmetic by numpy's ``eigvalsh`` (LAPACK ``syevd``), so the spectrum needs
-no scipy; ``beta1`` is read off the union of the block eigenvalues, each
-block counted for its class.  The blocks are general in N; at N = 2 they are
+``m / (4N)`` states and a complex sector two of about ``m / (2N)``.  At N = 4
+the ``k3 = 0`` part of sector 0 is split like a real sector and ``k3 = 1``
+like a complex one; but sector 0's matrix is real, so ``sqrt(2)`` times the
+real part of each basis vector that the conjugation fixes is a real vector
+with the same inner products and block entries, and those blocks are summed
+in real arithmetic.  At (6,4) sector 0 is six blocks, of 107, 75, 80 and 80
+rows for ``k3 = 0`` and 181 and 160 for ``k3 = 1``, 683 rows solved where
+the reversal and reflection alone gave four of 240 to 288, and sector 1 four
+of 240 to 272.  Every block is solved densely in real arithmetic by numpy's
+``eigvalsh`` (LAPACK ``syevd``), so the spectrum needs no scipy; ``beta1``
+is read off the union of the block eigenvalues, each block counted for its
+class.  The blocks are general in N; at N = 2 they are
 a test oracle for the closed form.
 
 The blocks need no kernel.  A :class:`SectorPlan` enumerates from ``(n, N)``
@@ -155,19 +173,21 @@ def _plan_block(
 
     Representative ``s`` has the coefficient ``slot_coef[s, t]`` in column
     ``slot_col[s, t]`` of ``Q``.  Entry ``e`` of ``S``, at
-    ``[x, s] = [row[e], orbit[e]]``, adds ``conj(coef[x, t]) B[x, s]
-    coef[s, u]`` at ``index[e, t, u]``, the flat position of the two slots'
+    ``[x, s] = [row[e], orbit[e]]``, adds ``conj(coef[t, x]) B[x, s]
+    coef[u, s]`` at ``index[t, u, e]``, the flat position of the two slots'
     columns in the ``size x size`` block.  A slot outside the block has
-    coefficient 0 and column 0.
+    coefficient 0 and column 0.  Both are slot-major, so :func:`_assemble`
+    multiplies whole rows of gathered coefficients.
     """
     size = int(keep.sum())
     kept = keep[slot_col]
-    col = np.where(kept, np.cumsum(keep)[slot_col] - 1, 0)
-    coef = np.where(kept, slot_coef, 0.0)
-    index = (col[row][:, :, None] * size + col[orbit][:, None, :]).ravel()
-    # The plan holds one index per block, so it takes half the memory of
-    # int64; a block has at most m/N <= 32768 rows, so size^2 fits.
-    return size, coef, index.astype(np.int32)
+    # The index stays in bincount's own intp: a narrower one would be widened
+    # into a fresh array at every temperature.
+    col = np.where(kept, np.cumsum(keep)[slot_col] - 1, 0).T.astype(np.intp)
+    coef = np.ascontiguousarray(np.where(kept, slot_coef, 0.0).T)
+    first = col.take(row, axis=1) * size
+    index = (first[:, None, :] + col.take(orbit, axis=1)[None, :, :]).ravel()
+    return size, coef, index
 
 
 def _assemble(
@@ -181,7 +201,10 @@ def _assemble(
 
     One ``bincount`` sums every product ``conj(Q[x, a]) B[x, s] Q[s, b]``,
     duplicates included.  A product with a slot outside the block is 0 and
-    leaves its sum as it is, since the sums start at +0.  The imaginary part
+    leaves its sum as it is, since the sums start at +0.  Each column of a
+    block is one slot's column (slot 0 the lower of a pair), so the nonzero
+    products summed into an entry share one slot pair and are added in
+    entry order, whatever the layout.  The imaginary part
     the ``bincount`` drops must be rounding: at each entry at most
     ``ROUNDING_TOLERANCE`` of the absolute mass of the products summed into
     it, 0 if none.  A bound on the largest entry of ``B`` alone would not
@@ -189,9 +212,8 @@ def _assemble(
     colors.
     """
     size, coef, index = block
-    terms = (
-        coef[row].conj()[:, :, None] * entries[:, None, None] * coef[orbit][:, None, :]
-    ).ravel()
+    left = coef.conj().take(row, axis=1) * entries
+    terms = (left[:, None, :] * coef.take(orbit, axis=1)[None, :, :]).ravel()
     matrix = np.bincount(index, terms.real, size * size).reshape(size, size)
     if np.iscomplexobj(terms):
         imag = np.abs(np.bincount(index, terms.imag, size * size))
@@ -240,6 +262,33 @@ def _color_group(
     return (lambda c, j: (c + j) % num_colors), -elements % num_colors, sectors
 
 
+def _cycle_parts(
+    colors: np.ndarray, places: np.ndarray
+) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The two parts of Klein sector 0 at N = 4 that the color 3-cycle
+    ``sigma = (1 2 3)`` splits, as ``(multiplicity, leader, phase, norm)``.
+
+    ``sigma`` fixes color 0, so it permutes the representatives ``colors``;
+    its orbits hold three, except the all-0 state, which it fixes.  The unit
+    of an orbit with character ``k3`` of ``<sigma>`` holds representative
+    ``s = sigma^j(leader[s])``, ``leader`` the orbit's least rank, with the
+    coefficient ``phase[s] * norm[s]``: ``phase = omega^(-j k3)`` and
+    ``norm = 1 / sqrt(orbit size)``, 0 where ``s`` lies in no unit.
+    ``k3 = 0`` holds every orbit; ``k3 = 1`` every orbit but the fixed one,
+    and counts twice for the isospectral ``k3 = 2``.
+    """
+    ranks = np.arange(len(colors))
+    forward = np.array([0, 2, 3, 1])[colors] @ places
+    backward = np.array([0, 3, 1, 2])[colors] @ places
+    leader = np.minimum(ranks, np.minimum(forward, backward))
+    steps = np.select([ranks == leader, backward == leader], [0, 1], 2)
+    fixed = forward == ranks
+    return [
+        (1, leader, np.ones(len(colors)), np.where(fixed, 1.0, np.sqrt(1 / 3))),
+        (2, leader, np.exp(-2j * np.pi * steps / 3), np.where(fixed, 0.0, np.sqrt(1 / 3))),
+    ]
+
+
 class SectorPlan:
     """The real symmetric blocks of ``S`` at one ``(n, N)``, for any
     temperature.
@@ -262,13 +311,26 @@ class SectorPlan:
     each isospectral class is built; its blocks carry the class's
     multiplicity.
 
+    The splits below act on units, an orthonormal basis of the sector: one
+    ``e_s`` per representative, except in sector 0 at N = 4.  There each
+    character ``k3`` of the 3-cycle ``sigma`` of :func:`_cycle_parts` is a
+    part with its own blocks, and its units are
+    ``u_L = sum_j omega^(-j k3) e_sigma^j(L) / sqrt(3)`` over the orbits of
+    ``sigma``, each named by its least representative ``L``, plus ``e_s``
+    for the all-0 state, which ``sigma`` fixes, in ``k3 = 0``.  The reversal
+    commutes with ``sigma`` and ``J`` below keeps ``k3``, so both take units
+    to units times a phase; a representative's coefficient in a column is its
+    unit's times its own in the unit.
+
     Reversing the sites commutes with both ``S`` and ``G``.  In sector ``k``
     it maps ``e_s`` to ``chi_k(s_n^-1) e_s'``, where ``s'`` is the reversal
     of ``s`` translated by ``s_n^-1``; with ``chi_k(s_n)`` the map would not
-    commute with a complex sector.  Its ``+1`` and ``-1`` halves have the
-    orthonormal bases ``q = (e_s +- chi_k(s_n^-1) e_s') / sqrt(2)`` over the
-    pairs ``s < s'``, plus ``e_s`` for each ``s = s'`` in the half whose sign
-    is its phase.  The even half comes first.
+    commute with a complex sector.  So it maps unit ``u_L`` to ``t u_L'``, with
+    ``L'`` the leader of ``s'`` and ``t`` that phase times the ratio of the
+    two representatives' phases in their units.  Its ``+1`` and ``-1`` halves
+    have the orthonormal bases ``q = (u_L +- t u_L') / sqrt(2)`` over the pairs
+    ``L < L'``, plus ``u_L`` for each ``L = L'`` in the half whose sign is
+    ``t``.  The even half comes first.
 
     Reflecting every color, ``c -> -c mod N``, maps a representative ``s``
     to the representative ``-s``, commutes with the reversal and maps
@@ -286,6 +348,15 @@ class SectorPlan:
     ``q_a`` for ``lam = -1`` and ``(q_a - lam q_b) / sqrt(2)``.  Empty
     blocks are skipped, so ``N = 2``, where the reflection is the identity,
     has no odd ones.
+
+    The reflection conjugates ``sigma`` into ``sigma^-1`` and so maps
+    ``k3 = 1`` onto ``k3 = 2``, as it maps a complex sector onto its
+    conjugate; ``J`` keeps each half of ``k3 = 1`` and gives it the two-slot
+    basis of a complex sector.  But sector 0's ``B`` is real, and a basis
+    vector ``v`` of ``k3 = 1`` and ``conj(v)`` of ``k3 = 2`` are orthogonal,
+    so ``sqrt(2) Re(v)`` has the inner products and the block entries of
+    ``v``: the block takes those real coefficients and is summed in real
+    arithmetic.
 
     Attributes:
         colors: The representatives' color rows, ranks ``0 .. m/N - 1`` of
@@ -318,25 +389,37 @@ class SectorPlan:
         reflect = -colors % num_colors @ places
         half = np.sqrt(0.5)
         self._sectors = []
+        parts = []
         for k, roots, multiplicity in sectors:
-            real = not np.iscomplexobj(roots)
+            if num_colors == 4 and k == 0:
+                parts += [(k, roots, *part) for part in _cycle_parts(colors, places)]
+            else:
+                parts.append((k, roots, multiplicity, ranks, np.ones(reps), np.ones(reps)))
+        for k, roots, count, leader, phase, norm in parts:
+            real = not (np.iscomplexobj(roots) or np.iscomplexobj(phase))
             blocks = []
-            self._sectors.append((k, multiplicity, roots, blocks))
-            reversal = roots[inverse[last]]
+            self._sectors.append((k, count, roots, blocks))
+            # The reversal maps the unit of leader s to turn[s] times the
+            # unit of leader image[s].
+            image = leader[mirror]
+            turn = roots[inverse[last]] * phase / phase[mirror]
+            units = (leader == ranks) & (norm > 0)
             for sign in (1.0, -1.0):
                 lead = np.flatnonzero(
-                    (ranks < mirror) | (ranks == mirror) & (sign * reversal.real > 0)
+                    units & ((ranks < image) | (ranks == image) & (sign * turn.real > 0))
                 )
                 if lead.size == 0:
                     continue
-                # Column and coefficient of each representative in q; zero
-                # coefficients for the fixed points of the other half.
+                # Column and coefficient of each unit in q, then of each
+                # representative; zero coefficients for the fixed points
+                # of the other half and for representatives in no unit.
                 index = np.arange(lead.size)
                 column = np.zeros(reps, dtype=np.int64)
-                coef = np.zeros(reps, dtype=roots.dtype)
-                column[mirror[lead]] = column[lead] = index
-                coef[mirror[lead]] = sign * half * reversal[lead]
-                coef[lead] = np.where(mirror[lead] == lead, 1.0, half)
+                coef = np.zeros(reps, dtype=turn.dtype)
+                column[image[lead]] = column[lead] = index
+                coef[image[lead]] = sign * half * turn[lead]
+                coef[lead] = np.where(image[lead] == lead, 1.0, half)
+                column, coef = column[leader], coef[leader] * phase * norm
                 partner = column[reflect[lead]]
                 lam = coef[lead] / coef[reflect[lead]]
                 # A representative in column a sits in both columns of its
@@ -355,6 +438,9 @@ class SectorPlan:
                 slot_col, slot_coef = ends[column], weights[column] * coef[:, None]
                 if not real:
                     keep = np.ones(lead.size, dtype=bool)
+                    if not np.iscomplexobj(roots):
+                        # B is real here: sqrt(2) Re(v) has the block of v.
+                        slot_coef = np.sqrt(2.0) * slot_coef.real
                     blocks.append(_plan_block(row, orbit, slot_col, slot_coef, keep))
                     continue
                 even = np.where(paired, ~upper, lam > 0)

@@ -16,7 +16,10 @@ off the conditional table.  The kernel checks' oracles read the CSR matrix
 with scipy, where the package reads the fixed-width row table with numpy.
 The color-sector oracle projects the whole symmetrized matrix onto each
 character space of the color group, where the package builds one sector of
-each isospectral class from the representatives' rows.
+each isospectral class from the representatives' rows; at N = 4 it also
+projects the trivial Klein sector onto the characters of the color 3-cycle
+and the halves of the color reflection, which the package splits in the
+representatives' basis.
 The two-color oracle lists all ``2^n`` eigenvalues of the N = 2 kernel as
 the free-fermion subset sums, where the package keeps only the least
 nonempty sum and the whole one.  The closed-form floor on the least
@@ -176,6 +179,29 @@ def symmetrize(kernel):
     return sym
 
 
+def _character_projector(kernel, images, chars):
+    """The projector ``(1/|G|) sum_g conj(chi(g)) T_g`` onto a character
+    space of a group of color maps, dense in ``m``.
+
+    ``images[g]`` is the color table with the map ``g`` applied to every
+    site, and ``T_g`` the permutation of the states that it makes.
+    """
+    places = kernel.spec.num_colors ** np.arange(kernel.spec.n - 1, -1, -1)
+    states = np.arange(kernel.dimension)
+    projector = np.zeros((kernel.dimension, kernel.dimension), dtype=complex)
+    for image, chi in zip(images, chars):
+        projector[states, image @ places] += np.conj(chi) / len(images)
+    return projector
+
+
+def _projected_spectrum(sym, projector):
+    """Eigenvalues of ``sym`` on the range of a projector, descending:
+    ``eigh`` of the projector gives an orthonormal basis of its range."""
+    weights, vectors = np.linalg.eigh(projector)
+    basis = vectors[:, weights > 0.5]
+    return np.linalg.eigvalsh(basis.conj().T @ sym @ basis)[::-1]
+
+
 def color_sector_spectra(kernel, klein):
     """Eigenvalues of the symmetrized kernel on each character space of a
     free color group, descending, one array per character ``k = 0..N-1``.
@@ -185,28 +211,52 @@ def color_sector_spectra(kernel, klein):
     cyclic shift ``c + j mod N`` with characters ``exp(2 pi i jk / N)``.  The
     projector onto character ``k`` is ``(1/N) sum_j conj(chi_k(j)) T_j``, with
     ``T_j`` the permutation of the states that translates every site's color
-    by ``j``; ``eigh`` of the projector gives an orthonormal basis of its
-    range, and the whole dense ``symmetrize`` restricted to that basis gives
-    the sector's eigenvalues.  Dense in ``m``, so for a few hundred states.
+    by ``j``; the whole dense ``symmetrize`` restricted to an orthonormal
+    basis of its range gives the sector's eigenvalues.  Dense in ``m``, so
+    for a few hundred states.
     """
     num_colors = kernel.spec.num_colors
     colors = np.asarray(kernel.colors, dtype=np.int64)
-    places = num_colors ** np.arange(kernel.spec.n - 1, -1, -1)
     sym = symmetrize(kernel).toarray()
-    states = np.arange(kernel.dimension)
     spectra = []
     for k in range(num_colors):
-        projector = np.zeros((kernel.dimension, kernel.dimension), dtype=complex)
-        for j in range(num_colors):
-            if klein:
-                image, chi = colors ^ j, (-1) ** bin(j & k).count("1")
-            else:
-                image, chi = (colors + j) % num_colors, np.exp(2j * np.pi * j * k / num_colors)
-            projector[states, image @ places] += np.conj(chi) / num_colors
-        weights, vectors = np.linalg.eigh(projector)
-        basis = vectors[:, weights > 0.5]
-        spectra.append(np.linalg.eigvalsh(basis.conj().T @ sym @ basis)[::-1])
+        if klein:
+            images = [colors ^ j for j in range(num_colors)]
+            chars = [(-1) ** bin(j & k).count("1") for j in range(num_colors)]
+        else:
+            images = [(colors + j) % num_colors for j in range(num_colors)]
+            chars = [np.exp(2j * np.pi * j * k / num_colors) for j in range(num_colors)]
+        spectra.append(_projected_spectrum(sym, _character_projector(kernel, images, chars)))
     return spectra
+
+
+def klein_sector_zero_spectra(kernel):
+    """At N = 4, the eigenvalues of the symmetrized kernel on parts of the
+    trivial Klein sector, descending: ``(cycle, halves, trivial_halves)``.
+
+    ``cycle[k3]`` is the part where the color 3-cycle ``(1 2 3)`` acts as
+    ``omega^k3``, ``omega = exp(2 pi i / 3)``; ``halves`` are the
+    reflection-even and reflection-odd parts, under the swap ``(1 3)``; and
+    ``trivial_halves`` the two halves of ``cycle[0]``.  Each projector is
+    the product of the Klein sector-0 projector of
+    :func:`color_sector_spectra` with those of the 3-cycle's characters and
+    of the reflection, which commute with it.
+    """
+    colors = np.asarray(kernel.colors, dtype=np.int64)
+    sym = symmetrize(kernel).toarray()
+    klein = _character_projector(kernel, [colors ^ j for j in range(4)], [1] * 4)
+    cycled = [colors, np.array([0, 2, 3, 1])[colors], np.array([0, 3, 1, 2])[colors]]
+    reflected = [colors, np.array([0, 3, 2, 1])[colors]]
+    cycle = [
+        klein @ _character_projector(kernel, cycled, np.exp(2j * np.pi * k3 * np.arange(3) / 3))
+        for k3 in range(3)
+    ]
+    halves = [klein @ _character_projector(kernel, reflected, [1, sign]) for sign in (1, -1)]
+    trivial_halves = [cycle[0] @ half for half in halves]
+    return tuple(
+        [_projected_spectrum(sym, projector) for projector in group]
+        for group in (cycle, halves, trivial_halves)
+    )
 
 
 def two_color_eigenvalues(spec):

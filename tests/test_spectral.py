@@ -17,7 +17,8 @@ import pytest
 import scipy.linalg
 
 from conftest import block_eigenvalues, full_spectrum, grid_specs, kernel_for, spectrum_for
-from oracles import color_sector_spectra, glauber_beta1, symmetrize, two_color_eigenvalues
+from oracles import color_sector_spectra, glauber_beta1, klein_sector_zero_spectra
+from oracles import symmetrize, two_color_eigenvalues
 
 from spectral_gibbs import (
     BudgetExceededError,
@@ -226,19 +227,27 @@ def test_reversal_halves_split_each_sector(spec):
     blocks = list(SectorPlan(spec).blocks(spec))
     translate, _, sectors = _color_group(spec.num_colors)
     assert {sector for sector, _, _ in blocks} == {k for k, _, _ in sectors}
-    for k, chi, _ in sectors:
-        sizes = [block.shape[0] for sector, block, _ in blocks if sector == k]
-        real = not np.iscomplexobj(chi)
-        assert 1 <= len(sizes) <= (4 if real else 2) and sum(sizes) == reps
+    for k, chi, multiplicity in sectors:
+        sized = [(block.shape[0], mult) for sector, block, mult in blocks if sector == k]
+        # At N = 4 the color 3-cycle splits sector 0 into its trivial
+        # character, up to four real blocks, and one complex character, up
+        # to two, counted twice for its conjugate.
+        most = 6 if spec.num_colors == 4 and k == 0 else 4 if not np.iscomplexobj(chi) else 2
+        assert 1 <= len(sized) <= most
+        assert sum(size * mult for size, mult in sized) == reps * multiplicity
     assert sum(block.shape[0] * mult for _, block, mult in blocks) == spec.num_states
     for _, block, _ in blocks:
         assert type(block) is np.ndarray and block.dtype == np.float64
         assert block.ndim == 2 and block.shape[0] == block.shape[1]
     # The first block of sector 0 holds the functions that the color group
     # (XOR at N = 4, the shift otherwise), the site reversal and the color
-    # reflection all fix: one dimension per orbit of the three.
+    # reflection all fix, and at N = 4 the color 3-cycle too: one dimension
+    # per orbit of them all, of S4 and the reversal at N = 4.
     table = colors_table(spec).astype(np.int64)
     images = [translate(table, j) for j in range(spec.num_colors)]
+    if spec.num_colors == 4:
+        cycle = np.array([0, 2, 3, 1])
+        images += [cycle[image] for image in images] + [cycle[cycle[image]] for image in images]
     images += [(-image) % spec.num_colors for image in images]
     images += [image[:, ::-1] for image in images]
     places = spec.num_colors ** np.arange(spec.n - 1, -1, -1)
@@ -270,12 +279,52 @@ def test_color_sectors_match_projection_oracle(spec):
     union = np.sort(np.concatenate(sectors))[::-1]
     assert np.abs(block_eigenvalues(spec) - union).max() <= 1e-12
     assert abs(spectrum_for(spec).beta1 - max(union[1], 0.0)) <= 1e-12
+    # A block counts once for each sector of its class, and at N = 4 the
+    # blocks that the 3-cycle's complex character gives in sector 0 count
+    # twice: the solved sector counts each block its multiplicity over the
+    # class size.
     blocks = list(SectorPlan(spec).blocks(spec))
-    assert {sector: mult for sector, _, mult in blocks} == Counter(solved_for)
-    for k in set(solved_for):
-        solved = [np.linalg.eigvalsh(block) for sector, block, _ in blocks if sector == k]
+    counts = Counter(solved_for)
+    assert {sector for sector, _, _ in blocks} == set(counts)
+    for k, count in counts.items():
+        solved = [
+            np.linalg.eigvalsh(block)
+            for sector, block, mult in blocks if sector == k
+            for _ in range(mult // count)
+        ]
+        assert all(mult % count == 0 for sector, _, mult in blocks if sector == k)
         solved = np.sort(np.concatenate(solved))[::-1]
         assert np.abs(solved - sectors[k]).max() <= 1e-12, k
+
+
+def _same_spectrum(first, second):
+    """Whether two eigenvalue multisets agree within 1e-12, empty ones too."""
+    first, second = np.sort(first), np.sort(second)
+    return first.shape == second.shape and np.allclose(first, second, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec", [ModelSpec(n, 4, temp) for n in range(1, 5) for temp in (0.3, 1.0, 5.0)], ids=str
+)
+def test_color_cycle_splits_klein_sector_zero(spec):
+    # S4/V4 = S3 acts on the trivial Klein sector, which is 1 + 1' + 2E.  The
+    # 3-cycle's characters k3 = 1 and 2 each hold one copy of the
+    # multiplicity space of E, so they are isospectral; the reflection (1 3)
+    # puts 1 + E in its even half and 1' + E in its odd half, so k3 = 1 is
+    # the part the two halves share.
+    kern = kernel_for(spec)
+    cycle, halves, trivial_halves = klein_sector_zero_spectra(kern)
+    assert _same_spectrum(cycle[1], cycle[2])
+    for half, trivial in zip(halves, trivial_halves):
+        assert _same_spectrum(half, np.concatenate([trivial, cycle[1]]))
+    # The package solves k3 = 0 in blocks counted once and k3 = 1 in blocks
+    # counted twice; with multiplicity they make the whole sector 0.
+    blocks = [(block, mult) for k, block, mult in SectorPlan(spec).blocks(spec) if k == 0]
+    for k3, mult in ((0, 1), (1, 2)):
+        solved = [np.linalg.eigvalsh(block) for block, count in blocks if count == mult]
+        assert _same_spectrum(np.concatenate(solved or [np.empty(0)]), cycle[k3]), k3
+    solved = np.concatenate([np.linalg.eigvalsh(block) for block, mult in blocks for _ in range(mult)])
+    assert _same_spectrum(solved, color_sector_spectra(kern, True)[0])
 
 
 @pytest.mark.parametrize(
