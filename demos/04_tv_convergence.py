@@ -5,13 +5,12 @@ is (1/2)sqrt((1-pi(x))/pi(x)) beta*^k.  A seeded Monte Carlo arm shows what
 an empirical estimate of the same quantity looks like.
 """
 
-import numpy as np
-
 from spectral_gibbs import ModelSpec, build_kernel, colors_to_string, tv_curve
+from spectral_gibbs.model import least_likely_rank
 
 spec = ModelSpec(n=4, num_colors=2, temp=0.8)
 kernel = build_kernel(spec)
-start = int(np.argmin(kernel.pi))
+start = least_likely_rank(spec)  # the colors 0, 1, 0, 1, ...
 start_colors = colors_to_string(kernel.colors[start])
 print(f"chain: n={spec.n}, {spec.num_colors} colors, T={spec.temp}")
 print(f"start: {start_colors} (least likely, pi = {kernel.pi[start]:.6f})\n")

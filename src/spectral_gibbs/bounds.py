@@ -4,7 +4,9 @@ All formulas are elementary functions of the chain length ``n``, the color
 count ``N``, and the temperature ``T``.  The report assembler compares each
 bound with the exact spectrum and the exact congestion constant and records a
 pass/fail verdict per comparison.  The paper's three-color Theorem 2 is its
-Theorem 3 at ``N = 3``, which the report also lists as ``theorem2``.
+Theorem 3 at ``N = 3``, which the report also lists as ``theorem2``.  It
+reads ``log Z`` and the least likely state from their closed forms in
+``model``, so it builds no kernel and enumerates no state.
 
 Total variation here and everywhere in this package means half the L1
 distance between two distributions.
@@ -16,8 +18,8 @@ import math
 
 import numpy as np
 
-from .model import EIGENVALUE_TOLERANCE, LOG_FLOAT_MAX, ROUNDING_TOLERANCE
-from .kernel import SparseKernel
+from .model import EIGENVALUE_TOLERANCE, LOG_FLOAT_MAX, ROUNDING_TOLERANCE, ModelSpec
+from .model import least_likely_rank, log_partition
 from .spectral import Spectrum
 from .paths import KappaResult, kappa_closed_form
 from .serialize import canonical_json
@@ -175,15 +177,15 @@ def kappa_vs_closed_form(kappa: float, closed_form: float) -> tuple[float, bool]
 
 
 def assemble_report(
-    kernel: SparseKernel, spectrum: Spectrum, kappa: KappaResult
+    spec: ModelSpec, spectrum: Spectrum, kappa: KappaResult
 ) -> dict[str, dict]:
     """Evaluate every bound for one chain, compare it against exact data,
     and build each group of the report once.
 
     Args:
-        kernel: Built kernel; its spec names the chain.
-        spectrum: Exact spectrum of that kernel, whose gap is resolved.
-        kappa: Exact congestion result for that kernel.
+        spec: The chain.
+        spectrum: Exact spectrum of that chain, whose gap is resolved.
+        kappa: Exact congestion result for that chain.
 
     Returns:
         The report's groups, in the order that ``bounds --format json``
@@ -210,9 +212,8 @@ def assemble_report(
         ValueError: If the spectrum or kappa come from another chain.
         PrecisionLimitError: If a closed form is past the float range.
     """
-    spec = kernel.spec
     if kappa.spec != spec or spectrum.spec != spec:
-        raise ValueError("kernel, spectrum, and kappa must come from one chain")
+        raise ValueError("spec, spectrum, and kappa must come from one chain")
 
     n, num_colors, temp = spec.n, spec.num_colors, spec.temp
     thm3 = theorem3_bound(n, num_colors, temp)
@@ -224,7 +225,7 @@ def assemble_report(
         "crossover_n": crossover_n(num_colors, temp),
     }
     closed = kappa_closed_form(spec)
-    start = int(np.argmin(kernel.pi))
+    log_z = log_partition(spec)
 
     # Theorem 3 is 1 - 1/kappa_closed_form, so it holds where the Poincare
     # inequality does with the closed form in place of the exact kappa.
@@ -240,7 +241,7 @@ def assemble_report(
 
     return {
         "model": {"n": n, "colors": num_colors, "temp": float(temp)},
-        "exact": {"beta1": spectrum.beta1, "log_z": kernel.log_z},
+        "exact": {"beta1": spectrum.beta1, "log_z": log_z},
         "bounds": bounds,
         "kappa": {
             "exact": kappa.kappa,
@@ -248,8 +249,9 @@ def assemble_report(
             "poincare_beta1": 1.0 - 1.0 / kappa.kappa,
         },
         "envelope": {
-            "start_state": start,
-            "pi_start": float(kernel.pi[start]),
+            "start_state": least_likely_rank(spec),
+            # The least likely state's energy is -(n - 1).
+            "pi_start": float(np.exp(-(n - 1) / temp - log_z)),
         },
         "verdicts": verdicts,
     }

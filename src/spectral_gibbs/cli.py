@@ -18,9 +18,11 @@ to 0 (which ``spectral.Spectrum`` refuses), a closed form past the float
 range, or Boltzmann exponents past it.
 
 ``bounds``, ``verify`` and ``tv`` refuse a chain past
-``spectral.spectrum_budget`` before any kernel is built; ``sweep`` leaves
+``spectral.spectrum_budget`` before any other work; ``sweep`` leaves
 the exact columns of such rows, and of rows whose Boltzmann exponents or
 spectral gap are past float64, empty and sets their ``skipped_exact``.
+Only ``verify`` and ``tv`` build a kernel; ``bounds`` and ``tv``'s default
+start take the least likely state from its closed form in ``model``.
 
 Every flag value is checked when the flags are parsed, before any work: a
 value, a list item of ``sweep`` and both ends of its ``a:b`` range each
@@ -38,8 +40,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .model import (
     ROUNDING_TOLERANCE,
     BudgetExceededError,
@@ -49,6 +49,7 @@ from .model import (
     check_budget,
     encode_rank,
     exceeds_budget,
+    least_likely_rank,
     string_to_colors,
 )
 from .kernel import (
@@ -141,7 +142,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _exact_spec(args: argparse.Namespace) -> ModelSpec:
-    """The chain of a single-spec command, refused before any kernel is built
+    """The chain of a single-spec command, refused before any other work
     when its spectrum would be."""
     spec = ModelSpec(n=args.n, num_colors=args.colors, temp=args.temp)
     check_budget(spec, *spectrum_budget(spec))
@@ -149,11 +150,9 @@ def _exact_spec(args: argparse.Namespace) -> ModelSpec:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    """Evaluate every bound for one chain and print the report."""
-    kernel = build_kernel(_exact_spec(args))
-    spectrum = compute_spectrum(kernel)
-    kappa = kappa_exact(kernel.spec)
-    report = assemble_report(kernel, spectrum, kappa)
+    """Evaluate every bound for one chain, building no kernel, and print it."""
+    spec = _exact_spec(args)
+    report = assemble_report(spec, spectrum_at(spec), kappa_exact(spec))
     payload = report_to_dict(report)
     if args.format == "csv":
         # One row: every group's keys as "group.key", then all_passed.
@@ -297,10 +296,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_start(spec: ModelSpec, text: str | None) -> int | None:
+def _parse_start(spec: ModelSpec, text: str | None) -> int:
+    """The rank of ``--start``; by default, the least likely state."""
     if text is None:
-        return None
-    if text.isdigit():
+        return least_likely_rank(spec)
+    # str.isdigit also takes digits such as '²' that int() refuses.
+    if text.isascii() and text.isdigit():
         rank = int(text)
         if rank >= spec.num_states:
             raise ValueError(f"start rank {rank} out of range")
@@ -313,10 +314,7 @@ def cmd_tv(args: argparse.Namespace) -> int:
     spec = _exact_spec(args)
     # A bad start is a usage error, whatever the kernel build would say.
     start = _parse_start(spec, args.start)
-    kernel = build_kernel(spec)
-    if start is None:
-        start = int(np.argmin(kernel.pi))
-    curve = tv_curve(kernel, start, args.kmax, seed=args.seed)
+    curve = tv_curve(build_kernel(spec), start, args.kmax, seed=args.seed)
     text = curve.to_json() if args.format == "json" else curve.to_csv()
     _emit(text, args.out)
     return 0 if curve.within_envelope else 1

@@ -13,6 +13,8 @@ transition rows are read off two such tables, indexed
 leads to.  :func:`move_targets` and :func:`transition_data` read them for
 any prefix of the ranks, the targets once and the probabilities at each
 temperature, so the spectrum builds the rows it needs without a kernel.
+Its ``pi`` is normalized by :func:`~spectral_gibbs.model.log_partition`, a
+closed form that needs no kernel and that the kernel does not carry.
 
 The kernel stores the rows of every rank as a fixed-width row table, and the
 checks of :func:`check_row_sums`, :func:`check_detailed_balance`,
@@ -157,7 +159,6 @@ class SparseKernel:
         pi: Stationary probability of every rank, read-only.  It may
             underflow to 0 at low temperature, where ``tv_curve`` refuses
             such a start.
-        log_z: Log of the normalizing constant of ``pi``.
         cols: Row table of target ranks, shape ``(num_states, 1 + n (N - 1))``:
             the state itself, then one move per site and other color, the
             sites in order and the colors in increasing order.  It holds
@@ -169,7 +170,6 @@ class SparseKernel:
     spec: ModelSpec
     colors: np.ndarray
     pi: np.ndarray
-    log_z: float
     cols: np.ndarray
     data: np.ndarray
 
@@ -216,8 +216,7 @@ def build_kernel(spec: ModelSpec) -> SparseKernel:
     data, _ = transition_data(spec, colors, moves)
     for table in (colors, cols, data):
         table.flags.writeable = False
-    pi, log_z = stationary_measure(spec, colors)
-    return SparseKernel(spec, colors, pi, log_z, cols, data)
+    return SparseKernel(spec, colors, stationary_measure(spec, colors), cols, data)
 
 
 def _reverse_slots(spec: ModelSpec, colors: np.ndarray) -> np.ndarray:

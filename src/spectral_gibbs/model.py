@@ -11,7 +11,8 @@ whole state space is enumerated in one place, :func:`colors_table`, which is
 also the one place that enforces ``EXACT_STATES_BUDGET``; its row ``r`` is
 the color vector of rank ``r``.  :func:`color_rows` enumerates a prefix of
 it, such as the ``N^(n-1)`` states whose first color is 0.  The energies
-and the stationary measure are computed from that table.
+and the stationary measure are computed from that table; its normalizer
+:func:`log_partition` and :func:`least_likely_rank` are closed forms.
 
 The module also defines the package's two tolerances, under which every
 verdict is decided: ``EIGENVALUE_TOLERANCE`` for comparisons of an exact
@@ -192,32 +193,31 @@ def energies_table(colors: np.ndarray) -> np.ndarray:
     return (2 * agree - 1).sum(axis=1)
 
 
-def stationary_measure(
-    spec: ModelSpec, colors: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """The stationary probability of every rank, read-only, and the log of
-    its normalizing constant, computed exactly from the state table.
-
-    Weights are evaluated in the log domain so that small temperatures cannot
-    overflow.  The normalizer is a log-sum-exp shifted by the largest log
-    weight ``a``, with the ``k`` terms at ``a`` kept out of the sum ``s`` of
-    the others: ``log Z = log1p(s / k) + log k + a`` (Blanchard, Higham and
-    Higham 2021), the evaluation of ``scipy.special.logsumexp``.
-
-    Args:
-        spec: Chain parameters.
-        colors: :func:`colors_table` of ``spec``.
+def log_partition(spec: ModelSpec) -> float:
+    """Log of the normalizer ``Z = N (e^{1/T} + (N-1) e^{-1/T})^{n-1}`` of
+    the stationary measure: summed site by site, each bond contributes its
+    transfer matrix's row sum, whatever the color before it.  Evaluated as
+    ``log N + (n-1)/T + (n-1) log1p((N-1) e^{-2/T})``, so no term overflows
+    and ``(n-1)/T`` is bitwise the ground state's log weight.
     """
-    log_weights = energies_table(colors) / spec.temp
-    top = log_weights.max()
-    at_top = log_weights == top
-    count = float(at_top.sum())
-    rest = np.exp(log_weights - top)
-    rest[at_top] = 0.0
-    log_z = float(np.log1p(rest.sum() / count) + np.log(count) + top)
-    weights = np.exp(log_weights - log_z)
+    bonds = spec.n - 1
+    spread = math.log1p((spec.num_colors - 1) * math.exp(-2.0 / spec.temp))
+    return math.log(spec.num_colors) + bonds / spec.temp + bonds * spread
+
+
+def least_likely_rank(spec: ModelSpec) -> int:
+    """Rank of the first least likely state, 0, 1, 0, 1, ...: the least
+    color vector whose bonds all disagree, ``sum over odd i of N^(n-1-i)``."""
+    return sum(spec.num_colors ** (spec.n - 1 - i) for i in range(1, spec.n, 2))
+
+
+def stationary_measure(spec: ModelSpec, colors: np.ndarray) -> np.ndarray:
+    """The stationary probability ``exp(H/T - log Z)`` of every row of
+    ``colors``, the :func:`colors_table` of ``spec``, read-only: taken in the
+    log domain, it cannot overflow at any temperature."""
+    weights = np.exp(energies_table(colors) / spec.temp - log_partition(spec))
     weights.flags.writeable = False
-    return weights, log_z
+    return weights
 
 
 def color_letter(index: int) -> str:

@@ -108,8 +108,8 @@ block; none of that depends on the temperature.  Its :meth:`~SectorPlan.blocks`
 evaluates those entries at one temperature, from the local conditionals, and
 sums them into the blocks.  :func:`spectrum` reads nothing of its kernel but
 the spec, so a row or color table that fails ``verify``'s checks leaves the
-spectrum unchanged; ``sweep`` evaluates one plan at each of its temperatures
-through :func:`spectrum_at` and builds no kernel.
+spectrum unchanged.  ``bounds`` and ``sweep`` call :func:`spectrum_at`, which
+builds no kernel; ``sweep`` shares one plan among its temperatures.
 """
 
 from __future__ import annotations
@@ -494,14 +494,14 @@ def _two_color_beta1(spec: ModelSpec) -> float:
     return 1.0 - (1.0 - alpha.max()) / n
 
 
-def spectrum_at(spec: ModelSpec, plan: SectorPlan | None) -> Spectrum:
+def spectrum_at(spec: ModelSpec, plan: SectorPlan | None = None) -> Spectrum:
     """Compute ``beta1`` of ``spec`` from no kernel.
 
     At N = 2 it is the closed form of the module docstring, from one
-    ``n x n`` tridiagonal solve, and ``plan`` is None.  For N >= 3 ``plan``
-    is the :class:`SectorPlan` of ``spec``'s ``(n, N)``, and ``beta1`` is the
-    second largest eigenvalue of its blocks at ``spec.temp``, each counted
-    for its isospectral class.  The caller checks :func:`spectrum_budget`.
+    ``n x n`` tridiagonal solve.  For N >= 3 it is the second largest
+    eigenvalue of the blocks of ``plan`` (the :class:`SectorPlan` of the
+    ``(n, N)``, built when None) at ``spec.temp``, each block counted for
+    its isospectral class.  The caller checks :func:`spectrum_budget`.
 
     Raises:
         PrecisionLimitError: If Boltzmann exponents differ past the float
@@ -514,6 +514,7 @@ def spectrum_at(spec: ModelSpec, plan: SectorPlan | None) -> Spectrum:
     if spec.num_colors == 2:
         beta1 = _two_color_beta1(spec)
     else:
+        plan = SectorPlan(spec) if plan is None else plan
         parts = []
         for _, block, multiplicity in plan.blocks(spec):
             parts.extend([np.linalg.eigvalsh(block)] * multiplicity)
@@ -528,14 +529,13 @@ def spectrum_at(spec: ModelSpec, plan: SectorPlan | None) -> Spectrum:
 
 
 def spectrum(kernel: SparseKernel) -> Spectrum:
-    """Compute ``beta1`` of the kernel: :func:`spectrum_at` its spec, with a
-    plan of its own.  Nothing of the kernel but its spec is read.
+    """Compute ``beta1`` of the kernel: :func:`spectrum_at` its spec, under
+    :func:`spectrum_budget`.  Nothing of the kernel but its spec is read.
 
     Raises:
         BudgetExceededError: If the dimension exceeds :func:`spectrum_budget`.
         PrecisionLimitError: If the spectral gap rounded to 0.
         SolverError: If the blocks fail a check of :func:`spectrum_at`.
     """
-    spec = kernel.spec
-    check_budget(spec, *spectrum_budget(spec))
-    return spectrum_at(spec, None if spec.num_colors == 2 else SectorPlan(spec))
+    check_budget(kernel.spec, *spectrum_budget(kernel.spec))
+    return spectrum_at(kernel.spec)

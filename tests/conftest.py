@@ -38,6 +38,17 @@ def grid_specs(max_states=4096, min_n=1):
     ]
 
 
+# The closed forms' grid: N = 2..8 with N^n <= 4096, N = 2 up to the
+# kernel's 65536 states, each at these temperatures; 414 chains.
+CLOSED_FORM_TEMPS = (0.06, 0.1, 0.3, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0)
+CLOSED_FORM_CHAINS = [
+    (n, colors)
+    for colors in range(2, 9)
+    for n in range(1, 17)
+    if colors**n <= (65536 if colors == 2 else 4096)
+]
+
+
 def sweep_rows(out):
     """The rows of ``sweep`` output, CSV or JSON, as dicts; the closed-form
     columns are floats, or None where the cell is empty."""

@@ -26,12 +26,15 @@ nonempty sum and the whole one.  The closed-form floor on the least
 eigenvalue and the ``n > N / sqrt(2)`` gate of the paper's corollary are
 the comparison quantities the package dropped once ``P >= 0`` made them
 vacuous; the acceptance tests still check them.
+The partition-function oracle sums ``exp(H/T)`` over every enumerated state,
+where the package evaluates the transfer-matrix closed form.
 The slice-identity oracle accumulates ``pi`` state by state and evaluates
 the identities for one site and color pair from bond scores, where the
 package sums the pair marginals of every site at once and weights them with
 the edge-factor table.
 """
 
+import functools
 import itertools
 import math
 
@@ -92,6 +95,24 @@ def neighbor_conditional(num_colors, temp, left, right):
     top = max(logits)
     log_z = top + math.log(sum(math.exp(v - top) for v in logits))
     return [math.exp(v - log_z) for v in logits]
+
+
+@functools.lru_cache(maxsize=1)
+def state_energies(n, num_colors):
+    """The Hamiltonian of every color vector, in rank order, one state at a
+    time from bond scores; the last chain's are kept for its temperatures."""
+    return tuple(
+        sum(bond(u, v) for u, v in zip(colors, colors[1:]))
+        for colors in itertools.product(range(num_colors), repeat=n)
+    )
+
+
+def log_partition(spec):
+    """``log Z`` as a log-sum-exp over the enumerated energies, shifted by the
+    largest log weight and summed exactly rounded by ``math.fsum``."""
+    logits = [e / spec.temp for e in state_energies(spec.n, spec.num_colors)]
+    top = max(logits)
+    return top + math.log(math.fsum(math.exp(v - top) for v in logits))
 
 
 def edge_factors(num_colors, temp, left, right, color_from, color_to):

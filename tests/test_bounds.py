@@ -7,17 +7,26 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import kappa_for, kernel_for, spectrum_for
+from conftest import (
+    CLOSED_FORM_CHAINS,
+    CLOSED_FORM_TEMPS,
+    kappa_for,
+    kernel_for,
+    spectrum_for,
+)
 from oracles import corollary_gate, ingrassia_lambda_min_bound
 
 from spectral_gibbs import (
     ModelSpec,
     Spectrum,
     assemble_report,
+    build_kernel,
     crossover_n,
+    decode_rank,
     ds_tv_envelope,
     ingrassia_beta1_bound,
     kappa_closed_form,
+    kappa_exact,
     report_to_dict,
     report_to_json,
     theorem3_bound,
@@ -286,7 +295,7 @@ def test_corollary_gate():
 
 def test_assemble_report_passes():
     spec = ModelSpec(2, 2, 1.0)
-    report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
+    report = assemble_report(spec, spectrum_for(spec), kappa_for(spec))
     assert report_to_dict(report)["all_passed"]
     assert report["verdicts"]["theorem3"] == "pass"
     assert "theorem2" not in report["verdicts"]  # needs exactly three colors
@@ -296,9 +305,24 @@ def test_assemble_report_passes():
     )
 
 
+@pytest.mark.parametrize("n,colors", CLOSED_FORM_CHAINS)
+def test_report_start_is_the_kernels_least_likely_state(n, colors):
+    # The report builds no kernel, yet its start, the colors 0, 1, 0, 1, ...,
+    # and its pi_start are the kernel's argmin of pi and that state's pi,
+    # bitwise.  No verdict is read, so any resolved beta1 serves.
+    for temp in CLOSED_FORM_TEMPS:
+        spec = ModelSpec(n, colors, temp)
+        pi = build_kernel(spec).pi
+        report = assemble_report(spec, Spectrum(spec, 0.5), kappa_exact(spec))
+        start = report["envelope"]["start_state"]
+        assert decode_rank(spec, start) == tuple(i % 2 for i in range(n))
+        assert start == int(np.argmin(pi)), spec
+        assert report["envelope"]["pi_start"] == pi[start], spec
+
+
 def test_assemble_report_three_colors():
     spec = ModelSpec(3, 3, 1.0)
-    report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
+    report = assemble_report(spec, spectrum_for(spec), kappa_for(spec))
     assert report["verdicts"]["theorem2"] == "pass"
     bounds = report["bounds"]
     assert bounds["theorem2"] == bounds["theorem3"] == theorem3_bound(3, 3, 1.0)
@@ -310,7 +334,7 @@ def test_assemble_report_has_no_vacuous_verdict():
     # chain: the report holds neither, nor a derived beta*.  (2,3,1) is below
     # the corollary's gate n > N/sqrt(2).
     spec = ModelSpec(2, 3, 1.0)
-    report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
+    report = assemble_report(spec, spectrum_for(spec), kappa_for(spec))
     assert list(report["verdicts"]) == [
         "theorem3", "theorem2", "kappa_vs_beta1", "kappa_vs_closed_form",
         "theta_consistency",
@@ -331,12 +355,12 @@ def test_poincare_verdicts_fail_past_the_eigenvalue_tolerance():
     kappa = kappa_for(spec)
     assert 1 / kappa.kappa < 3e-13
     broken = Spectrum(spec, 1.0 - 1.0 / (10.0 * kappa.kappa))
-    report = assemble_report(kernel_for(spec), broken, kappa)
+    report = assemble_report(spec, broken, kappa)
     assert report["verdicts"]["kappa_vs_beta1"] == "fail"
     assert report["verdicts"]["theorem3"] == "fail"
     assert kappa_vs_beta1(broken.beta1, kappa.kappa)[0] < -EIGENVALUE_TOLERANCE
     # The solved beta1 passes both.
-    report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa)
+    report = assemble_report(spec, spectrum_for(spec), kappa)
     assert report_to_dict(report)["all_passed"]
 
 
@@ -353,7 +377,7 @@ def test_theorem3_verdict_is_poincare_with_closed_form(monkeypatch):
         return (0.0, False) if kappa == kappa_closed_form(spec) else (0.0, True)
 
     monkeypatch.setattr(bounds, "kappa_vs_beta1", recorded)
-    report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
+    report = assemble_report(spec, spectrum_for(spec), kappa_for(spec))
     assert sorted(calls) == sorted([kappa_closed_form(spec), kappa_for(spec).kappa])
     assert report["verdicts"]["theorem3"] == report["verdicts"]["theorem2"] == "fail"
     assert report["verdicts"]["kappa_vs_beta1"] == "pass"
@@ -363,17 +387,17 @@ def test_assemble_report_rejects_mismatch():
     a = ModelSpec(2, 2, 1.0)
     b = ModelSpec(2, 2, 2.0)
     with pytest.raises(ValueError):
-        assemble_report(kernel_for(a), spectrum_for(a), kappa_for(b))
+        assemble_report(a, spectrum_for(a), kappa_for(b))
     with pytest.raises(ValueError):
-        assemble_report(kernel_for(a), spectrum_for(ModelSpec(3, 2, 1.0)), kappa_for(a))
+        assemble_report(a, spectrum_for(ModelSpec(3, 2, 1.0)), kappa_for(a))
     # Another chain with the same state count: its beta1 is 0.7311, not 0.8808.
     with pytest.raises(ValueError):
-        assemble_report(kernel_for(a), spectrum_for(b), kappa_for(a))
+        assemble_report(a, spectrum_for(b), kappa_for(a))
 
 
 def test_report_dict_and_json():
     spec = ModelSpec(2, 3, 0.5)
-    report = assemble_report(kernel_for(spec), spectrum_for(spec), kappa_for(spec))
+    report = assemble_report(spec, spectrum_for(spec), kappa_for(spec))
     payload = report_to_dict(report)
     assert list(payload) == [
         "model",

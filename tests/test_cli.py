@@ -201,11 +201,12 @@ def test_tv_csv_matches_library(capsys):
 
 
 def test_tv_distances_at_most_one(capsys):
-    # pi of the default start is about e^-74, and the stationary measure
-    # sums to 1 + 2.7e-15, so the unclamped TV at k = 0..2 would be
-    # 1.0000000000000013.
+    # pi of the default start is about e^-45, and the stationary measure
+    # sums to 1 + 2.9e-15, so the unclamped TV would pass 1 at k = 0 and 1
+    # in the exact column (1.0000000000000013) and at k = 1 in the Monte
+    # Carlo one.
     code, out = run_main(
-        ["tv", "--n", "12", "--colors", "2", "--temp", "0.3", "--kmax", "2000",
+        ["tv", "--n", "12", "--colors", "2", "--temp", "0.5", "--kmax", "2000",
          "--seed", "3", "--format", "json"],
         capsys,
     )
@@ -424,6 +425,10 @@ def test_cli_bad_start_is_usage_error(capsys):
     )
     assert code == 2
     capsys.readouterr()
+    # str.isdigit takes '²', which int() refuses: it is read as a letter.
+    code = main(["tv", "--n", "1", "--colors", "2", "--temp", "1", "--start", "²"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: color letters are 'a'..'z', got '²'\n"
 
 
 def test_cli_budget_exit_code(capsys):
@@ -458,6 +463,24 @@ def test_two_color_exact_up_to_the_kernel_cap(capsys, monkeypatch):
             "resource limit: state enumeration would touch 2^17 states, "
             "exceeding its budget of 65536\n"
         ), command
+
+
+@pytest.mark.parametrize("n,colors", [(12, 2), (6, 4)])
+def test_bounds_builds_no_kernel(n, colors, capsys, monkeypatch):
+    # log Z and the least likely state are closed forms, and the spectrum
+    # and kappa read no state table.
+    from spectral_gibbs import kernel, model, paths
+
+    def fail(*args):
+        raise AssertionError("bounds built a kernel or enumerated the states")
+
+    for namespace in (model, kernel, paths):
+        monkeypatch.setattr(namespace, "colors_table", fail)
+    monkeypatch.setattr(cli, "build_kernel", fail)
+    argv = ["bounds", "--n", str(n), "--colors", str(colors), "--temp", "1"]
+    code, out = run_main(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["all_passed"] is True
 
 
 def test_verify_refuses_before_checks(capsys, monkeypatch):
@@ -769,7 +792,8 @@ def test_state_space_enumerated_at_most_twice(argv, capsys, monkeypatch):
             monkeypatch.setattr(module, "colors_table", counted)
     assert main(argv) == 0
     capsys.readouterr()
-    assert 1 <= len(calls) <= 2
+    # bounds reads log Z and the least likely state from closed forms.
+    assert len(calls) == 0 if argv[0] == "bounds" else 1 <= len(calls) <= 2
 
 
 def test_cli_io_exit_code(capsys):

@@ -206,8 +206,7 @@ def test_verify_fails_halved_moves_of_least_likely_state(monkeypatch, capsys):
     data[least, 1:] /= 2
     data[least, 0] += data[least, 1:].sum()
     halved = SparseKernel(
-        spec=kern.spec, colors=kern.colors, pi=kern.pi, log_z=kern.log_z,
-        cols=kern.cols, data=data,
+        spec=kern.spec, colors=kern.colors, pi=kern.pi, cols=kern.cols, data=data
     )
     assert check_row_sums(halved) <= 1e-12
     assert check_detailed_balance(halved) == pytest.approx(0.5, abs=1e-12)
@@ -227,8 +226,7 @@ def test_irreducible_rejects_disconnected_table():
     kern = kernel_for(ModelSpec(2, 3, 1.0))
     cols = np.repeat(np.arange(kern.dimension)[:, None], kern.cols.shape[1], axis=1)
     stuck = SparseKernel(
-        spec=kern.spec, colors=kern.colors, pi=kern.pi, log_z=kern.log_z,
-        cols=cols, data=kern.data,
+        spec=kern.spec, colors=kern.colors, pi=kern.pi, cols=cols, data=kern.data
     )
     assert not check_irreducible(stuck)
     assert not csr_irreducible(stuck)

@@ -3,7 +3,9 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
+from conftest import CLOSED_FORM_CHAINS, CLOSED_FORM_TEMPS
 
 from spectral_gibbs import (
     BudgetExceededError,
@@ -14,7 +16,7 @@ from spectral_gibbs import (
     stationary_measure,
     string_to_colors,
 )
-from spectral_gibbs.model import colors_table, energies_table
+from spectral_gibbs.model import colors_table, energies_table, log_partition
 
 
 def measure(spec):
@@ -78,35 +80,43 @@ def test_energy_hand_values():
 
 def test_stationary_measure_two_site():
     spec = ModelSpec(2, 2, 1.0)
-    pi, log_z = measure(spec)
+    pi = measure(spec)
     # pi(aa) = e / (2e + 2e^-1), worked by hand
     e = math.e
     assert math.isclose(pi[0], e / (2 * e + 2 / e), rel_tol=1e-14)
     assert math.isclose(pi[0], 0.4403985389889412, rel_tol=1e-14)
     assert math.isclose(pi[1], pi[2], rel_tol=1e-14)
     assert math.isclose(sum(pi), 1.0, abs_tol=1e-12)
-    assert math.isclose(log_z, math.log(2 * e + 2 / e), rel_tol=1e-14)
+    assert math.isclose(log_partition(spec), math.log(2 * e + 2 / e), rel_tol=1e-14)
 
 
 def test_stationary_measure_single_site_uniform():
-    pi, _ = measure(ModelSpec(1, 4, 0.7))
+    pi = measure(ModelSpec(1, 4, 0.7))
     assert np.allclose(pi, 0.25, atol=1e-15)
 
 
 def test_stationary_measure_high_temp_limit():
-    pi, _ = measure(ModelSpec(3, 3, 1e9))
+    pi = measure(ModelSpec(3, 3, 1e9))
     assert np.allclose(pi, 1 / 27, atol=1e-8)
 
 
 def test_stationary_measure_low_temp_concentrates():
     # T -> 0 puts nearly all mass on the monochromatic strings
-    pi, _ = measure(ModelSpec(4, 2, 0.05))
+    pi = measure(ModelSpec(4, 2, 0.05))
     mono = pi[0] + pi[-1]
     assert mono > 1 - 1e-10
 
 
+@pytest.mark.parametrize("n,colors", CLOSED_FORM_CHAINS)
+def test_log_partition_matches_enumeration(n, colors):
+    for temp in CLOSED_FORM_TEMPS:
+        spec = ModelSpec(n, colors, temp)
+        expected = oracles.log_partition(spec)
+        assert abs(log_partition(spec) - expected) <= 4 * math.ulp(expected), spec
+
+
 def test_weights_are_read_only():
-    pi, _ = measure(ModelSpec(2, 2, 1.0))
+    pi = measure(ModelSpec(2, 2, 1.0))
     with pytest.raises(ValueError):
         pi[0] = 0.0
 

@@ -375,12 +375,10 @@ def test_symmetrize_rejects_non_reversible(monkeypatch, capsys):
     # state itself, then its one move.
     spec = ModelSpec(1, 2, 1.0)
     colors = colors_table(spec)
-    pi, log_z = stationary_measure(spec, colors)
+    pi = stationary_measure(spec, colors)
     cols = np.array([[0, 1], [1, 0]])
     data = np.array([[0.2, 0.8], [0.4, 0.6]])
-    kern = SparseKernel(
-        spec=spec, colors=colors, pi=pi, log_z=log_z, cols=cols, data=data
-    )
+    kern = SparseKernel(spec=spec, colors=colors, pi=pi, cols=cols, data=data)
     with pytest.raises(ValueError, match="reversib"):
         symmetrize(kern)
     # The spectrum is built from the conditionals, not from this matrix, so
