@@ -104,6 +104,17 @@ def _log_theta_terms(num_colors: int, temp: float) -> tuple[float, float]:
     return log_head, _log_mean_weight(num_colors, 0.5 / temp)
 
 
+def _log_gaps(n: int, num_colors: int, temp: float) -> tuple[float, float]:
+    """Logs of the gap terms ``1 - theorem3`` and ``1 - ingrassia_beta1`` less
+    their common ``log n^-2``, ``log(u / m(u))`` and ``(n-1) log m(w) - 2/T``
+    (``u = e^{-4/T}``, ``w = e^{-1/(2T)}``, ``m(x) = 1/N + (1 - 1/N) x``):
+    nothing overflows or cancels at any N, they stay apart where both bounds
+    round to 1, and they share no arithmetic with :func:`theta`."""
+    share = 1 / num_colors
+    log_m = [math.log(share + (1 - share) * math.exp(-x / temp)) for x in (4.0, 0.5)]
+    return -4.0 / temp - log_m[0], (n - 1) * log_m[1] - 2.0 / temp
+
+
 def theta(n: int, num_colors: int, temp: float) -> float:
     """Ratio of the two gap terms; below 1 the path bound is the tighter one.
 
@@ -233,8 +244,9 @@ def assemble_report(
     passed = dict.fromkeys(names, kappa_vs_beta1(spectrum.beta1, closed)[1])
     passed["kappa_vs_beta1"] = kappa_vs_beta1(spectrum.beta1, kappa.kappa)[1]
     passed["kappa_vs_closed_form"] = kappa_vs_closed_form(kappa.kappa, closed)[1]
-    improvement = bounds["theta"] < 1.0
-    agrees = improvement == (thm3 < bounds["ingrassia_beta1"])
+    # theta is the ratio of the gap terms, Ingrassia's over Theorem 3's.
+    log_thm3_gap, log_ingrassia_gap = _log_gaps(n, num_colors, temp)
+    agrees = (bounds["theta"] < 1.0) == (log_ingrassia_gap < log_thm3_gap)
     at_one = abs(bounds["theta"] - 1.0) <= ROUNDING_TOLERANCE
     passed["theta_consistency"] = agrees or at_one
     verdicts = {name: "pass" if ok else "fail" for name, ok in passed.items()}

@@ -17,12 +17,13 @@ start-state probability that underflowed to 0, a spectral gap that rounded
 to 0 (which ``spectral.Spectrum`` refuses), a closed form past the float
 range, or Boltzmann exponents past it.
 
-``bounds``, ``verify`` and ``tv`` refuse a chain past
-``spectral.spectrum_budget`` before any other work; ``sweep`` leaves
+``bounds``, ``verify`` and ``tv`` refuse a chain past the spectrum's cap,
+``spectral.check_spectrum_budget``, before any other work; ``sweep`` leaves
 the exact columns of such rows, and of rows whose Boltzmann exponents or
 spectral gap are past float64, empty and sets their ``skipped_exact``.
-Only ``verify`` and ``tv`` build a kernel; ``bounds`` and ``tv``'s default
-start take the least likely state from its closed form in ``model``.
+Only ``verify`` and ``tv`` build a kernel, under its own cap of 65536
+states; ``bounds`` and ``tv``'s default start take the least likely state
+from its closed form in ``model``.
 
 Every flag value is checked when the flags are parsed, before any work: a
 value, a list item of ``sweep`` and both ends of its ``a:b`` range each
@@ -46,9 +47,7 @@ from .model import (
     ModelSpec,
     PrecisionLimitError,
     SolverError,
-    check_budget,
     encode_rank,
-    exceeds_budget,
     least_likely_rank,
     string_to_colors,
 )
@@ -59,7 +58,8 @@ from .kernel import (
     check_row_sums,
     check_stationarity,
 )
-from .spectral import SectorPlan, spectrum_at, spectrum_budget
+from .spectral import SectorPlan, check_spectrum_budget, exceeds_spectrum_budget
+from .spectral import spectrum_at
 from .spectral import spectrum as compute_spectrum
 from .paths import (
     certify_all_edges,
@@ -145,7 +145,7 @@ def _exact_spec(args: argparse.Namespace) -> ModelSpec:
     """The chain of a single-spec command, refused before any other work
     when its spectrum would be."""
     spec = ModelSpec(n=args.n, num_colors=args.colors, temp=args.temp)
-    check_budget(spec, *spectrum_budget(spec))
+    check_spectrum_budget(spec)
     return spec
 
 
@@ -273,18 +273,19 @@ def _sweep_row(spec: ModelSpec, exact: bool, plan: SectorPlan | None) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Tabulate bounds (and exact values up to the spectrum's cap) over a grid.
 
-    One row per (n, colors, temp), in that lexicographic order.  Rows whose
-    state space exceeds ``spectrum_budget``, or whose Boltzmann exponents or
-    spectral gap are past float64, keep empty exact columns and are flagged,
-    never dropped.  A ``theta`` or ``crossover_n`` past the float range is
-    empty.  No row builds a kernel: the temperatures of one ``(n, colors)``
-    share one ``SectorPlan``, and N = 2 needs none.
+    One row per (n, colors, temp), in that lexicographic order.  Rows past
+    ``exceeds_spectrum_budget``, tested without formatting a refusal, or
+    whose Boltzmann exponents or spectral gap are past float64, keep empty
+    exact columns and are flagged, never dropped.  A ``theta`` or
+    ``crossover_n`` past the float range is empty.  No row builds a kernel:
+    the temperatures of one ``(n, colors)`` share one ``SectorPlan``, and
+    N = 2 needs none.
     """
     rows = []
     for n in args.n:
         for colors in args.colors:
             specs = [ModelSpec(n, colors, temp) for temp in args.temp]
-            exact = not exceeds_budget(specs[0], spectrum_budget(specs[0])[0])
+            exact = not exceeds_spectrum_budget(specs[0])
             plan = SectorPlan(specs[0]) if exact and colors > 2 else None
             rows.extend(_sweep_row(spec, exact, plan) for spec in specs)
     if args.format == "json":
@@ -350,48 +351,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bounds = sub.add_parser(
-        "bounds", help="evaluate every bound and compare with exact values"
-    )
-    _add_common(p_bounds, plural=False)
-    p_bounds.add_argument("--format", choices=["json", "csv"], default="json")
-    p_bounds.set_defaults(func=cmd_bounds)
-
-    p_verify = sub.add_parser(
-        "verify", help="run reversibility, identity, and certificate checks"
-    )
-    _add_common(p_verify, plural=False)
-    p_verify.add_argument("--format", choices=["text", "json"], default="text")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_sweep = sub.add_parser(
-        "sweep", help="tabulate bounds over a (n, colors, temp) grid"
-    )
-    _add_common(p_sweep, plural=True)
-    p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_tv = sub.add_parser(
-        "tv", help="exact TV decay curve against the certified envelope"
-    )
-    _add_common(p_tv, plural=False)
-    p_tv.add_argument(
-        "--kmax", type=_steps, default=200, help="largest step count (default 200)"
-    )
-    p_tv.add_argument(
-        "--start",
-        default=None,
-        help="start state as a rank or a letter string like 'aab' "
-        "(default: least likely state)",
-    )
-    p_tv.add_argument(
-        "--seed",
-        type=_philox_key,
-        default=None,
-        help="seed of the Monte Carlo arm, 0 <= seed < 2**128",
-    )
-    p_tv.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_tv.set_defaults(func=cmd_tv)
+    for name, func, formats, summary in (
+        ("bounds", cmd_bounds, ["json", "csv"],
+         "evaluate every bound and compare with exact values"),
+        ("verify", cmd_verify, ["text", "json"],
+         "run reversibility, identity, and certificate checks"),
+        ("sweep", cmd_sweep, ["csv", "json"],
+         "tabulate bounds over a (n, colors, temp) grid"),
+        ("tv", cmd_tv, ["csv", "json"],
+         "exact TV decay curve against the certified envelope"),
+    ):
+        command = sub.add_parser(name, help=summary)
+        _add_common(command, plural=name == "sweep")
+        if name == "tv":
+            command.add_argument(
+                "--kmax", type=_steps, default=200,
+                help="largest step count (default 200)",
+            )
+            command.add_argument(
+                "--start",
+                default=None,
+                help="start state as a rank or a letter string like 'aab' "
+                "(default: least likely state)",
+            )
+            command.add_argument(
+                "--seed",
+                type=_philox_key,
+                default=None,
+                help="seed of the Monte Carlo arm, 0 <= seed < 2**128",
+            )
+        command.add_argument("--format", choices=formats, default=formats[0])
+        command.set_defaults(func=func)
     return parser
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 # Operations that materialize the full state space refuse above this size.
 EXACT_STATES_BUDGET = 65536
-# The spectrum refuses N >= 3 chains, whose blocks are solved densely, above this.
+# The spectrum refuses a matrix of larger order to solve: n at N = 2, N^n else.
 DENSE_SOLVE_BUDGET = 4096
 
 # The room every comparison of an exact eigenvalue gets: the solved ends of

@@ -30,27 +30,20 @@ def _emit(obj: Any, out: list[str], indent: int) -> None:
         out.append(format_float(obj))
     elif isinstance(obj, str):
         out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
+    elif isinstance(obj, (dict, list, tuple)):
+        if isinstance(obj, dict):
+            brackets, entries = "{}", [(f'"{key}": ', v) for key, v in obj.items()]
+        else:
+            brackets, entries = "[]", [("", v) for v in obj]
+        if not entries:
+            out.append(brackets)
             return
-        out.append("{\n")
-        for k, (key, value) in enumerate(obj.items()):
-            out.append(pad + '  "' + str(key) + '": ')
+        out.append(brackets[0] + "\n")
+        for k, (prefix, value) in enumerate(entries):
+            out.append(pad + "  " + prefix)
             _emit(value, out, indent + 1)
-            out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, value in enumerate(seq):
-            out.append(pad + "  ")
-            _emit(value, out, indent + 1)
-            out.append(",\n" if k < len(seq) - 1 else "\n")
-        out.append(pad + "]")
+            out.append(",\n" if k < len(entries) - 1 else "\n")
+        out.append(pad + brackets[1])
     else:
         raise TypeError(f"cannot serialize value of type {type(obj).__name__}")
 

@@ -12,9 +12,10 @@ it below.  For N >= 3 :func:`spectrum_at` checks that the solved eigenvalues
 run from 0 to 1, within ``EIGENVALUE_TOLERANCE``, and raises a
 :class:`~spectral_gibbs.model.SolverError` where they do not.
 
-This module alone decides whether a chain has an exact spectrum: its
-:func:`spectrum_budget` caps the states, and a :class:`Spectrum` cannot
-hold a ``beta1`` that rounded to 1, so every reader reads a resolved gap.
+This module alone decides whether a chain has an exact spectrum:
+:func:`spectrum_at` refuses a matrix of order past ``DENSE_SOLVE_BUDGET``
+before any work, and a :class:`Spectrum` cannot hold a ``beta1`` that
+rounded to 1, so every reader reads a resolved gap.
 
 At N = 2 the chain is Glauber's kinetic Ising chain (Glauber 1963) and its
 spectrum is free-fermionic (Felderhof 1971).  With spins ``sigma = +-1``,
@@ -101,15 +102,11 @@ is read off the union of the block eigenvalues, each block counted for its
 class.  The blocks are general in N; at N = 2 they are
 a test oracle for the closed form.
 
-The blocks need no kernel.  A :class:`SectorPlan` enumerates from ``(n, N)``
-the ``m / N`` representatives of the orbits of ``G``, the states whose first
-color is 0, and fixes where each entry of their rows of ``S`` goes in which
-block; none of that depends on the temperature.  Its :meth:`~SectorPlan.blocks`
-evaluates those entries at one temperature, from the local conditionals, and
-sums them into the blocks.  :func:`spectrum` reads nothing of its kernel but
-the spec, so a row or color table that fails ``verify``'s checks leaves the
-spectrum unchanged.  ``bounds`` and ``sweep`` call :func:`spectrum_at`, which
-builds no kernel; ``sweep`` shares one plan among its temperatures.
+The blocks need no kernel: a :class:`SectorPlan` is built from ``(n, N)``
+alone and evaluated at each temperature.  :func:`spectrum` reads nothing of
+its kernel but the spec, so a row or color table that fails ``verify``'s
+checks leaves the spectrum unchanged; ``sweep`` shares one plan among its
+temperatures.
 """
 
 from __future__ import annotations
@@ -121,9 +118,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .model import DENSE_SOLVE_BUDGET, EIGENVALUE_TOLERANCE, EXACT_STATES_BUDGET
-from .model import ROUNDING_TOLERANCE, ModelSpec, PrecisionLimitError, SolverError
-from .model import check_budget, check_exponent_range, color_rows
+from .model import DENSE_SOLVE_BUDGET, EIGENVALUE_TOLERANCE, ROUNDING_TOLERANCE
+from .model import BudgetExceededError, ModelSpec, PrecisionLimitError, SolverError
+from .model import check_budget, check_exponent_range, color_rows, exceeds_budget
 from .kernel import SparseKernel, move_targets, transition_data
 from .kernel import check_detailed_balance  # noqa: F401 -- perfbench/spans.py wraps this name
 
@@ -151,14 +148,24 @@ class Spectrum:
             )
 
 
-def spectrum_budget(spec: ModelSpec) -> tuple[int, str]:
-    """The limit and operation that ``check_budget`` takes to cap
-    :func:`spectrum`: the dense blocks for N >= 3 (the whole state space,
-    not the block size), and at N = 2, which forms no dense matrix, the
-    kernel's state enumeration alone."""
+def exceeds_spectrum_budget(spec: ModelSpec) -> bool:
+    """Whether :func:`spectrum_at` would solve a matrix of order past
+    ``DENSE_SOLVE_BUDGET``: the ``n x n`` ``A`` at N = 2, else the
+    ``N^n x N^n`` ``S`` that the blocks split, which is never formed."""
     if spec.num_colors == 2:
-        return EXACT_STATES_BUDGET, "state enumeration"
-    return DENSE_SOLVE_BUDGET, "dense symmetrization"
+        return spec.n > DENSE_SOLVE_BUDGET
+    return exceeds_budget(spec, DENSE_SOLVE_BUDGET)
+
+
+def check_spectrum_budget(spec: ModelSpec) -> None:
+    """Raise :class:`BudgetExceededError` when :func:`exceeds_spectrum_budget`."""
+    if spec.num_colors > 2:
+        check_budget(spec, DENSE_SOLVE_BUDGET, "dense symmetrization")
+    elif spec.n > DENSE_SOLVE_BUDGET:
+        raise BudgetExceededError(
+            f"tridiagonal solve would take {spec.n} rows, exceeding its budget "
+            f"of {DENSE_SOLVE_BUDGET}"
+        )
 
 
 def _plan_block(
@@ -501,15 +508,18 @@ def spectrum_at(spec: ModelSpec, plan: SectorPlan | None = None) -> Spectrum:
     ``n x n`` tridiagonal solve.  For N >= 3 it is the second largest
     eigenvalue of the blocks of ``plan`` (the :class:`SectorPlan` of the
     ``(n, N)``, built when None) at ``spec.temp``, each block counted for
-    its isospectral class.  The caller checks :func:`spectrum_budget`.
+    its isospectral class.  A chain past :func:`check_spectrum_budget` is
+    refused first, before anything is enumerated or solved.
 
     Raises:
+        BudgetExceededError: If :func:`exceeds_spectrum_budget`.
         PrecisionLimitError: If Boltzmann exponents differ past the float
             range, or the spectral gap rounded to 0.
         SolverError: If the real form of a complex sector keeps more than
             rounding in its imaginary part, or the block eigenvalues do not
             run from 0 to 1 within ``EIGENVALUE_TOLERANCE``.
     """
+    check_spectrum_budget(spec)
     check_exponent_range(spec)
     if spec.num_colors == 2:
         beta1 = _two_color_beta1(spec)
@@ -529,13 +539,6 @@ def spectrum_at(spec: ModelSpec, plan: SectorPlan | None = None) -> Spectrum:
 
 
 def spectrum(kernel: SparseKernel) -> Spectrum:
-    """Compute ``beta1`` of the kernel: :func:`spectrum_at` its spec, under
-    :func:`spectrum_budget`.  Nothing of the kernel but its spec is read.
-
-    Raises:
-        BudgetExceededError: If the dimension exceeds :func:`spectrum_budget`.
-        PrecisionLimitError: If the spectral gap rounded to 0.
-        SolverError: If the blocks fail a check of :func:`spectrum_at`.
-    """
-    check_budget(kernel.spec, *spectrum_budget(kernel.spec))
+    """``beta1`` of the kernel: :func:`spectrum_at` its spec, which raises
+    as that does; nothing else of the kernel is read."""
     return spectrum_at(kernel.spec)

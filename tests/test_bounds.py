@@ -383,6 +383,33 @@ def test_theorem3_verdict_is_poincare_with_closed_form(monkeypatch):
     assert report["verdicts"]["kappa_vs_beta1"] == "pass"
 
 
+@pytest.mark.parametrize("n", [30, 64, 256])
+def test_theta_consistency_where_both_bounds_round_to_1(n, monkeypatch):
+    # At (n, 2, 0.1) theorem3 and ingrassia_beta1 both round to 1, while
+    # theta is 0.55, 4.0e-11 and 2.3e-68: the verdict reads the two gap
+    # terms, which stay apart, not the two rounded bounds.
+    from spectral_gibbs import bounds
+    from spectral_gibbs.spectral import spectrum_at
+
+    spec = ModelSpec(n, 2, 0.1)
+    spect, kappa = spectrum_at(spec), kappa_exact(spec)
+    report = assemble_report(spec, spect, kappa)
+    assert report["bounds"]["theorem3"] == report["bounds"]["ingrassia_beta1"] == 1.0
+    assert report["bounds"]["theta"] < 0.6
+    assert report_to_dict(report)["all_passed"]
+    # The verdict still fails where theta or one gap term disagrees.
+    original = bounds._log_gaps
+    for name, patched in [
+        ("theta", lambda *args: 2.0),
+        ("_log_gaps", lambda *args: (original(*args)[0], 0.0)),
+        ("_log_gaps", lambda *args: (-math.inf, original(*args)[1])),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, name, patched)
+            verdicts = assemble_report(spec, spect, kappa)["verdicts"]
+        assert verdicts["theta_consistency"] == "fail", name
+
+
 def test_assemble_report_rejects_mismatch():
     a = ModelSpec(2, 2, 1.0)
     b = ModelSpec(2, 2, 2.0)

@@ -137,14 +137,32 @@ def test_sweep_flags_skipped_exact(capsys):
         (int(row[0]), int(row[1])): row
         for row in (line.split(",") for line in out.splitlines()[1:])
     }
-    # 4^13 exceeds the dense budget and 2^17 the kernel's: bounds only, flagged
-    for n, colors in [(13, 4), (16, 4), (17, 2), (17, 4)]:
+    # 4^13 exceeds the dense budget: bounds only, flagged
+    for n, colors in [(13, 4), (16, 4), (17, 4)]:
         row = rows[n, colors]
         assert row[7] == "" and row[8] == "" and row[9] == "true", (n, colors)
-    # At N = 2 no dense matrix is solved, so every kernel up to 2^16 fills in.
-    for n in range(13, 17):
+    # At N = 2 the solve is n x n, so 2^17 states fill in as well as 2^13.
+    for n in range(13, 18):
         row = rows[n, 2]
         assert float(row[7]) == float(row[8]) < 1.0 and row[9] == "false", n
+
+
+def test_sweep_two_color_exact_up_to_the_solve_cap(capsys):
+    code, out = run_main(["sweep", "--n", "15:20", "--colors", "2"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == 24
+    for row in rows:
+        assert row["skipped_exact"] == "false", row
+        assert float(row["exact_beta1"]) == float(row["exact_beta_star"]) < 1.0
+    # Past n = 4096 rows the solve is refused: bounds only, flagged.
+    code, out = run_main(
+        ["sweep", "--n", "4097", "--colors", "2", "--temp", "1"], capsys
+    )
+    assert code == 0
+    (row,) = csv.DictReader(out.splitlines())
+    assert row["exact_beta1"] == row["exact_beta_star"] == ""
+    assert row["skipped_exact"] == "true"
 
 
 def test_sweep_json(capsys):
@@ -441,28 +459,60 @@ def test_cli_budget_exit_code(capsys):
     assert "dense symmetrization" in capsys.readouterr().err
 
 
-def test_two_color_exact_up_to_the_kernel_cap(capsys, monkeypatch):
-    # At N = 2 the spectrum solves no dense matrix, so the single-chain
-    # commands run up to the kernel's 65536 states and refuse above it
-    # before any kernel is built.
-    from spectral_gibbs import cli
+def test_two_color_exact_up_to_the_solve_cap(capsys, monkeypatch):
+    # At N = 2 the spectrum solves an n x n tridiagonal, so bounds, which
+    # builds no kernel, runs up to n = 4096 and refuses the solve above it.
+    # verify and tv build a kernel, so the state enumeration's own cap of
+    # 65536 states still stops them at n = 17, before any state is
+    # enumerated.
+    from spectral_gibbs import model, spectral
 
     argv = ["--n", "16", "--colors", "2", "--temp", "1"]
     for command in ("bounds", "verify", "tv"):
         code, out = run_main([command, *argv], capsys)
         assert code == 0 and out, command
+    for n in (17, 1000):
+        code, out = run_main(
+            ["bounds", "--n", str(n), "--colors", "2", "--temp", "1"], capsys
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["all_passed"], n
+        assert set(payload["verdicts"].values()) == {"pass"}, n
 
-    def fail(spec):
-        raise AssertionError("build_kernel ran before the state budget refusal")
+    def fail(*args):
+        raise AssertionError("work ran before the budget refusal")
 
-    monkeypatch.setattr(cli, "build_kernel", fail)
-    for command in ("bounds", "verify", "tv"):
+    monkeypatch.setattr(spectral, "_two_color_beta1", fail)
+    monkeypatch.setattr(model, "color_rows", fail)
+    code = main(["bounds", "--n", "4097", "--colors", "2", "--temp", "1"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "resource limit: tridiagonal solve would take 4097 rows, "
+        "exceeding its budget of 4096\n"
+    )
+    for command in ("verify", "tv"):
         code = main([command, "--n", "17", "--colors", "2", "--temp", "1"])
         assert code == 3, command
         assert capsys.readouterr().err == (
             "resource limit: state enumeration would touch 2^17 states, "
             "exceeding its budget of 65536\n"
         ), command
+
+
+def test_bounds_prints_an_underflowed_envelope_start(capsys):
+    # At (1024, 2, 1) the least likely state's pi is exp(-2046 - log Z),
+    # which underflows to 0.  No verdict reads it, so bounds prints it as
+    # computed, with the start's 308-digit rank, and passes.
+    from spectral_gibbs.model import least_likely_rank
+
+    spec = ModelSpec(1024, 2, 1.0)
+    code, out = run_main(
+        ["bounds", "--n", "1024", "--colors", "2", "--temp", "1"], capsys
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["all_passed"]
+    assert payload["envelope"]["pi_start"] == 0.0
+    assert payload["envelope"]["start_state"] == least_likely_rank(spec)
 
 
 @pytest.mark.parametrize("n,colors", [(12, 2), (6, 4)])

@@ -429,8 +429,45 @@ def test_spectrum_budget():
     kern = build_kernel(ModelSpec(7, 4, 1.0))  # 16384 states, build is fine
     with pytest.raises(BudgetExceededError, match="dense symmetrization.*4096"):
         spectrum(kern)
-    # At N = 2 no dense matrix is formed, so 8192 states are solved.
+    # At N = 2 the solve is n x n, so 8192 states are solved.
     assert spectrum(build_kernel(ModelSpec(13, 2, 1.0))).beta1 < 1.0
+
+
+def test_spectrum_at_refuses_past_the_cap_before_any_work(monkeypatch):
+    # The cap is on the order of the matrix solved: N^n for the blocks, n for
+    # the tridiagonal A at N = 2.  spectrum_at checks it first, so neither
+    # representatives nor A are built past it.
+    def fail(*args):
+        raise AssertionError("spectrum_at did work past its cap")
+
+    for name in ("SectorPlan", "color_rows", "_two_color_beta1"):
+        monkeypatch.setattr(spectral, name, fail)
+    for spec, message in [
+        (ModelSpec(7, 4, 1.0), "dense symmetrization would touch 4^7 states, "),
+        (ModelSpec(4097, 2, 1.0), "tridiagonal solve would take 4097 rows, "),
+    ]:
+        with pytest.raises(BudgetExceededError) as refusal:
+            spectral.spectrum_at(spec)
+        assert str(refusal.value) == message + "exceeding its budget of 4096"
+        assert spectral.exceeds_spectrum_budget(spec)
+    # At the cap itself nothing is refused; past it no N^n is formed.
+    assert not spectral.exceeds_spectrum_budget(ModelSpec(6, 4, 1.0))
+    assert not spectral.exceeds_spectrum_budget(ModelSpec(4096, 2, 1.0))
+    assert spectral.exceeds_spectrum_budget(ModelSpec(10**5000, 3, 1.0))
+
+
+@pytest.mark.parametrize("n", [17, 100, 1000])
+def test_two_color_beta1_past_the_kernel_cap_matches_scipy(n):
+    # beta1 = 1 - (1 - max alpha) / n from the same tridiagonal A, solved by
+    # LAPACK's tridiagonal eigensolver instead of numpy's dense one.
+    for temp in (0.1, 0.3, 1.0, 5.0):
+        coupling = np.full(n, math.tanh(2.0 / temp) / 2)
+        coupling[[0, -1]] = math.tanh(1.0 / temp)
+        hop = np.sqrt(coupling[:-1]) * np.sqrt(coupling[1:])
+        alpha = scipy.linalg.eigvalsh_tridiagonal(np.zeros(n), hop)
+        beta1 = spectral.spectrum_at(ModelSpec(n, 2, temp)).beta1
+        assert abs(beta1 - (1.0 - (1.0 - alpha.max()) / n)) <= 1e-15, temp
+        assert beta1 < 1.0
 
 
 def test_spectrum_refuses_unresolved_gap():
