@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .model import EIGENVALUE_TOLERANCE, LOG_FLOAT_MAX, ROUNDING_TOLERANCE, ModelSpec
-from .model import least_likely_rank, log_partition
+from .model import least_likely_rank, log_excess, log_partition
 from .spectral import Spectrum
 from .paths import KappaResult, kappa_closed_form
 from .serialize import canonical_json
@@ -262,8 +262,8 @@ def assemble_report(
         },
         "envelope": {
             "start_state": least_likely_rank(spec),
-            # The least likely state's energy is -(n - 1).
-            "pi_start": float(np.exp(-(n - 1) / temp - log_z)),
+            # The least likely state's energy is -(n - 1), as in stationary_measure.
+            "pi_start": float(np.exp(-2 * (n - 1) / temp - log_excess(spec))),
         },
         "verdicts": verdicts,
     }

@@ -5,8 +5,8 @@ randomness is involved): field order is fixed and floats are printed with 17
 significant digits, so repeated runs at one BLAS thread count emit
 byte-identical output.  The dense symmetry blocks round differently with
 different thread counts (``beta1`` at (6,4,1) moves in its last digits
-between one and two OpenBLAS threads), so a fixed ``OPENBLAS_NUM_THREADS``
-is what makes output comparable across machines.
+between one and two OpenBLAS threads), so fixing ``OPENBLAS_NUM_THREADS``
+makes output comparable across machines; at N = 2 nothing depends on it.
 
 Exit codes: 0 all applicable checks pass, 1 a verification failed (a check
 of the report, or an exact solve that fails its own check, printed as one

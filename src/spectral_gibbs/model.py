@@ -30,12 +30,12 @@ import numpy as np
 
 # Operations that materialize the full state space refuse above this size.
 EXACT_STATES_BUDGET = 65536
-# The spectrum refuses a matrix of larger order to solve: n at N = 2, N^n else.
+# The spectrum's cap: on N^n, and at N = 2 on n, for kappa's n (N+1)^2 N^2 table.
 DENSE_SOLVE_BUDGET = 4096
 
 # The room every comparison of an exact eigenvalue gets: the solved ends of
 # the spectrum miss 0 and 1 by at most 3.1e-15 at N = 3..4096 and T from
-# 0.02 to 1000, and beta1 at N = 2 by 2.8e-15, so this leaves 30x headroom.
+# 0.02 to 1000, and beta1 at N = 2 by under an ulp: 30x headroom.
 # It stays below ROUNDING_TOLERANCE, since more room would widen the set of
 # chains whose Poincare and Theorem 3 verdicts cannot fail.
 EIGENVALUE_TOLERANCE = 1e-13
@@ -197,12 +197,16 @@ def log_partition(spec: ModelSpec) -> float:
     """Log of the normalizer ``Z = N (e^{1/T} + (N-1) e^{-1/T})^{n-1}`` of
     the stationary measure: summed site by site, each bond contributes its
     transfer matrix's row sum, whatever the color before it.  Evaluated as
-    ``log N + (n-1)/T + (n-1) log1p((N-1) e^{-2/T})``, so no term overflows
-    and ``(n-1)/T`` is bitwise the ground state's log weight.
-    """
-    bonds = spec.n - 1
+    ``(n-1)/T + log_excess(spec)``: no term overflows, and ``(n-1)/T`` is
+    the ground state's log weight bitwise."""
+    return (spec.n - 1) / spec.temp + log_excess(spec)
+
+
+def log_excess(spec: ModelSpec) -> float:
+    """``r = log Z - (n-1)/T``, minus the log probability of a ground state,
+    formed directly as ``log N + (n-1) log1p((N-1) e^{-2/T})``."""
     spread = math.log1p((spec.num_colors - 1) * math.exp(-2.0 / spec.temp))
-    return math.log(spec.num_colors) + bonds / spec.temp + bonds * spread
+    return math.log(spec.num_colors) + (spec.n - 1) * spread
 
 
 def least_likely_rank(spec: ModelSpec) -> int:
@@ -212,10 +216,11 @@ def least_likely_rank(spec: ModelSpec) -> int:
 
 
 def stationary_measure(spec: ModelSpec, colors: np.ndarray) -> np.ndarray:
-    """The stationary probability ``exp(H/T - log Z)`` of every row of
-    ``colors``, the :func:`colors_table` of ``spec``, read-only: taken in the
-    log domain, it cannot overflow at any temperature."""
-    weights = np.exp(energies_table(colors) / spec.temp - log_partition(spec))
+    """The stationary probability ``exp((H - (n-1))/T - log_excess)`` of every
+    row of ``colors``, the :func:`colors_table` of ``spec``, read-only: with
+    ``H - (n-1)`` an exact integer, no rounding of a large ``log Z`` enters."""
+    shifted = energies_table(colors) - (spec.n - 1)
+    weights = np.exp(shifted / spec.temp - log_excess(spec))
     weights.flags.writeable = False
     return weights
 

@@ -13,8 +13,8 @@ run from 0 to 1, within ``EIGENVALUE_TOLERANCE``, and raises a
 :class:`~spectral_gibbs.model.SolverError` where they do not.
 
 This module alone decides whether a chain has an exact spectrum:
-:func:`spectrum_at` refuses a matrix of order past ``DENSE_SOLVE_BUDGET``
-before any work, and a :class:`Spectrum` cannot hold a ``beta1`` that
+:func:`spectrum_at` refuses a chain past ``DENSE_SOLVE_BUDGET`` before any
+work, and a :class:`Spectrum` cannot hold a ``beta1`` that
 rounded to 1, so every reader reads a resolved gap.
 
 At N = 2 the chain is Glauber's kinetic Ising chain (Glauber 1963) and its
@@ -30,14 +30,25 @@ with an occupied one, lowering it by 2.  ``P = (1/n) sum_i E_i`` is
 therefore block-triangular in the degree, and its degree-``k`` diagonal
 block is ``((n - k) I + H_k) / n`` with ``H_k`` hard-core hopping of ``k``
 particles on a line.  They never cross, so ``H_k`` is the ``k``-fermion
-extension of the one-particle matrix, which ``diag(sqrt(c))`` makes the
-symmetric tridiagonal ``A`` with off-diagonals ``sqrt(c_i) sqrt(c_{i+1})``
-(``A = [0]`` at n = 1), and its eigenvalues are the sums of ``k`` distinct
-eigenvalues ``alpha_j`` of ``A``.  The ``2^n`` eigenvalues of ``P`` are
-``1 - (1/n) sum_{j in J} (1 - alpha_j)`` over the subsets ``J`` of
-``{1..n}``.  Every term is positive, so the least nonempty sum is one term
-and the largest the whole set: ``beta1 = 1 - (1 - max alpha) / n``, and
-the least eigenvalue is ``1 - sum_j (1 - alpha_j) / n = tr(A) / n = 0``.
+extension of the one-particle matrix ``M``, rows ``c_i (u_{i-1} + u_{i+1})``,
+which ``diag(sqrt(c))`` makes a symmetric tridiagonal ``A``; its eigenvalues
+are the sums of ``k`` distinct eigenvalues ``alpha_j`` of ``A``.  The ``2^n``
+eigenvalues of ``P`` are ``1 - (1/n) sum_{j in J} (1 - alpha_j)`` over the
+subsets ``J`` of ``{1..n}``.  Every term is positive, so the least nonempty
+sum is one term and the largest the whole set:
+``beta1 = 1 - (1 - max alpha) / n``, and the least eigenvalue is
+``1 - sum_j (1 - alpha_j) / n = tr(A) / n = 0``.  For n >= 2 the top
+eigenvector of ``M`` is positive and reversal-even, so it is
+``u_i = cos((i - (n+1)/2) theta)`` with ``0 < theta < pi/(n-1)``; the
+interior rows hold at any ``theta``, with ``alpha = tanh(2/T) cos theta``.
+With ``t = tanh(1/T)``, ``q = e^{-2/T}`` and ``h = (n-1)/2``, each end row
+leaves ``cos((h+1) theta) = t^2 cos((h-1) theta)``, that is
+``(1 - t^2) cos((h-1) theta) = 2 sin(h theta) sin theta`` with
+``1 - t^2 = 4q/(1+q)^2``.  The left side is the larger as ``theta -> 0`` and
+the right side at ``pi/(n-1)``, so bisection finds the root, in O(1) at any n.
+Then ``1 - alpha = 2q^2/(1+q^2) + 2 tanh(2/T) sin^2(theta/2)`` is a sum of
+positive terms, so the gap keeps its relative accuracy at low T, where it
+tends to ``2 e^{-2/T} / (n(n-1))``.
 
 For N >= 3 the energy depends only on whether neighbors agree, so every
 permutation of the colors commutes with ``S``.  A group ``G`` of N color
@@ -88,25 +99,21 @@ conjugation, turns each half of a complex sector into a real symmetric block
 of the same size and splits each half of a real sector (``k = 0``, ``k = N/2``
 for even N, and both Klein sectors) into its reflection-even and
 reflection-odd blocks.  So a real sector has up to four blocks of about
-``m / (4N)`` states and a complex sector two of about ``m / (2N)``.  At N = 4
-the ``k3 = 0`` part of sector 0 is split like a real sector and ``k3 = 1``
-like a complex one; but sector 0's matrix is real, so ``sqrt(2)`` times the
-real part of each basis vector that the conjugation fixes is a real vector
-with the same inner products and block entries, and those blocks are summed
-in real arithmetic.  At (6,4) sector 0 is six blocks, of 107, 75, 80 and 80
-rows for ``k3 = 0`` and 181 and 160 for ``k3 = 1``, 683 rows solved where
-the reversal and reflection alone gave four of 240 to 288, and sector 1 four
-of 240 to 272.  Every block is solved densely in real arithmetic by numpy's
-``eigvalsh`` (LAPACK ``syevd``), so the spectrum needs no scipy; ``beta1``
-is read off the union of the block eigenvalues, each block counted for its
-class.  The blocks are general in N; at N = 2 they are
-a test oracle for the closed form.
-
-The blocks need no kernel: a :class:`SectorPlan` is built from ``(n, N)``
-alone and evaluated at each temperature.  :func:`spectrum` reads nothing of
-its kernel but the spec, so a row or color table that fails ``verify``'s
-checks leaves the spectrum unchanged; ``sweep`` shares one plan among its
-temperatures.
+``m / (4N)`` states and a complex sector two of about ``m / (2N)``.  At
+N = 4 the ``k3 = 0`` part of sector 0 is split like a real sector and
+``k3 = 1`` like a complex one, summed in real arithmetic
+(:class:`SectorPlan`).  At (6,4) sector 0 is six blocks, of 107, 75, 80
+and 80 rows for ``k3 = 0`` and 181 and 160 for ``k3 = 1``, 683 rows solved
+where the reversal and reflection alone gave four of 240 to 288, and
+sector 1 four of 240 to 272.  Every block is solved densely in real
+arithmetic by numpy's ``eigvalsh`` (LAPACK ``syevd``), so the spectrum
+needs no scipy; ``beta1`` is read off the union of the block eigenvalues,
+each block counted for its class.  The blocks are general in N; at N = 2
+they are a test oracle for the closed form.  They need no kernel: a
+:class:`SectorPlan` is built from ``(n, N)`` alone, and ``sweep`` shares
+one among its temperatures; :func:`spectrum` reads nothing of its kernel
+but the spec, so a row or color table that fails ``verify``'s checks leaves
+the spectrum unchanged.
 """
 
 from __future__ import annotations
@@ -149,9 +156,9 @@ class Spectrum:
 
 
 def exceeds_spectrum_budget(spec: ModelSpec) -> bool:
-    """Whether :func:`spectrum_at` would solve a matrix of order past
-    ``DENSE_SOLVE_BUDGET``: the ``n x n`` ``A`` at N = 2, else the
-    ``N^n x N^n`` ``S`` that the blocks split, which is never formed."""
+    """Whether :func:`spectrum_at` refuses ``spec``: ``n`` past
+    ``DENSE_SOLVE_BUDGET`` at N = 2, else the order of the ``N^n x N^n``
+    ``S`` that the blocks split, which is never formed."""
     if spec.num_colors == 2:
         return spec.n > DENSE_SOLVE_BUDGET
     return exceeds_budget(spec, DENSE_SOLVE_BUDGET)
@@ -489,27 +496,32 @@ class SectorPlan:
                 yield k, _assemble(block, self.row, self.orbit, entries), multiplicity
 
 
+def _two_color_gap(spec: ModelSpec) -> float:
+    """``n`` times the N = 2 gap, ``1 - max alpha``, at n >= 2: the module
+    docstring's ``theta`` is bisected until the midpoint is an end."""
+    q, h = math.exp(-2.0 / spec.temp), (spec.n - 1) / 2
+    sech2 = 4 * q / (1 + q) ** 2
+    lo, hi = 0.0, math.pi / (spec.n - 1)
+    while lo < (theta := (lo + hi) / 2) < hi:
+        above = sech2 * math.cos((h - 1) * theta) > 2 * math.sin(h * theta) * math.sin(theta)
+        lo, hi = (theta, hi) if above else (lo, theta)
+    return 2 * q * q / (1 + q * q) + 2 * math.tanh(2.0 / spec.temp) * math.sin(theta / 2) ** 2
+
+
 def _two_color_beta1(spec: ModelSpec) -> float:
-    """``beta1`` of the N = 2 kernel, unclamped: one minus the least step
-    ``(1 - alpha_j) / n``, with ``alpha`` the eigenvalues of the tridiagonal
-    ``A`` of the module docstring."""
-    n = spec.n
-    coupling = np.full(n, math.tanh(2.0 / spec.temp) / 2)
-    coupling[[0, -1]] = math.tanh(1.0 / spec.temp)
-    hop = np.sqrt(coupling[:-1]) * np.sqrt(coupling[1:])
-    alpha = np.linalg.eigvalsh(np.diag(hop, 1) + np.diag(hop, -1))
-    return 1.0 - (1.0 - alpha.max()) / n
+    """``beta1`` of the N = 2 kernel, unclamped; 0 at n = 1, where ``A = [0]``."""
+    return 0.0 if spec.n == 1 else 1.0 - _two_color_gap(spec) / spec.n
 
 
 def spectrum_at(spec: ModelSpec, plan: SectorPlan | None = None) -> Spectrum:
     """Compute ``beta1`` of ``spec`` from no kernel.
 
-    At N = 2 it is the closed form of the module docstring, from one
-    ``n x n`` tridiagonal solve.  For N >= 3 it is the second largest
-    eigenvalue of the blocks of ``plan`` (the :class:`SectorPlan` of the
-    ``(n, N)``, built when None) at ``spec.temp``, each block counted for
-    its isospectral class.  A chain past :func:`check_spectrum_budget` is
-    refused first, before anything is enumerated or solved.
+    At N = 2 it is the closed form of the module docstring, from one root
+    ``theta``.  For N >= 3 it is the second largest eigenvalue of the blocks
+    of ``plan`` (the :class:`SectorPlan` of the ``(n, N)``, built when None)
+    at ``spec.temp``, each block counted for its isospectral class.  A chain
+    past :func:`check_spectrum_budget` is refused first, before anything is
+    enumerated or solved.
 
     Raises:
         BudgetExceededError: If :func:`exceeds_spectrum_budget`.
@@ -531,10 +543,8 @@ def spectrum_at(spec: ModelSpec, plan: SectorPlan | None = None) -> Spectrum:
         eigs = np.concatenate(parts)
         least, beta1, leading = np.partition(eigs, [0, -2, -1])[[0, -2, -1]]
         if abs(leading - 1.0) > EIGENVALUE_TOLERANCE or least < -EIGENVALUE_TOLERANCE:
-            raise SolverError(
-                f"eigenvalues from {float(least)!r} to {float(leading)!r}, not from "
-                "0 to 1"
-            )
+            ends = f"{float(least)!r} to {float(leading)!r}"
+            raise SolverError(f"eigenvalues from {ends}, not from 0 to 1")
     return Spectrum(spec=spec, beta1=max(float(beta1), 0.0))
 
 

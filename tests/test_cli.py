@@ -219,12 +219,11 @@ def test_tv_csv_matches_library(capsys):
 
 
 def test_tv_distances_at_most_one(capsys):
-    # pi of the default start is about e^-45, and the stationary measure
-    # sums to 1 + 2.9e-15, so the unclamped TV would pass 1 at k = 0 and 1
-    # in the exact column (1.0000000000000013) and at k = 1 in the Monte
-    # Carlo one.
+    # pi of the default start is about e^-41, and the sum of |mu - pi| over
+    # the 2048 states rounds up, so the unclamped exact TV would pass 1 at
+    # k = 0 (1.0000000000000004).
     code, out = run_main(
-        ["tv", "--n", "12", "--colors", "2", "--temp", "0.5", "--kmax", "2000",
+        ["tv", "--n", "11", "--colors", "2", "--temp", "0.5", "--kmax", "2000",
          "--seed", "3", "--format", "json"],
         capsys,
     )
@@ -460,8 +459,8 @@ def test_cli_budget_exit_code(capsys):
 
 
 def test_two_color_exact_up_to_the_solve_cap(capsys, monkeypatch):
-    # At N = 2 the spectrum solves an n x n tridiagonal, so bounds, which
-    # builds no kernel, runs up to n = 4096 and refuses the solve above it.
+    # At N = 2 the spectrum is one root in theta, so bounds, which builds no
+    # kernel, runs up to n = 4096 and refuses the chain above it.
     # verify and tv build a kernel, so the state enumeration's own cap of
     # 65536 states still stops them at n = 17, before any state is
     # enumerated.
@@ -608,11 +607,8 @@ def test_low_temperature_kappa_refuses(command, chain, capsys):
         # e^{4/T} in the closed forms is past the float range
         ["bounds", "--n", "2", "--colors", "2", "--temp", "0.005"],
         ["verify", "--n", "2", "--colors", "2", "--temp", "0.005"],
-        # The gaps are 7.4e-17 and 5.1e-17 (60-digit mpmath), below the
-        # resolution of beta1; a dense solve would report its rounding noise,
-        # 6.7e-16 and 1.4e-15, as the gap.
-        ["bounds", "--n", "10", "--colors", "2", "--temp", "0.06"],
-        ["verify", "--n", "10", "--colors", "2", "--temp", "0.06"],
+        # The gap is 5.06e-17 (60-digit mpmath), below 2^-54, so beta1
+        # rounds to 1.
         ["bounds", "--n", "12", "--colors", "2", "--temp", "0.06"],
         ["verify", "--n", "12", "--colors", "2", "--temp", "0.06"],
     ],
@@ -626,6 +622,23 @@ def test_low_temperature_refuses_without_traceback(argv, capsys):
     assert "Traceback" not in captured.err
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("precision limit:")
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_low_temperature_gap_above_half_an_ulp_resolves(n, capsys):
+    # The gaps at T = 0.06 are 7.42e-17 and 6.07e-17, above 2^-54, so beta1
+    # rounds to 1 - 2^-53 and every verdict and check is decided; the dense
+    # solve of A lost them in its rounding and refused both chains.
+    argv = ["--n", str(n), "--colors", "2", "--temp", "0.06", "--format", "json"]
+    code, out = run_main(["bounds", *argv], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["all_passed"]
+    assert payload["exact"]["beta1"] == 0.9999999999999999
+    assert set(payload["verdicts"].values()) == {"pass"}
+    code, out = run_main(["verify", *argv], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["all_passed"]
+    assert all(check["passed"] for check in payload["checks"])
 
 
 @pytest.mark.parametrize("command", ["bounds", "verify", "sweep", "tv"])

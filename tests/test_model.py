@@ -115,6 +115,28 @@ def test_log_partition_matches_enumeration(n, colors):
         assert abs(log_partition(spec) - expected) <= 4 * math.ulp(expected), spec
 
 
+@pytest.mark.parametrize("spec", [ModelSpec(6, 4, 0.01), ModelSpec(4, 3, 0.02)], ids=str)
+def test_ground_states_keep_relative_accuracy(spec):
+    # Every other state weighs below e^-100 of a ground state, so each of the
+    # N one-color states has pi = 1/N to the last place.  pi is taken as
+    # exp((H - (n-1))/T - r), with H - (n-1) an exact integer, so the
+    # rounding of log Z near (n-1)/T, 500 at (6,4,0.01), does not enter:
+    # exp(H/T - log Z) gave 0.24999999999999906 there.
+    pi = measure(spec)
+    ground = [encode_rank(spec, [color] * spec.n) for color in range(spec.num_colors)]
+    share = 1 / spec.num_colors
+    assert all(abs(p - share) <= math.ulp(share) for p in pi[ground])
+
+
+@pytest.mark.parametrize("n,colors", CLOSED_FORM_CHAINS)
+def test_stationary_measure_sums_to_one(n, colors):
+    # At most 1.6e-15 off on this grid, at (4,6,20); exp(H/T - log Z) was
+    # 1.5e-14 off at (14,2,0.06).
+    for temp in CLOSED_FORM_TEMPS:
+        spec = ModelSpec(n, colors, temp)
+        assert abs(math.fsum(measure(spec)) - 1.0) <= 4e-15, spec
+
+
 def test_weights_are_read_only():
     pi = measure(ModelSpec(2, 2, 1.0))
     with pytest.raises(ValueError):
