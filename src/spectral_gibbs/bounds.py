@@ -15,6 +15,7 @@ distance between two distributions.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -215,8 +216,10 @@ def assemble_report(
         - ``kappa``: the ``exact`` congestion constant, its ``closed_form``
           upper bound, and ``poincare_beta1 = 1 - 1/exact``.
         - ``envelope``: the envelope's ``start_state``, the rank of the
-          least likely state, which maximizes the envelope prefactor, and
-          its stationary probability ``pi_start``; its rate is ``beta1``.
+          least likely state, which maximizes the envelope prefactor (None
+          where it has more digits than Python prints, from n = 14286 at
+          N = 2), and its stationary probability ``pi_start``; its rate is
+          ``beta1``.
         - ``verdicts``: "pass" or "fail" per dominance relation.
 
     Raises:
@@ -261,12 +264,24 @@ def assemble_report(
             "poincare_beta1": 1.0 - 1.0 / kappa.kappa,
         },
         "envelope": {
-            "start_state": least_likely_rank(spec),
+            "start_state": _printable_least_likely_rank(spec),
             # The least likely state's energy is -(n - 1), as in stationary_measure.
             "pi_start": float(np.exp(-2 * (n - 1) / temp - log_excess(spec))),
         },
         "verdicts": verdicts,
     }
+
+
+def _printable_least_likely_rank(spec: ModelSpec) -> int | None:
+    """:func:`least_likely_rank`, or None where it has more decimal digits
+    than Python converts to text, ``sys.get_int_max_str_digits()`` (0 means
+    no limit).  The rank is at least ``2^(n-2)``, so past ``n - 2 > 4 limit``
+    it has more than ``limit`` digits and is not formed."""
+    limit = sys.get_int_max_str_digits()
+    if limit and spec.n - 2 > 4 * limit:
+        return None
+    rank = least_likely_rank(spec)
+    return rank if not limit or rank < 10**limit else None
 
 
 def report_to_dict(report: dict[str, dict]) -> dict:

@@ -18,12 +18,13 @@ to 0 (which ``spectral.Spectrum`` refuses), a closed form past the float
 range, or Boltzmann exponents past it.
 
 ``bounds``, ``verify`` and ``tv`` refuse a chain past the spectrum's cap,
-``spectral.check_spectrum_budget``, before any other work; ``sweep`` leaves
-the exact columns of such rows, and of rows whose Boltzmann exponents or
-spectral gap are past float64, empty and sets their ``skipped_exact``.
-Only ``verify`` and ``tv`` build a kernel, under its own cap of 65536
-states; ``bounds`` and ``tv``'s default start take the least likely state
-from its closed form in ``model``.
+``spectral.check_spectrum_budget`` (``N^n`` states at N >= 3; none at
+N = 2), before any other work; ``sweep`` leaves the exact columns of such
+rows, and of rows whose Boltzmann exponents or spectral gap are past
+float64, empty and sets their ``skipped_exact``.  Only ``verify`` and ``tv``
+build a kernel, under its own cap of 65536 states, which ``tv`` applies
+before it takes its default start; ``bounds`` and ``tv``'s default start
+take the least likely state from its closed form in ``model``.
 
 Every flag value is checked when the flags are parsed, before any work: a
 value, a list item of ``sweep`` and both ends of its ``a:b`` range each
@@ -48,6 +49,7 @@ from .model import (
     PrecisionLimitError,
     SolverError,
     encode_rank,
+    exceeds_budget,
     least_likely_rank,
     string_to_colors,
 )
@@ -297,14 +299,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_start(spec: ModelSpec, text: str | None) -> int:
-    """The rank of ``--start``; by default, the least likely state."""
-    if text is None:
-        return least_likely_rank(spec)
+def _parse_start(spec: ModelSpec, text: str) -> int:
+    """The rank of ``--start``, a rank or a letter string."""
     # str.isdigit also takes digits such as '²' that int() refuses.
     if text.isascii() and text.isdigit():
         rank = int(text)
-        if rank >= spec.num_states:
+        # N^n is not formed: a rank is in range while N^n exceeds it.
+        if not exceeds_budget(spec, rank):
             raise ValueError(f"start rank {rank} out of range")
         return rank
     return encode_rank(spec, string_to_colors(spec, text))
@@ -313,9 +314,12 @@ def _parse_start(spec: ModelSpec, text: str | None) -> int:
 def cmd_tv(args: argparse.Namespace) -> int:
     """Emit the exact TV decay curve with its envelope (and optional MC arm)."""
     spec = _exact_spec(args)
-    # A bad start is a usage error, whatever the kernel build would say.
-    start = _parse_start(spec, args.start)
-    curve = tv_curve(build_kernel(spec), start, args.kmax, seed=args.seed)
+    # A bad start is a usage error, whatever the kernel build would say; the
+    # default start is taken once the kernel's cap has passed the chain.
+    start = None if args.start is None else _parse_start(spec, args.start)
+    kernel = build_kernel(spec)
+    start = least_likely_rank(spec) if start is None else start
+    curve = tv_curve(kernel, start, args.kmax, seed=args.seed)
     text = curve.to_json() if args.format == "json" else curve.to_csv()
     _emit(text, args.out)
     return 0 if curve.within_envelope else 1

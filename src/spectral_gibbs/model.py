@@ -30,7 +30,8 @@ import numpy as np
 
 # Operations that materialize the full state space refuse above this size.
 EXACT_STATES_BUDGET = 65536
-# The spectrum's cap: on N^n, and at N = 2 on n, for kappa's n (N+1)^2 N^2 table.
+# The spectrum's cap on N^n at N >= 3, the order of the matrix that its
+# dense symmetry blocks split; the N = 2 spectrum is one root at any n.
 DENSE_SOLVE_BUDGET = 4096
 
 # The room every comparison of an exact eigenvalue gets: the solved ends of
@@ -118,7 +119,11 @@ def check_exponent_range(spec: ModelSpec) -> None:
     """Raise :class:`PrecisionLimitError` when Boltzmann exponents differ
     past the float range: by up to ``4/T`` in a conditional, ``2(n-1)/T``
     in ``pi``."""
-    if not np.isfinite(max(4, 2 * (spec.n - 1)) / spec.temp):
+    try:
+        finite = np.isfinite(max(4, 2 * (spec.n - 1)) / spec.temp)
+    except OverflowError:  # 2(n-1) itself is past the float range
+        finite = False
+    if not finite:
         raise PrecisionLimitError(
             f"Boltzmann exponents differ past the float range at temp {spec.temp!r}"
         )
@@ -211,8 +216,10 @@ def log_excess(spec: ModelSpec) -> float:
 
 def least_likely_rank(spec: ModelSpec) -> int:
     """Rank of the first least likely state, 0, 1, 0, 1, ...: the least
-    color vector whose bonds all disagree, ``sum over odd i of N^(n-1-i)``."""
-    return sum(spec.num_colors ** (spec.n - 1 - i) for i in range(1, spec.n, 2))
+    color vector whose bonds all disagree, ``sum over odd i of N^(n-1-i)``,
+    summed as ``N^(n mod 2) (N^(2 floor(n/2)) - 1) / (N^2 - 1)``."""
+    num_colors, n = spec.num_colors, spec.n
+    return num_colors ** (n % 2) * (num_colors ** (n - n % 2) - 1) // (num_colors**2 - 1)
 
 
 def stationary_measure(spec: ModelSpec, colors: np.ndarray) -> np.ndarray:

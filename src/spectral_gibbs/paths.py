@@ -12,12 +12,14 @@ accumulated per directed edge, matching the traversal orientation of the
 paths; with one path per ordered pair this makes the single-pair, single-edge
 chain carry exactly its own pair, so the degenerate one-site chain yields
 ``kappa = 1``.  An edge's ratio depends only on its site, the colors of its
-two neighbors and its own two colors, so :func:`kappa_exact` and
-:func:`certify_all_edges` read one table of worst ratios per such neighbor
-pattern, in ``O(n N^4)`` and with no kernel; the first names the first
-worst pattern in table order as an :class:`EdgeLoad`.  The sums over
-marginals of ``pi`` and the enumeration of pairs are kept only as the
-tests' oracles.
+two neighbors and its own two colors, and on an interior site only through
+one path-length sum, so :func:`kappa_exact` and :func:`certify_all_edges`
+read three slabs of worst ratios per such neighbor pattern: site 1, the
+interior site where that sum peaks, and site n.  They cost ``O(n + N^4)``
+and need no kernel; the first names the first worst pattern in table
+order, site by site, as an :class:`EdgeLoad`.  The table of every site,
+the sums over marginals of ``pi`` and the enumeration of pairs are kept
+only as the tests' oracles.
 
 The module also evaluates the closed-form upper bound ``(n^2/N)(N-1+e^{4/T})``
 together with the quantities that prove it, each as one table over every
@@ -37,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LOG_FLOAT_MAX, ROUNDING_TOLERANCE, ModelSpec, PrecisionLimitError
+from .model import LOG_FLOAT_MAX, ROUNDING_TOLERANCE, ModelSpec
+from .model import BudgetExceededError, PrecisionLimitError
 from .model import color_letter
 from .model import colors_table  # noqa: F401 -- perfbench/spans.py wraps this name
 from .kernel import SparseKernel, local_conditionals, local_scores
@@ -69,18 +72,23 @@ class EdgeLoad:
 
 @dataclass(frozen=True)
 class KappaResult:
-    """Exact congestion constant plus the worst ratio of every neighbor pattern.
+    """Exact congestion constant plus the worst ratio of every neighbor
+    pattern at three sites.
 
-    ``patterns`` is indexed ``[site - 1, left + 1, right + 1, color_from,
-    color_to]``, where a neighbor index of 0 means no neighbor.  Every edge's
-    ratio is positive; slots that are no edge (equal colors, or a neighbor
-    index that does not fit the site) hold zeros.
+    ``slabs`` is indexed ``[slab, left + 1, right + 1, color_from,
+    color_to]``, where a neighbor index of 0 means no neighbor.  Slab 0 is
+    site 1 and slab 2 site n, the same site at n = 1.  Slab 1 is the worst
+    interior site: every interior site has the same patterns, and each
+    ratio grows with the site's path-length sum, so slab 1 holds each
+    pattern's largest ratio over sites 2..n-1, and zeros at n <= 2.  Every
+    edge's ratio is positive; slots that are no edge (equal colors, or a
+    neighbor index that does not fit the site) hold zeros.
     """
 
     spec: ModelSpec
     kappa: float
     argmax_edge: EdgeLoad
-    patterns: np.ndarray
+    slabs: np.ndarray
 
 
 def _marginal(p: np.ndarray, sites) -> np.ndarray:
@@ -106,50 +114,82 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
     ``L = 1 + sum_{j<i} P(x_j != z_j | x_i = c) + sum_{j>i} P(y_j != z_j | y_i = c')``.
     Past the neighbors each term is largest, ``1 - 1/N + rho^d/N`` at
     distance ``d``, where ``z_j`` differs from ``c`` (left) or ``c'``
-    (right).  The table costs ``O(n N^4)`` and needs no kernel.  The witness
-    is the first pattern in table order within a relative
-    ``ROUNDING_TOLERANCE`` of kappa, so last-digit rounding cannot pick
-    between edges that symmetry makes equally loaded.
+    (right).  So ``L = S_i + near[l, c] + near[r, c']``, with the site's
+    sum ``S_i = 1 + far[i] + far[n-1-i]`` of the terms past the neighbors,
+    and only ``S_i`` depends on an interior site: the ratios are read from
+    the three slabs of :class:`KappaResult`, in ``O(n + N^4)`` and with no
+    kernel.  The witness is the first pattern in table order, site by site,
+    within a relative ``ROUNDING_TOLERANCE`` of kappa, so last-digit
+    rounding cannot pick between edges that symmetry makes equally loaded.
 
     Raises:
         PrecisionLimitError: Where :func:`kappa_closed_form` would be past
             the float range.
+        BudgetExceededError: If the ``n`` site sums do not fit in memory.
     """
     alpha, cond = _edge_factors(spec)
     n, num_colors, t = spec.n, spec.num_colors, spec.temp
     e = math.exp(2.0 / t)
     rho = math.expm1(2.0 / t) / (e + num_colors - 1)
+    # Past 2^63 bytes numpy raises ValueError rather than MemoryError;
+    # either way nothing is allocated.
+    try:
+        far = np.zeros(n)
+    except (MemoryError, ValueError) as exc:
+        raise BudgetExceededError(f"the sums of {n} sites do not fit in memory") from exc
     # far[k]: the worst terms at distances 2..k, summed term by term.
-    far_terms = 1.0 - 1.0 / num_colors + rho ** np.arange(2, n) / num_colors
-    far = np.concatenate(([0.0, 0.0], np.cumsum(far_terms)))[:n]
+    np.cumsum(1.0 - 1.0 / num_colors + rho ** np.arange(2, n) / num_colors, out=far[2:])
+    sums = 1.0 + far + far[::-1]
     # near[u + 1, c]: P(neighbor != u | site = c), 0 with no neighbor; it is
     # (1 - 1/N)(1 - rho) if u = c and 1 - (1 - rho)/N otherwise, with
     # 1 - rho = N/(e+N-1) taken without cancellation.
     near = np.full((num_colors + 1, num_colors), 1.0 - 1.0 / (e + num_colors - 1))
     near[0] = 0.0
     np.fill_diagonal(near[1:], (num_colors - 1) / (e + num_colors - 1))
-    patterns = (1.0 + far + far[::-1])[:, None, None, None, None]
-    patterns = patterns + near[:, None, :, None] + near[None, :, None, :]
-    patterns *= n / num_colors * alpha / cond
-    # An edge has two colors, and a missing neighbor exactly past an end.
-    patterns[..., range(num_colors), range(num_colors)] = 0.0
-    patterns[1:, 0] = patterns[:-1, :, 0] = 0.0
-    patterns[0, 1:] = patterns[-1, :, 1:] = 0.0
-    patterns.flags.writeable = False
+    factor = n / num_colors * alpha / cond
+    # Rounding keeps each ratio monotone in S_i, so the interior slab is
+    # that of the site where the sum peaks.
+    peak = sums[1:-1].max(initial=0.0)
+    slabs = np.array([sums[0], peak, sums[-1]])[:, None, None, None, None]
+    slabs = slabs + near[:, None, :, None] + near[None, :, None, :]
+    slabs *= factor
+    # An edge has two colors, and a neighbor exactly where the site has one.
+    sites = np.array([0, 1, n - 1])[:, None]
+    neighbor = np.arange(num_colors + 1) > 0
+    fits = ((sites > 0) == neighbor)[:, :, None] & ((sites < n - 1) == neighbor)[:, None]
+    slabs[~fits] = 0.0
+    slabs[..., range(num_colors), range(num_colors)] = 0.0
+    if n <= 2:
+        slabs[1] = 0.0
+    slabs.flags.writeable = False
 
-    kappa = float(patterns.max())
-    first = np.argmax(patterns >= (1.0 - ROUNDING_TOLERANCE) * kappa)
-    index = np.unravel_index(first, patterns.shape)
-    i, left, right, color_from, color_to = map(int, index)
+    kappa = float(slabs.max())
+    cutoff = (1.0 - ROUNDING_TOLERANCE) * kappa
+    tied = slabs >= cutoff
+    # Table order is site 1, the interior sites in order, then site n.
+    slab = int(np.argmax(tied.any(axis=(1, 2, 3, 4))))
+    pattern = tuple(np.argwhere(tied[slab])[0])
+    site, ratio = (1, n)[slab // 2], slabs[slab][pattern]
+    if slab == 1:
+        # A tied pattern reaches the window from some interior site on; the
+        # witness is at the lowest such site, in pattern order among equals.
+        site = n
+        for index in map(tuple, np.argwhere(tied[1])):
+            left, right, color_from, color_to = index
+            ratios = (sums[1:-1] + near[left, color_from] + near[right, color_to]) * factor[index]
+            first = int(np.argmax(ratios >= cutoff))
+            if first + 2 < site:
+                site, pattern, ratio = first + 2, index, ratios[first]
+    left, right, color_from, color_to = map(int, pattern)
     edge = EdgeLoad(
-        ratio=float(patterns[i, left, right, color_from, color_to]),
-        site=i + 1,
+        ratio=float(ratio),
+        site=site,
         color_from=color_from,
         color_to=color_to,
         left=left - 1 if left else None,
         right=right - 1 if right else None,
     )
-    return KappaResult(spec=spec, kappa=kappa, argmax_edge=edge, patterns=patterns)
+    return KappaResult(spec=spec, kappa=kappa, argmax_edge=edge, slabs=slabs)
 
 
 def _check_float_range(spec: ModelSpec) -> None:
@@ -282,16 +322,19 @@ def certify_all_edges(result: KappaResult) -> CertificateSummary:
     checks the path-length factor ``L <= n`` and the boundary one
     ``(alpha/p) L <= n (N-1+e^{2/T})``.  Every edge of a neighbor pattern
     has the pattern's bound and at most its worst ratio, so comparing the
-    two certifies all ``N^n n (N-1)`` directed edges.  An edge passes when
-    its slack is at least ``-ROUNDING_TOLERANCE`` times its bound: a ratio
-    may exceed its bound only by rounding.
+    two certifies all ``N^n n (N-1)`` directed edges.  An interior
+    pattern's bound does not depend on the site, so its least slack is at
+    the worst interior site, and the three slabs of :class:`KappaResult`
+    hold every least slack.  An edge passes when its slack is at least
+    ``-ROUNDING_TOLERANCE`` times its bound: a ratio may exceed its bound
+    only by rounding.
     """
     spec = result.spec
     n, num_colors = spec.n, spec.num_colors
     alpha, cond = _edge_factors(spec)
-    bounds = np.full(result.patterns.shape, boundary_edge_bound(spec))
-    bounds[1:-1, 1:, 1:] = (n * n / num_colors) * (alpha / cond)[1:, 1:]
-    slack = np.where(result.patterns > 0, bounds - result.patterns, np.inf)
+    bounds = np.full(result.slabs.shape, boundary_edge_bound(spec))
+    bounds[1, 1:, 1:] = (n * n / num_colors) * (alpha / cond)[1:, 1:]
+    slack = np.where(result.slabs > 0, bounds - result.slabs, np.inf)
     return CertificateSummary(
         num_edges=spec.num_states * n * (num_colors - 1),
         min_slack=float(slack.min()),

@@ -13,8 +13,9 @@ run from 0 to 1, within ``EIGENVALUE_TOLERANCE``, and raises a
 :class:`~spectral_gibbs.model.SolverError` where they do not.
 
 This module alone decides whether a chain has an exact spectrum:
-:func:`spectrum_at` refuses a chain past ``DENSE_SOLVE_BUDGET`` before any
-work, and a :class:`Spectrum` cannot hold a ``beta1`` that
+:func:`spectrum_at` refuses a chain of N >= 3 colors past
+``DENSE_SOLVE_BUDGET`` states before any work (at N = 2 it solves one
+equation, at any n), and a :class:`Spectrum` cannot hold a ``beta1`` that
 rounded to 1, so every reader reads a resolved gap.
 
 At N = 2 the chain is Glauber's kinetic Ising chain (Glauber 1963) and its
@@ -126,7 +127,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .model import DENSE_SOLVE_BUDGET, EIGENVALUE_TOLERANCE, ROUNDING_TOLERANCE
-from .model import BudgetExceededError, ModelSpec, PrecisionLimitError, SolverError
+from .model import ModelSpec, PrecisionLimitError, SolverError
 from .model import check_budget, check_exponent_range, color_rows, exceeds_budget
 from .kernel import SparseKernel, move_targets, transition_data
 from .kernel import check_detailed_balance  # noqa: F401 -- perfbench/spans.py wraps this name
@@ -156,23 +157,16 @@ class Spectrum:
 
 
 def exceeds_spectrum_budget(spec: ModelSpec) -> bool:
-    """Whether :func:`spectrum_at` refuses ``spec``: ``n`` past
-    ``DENSE_SOLVE_BUDGET`` at N = 2, else the order of the ``N^n x N^n``
-    ``S`` that the blocks split, which is never formed."""
-    if spec.num_colors == 2:
-        return spec.n > DENSE_SOLVE_BUDGET
-    return exceeds_budget(spec, DENSE_SOLVE_BUDGET)
+    """Whether :func:`spectrum_at` refuses ``spec``: for N >= 3, the order of
+    the ``N^n x N^n`` ``S`` that the blocks split, which is never formed,
+    past ``DENSE_SOLVE_BUDGET``.  The root in ``theta`` of N = 2 has no cap."""
+    return spec.num_colors > 2 and exceeds_budget(spec, DENSE_SOLVE_BUDGET)
 
 
 def check_spectrum_budget(spec: ModelSpec) -> None:
     """Raise :class:`BudgetExceededError` when :func:`exceeds_spectrum_budget`."""
     if spec.num_colors > 2:
         check_budget(spec, DENSE_SOLVE_BUDGET, "dense symmetrization")
-    elif spec.n > DENSE_SOLVE_BUDGET:
-        raise BudgetExceededError(
-            f"tridiagonal solve would take {spec.n} rows, exceeding its budget "
-            f"of {DENSE_SOLVE_BUDGET}"
-        )
 
 
 def _plan_block(

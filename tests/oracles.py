@@ -7,7 +7,11 @@ must consume, so a test that compares the two checks the tables.  The congestion
 directed edge's load from marginals of the enumerated ``pi`` and reads its
 capacity off the kernel matrix, so it shares no code with the package's
 neighbor-pattern formula; the witness oracles map each tied edge to its
-pattern, or scan the pattern table one index at a time.  The
+pattern, or scan the pattern table one index at a time.  That table holds
+every site, where the package keeps three slabs of it; it is formed from
+the package's edge factors in the package's order of additions, so it
+checks the three-slab factoring bitwise, and the marginal oracle checks
+the formula.  The
 symmetrization oracle forms ``sqrt(P_xy P_yx)`` for all ``m`` rows from the
 kernel matrix, with ``P_xx`` on the diagonal, where the package builds the
 representatives' rows from the conditionals.  The edge-factor oracle sums the
@@ -41,7 +45,9 @@ import math
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from spectral_gibbs import make_rng
+from spectral_gibbs import boundary_edge_bound, make_rng
+from spectral_gibbs.model import ROUNDING_TOLERANCE
+from spectral_gibbs.paths import _edge_factors
 
 
 def bond(u, v):
@@ -452,6 +458,57 @@ def marginal_witness(kernel, ratios, rtol):
         "left": left - 1 if left else None,
         "right": right - 1 if right else None,
     }
+
+
+def pattern_table(spec):
+    """The worst ratio of every neighbor pattern at every site, indexed
+    ``[site - 1, left + 1, right + 1, color_from, color_to]`` (0 for no
+    neighbor, zeros where no edge fits): ``n (N+1)^2 N^2`` floats, each
+    formed in the order of additions that ``kappa_exact`` uses for its
+    three slabs, so the two agree bitwise."""
+    alpha, cond = _edge_factors(spec)
+    n, num_colors, t = spec.n, spec.num_colors, spec.temp
+    e = math.exp(2.0 / t)
+    rho = math.expm1(2.0 / t) / (e + num_colors - 1)
+    far_terms = 1.0 - 1.0 / num_colors + rho ** np.arange(2, n) / num_colors
+    far = np.concatenate(([0.0, 0.0], np.cumsum(far_terms)))[:n]
+    near = np.full((num_colors + 1, num_colors), 1.0 - 1.0 / (e + num_colors - 1))
+    near[0] = 0.0
+    np.fill_diagonal(near[1:], (num_colors - 1) / (e + num_colors - 1))
+    patterns = (1.0 + far + far[::-1])[:, None, None, None, None]
+    patterns = patterns + near[:, None, :, None] + near[None, :, None, :]
+    patterns *= n / num_colors * alpha / cond
+    patterns[..., range(num_colors), range(num_colors)] = 0.0
+    patterns[1:, 0] = patterns[:-1, :, 0] = 0.0
+    patterns[0, 1:] = patterns[-1, :, 1:] = 0.0
+    return patterns
+
+
+def pattern_slabs(patterns):
+    """Site 1, the largest ratio of each pattern over the interior sites
+    (zeros at n <= 2), and site n of a :func:`pattern_table`."""
+    interior = patterns[1:-1].max(axis=0, initial=0.0)
+    return np.stack([patterns[0], interior, patterns[-1]])
+
+
+def pattern_kappa(patterns, rtol):
+    """Kappa and the witness, ``[site - 1, left + 1, right + 1, color_from,
+    color_to]``, of a :func:`pattern_table`: the first index in row-major
+    order within ``rtol`` of the largest ratio."""
+    kappa = patterns.max()
+    first = np.argmax(patterns >= (1 - rtol) * kappa)
+    return kappa, [int(k) for k in np.unravel_index(first, patterns.shape)]
+
+
+def pattern_certificates(spec, patterns):
+    """``min_slack`` and ``all_passed`` of every site of a
+    :func:`pattern_table` against its per-edge bound."""
+    n, num_colors = spec.n, spec.num_colors
+    alpha, cond = _edge_factors(spec)
+    bounds = np.full(patterns.shape, boundary_edge_bound(spec))
+    bounds[1:-1, 1:, 1:] = (n * n / num_colors) * (alpha / cond)[1:, 1:]
+    slack = np.where(patterns > 0, bounds - patterns, np.inf)
+    return slack.min(), bool(np.all(slack >= -ROUNDING_TOLERANCE * bounds))
 
 
 def pattern_witness(patterns, rtol):

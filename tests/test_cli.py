@@ -141,13 +141,14 @@ def test_sweep_flags_skipped_exact(capsys):
     for n, colors in [(13, 4), (16, 4), (17, 4)]:
         row = rows[n, colors]
         assert row[7] == "" and row[8] == "" and row[9] == "true", (n, colors)
-    # At N = 2 the solve is n x n, so 2^17 states fill in as well as 2^13.
+    # At N = 2 the spectrum is one root in theta, so 2^17 states fill in as
+    # well as 2^13.
     for n in range(13, 18):
         row = rows[n, 2]
         assert float(row[7]) == float(row[8]) < 1.0 and row[9] == "false", n
 
 
-def test_sweep_two_color_exact_up_to_the_solve_cap(capsys):
+def test_sweep_two_color_exact_at_any_n(capsys):
     code, out = run_main(["sweep", "--n", "15:20", "--colors", "2"], capsys)
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
@@ -155,14 +156,19 @@ def test_sweep_two_color_exact_up_to_the_solve_cap(capsys):
     for row in rows:
         assert row["skipped_exact"] == "false", row
         assert float(row["exact_beta1"]) == float(row["exact_beta_star"]) < 1.0
-    # Past n = 4096 rows the solve is refused: bounds only, flagged.
+    # N = 2 has no spectrum cap: n = 4097, once refused, and n = 10^6 get
+    # their exact columns.  At n = 10^15, beta1 = 1 - 3.6e-17 rounds to 1,
+    # so that row is flagged, as is any row past the float range.
     code, out = run_main(
-        ["sweep", "--n", "4097", "--colors", "2", "--temp", "1"], capsys
+        ["sweep", "--n", "4097,1000000,1000000000000000", "--colors", "2", "--temp", "1"],
+        capsys,
     )
     assert code == 0
-    (row,) = csv.DictReader(out.splitlines())
-    assert row["exact_beta1"] == row["exact_beta_star"] == ""
-    assert row["skipped_exact"] == "true"
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [row["skipped_exact"] for row in rows] == ["false", "false", "true"]
+    for row in rows[:2]:
+        assert float(row["exact_beta1"]) == float(row["exact_beta_star"]) < 1.0
+    assert rows[2]["exact_beta1"] == rows[2]["exact_beta_star"] == ""
 
 
 def test_sweep_json(capsys):
@@ -458,19 +464,20 @@ def test_cli_budget_exit_code(capsys):
     assert "dense symmetrization" in capsys.readouterr().err
 
 
-def test_two_color_exact_up_to_the_solve_cap(capsys, monkeypatch):
-    # At N = 2 the spectrum is one root in theta, so bounds, which builds no
-    # kernel, runs up to n = 4096 and refuses the chain above it.
-    # verify and tv build a kernel, so the state enumeration's own cap of
-    # 65536 states still stops them at n = 17, before any state is
-    # enumerated.
-    from spectral_gibbs import model, spectral
+def test_two_color_bounds_at_any_n(capsys, monkeypatch):
+    # At N = 2 the spectrum is one root in theta and kappa reads three
+    # neighbor-pattern slabs, so bounds, which builds no kernel, takes any n,
+    # n = 4097 included, which the spectrum's cap once refused.  verify and
+    # tv build a kernel, so the state enumeration's own cap of 65536 states
+    # still stops them at n = 17, before any state is enumerated and before
+    # tv takes its default start.
+    from spectral_gibbs import model
 
     argv = ["--n", "16", "--colors", "2", "--temp", "1"]
     for command in ("bounds", "verify", "tv"):
         code, out = run_main([command, *argv], capsys)
         assert code == 0 and out, command
-    for n in (17, 1000):
+    for n in (17, 1000, 4097):
         code, out = run_main(
             ["bounds", "--n", str(n), "--colors", "2", "--temp", "1"], capsys
         )
@@ -481,21 +488,74 @@ def test_two_color_exact_up_to_the_solve_cap(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("work ran before the budget refusal")
 
-    monkeypatch.setattr(spectral, "_two_color_beta1", fail)
     monkeypatch.setattr(model, "color_rows", fail)
-    code = main(["bounds", "--n", "4097", "--colors", "2", "--temp", "1"])
-    assert code == 3
-    assert capsys.readouterr().err == (
-        "resource limit: tridiagonal solve would take 4097 rows, "
-        "exceeding its budget of 4096\n"
+    monkeypatch.setattr(cli, "least_likely_rank", fail)
+    for n in ("17", "1" + "0" * 400):
+        for command in ("verify", "tv"):
+            code = main([command, "--n", n, "--colors", "2", "--temp", "1"])
+            assert code == 3, command
+            assert capsys.readouterr().err == (
+                f"resource limit: state enumeration would touch 2^{n} states, "
+                "exceeding its budget of 65536\n"
+            ), command
+
+
+def test_bounds_at_a_million_sites(capsys):
+    # Kappa's three slabs cost O(n + N^4): 0.22-0.28 s and 61 MiB for the
+    # whole command on 2 cores, where the table of every site took 1.1 s
+    # and 380 MiB.  The least likely state's rank has 301030 digits, past
+    # what Python prints, so its envelope start is null.
+    code, out = run_main(
+        ["bounds", "--n", "1000000", "--colors", "2", "--temp", "1"], capsys
     )
-    for command in ("verify", "tv"):
-        code = main([command, "--n", "17", "--colors", "2", "--temp", "1"])
-        assert code == 3, command
-        assert capsys.readouterr().err == (
-            "resource limit: state enumeration would touch 2^17 states, "
-            "exceeding its budget of 65536\n"
-        ), command
+    payload = json.loads(out)
+    assert code == 0 and payload["all_passed"]
+    assert 0.0 < payload["exact"]["beta1"] < 1.0
+    assert payload["envelope"] == {"start_state": None, "pi_start": 0.0}
+
+
+def test_bounds_start_state_is_null_past_the_digit_limit(capsys):
+    # At N = 2 the rank of 0, 1, 0, 1, ... has 4300 digits at n = 14285,
+    # the most that Python converts to text, and 4301 at n = 14286.
+    from spectral_gibbs.model import least_likely_rank
+
+    starts = {}
+    for n in (14285, 14286):
+        code, out = run_main(
+            ["bounds", "--n", str(n), "--colors", "2", "--temp", "1"], capsys
+        )
+        assert code == 0
+        starts[n] = json.loads(out)["envelope"]["start_state"]
+    assert starts == {14285: least_likely_rank(ModelSpec(14285, 2, 1.0)), 14286: None}
+    code, out = run_main(
+        ["bounds", "--n", "14286", "--colors", "2", "--temp", "1", "--format", "csv"],
+        capsys,
+    )
+    header, row = (line.split(",") for line in out.splitlines())
+    assert code == 0 and row[header.index("envelope.start_state")] == ""
+
+
+def test_bounds_past_the_float_range_of_n(capsys):
+    # 2(n - 1)/T does not convert to a float at n = 10^400: a precision
+    # limit, not an OverflowError
+    code = main(["bounds", "--n", "1" + "0" * 400, "--colors", "2", "--temp", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (
+        "precision limit: Boltzmann exponents differ past the float range at temp 1.0\n"
+    )
+
+
+def test_tv_start_is_checked_before_the_kernel_cap(capsys, monkeypatch):
+    # An explicit bad start stays a usage error past the kernel's cap, and a
+    # start rank is checked against N^n without forming it.
+    for n, start in [("20", "zz"), ("20", str(2**20)), ("1" + "0" * 400, "ab")]:
+        code = main(["tv", "--n", n, "--colors", "2", "--temp", "1", "--start", start])
+        assert code == 2, (n, start)
+        assert capsys.readouterr().err.startswith("error: "), (n, start)
+    code = main(["tv", "--n", "1" + "0" * 400, "--colors", "2", "--temp", "1", "--start", "5"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("resource limit: state enumeration")
 
 
 def test_bounds_prints_an_underflowed_envelope_start(capsys):

@@ -10,13 +10,15 @@ from conftest import CLOSED_FORM_CHAINS, CLOSED_FORM_TEMPS
 from spectral_gibbs import (
     BudgetExceededError,
     ModelSpec,
+    PrecisionLimitError,
     colors_to_string,
     decode_rank,
     encode_rank,
     stationary_measure,
     string_to_colors,
 )
-from spectral_gibbs.model import colors_table, energies_table, log_partition
+from spectral_gibbs.model import check_exponent_range, colors_table, energies_table
+from spectral_gibbs.model import least_likely_rank, log_partition
 
 
 def measure(spec):
@@ -135,6 +137,27 @@ def test_stationary_measure_sums_to_one(n, colors):
     for temp in CLOSED_FORM_TEMPS:
         spec = ModelSpec(n, colors, temp)
         assert abs(math.fsum(measure(spec)) - 1.0) <= 4e-15, spec
+
+
+@pytest.mark.parametrize("colors", [2, 3, 4, 7, 26])
+def test_least_likely_rank_closed_form_matches_the_sum(colors):
+    # the rank of 0, 1, 0, 1, ... summed place by place, as it was before
+    for n in range(1, 300):
+        want = sum(colors ** (n - 1 - i) for i in range(1, n, 2))
+        assert least_likely_rank(ModelSpec(n, colors, 1.0)) == want, n
+
+
+def test_least_likely_rank_at_large_n():
+    # 1010...10 in binary, so three times it is 2^n - 1 at even n; the sum
+    # over places was quadratic in n, 5.6 s here.
+    assert 3 * least_likely_rank(ModelSpec(10**5, 2, 1.0)) == 2**10**5 - 1
+
+
+def test_exponent_range_refuses_an_n_past_the_float_range():
+    # 2(n - 1) itself does not convert to a float
+    with pytest.raises(PrecisionLimitError, match="float range"):
+        check_exponent_range(ModelSpec(10**400, 2, 1.0))
+    check_exponent_range(ModelSpec(10**300, 2, 1e10))
 
 
 def test_weights_are_read_only():

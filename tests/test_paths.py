@@ -10,12 +10,17 @@ from conftest import grid_specs, kappa_for, kernel_for, marginal_tables_for
 from oracles import (
     edge_factors,
     marginal_witness,
+    pattern_certificates,
+    pattern_kappa,
+    pattern_slabs,
+    pattern_table,
     pattern_witness,
     slice_identities,
     slice_pair_table,
 )
 
 from spectral_gibbs import (
+    BudgetExceededError,
     ModelSpec,
     PrecisionLimitError,
     boundary_edge_bound,
@@ -175,7 +180,7 @@ def per_edge_all_passed(kernel, ratios):
 
 
 def _pattern_index(edge):
-    """Index of an edge's pattern into ``KappaResult.patterns``."""
+    """Index of an edge's pattern into the oracle's ``pattern_table``."""
     left = 0 if edge.left is None else edge.left + 1
     right = 0 if edge.right is None else edge.right + 1
     return (edge.site - 1, left, right, edge.color_from, edge.color_to)
@@ -243,8 +248,8 @@ def test_argmax_edge_consistent():
     result = kappa_for(ModelSpec(3, 3, 1.0))
     edge = result.argmax_edge
     assert math.isclose(edge.ratio, result.kappa, rel_tol=1e-15)
-    assert result.patterns[_pattern_index(edge)] == edge.ratio
-    assert result.kappa == result.patterns.max()
+    assert pattern_table(result.spec)[_pattern_index(edge)] == edge.ratio
+    assert result.kappa == result.slabs.max()
 
 
 @pytest.mark.parametrize(
@@ -272,10 +277,11 @@ def test_kappa_matches_marginal_oracle(spec):
     kern = kernel_for(spec)
     _, _, ratios = marginal_tables_for(spec)
     result = kappa_for(spec)
-    # every pattern's worst ratio, so kappa and the certificates too
-    np.testing.assert_allclose(
-        result.patterns, pattern_maxima(kern, ratios), rtol=1e-12, atol=0
-    )
+    # every pattern's worst ratio at every site, which the package reads
+    # from three of them, so kappa and the certificates too
+    table = pattern_table(spec)
+    np.testing.assert_allclose(table, pattern_maxima(kern, ratios), rtol=1e-12, atol=0)
+    assert np.array_equal(result.slabs, pattern_slabs(table))
     assert math.isclose(result.kappa, ratios.max(), rel_tol=1e-12)
     edge = result.argmax_edge
     assert marginal_witness(kern, ratios, ROUNDING_TOLERANCE) == {
@@ -294,7 +300,7 @@ def test_kappa_deterministic_and_block_size_stable():
     b = kappa_exact(spec)
     assert a.kappa == b.kappa
     assert a.argmax_edge == b.argmax_edge
-    assert np.array_equal(a.patterns, b.patterns)
+    assert np.array_equal(a.slabs, b.slabs)
     kern = kernel_for(spec)
     # the oracle's block split changes only the summation order
     whole = pair_enumeration_tables(kern)
@@ -304,11 +310,14 @@ def test_kappa_deterministic_and_block_size_stable():
 
 
 @pytest.mark.parametrize(
-    "spec", [ModelSpec(7, 4, 1.0), ModelSpec(14, 2, 1.0), ModelSpec(1000, 3, 1.0)]
+    "spec",
+    [ModelSpec(7, 4, 1.0), ModelSpec(14, 2, 1.0), ModelSpec(1000, 3, 1.0),
+     ModelSpec(10**6, 2, 1.0)],
 )
 def test_kappa_past_dense_budget(spec, monkeypatch):
     # past the dense eigensolve's cap (16384 states) and the enumeration's
-    # (3^1000): kappa and the certificates enumerate no state
+    # (3^1000): kappa and the certificates enumerate no state, and read no
+    # table of every site
     def fail(spec):
         raise AssertionError("a state table was built")
 
@@ -330,17 +339,44 @@ def test_kappa_past_dense_budget(spec, monkeypatch):
 )
 def test_witness_matches_scan_of_tied_patterns(spec):
     # ties span the interior sites at large n; the witness must be the first
-    # tied pattern that a scan of the table, one index at a time, finds
-    result = kappa_exact(spec)
-    edge = result.argmax_edge
-    index = [
-        edge.site - 1,
-        0 if edge.left is None else edge.left + 1,
-        0 if edge.right is None else edge.right + 1,
-        edge.color_from,
-        edge.color_to,
-    ]
-    assert index == pattern_witness(result.patterns, ROUNDING_TOLERANCE)
+    # tied pattern that a scan of every site's table, one index at a time,
+    # finds
+    edge = kappa_exact(spec).argmax_edge
+    index = list(_pattern_index(edge))
+    assert index == pattern_witness(pattern_table(spec), ROUNDING_TOLERANCE)
+
+
+# kappa's acceptance grid: N = 2..8, n = 1..12, 16 and 30 and, at N <= 3,
+# n = 100, 257, 1000 and 4096, each at eight temperatures; 848 chains.
+SLAB_TEMPS = (0.06, 0.1, 0.3, 1.0, 2.0, 5.0, 20.0, 100.0)
+SLAB_CHAINS = [
+    (n, colors)
+    for colors in range(2, 9)
+    for n in [*range(1, 13), 16, 30, *([100, 257, 1000, 4096] if colors <= 3 else [])]
+]
+
+
+@pytest.mark.parametrize("n,colors", SLAB_CHAINS)
+def test_slabs_match_every_site_bitwise(n, colors):
+    # The three slabs, kappa, the witness and the certificates against the
+    # table of every site: the same floats, not merely close ones.
+    for temp in SLAB_TEMPS:
+        spec = ModelSpec(n, colors, temp)
+        result = kappa_exact(spec)
+        table = pattern_table(spec)
+        assert np.array_equal(result.slabs, pattern_slabs(table)), spec
+        kappa, witness = pattern_kappa(table, ROUNDING_TOLERANCE)
+        edge = result.argmax_edge
+        assert result.kappa == kappa and list(_pattern_index(edge)) == witness, spec
+        assert edge.ratio == table[tuple(witness)], spec
+        summary = certify_all_edges(result)
+        assert (summary.min_slack, summary.all_passed) == pattern_certificates(spec, table)
+
+
+def test_kappa_past_memory_is_a_resource_limit():
+    # numpy refuses the 8 PB of site sums before it touches memory
+    with pytest.raises(BudgetExceededError, match="do not fit in memory"):
+        kappa_exact(ModelSpec(10**15, 2, 1.0))
 
 
 def test_kappa_share_of_closed_form_at_large_n():

@@ -435,30 +435,34 @@ def test_spectrum_budget():
     kern = build_kernel(ModelSpec(7, 4, 1.0))  # 16384 states, build is fine
     with pytest.raises(BudgetExceededError, match="dense symmetrization.*4096"):
         spectrum(kern)
-    # At N = 2 the cap is on n, so 8192 states get a spectrum.
+    # At N = 2 the spectrum has no cap, so 8192 states get a spectrum.
     assert spectrum(build_kernel(ModelSpec(13, 2, 1.0))).beta1 < 1.0
 
 
 def test_spectrum_at_refuses_past_the_cap_before_any_work(monkeypatch):
-    # The cap is on N^n for the blocks and on n at N = 2.  spectrum_at checks
-    # it first, so no representative is built and no root is sought past it.
+    # The cap is on N^n for the blocks.  spectrum_at checks it first, so no
+    # representative is built past it.
     def fail(*args):
         raise AssertionError("spectrum_at did work past its cap")
 
-    for name in ("SectorPlan", "color_rows", "_two_color_beta1"):
+    for name in ("SectorPlan", "color_rows"):
         monkeypatch.setattr(spectral, name, fail)
-    for spec, message in [
-        (ModelSpec(7, 4, 1.0), "dense symmetrization would touch 4^7 states, "),
-        (ModelSpec(4097, 2, 1.0), "tridiagonal solve would take 4097 rows, "),
-    ]:
-        with pytest.raises(BudgetExceededError) as refusal:
-            spectral.spectrum_at(spec)
-        assert str(refusal.value) == message + "exceeding its budget of 4096"
-        assert spectral.exceeds_spectrum_budget(spec)
+    spec = ModelSpec(7, 4, 1.0)
+    with pytest.raises(BudgetExceededError) as refusal:
+        spectral.spectrum_at(spec)
+    assert str(refusal.value) == (
+        "dense symmetrization would touch 4^7 states, exceeding its budget of 4096"
+    )
+    assert spectral.exceeds_spectrum_budget(spec)
     # At the cap itself nothing is refused; past it no N^n is formed.
     assert not spectral.exceeds_spectrum_budget(ModelSpec(6, 4, 1.0))
-    assert not spectral.exceeds_spectrum_budget(ModelSpec(4096, 2, 1.0))
     assert spectral.exceeds_spectrum_budget(ModelSpec(10**5000, 3, 1.0))
+    # N = 2 solves one root in theta, the same work at any n, and has no cap:
+    # n = 4097, which the cap once refused, is solved like n = 10^6.
+    for n in (4097, 10**6):
+        assert not spectral.exceeds_spectrum_budget(ModelSpec(n, 2, 1.0))
+        assert 0.0 < spectral.spectrum_at(ModelSpec(n, 2, 1.0)).beta1 < 1.0
+    assert not spectral.exceeds_spectrum_budget(ModelSpec(10**5000, 2, 1.0))
 
 
 @pytest.mark.parametrize("n", [17, 100, 1000, 4096])
