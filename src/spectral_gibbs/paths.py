@@ -16,10 +16,9 @@ two neighbors and its own two colors, and on an interior site only through
 one path-length sum, so :func:`kappa_exact` and :func:`certify_all_edges`
 read three slabs of worst ratios per such neighbor pattern: site 1, the
 interior site where that sum peaks, and site n.  They cost ``O(n + N^4)``
-and need no kernel; the first names the first worst pattern in table
-order, site by site, as an :class:`EdgeLoad`.  The table of every site,
-the sums over marginals of ``pi`` and the enumeration of pairs are kept
-only as the tests' oracles.
+and need no kernel; the first names its witness, an :class:`EdgeLoad`,
+from the slabs alone.  The table of every site, the sums over marginals
+of ``pi`` and the enumeration of pairs are kept only as the tests' oracles.
 
 The module also evaluates the closed-form upper bound ``(n^2/N)(N-1+e^{4/T})``
 together with the quantities that prove it, each as one table over every
@@ -55,7 +54,8 @@ class EdgeLoad:
 
     Attributes:
         ratio: Largest ``load / (pi(z) P(z, z'))`` over the pattern's edges.
-        site: 1-based site that the edge recolors.
+        site: 1-based site that the edge recolors; kappa's witness is at
+            site 1, the middle site ``(n + 1) // 2`` or site n.
         color_from: Color at that site before the move.
         color_to: Color at that site after the move.
         left: Color of the left neighbor, or None at site 1.
@@ -72,17 +72,18 @@ class EdgeLoad:
 
 @dataclass(frozen=True)
 class KappaResult:
-    """Exact congestion constant plus the worst ratio of every neighbor
-    pattern at three sites.
+    """Exact congestion constant, its witness edge, and the worst ratio of
+    every neighbor pattern at three sites.
 
     ``slabs`` is indexed ``[slab, left + 1, right + 1, color_from,
     color_to]``, where a neighbor index of 0 means no neighbor.  Slab 0 is
     site 1 and slab 2 site n, the same site at n = 1.  Slab 1 is the worst
     interior site: every interior site has the same patterns, and each
-    ratio grows with the site's path-length sum, so slab 1 holds each
-    pattern's largest ratio over sites 2..n-1, and zeros at n <= 2.  Every
-    edge's ratio is positive; slots that are no edge (equal colors, or a
-    neighbor index that does not fit the site) hold zeros.
+    ratio grows with the site's path-length sum, which rises up to the
+    middle site, so slab 1 holds each pattern's largest ratio over sites
+    2..n-1, and zeros at n <= 2.  Every edge's ratio is positive; slots
+    that are no edge (equal colors, or a neighbor index that does not fit
+    the site) hold zeros.
     """
 
     spec: ModelSpec
@@ -118,9 +119,11 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
     sum ``S_i = 1 + far[i] + far[n-1-i]`` of the terms past the neighbors,
     and only ``S_i`` depends on an interior site: the ratios are read from
     the three slabs of :class:`KappaResult`, in ``O(n + N^4)`` and with no
-    kernel.  The witness is the first pattern in table order, site by site,
-    within a relative ``ROUNDING_TOLERANCE`` of kappa, so last-digit
-    rounding cannot pick between edges that symmetry makes equally loaded.
+    kernel.  The witness is the first pattern, in table order, of the first
+    slab that holds one within a relative ``ROUNDING_TOLERANCE`` of kappa
+    (so rounding cannot pick between edges that symmetry makes equally
+    loaded), named at site 1, at the middle site ``(n + 1) // 2``, where
+    ``S_i`` peaks, or at site n, with its slab entry as its ratio.
 
     Raises:
         PrecisionLimitError: Where :func:`kappa_closed_form` would be past
@@ -164,26 +167,13 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
     slabs.flags.writeable = False
 
     kappa = float(slabs.max())
-    cutoff = (1.0 - ROUNDING_TOLERANCE) * kappa
-    tied = slabs >= cutoff
-    # Table order is site 1, the interior sites in order, then site n.
-    slab = int(np.argmax(tied.any(axis=(1, 2, 3, 4))))
-    pattern = tuple(np.argwhere(tied[slab])[0])
-    site, ratio = (1, n)[slab // 2], slabs[slab][pattern]
-    if slab == 1:
-        # A tied pattern reaches the window from some interior site on; the
-        # witness is at the lowest such site, in pattern order among equals.
-        site = n
-        for index in map(tuple, np.argwhere(tied[1])):
-            left, right, color_from, color_to = index
-            ratios = (sums[1:-1] + near[left, color_from] + near[right, color_to]) * factor[index]
-            first = int(np.argmax(ratios >= cutoff))
-            if first + 2 < site:
-                site, pattern, ratio = first + 2, index, ratios[first]
-    left, right, color_from, color_to = map(int, pattern)
+    # The first tied slot in row-major order: slab by slab, in site order.
+    tied = slabs >= (1.0 - ROUNDING_TOLERANCE) * kappa
+    first = np.unravel_index(np.argmax(tied), slabs.shape)
+    slab, left, right, color_from, color_to = map(int, first)
     edge = EdgeLoad(
-        ratio=float(ratio),
-        site=site,
+        ratio=float(slabs[first]),
+        site=(1, (n + 1) // 2, n)[slab],
         color_from=color_from,
         color_to=color_to,
         left=left - 1 if left else None,
@@ -193,7 +183,7 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
 
 
 def _check_float_range(spec: ModelSpec) -> None:
-    """Refuse a temperature at which the closed-form quantities overflow.
+    """Refuse a chain at which the closed-form quantities overflow.
 
     Every closed-form quantity of this module (the bounds, the edge factor
     ``alpha/p``, the slice scale ``e^{2/T}``) is at most
@@ -203,7 +193,13 @@ def _check_float_range(spec: ModelSpec) -> None:
         PrecisionLimitError: If that bound is past the float range.
     """
     n, num_colors = spec.n, spec.num_colors
-    log_bound = math.log(max(1.0, n * n / num_colors) * num_colors) + 4.0 / spec.temp
+    try:
+        log_bound = math.log(max(1.0, n * n / num_colors) * num_colors) + 4.0 / spec.temp
+    except OverflowError:  # max(n^2, N), and so the bound, is past the float range
+        raise PrecisionLimitError(
+            f"the closed-form bound (n^2/N)(N-1+e^(4/T)) is past the float range "
+            f"at n ~ 10^{math.log10(n):.1f}, N ~ 10^{math.log10(num_colors):.1f}"
+        ) from None
     if log_bound >= LOG_FLOAT_MAX:
         raise PrecisionLimitError(
             f"the closed-form bound (n^2/N)(N-1+e^(4/T)) is past the float range "

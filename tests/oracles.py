@@ -437,22 +437,35 @@ def marginal_kappa_tables(kernel):
     return loads, qs, ratios
 
 
+def _slab(site, n):
+    """The slab of a 0-based site: 0 at site 1, 2 at site n, 1 between."""
+    return 0 if site == 0 else 2 if site == n - 1 else 1
+
+
+def _witness_site(slab, n):
+    """The 0-based site that names a witness of ``slab``: site 1, the middle
+    site ``(n + 1) // 2``, where every interior load peaks, or site n."""
+    return (0, (n - 1) // 2, n - 1)[slab]
+
+
 def marginal_witness(kernel, ratios, rtol):
-    """Site, colors and neighbors of the edge within ``rtol`` of the largest
-    ratio whose pattern ``[site - 1, left + 1, right + 1, color_from,
-    color_to]`` (0 for no neighbor) comes first in row-major order."""
+    """Site, colors and neighbors of the witness among the edges within
+    ``rtol`` of the largest ratio: the least ``[slab, left + 1, right + 1,
+    color_from, color_to]`` (0 for no neighbor) in row-major order, where
+    the slab is 0 at site 1, 2 at site n and 1 between, named at site 1,
+    the middle site or site n."""
     n = kernel.spec.n
 
     def pattern(rank, i, color_to):
         state = [int(c) for c in kernel.colors[rank]]
         left = state[i - 1] + 1 if i >= 1 else 0
         right = state[i + 1] + 1 if i + 1 < n else 0
-        return i, left, right, state[i], color_to
+        return _slab(i, n), left, right, state[i], color_to
 
     tied = np.argwhere(ratios >= (1 - rtol) * ratios.max()).tolist()
-    i, left, right, color_from, color_to = min(pattern(*k) for k in tied)
+    slab, left, right, color_from, color_to = min(pattern(*k) for k in tied)
     return {
-        "site": i + 1,
+        "site": _witness_site(slab, n) + 1,
         "color_from": color_from,
         "color_to": color_to,
         "left": left - 1 if left else None,
@@ -492,12 +505,18 @@ def pattern_slabs(patterns):
 
 
 def pattern_kappa(patterns, rtol):
-    """Kappa and the witness, ``[site - 1, left + 1, right + 1, color_from,
-    color_to]``, of a :func:`pattern_table`: the first index in row-major
-    order within ``rtol`` of the largest ratio."""
+    """Kappa, the witness ``[site - 1, left + 1, right + 1, color_from,
+    color_to]`` and its ratio, from a :func:`pattern_table`.  Of the entries
+    within ``rtol`` of the largest ratio, the witness is the least pattern
+    of the first slab (site 1, the interior, site n) that holds one, named
+    at :func:`_witness_site` with the pattern's largest ratio in that slab."""
+    n = len(patterns)
     kappa = patterns.max()
-    first = np.argmax(patterns >= (1 - rtol) * kappa)
-    return kappa, [int(k) for k in np.unravel_index(first, patterns.shape)]
+    tied = np.argwhere(patterns >= (1 - rtol) * kappa).tolist()
+    slab, *pattern = min([_slab(site, n), *rest] for site, *rest in tied)
+    sites = [site for site in range(n) if _slab(site, n) == slab]
+    ratio = patterns[(sites, *pattern)].max()
+    return kappa, [_witness_site(slab, n), *pattern], ratio
 
 
 def pattern_certificates(spec, patterns):
@@ -512,10 +531,16 @@ def pattern_certificates(spec, patterns):
 
 
 def pattern_witness(patterns, rtol):
-    """The first index, in ``np.ndindex`` order, of a pattern within ``rtol``
-    of the largest ratio."""
+    """The witness of a :func:`pattern_table`, found one pattern at a time:
+    slab by slab (site 1, the interior, site n), the first index in
+    ``np.ndindex`` order that one of the slab's sites holds within ``rtol``
+    of the largest ratio, named at :func:`_witness_site`."""
+    n = len(patterns)
     cutoff = (1 - rtol) * patterns.max()
-    return next(list(k) for k in np.ndindex(patterns.shape) if patterns[k] >= cutoff)
+    for slab, sites in enumerate([[0], list(range(1, n - 1)), [n - 1]]):
+        for k in np.ndindex(patterns.shape[1:]):
+            if (patterns[(sites, *k)] >= cutoff).any():
+                return [_witness_site(slab, n), *k]
 
 
 def slice_pair_table(kernel):

@@ -1,5 +1,6 @@
 """Canonical paths, the congestion constant, and the edge-local bounds."""
 
+import dataclasses
 import itertools
 import math
 
@@ -338,9 +339,9 @@ def test_kappa_past_dense_budget(spec, monkeypatch):
     ids=str,
 )
 def test_witness_matches_scan_of_tied_patterns(spec):
-    # ties span the interior sites at large n; the witness must be the first
-    # tied pattern that a scan of every site's table, one index at a time,
-    # finds
+    # ties span the interior sites at large n; the witness must be the one
+    # that a scan of every site's table, slab by slab and one pattern at a
+    # time, finds
     edge = kappa_exact(spec).argmax_edge
     index = list(_pattern_index(edge))
     assert index == pattern_witness(pattern_table(spec), ROUNDING_TOLERANCE)
@@ -356,6 +357,20 @@ SLAB_CHAINS = [
 ]
 
 
+def test_witness_is_a_maximum():
+    # The witness's ratio is kappa but for rounding, and an interior witness
+    # sits at the middle site, where every interior load peaks; also where
+    # patterns whose ratios really differ come within ROUNDING_TOLERANCE.
+    specs = [ModelSpec(n, colors, temp) for n, colors in SLAB_CHAINS for temp in SLAB_TEMPS]
+    specs += [ModelSpec(256, 2, 5.0), ModelSpec(1024, 2, 5.0), ModelSpec(10**5, 3, 1.0),
+              ModelSpec(10**6, 2, 1.0), ModelSpec(10**4, 26, 1.0)]
+    for spec in specs:
+        result = kappa_exact(spec)
+        edge = result.argmax_edge
+        assert 0 <= result.kappa - edge.ratio <= 1e-15 * result.kappa, spec
+        assert edge.site in (1, (spec.n + 1) // 2, spec.n), spec
+
+
 @pytest.mark.parametrize("n,colors", SLAB_CHAINS)
 def test_slabs_match_every_site_bitwise(n, colors):
     # The three slabs, kappa, the witness and the certificates against the
@@ -365,10 +380,10 @@ def test_slabs_match_every_site_bitwise(n, colors):
         result = kappa_exact(spec)
         table = pattern_table(spec)
         assert np.array_equal(result.slabs, pattern_slabs(table)), spec
-        kappa, witness = pattern_kappa(table, ROUNDING_TOLERANCE)
+        kappa, witness, ratio = pattern_kappa(table, ROUNDING_TOLERANCE)
         edge = result.argmax_edge
         assert result.kappa == kappa and list(_pattern_index(edge)) == witness, spec
-        assert edge.ratio == table[tuple(witness)], spec
+        assert edge.ratio == ratio, spec
         summary = certify_all_edges(result)
         assert (summary.min_slack, summary.all_passed) == pattern_certificates(spec, table)
 
@@ -454,6 +469,27 @@ def test_closed_forms_refuse_past_float_range(closed_form):
     with pytest.raises(PrecisionLimitError, match="float range"):
         closed_form(ModelSpec(2, 2, 0.005))
     assert math.isfinite(kappa_closed_form(ModelSpec(2, 2, 0.006)))
+
+
+@pytest.mark.parametrize(
+    "spec, name",
+    [
+        (ModelSpec(10**200, 2, 1.0), r"n ~ 10\^200\.0"),
+        (ModelSpec(2, 10**400, 1.0), r"N ~ 10\^400\.0"),
+    ],
+    ids=["n", "N"],
+)
+def test_closed_forms_refuse_past_float_range_of_n(spec, name):
+    # n^2/N (or N) itself is past the float range, so that division (or the
+    # product by N) raises OverflowError; every caller refuses it as a
+    # precision limit instead.  kappa_exact refuses first, so certify reads
+    # a small chain's result that carries the spec.
+    result = dataclasses.replace(kappa_exact(ModelSpec(3, 2, 1.0)), spec=spec)
+    callers = [kappa_closed_form, boundary_edge_bound, worst_alpha_beta, kappa_exact,
+               lambda spec: certify_all_edges(result)]
+    for caller in callers:
+        with pytest.raises(PrecisionLimitError, match=name):
+            caller(spec)
 
 
 def test_per_edge_certificates():
