@@ -15,10 +15,11 @@ chain carry exactly its own pair, so the degenerate one-site chain yields
 two neighbors and its own two colors, and on an interior site only through
 one path-length sum, so :func:`kappa_exact` and :func:`certify_all_edges`
 read three slabs of worst ratios per such neighbor pattern: site 1, the
-interior site where that sum peaks, and site n.  They cost ``O(n + N^4)``
-and need no kernel; the first names its witness, an :class:`EdgeLoad`,
-from the slabs alone.  The table of every site, the sums over marginals
-of ``pi`` and the enumeration of pairs are kept only as the tests' oracles.
+middle site, where that sum peaks, and site n, each sum in closed form.
+They cost ``O(N^4)`` at any n and need no kernel; the first names its
+witness, an :class:`EdgeLoad`, from the slabs alone.  The table of every
+site, the sums over marginals of ``pi`` and the enumeration of pairs are
+kept only as the tests' oracles.
 
 The module also evaluates the closed-form upper bound ``(n^2/N)(N-1+e^{4/T})``
 together with the quantities that prove it, each as one table over every
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LOG_FLOAT_MAX, ROUNDING_TOLERANCE, ModelSpec
-from .model import BudgetExceededError, PrecisionLimitError
+from .model import PrecisionLimitError
 from .model import color_letter
 from .model import colors_table  # noqa: F401 -- perfbench/spans.py wraps this name
 from .kernel import SparseKernel, local_conditionals, local_scores
@@ -77,13 +78,13 @@ class KappaResult:
 
     ``slabs`` is indexed ``[slab, left + 1, right + 1, color_from,
     color_to]``, where a neighbor index of 0 means no neighbor.  Slab 0 is
-    site 1 and slab 2 site n, the same site at n = 1.  Slab 1 is the worst
-    interior site: every interior site has the same patterns, and each
-    ratio grows with the site's path-length sum, which rises up to the
-    middle site, so slab 1 holds each pattern's largest ratio over sites
-    2..n-1, and zeros at n <= 2.  Every edge's ratio is positive; slots
-    that are no edge (equal colors, or a neighbor index that does not fit
-    the site) hold zeros.
+    site 1 and slab 2 site n, the same site at n = 1.  Slab 1 is the middle
+    site ``(n + 1) // 2``, and zeros at n <= 2: every interior site has the
+    same patterns, and each ratio grows with the site's path-length sum,
+    which is concave and symmetric in the site and so peaks there, so
+    slab 1 holds each pattern's largest ratio over sites 2..n-1.  Every
+    edge's ratio is positive; slots that are no edge (equal colors, or a
+    neighbor index that does not fit the site) hold zeros.
     """
 
     spec: ModelSpec
@@ -116,50 +117,48 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
     Past the neighbors each term is largest, ``1 - 1/N + rho^d/N`` at
     distance ``d``, where ``z_j`` differs from ``c`` (left) or ``c'``
     (right).  So ``L = S_i + near[l, c] + near[r, c']``, with the site's
-    sum ``S_i = 1 + far[i] + far[n-1-i]`` of the terms past the neighbors,
-    and only ``S_i`` depends on an interior site: the ratios are read from
-    the three slabs of :class:`KappaResult`, in ``O(n + N^4)`` and with no
-    kernel.  The witness is the first pattern, in table order, of the first
-    slab that holds one within a relative ``ROUNDING_TOLERANCE`` of kappa
-    (so rounding cannot pick between edges that symmetry makes equally
-    loaded), named at site 1, at the middle site ``(n + 1) // 2``, where
-    ``S_i`` peaks, or at site n, with its slab entry as its ratio.
+    sum ``S_i = 1 + far(i-1) + far(n-i)`` of the terms past the neighbors,
+    a geometric sum in closed form, and only ``S_i`` depends on an interior
+    site: the ratios are read from the three slabs of :class:`KappaResult`,
+    in ``O(N^4)`` at any n and with no kernel.  The witness is the first
+    pattern, in table order, of the first slab that holds one within a
+    relative ``ROUNDING_TOLERANCE`` of kappa (so rounding cannot pick
+    between edges that symmetry makes equally loaded), named at its slab's
+    site, with its slab entry as its ratio.
 
     Raises:
         PrecisionLimitError: Where :func:`kappa_closed_form` would be past
             the float range.
-        BudgetExceededError: If the ``n`` site sums do not fit in memory.
     """
     alpha, cond = _edge_factors(spec)
     n, num_colors, t = spec.n, spec.num_colors, spec.temp
     e = math.exp(2.0 / t)
     rho = math.expm1(2.0 / t) / (e + num_colors - 1)
-    # Past 2^63 bytes numpy raises ValueError rather than MemoryError;
-    # either way nothing is allocated.
-    try:
-        far = np.zeros(n)
-    except (MemoryError, ValueError) as exc:
-        raise BudgetExceededError(f"the sums of {n} sites do not fit in memory") from exc
-    # far[k]: the worst terms at distances 2..k, summed term by term.
-    np.cumsum(1.0 - 1.0 / num_colors + rho ** np.arange(2, n) / num_colors, out=far[2:])
-    sums = 1.0 + far + far[::-1]
+    # 1 - rho, without cancellation; 1 (so no log of 0) where e^{2/T} rounds to 1.
+    rho_bar = num_colors / (e + num_colors - 1)
+
+    def far(k: int) -> float:
+        """The worst terms at distances 2..k: ``(k-1)(1-1/N) +
+        rho^2 (1 - rho^{k-1}) / (N (1 - rho))``, and 0 at k < 2."""
+        if k < 2:
+            return 0.0
+        decay = -math.expm1((k - 1) * math.log1p(-rho_bar)) if rho_bar < 1.0 else 1.0
+        return (k - 1) * (1.0 - 1.0 / num_colors) + rho * rho * decay / (num_colors * rho_bar)
+
     # near[u + 1, c]: P(neighbor != u | site = c), 0 with no neighbor; it is
-    # (1 - 1/N)(1 - rho) if u = c and 1 - (1 - rho)/N otherwise, with
-    # 1 - rho = N/(e+N-1) taken without cancellation.
+    # (1 - 1/N)(1 - rho) if u = c and 1 - (1 - rho)/N otherwise.
     near = np.full((num_colors + 1, num_colors), 1.0 - 1.0 / (e + num_colors - 1))
     near[0] = 0.0
     np.fill_diagonal(near[1:], (num_colors - 1) / (e + num_colors - 1))
     factor = n / num_colors * alpha / cond
-    # Rounding keeps each ratio monotone in S_i, so the interior slab is
-    # that of the site where the sum peaks.
-    peak = sums[1:-1].max(initial=0.0)
-    slabs = np.array([sums[0], peak, sums[-1]])[:, None, None, None, None]
-    slabs = slabs + near[:, None, :, None] + near[None, :, None, :]
+    sites = (1, (n + 1) // 2, n)
+    sums = np.array([1.0 + far(i - 1) + far(n - i) for i in sites]).reshape(3, 1, 1, 1, 1)
+    slabs = sums + near[:, None, :, None] + near[None, :, None, :]
     slabs *= factor
     # An edge has two colors, and a neighbor exactly where the site has one.
-    sites = np.array([0, 1, n - 1])[:, None]
+    place = np.array(sites)[:, None] - 1
     neighbor = np.arange(num_colors + 1) > 0
-    fits = ((sites > 0) == neighbor)[:, :, None] & ((sites < n - 1) == neighbor)[:, None]
+    fits = ((place > 0) == neighbor)[:, :, None] & ((place < n - 1) == neighbor)[:, None]
     slabs[~fits] = 0.0
     slabs[..., range(num_colors), range(num_colors)] = 0.0
     if n <= 2:
@@ -173,7 +172,7 @@ def kappa_exact(spec: ModelSpec) -> KappaResult:
     slab, left, right, color_from, color_to = map(int, first)
     edge = EdgeLoad(
         ratio=float(slabs[first]),
-        site=(1, (n + 1) // 2, n)[slab],
+        site=sites[slab],
         color_from=color_from,
         color_to=color_to,
         left=left - 1 if left else None,

@@ -8,11 +8,12 @@ directed edge's load from marginals of the enumerated ``pi`` and reads its
 capacity off the kernel matrix, so it shares no code with the package's
 neighbor-pattern formula; the witness oracles map each tied edge to its
 pattern, or scan the pattern table one index at a time.  That table holds
-every site, where the package keeps three slabs of it; it is formed from
-the package's edge factors in the package's order of additions, so it
-checks the three-slab factoring bitwise, and the marginal oracle checks
-the formula.  The
-symmetrization oracle forms ``sqrt(P_xy P_yx)`` for all ``m`` rows from the
+every site, where the package keeps three slabs of it; its site sums are
+40-digit running sums of the path-length terms, rounded once per site,
+where the package reads three of them from their closed form, so it checks
+the closed form and the three-slab factoring, and the marginal oracle
+checks the formula.  The symmetrization oracle forms ``sqrt(P_xy P_yx)``
+for all ``m`` rows from the
 kernel matrix, with ``P_xx`` on the diagonal, where the package builds the
 representatives' rows from the conditionals.  The edge-factor oracle sums the
 proof's ``alpha + beta`` from bond scores, where the package reads ``alpha/p``
@@ -43,6 +44,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from scipy.sparse.csgraph import connected_components
 
 from spectral_gibbs import boundary_edge_bound, make_rng
@@ -473,18 +475,34 @@ def marginal_witness(kernel, ratios, rtol):
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _far_sums(n, num_colors, temp):
+    """``far[k]``, the worst path-length terms ``1 - 1/N + rho^d/N`` at
+    distances ``d = 2..k`` for ``k < n``, summed one term at a time in
+    40-digit arithmetic and rounded once per site."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        x = mp.mpf(2) / mp.mpf(temp)
+        rho = mp.expm1(x) / (mp.exp(x) + num_colors - 1)
+        far, total, power = [0.0] * n, mp.mpf(0), rho
+        for k in range(2, n):
+            power *= rho
+            total += 1 - mp.mpf(1) / num_colors + power / num_colors
+            far[k] = float(total)
+    far = np.array(far)
+    far.flags.writeable = False
+    return far
+
+
 def pattern_table(spec):
     """The worst ratio of every neighbor pattern at every site, indexed
     ``[site - 1, left + 1, right + 1, color_from, color_to]`` (0 for no
     neighbor, zeros where no edge fits): ``n (N+1)^2 N^2`` floats, each
-    formed in the order of additions that ``kappa_exact`` uses for its
-    three slabs, so the two agree bitwise."""
+    from its site's :func:`_far_sums`."""
     alpha, cond = _edge_factors(spec)
     n, num_colors, t = spec.n, spec.num_colors, spec.temp
     e = math.exp(2.0 / t)
-    rho = math.expm1(2.0 / t) / (e + num_colors - 1)
-    far_terms = 1.0 - 1.0 / num_colors + rho ** np.arange(2, n) / num_colors
-    far = np.concatenate(([0.0, 0.0], np.cumsum(far_terms)))[:n]
+    far = _far_sums(n, num_colors, t)
     near = np.full((num_colors + 1, num_colors), 1.0 - 1.0 / (e + num_colors - 1))
     near[0] = 0.0
     np.fill_diagonal(near[1:], (num_colors - 1) / (e + num_colors - 1))
@@ -520,14 +538,15 @@ def pattern_kappa(patterns, rtol):
 
 
 def pattern_certificates(spec, patterns):
-    """``min_slack`` and ``all_passed`` of every site of a
-    :func:`pattern_table` against its per-edge bound."""
+    """``min_slack``, the bound it is the slack of, and ``all_passed`` of
+    every site of a :func:`pattern_table` against its per-edge bound."""
     n, num_colors = spec.n, spec.num_colors
     alpha, cond = _edge_factors(spec)
     bounds = np.full(patterns.shape, boundary_edge_bound(spec))
     bounds[1:-1, 1:, 1:] = (n * n / num_colors) * (alpha / cond)[1:, 1:]
     slack = np.where(patterns > 0, bounds - patterns, np.inf)
-    return slack.min(), bool(np.all(slack >= -ROUNDING_TOLERANCE * bounds))
+    least = np.unravel_index(np.argmin(slack), slack.shape)
+    return slack[least], bounds[least], bool(np.all(slack >= -ROUNDING_TOLERANCE * bounds))
 
 
 def pattern_witness(patterns, rtol):

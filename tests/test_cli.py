@@ -501,10 +501,10 @@ def test_two_color_bounds_at_any_n(capsys, monkeypatch):
 
 
 def test_bounds_at_a_million_sites(capsys):
-    # Kappa's three slabs cost O(n + N^4): 0.22-0.28 s and 61 MiB for the
-    # whole command on 2 cores, where the table of every site took 1.1 s
-    # and 380 MiB.  The least likely state's rank has 301030 digits, past
-    # what Python prints, so its envelope start is null.
+    # Kappa's three slabs cost O(N^4) at any n: the whole command takes
+    # 0.13 s and 30 MiB in a fresh process on 2 cores, most of it the
+    # imports.  The least likely state's rank has 301030 digits, past what
+    # Python prints, so its envelope start is null.
     code, out = run_main(
         ["bounds", "--n", "1000000", "--colors", "2", "--temp", "1"], capsys
     )
@@ -512,6 +512,15 @@ def test_bounds_at_a_million_sites(capsys):
     assert code == 0 and payload["all_passed"]
     assert 0.0 < payload["exact"]["beta1"] < 1.0
     assert payload["envelope"] == {"start_state": None, "pi_start": 0.0}
+
+
+def test_bounds_at_10_to_the_14_sites(capsys):
+    # Kappa reads its site sums from their closed form, so no array of n
+    # floats caps it: 10^14 sites pass like a million.
+    code, out = run_main(
+        ["bounds", "--n", "100000000000000", "--colors", "2", "--temp", "1"], capsys
+    )
+    assert code == 0 and json.loads(out)["all_passed"]
 
 
 def test_bounds_start_state_is_null_past_the_digit_limit(capsys):
