@@ -12,10 +12,15 @@ indexed by site, rank and the bin of the color uniform among the distinct
 color thresholds of the chain, so each step is one lookup; it draws the
 stream a block of steps at a time.  The exact arm gathers each step from
 the kernel's row table of ``P``'s columns with numpy; it propagates a block
-of distributions at a time and stops at the float fixed point of propagation:
-once a step leaves the distribution bitwise unchanged, every later step
-would too.  Both arms reduce a block of distributions to TVs with one set of
-numpy calls.
+of distributions at a time.  It stops at the first step whose TV is at most
+``ROUNDING_TOLERANCE`` and no less than the TV before it: a Markov step
+never raises TV to ``pi``, so from there on propagation only rounds, and
+the TV before that step, held for the rest of the curve, bounds every later
+TV.  From its least likely state, (n=10, N=2, T=0.5) stops there at step
+3787 instead of 12422.  A chain whose TV never falls to the tolerance stops
+at the float fixed point of propagation: once a step leaves the
+distribution bitwise unchanged, every later step would too.  Both arms
+reduce a block of distributions to TVs with one set of numpy calls.
 """
 
 from __future__ import annotations
@@ -104,7 +109,11 @@ def _distribution_blocks(
     unchanged (its float fixed point), every later step would too.  That is
     checked at the end of each block: after a block whose last two rows are
     equal, no more blocks are yielded, and every distribution past it is its
-    last row.
+    last row.  A caller may stop sooner: :func:`tv_curve` stops at its
+    rounding floor, which comes no later than the fixed point wherever the
+    TV there is at most ``ROUNDING_TOLERANCE`` (at step 3787 rather than
+    12422 from the least likely state of (n=10, N=2, T=0.5)), and holds its
+    TV, which bounds every later one.
     """
     sources, weights = _incoming_table(kernel)
     gathered = np.empty(weights.shape)
@@ -290,11 +299,18 @@ def tv_curve(
 ) -> TvCurve:
     """Measure exact TV decay from rank ``start`` against the certified envelope.
 
-    The exact arm propagates the start distribution step by step, up to
-    the float fixed point of propagation where one is reached; the
+    The exact arm propagates the start distribution step by step.  It
+    stops at its rounding floor, the first step ``k >= 1`` whose TV is at
+    most ``ROUNDING_TOLERANCE`` and at least the TV at ``k - 1``: TV to
+    ``pi`` never rises under a Markov step, so that rise or tie is rounding,
+    and the TV at ``k - 1``, the least one resolved, is held from ``k`` on
+    and bounds every later TV.  From its least likely state, (n=10, N=2,
+    T=0.5) stops at ``k = 3787`` rather than at its float fixed point,
+    ``k = 12422``.  A chain that never falls to the tolerance stops at the
+    float fixed point of propagation instead, if it reaches one.  The
     envelope is :func:`~spectral_gibbs.bounds.ds_tv_envelope` at the exact
-    rate ``beta1`` and the start state's stationary probability.  When a seed is
-    given, a Monte Carlo arm of 256 chains estimates the same curve
+    rate ``beta1`` and the start state's stationary probability.  When a
+    seed is given, a Monte Carlo arm of 256 chains estimates the same curve
     empirically.
 
     Raises:
@@ -331,8 +347,19 @@ def tv_curve(
     k = 0
     for block in _distribution_blocks(kernel, start, k_max):
         exact[k : k + len(block)] = _tv_rows(block, pi)
+        first = max(k, 1)
         k += len(block)
-    # Past the float fixed point every distribution is the last one yielded.
+        # A Markov step never raises TV to pi, so a rise at or below the
+        # tolerance is rounding: the arm stops at the first such step.
+        tvs = exact[first:k]
+        floor = np.flatnonzero(
+            (tvs <= ROUNDING_TOLERANCE) & (tvs >= exact[first - 1 : k - 1])
+        )
+        if len(floor):
+            k = first + int(floor[0])
+            break
+    # Past the rounding floor or the float fixed point, every TV is held at
+    # the last one resolved, which bounds every later TV.
     exact[k:] = exact[k - 1]
 
     mc = None

@@ -295,17 +295,24 @@ class CertificateSummary:
     """Every directed edge's ratio checked against its per-edge bound.
 
     Attributes:
-        num_edges: The ``N^n n (N-1)`` directed edges checked.
-        min_slack: Least ``bound - ratio`` over them; the bound is
+        min_slack: Least ``bound - ratio`` over the edges; the bound is
             ``(n^2/N) alpha/p`` at an interior site, the boundary closed
             form at site 1 or n.
         all_passed: Whether every slack is at least
             ``-ROUNDING_TOLERANCE`` times its bound.
+        spec: Chain parameters.
     """
 
-    num_edges: int
     min_slack: float
     all_passed: bool
+    spec: ModelSpec
+
+    @property
+    def num_edges(self) -> int:
+        """The ``N^n n (N-1)`` directed edges checked, counted exactly when
+        read: an integer of about ``n log2 N`` bits."""
+        spec = self.spec
+        return spec.num_states * spec.n * (spec.num_colors - 1)
 
 
 def certify_all_edges(result: KappaResult) -> CertificateSummary:
@@ -331,9 +338,9 @@ def certify_all_edges(result: KappaResult) -> CertificateSummary:
     bounds[1, 1:, 1:] = (n * n / num_colors) * (alpha / cond)[1:, 1:]
     slack = np.where(result.slabs > 0, bounds - result.slabs, np.inf)
     return CertificateSummary(
-        num_edges=spec.num_states * n * (num_colors - 1),
         min_slack=float(slack.min()),
         all_passed=bool(np.all(slack >= -ROUNDING_TOLERANCE * bounds)),
+        spec=spec,
     )
 
 

@@ -28,7 +28,7 @@ from spectral_gibbs import (
 from spectral_gibbs import chain
 from spectral_gibbs.chain import _block_length, _distribution_blocks, _mc_distributions
 from spectral_gibbs.kernel import conditional_table, local_conditionals
-from spectral_gibbs.model import DENSE_SOLVE_BUDGET
+from spectral_gibbs.model import DENSE_SOLVE_BUDGET, ROUNDING_TOLERANCE
 
 
 def test_make_rng_reproducible():
@@ -99,6 +99,30 @@ def _fixed_point(kern, start, k_max):
     return found, np.array(tvs)
 
 
+def floor_stop(tvs):
+    """First step k >= 1 whose TV is at most ROUNDING_TOLERANCE and at least
+    the TV at k - 1, where the exact arm stops; None where there is none."""
+    for k in range(1, len(tvs)):
+        if tvs[k] <= ROUNDING_TOLERANCE and tvs[k] >= tvs[k - 1]:
+            return k
+    return None
+
+
+def assert_matches_until_floor(exact, oracle, atol=0.0, err_msg=""):
+    """``exact`` is the non-stopping loop's TVs ``oracle`` (within ``atol``)
+    before the floor stop, and from it on holds the TV just before it,
+    which is at most ROUNDING_TOLERANCE."""
+    stop = floor_stop(oracle)
+    if stop is None:
+        stop = len(oracle)
+    np.testing.assert_allclose(
+        exact[:stop], oracle[:stop], rtol=0, atol=atol, err_msg=err_msg
+    )
+    if stop < len(oracle):
+        assert exact[stop - 1] <= ROUNDING_TOLERANCE, err_msg
+        assert (exact[stop:] == exact[stop - 1]).all(), err_msg
+
+
 @pytest.fixture
 def stub_spectrum(monkeypatch):
     # the exact arm does not read the spectrum, only the envelope does
@@ -108,40 +132,129 @@ def stub_spectrum(monkeypatch):
     monkeypatch.setattr(chain, "compute_spectrum", resolved)
 
 
+@pytest.fixture
+def rows_made(monkeypatch):
+    """Count the distributions ``tv_curve``'s exact arm makes, and whether
+    propagation ended at its float fixed point before ``k_max``."""
+    made = {"rows": 0, "fixed_point": False}
+    blocks = chain._distribution_blocks
+
+    def counted(kern, start, k_max):
+        made["rows"], made["fixed_point"] = 0, False
+        for block in blocks(kern, start, k_max):
+            made["rows"] += len(block)
+            yield block
+        made["fixed_point"] = made["rows"] < k_max + 1
+
+    monkeypatch.setattr(chain, "_distribution_blocks", counted)
+    return made
+
+
+# Least TV 1.08e-12 from its least likely state: the one chain of the tests
+# that reaches the float fixed point without falling to the rounding floor.
+NEVER_AT_FLOOR = ModelSpec(3, 5, 0.3)
+
+
 @pytest.mark.parametrize(
     "spec, offsets",
-    [(ModelSpec(5, 3, 2.0), (-1, 0, 1, 2)), (ModelSpec(10, 2, 0.5), (0,))],
+    [
+        (ModelSpec(5, 3, 2.0), (-1, 0, 1, 2)),
+        (ModelSpec(10, 2, 0.5), (0,)),
+        (NEVER_AT_FLOOR, (-1, 0, 1, 2)),
+    ],
     ids=str,
 )
 def test_exact_arm_stops_at_float_fixed_point(spec, offsets, stub_spectrum):
-    # the benchmark's spec and a small one both reach the fixed point well
-    # before 20000 steps; every TV before, at and past it is the loop's
+    # all three reach the fixed point before 30000 steps; every TV before
+    # the floor stop is the loop's, and NEVER_AT_FLOOR's are all the loop's
     kern = kernel_for(spec)
     start = int(np.argmin(kern.pi))
-    fixed, oracle = _fixed_point(kern, start, 20000)
-    assert fixed is not None and fixed < 20000
-    for k_max in [fixed + offset for offset in offsets] + [20000]:
+    fixed, oracle = _fixed_point(kern, start, 30000)
+    assert fixed is not None and fixed < 30000
+    assert (floor_stop(oracle) is None) == (spec == NEVER_AT_FLOOR)
+    for k_max in [fixed + offset for offset in offsets] + [30000]:
         exact = tv_curve(kern, start, k_max).exact_tv
-        assert np.array_equal(exact, oracle[: k_max + 1]), k_max
+        assert_matches_until_floor(exact, oracle[: k_max + 1])
     # propagation ends with the first block whose last two rows are equal,
     # the first block that ends past the fixed point's next step
     block = _block_length(spec.num_states)
-    produced = sum(len(rows) for rows in _distribution_blocks(kern, start, 20000))
+    produced = sum(len(rows) for rows in _distribution_blocks(kern, start, 30000))
     assert produced == block * -(-(fixed + 2) // block)
     assert fixed + 2 <= produced < fixed + 2 + block
 
 
+@pytest.mark.parametrize(
+    "spec, start",
+    [
+        (ModelSpec(5, 3, 2.0), 30),
+        (ModelSpec(10, 2, 0.5), 341),
+        (ModelSpec(2, 2, 2.0), 0),
+    ],
+    ids=str,
+)
+def test_exact_arm_stops_at_rounding_floor(spec, start, stub_spectrum, rows_made):
+    # the arm ends with the block that holds the floor stop, well before the
+    # fixed point: from its least likely state (10,2,0.5) stops at 3787 and
+    # makes 3792 distributions, not the 12432 of its fixed point.  At (2,2,2)
+    # the stop is a tie, at 2.5e-16 from k = 114 to 115, after which the
+    # loop's TV moves again
+    kern = kernel_for(spec)
+    fixed, oracle = _fixed_point(kern, start, 20000)
+    stop = floor_stop(oracle)
+    exact = tv_curve(kern, start, 20000).exact_tv
+    assert_matches_until_floor(exact, oracle)
+    block = _block_length(spec.num_states)
+    assert rows_made["rows"] == block * -(-(stop + 1) // block)
+    assert not rows_made["fixed_point"] and stop < fixed
+    # the held TV bounds every later one the loop computes
+    assert exact[-1] == oracle[stop - 1] and exact[-1] <= ROUNDING_TOLERANCE
+    if spec == ModelSpec(10, 2, 0.5):
+        assert (stop, rows_made["rows"]) == (3787, 3792)
+        assert oracle[stop:].max() > ROUNDING_TOLERANCE
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
 def test_fixed_point_stop_at_any_block_length(block, stub_spectrum, monkeypatch):
-    # a one-row block never compares two rows, so it never stops early
-    spec = ModelSpec(5, 3, 2.0)
-    kern = kernel_for(spec)
-    fixed, oracle = _fixed_point(kern, 0, 600)
-    assert fixed is not None
+    # a one-row block never compares two rows, so it never stops early;
+    # (5,3,2) falls to the rounding floor, NEVER_AT_FLOOR runs to its fixed
+    # point
     monkeypatch.setattr(chain, "_block_length", lambda num_states: block)
-    assert np.array_equal(tv_curve(kern, 0, 600).exact_tv, oracle)
-    produced = sum(len(rows) for rows in _distribution_blocks(kern, 0, 600))
-    assert produced == (601 if block == 1 else block * -(-(fixed + 2) // block))
+    chains = [(ModelSpec(5, 3, 2.0), 0, 600), (NEVER_AT_FLOOR, 5, 29000)]
+    for spec, start, k_max in chains:
+        kern = kernel_for(spec)
+        fixed, oracle = _fixed_point(kern, start, k_max)
+        assert fixed is not None
+        assert_matches_until_floor(tv_curve(kern, start, k_max).exact_tv, oracle)
+        produced = sum(len(rows) for rows in _distribution_blocks(kern, start, k_max))
+        blocks = -(-(fixed + 2) // block)
+        assert produced == (k_max + 1 if block == 1 else block * blocks)
+
+
+# The acceptance grid, then every chain of N = 2..5 and at most 4096 states
+# at low temperatures, where TV can sit on a plateau above the tolerance: at
+# (7,2,0.06) from rank 0 it is 0.5000000000000044 from k = 12 on.
+FLOOR_SPECS = grid_specs() + [
+    ModelSpec(n, colors, temp)
+    for temp in (0.06, 0.1, 0.15)
+    for colors in range(2, 6)
+    for n in range(1, 13)
+    if colors**n <= DENSE_SOLVE_BUDGET
+]
+
+
+@pytest.mark.parametrize("spec", FLOOR_SPECS, ids=str)
+def test_exact_tv_never_rises_past_the_floor(spec, stub_spectrum, rows_made):
+    # once TV is at most the tolerance it never rises, and an arm that stops
+    # before its fixed point holds a TV at most the tolerance; a stop at any
+    # rise, floor or not, would hold the plateaus above
+    kern = build_kernel(spec)
+    for start in {int(np.argmin(kern.pi)), 0}:
+        exact = tv_curve(kern, start, 5000).exact_tv
+        low = np.flatnonzero(exact <= ROUNDING_TOLERANCE)
+        if len(low):
+            assert (np.diff(exact[low[0] :]) <= 0).all(), start
+        if rows_made["rows"] < 5001 and not rows_made["fixed_point"]:
+            assert exact[-1] <= ROUNDING_TOLERANCE, start
 
 
 def test_propagation_without_fixed_point_runs_every_step():
@@ -449,8 +562,8 @@ def _check_both_arms(spec, block):
                 curve = tv_curve(kern, start, k_max)
                 got = _mc_distributions(kern, start, k_max, 7, replicas)
             where = f"replicas={replicas} k_max={k_max}"
-            np.testing.assert_allclose(
-                curve.exact_tv, exact[: k_max + 1], rtol=0, atol=1e-15, err_msg=where
+            assert_matches_until_floor(
+                curve.exact_tv, exact[: k_max + 1], atol=1e-15, err_msg=where
             )
             # a different color choice anywhere moves some TV by >= 1/replicas
             np.testing.assert_allclose(

@@ -24,6 +24,7 @@ from spectral_gibbs import (
 )
 from spectral_gibbs import cli
 from spectral_gibbs.cli import main
+from spectral_gibbs.model import ROUNDING_TOLERANCE
 
 
 def run_main(args, capsys):
@@ -238,6 +239,21 @@ def test_tv_distances_at_most_one(capsys):
     for column in ("exact_tv", "mc_tv"):
         assert max(payload[column]) == 1.0, column
         assert payload[column][0] == 1.0, column
+
+
+def test_tv_past_the_rounding_floor_keeps_the_envelope(capsys):
+    # From its least likely state the exact TV falls to 3.9e-13 by k = 3786.
+    # Propagated on to its float fixed point, rounding alone lifts it to
+    # 1.06e-12, above the envelope plus the tolerance from k = 106925 on, a
+    # false "envelope violated" (exit 1); the arm holds the TV instead.
+    code, out = run_main(
+        ["tv", "--n", "10", "--colors", "2", "--temp", "0.5", "--kmax", "120000"],
+        capsys,
+    )
+    assert code == 0
+    rows = out.splitlines()[1:]
+    tail = {row.split(",")[1] for row in rows[3786:]}
+    assert len(tail) == 1 and float(tail.pop()) <= ROUNDING_TOLERANCE
 
 
 def test_tv_single_site_odd_colors_has_zero_envelope(capsys):

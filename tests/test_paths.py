@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -398,8 +399,7 @@ def test_slabs_match_every_site(n, colors):
 def test_kappa_at_any_n():
     # The site sums are read from their closed form, so kappa allocates
     # nothing that grows with n: at 10^15 sites its witness is the middle
-    # one, and below its closed form.  (certify_all_edges counts the N^n
-    # states exactly, a 10^15-bit integer here, so it is not called.)
+    # one, and below its closed form.
     spec = ModelSpec(10**15, 2, 1.0)
     result = kappa_exact(spec)
     assert result.argmax_edge.site == (spec.n + 1) // 2
@@ -523,6 +523,22 @@ def test_per_edge_certificates():
     assert summary.num_edges == spec.num_states * spec.n * (spec.num_colors - 1)
     assert summary.all_passed
     assert summary.min_slack >= 0
+
+
+@pytest.mark.parametrize("n", [10**9, 10**15])
+def test_certificates_at_any_n(n, monkeypatch):
+    # num_edges counts the 2^n states only when read: at n = 10^9 that took
+    # 4.9 s, and at 10^15 it would not fit in memory
+    result = kappa_exact(ModelSpec(n, 2, 1.0))
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            model.ModelSpec, "num_states",
+            property(lambda spec: pytest.fail("the states were counted")),
+        )
+        begin = time.perf_counter()
+        summary = certify_all_edges(result)
+        assert time.perf_counter() - begin < 1.0
+    assert summary.all_passed and summary.min_slack >= 0
 
 
 @pytest.mark.parametrize(
