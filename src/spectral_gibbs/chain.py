@@ -20,7 +20,11 @@ TV.  From its least likely state, (n=10, N=2, T=0.5) stops there at step
 3787 instead of 12422.  A chain whose TV never falls to the tolerance stops
 at the float fixed point of propagation: once a step leaves the
 distribution bitwise unchanged, every later step would too.  Both arms
-reduce a block of distributions to TVs with one set of numpy calls.
+reduce a block of steps to TVs with one set of numpy calls.  The exact arm
+reduces its distributions over every state; the Monte Carlo arm sums the
+positive parts of half the L1 distance over the at most ``R`` ranks its
+``R`` replicas visit, so a step costs ``O(R log R)`` whatever the number
+of states.
 """
 
 from __future__ import annotations
@@ -57,25 +61,47 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return min(0.5 * float(np.abs(p - q).sum()), 1.0)
 
 
-def _block_length(num_states: int) -> int:
-    """Steps whose TVs are reduced together.
+def _block_length(row_length: int) -> int:
+    """Steps whose TVs are reduced together, for rows of ``row_length``.
 
-    A block holds about 2^14 state entries (128 KiB of float64): enough steps
-    to share each reduction's numpy calls, few enough that its arrays stay
-    in cache.
+    A block holds about 2^14 entries, a distribution's states in the exact
+    arm and the replicas' ranks in the Monte Carlo arm: enough steps to
+    share each reduction's numpy calls, few enough that its arrays stay in
+    cache.
     """
-    return max(1, 2**14 // num_states)
+    return max(1, 2**14 // row_length)
 
 
-def _tv_rows(
-    dists: np.ndarray, pi: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """:func:`tv_distance` of each row of ``dists`` to ``pi``, also at most 1.
+def _tv_rows(dists: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """:func:`tv_distance` of each row of ``dists`` to ``pi``, also at most 1."""
+    return np.minimum(0.5 * np.abs(dists - pi).sum(axis=1), 1.0)
 
-    ``out``, when given, receives ``|dists - pi|``; it may be ``dists``.
+
+def _visited_tv_rows(visited: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """TV to ``pi`` of each row's empirical distribution, at most 1.
+
+    Row ``t`` of ``visited`` holds the ranks of the ``R`` replicas after
+    step ``t``; the rows are sorted in place.  A row's TV is the positive
+    part of half the L1 distance, ``sum_x max(c_x / R - pi_x, 0)`` for a
+    rank ``x`` visited ``c_x`` times, where an unvisited rank adds 0: so
+    only the at most ``R`` runs of equal ranks of the sorted row are
+    summed, one by one in ascending rank order.  That costs ``O(R log R)``
+    per step, whatever the number of states.
     """
-    deviations = np.abs(np.subtract(dists, pi, out=out), out=out)
-    return np.minimum(0.5 * deviations.sum(axis=1), 1.0)
+    steps, replicas = visited.shape
+    visited.sort(axis=1)
+    flat = visited.ravel()
+    # A run of equal ranks ends before a different rank or at a row's end.
+    last = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=last[:-1])
+    last[replicas - 1 :: replicas] = True
+    ends = np.flatnonzero(last)
+    excess = np.diff(ends, prepend=-1) / replicas
+    excess -= pi.take(flat[ends])
+    np.maximum(excess, 0.0, out=excess)
+    # bincount adds each row's terms one after another, in index order.
+    tvs = np.bincount(ends // replicas, weights=excess, minlength=steps)
+    return np.minimum(tvs, 1.0, out=tvs)
 
 
 def _incoming_table(kernel: SparseKernel) -> tuple[np.ndarray, np.ndarray]:
@@ -177,8 +203,9 @@ def _mc_distributions(
     one block of color uniforms, so one replica consumes the module's
     two-uniforms-per-step stream, and the result is a pure function of
     (seed, replicas, k_max).  Uniforms are drawn, and visited ranks reduced
-    to TVs, :func:`_block_length` steps at a time; that changes neither the
-    stream nor any value.
+    to TVs by :func:`_visited_tv_rows`, ``_block_length(replicas)`` steps at
+    a time (64 steps at 256 replicas); that changes neither the stream nor
+    any value.  Step 0 goes through the same reduction.
 
     Returns:
         Array of shape ``(k_max + 1,)``.
@@ -207,11 +234,9 @@ def _mc_distributions(
     successors = successor_table(spec, kernel.colors).astype(np.int32)
     table = np.take_along_axis(successors.transpose(1, 2, 0), drawn, axis=1).ravel()
     ranks = np.full(replicas, start, dtype=np.int32)
-    # levels[c] = c / replicas, the frequency of a rank visited c times.
-    levels = np.arange(replicas + 1) / replicas
     out = np.empty(k_max + 1)
-    out[0] = tv_distance(np.bincount(ranks, minlength=m) / replicas, pi)
-    block = _block_length(m)
+    out[:1] = _visited_tv_rows(ranks[None].copy(), pi)
+    block = _block_length(replicas)
     for first in range(1, k_max + 1, block):
         steps = min(block, k_max + 1 - first)
         uniforms = rng.random(2 * replicas * steps).reshape(steps, 2, replicas)
@@ -219,16 +244,13 @@ def _mc_distributions(
         keys = (sites * bins + color_bins(uniforms[:, 1])) * m
         visited = np.empty((steps, replicas), dtype=np.int32)
         for t in range(steps):
+            key = np.add(keys[t], ranks, out=keys[t])
             # Every index is in range by construction; "clip" spares take
             # its buffered bounds check.
-            ranks = table.take(keys[t] + ranks, out=visited[t], mode="clip")
-        # A copy: ranks is a row of visited, which gets its offsets next.
+            ranks = table.take(key, out=visited[t], mode="clip")
+        # A copy: ranks is a row of visited, which the reduction sorts.
         ranks = ranks.copy()
-        # Visit counts of all steps at once: step t counts into row t.
-        visited += np.arange(0, steps * m, m, dtype=np.int32)[:, None]
-        counts = np.bincount(visited.ravel(), minlength=steps * m)
-        dists = levels.take(counts).reshape(steps, m)
-        out[first : first + steps] = _tv_rows(dists, pi, out=dists)
+        out[first : first + steps] = _visited_tv_rows(visited, pi)
     return out
 
 

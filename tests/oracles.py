@@ -348,7 +348,10 @@ def mc_tv_oracle(kernel, start, k_max, seed, replicas):
     both ends; a step draws one block of site uniforms (``floor(n u)``) and
     one block of color uniforms (inverse CDF over colors in index order),
     looks the CDF up by the two neighbors, and updates the rank by place
-    value.  The CDFs come from :func:`neighbor_conditional`.
+    value.  The CDFs come from :func:`neighbor_conditional`.  The TV is the
+    positive part of half the L1 distance, ``sum_x max(c_x / R - pi_x, 0)``
+    over every rank in ascending order, added one by one (an unvisited
+    rank adds 0), and at most 1.
     """
     spec = kernel.spec
     n, num_colors, m = spec.n, spec.num_colors, spec.num_states
@@ -376,7 +379,11 @@ def mc_tv_oracle(kernel, start, k_max, seed, replicas):
             colors = np.minimum((cdfs <= u[:, None]).sum(axis=1), num_colors - 1) + 1
             ranks += (colors - padded[rows, sites + 1]) * places[sites]
             padded[rows, sites + 1] = colors
-        out[k] = 0.5 * np.abs(np.bincount(ranks, minlength=m) / replicas - pi).sum()
+        excess = np.maximum(np.bincount(ranks, minlength=m) / replicas - pi, 0.0)
+        total = 0.0
+        for term in excess.tolist():
+            total += term
+        out[k] = min(total, 1.0)
     return out
 
 

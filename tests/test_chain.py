@@ -1,7 +1,9 @@
 """Propagation, the Monte Carlo stepper, and TV decay curves."""
 
+import collections
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -307,8 +309,9 @@ def test_trajectory_reproducible():
 
 
 def test_trajectory_spans_blocks():
-    # at 4 states a block is 4096 steps; both runs cross its end, and their
-    # second blocks have different lengths
+    # 4 replicas give 4096-step Monte Carlo blocks, as 4 states do for the
+    # exact arm; both runs cross its end, and their second blocks have
+    # different lengths
     kern = kernel_for(ModelSpec(2, 2, 1.0))
     assert _block_length(4) == 4096
     long = _mc_distributions(kern, 0, 8200, 3, 4)
@@ -316,6 +319,56 @@ def test_trajectory_spans_blocks():
     assert np.array_equal(long[:4201], short)
     long, short = tv_curve(kern, 0, 8200), tv_curve(kern, 0, 4200)
     assert np.array_equal(long.exact_tv[:4201], short.exact_tv)
+
+
+def test_mc_arm_crosses_its_natural_block_end():
+    # 7 replicas give 2340-step blocks (steps 1..2340, then 2341..2345)
+    spec = ModelSpec(3, 3, 1.0)
+    kern = kernel_for(spec)
+    assert _block_length(7) == 2340
+    got = _mc_distributions(kern, 13, 2345, 5, 7)
+    np.testing.assert_allclose(
+        got, mc_tv_oracle(kern, 13, 2345, 5, 7), rtol=0, atol=1e-15
+    )
+
+
+@pytest.mark.parametrize("spec", grid_specs(64), ids=str)
+def test_mc_arm_within_rounding_of_exact_tv(spec, monkeypatch):
+    # Against the exact half-L1 distance H of the same counts c to the float
+    # pi, with u = 2^-53 and delta = sum(pi) - 1 (both exact):
+    # - H = P + delta/2 for P = sum_x max(c_x/R - pi_x, 0), since
+    #   |a| = 2 max(a, 0) - a and sum_x (c_x/R - pi_x) = -delta;
+    # - rounding c/R errs by at most u c/R, and the subtraction by at most
+    #   u times its result, so the terms err by at most u + u P in all;
+    # - adding at most R nonnegative terms one by one errs by at most
+    #   (R - 1) u P, to first order;
+    # - P <= 1, so clamping at 1 moves the sum no farther from P.
+    # So the arm is within (R + 1) u + O(R^2 u^2) of P, and within
+    # (R + 2) u + |delta|/2 of H; on these chains |delta| <= 4u.
+    kern = kernel_for(spec)
+    pi = [Fraction(p) for p in kern.pi.tolist()]
+    total = sum(pi)
+    seen = []
+    reduce = chain._visited_tv_rows
+
+    def recorded(visited, pi):
+        seen.append(visited.copy())
+        return reduce(visited, pi)
+
+    monkeypatch.setattr(chain, "_visited_tv_rows", recorded)
+    for replicas in (1, 7, 256):
+        seen.clear()
+        got = _mc_distributions(kern, spec.num_states // 2, 40, 7, replicas)
+        rows = np.vstack(seen)
+        assert rows.shape == (41, replicas)
+        bound = (replicas + 2) * Fraction(2) ** -53 + abs(total - 1) / 2
+        for k, (row, tv) in enumerate(zip(rows, got)):
+            counts = collections.Counter(row.tolist())
+            # the unvisited ranks are |0 - pi_x| = pi_x apart
+            exact = sum(abs(Fraction(c, replicas) - pi[x]) for x, c in counts.items())
+            exact += total - sum(pi[x] for x in counts)
+            error = abs(Fraction(tv) - exact / 2)
+            assert error <= bound, (replicas, k, float(error))
 
 
 def test_simulation_consumes_documented_stream():
@@ -520,9 +573,10 @@ def test_tv_curve_serialization():
     assert json.loads(bare.to_json())["mc_tv"] is None
 
 
-# Specs whose block length is at most 256 steps, so both arms can be run past
-# three blocks; every grid spec, these and the smaller ones, is also run
-# with a shortened block below.
+# Specs whose exact-arm block length is at most 256 steps, so that arm can be
+# run past three blocks; the Monte Carlo arm's blocks follow the replicas
+# (64 steps at 256, 2340 at 7).  Every grid spec, these and the smaller ones,
+# is also run with a shortened block below, for both arms.
 LONG_BLOCK_SPECS = [s for s in grid_specs(1024) if s.num_states >= 64] + [
     ModelSpec(2, 26, 1.0),
     ModelSpec(6, 4, 1.0),
